@@ -31,8 +31,12 @@ pub enum WriteTag {
     SinkRecord,
     /// The rename step of an atomic replace.
     Rename,
-    /// Superblock / checkpoint temp-file contents.
+    /// Superblock / checkpoint-base temp-file contents.
     Superblock,
+    /// A checkpoint delta frame appended to the delta log, or (as a
+    /// one-byte unit, like [`WriteTag::Rename`]) the truncation that
+    /// resets that log after a new base was installed.
+    CheckpointDelta,
 }
 
 impl WriteTag {
@@ -41,7 +45,8 @@ impl WriteTag {
             0 => WriteTag::WalRecord,
             1 => WriteTag::SinkRecord,
             2 => WriteTag::Rename,
-            _ => WriteTag::Superblock,
+            3 => WriteTag::Superblock,
+            _ => WriteTag::CheckpointDelta,
         }
     }
 
@@ -51,6 +56,7 @@ impl WriteTag {
             WriteTag::SinkRecord => 1,
             WriteTag::Rename => 2,
             WriteTag::Superblock => 3,
+            WriteTag::CheckpointDelta => 4,
         }
     }
 }
@@ -187,6 +193,11 @@ pub struct MediaFile {
     file: File,
     pending: Vec<u8>,
     durable_len: u64,
+    /// Whether the OS file cursor sits at `durable_len`, so [`sync`]
+    /// (`MediaFile::sync`) can append without a `seek`. Cleared by
+    /// anything that moves the cursor elsewhere or may have left it at an
+    /// unknown offset (`read_at`, a failed write).
+    at_tail: bool,
     budget: Option<Arc<PowerBudget>>,
     tag: WriteTag,
     fsync: bool,
@@ -203,7 +214,8 @@ impl MediaFile {
         let path = path.into();
         let file =
             OpenOptions::new().read(true).write(true).create(true).truncate(true).open(&path)?;
-        Ok(Self { path, file, pending: Vec::new(), durable_len: 0, budget, tag, fsync })
+        let pending = Vec::new();
+        Ok(Self { path, file, pending, durable_len: 0, at_tail: true, budget, tag, fsync })
     }
 
     /// Open an existing file for continued appends (recovery handoff).
@@ -218,7 +230,8 @@ impl MediaFile {
         let mut file =
             OpenOptions::new().write(true).read(true).create(true).truncate(false).open(&path)?;
         let durable_len = file.seek(SeekFrom::End(0))?;
-        Ok(Self { path, file, pending: Vec::new(), durable_len, budget, tag, fsync })
+        let pending = Vec::new();
+        Ok(Self { path, file, pending, durable_len, at_tail: true, budget, tag, fsync })
     }
 
     /// The file's path.
@@ -265,8 +278,12 @@ impl MediaFile {
             None => want,
         };
         let cut = granted as usize;
-        self.file.seek(SeekFrom::Start(self.durable_len))?;
+        if !self.at_tail {
+            self.file.seek(SeekFrom::Start(self.durable_len))?;
+        }
+        self.at_tail = false;
         self.file.write_all(&self.pending[..cut])?;
+        self.at_tail = true;
         self.durable_len += granted;
         self.pending.clear();
         if granted < want {
@@ -275,6 +292,22 @@ impl MediaFile {
         if self.fsync {
             self.file.sync_data()?;
         }
+        Ok(())
+    }
+
+    /// Truncate to empty, dropping buffered bytes too. Charged to the
+    /// power budget as one unit of this file's tag (the way a rename is
+    /// one unit), so a crash sweep can land exactly *before* the
+    /// truncation: on a zero grant the file is left untouched and
+    /// `PowerLoss` is returned.
+    pub fn reset(&mut self) -> Result<(), MediaError> {
+        if self.budget.as_ref().is_some_and(|b| b.consume(self.tag, 1) == 0) {
+            return Err(MediaError::PowerLoss);
+        }
+        self.pending.clear();
+        self.at_tail = false;
+        self.file.set_len(0)?;
+        self.durable_len = 0;
         Ok(())
     }
 
@@ -293,6 +326,7 @@ impl MediaFile {
         }
         let durable_part = self.durable_len.saturating_sub(offset).min(buf.len() as u64) as usize;
         if durable_part > 0 {
+            self.at_tail = false;
             self.file.seek(SeekFrom::Start(offset))?;
             self.file.read_exact(&mut buf[..durable_part])?;
         }
@@ -419,6 +453,46 @@ mod tests {
         f.read_at(2, &mut buf).unwrap();
         assert_eq!(&buf, b"cd");
         assert!(f.read_at(5, &mut [0u8; 2]).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn appends_land_at_the_tail_after_a_read_moved_the_cursor() {
+        let dir = scratch("cursor");
+        let path = dir.join("a.log");
+        let mut f = MediaFile::create(&path, None, WriteTag::WalRecord, false).unwrap();
+        f.write(b"abc");
+        f.sync().unwrap();
+        f.write(b"def");
+        f.sync().unwrap(); // no read in between: appended without a seek
+        let mut buf = [0u8; 2];
+        f.read_at(1, &mut buf).unwrap(); // cursor now mid-file
+        f.write(b"ghi");
+        f.sync().unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"abcdefghi");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reset_truncates_and_is_one_budget_unit() {
+        let dir = scratch("reset");
+        let path = dir.join("d.log");
+        let budget = PowerBudget::limited(7);
+        let mut f =
+            MediaFile::create(&path, Some(budget.clone()), WriteTag::CheckpointDelta, false)
+                .unwrap();
+        f.write(b"abc");
+        f.sync().unwrap();
+        f.write(b"volatile");
+        f.reset().unwrap();
+        assert_eq!((f.len(), budget.consumed()), (0, 4));
+        f.write(b"xyz");
+        f.sync().unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"xyz");
+        // Budget exhausted: the truncation is denied and the file survives.
+        assert_eq!(f.reset(), Err(MediaError::PowerLoss));
+        assert_eq!(std::fs::read(&path).unwrap(), b"xyz");
+        assert_eq!(budget.trip_tag(), Some(WriteTag::CheckpointDelta));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -60,14 +60,19 @@ impl Cli {
     /// `std::env::args` (plus the `ADAPT_BENCH_QUICK` / `ADAPT_BENCH_EVENTS`
     /// env vars; `ADAPT_JOBS` is resolved inside the pool itself).
     pub fn parse() -> Self {
+        Self::parse_from(std::env::args().skip(1).collect())
+    }
+
+    /// [`Cli::parse`] over an explicit argument list (the program name
+    /// already dropped), for bins that first take out a flag of their own.
+    pub fn parse_from(args: Vec<String>) -> Self {
         let mut scale = 0.25;
         let mut out_dir = "results".to_string();
         let mut quick = quick_from_env();
         let mut events = events_from_env();
         let mut jobs = None;
         let mut geometry = geometry_from_env();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
+        let mut i = 0;
         while i < args.len() {
             match args[i].as_str() {
                 "--scale" => {

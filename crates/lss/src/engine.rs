@@ -30,21 +30,19 @@
 //! victim, and stops at the high watermark. Victim reclaim is atomic in
 //! simulated time.
 
+use crate::checkpoint::{self, CheckpointStore, ViewMut};
 use crate::config::LssConfig;
 use crate::error::EngineError;
 use crate::events::{EventKind, EventRecorder, GaugeSample, PolicyEvent};
 use crate::gc_buckets::SegmentBuckets;
 use crate::gc_variants::VictimPolicy;
 use crate::group::{Group, PendingBlock};
-use crate::index::{BlockEntry, BlockIndex};
+use crate::index::{BlockEntry, BlockIndex, VersionIndex};
 use crate::metrics::{GroupTraffic, LssMetrics};
 use crate::placement::{
     PlacementPolicy, PolicyCtx, ReclaimInfo, SegmentMeta, SlaAction, VictimMeta,
 };
-use crate::recovery::{
-    self, DurableState, EntrySnap, GeometrySnap, GroupSnap, PendingSnap, RecoveryError,
-    RecoveryReport, SegmentSnap,
-};
+use crate::recovery::{Clocks, GeometrySnap, RecoveryError, RecoveryReport, View};
 use crate::segment::{Segment, SegmentState};
 use crate::telemetry::TelemetrySnapshot;
 use crate::types::{GroupId, HostOp, HostOpKind, Lba, SegmentId, Slot};
@@ -54,21 +52,22 @@ use crate::wal::{
 use adapt_array::{
     ArrayHealth, ArraySink, ChunkFlush, Raid5Layout, ReadMode, RecoveredFlush, ScrubStep, Traffic,
 };
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Durability machinery attached to an engine: the WAL, the checkpoint
-/// directory, and the per-LBA durable-version map the power-loss sweep
-/// verifies against. Boxed behind an `Option` so engines without a
-/// durable backend pay one pointer of state and one branch per hook.
+/// files with their dirty sets, and the per-LBA durable-version map the
+/// power-loss sweep verifies against. Boxed behind an `Option` so engines
+/// without a durable backend pay one pointer of state and one branch per
+/// hook.
 pub(crate) struct Durability {
     wal: Wal,
-    dir: PathBuf,
+    store: CheckpointStore,
     /// Chunk flushes since the last checkpoint (drives the cadence).
     flushes_since_checkpoint: u64,
     /// Version (arrival µs) of the newest WAL-appended user write per
     /// LBA. Snapshot-serialized and replay-rebuilt, so after recovery it
     /// reflects exactly the durable prefix.
-    versions: crate::index::VersionIndex,
+    versions: VersionIndex,
     /// Scratch for per-flush WAL slot lists.
     wal_slot_buf: Vec<WalSlot>,
 }
@@ -1129,8 +1128,7 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
                 self.metrics.buffer_absorbed_blocks += 1;
                 if let Some((seg, off)) = shadow {
                     debug_assert_eq!(self.segments[seg as usize].slot(off), Slot::Shadow(lba));
-                    self.segments[seg as usize].clear_slot(off);
-                    self.invalidate_block(seg);
+                    self.kill_shadow(seg, off);
                 }
             }
         }
@@ -1193,10 +1191,13 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
             return self.flush_chunk(home, &[], GroupId::MAX);
         }
         let mut shadows = std::mem::take(&mut self.shadow_scratch);
-        shadows.clear();
-        shadows.extend(
-            self.groups[home as usize].pending.iter().filter(|p| p.needs_sla).map(|p| p.lba),
-        );
+        let list = |groups: &[Group], shadows: &mut Vec<Lba>| {
+            shadows.clear();
+            shadows.extend(
+                groups[home as usize].pending.iter().filter(|p| p.needs_sla).map(|p| p.lba),
+            );
+        };
+        list(&self.groups, &mut shadows);
         let space = (self.cfg.chunk_blocks as usize)
             .saturating_sub(self.groups[target as usize].pending.len());
         if shadows.is_empty() || shadows.len() > space {
@@ -1204,6 +1205,20 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
             // home chunk out with padding instead.
             self.shadow_scratch = shadows;
             return self.flush_chunk(home, &[], GroupId::MAX);
+        }
+        if self.groups[target as usize].open_segment == SegmentId::MAX {
+            // Give the target its segment *before* committing to the list:
+            // the allocation can run inline GC, and when demotion has put
+            // user blocks into a GC group its migrations fill — and flush —
+            // the home buffer, persisting blocks listed above.
+            let allocated = self.alloc_open_segment(target);
+            list(&self.groups, &mut shadows);
+            if allocated.is_err() || shadows.is_empty() {
+                // Nothing SLA-bearing left: that flush already stopped the
+                // home group's timer.
+                self.shadow_scratch = shadows;
+                return allocated;
+            }
         }
         self.metrics.shadow_append_events += 1;
         if self.events.enabled() {
@@ -1296,8 +1311,7 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
                 debug_assert_eq!(group, gid);
                 if let Some((sseg, soff)) = shadow {
                     debug_assert_eq!(self.segments[sseg as usize].slot(soff), Slot::Shadow(p.lba));
-                    self.segments[sseg as usize].clear_slot(soff);
-                    self.invalidate_block(sseg);
+                    self.kill_shadow(sseg, soff);
                     self.metrics.lazy_appends += 1;
                 }
             } else {
@@ -1909,25 +1923,54 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
     // Durability: WAL hooks, checkpoints, recovery
     // ------------------------------------------------------------------
 
-    /// Append one WAL record, maintaining the durable-version map. No-op
+    /// Append one WAL record, maintaining the durable-version map and
+    /// noting what the record touches for the next checkpoint delta. No-op
     /// without a durable backend.
     fn wal_append(&mut self, rec: WalRecord) {
         let Some(d) = self.dur.as_mut() else { return };
         match &rec {
-            WalRecord::BufferAppend { lba, version, gc: false, .. } => {
-                d.versions.insert(*lba, *version);
+            WalRecord::BufferAppend { lba, version, gc, .. } => {
+                if !gc {
+                    d.versions.insert(*lba, *version);
+                }
+                d.store.note_lba(*lba);
             }
             WalRecord::Trim { lba, blocks } => {
-                for i in 0..*blocks as u64 {
-                    d.versions.remove(lba + i);
+                // LBAs past the index table were never written: nothing to
+                // forget, nothing to checkpoint.
+                let end = lba.saturating_add(*blocks as u64).min(self.index.len() as Lba);
+                for lba in *lba..end {
+                    d.versions.remove(lba);
+                    d.store.note_lba(lba);
                 }
             }
-            _ => {}
+            WalRecord::Flush { seg, chunk_in_seg, slots, .. } => {
+                d.store.note_segment(*seg, chunk_in_seg * self.cfg.chunk_blocks);
+                for slot in slots {
+                    d.store.note_lba(slot.lba);
+                }
+            }
+            WalRecord::Open { seg, .. } | WalRecord::Reclaim { seg } => {
+                d.store.note_segment(*seg, 0);
+            }
+            // Detaches the victim from its group's sealed list; group
+            // lists are checkpointed whole.
+            WalRecord::GcBegin { .. } => {}
         }
         d.wal.append(&rec);
         if let WalRecord::Flush { slots, .. } = rec {
             // Reclaim the slot scratch for the next flush.
             d.wal_slot_buf = slots;
+        }
+    }
+
+    /// Tombstone the dead shadow copy at `(seg, off)`, noting the slot for
+    /// the next checkpoint delta (no WAL record names it).
+    fn kill_shadow(&mut self, seg: SegmentId, off: u32) {
+        self.segments[seg as usize].clear_slot(off);
+        self.invalidate_block(seg);
+        if let Some(d) = self.dur.as_mut() {
+            d.store.note_slot(seg, off);
         }
     }
 
@@ -1944,15 +1987,17 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
     }
 
     /// Write a checkpoint: sync the WAL and the sink, rotate the log,
-    /// atomically persist the state snapshot, and prune covered WAL
-    /// files. Crash-safe at every step — a crash between rotation and the
-    /// snapshot write leaves the old checkpoint plus the old WAL files,
-    /// both intact. No-op without a durable backend.
+    /// persist what changed since the previous checkpoint (one delta
+    /// frame — or, when the delta log has outgrown it, a fresh base; see
+    /// [`crate::recovery`]), and prune covered WAL files. Crash-safe at
+    /// every step — until the new checkpoint is synced, the previous one
+    /// and every WAL file since it are intact. No-op without a durable
+    /// backend.
     pub fn checkpoint(&mut self) -> Result<(), EngineError> {
         if self.dur.is_none() {
             return Ok(());
         }
-        // A staged victim is mid-collection state the snapshot cannot
+        // A staged victim is mid-collection state a checkpoint cannot
         // represent (its `GcBegin` is logged but its `Reclaim` is not,
         // and the checkpoint prunes both) — finish it first.
         if self.staged_gc.is_some() {
@@ -1961,22 +2006,62 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
             self.in_gc = false;
             drained?;
         }
-        self.dur.as_mut().unwrap().wal.sync().map_err(EngineError::Wal)?;
-        self.sink.sync_for_checkpoint().map_err(|e| EngineError::Wal(array_to_wal(e)))?;
-        let d = self.dur.as_mut().unwrap();
-        let start_idx = d.wal.rotate_for_checkpoint().map_err(EngineError::Wal)?;
-        let state = self.capture_durable_state(start_idx);
-        let d = self.dur.as_mut().unwrap();
-        state
-            .store(&d.dir, d.wal.config().budget.as_ref(), d.wal.config().fsync_data)
-            .map_err(EngineError::Wal)?;
-        d.wal.prune_below(start_idx).map_err(EngineError::Wal)?;
+        // Out of `self` for the duration, so the rest of the engine can be
+        // borrowed whole next to it. Nothing below appends to the WAL.
+        let Some(mut d) = self.dur.take() else { return Ok(()) };
+        let result = self.write_checkpoint(&mut d);
+        self.dur = Some(d);
+        result.map_err(EngineError::Wal)
+    }
+
+    fn write_checkpoint(&mut self, d: &mut Durability) -> Result<(), WalError> {
+        d.wal.sync()?;
+        self.sink.sync_for_checkpoint().map_err(array_to_wal)?;
+        let start_idx = d.wal.rotate_for_checkpoint()?;
+        let written = d.store.write(&self.view(&d.versions), start_idx)?;
+        d.wal.prune_below(start_idx)?;
+        d.wal.note_checkpoint(written.bytes, written.base);
         d.flushes_since_checkpoint = 0;
         Ok(())
     }
 
+    fn geometry(&self) -> GeometrySnap {
+        GeometrySnap {
+            block_bytes: self.cfg.block_bytes,
+            chunk_blocks: self.cfg.chunk_blocks,
+            segment_chunks: self.cfg.segment_chunks,
+            user_blocks: self.cfg.user_blocks,
+            num_groups: self.groups.len() as u32,
+            total_segments: self.segments.len() as u32,
+        }
+    }
+
+    /// The logical state a checkpoint serializes, borrowed in place.
+    pub(crate) fn view<'a>(&'a self, versions: &'a VersionIndex) -> View<'a> {
+        View {
+            geometry: self.geometry(),
+            clocks: Clocks {
+                now_us: self.now_us,
+                user_bytes_clock: self.user_bytes_clock,
+                ops_seen: self.ops_seen,
+                next_open_seq: self.next_open_seq,
+                next_flush_seq: self.next_flush_seq,
+            },
+            segments: &self.segments,
+            groups: &self.groups,
+            index: &self.index,
+            versions,
+        }
+    }
+
+    /// [`Lss::view`] of a durable engine, for state comparisons in tests.
+    #[cfg(test)]
+    pub(crate) fn durable_view(&self) -> Option<View<'_>> {
+        self.dur.as_ref().map(|d| self.view(&d.versions))
+    }
+
     /// Attach a fresh durable backend in `dir` (wiping any WAL files and
-    /// checkpoint a previous incarnation left there — this is a new
+    /// checkpoint files a previous incarnation left there — this is a new
     /// engine, not a recovery).
     pub(crate) fn enable_durability(
         &mut self,
@@ -1984,16 +2069,12 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         cfg: DurabilityConfig,
     ) -> Result<(), WalError> {
         let wal = Wal::create(dir, cfg)?;
-        match std::fs::remove_file(dir.join(recovery::CHECKPOINT_FILE)) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
-        }
+        let store = CheckpointStore::create(dir, wal.config())?;
         self.dur = Some(Box::new(Durability {
             wal,
-            dir: dir.to_path_buf(),
+            store,
             flushes_since_checkpoint: 0,
-            versions: crate::index::VersionIndex::new(),
+            versions: VersionIndex::new(),
             wal_slot_buf: Vec::new(),
         }));
         Ok(())
@@ -2028,249 +2109,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         self.dur.as_ref().and_then(|d| d.versions.get(lba))
     }
 
-    /// Snapshot the complete logical engine state for a checkpoint.
-    fn capture_durable_state(&self, wal_start_idx: u64) -> DurableState {
-        let d = self.dur.as_ref().expect("checkpoint without durability");
-        let segments = self
-            .segments
-            .iter()
-            .filter(|s| s.state != SegmentState::Free)
-            .map(|s| SegmentSnap {
-                id: s.id,
-                group: s.group,
-                state: match s.state {
-                    SegmentState::Open => 1,
-                    SegmentState::Sealed => 2,
-                    SegmentState::Free => unreachable!(),
-                },
-                filled: s.filled,
-                valid_blocks: s.valid_blocks,
-                open_seq: s.open_seq,
-                created_user_bytes: s.created_user_bytes,
-                created_ts_us: s.created_ts_us,
-                chunk_seqs: s.chunk_seqs.clone(),
-                slots: s.raw_slots().to_vec(),
-            })
-            .collect();
-        let groups = self
-            .groups
-            .iter()
-            .map(|g| GroupSnap {
-                open_segment: (g.open_segment != SegmentId::MAX).then_some(g.open_segment),
-                sealed: g.sealed.clone(),
-                pending: g
-                    .pending
-                    .iter()
-                    .map(|p| PendingSnap {
-                        lba: p.lba,
-                        traffic: u8::from(p.traffic == Traffic::Gc),
-                        arrival_us: p.arrival_us,
-                        needs_sla: p.needs_sla,
-                    })
-                    .collect(),
-                user_blocks: g.user_blocks,
-                gc_blocks: g.gc_blocks,
-                shadow_blocks: g.shadow_blocks,
-                pad_blocks: g.pad_blocks,
-                chunks: g.chunks,
-                pad_chunks: g.pad_chunks,
-            })
-            .collect();
-        let mut index = Vec::new();
-        for lba in 0..self.index.len() as Lba {
-            match self.index.get(lba) {
-                BlockEntry::Absent => {}
-                BlockEntry::Durable { seg, off } => {
-                    index.push((lba, EntrySnap::Durable { seg, off }));
-                }
-                BlockEntry::Pending { group, shadow } => {
-                    index.push((lba, EntrySnap::Pending { group, shadow }));
-                }
-            }
-        }
-        // `VersionIndex::iter` walks LBA order, so the snapshot comes out
-        // sorted without an explicit pass.
-        let versions: Vec<(u64, u64)> = d.versions.iter().collect();
-        DurableState {
-            geometry: GeometrySnap {
-                block_bytes: self.cfg.block_bytes,
-                chunk_blocks: self.cfg.chunk_blocks,
-                segment_chunks: self.cfg.segment_chunks,
-                user_blocks: self.cfg.user_blocks,
-                num_groups: self.groups.len() as u32,
-                total_segments: self.segments.len() as u32,
-            },
-            wal_start_idx,
-            now_us: self.now_us,
-            user_bytes_clock: self.user_bytes_clock,
-            ops_seen: self.ops_seen,
-            next_open_seq: self.next_open_seq,
-            next_flush_seq: self.next_flush_seq,
-            segments,
-            groups,
-            index,
-            versions,
-        }
-    }
-
-    /// Restore a checkpoint snapshot into a freshly built engine. Every
-    /// structural claim the snapshot makes is validated — a corrupt (but
-    /// CRC-valid, hence deliberately damaged) snapshot yields
-    /// [`RecoveryError::BadCheckpoint`], never a panic.
-    fn apply_durable_state(
-        &mut self,
-        state: &DurableState,
-        versions: &mut crate::index::VersionIndex,
-    ) -> Result<(), RecoveryError> {
-        // Groups are rebuilt wholesale below; every context snapshot is
-        // stale afterwards.
-        self.ctx_dirty_all = true;
-        let bad = |detail: String| RecoveryError::BadCheckpoint { detail };
-        let g = &state.geometry;
-        let want = GeometrySnap {
-            block_bytes: self.cfg.block_bytes,
-            chunk_blocks: self.cfg.chunk_blocks,
-            segment_chunks: self.cfg.segment_chunks,
-            user_blocks: self.cfg.user_blocks,
-            num_groups: self.groups.len() as u32,
-            total_segments: self.segments.len() as u32,
-        };
-        if *g != want {
-            return Err(RecoveryError::GeometryMismatch {
-                detail: format!("checkpoint {g:?} vs engine {want:?}"),
-            });
-        }
-        if state.groups.len() != self.groups.len() {
-            return Err(bad(format!(
-                "{} group snapshots for {} groups",
-                state.groups.len(),
-                self.groups.len()
-            )));
-        }
-        let chunk_blocks = self.cfg.chunk_blocks;
-        let mut present = vec![false; self.segments.len()];
-        for snap in &state.segments {
-            let Some(seg) = self.segments.get_mut(snap.id as usize) else {
-                return Err(bad(format!("segment id {} out of range", snap.id)));
-            };
-            if present[snap.id as usize] {
-                return Err(bad(format!("segment {} appears twice", snap.id)));
-            }
-            present[snap.id as usize] = true;
-            let cap = seg.capacity();
-            if snap.slots.len() != cap as usize
-                || snap.filled > cap
-                || !snap.filled.is_multiple_of(chunk_blocks)
-                || snap.chunk_seqs.len() != (snap.filled / chunk_blocks) as usize
-                || snap.valid_blocks > snap.filled
-                || snap.group as usize >= state.groups.len()
-            {
-                return Err(bad(format!("segment {} snapshot inconsistent", snap.id)));
-            }
-            seg.state = match snap.state {
-                1 => SegmentState::Open,
-                2 if snap.filled == cap => SegmentState::Sealed,
-                _ => return Err(bad(format!("segment {} bad state {}", snap.id, snap.state))),
-            };
-            seg.group = snap.group;
-            seg.filled = snap.filled;
-            seg.valid_blocks = snap.valid_blocks;
-            seg.open_seq = snap.open_seq;
-            seg.created_user_bytes = snap.created_user_bytes;
-            seg.created_ts_us = snap.created_ts_us;
-            seg.chunk_seqs = snap.chunk_seqs.clone();
-            seg.restore_raw_slots(&snap.slots);
-        }
-        self.free = (0..self.segments.len() as SegmentId)
-            .rev()
-            .filter(|&id| !present[id as usize])
-            .collect();
-        self.buckets = SegmentBuckets::new(self.cfg.segment_blocks(), self.segments.len());
-        for (gid, snap) in state.groups.iter().enumerate() {
-            if let Some(open) = snap.open_segment {
-                let ok = self
-                    .segments
-                    .get(open as usize)
-                    .is_some_and(|s| s.state == SegmentState::Open && s.group as usize == gid);
-                if !ok {
-                    return Err(bad(format!("group {gid}: bad open segment {open}")));
-                }
-            }
-            for (pos, &sid) in snap.sealed.iter().enumerate() {
-                let Some(s) = self.segments.get_mut(sid as usize) else {
-                    return Err(bad(format!("group {gid}: sealed id {sid} out of range")));
-                };
-                if s.state != SegmentState::Sealed || s.group as usize != gid {
-                    return Err(bad(format!("group {gid}: segment {sid} not its sealed")));
-                }
-                s.group_pos = pos as u32;
-                let (valid, created) = (s.valid_blocks, s.created_user_bytes);
-                self.buckets.insert(sid, valid, created);
-            }
-            let grp = &mut self.groups[gid];
-            grp.open_segment = snap.open_segment.unwrap_or(SegmentId::MAX);
-            grp.sealed = snap.sealed.clone();
-            grp.pending.clear();
-            for p in &snap.pending {
-                if grp.pending.len() >= chunk_blocks as usize {
-                    return Err(bad(format!("group {gid}: pending buffer over chunk size")));
-                }
-                grp.pending.push(PendingBlock {
-                    lba: p.lba,
-                    traffic: match p.traffic {
-                        0 => Traffic::User,
-                        1 => Traffic::Gc,
-                        t => return Err(bad(format!("group {gid}: bad traffic tag {t}"))),
-                    },
-                    arrival_us: p.arrival_us,
-                    needs_sla: p.needs_sla,
-                });
-            }
-            grp.user_blocks = snap.user_blocks;
-            grp.gc_blocks = snap.gc_blocks;
-            grp.shadow_blocks = snap.shadow_blocks;
-            grp.pad_blocks = snap.pad_blocks;
-            grp.chunks = snap.chunks;
-            grp.pad_chunks = snap.pad_chunks;
-        }
-        self.index = BlockIndex::with_capacity(self.cfg.user_blocks);
-        for &(lba, entry) in &state.index {
-            let ok = match entry {
-                EntrySnap::Durable { seg, off } => self
-                    .segments
-                    .get(seg as usize)
-                    .is_some_and(|s| s.state != SegmentState::Free && off < s.filled),
-                EntrySnap::Pending { group, shadow } => {
-                    (group as usize) < self.groups.len()
-                        && shadow.is_none_or(|(seg, off)| {
-                            self.segments.get(seg as usize).is_some_and(|s| off < s.filled)
-                        })
-                }
-            };
-            if !ok {
-                return Err(bad(format!("index entry for lba {lba} out of range")));
-            }
-            let e = match entry {
-                EntrySnap::Durable { seg, off } => BlockEntry::Durable { seg, off },
-                EntrySnap::Pending { group, shadow } => BlockEntry::Pending { group, shadow },
-            };
-            self.index.set(lba, e);
-        }
-        self.now_us = state.now_us;
-        self.user_bytes_clock = state.user_bytes_clock;
-        self.ops_seen = state.ops_seen;
-        self.next_open_seq = state.next_open_seq;
-        self.next_flush_seq = state.next_flush_seq;
-        // Group pending buffers were rebuilt wholesale; any cached SLA
-        // deadline is stale (`recover_in_place` recomputes per group).
-        self.sla_dirty = true;
-        versions.clear();
-        for &(lba, version) in &state.versions {
-            versions.insert(lba, version);
-        }
-        Ok(())
-    }
-
     /// Re-apply one replayed WAL record, mirroring exactly the engine
     /// mutation that produced it. Every id is bounds-checked and every
     /// structural premise validated: a log inconsistent with the
@@ -2279,7 +2117,7 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
     fn replay_record(
         &mut self,
         rec: &WalRecord,
-        versions: &mut crate::index::VersionIndex,
+        versions: &mut VersionIndex,
         detached: &mut Vec<SegmentId>,
         report: &mut RecoveryReport,
     ) -> Result<(), RecoveryError> {
@@ -2392,8 +2230,7 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
                                                 slot.lba
                                             )));
                                         }
-                                        self.segments[sseg as usize].clear_slot(soff);
-                                        self.invalidate_block(sseg);
+                                        self.kill_shadow(sseg, soff);
                                     }
                                 }
                                 other => {
@@ -2526,16 +2363,38 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         cfg: DurabilityConfig,
     ) -> Result<RecoveryReport, RecoveryError> {
         let mut report = RecoveryReport::default();
-        let mut versions = crate::index::VersionIndex::new();
+        let mut versions = VersionIndex::new();
+        // Groups, buffers and segments are rebuilt wholesale below; every
+        // context snapshot and any cached SLA deadline is stale afterwards.
         self.ctx_dirty_all = true;
-        let checkpoint = recovery::load_checkpoint(dir)?;
-        let start_idx = match &checkpoint {
-            Some(state) => {
-                self.apply_durable_state(state, &mut versions)?;
+        self.sla_dirty = true;
+        let loaded = checkpoint::load(
+            dir,
+            &mut ViewMut {
+                geometry: self.geometry(),
+                segments: &mut self.segments,
+                free: &mut self.free,
+                groups: &mut self.groups,
+                index: &mut self.index,
+                versions: &mut versions,
+                buckets: &mut self.buckets,
+            },
+        )?;
+        let (start_idx, generation) = match loaded {
+            Some(l) => {
+                let c = l.header.clocks;
+                self.now_us = c.now_us;
+                self.user_bytes_clock = c.user_bytes_clock;
+                self.ops_seen = c.ops_seen;
+                self.next_open_seq = c.next_open_seq;
+                self.next_flush_seq = c.next_flush_seq;
                 report.checkpoint_loaded = true;
-                state.wal_start_idx
+                report.deltas_applied = l.header.seq;
+                report.torn_delta = l.torn_delta;
+                report.stale_deltas = l.stale_deltas;
+                (l.header.wal_start_idx, l.header.generation)
             }
-            None => 0,
+            None => (0, 0),
         };
         let replay = wal::replay_dir(dir, start_idx)?;
         report.wal_files_scanned = replay.files_scanned;
@@ -2615,9 +2474,10 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
             .collect();
         report.sink = self.sink.recover_reconcile(self.next_flush_seq, &tail)?;
         let wal = Wal::resume(dir, cfg, replay.next_idx)?;
+        let store = CheckpointStore::resume(dir, wal.config(), generation)?;
         self.dur = Some(Box::new(Durability {
             wal,
-            dir: dir.to_path_buf(),
+            store,
             flushes_since_checkpoint: 0,
             versions,
             wal_slot_buf: Vec::new(),
@@ -2675,6 +2535,7 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::tests::{assert_states_match, dur_dir};
     use crate::placement::GroupKind;
     use adapt_array::CountingArray;
 
@@ -3444,269 +3305,5 @@ mod tests {
         // Nothing left to pad out: buffer was emptied by the trim.
         assert_eq!(e.metrics().chunks_flushed, 0);
         e.check_invariants();
-    }
-
-    // ------------------------------------------------------------------
-    // Durability & recovery
-    // ------------------------------------------------------------------
-
-    use crate::wal::FsyncPolicy;
-
-    fn dur_dir(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("adapt_eng_dur_{name}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
-
-    fn durable_engine(
-        policy: TestPolicy,
-        dir: &Path,
-        dcfg: DurabilityConfig,
-    ) -> Lss<TestPolicy, CountingArray> {
-        let cfg = small_cfg();
-        Lss::builder(policy, CountingArray::new(cfg.array_config()))
-            .config(cfg)
-            .durability(dir, dcfg)
-            .build()
-    }
-
-    /// Hot-loop workload: fills the log far enough to run GC, trims a
-    /// range, and leaves some blocks buffered.
-    fn durable_workload(e: &mut Lss<TestPolicy, CountingArray>) {
-        let mut ts = 0u64;
-        for i in 0..6 * 4096u64 {
-            e.write(ts, scattered_lba(i, 4096));
-            ts += 1;
-        }
-        e.trim(ts, 100, 50);
-        for i in 0..512u64 {
-            e.write(ts + i, scattered_lba(i * 7 + 3, 4096));
-        }
-        assert!(e.metrics().segments_reclaimed > 0, "workload must exercise GC");
-    }
-
-    /// Compare full logical snapshots, ignoring the clock scalars that the
-    /// WAL only carries at flush granularity (`ops_seen` is checkpoint-only;
-    /// `now_us`/`user_bytes_clock` can lag by the buffered tail — the caller
-    /// re-drives them with its next timestamped request anyway).
-    fn assert_states_match(a: &Lss<TestPolicy, CountingArray>, b: &Lss<TestPolicy, CountingArray>) {
-        let mut sa = a.capture_durable_state(0);
-        let mut sb = b.capture_durable_state(0);
-        for s in [&mut sa, &mut sb] {
-            s.ops_seen = 0;
-            s.now_us = 0;
-            s.user_bytes_clock = 0;
-        }
-        assert_eq!(sa.geometry, sb.geometry);
-        assert_eq!(sa.next_open_seq, sb.next_open_seq, "next_open_seq");
-        assert_eq!(sa.next_flush_seq, sb.next_flush_seq, "next_flush_seq");
-        assert_eq!(sa.segments.len(), sb.segments.len(), "segment count");
-        for (x, y) in sa.segments.iter().zip(&sb.segments) {
-            assert_eq!(x.id, y.id, "segment id order");
-            assert_eq!(
-                (
-                    x.group,
-                    x.state,
-                    x.filled,
-                    x.valid_blocks,
-                    x.open_seq,
-                    x.created_user_bytes,
-                    x.created_ts_us
-                ),
-                (
-                    y.group,
-                    y.state,
-                    y.filled,
-                    y.valid_blocks,
-                    y.open_seq,
-                    y.created_user_bytes,
-                    y.created_ts_us
-                ),
-                "segment {} header",
-                x.id
-            );
-            assert_eq!(x.chunk_seqs, y.chunk_seqs, "segment {} chunk seqs", x.id);
-            assert_eq!(x.slots, y.slots, "segment {} slots", x.id);
-        }
-        for (gid, (x, y)) in sa.groups.iter().zip(&sb.groups).enumerate() {
-            assert_eq!(x.open_segment, y.open_segment, "group {gid} open segment");
-            assert_eq!(x.sealed, y.sealed, "group {gid} sealed list");
-            assert_eq!(x.pending, y.pending, "group {gid} pending buffer");
-            assert_eq!(
-                (x.user_blocks, x.gc_blocks, x.shadow_blocks, x.pad_blocks, x.chunks, x.pad_chunks),
-                (y.user_blocks, y.gc_blocks, y.shadow_blocks, y.pad_blocks, y.chunks, y.pad_chunks),
-                "group {gid} lifetime counters"
-            );
-        }
-        assert_eq!(sa.index, sb.index, "block index");
-        assert_eq!(sa.versions, sb.versions, "durable versions");
-    }
-
-    #[test]
-    fn recovery_replays_wal_to_identical_state() {
-        let dir = dur_dir("replay");
-        // Cadence 0: no checkpoints — recovery is pure WAL replay.
-        let dcfg = DurabilityConfig { checkpoint_every_flushes: 0, ..Default::default() };
-        let mut e = durable_engine(TestPolicy::sepgc(), &dir, dcfg.clone());
-        durable_workload(&mut e);
-        e.sync_wal().unwrap();
-
-        let cfg = small_cfg();
-        let (r, report) = Lss::builder(TestPolicy::sepgc(), CountingArray::new(cfg.array_config()))
-            .config(cfg)
-            .durability(&dir, dcfg)
-            .recover()
-            .unwrap();
-        assert!(!report.checkpoint_loaded);
-        assert!(report.records_applied > 0);
-        assert!(report.flushes_replayed > 0);
-        r.check_invariants();
-        r.try_check_recovery().unwrap();
-        assert_states_match(&e, &r);
-        assert_eq!(r.sink().chunks_written(), e.sink().chunks_written());
-    }
-
-    #[test]
-    fn recovery_from_checkpoint_plus_wal_tail() {
-        let dir = dur_dir("ckpt");
-        // Aggressive cadence and tiny files: many checkpoints, rotations,
-        // and prunes during the run.
-        let dcfg = DurabilityConfig {
-            checkpoint_every_flushes: 8,
-            rotate_bytes: 16 * 1024,
-            ..Default::default()
-        };
-        let mut e = durable_engine(TestPolicy::sepgc(), &dir, dcfg.clone());
-        durable_workload(&mut e);
-        e.sync_wal().unwrap();
-        assert!(e.wal_stats().unwrap().checkpoints > 0, "cadence must have fired");
-
-        let cfg = small_cfg();
-        let (r, report) = Lss::builder(TestPolicy::sepgc(), CountingArray::new(cfg.array_config()))
-            .config(cfg)
-            .durability(&dir, dcfg)
-            .recover()
-            .unwrap();
-        assert!(report.checkpoint_loaded);
-        r.check_invariants();
-        r.try_check_recovery().unwrap();
-        assert_states_match(&e, &r);
-    }
-
-    #[test]
-    fn recovery_with_shadow_appends() {
-        let dir = dur_dir("shadow");
-        let dcfg = DurabilityConfig { checkpoint_every_flushes: 0, ..Default::default() };
-        let mut e = durable_engine(TestPolicy::with_shadow(), &dir, dcfg.clone());
-        let mut ts = 0u64;
-        for i in 0..2 * 4096u64 {
-            e.write(ts, scattered_lba(i, 4096));
-            ts += 1;
-        }
-        // Stragglers time out and shadow-append into group 1.
-        e.write(ts + 10_000, 4095);
-        e.advance_time(ts + 300_000);
-        assert!(e.metrics().shadow_append_events > 0, "must exercise shadow append");
-        e.sync_wal().unwrap();
-
-        let cfg = small_cfg();
-        let (r, _) =
-            Lss::builder(TestPolicy::with_shadow(), CountingArray::new(cfg.array_config()))
-                .config(cfg)
-                .durability(&dir, dcfg)
-                .recover()
-                .unwrap();
-        r.check_invariants();
-        r.try_check_recovery().unwrap();
-        assert_states_match(&e, &r);
-    }
-
-    #[test]
-    fn torn_tail_loses_nothing_acknowledged() {
-        let dir = dur_dir("torn");
-        let dcfg = DurabilityConfig {
-            fsync: FsyncPolicy::GroupCommit(4),
-            checkpoint_every_flushes: 0,
-            ..Default::default()
-        };
-        let mut e = durable_engine(TestPolicy::sepgc(), &dir, dcfg.clone());
-        let mut acked = Vec::new();
-        for i in 0..2048u64 {
-            e.write(i, scattered_lba(i, 4096));
-            e.drain_durable_acks(&mut acked);
-        }
-        assert!(!acked.is_empty());
-        drop(e);
-        // Scribble garbage over the live WAL file's tail, like a write the
-        // power cut mid-stream.
-        let last = wal::list_wal_indices(&dir).unwrap().pop().unwrap();
-        use std::io::Write as _;
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(dir.join(wal::wal_file_name(last)))
-            .unwrap();
-        f.write_all(&[0xA5; 37]).unwrap();
-        drop(f);
-
-        let cfg = small_cfg();
-        let (r, report) = Lss::builder(TestPolicy::sepgc(), CountingArray::new(cfg.array_config()))
-            .config(cfg)
-            .durability(&dir, dcfg)
-            .recover()
-            .unwrap();
-        assert!(report.torn_tail.is_some(), "garbage tail must be detected");
-        r.check_invariants();
-        for &(lba, version) in &acked {
-            let got = r.durable_version(lba);
-            assert!(
-                got.is_some_and(|v| v >= version),
-                "acked write lost: lba {lba} v{version} recovered {got:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn recovery_handles_arbitrary_garbage_without_panicking() {
-        // Garbage checkpoint: typed error, no panic.
-        let dir = dur_dir("garbage_ckpt");
-        std::fs::write(dir.join(recovery::CHECKPOINT_FILE), b"not a checkpoint at all").unwrap();
-        std::fs::write(dir.join(wal::wal_file_name(0)), [0u8; 64]).unwrap();
-        let cfg = small_cfg();
-        let res = Lss::builder(TestPolicy::sepgc(), CountingArray::new(cfg.array_config()))
-            .config(cfg)
-            .durability(&dir, DurabilityConfig::default())
-            .recover();
-        match res {
-            Err(RecoveryError::BadCheckpoint { .. }) => {}
-            Err(other) => panic!("wrong error: {other}"),
-            Ok(_) => panic!("garbage checkpoint accepted"),
-        }
-
-        // Garbage WAL with no checkpoint: torn at offset zero, clean cold
-        // start.
-        let dir2 = dur_dir("garbage_wal");
-        std::fs::write(dir2.join(wal::wal_file_name(0)), [0xFFu8; 256]).unwrap();
-        let (r, report) = Lss::builder(TestPolicy::sepgc(), CountingArray::new(cfg.array_config()))
-            .config(cfg)
-            .durability(&dir2, DurabilityConfig::default())
-            .recover()
-            .unwrap();
-        assert_eq!(report.records_applied, 0);
-        assert_eq!(report.torn_tail, Some((0, 0)));
-        r.check_invariants();
-    }
-
-    #[test]
-    fn recover_without_durability_dir_is_typed() {
-        let cfg = small_cfg();
-        let res = Lss::builder(TestPolicy::sepgc(), CountingArray::new(cfg.array_config()))
-            .config(cfg)
-            .recover();
-        match res {
-            Err(RecoveryError::NotConfigured) => {}
-            Err(other) => panic!("wrong error: {other}"),
-            Ok(_) => panic!("recover without a durability dir must fail"),
-        }
     }
 }

@@ -76,6 +76,12 @@ fn encode(entry: BlockEntry) -> (u64, Option<(SegmentId, u32)>) {
     }
 }
 
+/// The `(segment, slot offset)` a `Durable`-tagged word carries.
+#[inline]
+fn durable_slot(word: u64) -> (SegmentId, u32) {
+    ((word & u32::MAX as u64) as SegmentId, ((word >> 32) & MAX_OFF as u64) as u32)
+}
+
 /// Dense, growable LBA index over packed 8-byte words.
 #[derive(Debug, Default)]
 pub struct BlockIndex {
@@ -95,10 +101,10 @@ impl BlockIndex {
     fn decode(&self, lba: Lba, word: u64) -> BlockEntry {
         match word >> TAG_SHIFT {
             TAG_ABSENT => BlockEntry::Absent,
-            TAG_DURABLE => BlockEntry::Durable {
-                seg: (word & u32::MAX as u64) as SegmentId,
-                off: ((word >> 32) & MAX_OFF as u64) as u32,
-            },
+            TAG_DURABLE => {
+                let (seg, off) = durable_slot(word);
+                BlockEntry::Durable { seg, off }
+            }
             TAG_PENDING => BlockEntry::Pending { group: (word & 0xFF) as GroupId, shadow: None },
             _ => BlockEntry::Pending {
                 group: (word & 0xFF) as GroupId,
@@ -177,10 +183,7 @@ impl BlockIndex {
             return false;
         };
         match word >> TAG_SHIFT {
-            TAG_DURABLE => {
-                (word & u32::MAX as u64) as SegmentId == seg
-                    && ((word >> 32) & MAX_OFF as u64) as u32 == off
-            }
+            TAG_DURABLE => durable_slot(word) == (seg, off),
             TAG_PENDING_SHADOW => self.shadows.get(&lba) == Some(&(seg, off)),
             _ => false,
         }
@@ -199,6 +202,69 @@ impl BlockIndex {
     /// Entries currently in the `Pending + shadow` state (side-map size).
     pub fn shadow_entries(&self) -> usize {
         self.shadows.len()
+    }
+
+    /// The packed table itself, one word per tracked LBA — what a
+    /// checkpoint base stores in bulk.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// The `Pending + shadow` side entries as `(lba, segment, offset)`,
+    /// sorted by LBA (the map's own order depends on its history).
+    pub(crate) fn shadow_slots(&self) -> Vec<(Lba, SegmentId, u32)> {
+        let mut out: Vec<_> = self.shadows.iter().map(|(&l, &(s, o))| (l, s, o)).collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// `lba`'s packed word and, for a shadow-tagged word, its side entry.
+    pub(crate) fn raw(&self, lba: Lba) -> (u64, Option<(SegmentId, u32)>) {
+        let word = self.words.get(lba as usize).copied().unwrap_or(0);
+        let shadow = if word >> TAG_SHIFT == TAG_PENDING_SHADOW {
+            self.shadows.get(&lba).copied()
+        } else {
+            None
+        };
+        (word, shadow)
+    }
+
+    /// The entry a packed word (plus side entry) stands for; `None` for a
+    /// word no [`BlockIndex`] would have produced — stray bits, or a
+    /// shadow tag and a side entry that do not come as a pair.
+    pub(crate) fn unpack(word: u64, shadow: Option<(SegmentId, u32)>) -> Option<BlockEntry> {
+        let payload = word & ((1 << TAG_SHIFT) - 1);
+        let entry = match (word >> TAG_SHIFT, shadow) {
+            (TAG_ABSENT, None) if payload == 0 => BlockEntry::Absent,
+            (TAG_DURABLE, None) => {
+                let (seg, off) = durable_slot(word);
+                BlockEntry::Durable { seg, off }
+            }
+            (TAG_PENDING, None) | (TAG_PENDING_SHADOW, Some(_)) if payload <= 0xFF => {
+                BlockEntry::Pending { group: payload as GroupId, shadow }
+            }
+            _ => return None,
+        };
+        Some(entry)
+    }
+
+    /// Rebuild an index from a packed table and its side entries, as read
+    /// back from a checkpoint base. `None` unless every word unpacks and
+    /// the side entries pair up one-to-one with the shadow-tagged words.
+    pub(crate) fn from_raw(words: Vec<u64>, side: &[(Lba, SegmentId, u32)]) -> Option<Self> {
+        let shadows: FxHashMap<Lba, (SegmentId, u32)> =
+            side.iter().map(|&(l, s, o)| (l, (s, o))).collect();
+        let mut tagged = 0usize;
+        for (lba, &word) in words.iter().enumerate() {
+            let shadow = if word >> TAG_SHIFT == TAG_PENDING_SHADOW {
+                tagged += 1;
+                Some(*shadows.get(&(lba as Lba))?)
+            } else {
+                None
+            };
+            Self::unpack(word, shadow)?;
+        }
+        (tagged == side.len() && tagged == shadows.len()).then_some(Self { words, shadows })
     }
 
     /// Approximate resident bytes of the index: one packed word per LBA
@@ -359,6 +425,18 @@ impl VersionIndex {
         self.map.iter()
     }
 
+    /// The dense table itself (`u64::MAX` = no version) — what a
+    /// checkpoint base stores in bulk.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.map.slots
+    }
+
+    /// Rebuild from a dense table read back from a checkpoint base.
+    pub(crate) fn from_words(slots: Vec<u64>) -> Self {
+        let live = slots.iter().filter(|&&v| v != u64::MAX).count();
+        Self { map: DenseMap { slots, empty: u64::MAX, live } }
+    }
+
     /// Approximate resident bytes.
     pub fn memory_bytes(&self) -> usize {
         self.map.memory_bytes()
@@ -403,6 +481,35 @@ mod tests {
         for (lba, &e) in entries.iter().enumerate() {
             assert_eq!(idx.get(lba as Lba), e, "lba {lba}");
         }
+    }
+
+    #[test]
+    fn raw_words_roundtrip_and_reject_inconsistent_tables() {
+        let mut idx = BlockIndex::default();
+        idx.set(0, BlockEntry::Durable { seg: 4, off: 9 });
+        idx.set(2, BlockEntry::Pending { group: 3, shadow: None });
+        idx.set(5, BlockEntry::Pending { group: 1, shadow: Some((7, 2)) });
+        let back = BlockIndex::from_raw(idx.words().to_vec(), &idx.shadow_slots()).unwrap();
+        for lba in 0..6 {
+            assert_eq!(back.get(lba), idx.get(lba), "lba {lba}");
+            let (word, shadow) = idx.raw(lba);
+            assert_eq!(BlockIndex::unpack(word, shadow), Some(idx.get(lba)));
+        }
+        // A shadow tag without its side entry, a side entry without its
+        // tag, and stray payload bits are all refused.
+        assert!(BlockIndex::from_raw(idx.words().to_vec(), &[]).is_none());
+        assert!(BlockIndex::from_raw(vec![0; 6], &idx.shadow_slots()).is_none());
+        assert!(BlockIndex::from_raw(vec![1], &[]).is_none());
+        assert!(BlockIndex::unpack((TAG_PENDING << TAG_SHIFT) | 0x100, None).is_none());
+        assert!(BlockIndex::unpack(idx.raw(5).0, None).is_none());
+
+        let mut v = VersionIndex::new();
+        v.insert(1, 10);
+        v.insert(4, 40);
+        v.remove(1);
+        let back = VersionIndex::from_words(v.words().to_vec());
+        assert_eq!(back.iter().collect::<Vec<_>>(), vec![(4, 40)]);
+        assert_eq!(back.len(), 1);
     }
 
     #[test]

@@ -65,6 +65,7 @@
 //! ```
 
 pub mod builder;
+pub(crate) mod checkpoint;
 pub mod config;
 pub mod engine;
 pub mod error;

@@ -141,12 +141,12 @@ impl Segment {
         &self.slots
     }
 
-    /// Restore raw slot words from a checkpoint snapshot. The caller is
-    /// responsible for restoring the companion fields (`state`, `filled`,
-    /// `valid_blocks`, ...) to a consistent view.
-    pub(crate) fn restore_raw_slots(&mut self, raw: &[u64]) {
-        debug_assert_eq!(raw.len(), self.slots.len());
-        self.slots.copy_from_slice(raw);
+    /// Overwrite one raw slot word (checkpoint load). `false` when `off`
+    /// is outside the segment. The caller is responsible for restoring
+    /// the companion fields (`state`, `filled`, `valid_blocks`, ...) to a
+    /// consistent view.
+    pub(crate) fn restore_raw_slot(&mut self, off: u32, word: u64) -> bool {
+        self.slots.get_mut(off as usize).map(|slot| *slot = word).is_some()
     }
 
     /// Iterator over `(offset, slot)` pairs of written slots.

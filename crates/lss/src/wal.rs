@@ -261,6 +261,17 @@ pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Append `words` as one bulk little-endian run (no per-word length or
+/// tag): sized once, then a straight copy loop the compiler turns into a
+/// `memcpy` on little-endian targets.
+pub(crate) fn put_words(buf: &mut Vec<u8>, words: &[u64]) {
+    let start = buf.len();
+    buf.resize(start + words.len() * 8, 0);
+    for (dst, w) in buf[start..].chunks_exact_mut(8).zip(words) {
+        dst.copy_from_slice(&w.to_le_bytes());
+    }
+}
+
 /// Bounds-checked little-endian reader; every accessor is fallible so
 /// arbitrary garbage can never panic the decoder. Shared with the
 /// checkpoint codec in [`crate::recovery`].
@@ -290,6 +301,23 @@ impl<'a> Reader<'a> {
         let s = self.buf.get(self.pos..self.pos + 8)?;
         self.pos += 8;
         Some(u64::from_le_bytes(s.try_into().ok()?))
+    }
+
+    /// The next `n` bytes as one slice.
+    pub(crate) fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
+        let s = self.buf.get(self.pos..self.pos.checked_add(n)?)?;
+        self.pos += n;
+        Some(s)
+    }
+
+    /// The next `n` little-endian `u64` words as one bulk slice (decode
+    /// each with `u64::from_le_bytes`). A count the remaining bytes
+    /// cannot hold is `None`, so a corrupt length never drives an
+    /// allocation.
+    pub(crate) fn words(&mut self, n: usize) -> Option<&'a [[u8; 8]]> {
+        let (words, rest) = self.bytes(n.checked_mul(8)?)?.as_chunks::<8>();
+        debug_assert!(rest.is_empty());
+        Some(words)
     }
 
     pub(crate) fn done(&self) -> bool {
@@ -439,15 +467,51 @@ impl WalRecord {
     /// Encode one framed record (length prefix + payload + CRC trailer)
     /// into `out`.
     pub fn encode_frame(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        put_u32(out, 0); // length placeholder
-        let payload_start = out.len();
+        let start = begin_frame(out);
         self.encode_payload(out);
-        let payload_len = (out.len() - payload_start) as u32;
-        out[start..start + 4].copy_from_slice(&payload_len.to_le_bytes());
-        let crc = crc32c(&out[payload_start..]);
-        put_u32(out, crc);
+        // One record is a few hundred bytes at most (a chunk's slots).
+        let framed = end_frame(out, start);
+        debug_assert!(framed, "WAL record over 4 GiB");
     }
+}
+
+/// Open a frame in `out`: reserves the length prefix and returns the
+/// frame's start offset for [`end_frame`]. The payload is whatever the
+/// caller appends in between. Shared by the WAL and the checkpoint delta
+/// log, which therefore also share the torn-tail rule of [`split_frame`].
+pub(crate) fn begin_frame(out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    put_u32(out, 0);
+    start
+}
+
+/// Close the frame opened at `start`: patch the length prefix and append
+/// the payload's CRC32C. `false` (frame left unusable) when the payload
+/// does not fit the 32-bit length prefix.
+pub(crate) fn end_frame(out: &mut Vec<u8>, start: usize) -> bool {
+    let payload_start = start + 4;
+    let Ok(len) = u32::try_from(out.len() - payload_start) else {
+        return false;
+    };
+    out[start..payload_start].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32c(&out[payload_start..]);
+    put_u32(out, crc);
+    true
+}
+
+/// The payload of the frame starting at `buf[offset..]` and the offset
+/// just past that frame; `None` if the bytes there are torn (short),
+/// CRC-failing, empty, or longer than `max_len` — the durable prefix
+/// ends at `offset`.
+pub(crate) fn split_frame(buf: &[u8], offset: usize, max_len: u32) -> Option<(&[u8], usize)> {
+    let mut r = Reader::new(buf.get(offset..)?);
+    let len = r.u32()?;
+    if len == 0 || len > max_len {
+        return None;
+    }
+    let payload = r.bytes(len as usize)?;
+    let crc = r.u32()?;
+    (crc32c(payload) == crc).then_some((payload, offset + 8 + len as usize))
 }
 
 /// Decode the frame starting at `buf[offset..]`. Returns the record and
@@ -455,21 +519,8 @@ impl WalRecord {
 /// CRC-failing, or otherwise malformed — the durable prefix ends at
 /// `offset`.
 pub fn decode_frame(buf: &[u8], offset: usize) -> Option<(WalRecord, usize)> {
-    let len_bytes = buf.get(offset..offset + 4)?;
-    let len = u32::from_le_bytes(len_bytes.try_into().ok()?);
-    if len == 0 || len > MAX_RECORD_BYTES {
-        return None;
-    }
-    let payload_start = offset + 4;
-    let payload = buf.get(payload_start..payload_start + len as usize)?;
-    let crc_start = payload_start + len as usize;
-    let crc_bytes = buf.get(crc_start..crc_start + 4)?;
-    let crc = u32::from_le_bytes(crc_bytes.try_into().ok()?);
-    if crc32c(payload) != crc {
-        return None;
-    }
-    let rec = WalRecord::decode_payload(payload)?;
-    Some((rec, crc_start + 4))
+    let (payload, next) = split_frame(buf, offset, MAX_RECORD_BYTES)?;
+    Some((WalRecord::decode_payload(payload)?, next))
 }
 
 /// Cumulative WAL activity counters. Deliberately **not** part of
@@ -491,6 +542,12 @@ pub struct WalStats {
     pub files_pruned: u64,
     /// Checkpoints completed.
     pub checkpoints: u64,
+    /// Bytes those checkpoints wrote (whole base files plus delta
+    /// frames): what "a checkpoint costs what changed" is measured in.
+    pub checkpoint_bytes: u64,
+    /// How many of those checkpoints rewrote the whole base (the first
+    /// one of an engine's life, and every fold of the delta log).
+    pub checkpoint_bases: u64,
 }
 
 pub(crate) fn wal_file_name(idx: u64) -> String {
@@ -533,6 +590,9 @@ pub struct Wal {
     cfg: DurabilityConfig,
     file: MediaFile,
     cur_idx: u64,
+    /// Lowest file index that may still exist on disk; checkpoint pruning
+    /// walks `oldest_idx..` instead of listing the directory.
+    oldest_idx: u64,
     commits_since_sync: u32,
     /// Host writes appended but not yet durable: `(lba, version)`.
     pending_acks: Vec<(Lba, u64)>,
@@ -552,7 +612,7 @@ impl Wal {
         for idx in list_wal_indices(dir)? {
             std::fs::remove_file(wal_path(dir, idx))?;
         }
-        Self::open_at(dir, cfg, 0)
+        Self::open_at(dir, cfg, 0, 0)
     }
 
     /// Continue a recovered log: append into a fresh file at `next_idx`,
@@ -560,10 +620,16 @@ impl Wal {
     /// prunes them.
     pub fn resume(dir: &Path, cfg: DurabilityConfig, next_idx: u64) -> Result<Self, WalError> {
         std::fs::create_dir_all(dir)?;
-        Self::open_at(dir, cfg, next_idx)
+        let oldest = list_wal_indices(dir)?.first().map_or(next_idx, |&i| i.min(next_idx));
+        Self::open_at(dir, cfg, next_idx, oldest)
     }
 
-    fn open_at(dir: &Path, cfg: DurabilityConfig, idx: u64) -> Result<Self, WalError> {
+    fn open_at(
+        dir: &Path,
+        cfg: DurabilityConfig,
+        idx: u64,
+        oldest_idx: u64,
+    ) -> Result<Self, WalError> {
         let file = MediaFile::create(
             wal_path(dir, idx),
             cfg.budget.clone(),
@@ -575,6 +641,7 @@ impl Wal {
             cfg,
             file,
             cur_idx: idx,
+            oldest_idx,
             commits_since_sync: 0,
             pending_acks: Vec::new(),
             ready_acks: Vec::new(),
@@ -671,17 +738,28 @@ impl Wal {
         Ok(self.cur_idx)
     }
 
-    /// Checkpoint step 3 (after the snapshot is durable): delete files
-    /// below `idx` — their records are covered by the snapshot.
+    /// Checkpoint step 3 (after the checkpoint is durable): delete files
+    /// below `idx` — their records are covered by it. Indices a tail
+    /// repair already removed are skipped.
     pub fn prune_below(&mut self, idx: u64) -> Result<(), WalError> {
-        for old in list_wal_indices(&self.dir)? {
-            if old < idx {
-                std::fs::remove_file(wal_path(&self.dir, old))?;
-                self.stats.files_pruned += 1;
+        let end = idx.min(self.cur_idx);
+        while self.oldest_idx < end {
+            match std::fs::remove_file(wal_path(&self.dir, self.oldest_idx)) {
+                Ok(()) => self.stats.files_pruned += 1,
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                Err(e) => return Err(e.into()),
             }
+            self.oldest_idx += 1;
         }
-        self.stats.checkpoints += 1;
         Ok(())
+    }
+
+    /// Count one completed checkpoint that wrote `bytes` (a whole base
+    /// when `base`, one delta frame otherwise).
+    pub fn note_checkpoint(&mut self, bytes: u64, base: bool) {
+        self.stats.checkpoints += 1;
+        self.stats.checkpoint_bytes += bytes;
+        self.stats.checkpoint_bases += u64::from(base);
     }
 
     /// Move the host writes acknowledged by completed syncs into `out`.
@@ -1009,6 +1087,37 @@ mod tests {
         let left = list_wal_indices(&dir).unwrap();
         assert!(left.iter().all(|&i| i >= keep), "pruned below {keep}: {left:?}");
         assert!(!left.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resumed_log_prunes_the_replayed_files_across_gaps() {
+        let dir = tdir("prune_resume");
+        let cfg = DurabilityConfig {
+            fsync: FsyncPolicy::EveryCommit,
+            rotate_bytes: 32,
+            ..DurabilityConfig::default()
+        };
+        let mut wal = Wal::create(&dir, cfg.clone()).unwrap();
+        for i in 0..12u64 {
+            wal.append(&WalRecord::Trim { lba: i, blocks: 1 });
+            wal.commit().unwrap();
+        }
+        let last = wal.current_idx();
+        assert!(last >= 3);
+        drop(wal);
+        // What a tail repair leaves: a hole in the sequence, and the
+        // resumed log starting past the old end.
+        std::fs::remove_file(wal_path(&dir, 1)).unwrap();
+        let mut wal = Wal::resume(&dir, cfg, last + 2).unwrap();
+        wal.append(&WalRecord::Trim { lba: 99, blocks: 1 });
+        let keep = wal.rotate_for_checkpoint().unwrap();
+        wal.prune_below(keep).unwrap();
+        assert_eq!(list_wal_indices(&dir).unwrap(), vec![keep]);
+        assert_eq!(wal.stats().files_pruned, last + 1, "every file that existed, none twice");
+        // Nothing left below: the next prune touches no file.
+        wal.prune_below(keep).unwrap();
+        assert_eq!(wal.stats().files_pruned, last + 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -11,9 +11,10 @@
 //! [`PowerBudget`] records the total bytes the workload writes and the
 //! journal of every grant (with its [`WriteTag`]). Crash offsets are then
 //! chosen from a seed: uniformly over the whole byte stream, plus
-//! targeted samples inside rename and superblock grants (the rarest,
-//! most atomicity-sensitive units, which a uniform draw would mostly
-//! miss). Each point replays the same seeded workload under
+//! targeted samples inside rename, superblock and checkpoint-delta grants
+//! (the rarest, most atomicity-sensitive units, which a uniform draw
+//! would mostly miss) — including the one-unit grant that separates a
+//! checkpoint base's rename from the delta-log truncation after it. Each point replays the same seeded workload under
 //! `PowerBudget::limited(offset)`, recovers with fresh (unlimited)
 //! power, and verifies.
 //!
@@ -235,6 +236,14 @@ pub struct CrashPointResult {
     pub lost_acks: u64,
     /// Whether recovery loaded a checkpoint.
     pub checkpoint_loaded: bool,
+    /// Checkpoint delta frames recovery applied on top of the base.
+    pub deltas_applied: u64,
+    /// The delta log ended in a torn frame (power died inside a delta
+    /// append); recovery fell back to the frame before it.
+    pub torn_delta: bool,
+    /// The delta log held an older generation's frames (power died
+    /// between a base rename and the log truncation); they were skipped.
+    pub stale_deltas: bool,
     /// Whether the WAL tail was torn (and repaired).
     pub torn_tail: bool,
     /// WAL records replayed.
@@ -292,6 +301,9 @@ impl PolicyVisitor<()> for RecoverVerify<'_> {
             }
         };
         result.checkpoint_loaded = report.checkpoint_loaded;
+        result.deltas_applied = report.deltas_applied;
+        result.torn_delta = report.torn_delta;
+        result.stale_deltas = report.stale_deltas;
         result.torn_tail = report.torn_tail.is_some();
         result.records_applied = report.records_applied;
         // Ground truth: every acknowledged write survived at (or above)
@@ -380,6 +392,9 @@ pub fn crash_point(scn: &CrashScenario, dir: &Path, offset: u64, class: &str) ->
         acked: run.acked.len() as u64,
         lost_acks: 0,
         checkpoint_loaded: false,
+        deltas_applied: 0,
+        torn_delta: false,
+        stale_deltas: false,
         torn_tail: false,
         records_applied: 0,
         recovery_error: None,
@@ -422,6 +437,12 @@ pub struct CrashSweepReport {
     pub corrupt_points: u64,
     /// Points that recovered from a checkpoint.
     pub with_checkpoint: u64,
+    /// Points that recovered through a base plus at least one delta.
+    pub with_deltas: u64,
+    /// Points that fell back past a torn delta frame.
+    pub with_torn_delta: u64,
+    /// Points that skipped an older generation's delta frames.
+    pub with_stale_deltas: u64,
     /// Points with a torn WAL tail.
     pub with_torn_tail: u64,
     /// Coverage: points per tripped media unit (`WriteTag`).
@@ -442,8 +463,9 @@ impl CrashSweepReport {
 /// `targeted_per_tag` offsets landing inside each media-unit class
 /// (sampled mid-grant, where torn-write atomicity is on the line).
 /// Targeting guarantees the sweep cuts mid-WAL-record, mid-segment-write,
-/// mid-rename, and mid-superblock even though sink data dominates the
-/// byte stream.
+/// mid-rename, mid-superblock, mid-checkpoint-delta and between a base
+/// rename and the delta-log truncation even though sink data dominates
+/// the byte stream.
 pub(crate) fn pick_offsets(
     seed: u64,
     uniform_points: u32,
@@ -456,16 +478,22 @@ pub(crate) fn pick_offsets(
         let off = 1 + mix64(seed ^ 0xC4A5 ^ k) % total.max(1);
         offsets.push(("uniform".to_string(), off));
     }
-    for (class, tag) in [
-        ("wal_record", WriteTag::WalRecord),
-        ("sink_record", WriteTag::SinkRecord),
-        ("rename", WriteTag::Rename),
-        ("superblock", WriteTag::Superblock),
-    ] {
+    // A delta-log grant is a frame append, or — one unit — the truncation
+    // that follows a new base's rename.
+    type Class = (&'static str, WriteTag, fn(u64) -> bool);
+    let classes: [Class; 6] = [
+        ("wal_record", WriteTag::WalRecord, |_| true),
+        ("sink_record", WriteTag::SinkRecord, |_| true),
+        ("rename", WriteTag::Rename, |_| true),
+        ("superblock", WriteTag::Superblock, |_| true),
+        ("delta_frame", WriteTag::CheckpointDelta, |bytes| bytes > 1),
+        ("delta_reset", WriteTag::CheckpointDelta, |bytes| bytes == 1),
+    ];
+    for (class, tag, wanted) in classes {
         let mut grants = Vec::new();
         let mut cum = 0u64;
         for &(t, bytes) in journal {
-            if t == tag && bytes > 0 {
+            if t == tag && bytes > 0 && wanted(bytes) {
                 grants.push((cum, bytes));
             }
             cum += bytes;
@@ -537,6 +565,9 @@ pub fn run_crash_sweep(scn: &CrashScenario, base_dir: &Path) -> CrashSweepReport
         lost_acks_total: points.iter().map(|p| p.lost_acks).sum(),
         corrupt_points: points.iter().filter(|p| p.corrupt).count() as u64,
         with_checkpoint: points.iter().filter(|p| p.checkpoint_loaded).count() as u64,
+        with_deltas: points.iter().filter(|p| p.deltas_applied > 0).count() as u64,
+        with_torn_delta: points.iter().filter(|p| p.torn_delta).count() as u64,
+        with_stale_deltas: points.iter().filter(|p| p.stale_deltas).count() as u64,
         with_torn_tail: points.iter().filter(|p| p.torn_tail).count() as u64,
         trip_tags: tags.into_iter().collect(),
         failures: points.into_iter().filter(|p| !p.ok()).collect(),
@@ -568,6 +599,27 @@ mod tests {
         assert_eq!(report.corrupt_points, 0);
         assert!(report.golden_acked > 0);
         assert!(report.with_torn_tail > 0, "no point cut the WAL mid-record: {report:?}");
+        assert!(report.with_deltas > 0, "no point recovered through base + delta: {report:?}");
+        assert!(report.with_torn_delta > 0, "no point cut a delta frame: {report:?}");
+        assert!(report.with_stale_deltas > 0, "no point cut rename → truncation: {report:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cadence_8_sweep_crosses_folds_cleanly() {
+        // A checkpoint every 8 flushes: dozens of deltas and several
+        // folds in the golden stream, so uniform cuts land after folds
+        // and targeted ones inside them.
+        let scn = CrashScenario {
+            checkpoint_every_flushes: 8,
+            uniform_points: 12,
+            ..CrashScenario::quick(0xF01D)
+        };
+        let dir = tdir("cadence8");
+        let report = run_crash_sweep(&scn, &dir);
+        assert!(report.clean_sweep(), "first failure: {:?}", report.failures.first());
+        assert!(report.with_deltas > 0 && report.with_torn_delta > 0, "{report:?}");
+        assert!(report.with_stale_deltas > 0, "{report:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -311,6 +311,11 @@ pub struct ServeCrashPointResult {
     pub lost_acks: u64,
     /// Shards that recovered cleanly.
     pub shards_recovered: u32,
+    /// Shards that recovered through a checkpoint base plus deltas.
+    pub shards_through_deltas: u32,
+    /// Shards that fell back past a torn delta frame or skipped an older
+    /// generation's frames (power died inside a checkpoint).
+    pub shards_past_cut_checkpoint: u32,
     /// Queue accounting stayed balanced through the crash. Must be true.
     pub balanced: bool,
     /// A completion errored while power was still on. Must be false.
@@ -362,7 +367,7 @@ impl PolicyVisitor<()> for RecoverShard<'_> {
             .config(plan.lss)
             .durability(d.join("wal"), scn.durability_config(None))
             .recover();
-        let (mut engine, _report) = match recovered {
+        let (mut engine, report) = match recovered {
             Ok(pair) => pair,
             Err(e) => {
                 result.recovery_errors.push(format!("shard {}: {e}", plan.shard));
@@ -370,6 +375,8 @@ impl PolicyVisitor<()> for RecoverShard<'_> {
                 return;
             }
         };
+        result.shards_through_deltas += u32::from(report.deltas_applied > 0);
+        result.shards_past_cut_checkpoint += u32::from(report.torn_delta || report.stale_deltas);
         for &(local, version) in acked {
             // Write-only workload: an acked write may only move forward
             // (overwrites bump the version); it may never vanish.
@@ -430,6 +437,8 @@ pub fn serve_crash_point(
         acked: run.acked.len() as u64,
         lost_acks: 0,
         shards_recovered: 0,
+        shards_through_deltas: 0,
+        shards_past_cut_checkpoint: 0,
         balanced: run.balanced,
         premature_error: run.premature_error,
         corrupt: false,
@@ -499,6 +508,11 @@ pub struct ServeCrashReport {
     pub unbalanced_points: u64,
     /// Points whose recovered shard failed a self-check. Must be 0.
     pub corrupt_points: u64,
+    /// Coverage: points where a shard recovered through base + deltas.
+    pub with_deltas: u64,
+    /// Coverage: points where a shard recovered past a checkpoint the cut
+    /// interrupted (torn delta frame, or stale frames after a base).
+    pub with_cut_checkpoint: u64,
     /// Coverage: points per tripped media unit.
     pub trip_tags: Vec<(String, u64)>,
     /// Every failing point (empty on a clean sweep).
@@ -560,6 +574,9 @@ pub fn run_serve_crash_sweep(scn: &ServeCrashScenario, base_dir: &Path) -> Serve
         lost_acks_total: points.iter().map(|p| p.lost_acks).sum(),
         unbalanced_points: points.iter().filter(|p| !p.balanced).count() as u64,
         corrupt_points: points.iter().filter(|p| p.corrupt).count() as u64,
+        with_deltas: points.iter().filter(|p| p.shards_through_deltas > 0).count() as u64,
+        with_cut_checkpoint: points.iter().filter(|p| p.shards_past_cut_checkpoint > 0).count()
+            as u64,
         trip_tags: tags.into_iter().collect(),
         failures: points.into_iter().filter(|p| !p.ok()).collect(),
     }
@@ -590,6 +607,14 @@ mod tests {
             report.failures
         );
         assert!(report.golden_acked > 0, "golden run must ack writes");
+        // Thread interleaving moves the byte stream between runs, so a
+        // targeted offset need not land in the same grant twice; some
+        // shard recovering through or past a delta is the robust claim.
+        assert!(
+            report.with_deltas + report.with_cut_checkpoint > 0,
+            "no shard recovered through a checkpoint delta: {:?}",
+            report.trip_tags
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

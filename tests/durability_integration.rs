@@ -144,7 +144,7 @@ fn power_loss_sweep_loses_nothing_acknowledged() {
     assert_eq!(r.lost_acks_total, 0);
     assert_eq!(r.corrupt_points, 0);
     // The sweep must actually exercise each hazard class.
-    for tag in ["WalRecord", "SinkRecord", "Rename"] {
+    for tag in ["WalRecord", "SinkRecord", "Rename", "CheckpointDelta"] {
         assert!(
             r.trip_tags.iter().any(|(t, n)| t == tag && *n > 0),
             "no crash point cut inside a {tag} write: {:?}",
@@ -153,5 +153,8 @@ fn power_loss_sweep_loses_nothing_acknowledged() {
     }
     assert!(r.with_torn_tail > 0, "no point left a torn WAL tail");
     assert!(r.with_checkpoint > 0, "no point recovered through a checkpoint");
+    assert!(r.with_deltas > 0, "no point recovered through a checkpoint base plus deltas");
+    assert!(r.with_torn_delta > 0, "no point fell back past a torn delta frame");
+    assert!(r.with_stale_deltas > 0, "no point cut between a base rename and the log reset");
     let _ = std::fs::remove_dir_all(&dir);
 }
