@@ -2,7 +2,7 @@
 //! *any* partitioning of an op stream is bit-identical to the one-op-at-a-
 //! time loop, and enabling per-stage cost attribution never changes the
 //! deterministic metrics. These are the guarantees the serve drain loop
-//! and the `ADAPT_APPLY_BATCH` knob rely on.
+//! and its `ServerBuilder::apply_batch` cap rely on.
 
 use adapt_array::CountingArray;
 use adapt_lss::{

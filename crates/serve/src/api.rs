@@ -11,7 +11,7 @@
 use adapt_lss::{EngineError, Retryable};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Tenant identifier for QoS accounting.
 pub type TenantId = u32;
@@ -217,40 +217,75 @@ pub struct Completion {
     pub result: Result<(), ServeError>,
 }
 
-/// One-shot mutex/condvar future the shard thread fills exactly once.
-#[derive(Debug, Default)]
-pub(crate) struct CompletionSlot {
-    state: Mutex<Option<Completion>>,
+/// One-shot cell: the shard thread fills it exactly once, one consumer
+/// takes the value. Backs every [`Ticket`] and the reply of a telemetry
+/// probe.
+///
+/// Wake protocol: a consumer that finds the cell empty sets `parked`
+/// *under the mutex* and waits on the condvar (which releases that mutex
+/// atomically with going to sleep); `fill` stores the value and clears
+/// `parked` under the same mutex and notifies only if it cleared it. No
+/// wake-up is lost — a consumer either sees the value before it parks or
+/// has its flag seen by the filler — and a spurious wake-up finds the
+/// cell still empty and sets the flag again. With nobody parked (`poll`
+/// harvesting, or a `wait` that arrives after the fill) a fill is two
+/// uncontended atomic operations and no system call.
+#[derive(Debug)]
+pub(crate) struct OneShot<T> {
+    state: Mutex<OneShotState<T>>,
     cv: Condvar,
 }
 
-impl CompletionSlot {
+#[derive(Debug)]
+struct OneShotState<T> {
+    value: Option<T>,
+    parked: bool,
+}
+
+impl<T> OneShot<T> {
     pub(crate) fn new() -> Arc<Self> {
-        Arc::new(Self::default())
+        Arc::new(Self {
+            state: Mutex::new(OneShotState { value: None, parked: false }),
+            cv: Condvar::new(),
+        })
     }
 
-    /// Fill the slot and wake the waiter. Filling twice is a bug.
-    pub(crate) fn fill(&self, c: Completion) {
-        let mut s = self.state.lock().unwrap();
-        debug_assert!(s.is_none(), "completion slot filled twice");
-        *s = Some(c);
-        self.cv.notify_all();
+    fn lock(&self) -> MutexGuard<'_, OneShotState<T>> {
+        self.state.lock().expect("one-shot cell poisoned: a thread panicked while holding it")
     }
 
-    /// Block until the slot is filled and take the completion.
-    pub(crate) fn take(&self) -> Completion {
-        let mut s = self.state.lock().unwrap();
+    /// Store the value; returns whether a parked consumer had to be
+    /// woken (one `futex` call). Filling twice is a bug.
+    pub(crate) fn fill(&self, value: T) -> bool {
+        let mut s = self.lock();
+        debug_assert!(s.value.is_none(), "one-shot cell filled twice");
+        s.value = Some(value);
+        let wake = std::mem::take(&mut s.parked);
+        drop(s);
+        if wake {
+            self.cv.notify_one();
+        }
+        wake
+    }
+
+    /// Block until the cell is filled and take the value.
+    pub(crate) fn take(&self) -> T {
+        let mut s = self.lock();
         loop {
-            if let Some(c) = s.take() {
-                return c;
+            if let Some(v) = s.value.take() {
+                return v;
             }
-            s = self.cv.wait(s).unwrap();
+            s.parked = true;
+            s = self
+                .cv
+                .wait(s)
+                .expect("one-shot cell poisoned: a thread panicked while holding it");
         }
     }
 
-    /// Non-blocking probe: take the completion if it is already there.
-    pub(crate) fn try_take(&self) -> Option<Completion> {
-        self.state.lock().unwrap().take()
+    /// Non-blocking probe: take the value if it is already there.
+    pub(crate) fn try_take(&self) -> Option<T> {
+        self.lock().value.take()
     }
 }
 
@@ -259,7 +294,7 @@ impl CompletionSlot {
 /// the completion (the request still executes).
 #[derive(Debug)]
 pub struct Ticket {
-    pub(crate) slot: Arc<CompletionSlot>,
+    pub(crate) slot: Arc<OneShot<Completion>>,
     pub(crate) shard: u32,
 }
 
@@ -288,37 +323,44 @@ mod tests {
         assert!(!SubmitError::ZeroBlocks.is_retryable());
     }
 
-    #[test]
-    fn slot_fill_then_take() {
-        let slot = CompletionSlot::new();
-        let c = Completion {
+    fn completion(version: u64) -> Completion {
+        Completion {
             shard: 1,
             request: Request::write(0, 0, 5, 1),
-            version: 42,
+            version,
             durable: true,
             result: Ok(()),
-        };
-        assert!(slot.try_take().is_none());
-        slot.fill(c.clone());
-        assert_eq!(slot.take(), c);
+        }
     }
 
     #[test]
-    fn slot_wakes_blocked_waiter() {
-        let slot = CompletionSlot::new();
+    fn fill_without_waiter_issues_no_notify() {
+        let slot = OneShot::new();
+        assert!(slot.try_take().is_none());
+        assert!(!slot.fill(completion(42)), "nobody parked: no wake-up");
+        assert_eq!(slot.take(), completion(42), "a late wait finds the value without parking");
+        // Poll harvesting never parks either.
+        let slot = OneShot::new();
+        assert!(!slot.fill(completion(43)));
+        assert_eq!(slot.try_take(), Some(completion(43)));
+        assert!(slot.try_take().is_none(), "one shot");
+    }
+
+    #[test]
+    fn fill_wakes_parked_waiter_exactly_once() {
+        let slot = OneShot::new();
         let waiter = {
             let slot = Arc::clone(&slot);
             std::thread::spawn(move || slot.take())
         };
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        slot.fill(Completion {
-            shard: 0,
-            request: Request::read(1, 2, 3, 4),
-            version: 7,
-            durable: false,
-            result: Ok(()),
-        });
+        // The flag is set under the cell's mutex right before the waiter
+        // sleeps, so once it reads true the waiter has committed to park.
+        while !slot.lock().parked {
+            std::thread::yield_now();
+        }
+        assert!(slot.fill(completion(7)), "parked waiter: exactly one notify");
         assert_eq!(waiter.join().unwrap().version, 7);
+        assert!(!slot.lock().parked, "flag cleared by the fill");
     }
 
     #[test]

@@ -15,16 +15,16 @@
 //! harness can rebuild the *same* plans, recover each shard's engine
 //! from its WAL directory, and re-serve — routing needs no persistence.
 
-use crate::api::CompletionSlot;
-use crate::api::{Request, SubmitError, TenantId, Ticket, VolumeId};
+use crate::api::{Completion, OneShot, Request, SubmitError, TenantId, Ticket, VolumeId};
 use crate::qos::{QosConfig, TenantGovernor};
 use crate::router::{ShardRouter, VolumeSpec};
 use crate::shard::{
-    Command, OpCommand, PushError, ShardEngine, ShardQueue, ShardReport, ShardStats,
-    ShardStatsSnapshot, ShardWorker, SyncCell,
+    Command, OpCommand, PushError, ShardEngine, ShardQueue, ShardReport, ShardStatsSnapshot,
+    ShardWorker,
 };
 use adapt_lss::{LssConfig, LssMetrics, TelemetrySnapshot};
 use std::collections::BTreeMap;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -75,7 +75,7 @@ impl ServerBuilder {
             clock_step_us: 1,
             ordered: false,
             durable: false,
-            apply_batch: env_apply_batch().unwrap_or(usize::MAX),
+            apply_batch: usize::MAX,
             base: LssConfig::default().with_gc_watermarks(10, 14),
             volumes: Vec::new(),
             qos: None,
@@ -133,12 +133,10 @@ impl ServerBuilder {
 
     /// Cap on consecutive same-volume ops fused into one engine
     /// `apply_ops` slice per drain. Defaults to unbounded (whole drained
-    /// slices fuse), overridable at process level by the
-    /// `ADAPT_APPLY_BATCH` environment variable; this setter wins over
-    /// both. **Determinism contract:** every value — including 1, which
-    /// degenerates to op-at-a-time — produces bit-identical completions,
-    /// telemetry, and per-volume attribution; the cap only trades
-    /// per-op drain overhead against apply-latency granularity.
+    /// slices fuse). **Determinism contract:** every value — including
+    /// 1, which degenerates to op-at-a-time — produces bit-identical
+    /// completions, telemetry, and per-volume attribution; the cap only
+    /// trades per-op drain overhead against apply-latency granularity.
     pub fn apply_batch(mut self, cap: usize) -> Self {
         assert!(cap > 0, "apply-batch cap must be nonzero");
         self.apply_batch = cap;
@@ -215,8 +213,6 @@ impl ServerBuilder {
         };
         let queues: Vec<Arc<ShardQueue>> =
             (0..self.shards).map(|_| ShardQueue::new(self.queue_depth as usize)).collect();
-        let stats: Vec<Arc<ShardStats>> =
-            (0..self.shards).map(|_| Arc::new(ShardStats::default())).collect();
         let handles = plans
             .iter()
             .map(|plan| {
@@ -224,7 +220,6 @@ impl ServerBuilder {
                     shard: plan.shard,
                     engine: factory(plan),
                     queue: Arc::clone(&queues[plan.shard as usize]),
-                    stats: Arc::clone(&stats[plan.shard as usize]),
                     window: self.window as usize,
                     ordered: self.ordered,
                     durable: self.durable,
@@ -241,7 +236,6 @@ impl ServerBuilder {
             router: self.router(),
             governor,
             queues,
-            stats,
             depth: self.queue_depth,
             ordered: self.ordered,
         });
@@ -253,8 +247,8 @@ impl ServerBuilder {
 struct Shared {
     router: ShardRouter,
     governor: TenantGovernor,
+    /// Per-shard command queue and live counters.
     queues: Vec<Arc<ShardQueue>>,
-    stats: Vec<Arc<ShardStats>>,
     depth: u32,
     ordered: bool,
 }
@@ -313,25 +307,23 @@ impl Client {
         if self.shared.ordered != request.seq.is_some() {
             return Err(SubmitError::SequenceMismatch);
         }
-        let stats = &self.shared.stats[routed.shard as usize];
+        let queue = &self.shared.queues[routed.shard as usize];
+        let stats = &queue.stats.client;
         if let Err(e) = self.shared.governor.admit(request.tenant) {
-            stats.rejected_throttled.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            stats.rejected_throttled.fetch_add(1, Ordering::Relaxed);
             return Err(e);
         }
-        let slot = CompletionSlot::new();
+        let slot = OneShot::new();
         let cmd = Command::Op(OpCommand {
             request,
             local_lba: routed.local_lba,
             slot: Arc::clone(&slot),
         });
-        match self.shared.queues[routed.shard as usize].try_push(cmd) {
-            Ok(()) => {
-                stats.submitted.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                Ok(Ticket { slot, shard: routed.shard })
-            }
+        match queue.try_push(cmd) {
+            Ok(()) => Ok(Ticket { slot, shard: routed.shard }),
             Err(PushError::Full) => {
                 self.shared.governor.refund(request.tenant);
-                stats.rejected_busy.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                stats.rejected_busy.fetch_add(1, Ordering::Relaxed);
                 Err(SubmitError::Busy { shard: routed.shard, depth: self.shared.depth })
             }
             Err(PushError::Closed) => Err(SubmitError::Shutdown),
@@ -371,7 +363,7 @@ impl Client {
     }
 
     /// Block until the ticket's request completes.
-    pub fn wait(&self, ticket: Ticket) -> crate::api::Completion {
+    pub fn wait(&self, ticket: Ticket) -> Completion {
         ticket.slot.take()
     }
 
@@ -394,7 +386,7 @@ impl Client {
 
     /// Live counter snapshot per shard.
     pub fn stats(&self) -> Vec<ShardStatsSnapshot> {
-        self.shared.stats.iter().map(|s| s.snapshot()).collect()
+        self.shared.queues.iter().map(|q| q.stats.snapshot()).collect()
     }
 
     /// Synchronous telemetry probe of one shard: the shard drains its
@@ -402,7 +394,7 @@ impl Client {
     /// `None` if the shard's queue is closed.
     pub fn telemetry(&self, shard: u32) -> Option<TelemetrySnapshot> {
         let q = self.shared.queues.get(shard as usize)?;
-        let cell = SyncCell::new();
+        let cell = OneShot::new();
         if !q.push_control(Command::Telemetry(Arc::clone(&cell))) {
             return None;
         }
@@ -458,12 +450,4 @@ impl ServeReport {
     pub fn total_completed(&self) -> u64 {
         self.shards.iter().map(|s| s.stats.completed).sum()
     }
-}
-
-/// Process-level default for [`ServerBuilder::apply_batch`]: the
-/// `ADAPT_APPLY_BATCH` environment variable, when set to a positive
-/// integer. Results are bit-identical for every value, so the knob is
-/// safe to flip in CI and perf sweeps without re-baselining.
-fn env_apply_batch() -> Option<usize> {
-    std::env::var("ADAPT_APPLY_BATCH").ok()?.parse().ok().filter(|&n| n > 0)
 }

@@ -217,10 +217,121 @@ fn ordered_replay_is_bit_identical_across_client_counts() {
     assert_eq!(solo.merged_telemetry(), quad.merged_telemetry());
 }
 
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Ordered mode: the order in which a sequenced stream is *submitted* is
+/// invisible. In order (every op takes the bypass around the reorder
+/// buffer), in reversed windows (every op but the last of a window is an
+/// early arrival) and fully shuffled, the same stream leaves the same
+/// merged telemetry, live and at shutdown.
+#[test]
+fn ordered_submission_order_is_invisible() {
+    const N: usize = 3000;
+    let run = |permute: fn(&mut Vec<Request>)| {
+        let server = mem_builder().shards(2).ordered_replay(true).start(mem_factory);
+        let client = server.client();
+        let mut next_seq = [0u64; 2];
+        let mut ops: Vec<Request> = (0..N as u64)
+            .map(|i| {
+                let r = mix(i ^ 0x0D0E);
+                let (volume, cap) = if r.is_multiple_of(5) { (1, 4 * 1024) } else { (0, 8 * 1024) };
+                let lba = mix(r) % cap;
+                let req = match r % 19 {
+                    0 => Request::trim(0, volume, lba, 1),
+                    1..=4 => Request::read(0, volume, lba, 1),
+                    _ => Request::write(0, volume, lba, 1),
+                };
+                let shard = client.shard_of(req.volume, req.lba, req.blocks).unwrap() as usize;
+                next_seq[shard] += 1;
+                req.with_seq(next_seq[shard] - 1)
+            })
+            .collect();
+        permute(&mut ops);
+        let tickets: Vec<_> =
+            ops.into_iter().map(|req| client.submit_backoff(req).unwrap()).collect();
+        for t in tickets {
+            assert_eq!(client.wait(t).result, Ok(()));
+        }
+        let fnv = |t: &TelemetrySnapshot| fnv1a(serde_json::to_string(t).unwrap().as_bytes());
+        let live = fnv(&client.merged_telemetry());
+        let report = server.shutdown();
+        assert!(report.balanced() && !report.any_failed());
+        assert_eq!(report.shards.iter().map(|s| s.applied_ops).sum::<u64>(), N as u64);
+        (live, fnv(&report.merged_telemetry()), report.per_volume())
+    };
+    let in_order = run(|_| {});
+    let reversed_windows = run(|ops| ops.chunks_mut(64).for_each(<[Request]>::reverse));
+    let shuffled = run(|ops| {
+        for i in (1..ops.len()).rev() {
+            ops.swap(i, (mix(i as u64) % (i as u64 + 1)) as usize);
+        }
+    });
+    assert_eq!(in_order, reversed_windows);
+    assert_eq!(in_order, shuffled);
+}
+
+/// What ordered mode rejects, and with which error: a request without a
+/// sequence (synchronously), a sequence that was already applied, a
+/// second early arrival with the sequence of a buffered one (the *first*
+/// fails, the newcomer takes its place), and a gap nobody fills (at
+/// shutdown).
+#[test]
+fn ordered_mode_rejects_missing_stale_duplicate_and_gapped_sequences() {
+    let server = mem_builder().shards(1).ordered_replay(true).start(mem_factory);
+    let client = server.client();
+    let write = |lba: u64, seq: u64| Request::write(0, 0, lba, 1).with_seq(seq);
+    let engine = |msg: &str| Err(ServeError::Engine(msg.to_string()));
+
+    assert!(matches!(
+        client.submit(Request::write(0, 0, 0, 1)),
+        Err(SubmitError::SequenceMismatch)
+    ));
+
+    let first = client.submit(write(0, 0)).unwrap();
+    assert_eq!(client.wait(first).result, Ok(()));
+    let stale = client.submit(write(1, 0)).unwrap();
+    assert_eq!(client.wait(stale).result, engine("stale sequence 0"));
+    // Counted before the ticket was filled: live stats never trail a harvest.
+    let live = client.stats()[0];
+    assert_eq!((live.completed, live.failed_ops), (2, 1));
+
+    // Two early arrivals with the same sequence: both are buffered, so
+    // which one fails does not depend on drain timing.
+    let early = client.submit(write(2, 3)).unwrap();
+    let twin = client.submit(write(3, 3)).unwrap();
+    let c = client.wait(early);
+    assert_eq!(c.result, engine("duplicate sequence 3"));
+    assert_eq!(c.version, 0, "never applied");
+    // The in-order arrival of the sequence a drain is waiting for applies;
+    // its repeat is stale whether or not the two share a drain.
+    let next = client.submit(write(4, 1)).unwrap();
+    let again = client.submit(write(5, 1)).unwrap();
+    assert_eq!(client.wait(next).result, Ok(()));
+    assert_eq!(client.wait(again).result, engine("stale sequence 1"));
+    // Closing the gap releases the buffered twin.
+    let gap = client.submit(write(6, 2)).unwrap();
+    assert_eq!(client.wait(gap).result, Ok(()));
+    let c = client.wait(twin);
+    assert_eq!(c.result, Ok(()));
+    assert_eq!(c.request.lba, 3);
+
+    // Sequence 4 never arrives: 5 stays buffered until shutdown fails it.
+    let orphan = client.submit(write(7, 5)).unwrap();
+    let report = server.shutdown();
+    assert_eq!(client.wait(orphan).result, engine("sequence gap unresolved at shutdown"));
+    assert!(report.balanced());
+    assert_eq!(report.shards[0].applied_ops, 4);
+    assert_eq!(report.shards[0].stats.failed_ops, 4);
+}
+
 /// The `apply_batch` fusion cap is observably inert: capping runs at 1
 /// (pure op-at-a-time), at an awkward prime, or leaving them unbounded
 /// yields bit-identical telemetry, per-volume attribution, and op
-/// counts — the `ADAPT_APPLY_BATCH` determinism contract, exercised
+/// counts — the `ServerBuilder::apply_batch` determinism contract, exercised
 /// across volume-boundary run breaks.
 #[test]
 fn apply_batch_cap_is_bit_identical() {
