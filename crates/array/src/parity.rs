@@ -18,11 +18,6 @@
 //! All kernels tolerate arbitrary alignment (unaligned loads/stores) and
 //! arbitrary lengths including odd tails — chunk sizes are multiples of 8
 //! in practice, but reconstruction scratch may slice at any offset.
-//!
-//! The `*_into` variants write into caller-provided storage so the hot
-//! paths (stripe close, degraded read, rebuild, scrub) can reuse one
-//! scratch buffer instead of allocating per call; the allocating wrappers
-//! remain for convenience and for the property tests.
 
 use crate::cpu_features;
 use crate::error::ParityError;
@@ -39,22 +34,12 @@ pub fn try_xor_into(acc: &mut [u8], src: &[u8]) -> Result<(), ParityError> {
 /// Compute the parity chunk of a stripe, validating the inputs: the
 /// stripe must be non-empty and all chunks equal length.
 pub fn try_compute_parity(data: &[&[u8]]) -> Result<Vec<u8>, ParityError> {
-    let mut parity = Vec::new();
-    try_compute_parity_into(&mut parity, data)?;
-    Ok(parity)
-}
-
-/// Compute the parity chunk of a stripe into `out`, reusing its
-/// allocation. `out` is cleared first; on success it holds exactly the
-/// parity chunk. On error `out`'s contents are unspecified (but valid).
-pub fn try_compute_parity_into(out: &mut Vec<u8>, data: &[&[u8]]) -> Result<(), ParityError> {
-    let first = data.first().ok_or(ParityError::EmptyStripe)?;
-    out.clear();
-    out.extend_from_slice(first);
-    for chunk in &data[1..] {
-        try_xor_into(out, chunk)?;
+    let (first, rest) = data.split_first().ok_or(ParityError::EmptyStripe)?;
+    let mut parity = first.to_vec();
+    for chunk in rest {
+        try_xor_into(&mut parity, chunk)?;
     }
-    Ok(())
+    Ok(parity)
 }
 
 /// Reconstruct one missing chunk from the stripe's survivors, validating
@@ -62,12 +47,6 @@ pub fn try_compute_parity_into(out: &mut Vec<u8>, data: &[&[u8]]) -> Result<(), 
 /// two operations are identical).
 pub fn try_reconstruct(survivors: &[&[u8]]) -> Result<Vec<u8>, ParityError> {
     try_compute_parity(survivors)
-}
-
-/// Reconstruct one missing chunk into `out`, reusing its allocation (see
-/// [`try_compute_parity_into`]).
-pub fn try_reconstruct_into(out: &mut Vec<u8>, survivors: &[&[u8]]) -> Result<(), ParityError> {
-    try_compute_parity_into(out, survivors)
 }
 
 /// XOR `src` into `acc` in place.
@@ -313,20 +292,6 @@ mod tests {
         let refs: Vec<&[u8]> = chunks.iter().map(|c| c.as_slice()).collect();
         assert_eq!(try_compute_parity(&refs).unwrap(), compute_parity(&refs));
         assert_eq!(try_reconstruct(&refs).unwrap(), reconstruct(&refs));
-    }
-
-    #[test]
-    fn into_variants_match_allocating_and_reuse_storage() {
-        let chunks: Vec<Vec<u8>> = (0..4).map(|i| chunk(i + 9, 777)).collect();
-        let refs: Vec<&[u8]> = chunks.iter().map(|c| c.as_slice()).collect();
-        let mut out = vec![0xAAu8; 4096]; // stale contents must not leak through
-        try_compute_parity_into(&mut out, &refs).unwrap();
-        assert_eq!(out, compute_parity(&refs));
-        let cap = out.capacity();
-        try_reconstruct_into(&mut out, &refs).unwrap();
-        assert_eq!(out, reconstruct(&refs));
-        assert_eq!(out.capacity(), cap, "reuse must not reallocate");
-        assert_eq!(try_compute_parity_into(&mut out, &[]), Err(ParityError::EmptyStripe));
     }
 
     /// The ISSUE-mandated exhaustive equivalence sweep: the dispatched

@@ -5,16 +5,10 @@
 //! one layer is attributable without profiling:
 //!
 //! * the SIMD XOR kernel vs the scalar reference on a 64 KiB chunk,
-//! * stripe parity into a reused buffer vs the allocating variant,
-//! * batched FTL remaps ([`BlockIndex::apply_batch`]) vs per-block `set`,
 //! * sink-side payload copies per host byte on the byte-faithful array,
 //!   against the computed pre-zero-copy equivalent,
-//! * staged (overlapped) GC vs synchronous GC on the same replay, with
-//!   per-op tail latencies and the `jobs = 1` bit-identical check,
-//! * the batched op pipeline ([`Lss::apply_ops`] fusion) vs per-op
-//!   submission, with per-stage cost attribution from the op-clocked
-//!   profiler and the packed-index footprint against the legacy
-//!   enum-per-entry layout,
+//! * the packed FTL index footprint against the legacy enum-per-entry
+//!   layout,
 //! * the suite-sweep jobs ladder at 1 / 2 / all cores.
 //!
 //! Everything here is seeded and allocation-disciplined; `quick` shrinks
@@ -24,9 +18,9 @@
 use crate::perf::{trace_of, Workload, QUICK, WORKLOADS};
 use adapt_array::cpu_features;
 use adapt_array::parity;
-use adapt_array::{ArraySink, CountingArray};
+use adapt_array::ArraySink;
 use adapt_lss::index::{BlockEntry, BlockIndex};
-use adapt_lss::{GcSelection, HostOp, Lss, LssConfig, LssMetrics, PlacementPolicy, StageCosts};
+use adapt_lss::{GcSelection, Lss, LssConfig, LssMetrics, PlacementPolicy};
 use adapt_sim::runner::run_suite;
 use adapt_sim::scheme::{with_policy, PolicyVisitor};
 use adapt_sim::{ReplayConfig, Scheme};
@@ -56,22 +50,6 @@ pub struct XorPoint {
     pub speedup_vs_wide: f64,
 }
 
-/// One fast-vs-reference kernel comparison. `unit` names what `fast` and
-/// `slow` measure (higher is better for both).
-#[derive(Debug, Clone, Serialize)]
-pub struct KernelPoint {
-    /// What was compared, e.g. `xor_into(64KiB) simd vs scalar`.
-    pub name: String,
-    /// Throughput of the optimized path.
-    pub fast: f64,
-    /// Throughput of the reference path.
-    pub slow: f64,
-    /// Unit of both throughputs (`GiB/s`, `Mops/s`).
-    pub unit: String,
-    /// `fast / slow`.
-    pub speedup: f64,
-}
-
 /// Sink-side payload-copy traffic of a byte-faithful replay, against the
 /// computed pre-zero-copy equivalent of the same flush sequence.
 #[derive(Debug, Clone, Serialize)]
@@ -98,89 +76,6 @@ pub struct CopyTraffic {
     pub reduction_pct: f64,
 }
 
-/// Staged (overlapped) GC vs the synchronous path on the same replay.
-///
-/// The staged path slices victim migration across foreground writes, so
-/// the signal is in the per-op tail, not the mean; write amplification
-/// may differ between the modes (migration observes fresher liveness),
-/// which is why the `jobs = 1` collapse to the exact synchronous path is
-/// recorded as its own bit-identical check.
-#[derive(Debug, Clone, Serialize)]
-pub struct GcOverlapPoint {
-    /// Workload replayed.
-    pub workload: String,
-    /// Job count the overlapped run was measured at.
-    pub jobs: usize,
-    /// Synchronous-GC wall time (ms).
-    pub sync_wall_ms: f64,
-    /// Overlapped-GC wall time (ms).
-    pub overlap_wall_ms: f64,
-    /// Synchronous per-op p99 / p99.9 / max latency (µs).
-    pub sync_p99_us: f64,
-    /// See `sync_p99_us`.
-    pub sync_p999_us: f64,
-    /// See `sync_p99_us`.
-    pub sync_max_us: f64,
-    /// Overlapped per-op p99 / p99.9 / max latency (µs).
-    pub overlap_p99_us: f64,
-    /// See `overlap_p99_us`.
-    pub overlap_p999_us: f64,
-    /// See `overlap_p99_us`.
-    pub overlap_max_us: f64,
-    /// Write amplification, synchronous mode.
-    pub sync_wa: f64,
-    /// Write amplification, overlapped mode (may legitimately differ).
-    pub overlap_wa: f64,
-    /// Whether the overlapped configuration at `jobs = 1` reproduced the
-    /// synchronous run's metrics exactly (the determinism contract; must
-    /// always be true).
-    pub jobs1_bit_identical: bool,
-}
-
-/// Per-stage write-path cost of one profiled replay, in nanoseconds per
-/// host op (each field is the matching [`StageCosts`] counter divided by
-/// the ops attributed). The stage set mirrors the engine's apply loop:
-/// clock advance → telemetry → GC pump → index retire → placement
-/// snapshot → policy decision → sink/parity → WAL.
-#[derive(Debug, Clone, Serialize)]
-pub struct StageNsPerOp {
-    /// Simulated-clock advance (SLA scan + expiries).
-    pub clock: f64,
-    /// Per-op telemetry (gauges, health, scrub pacing).
-    pub telemetry: f64,
-    /// Overlapped-GC migration slices.
-    pub gc: f64,
-    /// FTL index version retirement.
-    pub index: f64,
-    /// Policy-context snapshot refresh.
-    pub placement: f64,
-    /// Placement policy decision.
-    pub policy: f64,
-    /// Sink append/flush including parity.
-    pub parity: f64,
-    /// WAL group commit + checkpointing.
-    pub wal: f64,
-    /// Sum of all stages.
-    pub total: f64,
-}
-
-impl StageNsPerOp {
-    fn of(c: &StageCosts) -> Self {
-        let ops = c.ops.max(1) as f64;
-        StageNsPerOp {
-            clock: c.clock_ns as f64 / ops,
-            telemetry: c.telemetry_ns as f64 / ops,
-            gc: c.gc_ns as f64 / ops,
-            index: c.index_ns as f64 / ops,
-            placement: c.placement_ns as f64 / ops,
-            policy: c.policy_ns as f64 / ops,
-            parity: c.parity_ns as f64 / ops,
-            wal: c.wal_ns as f64 / ops,
-            total: c.total_ns() as f64 / ops,
-        }
-    }
-}
-
 /// Resident FTL index footprint of the packed tagged-word layout against
 /// the legacy one-enum-per-entry table it replaced.
 #[derive(Debug, Clone, Serialize)]
@@ -197,41 +92,6 @@ pub struct IndexFootprint {
     pub legacy_bytes_per_block: f64,
     /// `1 - packed / legacy`, as a percentage.
     pub reduction_pct: f64,
-}
-
-/// The batched op pipeline vs per-op submission on the same replay, with
-/// per-stage cost attribution and the packed-index footprint.
-///
-/// Wall-time speedup here is informational on CI-class machines (the
-/// replays are engine-bound, and unoptimized builds invert the batching
-/// win); the load-bearing fields are the two bit-identical contracts and
-/// the stage/footprint attributions, which hold in any build.
-#[derive(Debug, Clone, Serialize)]
-pub struct PipelineBench {
-    /// Workload replayed.
-    pub workload: String,
-    /// Ops per [`Lss::apply_ops`] batch in the batched runs.
-    pub batch: usize,
-    /// Wall time submitting one op at a time (ms), unprofiled.
-    pub per_op_wall_ms: f64,
-    /// Wall time submitting `batch`-op slices (ms), unprofiled.
-    pub batched_wall_ms: f64,
-    /// `per_op_wall_ms / batched_wall_ms`.
-    pub speedup: f64,
-    /// Per-stage ns/op of the profiled one-op-at-a-time replay.
-    pub per_op_stage_ns: StageNsPerOp,
-    /// Per-stage ns/op of the profiled batched replay.
-    pub batched_stage_ns: StageNsPerOp,
-    /// Whether the batched replay reproduced the per-op replay's metrics
-    /// and memory footprint exactly (the batching determinism contract;
-    /// must always be true).
-    pub batched_bit_identical: bool,
-    /// Whether both profiled replays reproduced the unprofiled per-op
-    /// metrics exactly (the profiler's zero-perturbation contract; must
-    /// always be true).
-    pub profiled_bit_identical: bool,
-    /// Packed-index footprint vs the legacy enum-per-entry layout.
-    pub index: IndexFootprint,
 }
 
 /// One rung of the suite-sweep jobs ladder.
@@ -253,17 +113,10 @@ pub struct HotpathBench {
     pub cpu: String,
     /// The XOR kernel ladder on one 64 KiB chunk.
     pub xor_64k: XorPoint,
-    /// Stripe parity into a reused buffer vs the allocating variant.
-    pub parity_into: KernelPoint,
-    /// Batched FTL remaps vs per-block `set` calls.
-    pub index_batch: KernelPoint,
     /// Sink payload-copy traffic vs the pre-zero-copy equivalent.
     pub copy: CopyTraffic,
-    /// Staged vs synchronous GC on the same replay.
-    pub gc_overlap: GcOverlapPoint,
-    /// Batched op pipeline vs per-op submission, with per-stage cost
-    /// attribution and the packed-index footprint.
-    pub pipeline: PipelineBench,
+    /// Packed-index footprint vs the legacy enum-per-entry layout.
+    pub index: IndexFootprint,
     /// Suite-sweep scaling at 1 / 2 / all cores.
     pub jobs_ladder: Vec<JobsPoint>,
 }
@@ -317,75 +170,6 @@ pub fn bench_xor(quick: bool) -> XorPoint {
     }
 }
 
-/// Parity of a 3-data-column stripe into a reused buffer vs the
-/// allocating variant; GiB/s of stripe input processed.
-pub fn bench_parity_into(quick: bool) -> KernelPoint {
-    let iters = if quick { 512 } else { 4_096 };
-    let cols: Vec<Vec<u8>> = (0..3u8).map(|c| patterned(CHUNK, c.wrapping_mul(53))).collect();
-    let refs: Vec<&[u8]> = cols.iter().map(|c| c.as_slice()).collect();
-    let mut out = Vec::with_capacity(CHUNK);
-    let fast_spi = secs_per_iter(iters, || {
-        parity::try_compute_parity_into(black_box(&mut out), black_box(&refs)).unwrap();
-    });
-    let slow_spi = secs_per_iter(iters, || {
-        black_box(parity::compute_parity(black_box(&refs)));
-    });
-    black_box(&out);
-    let gib = (3 * CHUNK) as f64 / (1u64 << 30) as f64;
-    KernelPoint {
-        name: "compute_parity 3x64KiB reused-out vs alloc".to_string(),
-        fast: gib / fast_spi,
-        slow: gib / slow_spi,
-        unit: "GiB/s".to_string(),
-        speedup: slow_spi / fast_spi,
-    }
-}
-
-/// Batched remap application vs per-block `set` calls on a pre-grown
-/// index, using flush-sized batches; Mops/s of remaps applied.
-pub fn bench_index_batch(quick: bool) -> KernelPoint {
-    const TABLE: u64 = 1 << 18;
-    const BATCH: usize = 32;
-    let rounds = if quick { 2_048 } else { 16_384 };
-    // Deterministic LCG over the table, pre-materialized so the measured
-    // loop is the index alone.
-    let mut x = 0x2545_F491_4F6C_DD1Du64;
-    let batches: Vec<Vec<(u64, BlockEntry)>> = (0..rounds)
-        .map(|r| {
-            (0..BATCH)
-                .map(|i| {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    let lba = x % TABLE;
-                    (lba, BlockEntry::Durable { seg: r, off: i as u32 })
-                })
-                .collect()
-        })
-        .collect();
-    let mut grown = BlockIndex::default();
-    grown.set(TABLE - 1, BlockEntry::Absent);
-    let mut idx = 0usize;
-    let fast_spi = secs_per_iter(rounds, || {
-        grown.apply_batch(black_box(&batches[idx % batches.len()]));
-        idx += 1;
-    });
-    idx = 0;
-    let slow_spi = secs_per_iter(rounds, || {
-        for &(lba, e) in &batches[idx % batches.len()] {
-            grown.set(black_box(lba), e);
-        }
-        idx += 1;
-    });
-    black_box(grown.len());
-    let mops = BATCH as f64 / 1e6;
-    KernelPoint {
-        name: format!("BlockIndex {BATCH}-remap batch vs per-block set"),
-        fast: mops / fast_spi,
-        slow: mops / slow_spi,
-        unit: "Mops/s".to_string(),
-        speedup: slow_spi / fast_spi,
-    }
-}
-
 struct CopyRun<'a> {
     cfg: LssConfig,
     trace: &'a [TraceRecord],
@@ -434,152 +218,6 @@ pub fn measure_copy(quick: bool) -> CopyTraffic {
     }
 }
 
-struct OverlapRun<'a> {
-    cfg: LssConfig,
-    trace: &'a [TraceRecord],
-    overlap: bool,
-    /// Record per-op latencies (skipped for the bit-identical re-run).
-    record_latency: bool,
-}
-
-struct OverlapOut {
-    wall_ms: f64,
-    metrics: LssMetrics,
-    /// Per-op latencies in nanoseconds, unsorted; empty unless recorded.
-    lat_ns: Vec<u64>,
-}
-
-impl PolicyVisitor<OverlapOut> for OverlapRun<'_> {
-    fn visit<P: PlacementPolicy + Send + 'static>(self, policy: P) -> OverlapOut {
-        let mut engine = Lss::builder(policy, CountingArray::new(self.cfg.array_config()))
-            .config(self.cfg)
-            .gc_select(GcSelection::Greedy)
-            .gc_overlap(self.overlap)
-            .build();
-        let mut lat_ns = Vec::with_capacity(if self.record_latency { self.trace.len() } else { 0 });
-        let t0 = Instant::now();
-        if self.record_latency {
-            for rec in self.trace {
-                let op0 = Instant::now();
-                engine.write_request(rec.ts_us, rec.lba, rec.num_blocks);
-                lat_ns.push(op0.elapsed().as_nanos() as u64);
-            }
-        } else {
-            for rec in self.trace {
-                engine.write_request(rec.ts_us, rec.lba, rec.num_blocks);
-            }
-        }
-        engine.flush_all();
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        OverlapOut { wall_ms, metrics: engine.metrics().clone(), lat_ns }
-    }
-}
-
-/// `q`-quantile (0..=1) of unsorted per-op nanoseconds, in microseconds.
-fn quantile_us(sorted_ns: &[u64], q: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ns.len() as f64 * q).ceil() as usize).clamp(1, sorted_ns.len()) - 1;
-    sorted_ns[idx] as f64 / 1e3
-}
-
-/// Staged vs synchronous GC on one replay, plus the `jobs = 1`
-/// bit-identical collapse check.
-pub fn measure_gc_overlap(quick: bool) -> GcOverlapPoint {
-    let w: &Workload = if quick { &QUICK } else { &WORKLOADS[0] };
-    let cfg = ReplayConfig::for_volume(w.user_blocks, GcSelection::Greedy).lss;
-    let trace = trace_of(w);
-    let jobs = rayon::current_num_threads().max(2);
-    let run = |overlap: bool, jobs: usize, record_latency: bool| {
-        rayon::with_jobs(jobs, || {
-            with_policy(
-                Scheme::Adapt,
-                &cfg,
-                OverlapRun { cfg, trace: &trace, overlap, record_latency },
-            )
-        })
-    };
-    let sync = run(false, 1, true);
-    let over = run(true, jobs, true);
-    // Determinism contract: the overlapped configuration at jobs = 1
-    // must reproduce the synchronous metrics bit for bit.
-    let over_j1 = run(true, 1, false);
-    let mut sync_ns = sync.lat_ns;
-    let mut over_ns = over.lat_ns;
-    sync_ns.sort_unstable();
-    over_ns.sort_unstable();
-    GcOverlapPoint {
-        workload: w.name.to_string(),
-        jobs,
-        sync_wall_ms: sync.wall_ms,
-        overlap_wall_ms: over.wall_ms,
-        sync_p99_us: quantile_us(&sync_ns, 0.99),
-        sync_p999_us: quantile_us(&sync_ns, 0.999),
-        sync_max_us: sync_ns.last().map_or(0.0, |&n| n as f64 / 1e3),
-        overlap_p99_us: quantile_us(&over_ns, 0.99),
-        overlap_p999_us: quantile_us(&over_ns, 0.999),
-        overlap_max_us: over_ns.last().map_or(0.0, |&n| n as f64 / 1e3),
-        sync_wa: sync.metrics.wa(),
-        overlap_wa: over.metrics.wa(),
-        jobs1_bit_identical: over_j1.metrics == sync.metrics,
-    }
-}
-
-struct PipelineRun<'a> {
-    cfg: LssConfig,
-    trace: &'a [TraceRecord],
-    /// `Some(n)` replays through `n`-op [`Lss::apply_ops`] slices;
-    /// `None` submits one op at a time via `write_request`.
-    batch: Option<usize>,
-    /// Enable the op-clocked per-stage cost profiler.
-    profile: bool,
-}
-
-struct PipelineOut {
-    wall_ms: f64,
-    metrics: LssMetrics,
-    memory_bytes: u64,
-    stages: Option<StageCosts>,
-}
-
-impl PolicyVisitor<PipelineOut> for PipelineRun<'_> {
-    fn visit<P: PlacementPolicy + Send + 'static>(self, policy: P) -> PipelineOut {
-        let cfg = self.cfg.with_stage_costs(self.profile);
-        let mut engine = Lss::builder(policy, CountingArray::new(cfg.array_config()))
-            .config(cfg)
-            .gc_select(GcSelection::Greedy)
-            .build();
-        let t0 = Instant::now();
-        match self.batch {
-            None => {
-                for rec in self.trace {
-                    engine.write_request(rec.ts_us, rec.lba, rec.num_blocks);
-                }
-            }
-            Some(n) => {
-                let mut buf: Vec<HostOp> = Vec::with_capacity(n);
-                for rec in self.trace {
-                    buf.push(HostOp::write(rec.ts_us, rec.lba, rec.num_blocks));
-                    if buf.len() == n {
-                        engine.apply_ops(&buf);
-                        buf.clear();
-                    }
-                }
-                engine.apply_ops(&buf);
-            }
-        }
-        engine.flush_all();
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        PipelineOut {
-            wall_ms,
-            metrics: engine.metrics().clone(),
-            memory_bytes: engine.memory_bytes() as u64,
-            stages: engine.stage_costs().copied(),
-        }
-    }
-}
-
 /// Fill a [`BlockIndex`] densely and compare its measured bytes per
 /// mapped block against the legacy enum-per-entry cost.
 fn index_footprint() -> IndexFootprint {
@@ -595,39 +233,6 @@ fn index_footprint() -> IndexFootprint {
         packed_bytes_per_block: packed,
         legacy_bytes_per_block: legacy,
         reduction_pct: 100.0 * (1.0 - packed / legacy),
-    }
-}
-
-/// The batched pipeline point: four replays of one workload — per-op and
-/// batched, each unprofiled (timed) and profiled (stage-attributed) —
-/// plus the packed-index footprint.
-pub fn measure_pipeline(quick: bool) -> PipelineBench {
-    const BATCH: usize = 256;
-    let w: &Workload = if quick { &QUICK } else { &WORKLOADS[0] };
-    let cfg = ReplayConfig::for_volume(w.user_blocks, GcSelection::Greedy).lss;
-    let trace = trace_of(w);
-    let run = |batch: Option<usize>, profile: bool| {
-        with_policy(Scheme::Adapt, &cfg, PipelineRun { cfg, trace: &trace, batch, profile })
-    };
-    let per_op = run(None, false);
-    let batched = run(Some(BATCH), false);
-    let per_op_prof = run(None, true);
-    let batched_prof = run(Some(BATCH), true);
-    let per_op_stages = per_op_prof.stages.as_ref().expect("profiled run records stage costs");
-    let batched_stages = batched_prof.stages.as_ref().expect("profiled run records stage costs");
-    PipelineBench {
-        workload: w.name.to_string(),
-        batch: BATCH,
-        per_op_wall_ms: per_op.wall_ms,
-        batched_wall_ms: batched.wall_ms,
-        speedup: per_op.wall_ms / batched.wall_ms,
-        per_op_stage_ns: StageNsPerOp::of(per_op_stages),
-        batched_stage_ns: StageNsPerOp::of(batched_stages),
-        batched_bit_identical: batched.metrics == per_op.metrics
-            && batched.memory_bytes == per_op.memory_bytes,
-        profiled_bit_identical: per_op_prof.metrics == per_op.metrics
-            && batched_prof.metrics == per_op.metrics,
-        index: index_footprint(),
     }
 }
 
@@ -663,11 +268,8 @@ pub fn run(quick: bool) -> HotpathBench {
     HotpathBench {
         cpu: cpu_features::get().summary(),
         xor_64k: bench_xor(quick),
-        parity_into: bench_parity_into(quick),
-        index_batch: bench_index_batch(quick),
         copy: measure_copy(quick),
-        gc_overlap: measure_gc_overlap(quick),
-        pipeline: measure_pipeline(quick),
+        index: index_footprint(),
         jobs_ladder: measure_jobs_ladder(quick),
     }
 }
@@ -705,15 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn gc_overlap_point_holds_contract() {
-        let g = measure_gc_overlap(true);
-        assert!(g.jobs1_bit_identical, "jobs=1 must collapse to sync GC");
-        assert!(g.sync_wall_ms > 0.0 && g.overlap_wall_ms > 0.0);
-        assert!(g.sync_wa >= 1.0 && g.overlap_wa >= 1.0);
-        assert!(g.sync_p999_us >= g.sync_p99_us);
-    }
-
-    #[test]
     fn jobs_ladder_covers_one_two_all() {
         let l = measure_jobs_ladder(true);
         assert!(l.len() >= 2);
@@ -723,31 +316,14 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_point_holds_contract() {
-        // No wall-clock ratio assertion: like the index-batch point, the
-        // batching win is only meaningful on release gate runs; the
-        // contracts below hold in any build.
-        let p = measure_pipeline(true);
-        assert!(p.batched_bit_identical, "apply_ops must reproduce the per-op replay exactly");
-        assert!(p.profiled_bit_identical, "the stage profiler must not perturb results");
-        assert!(p.per_op_stage_ns.total > 0.0 && p.batched_stage_ns.total > 0.0);
-        assert!(p.per_op_wall_ms > 0.0 && p.batched_wall_ms > 0.0);
+    fn packed_index_drops_at_least_40_percent() {
+        let i = index_footprint();
         assert!(
-            p.index.reduction_pct >= 40.0,
+            i.reduction_pct >= 40.0,
             "packed index must drop >=40% bytes/block (got {:.1}%: {:.2} vs {:.2})",
-            p.index.reduction_pct,
-            p.index.packed_bytes_per_block,
-            p.index.legacy_bytes_per_block,
+            i.reduction_pct,
+            i.packed_bytes_per_block,
+            i.legacy_bytes_per_block,
         );
-    }
-
-    #[test]
-    fn index_batch_point_is_sane() {
-        // No ratio assertion: unoptimized test builds invert the two
-        // paths' relative cost (the batch's max-scan pass is not inlined
-        // away), so the ratio is only meaningful on release gate runs.
-        let p = bench_index_batch(true);
-        assert!(p.fast > 0.0 && p.slow > 0.0);
-        assert!(p.speedup > 0.0);
     }
 }

@@ -19,7 +19,7 @@
 //! against that baseline.
 
 use adapt_array::CountingArray;
-use adapt_lss::{EventConfig, GcSelection, Lss, LssConfig, PlacementPolicy, StageCosts};
+use adapt_lss::{EventConfig, GcSelection, Lss, LssConfig, PlacementPolicy};
 use adapt_sim::runner::run_suite;
 use adapt_sim::scheme::{with_policy, PolicyVisitor};
 use adapt_sim::{ReplayConfig, Scheme};
@@ -106,19 +106,6 @@ pub struct Measurement {
     pub memory_bytes: u64,
     /// Structured events emitted (0 when capture is disabled).
     pub events_emitted: u64,
-    /// Per-stage write-path cost attribution of this replay. Only present
-    /// when `ADAPT_STAGE_COSTS` enabled the op-clocked profiler; the
-    /// block is purely additive — every other field is bit-identical to
-    /// the unprofiled run (the profiler's determinism contract, pinned by
-    /// the hotpath pipeline point and the CI pipeline-smoke diff).
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub stage_costs: Option<StageCosts>,
-}
-
-/// Whether `ADAPT_STAGE_COSTS` requests per-stage cost attribution on the
-/// gate replays (any non-empty value other than `0`).
-pub fn stage_costs_enabled() -> bool {
-    std::env::var("ADAPT_STAGE_COSTS").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
 /// A baseline row embedded as data: `(key, wall_ms, kops_per_sec,
@@ -141,7 +128,6 @@ struct PerfVisitor<'a> {
 impl PolicyVisitor<Measurement> for PerfVisitor<'_> {
     fn visit<P: PlacementPolicy + Send + 'static>(self, policy: P) -> Measurement {
         let PerfVisitor { cfg, gc, events, trace, key } = self;
-        let cfg = cfg.with_stage_costs(stage_costs_enabled());
         let mut engine = Lss::builder(policy, CountingArray::new(cfg.array_config()))
             .config(cfg)
             .gc_select(gc)
@@ -167,7 +153,6 @@ impl PolicyVisitor<Measurement> for PerfVisitor<'_> {
             wa: engine.metrics().wa(),
             memory_bytes: engine.memory_bytes() as u64,
             events_emitted: engine.events().emitted(),
-            stage_costs: engine.stage_costs().copied(),
         }
     }
 }
@@ -325,11 +310,12 @@ pub fn capability(geometry: Option<(usize, usize)>) -> Capability {
 /// `--geometry`/`ADAPT_BENCH_GEOMETRY` override and `capability` stamps
 /// the `k+m` geometry label they ran on; 4 — adds the `serving` section
 /// (the shard-scaling saturation sweep of the serving layer, see
-/// `crate::saturation` and EXPERIMENTS.md); 5 — adds the
-/// `hotpath.pipeline` batched-pipeline point (per-stage cost attribution
-/// and the packed-index footprint) and the optional per-measurement
-/// `stage_costs` block, emitted only when `ADAPT_STAGE_COSTS` enables the
-/// op-clocked profiler.
+/// `crate::saturation` and EXPERIMENTS.md); 5 — added a
+/// `hotpath.pipeline` point and an optional per-measurement stage-cost
+/// block; 6 — drops both, together with the `hotpath` points for
+/// reused-out parity, the index remap batch and staged GC (the measured
+/// code is gone), and moves the packed-index footprint to
+/// `hotpath.index`.
 #[derive(Debug, Serialize)]
 pub struct PerfReport {
     /// Schema version of this file.
@@ -408,7 +394,7 @@ pub fn run_with_events(
         })
         .collect();
     PerfReport {
-        schema: 5,
+        schema: 6,
         capability: capability(geometry),
         baseline_note: "pre-optimization engine (before incremental GC buckets, fxhash, \
                         buffer pooling), measured on the same machine and workloads"
@@ -462,17 +448,6 @@ mod tests {
         assert_eq!(off.wa, on.wa);
         assert_eq!(off.gc_passes, on.gc_passes);
         assert_eq!(off.blocks, on.blocks);
-    }
-
-    #[test]
-    fn stage_costs_block_is_absent_unless_requested() {
-        // The gate runs with ADAPT_STAGE_COSTS unset, so the report rows
-        // must not carry even a `stage_costs: null` — schema-5 readers
-        // treat presence of the key as "the profiler ran".
-        let m = measure(&QUICK, Scheme::SepGc, GcSelection::Greedy);
-        assert!(m.stage_costs.is_none());
-        let json = serde_json::to_string(&m).expect("serialize measurement");
-        assert!(!json.contains("stage_costs"), "None must be omitted, not nulled: {json}");
     }
 
     #[test]

@@ -73,16 +73,6 @@ impl<P: PlacementPolicy, S: ArraySink> EngineBuilder<P, S> {
         self
     }
 
-    /// Enable overlapped GC: victims are staged and their live blocks
-    /// migrate in bounded slices interleaved with foreground writes
-    /// (see [`LssConfig::gc_overlap`]). Collapses to the exact
-    /// synchronous path when the job count is 1 or `ADAPT_GC_SYNC` is
-    /// set.
-    pub fn gc_overlap(mut self, on: bool) -> Self {
-        self.cfg.gc_overlap = on;
-        self
-    }
-
     /// Select one of the paper's two GC victim policies.
     pub fn gc_select(mut self, gc: GcSelection) -> Self {
         self.victim = VictimPolicy::Base(gc);

@@ -620,10 +620,7 @@ pub(crate) mod tests {
     /// only carries at flush granularity (`ops_seen` is checkpoint-only;
     /// `now_us`/`user_bytes_clock` can lag by the buffered tail — the
     /// caller re-drives them with its next timestamped request anyway).
-    pub(crate) fn assert_states_match<P: PlacementPolicy, S: ArraySink>(
-        a: &Lss<P, S>,
-        b: &Lss<P, S>,
-    ) {
+    fn assert_states_match<P: PlacementPolicy, S: ArraySink>(a: &Lss<P, S>, b: &Lss<P, S>) {
         let (a, b) = (a.durable_view().unwrap(), b.durable_view().unwrap());
         assert_eq!(a.geometry, b.geometry);
         assert_eq!(a.clocks.next_open_seq, b.clocks.next_open_seq, "next_open_seq");

@@ -58,19 +58,6 @@ pub struct LssConfig {
     /// engine clock (retries must not perturb SLA deadlines).
     #[doc(hidden)]
     pub retry_backoff_us: u64,
-    /// When true, inline GC overlaps foreground writes: instead of
-    /// draining a whole victim inside one host write, the victim is
-    /// *staged* (detached, live slots snapshotted) and its blocks migrate
-    /// in bounded slices piggybacked on subsequent writes — the tail
-    /// latency a monolithic collection would concentrate on one op is
-    /// spread across many. Off by default: the staged interleaving is
-    /// workload-order dependent, so the deterministic comparison gates
-    /// keep it disabled. Forced off (legacy exact path) when the
-    /// `ADAPT_GC_SYNC` env var is set or the job count is 1, so `jobs=1`
-    /// runs are bit-identical to the synchronous engine.
-    #[serde(default)]
-    #[doc(hidden)]
-    pub gc_overlap: bool,
     /// Background scrub pacing: stripes verified per host operation
     /// (0 disables scrubbing, the default). Paced exactly like the rebuild
     /// driver — a bounded amount of background work piggybacks on every
@@ -91,17 +78,6 @@ pub struct LssConfig {
     #[serde(default)]
     #[doc(hidden)]
     pub array_parity: usize,
-    /// Per-stage cost attribution on the write hot path: when true the
-    /// engine wall-clock-times each stage of every host write (index /
-    /// placement / policy / parity / telemetry) into
-    /// [`crate::StageCosts`], readable via `Lss::stage_costs`. Off by
-    /// default — the disabled path pays a single branch per op and the
-    /// deterministic [`crate::LssMetrics`] are bit-identical either way
-    /// (timing never feeds back into engine decisions). Also enabled by
-    /// the `ADAPT_STAGE_COSTS=1` env var in the bench binaries.
-    #[serde(default)]
-    #[doc(hidden)]
-    pub stage_costs: bool,
 }
 
 impl Default for LssConfig {
@@ -118,11 +94,9 @@ impl Default for LssConfig {
             background_gc: false,
             read_retry_limit: 3,
             retry_backoff_us: 50,
-            gc_overlap: false,
             scrub_stripes_per_op: 0,
             array_devices: 0,
             array_parity: 0,
-            stage_costs: false,
         }
     }
 }
@@ -241,19 +215,6 @@ impl LssConfig {
     pub fn with_read_retry(mut self, limit: u32, backoff_us: u64) -> Self {
         self.read_retry_limit = limit;
         self.retry_backoff_us = backoff_us;
-        self
-    }
-
-    /// This config with overlapped (staged) inline GC on or off.
-    pub fn with_gc_overlap(mut self, overlap: bool) -> Self {
-        self.gc_overlap = overlap;
-        self
-    }
-
-    /// This config with per-stage write-path cost attribution on or off
-    /// (see [`LssConfig::stage_costs`] for the determinism contract).
-    pub fn with_stage_costs(mut self, enabled: bool) -> Self {
-        self.stage_costs = enabled;
         self
     }
 }

@@ -252,44 +252,19 @@ impl SegmentBuckets {
     }
 
     /// Verify internal consistency and lockstep with `segments` (test /
-    /// debug aid, called from the engine's `check_invariants`). Panics on
-    /// violation.
+    /// debug aid, called from the engine's `check_invariants`). Every
+    /// tracked segment must be sealed with the tracked valid count; a
+    /// sealed segment may be untracked only while detached for collection
+    /// (the engine checks tracking against its groups' sealed lists).
+    /// Panics on violation.
     pub fn check_against(&self, segments: &[Segment]) {
-        self.check_against_detached(segments, None);
-    }
-
-    /// [`SegmentBuckets::check_against`] with one sealed segment exempted
-    /// from tracking: an overlapped-GC victim mid-collection is sealed
-    /// but legitimately detached from the index.
-    pub fn check_against_detached(&self, segments: &[Segment], detached: Option<SegmentId>) {
         let mut tracked = 0usize;
         for s in segments {
-            if detached == Some(s.id) {
-                assert_eq!(
-                    self.tracked_valid(s.id),
-                    None,
-                    "detached victim {} still tracked in buckets",
-                    s.id
-                );
-                continue;
-            }
-            if s.state == SegmentState::Sealed {
-                assert_eq!(
-                    self.tracked_valid(s.id),
-                    Some(s.valid_blocks),
-                    "bucket drift for sealed segment {}",
-                    s.id
-                );
-                assert_eq!(self.created[s.id as usize], s.created_user_bytes);
-                tracked += 1;
-            } else {
-                assert_eq!(
-                    self.tracked_valid(s.id),
-                    None,
-                    "non-sealed segment {} tracked in buckets",
-                    s.id
-                );
-            }
+            let Some(valid) = self.tracked_valid(s.id) else { continue };
+            assert_eq!(s.state, SegmentState::Sealed, "non-sealed segment {} tracked", s.id);
+            assert_eq!(valid, s.valid_blocks, "bucket drift for sealed segment {}", s.id);
+            assert_eq!(self.created[s.id as usize], s.created_user_bytes);
+            tracked += 1;
         }
         assert_eq!(tracked, self.tracked, "tracked count drift");
         for (v, b) in self.buckets.iter().enumerate() {

@@ -124,13 +124,17 @@ impl BlockIndex {
         }
     }
 
-    /// Store `entry` at an in-range `lba`, keeping the shadow side map in
-    /// sync (an entry leaving the `Pending + shadow` state drops its side
-    /// slot, so the map never leaks).
+    /// Set the entry for `lba`, growing the table as needed and keeping
+    /// the shadow side map in sync (an entry leaving the `Pending + shadow`
+    /// state drops its side slot, so the map never leaks).
     #[inline]
-    fn store(&mut self, lba: Lba, entry: BlockEntry) {
+    pub fn set(&mut self, lba: Lba, entry: BlockEntry) {
+        let idx = lba as usize;
+        if idx >= self.words.len() {
+            self.words.resize(idx + 1, 0);
+        }
         let (word, shadow) = encode(entry);
-        let old = std::mem::replace(&mut self.words[lba as usize], word);
+        let old = std::mem::replace(&mut self.words[idx], word);
         match shadow {
             Some(slot) => {
                 self.shadows.insert(lba, slot);
@@ -140,38 +144,6 @@ impl BlockIndex {
                     self.shadows.remove(&lba);
                 }
             }
-        }
-    }
-
-    /// Set the entry for `lba`, growing the table as needed.
-    #[inline]
-    pub fn set(&mut self, lba: Lba, entry: BlockEntry) {
-        let idx = lba as usize;
-        if idx >= self.words.len() {
-            self.words.resize(idx + 1, 0);
-        }
-        self.store(lba, entry);
-    }
-
-    /// Apply a batch of `(lba → entry)` remaps in order.
-    ///
-    /// Semantically identical to calling [`BlockIndex::set`] once per pair
-    /// (later pairs win on duplicate LBAs), but the table grows at most
-    /// once: the batch is scanned for its max LBA only from the first
-    /// out-of-range element onward, so the steady state — a table already
-    /// large enough — is a single write pass with no scan at all. Flush
-    /// and GC migration collect a chunk's worth of remaps and apply them
-    /// here, pairing with the single WAL `Flush` record that already
-    /// covers the batch.
-    pub fn apply_batch(&mut self, updates: &[(Lba, BlockEntry)]) {
-        for (i, &(lba, entry)) in updates.iter().enumerate() {
-            if lba as usize >= self.words.len() {
-                // One resize covers every remaining element.
-                let max_lba =
-                    updates[i..].iter().map(|&(l, _)| l).max().expect("non-empty remainder");
-                self.words.resize(max_lba as usize + 1, 0);
-            }
-            self.store(lba, entry);
         }
     }
 
@@ -559,65 +531,6 @@ mod tests {
         assert!(!idx.is_live(9, 5, 3));
         idx.set(9, BlockEntry::Pending { group: 1, shadow: None });
         assert!(!idx.is_live(9, 5, 2));
-    }
-
-    #[test]
-    fn apply_batch_matches_sequential_sets() {
-        // Bit-identical equivalence including duplicate LBAs (last wins)
-        // and growth in one step.
-        let updates = [
-            (7u64, BlockEntry::Durable { seg: 1, off: 4 }),
-            (0u64, BlockEntry::Pending { group: 2, shadow: None }),
-            (7u64, BlockEntry::Pending { group: 0, shadow: Some((3, 9)) }),
-            (123u64, BlockEntry::Durable { seg: 9, off: 0 }),
-        ];
-        let mut batched = BlockIndex::default();
-        batched.apply_batch(&updates);
-        let mut sequential = BlockIndex::default();
-        for &(lba, e) in &updates {
-            sequential.set(lba, e);
-        }
-        assert_eq!(batched.len(), sequential.len());
-        for lba in 0..sequential.len() as u64 {
-            assert_eq!(batched.get(lba), sequential.get(lba), "lba {lba}");
-        }
-        batched.apply_batch(&[]);
-        assert_eq!(batched.len(), sequential.len(), "empty batch is a no-op");
-    }
-
-    #[test]
-    fn apply_batch_duplicate_lba_last_write_wins() {
-        // Regression: duplicates within one batch must resolve to the
-        // *last* pair, including when the duplicate toggles the shadow
-        // side-map state back and forth.
-        let mut idx = BlockIndex::default();
-        idx.apply_batch(&[
-            (5, BlockEntry::Pending { group: 1, shadow: Some((2, 2)) }),
-            (5, BlockEntry::Durable { seg: 8, off: 1 }),
-            (5, BlockEntry::Durable { seg: 8, off: 2 }),
-        ]);
-        assert_eq!(idx.get(5), BlockEntry::Durable { seg: 8, off: 2 });
-        assert_eq!(idx.shadow_entries(), 0, "superseded shadow must drop its side entry");
-        idx.apply_batch(&[
-            (5, BlockEntry::Durable { seg: 9, off: 0 }),
-            (5, BlockEntry::Pending { group: 3, shadow: Some((4, 4)) }),
-        ]);
-        assert_eq!(idx.get(5), BlockEntry::Pending { group: 3, shadow: Some((4, 4)) });
-        assert_eq!(idx.shadow_entries(), 1);
-    }
-
-    #[test]
-    fn apply_batch_in_range_skips_growth() {
-        let mut idx = BlockIndex::default();
-        idx.set(100, BlockEntry::Durable { seg: 1, off: 1 });
-        let len = idx.len();
-        idx.apply_batch(&[
-            (3, BlockEntry::Durable { seg: 2, off: 0 }),
-            (99, BlockEntry::Pending { group: 0, shadow: None }),
-        ]);
-        assert_eq!(idx.len(), len, "in-range batch must not grow the table");
-        assert_eq!(idx.get(3), BlockEntry::Durable { seg: 2, off: 0 });
-        assert_eq!(idx.get(99), BlockEntry::Pending { group: 0, shadow: None });
     }
 
     #[test]

@@ -100,7 +100,7 @@ pub use gc_buckets::SegmentBuckets;
 pub use gc_variants::VictimPolicy;
 pub use index::{BlockEntry, BlockIndex, DenseMap, VersionIndex};
 pub use latency::{LatencyHistogram, LatencySummary};
-pub use metrics::{GroupTraffic, LssMetrics, StageCosts};
+pub use metrics::{GroupTraffic, LssMetrics};
 pub use placement::{
     GroupKind, GroupSnapshot, PlacementPolicy, PolicyCtx, ReclaimInfo, SegmentMeta, SlaAction,
     VictimMeta,

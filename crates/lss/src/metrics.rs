@@ -260,70 +260,6 @@ impl LssMetrics {
     }
 }
 
-/// Per-stage wall-clock attribution of the write hot path, accumulated
-/// only when [`crate::LssConfig::stage_costs`] is on. Deliberately **not**
-/// part of [`LssMetrics`]: wall clock is non-deterministic, and the
-/// deterministic metrics are compared bit-for-bit across runs — stage
-/// costs live beside them, never inside them, so enabling attribution can
-/// never perturb a comparison gate.
-///
-/// Stage mapping (one write = one pass through [`crate::Lss::try_write`]):
-/// `clock` = SLA-deadline scan + expiry handling, `telemetry` = op
-/// bookkeeping (gauges, health transitions, scrub pacing), `gc` =
-/// overlapped-GC pump, `index` = previous-version retire (FTL index +
-/// bucket updates), `placement` = policy-context snapshot upkeep, `policy`
-/// = the placement decision itself, `parity` = append/flush through the
-/// array sink (chunk build + parity), `wal` = group commit + checkpoint
-/// cadence.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StageCosts {
-    /// Host writes attributed (each contributes to every stage).
-    pub ops: u64,
-    /// Nanoseconds advancing simulated time (SLA scan + expiries).
-    pub clock_ns: u64,
-    /// Nanoseconds in per-op telemetry (gauges, health, scrub pacing).
-    pub telemetry_ns: u64,
-    /// Nanoseconds pumping overlapped-GC migration slices.
-    pub gc_ns: u64,
-    /// Nanoseconds retiring previous versions in the FTL index.
-    pub index_ns: u64,
-    /// Nanoseconds refreshing the policy-context snapshot.
-    pub placement_ns: u64,
-    /// Nanoseconds inside the placement policy's decision.
-    pub policy_ns: u64,
-    /// Nanoseconds appending/flushing through the sink (incl. parity).
-    pub parity_ns: u64,
-    /// Nanoseconds in WAL group commit and checkpointing.
-    pub wal_ns: u64,
-}
-
-impl StageCosts {
-    /// Total attributed nanoseconds across all stages.
-    pub fn total_ns(&self) -> u64 {
-        self.clock_ns
-            + self.telemetry_ns
-            + self.gc_ns
-            + self.index_ns
-            + self.placement_ns
-            + self.policy_ns
-            + self.parity_ns
-            + self.wal_ns
-    }
-
-    /// Accumulate another attribution window into this one.
-    pub fn merge_from(&mut self, other: &StageCosts) {
-        self.ops += other.ops;
-        self.clock_ns += other.clock_ns;
-        self.telemetry_ns += other.telemetry_ns;
-        self.gc_ns += other.gc_ns;
-        self.index_ns += other.index_ns;
-        self.placement_ns += other.placement_ns;
-        self.policy_ns += other.policy_ns;
-        self.parity_ns += other.parity_ns;
-        self.wal_ns += other.wal_ns;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -27,13 +27,11 @@ pub enum Slot {
     Shadow(Lba),
 }
 
-/// One host block operation, as fed to the batched
-/// [`apply_ops`](crate::Lss::apply_ops) entry point. Semantically
-/// identical to calling the corresponding one-shot engine method —
+/// One host block operation, the unit of the serve layer's fused runs
+/// (`ShardEngine::apply_ops`). Semantically identical to calling the
+/// corresponding one-shot engine method —
 /// [`crate::Lss::try_write_request`], [`crate::Lss::try_read_request`] or
-/// [`crate::Lss::try_trim`] — at the same timestamp; the batch form exists
-/// so embedders (the serve drain loop, replay harnesses) can hand the
-/// engine a whole dequeued run at once.
+/// [`crate::Lss::try_trim`] — at the same timestamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostOp {
     /// Arrival timestamp (simulated µs); must be monotone within a batch,

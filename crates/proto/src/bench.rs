@@ -290,11 +290,15 @@ mod tests {
     #[test]
     fn throughput_scales_with_clients_when_unsaturated() {
         // With a huge bandwidth budget the array never binds; 4 clients
-        // should push noticeably more than 1.
-        let mut one = quick_cfg(1);
-        one.device_bytes_per_sec = 10e9;
-        let mut four = quick_cfg(4);
-        four.device_bytes_per_sec = 10e9;
+        // should push noticeably more than 1. The service interval is long
+        // enough that the paced demand — not a debug build's per-op CPU or
+        // the scheduler on a 2-CPU host — sets the ratio.
+        let unsaturated = |clients| ThroughputConfig {
+            device_bytes_per_sec: 10e9,
+            client_service_us: 200,
+            ..quick_cfg(clients)
+        };
+        let (one, four) = (unsaturated(1), unsaturated(4));
         let r1 = run_throughput(Scheme::SepGc, one);
         let r4 = run_throughput(Scheme::SepGc, four);
         assert!(

@@ -15,7 +15,7 @@
 //! slice, so the drain pays its per-op overheads — two metric probes for
 //! volume attribution, virtual-call round-trips, completion bookkeeping
 //! — once per run instead of once per op. Fusion is invisible by
-//! construction: the engine defines the batch as the op-at-a-time loop,
+//! construction: the batch is defined as the op-at-a-time loop,
 //! timestamps come off the same applied-op clock, and runs break at
 //! volume boundaries so per-volume attribution stays exact (the
 //! [`ServerBuilder::apply_batch`](crate::ServerBuilder::apply_batch) cap
@@ -74,7 +74,7 @@ pub trait ShardEngine: Send {
     /// per-op loop below — an engine with a fused batch path may
     /// override, but must stay bit-identical to op-at-a-time for any
     /// partitioning of the stream (the `apply_batch` determinism
-    /// contract; `Lss` pins it with proptests).
+    /// contract). `Lss` keeps this default.
     fn apply_ops(&mut self, ops: &[HostOp]) -> Result<(), (usize, EngineError)> {
         for (i, op) in ops.iter().enumerate() {
             let r = match op.kind {
@@ -120,10 +120,6 @@ impl<P: PlacementPolicy + Send, S: ArraySink + Send> ShardEngine for Lss<P, S> {
 
     fn apply_trim(&mut self, ts_us: u64, lba: Lba, blocks: u32) -> Result<(), EngineError> {
         self.try_trim(ts_us, lba, blocks)
-    }
-
-    fn apply_ops(&mut self, ops: &[HostOp]) -> Result<(), (usize, EngineError)> {
-        self.try_apply_ops(ops)
     }
 
     fn sync(&mut self) -> Result<(), EngineError> {
