@@ -19,6 +19,11 @@
 //! coefficients short-circuit to nothing / [`crate::parity::xor_into`] —
 //! which keeps the m = 1 (RAID-5) path byte-identical to the existing
 //! parity kernels.
+//!
+//! A decode is a whole coefficient *vector* applied to `k` survivors, and
+//! [`gf_dot_into`] does it in one pass: the same nibble tables, four
+//! sources folded in registers per group, the output stored once instead
+//! of zero-filled and then read and rewritten once per survivor.
 
 use crate::parity;
 
@@ -228,6 +233,147 @@ unsafe fn gf_mul_into_avx2(acc: &mut [u8], src: &[u8], c: u8) {
     }
 }
 
+/// Sources one pass of the SIMD dot kernels folds: their 2 × 4 nibble
+/// tables, the nibble mask and the accumulator fit the 16 vector registers.
+#[cfg(target_arch = "x86_64")]
+const DOT_GROUP: usize = 4;
+
+/// `out[i] = Σ_j c_j · src_j[i]`: overwrite `out` with the GF(256) dot
+/// product of a coefficient vector and equal-length sources — a
+/// Reed-Solomon decode in one pass. Where [`gf_mul_into`] per source
+/// re-reads and re-writes `out` once per term (after a zero fill), this
+/// folds the terms in registers and stores each output byte once. All-ones
+/// coefficients (every single-parity decode) stay a pure XOR. Panics on
+/// length mismatch.
+pub fn gf_dot_into(out: &mut [u8], terms: &[(u8, &[u8])]) {
+    for &(_, src) in terms {
+        assert_eq!(src.len(), out.len(), "gf_dot_into operands must be equal length");
+    }
+    let Some((&(_, first), rest)) = terms.split_first() else {
+        out.fill(0);
+        return;
+    };
+    if terms.iter().all(|&(c, _)| c == 1) {
+        out.copy_from_slice(first);
+        for &(_, src) in rest {
+            parity::xor_into(out, src);
+        }
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        let f = crate::cpu_features::get();
+        if f.avx2 {
+            // SAFETY: the probe confirmed AVX2; every source was checked to
+            // be `out.len()` long above.
+            unsafe { gf_dot_into_avx2(out, terms) };
+            return;
+        }
+        if f.ssse3 {
+            // SAFETY: the probe confirmed SSSE3; every source was checked
+            // to be `out.len()` long above.
+            unsafe { gf_dot_into_ssse3(out, terms) };
+            return;
+        }
+    }
+    gf_dot_into_scalar(out, terms);
+}
+
+/// The scalar reference of [`gf_dot_into`], defined by the scalar
+/// multiply-accumulate so every tier is pinned to the same primitive.
+pub fn gf_dot_into_scalar(out: &mut [u8], terms: &[(u8, &[u8])]) {
+    out.fill(0);
+    for &(c, src) in terms {
+        gf_mul_into_scalar(out, src, c);
+    }
+}
+
+/// The bytes past the last whole vector, one field multiply at a time.
+#[cfg(target_arch = "x86_64")]
+fn gf_dot_tail(out: &mut [u8], terms: &[(u8, &[u8])], from: usize) {
+    for (i, o) in out.iter_mut().enumerate().skip(from) {
+        *o = terms.iter().fold(0, |acc, &(c, src)| acc ^ gf_mul(c, src[i]));
+    }
+}
+
+/// The first group of sources overwrites `out`, so `terms` must not be empty.
+///
+/// # Safety
+/// The CPU must support SSSE3 and every source must be `out.len()` long.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "ssse3")]
+unsafe fn gf_dot_into_ssse3(out: &mut [u8], terms: &[(u8, &[u8])]) {
+    use std::arch::x86_64::*;
+    let mask = _mm_set1_epi8(0x0F);
+    let whole = out.len() - out.len() % 16;
+    for (g, group) in terms.chunks(DOT_GROUP).enumerate() {
+        // Unused slots keep zero tables over the group's first source, so
+        // the inner loop is a fixed four-way fold.
+        let mut lo = [_mm_setzero_si128(); DOT_GROUP];
+        let mut hi = [_mm_setzero_si128(); DOT_GROUP];
+        let mut src = [group[0].1.as_ptr(); DOT_GROUP];
+        for (slot, &(c, s)) in group.iter().enumerate() {
+            let (l, h) = nibble_tables(c);
+            lo[slot] = _mm_loadu_si128(l.as_ptr() as *const __m128i);
+            hi[slot] = _mm_loadu_si128(h.as_ptr() as *const __m128i);
+            src[slot] = s.as_ptr();
+        }
+        let mut i = 0;
+        while i < whole {
+            let o = out.as_mut_ptr().add(i) as *mut __m128i;
+            let mut acc = if g == 0 { _mm_setzero_si128() } else { _mm_loadu_si128(o) };
+            for ((&lo, &hi), &src) in lo.iter().zip(&hi).zip(&src) {
+                let s = _mm_loadu_si128(src.add(i) as *const __m128i);
+                let l = _mm_shuffle_epi8(lo, _mm_and_si128(s, mask));
+                let h = _mm_shuffle_epi8(hi, _mm_and_si128(_mm_srli_epi64(s, 4), mask));
+                acc = _mm_xor_si128(acc, _mm_xor_si128(l, h));
+            }
+            _mm_storeu_si128(o, acc);
+            i += 16;
+        }
+    }
+    gf_dot_tail(out, terms, whole);
+}
+
+/// The first group of sources overwrites `out`, so `terms` must not be empty.
+///
+/// # Safety
+/// The CPU must support AVX2 and every source must be `out.len()` long.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gf_dot_into_avx2(out: &mut [u8], terms: &[(u8, &[u8])]) {
+    use std::arch::x86_64::*;
+    let mask = _mm256_set1_epi8(0x0F);
+    let whole = out.len() - out.len() % 32;
+    for (g, group) in terms.chunks(DOT_GROUP).enumerate() {
+        // Unused slots keep zero tables over the group's first source, so
+        // the inner loop is a fixed four-way fold.
+        let mut lo = [_mm256_setzero_si256(); DOT_GROUP];
+        let mut hi = [_mm256_setzero_si256(); DOT_GROUP];
+        let mut src = [group[0].1.as_ptr(); DOT_GROUP];
+        for (slot, &(c, s)) in group.iter().enumerate() {
+            let (l, h) = nibble_tables(c);
+            lo[slot] = _mm256_broadcastsi128_si256(_mm_loadu_si128(l.as_ptr() as *const __m128i));
+            hi[slot] = _mm256_broadcastsi128_si256(_mm_loadu_si128(h.as_ptr() as *const __m128i));
+            src[slot] = s.as_ptr();
+        }
+        let mut i = 0;
+        while i < whole {
+            let o = out.as_mut_ptr().add(i) as *mut __m256i;
+            let mut acc = if g == 0 { _mm256_setzero_si256() } else { _mm256_loadu_si256(o) };
+            for ((&lo, &hi), &src) in lo.iter().zip(&hi).zip(&src) {
+                let s = _mm256_loadu_si256(src.add(i) as *const __m256i);
+                let l = _mm256_shuffle_epi8(lo, _mm256_and_si256(s, mask));
+                let h = _mm256_shuffle_epi8(hi, _mm256_and_si256(_mm256_srli_epi64(s, 4), mask));
+                acc = _mm256_xor_si256(acc, _mm256_xor_si256(l, h));
+            }
+            _mm256_storeu_si256(o, acc);
+            i += 32;
+        }
+    }
+    gf_dot_tail(out, terms, whole);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,6 +458,78 @@ mod tests {
                 }
             }
         }
+    }
+
+    type DotFn = fn(&mut [u8], &[(u8, &[u8])]);
+
+    /// Every way this machine can compute a dot product: the dispatcher,
+    /// plus each SIMD tier the CPU really has, called directly — so the
+    /// SSSE3 kernel is exercised on AVX2 hosts and both under
+    /// `ADAPT_NO_SIMD`.
+    fn dot_tiers() -> Vec<(&'static str, DotFn)> {
+        let mut tiers: Vec<(&'static str, DotFn)> = vec![("dispatched", gf_dot_into)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::is_x86_feature_detected!("ssse3") {
+                // SAFETY: SSSE3 was detected; the sweep passes equal lengths.
+                tiers.push(("ssse3", |out, terms| unsafe { gf_dot_into_ssse3(out, terms) }));
+            }
+            if std::is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 was detected; the sweep passes equal lengths.
+                tiers.push(("avx2", |out, terms| unsafe { gf_dot_into_avx2(out, terms) }));
+            }
+        }
+        tiers
+    }
+
+    #[test]
+    fn dot_matches_scalar_all_lengths_offsets_and_widths() {
+        // Coefficient vectors with 0s and 1s in every position class, one
+        // all-ones (the pure-XOR decode), widths through two SIMD groups.
+        let coeffs = [1u8, 0, 29, 1, 0xFF, 2, 116, 0x1D];
+        for k in 1..=8usize {
+            for all_ones in [false, true] {
+                for len in (0..200).chain([4096]) {
+                    for &off in &[0usize, 1, 3, 7] {
+                        let srcs: Vec<Vec<u8>> =
+                            (0..k).map(|j| pattern(len + off, (5 + 40 * j) as u8)).collect();
+                        let terms: Vec<(u8, &[u8])> = srcs
+                            .iter()
+                            .enumerate()
+                            .map(|(j, s)| {
+                                (if all_ones { 1 } else { coeffs[(j + k) % 8] }, &s[off..])
+                            })
+                            .collect();
+                        // Stale contents must be overwritten, not folded in.
+                        let stale = pattern(len + off, 71);
+                        let mut slow = stale.clone();
+                        gf_dot_into_scalar(&mut slow[off..], &terms);
+                        for (tier, dot) in dot_tiers() {
+                            let mut fast = stale.clone();
+                            dot(&mut fast[off..], &terms);
+                            assert_eq!(
+                                fast, slow,
+                                "{tier} k={k} ones={all_ones} len={len} off={off}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dot_of_nothing_is_zero() {
+        let mut out = pattern(100, 3);
+        gf_dot_into(&mut out, &[]);
+        assert_eq!(out, vec![0u8; 100]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn dot_length_mismatch_panics() {
+        let mut out = vec![0u8; 8];
+        gf_dot_into(&mut out, &[(2, &[0u8; 8]), (3, &[0u8; 9])]);
     }
 
     #[test]

@@ -19,11 +19,12 @@
 //! Decoding selects any `k` surviving chunks, inverts the corresponding
 //! `k × k` submatrix of the systematic generator by Gauss-Jordan
 //! elimination, and reconstructs each erased chunk as one coefficient
-//! vector applied with the bulk [`crate::gf256::gf_mul_into`] kernel —
-//! so a single-erasure decode under `m = 1` is again a pure XOR.
+//! vector applied in a single pass by the [`crate::gf256::gf_dot_into`]
+//! kernel — so a single-erasure decode under `m = 1` is again a pure XOR.
 
 use crate::error::ParityError;
-use crate::gf256::{gf_div, gf_inv, gf_mul, gf_mul_into, gf_pow};
+use crate::gf256::{gf_div, gf_dot_into, gf_inv, gf_mul, gf_mul_into, gf_pow};
+use std::ops::DerefMut;
 
 /// A systematic `k + m` Reed-Solomon code. Shards are indexed
 /// `0..k` (data columns) then `k..k+m` (parity rows).
@@ -83,7 +84,12 @@ impl ReedSolomon {
     /// (each pre-zeroed and chunk-sized): `parity[j] ^= coeff(j, column)
     /// · data`. This is how the stores compute parity without buffering
     /// the whole stripe.
-    pub fn accumulate(&self, parity: &mut [Vec<u8>], column: usize, data: &[u8]) {
+    pub fn accumulate(
+        &self,
+        parity: &mut [impl DerefMut<Target = [u8]>],
+        column: usize,
+        data: &[u8],
+    ) {
         assert_eq!(parity.len(), self.m, "one accumulator per parity row");
         assert!(column < self.k, "column out of range");
         for (j, acc) in parity.iter_mut().enumerate() {
@@ -166,15 +172,14 @@ impl ReedSolomon {
         assert!(target < self.total_shards(), "target shard out of range");
         debug_assert!(survivors.iter().all(|&(s, _)| s != target), "target listed among survivors");
         let picked = &survivors[..self.k];
+        if let Some(&(_, bad)) = picked.iter().find(|(_, chunk)| chunk.len() != out.len()) {
+            return Err(ParityError::LengthMismatch { expected: out.len(), got: bad.len() });
+        }
         let idx: Vec<usize> = picked.iter().map(|&(s, _)| s).collect();
         let coeffs = self.recovery_coeffs(&idx, target)?;
-        out.fill(0);
-        for (c, &(_, chunk)) in coeffs.iter().zip(picked.iter()) {
-            if chunk.len() != out.len() {
-                return Err(ParityError::LengthMismatch { expected: out.len(), got: chunk.len() });
-            }
-            gf_mul_into(out, chunk, *c);
-        }
+        let terms: Vec<(u8, &[u8])> =
+            coeffs.iter().zip(picked).map(|(&c, &(_, chunk))| (c, chunk)).collect();
+        gf_dot_into(out, &terms);
         Ok(())
     }
 

@@ -27,7 +27,7 @@ use crate::fault::{
 use crate::layout::{ChunkLocation, StripeLayout};
 use crate::rs::ReedSolomon;
 use crate::sink::{ArraySink, ChunkFlush};
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -41,6 +41,17 @@ struct Epoch {
     first_stripe: u64,
     layout: StripeLayout,
     code: ReedSolomon,
+}
+
+impl Epoch {
+    /// Decode the chunk `device` holds in `stripe` from `survivors`
+    /// (`(shard, chunk)` pairs, at least `k`). The chunk is built in the
+    /// buffer that is returned: a produced chunk is never copied.
+    fn recover(&self, survivors: &[(usize, &[u8])], stripe: u64, device: usize) -> Option<Bytes> {
+        let mut out = BytesMut::zeroed(self.layout.config().chunk_bytes as usize);
+        self.code.recover_into(survivors, self.layout.shard_of(stripe, device), &mut out).ok()?;
+        Some(out.freeze())
+    }
 }
 
 /// A byte-level erasure-coded array held in memory.
@@ -58,10 +69,12 @@ pub struct InMemoryArray {
     /// are present.
     devices: Vec<HashMap<u64, Bytes>>,
     /// Streaming parity accumulators (one per parity row) for the stripe
-    /// currently being filled. Each arriving column is folded in via the
-    /// code's generator coefficients, so parity work is spread across the
-    /// arriving columns and nothing buffers the whole stripe.
-    parity_acc: Vec<Vec<u8>>,
+    /// currently being filled; empty between stripes. Each arriving column
+    /// is folded in via the code's generator coefficients, so parity work
+    /// is spread across the arriving columns and nothing buffers the whole
+    /// stripe. At stripe close each accumulator *is* the stored parity
+    /// chunk (frozen, not copied).
+    parity_acc: Vec<BytesMut>,
     /// Data columns accepted into the open stripe so far.
     open_columns: usize,
     /// Shared zero-filled chunk body for the accounting-only write path;
@@ -115,9 +128,9 @@ impl InMemoryArray {
             stats: ArrayStats::new(cfg.num_devices),
             next_chunk_seq: 0,
             devices: vec![HashMap::new(); cfg.num_devices],
-            parity_acc: vec![Vec::new(); cfg.parity_devices],
+            parity_acc: Vec::with_capacity(cfg.parity_devices),
             open_columns: 0,
-            zero_chunk: Bytes::from(vec![0u8; cfg.chunk_bytes as usize]),
+            zero_chunk: BytesMut::zeroed(cfg.chunk_bytes as usize).freeze(),
             failed: vec![false; cfg.num_devices],
             plan,
             rebuild_target: None,
@@ -250,17 +263,15 @@ impl InMemoryArray {
         if self.open_columns == 0 {
             // Zero-seed the m accumulators; row 0 of the code is all ones,
             // so for m = 1 this is exactly the historical parity seed copy.
-            for acc in &mut self.parity_acc {
-                acc.clear();
-                acc.resize(cfg.chunk_bytes as usize, 0);
-            }
+            let rows = 0..cfg.parity_devices;
+            self.parity_acc.extend(rows.map(|_| BytesMut::zeroed(cfg.chunk_bytes as usize)));
             self.stats.copy_bytes += cfg.parity_devices as u64 * cfg.chunk_bytes;
         }
         self.epochs[ei].code.accumulate(&mut self.parity_acc, loc.column, &data);
         self.open_columns += 1;
         if self.open_columns == k {
-            for j in 0..cfg.parity_devices {
-                let parity_chunk = Bytes::from(std::mem::take(&mut self.parity_acc[j]));
+            for (j, acc) in self.parity_acc.drain(..).enumerate() {
+                let parity_chunk = acc.freeze();
                 let pdev = self.epochs[ei].layout.parity_device_j(loc.stripe, j);
                 self.plan.clear_latent(pdev, loc.stripe);
                 self.checksums[pdev].insert(loc.stripe, crc::crc32c(&parity_chunk));
@@ -305,11 +316,7 @@ impl InMemoryArray {
         if survivors.len() < k {
             return None; // erasures exceed the code's budget (or stripe never closed)
         }
-        let mut out = vec![0u8; self.cfg.chunk_bytes as usize];
-        ep.code
-            .recover_into(&survivors, ep.layout.shard_of(loc.stripe, loc.device), &mut out)
-            .ok()?;
-        Some(Bytes::from(out))
+        ep.recover(&survivors, loc.stripe, loc.device)
     }
 
     /// Fallible read with fault injection, verify-on-read, and
@@ -361,10 +368,7 @@ impl InMemoryArray {
         // Degraded read: decode the chunk from the stripe's other members,
         // verifying every member read — a corrupt shard fed to the decoder
         // would silently produce garbage.
-        let (layout, code) = {
-            let ep = self.epoch_for_stripe(loc.stripe);
-            (ep.layout, ep.code.clone())
-        };
+        let layout = self.epoch_for_stripe(loc.stripe).layout;
         let n = layout.config().num_devices;
         let k = layout.config().data_columns();
         let m = layout.config().parity_devices;
@@ -414,26 +418,26 @@ impl InMemoryArray {
         // With spare redundancy (m ≥ 2) a corrupt member alongside the
         // erasure can still be healed from the honest shards.
         for &bad_dev in &corrupt {
-            let mut out = vec![0u8; chunk_bytes as usize];
             let bad = ChunkLocation { stripe: loc.stripe, device: bad_dev, column: 0 };
-            let decoded =
-                code.recover_into(&refs, layout.shard_of(loc.stripe, bad_dev), &mut out).is_ok();
-            let healed = Bytes::from(out);
+            let healed = self
+                .epoch_for_stripe(loc.stripe)
+                .recover(&refs, loc.stripe, bad_dev)
+                .filter(|healed| self.verifies(bad_dev, loc.stripe, healed));
             self.note_detection(bad_dev, loc.stripe);
-            if !decoded || !self.verifies(bad_dev, loc.stripe, &healed) {
+            let Some(healed) = healed else {
                 self.stats.corruptions_unrecoverable += 1;
                 self.known_bad.insert((bad_dev, loc.stripe));
                 return Err(ArrayError::ChecksumMismatch { loc: bad });
-            }
+            };
             self.devices[bad_dev].insert(loc.stripe, healed);
             self.known_bad.remove(&(bad_dev, loc.stripe));
             self.stats.corruptions_healed += 1;
             self.stats.heal_write_bytes += chunk_bytes;
         }
-        let mut out = vec![0u8; chunk_bytes as usize];
-        code.recover_into(&refs, layout.shard_of(loc.stripe, loc.device), &mut out)
-            .map_err(|_| ArrayError::Unreconstructable { loc })?;
-        let bytes = Bytes::from(out);
+        let bytes = self
+            .epoch_for_stripe(loc.stripe)
+            .recover(&refs, loc.stripe, loc.device)
+            .ok_or(ArrayError::Unreconstructable { loc })?;
         if !self.verifies(loc.device, loc.stripe, &bytes) {
             self.note_detection(loc.device, loc.stripe);
             self.stats.corruptions_unrecoverable += 1;
@@ -492,12 +496,8 @@ impl InMemoryArray {
             return None;
         }
         survivors.truncate(k);
-        let mut out = vec![0u8; self.cfg.chunk_bytes as usize];
-        ep.code.recover_into(&survivors, ep.layout.shard_of(stripe, device), &mut out).ok()?;
-        if crc::crc32c(&out) != expect {
-            return None;
-        }
-        Some((Bytes::from(out), k))
+        let out = ep.recover(&survivors, stripe, device)?;
+        (crc::crc32c(&out) == expect).then_some((out, k))
     }
 
     /// Silently flip bytes in the stored chunk at (device, stripe) — the
@@ -507,11 +507,12 @@ impl InMemoryArray {
         let Some(bytes) = self.devices[device].get(&stripe) else {
             return false;
         };
-        let mut v = bytes.to_vec();
+        let mut v = BytesMut::zeroed(bytes.len());
+        v.copy_from_slice(bytes);
         let mid = v.len() / 2;
         v[0] ^= 0xA5;
         v[mid] ^= 0x5A;
-        self.devices[device].insert(stripe, Bytes::from(v));
+        self.devices[device].insert(stripe, v.freeze());
         self.corruption_injected_at.insert((device, stripe), self.plan.ops());
         true
     }
@@ -656,12 +657,8 @@ impl InMemoryArray {
             } else {
                 let refs: Vec<(usize, &[u8])> =
                     good.iter().map(|(s, b)| (*s, b.as_ref())).collect();
-                let mut out = vec![0u8; chunk_bytes as usize];
                 self.epoch_for_stripe(stripe)
-                    .code
-                    .recover_into(&refs, layout.shard_of(stripe, device), &mut out)
-                    .ok()
-                    .map(|()| Bytes::from(out))
+                    .recover(&refs, stripe, device)
                     .filter(|b| self.verifies(device, stripe, b))
             };
             let Some(rebuilt) = rebuilt else {

@@ -201,11 +201,19 @@ fn bench_crc32c(c: &mut Criterion) {
         }
         v
     };
-    let label = if crc::hw_available() { "hardware_sse42" } else { "hardware_unavailable" };
-    group.bench_function(label, |b| b.iter(|| black_box(crc::crc32c(black_box(&data)))));
-    group.bench_function("software_slicing8", |b| {
-        b.iter(|| black_box(crc::crc32c_soft(black_box(&data))))
-    });
+    // Every routine checksums the same 64 KiB, in pieces of the sizes the
+    // stack actually feeds the kernel: a `ChunkRecord` header (60 B, the
+    // word loop only), a WAL-frame-sized 4 KiB (one interleaved round plus
+    // a tail) and a whole chunk — so ns/iter compares across sizes.
+    let hw = if crc::hw_available() { "hardware_sse42" } else { "hardware_unavailable" };
+    for (size, tag) in [(60usize, "_60b"), (4096, "_4k"), (64 * 1024, "")] {
+        group.bench_function(&format!("{hw}{tag}"), |b| {
+            b.iter(|| data.chunks_exact(size).fold(0, |x, p| x ^ crc::crc32c(black_box(p))))
+        });
+        group.bench_function(&format!("software_slicing8{tag}"), |b| {
+            b.iter(|| data.chunks_exact(size).fold(0, |x, p| x ^ crc::crc32c_soft(black_box(p))))
+        });
+    }
     group.finish();
 }
 
