@@ -83,8 +83,9 @@ pub struct ArrayStats {
     /// Payload bytes memcpy'd between RAM buffers inside the array layer
     /// (parity-accumulator seeds, borrowed-slice ownership transfers) —
     /// *not* modeled device I/O. The zero-copy work (PR 7) exists to drive
-    /// this toward the single unavoidable copy per stripe; the `hotpath`
-    /// bench section tracks it per host write.
+    /// this toward the single unavoidable copy per stripe; the repo
+    /// benchmark tracks it per host byte
+    /// (`array.sink.copy_bytes_per_host_byte`).
     #[serde(default)]
     pub copy_bytes: u64,
 }

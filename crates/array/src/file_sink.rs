@@ -885,27 +885,43 @@ mod tests {
 
     #[test]
     fn clean_scan_recovers_everything() {
-        let dir = scratch("scan");
-        let cfg = ArrayConfig::default();
-        let opts = FileSinkOptions { stripes_per_file: 2, ..FileSinkOptions::default() };
-        let mut sink = FileArraySink::create(cfg, &dir, opts.clone()).unwrap();
-        let n = 15u32; // 5 complete stripes
-        for i in 0..n {
-            sink.write_chunk(flush(0, 0, i));
-        }
-        sink.sync_all().unwrap();
-        drop(sink);
+        // Accounting-only flushes, then real payloads borrowed from one
+        // reused caller buffer: the scan finds the same records whichever
+        // path framed them, and neither path copies a payload byte.
+        for payload in [false, true] {
+            let dir = scratch(if payload { "scan_payload" } else { "scan" });
+            let cfg = ArrayConfig::default();
+            let opts = FileSinkOptions { stripes_per_file: 2, ..FileSinkOptions::default() };
+            let mut sink = FileArraySink::create(cfg, &dir, opts.clone()).unwrap();
+            let n = 15u32; // 5 complete stripes
+            let mut buf = vec![0xA5u8; cfg.chunk_bytes as usize];
+            for i in 0..n {
+                if payload {
+                    // Unique leading bytes so every frame CRC differs.
+                    buf[..4].copy_from_slice(&i.to_le_bytes());
+                    sink.write_chunk_payload(flush(0, 0, i), &buf);
+                } else {
+                    sink.write_chunk(flush(0, 0, i));
+                }
+            }
+            sink.sync_all().unwrap();
+            assert_eq!(sink.stats().copy_bytes, 0, "the sink CRCs the borrowed slice in place");
+            drop(sink);
 
-        let mut sink = FileArraySink::open_recovery(cfg, &dir, opts).unwrap();
-        let report = sink.recover_reconcile(n as u64, &[]).unwrap();
-        assert_eq!(report.records_restored, 0);
-        assert_eq!(report.records_discarded, 0);
-        assert_eq!(sink.counting.chunks_written(), n as u64);
-        // The rebuilt sink serves reads and accepts appends.
-        let loc = Raid5Layout::new(cfg).locate(3);
-        assert!(sink.read_chunk_at(loc).is_ok());
-        sink.write_chunk(flush(0, 9, 0));
-        let _ = std::fs::remove_dir_all(&dir);
+            let mut sink = FileArraySink::open_recovery(cfg, &dir, opts).unwrap();
+            let report = sink.recover_reconcile(n as u64, &[]).unwrap();
+            // Data records plus one parity record per complete stripe.
+            assert_eq!(report.records_scanned, (n + n / 3) as u64);
+            assert_eq!(report.records_reused, report.records_scanned);
+            assert_eq!(report.records_restored, 0);
+            assert_eq!(report.records_discarded, 0);
+            assert_eq!(sink.counting.chunks_written(), n as u64);
+            // The rebuilt sink serves reads and accepts appends.
+            let loc = Raid5Layout::new(cfg).locate(3);
+            assert!(sink.read_chunk_at(loc).is_ok());
+            sink.write_chunk(flush(0, 9, 0));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

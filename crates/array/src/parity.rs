@@ -82,7 +82,7 @@ fn xor_into_unchecked(acc: &mut [u8], src: &[u8]) {
 }
 
 /// The scalar reference kernel: `u64` words, byte tail. Public so the
-/// property tests and the `hotpath` microbench can compare the SIMD paths
+/// property tests and the micro-benchmarks can compare the SIMD paths
 /// against it regardless of what the host CPU supports; prefer
 /// [`xor_into`].
 pub fn xor_into_scalar(acc: &mut [u8], src: &[u8]) {
@@ -103,10 +103,10 @@ pub fn xor_into_scalar(acc: &mut [u8], src: &[u8]) {
 /// Strictly byte-serial XOR: one byte per iteration, with the loop index
 /// laundered through [`std::hint::black_box`] so the optimizer can
 /// neither vectorize nor unroll it. This is the pre-vectorization
-/// reference the `hotpath` microbench ratios the real kernels against —
-/// [`xor_into_scalar`] autovectorizes in release builds and measures the
-/// memory bus, not the kernel. Never dispatched; do not call on a hot
-/// path.
+/// reference the kernel tests pin the real kernels to —
+/// [`xor_into_scalar`] autovectorizes in release builds, so a speed
+/// ratio against it measures the memory bus, not the kernel. Never
+/// dispatched; do not call on a hot path.
 pub fn xor_into_bytewise(acc: &mut [u8], src: &[u8]) {
     assert_eq!(acc.len(), src.len(), "parity operands must be equal length");
     for i in 0..acc.len() {

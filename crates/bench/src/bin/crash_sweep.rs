@@ -7,8 +7,8 @@
 //! `results/crash_sweep.json` (or `--out <dir>`), and the bin exits
 //! nonzero unless the sweep is clean — making it usable as a CI gate.
 //!
-//! `--quick` (or `ADAPT_BENCH_QUICK=1`) runs the ~40-point smoke sweep;
-//! the default is the ≥300-point acceptance configuration, the same shape
+//! `--quick` runs the ~40-point smoke sweep; the default is the
+//! ≥300-point acceptance configuration, the same shape
 //! `tests/durability_integration.rs` asserts. `--cadence <n>` checkpoints
 //! every `n` chunk flushes instead of the scenario's 64: at 8 the golden
 //! stream holds dozens of checkpoint deltas and several folds.

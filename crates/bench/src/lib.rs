@@ -16,12 +16,9 @@
 //! Figures print their series as aligned text tables *and* write JSON so
 //! EXPERIMENTS.md can be assembled mechanically.
 
-pub mod durability;
 pub mod figures;
 pub mod harness;
-pub mod hotpath;
 pub mod perf;
-pub mod perf_baseline;
 pub mod saturation;
 pub mod sweep;
 
@@ -36,29 +33,26 @@ pub struct Cli {
     pub scale: f64,
     /// Output directory for JSON reports.
     pub out_dir: String,
-    /// CI smoke mode: shrink workloads to seconds-scale. Set by `--quick`
-    /// or the `ADAPT_BENCH_QUICK` environment variable (any non-empty
-    /// value other than `0`).
+    /// CI smoke mode (`--quick`): shrink workloads to seconds-scale.
     pub quick: bool,
     /// Capture the structured event stream and write per-run telemetry
-    /// reports next to the figure JSON. Set by `--events` or the
-    /// `ADAPT_BENCH_EVENTS` environment variable.
+    /// reports next to the figure JSON (`--events`).
     pub events: bool,
     /// Explicit worker-thread count for the parallel sweep engine
     /// (`--jobs N`; `None` = `ADAPT_JOBS` or all cores). Already installed
     /// into the pool by [`Cli::parse`]; kept here for display.
     pub jobs: Option<usize>,
     /// Array-geometry override as `(devices, parity)`, from `--geometry
-    /// k+m` or the `ADAPT_BENCH_GEOMETRY` env var (`k+m` matches the
-    /// report labels, e.g. `4+2` = 6 devices with double parity). `None`
-    /// keeps each experiment's default (the historical 4-disk RAID-5).
+    /// k+m` (`k+m` matches the report labels, e.g. `4+2` = 6 devices with
+    /// double parity). `None` keeps each experiment's default (the
+    /// historical 4-disk RAID-5).
     pub geometry: Option<(usize, usize)>,
 }
 
 impl Cli {
-    /// Parse `--scale`, `--out`, `--quick`, `--events`, and `--jobs` from
-    /// `std::env::args` (plus the `ADAPT_BENCH_QUICK` / `ADAPT_BENCH_EVENTS`
-    /// env vars; `ADAPT_JOBS` is resolved inside the pool itself).
+    /// Parse `--scale`, `--out`, `--quick`, `--events`, `--jobs` and
+    /// `--geometry` from `std::env::args` (`ADAPT_JOBS` is resolved inside
+    /// the pool itself).
     pub fn parse() -> Self {
         Self::parse_from(std::env::args().skip(1).collect())
     }
@@ -68,10 +62,10 @@ impl Cli {
     pub fn parse_from(args: Vec<String>) -> Self {
         let mut scale = 0.25;
         let mut out_dir = "results".to_string();
-        let mut quick = quick_from_env();
-        let mut events = events_from_env();
+        let mut quick = false;
+        let mut events = false;
         let mut jobs = None;
-        let mut geometry = geometry_from_env();
+        let mut geometry = None;
         let mut i = 0;
         while i < args.len() {
             match args[i].as_str() {
@@ -149,21 +143,6 @@ impl Cli {
             EventConfig::default()
         }
     }
-}
-
-/// Whether `ADAPT_BENCH_QUICK` requests smoke-sized runs.
-pub fn quick_from_env() -> bool {
-    std::env::var("ADAPT_BENCH_QUICK").map(|v| !v.is_empty() && v != "0").unwrap_or(false)
-}
-
-/// Whether `ADAPT_BENCH_EVENTS` requests event-stream capture.
-pub fn events_from_env() -> bool {
-    std::env::var("ADAPT_BENCH_EVENTS").map(|v| !v.is_empty() && v != "0").unwrap_or(false)
-}
-
-/// Geometry override from `ADAPT_BENCH_GEOMETRY` (`k+m`), if set.
-pub fn geometry_from_env() -> Option<(usize, usize)> {
-    std::env::var("ADAPT_BENCH_GEOMETRY").ok().filter(|v| !v.is_empty()).map(|v| parse_geometry(&v))
 }
 
 /// Parse a `k+m` geometry label (data columns + parity chunks) into the

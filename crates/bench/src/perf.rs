@@ -1,28 +1,28 @@
-//! The perf regression harness (`perf` bin).
+//! The replay matrix (`perf` bin).
 //!
 //! Replays fixed, seeded single-volume workloads through ADAPT and two
 //! baselines and records wall time, throughput, the share of wall time
 //! spent in GC victim selection, and peak resident structure sizes. The
-//! result lands in `BENCH_perf.json` at the repo root so every PR leaves
-//! a trajectory point behind.
+//! result lands in `BENCH_perf.json` at the repo root.
 //!
-//! Two sizes: `small` (a quick sanity point) and `medium` (the regression
-//! gate — large enough that per-op engine cost dominates wall time, like
-//! the paper's §4 multi-capacity replays). Traces are fully materialized
-//! before the clock starts, so the measurement covers the engine only,
-//! not trace synthesis.
+//! Two sizes: `small` (a quick sanity point) and `medium` (large enough
+//! that per-op engine cost dominates wall time, like the paper's §4
+//! multi-capacity replays). Traces are fully materialized before the
+//! clock starts, so the measurement covers the engine only, not trace
+//! synthesis.
 //!
-//! The `baseline` section is a measurement of the *pre-optimization*
-//! engine (captured on the same machine before the incremental-GC /
-//! fxhash / buffer-pool changes landed) embedded as data; `current` is
-//! re-measured on every run and `speedup` is the per-run wall-time ratio
-//! against that baseline.
+//! This is what is left of the pre-`benchmark/` instrument: the scheme ×
+//! GC-policy matrix and the `--jobs` sweep check are the two records the
+//! repo benchmark cannot yet produce. Everything else it used to carry —
+//! kernel rungs, copy traffic, the index footprint, the fsync ladder,
+//! recovery timing, the serving sweep — is a row of `benchmark/`'s
+//! ledger, and a speed claim is made there, against a same-run parent.
 
 use adapt_array::CountingArray;
 use adapt_lss::{EventConfig, GcSelection, Lss, LssConfig, PlacementPolicy};
 use adapt_sim::runner::run_suite;
 use adapt_sim::scheme::{with_policy, PolicyVisitor};
-use adapt_sim::{ReplayConfig, Scheme};
+use adapt_sim::{drive, ReplayConfig, Scheme, Warmup};
 use adapt_trace::arrival::ArrivalModel;
 use adapt_trace::ycsb::{AccessDistribution, YcsbConfig};
 use adapt_trace::{SuiteKind, TraceRecord, WorkloadSuite};
@@ -45,9 +45,9 @@ pub struct Workload {
     pub seed: u64,
 }
 
-/// The standard ladder: `small` for a fast signal, `medium` as the
-/// regression gate (≈4× capacity of overwrite traffic, enough segments
-/// that victim selection cost is visible).
+/// The standard ladder: `small` for a fast signal, `medium` for the
+/// record (≈4× capacity of overwrite traffic, enough segments that
+/// victim selection cost is visible).
 pub const WORKLOADS: [Workload; 2] = [
     Workload {
         name: "small",
@@ -108,36 +108,27 @@ pub struct Measurement {
     pub events_emitted: u64,
 }
 
-/// A baseline row embedded as data: `(key, wall_ms, kops_per_sec,
-/// gc_select_share)` measured before the hot-path overhaul landed.
-pub type BaselineRow = (&'static str, f64, f64, f64);
-
 /// Key for a scheme/gc pair under a workload.
 pub fn key_of(w: &Workload, scheme: Scheme, gc: GcSelection) -> String {
     format!("{}/{}/{}", w.name, scheme.name(), gc.name())
 }
 
 struct PerfVisitor<'a> {
-    cfg: LssConfig,
-    gc: GcSelection,
-    events: EventConfig,
+    cfg: ReplayConfig,
     trace: &'a [TraceRecord],
     key: String,
 }
 
 impl PolicyVisitor<Measurement> for PerfVisitor<'_> {
     fn visit<P: PlacementPolicy + Send + 'static>(self, policy: P) -> Measurement {
-        let PerfVisitor { cfg, gc, events, trace, key } = self;
-        let mut engine = Lss::builder(policy, CountingArray::new(cfg.array_config()))
-            .config(cfg)
-            .gc_select(gc)
-            .events(events)
+        let PerfVisitor { cfg, trace, key } = self;
+        let mut engine = Lss::builder(policy, CountingArray::new(cfg.lss.array_config()))
+            .config(cfg.lss)
+            .gc_select(cfg.gc)
+            .events(cfg.events)
             .build();
         let start = Instant::now();
-        for rec in trace {
-            engine.write_request(rec.ts_us, rec.lba, rec.num_blocks);
-        }
-        engine.flush_all();
+        drive(&mut engine, &cfg, trace.iter().copied());
         let wall = start.elapsed();
         let wall_ms = wall.as_secs_f64() * 1e3;
         let gc_select_ms = engine.gc_select_nanos() as f64 / 1e6;
@@ -175,7 +166,7 @@ pub fn trace_of(w: &Workload) -> Vec<TraceRecord> {
 }
 
 /// Replay one workload under one scheme/GC pair and measure it, with
-/// event capture disabled (the regression-gate configuration).
+/// event capture disabled.
 pub fn measure(w: &Workload, scheme: Scheme, gc: GcSelection) -> Measurement {
     measure_with_events(w, scheme, gc, EventConfig::default(), None)
 }
@@ -183,7 +174,7 @@ pub fn measure(w: &Workload, scheme: Scheme, gc: GcSelection) -> Measurement {
 /// Replay one workload under one scheme/GC pair with an explicit event
 /// configuration, so the observability overhead itself can be measured.
 /// `geometry` overrides the array layout as `(devices, parity)`; `None`
-/// keeps the historical 4-disk RAID-5 the baselines were captured on.
+/// keeps the historical 4-disk RAID-5.
 pub fn measure_with_events(
     w: &Workload,
     scheme: Scheme,
@@ -191,20 +182,23 @@ pub fn measure_with_events(
     events: EventConfig,
     geometry: Option<(usize, usize)>,
 ) -> Measurement {
-    let mut cfg = ReplayConfig::for_volume(w.user_blocks, gc).lss;
+    // The whole replay is the window: the fill is part of what is timed.
+    let mut cfg =
+        ReplayConfig { warmup: Warmup::None, ..ReplayConfig::for_volume(w.user_blocks, gc) }
+            .with_events(events);
     if let Some((n, m)) = geometry {
-        cfg = cfg.with_geometry(n, m);
+        cfg.lss = cfg.lss.with_geometry(n, m);
     }
     let trace = trace_of(w);
     let key = key_of(w, scheme, gc);
-    with_policy(scheme, &cfg, PerfVisitor { cfg, gc, events, trace: &trace, key })
+    with_policy(scheme, &cfg.lss, PerfVisitor { cfg, trace: &trace, key })
 }
 
 /// Parallel-scaling measurement of a suite sweep: the same seeded
 /// multi-volume sweep timed at `jobs = 1` (the exact sequential path) and
 /// at `jobs = N`, with the speedup and a bit-identical check of the two
-/// result payloads. This is the regression record for the work-stealing
-/// pool itself — the single-point gate entries above it are unaffected.
+/// result payloads. This is the record for the work-stealing pool itself
+/// — the single-point entries above it are unaffected.
 #[derive(Debug, Clone, Serialize)]
 pub struct SweepScaling {
     /// Suite swept ("AliCloud").
@@ -270,9 +264,9 @@ pub struct Capability {
     pub simd: String,
     /// Effective worker-thread count of the work-stealing pool.
     pub jobs: usize,
-    /// Array geometry the replays ran on (`k+m` label, e.g. `3+1`). The
-    /// embedded baselines were measured on the default `3+1`; trajectory
-    /// diffs across geometries measure the code rate, not the PR.
+    /// Array geometry the replays ran on (`k+m` label, e.g. `3+1`).
+    /// Trajectory diffs across geometries measure the code rate, not the
+    /// PR.
     pub geometry: String,
 }
 
@@ -307,65 +301,35 @@ pub fn capability(geometry: Option<(usize, usize)>) -> Capability {
 /// Schema history: 1 — baseline/current/speedup plus the sweep and
 /// durability sections; 2 — adds the `capability` provenance stamp and
 /// the `hotpath` microbench section; 3 — the replays honor the
-/// `--geometry`/`ADAPT_BENCH_GEOMETRY` override and `capability` stamps
-/// the `k+m` geometry label they ran on; 4 — adds the `serving` section
-/// (the shard-scaling saturation sweep of the serving layer, see
-/// `crate::saturation` and EXPERIMENTS.md); 5 — added a
+/// `--geometry` override and `capability` stamps the `k+m` geometry
+/// label they ran on; 4 — adds the `serving` section; 5 — added a
 /// `hotpath.pipeline` point and an optional per-measurement stage-cost
-/// block; 6 — drops both, together with the `hotpath` points for
-/// reused-out parity, the index remap batch and staged GC (the measured
-/// code is gone), and moves the packed-index footprint to
-/// `hotpath.index`.
+/// block; 6 — drops both, together with the `hotpath` points whose
+/// measured code is gone; 7 — drops `baseline`/`speedup` (ratios against
+/// numbers frozen at PR 2) and the `durability`, `hotpath` and `serving`
+/// sections, each of which `benchmark/`'s ledger now records by name
+/// (see EXPERIMENTS.md).
 #[derive(Debug, Serialize)]
 pub struct PerfReport {
     /// Schema version of this file.
     pub schema: u32,
     /// Provenance of this run (git commit, SIMD features, job count).
     pub capability: Capability,
-    /// What the baseline section is.
-    pub baseline_note: String,
-    /// Pre-optimization measurements `(key, wall_ms, kops_per_sec,
-    /// gc_select_share)`; empty until a baseline is recorded.
-    pub baseline: Vec<BaselineRow>,
     /// Measurements from this run.
     pub current: Vec<Measurement>,
-    /// Per-key wall-time speedup vs the baseline (baseline / current).
-    pub speedup: Vec<(String, f64)>,
-    /// Whether the structured event stream was captured during this run.
-    /// The regression gate compares disabled-path runs only; enabled-path
-    /// reports exist to bound the observability overhead.
+    /// Whether the structured event stream was captured during this run
+    /// (enabled-path reports exist to bound the observability overhead).
     pub events_enabled: bool,
     /// Parallel-scaling record for the sweep engine (`jobs = 1` vs
     /// `jobs = N` over a medium suite sweep). Populated by the `perf` bin
-    /// on gate runs; `None` for events-enabled overhead runs.
+    /// on disabled-path runs; `None` for events-enabled overhead runs.
     pub sweep: Option<SweepScaling>,
-    /// Durable-backend cost record: fsync-policy throughput ladder on the
-    /// file-backed sink + WAL vs the in-memory reference, plus cold
-    /// recovery timing. Populated by the `perf` bin on gate runs; `None`
-    /// for events-enabled overhead runs.
-    pub durability: Option<crate::durability::DurabilityBench>,
-    /// Hot-path microbenches: SIMD parity, zero-copy traffic, batched
-    /// remaps, staged-GC tails, jobs ladder. Populated by the `perf` bin
-    /// on gate runs; `None` for events-enabled overhead runs.
-    pub hotpath: Option<crate::hotpath::HotpathBench>,
-    /// Serving-layer saturation sweep: wall-clock and critical-path
-    /// throughput at shards {1, 2, 4} × client threads {1, 8}, with the
-    /// cross-client determinism check. Populated by the `perf` bin on
-    /// gate runs; `None` for events-enabled overhead runs.
-    pub serving: Option<crate::saturation::SaturationBench>,
 }
 
-/// Run the harness over `workloads` with events disabled (the regression
-/// gate) and assemble the report against the embedded `baseline` rows.
-pub fn run(workloads: &[Workload], baseline: &[BaselineRow]) -> PerfReport {
-    run_with_events(workloads, baseline, EventConfig::default(), None)
-}
-
-/// Run the harness over `workloads` with an explicit event configuration
+/// Run the matrix over `workloads` with an explicit event configuration
 /// and an optional `(devices, parity)` array-geometry override.
 pub fn run_with_events(
     workloads: &[Workload],
-    baseline: &[BaselineRow],
     events: EventConfig,
     geometry: Option<(usize, usize)>,
 ) -> PerfReport {
@@ -384,29 +348,12 @@ pub fn run_with_events(
             current.push(m);
         }
     }
-    let speedup = current
-        .iter()
-        .filter_map(|m| {
-            baseline
-                .iter()
-                .find(|(k, ..)| *k == m.key)
-                .map(|&(_, wall, ..)| (m.key.clone(), wall / m.wall_ms))
-        })
-        .collect();
     PerfReport {
-        schema: 6,
+        schema: 7,
         capability: capability(geometry),
-        baseline_note: "pre-optimization engine (before incremental GC buckets, fxhash, \
-                        buffer pooling), measured on the same machine and workloads"
-            .to_string(),
-        baseline: baseline.to_vec(),
         current,
-        speedup,
         events_enabled: events.enabled,
         sweep: None,
-        durability: None,
-        hotpath: None,
-        serving: None,
     }
 }
 

@@ -52,8 +52,8 @@ pub struct SaturationPoint {
     pub determinism_fnv: String,
 }
 
-/// The `serving` section of `BENCH_perf.json` (schema 4): the full sweep
-/// plus the two derived scaling ratios the acceptance gate reads.
+/// The payload of `results/saturation.json`: the full sweep plus the two
+/// derived scaling ratios the acceptance gate reads.
 #[derive(Debug, Clone, Serialize)]
 pub struct SaturationBench {
     /// Workload replayed ("medium" or the `--quick` smoke size).

@@ -7,6 +7,20 @@
 //! write acknowledged before the cut must still be readable at (or
 //! above) its acknowledged version.
 //!
+//! One runner, two [`Topology`]s. `Engine` drives a single engine
+//! directly with a seeded write + TRIM stream and proves the WAL's
+//! contract. `Server` proves the *serving pipeline* preserves it: an ack
+//! that travels queue → apply → group-commit barrier → completion slot
+//! must still imply durability when power dies at an arbitrary byte of
+//! the combined media stream of an N-shard server. Every shard's segment
+//! files and WAL draw from one shared [`PowerBudget`] — power is a
+//! machine-wide event, so a single cut tears whichever shard happened to
+//! be writing — and the doomed run goes through a real client (bounded
+//! in-flight window, backpressure retries), keeping exactly the
+//! completions that came back `durable && ok`. Recovery rebuilds each
+//! shard from the same pure `ServerBuilder::shard_plans` and checks
+//! every ack through the router that placed it.
+//!
 //! The sweep is two-phase. A *golden* run with a metered
 //! [`PowerBudget`] records the total bytes the workload writes and the
 //! journal of every grant (with its [`WriteTag`]). Crash offsets are then
@@ -14,32 +28,112 @@
 //! targeted samples inside rename, superblock and checkpoint-delta grants
 //! (the rarest, most atomicity-sensitive units, which a uniform draw
 //! would mostly miss) — including the one-unit grant that separates a
-//! checkpoint base's rename from the delta-log truncation after it. Each point replays the same seeded workload under
+//! checkpoint base's rename from the delta-log truncation after it. Each
+//! point reruns the same seeded workload under
 //! `PowerBudget::limited(offset)`, recovers with fresh (unlimited)
 //! power, and verifies.
 //!
-//! Every phase is deterministic in (scenario, seed), and the points are
-//! independent, so the sweep fans out on the work-stealing pool and the
-//! report is bit-identical at any `--jobs` count.
+//! Under the `Engine` topology every phase is deterministic in
+//! (scenario, seed), and the points are independent, so the sweep fans
+//! out on the work-stealing pool and the report is bit-identical at any
+//! `--jobs` count. A server's byte stream depends on thread interleaving
+//! (group-commit barriers fire on queue-empty moments), so its report is
+//! not — there the *contract* is checked per run: acks collected in a run
+//! are verified against that run's own media state.
 
 use crate::scheme::{with_policy, PolicyVisitor, Scheme};
-use adapt_array::{FileArraySink, FileSinkError, FileSinkOptions, PowerBudget, WriteTag};
+use crate::serve::{start_server_with, ShardEngineBuilder};
+use adapt_array::{
+    ArrayError, FileArraySink, FileSinkError, FileSinkOptions, MediaError, PowerBudget,
+    StorageFailure, WriteTag,
+};
 use adapt_lss::{
-    DurabilityConfig, EngineError, FsyncPolicy, Lss, LssConfig, PlacementPolicy, WalError,
+    DurabilityConfig, EngineError, FsyncPolicy, Lba, Lss, LssConfig, PlacementPolicy,
+    TelemetrySnapshot, WalError,
+};
+use adapt_serve::{
+    Completion, Request, ServerBuilder, ShardEngine, ShardPlan, ShardRouter, VolumeId, VolumeSpec,
 };
 use adapt_trace::rng::mix64;
 use rayon::prelude::*;
 use serde::Serialize;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+/// What the doomed run drives.
+#[derive(Debug, Clone)]
+pub enum Topology {
+    /// One engine, driven directly with seeded writes and TRIMs.
+    Engine,
+    /// A durable FIFO server, driven write-only through a real client.
+    Server(ServerTopology),
+}
+
+/// Shape of the server under [`Topology::Server`]. Each shard's engine
+/// is sized from [`CrashScenario::lss`] by the server builder.
+#[derive(Debug, Clone)]
+pub struct ServerTopology {
+    /// Shard count (the acceptance gate runs 2).
+    pub shards: u32,
+    /// Volume sizes in blocks; ids are `0..volumes.len()`.
+    pub volumes: Vec<u64>,
+    /// Routing-range size in blocks.
+    pub range_blocks: u64,
+    /// Per-shard queue depth.
+    pub queue_depth: u32,
+    /// Group-commit window.
+    pub window: u32,
+}
+
+impl ServerTopology {
+    fn specs(&self) -> Vec<VolumeSpec> {
+        let spec = |(id, &blocks)| VolumeSpec { id: id as VolumeId, blocks };
+        self.volumes.iter().enumerate().map(spec).collect()
+    }
+
+    /// The durable server over `base`-shaped engines. Its plans are pure,
+    /// so recovery rebuilds the identical shard configurations.
+    fn builder(&self, base: LssConfig) -> ServerBuilder {
+        let b = ServerBuilder::new()
+            .shards(self.shards)
+            .queue_depth(self.queue_depth)
+            .group_commit_window(self.window)
+            .range_blocks(self.range_blocks)
+            .engine_config(base)
+            .durable(true);
+        self.specs().iter().fold(b, |b, v| b.volume(v.id, v.blocks))
+    }
+
+    /// The routing function, exactly as the server builds it.
+    fn router(&self) -> ShardRouter {
+        ShardRouter::new(self.shards, self.range_blocks, &self.specs())
+    }
+
+    /// Seeded write-only workload op `i`: uniform single-block writes
+    /// over the whole volume set (uniform overwrites maximize GC churn).
+    fn op_at(&self, seed: u64, i: u64) -> (VolumeId, u64) {
+        let total: u64 = self.volumes.iter().sum();
+        let mut g = mix64(seed ^ mix64(i ^ 0x5E17)) % total;
+        for (id, blocks) in self.volumes.iter().enumerate() {
+            if g < *blocks {
+                return (id as VolumeId, g);
+            }
+            g -= blocks;
+        }
+        unreachable!("op beyond volume space");
+    }
+}
+
 /// One seeded crash-sweep scenario.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct CrashScenario {
     /// Engine configuration (also fixes the array geometry).
     pub lss: LssConfig,
     /// Placement scheme under test.
     pub scheme: Scheme,
+    /// What the doomed run drives.
+    pub topology: Topology,
     /// Host operations in the seeded workload.
     pub requests: u64,
     /// Master seed: workload, crash offsets, and resume writes all derive
@@ -73,6 +167,7 @@ impl CrashScenario {
                 ..Default::default()
             },
             scheme: Scheme::SepGc,
+            topology: Topology::Engine,
             requests: 6_000,
             seed,
             uniform_points: 24,
@@ -89,6 +184,24 @@ impl CrashScenario {
         Self { uniform_points: 280, targeted_per_tag: 12, ..Self::quick(seed) }
     }
 
+    /// CI-sized server scenario: two shards, a few thousand writes,
+    /// enough churn for GC, checkpoints, and WAL rotation on each shard.
+    pub fn quick_server(seed: u64) -> Self {
+        Self {
+            topology: Topology::Server(ServerTopology {
+                shards: 2,
+                volumes: vec![6144, 2048],
+                range_blocks: 512,
+                queue_depth: 64,
+                window: 8,
+            }),
+            requests: 4_000,
+            uniform_points: 8,
+            targeted_per_tag: 2,
+            ..Self::quick(seed)
+        }
+    }
+
     fn durability_config(&self, budget: Option<Arc<PowerBudget>>) -> DurabilityConfig {
         DurabilityConfig {
             fsync: self.fsync,
@@ -102,23 +215,37 @@ impl CrashScenario {
     fn sink_options(&self, budget: Option<Arc<PowerBudget>>) -> FileSinkOptions {
         FileSinkOptions { fsync: false, stripes_per_file: self.stripes_per_file, budget }
     }
+
+    /// Every shard's engine configuration and directory under a point's
+    /// `dir`, in shard order (a directly driven engine is shard 0).
+    fn shards(&self, dir: &Path) -> Vec<(LssConfig, PathBuf)> {
+        match &self.topology {
+            Topology::Engine => vec![(self.lss, dir.to_path_buf())],
+            Topology::Server(t) => {
+                let plans = t.builder(self.lss).shard_plans();
+                plans.iter().map(|p| (p.lss, shard_dir(dir, p.shard))).collect()
+            }
+        }
+    }
+}
+
+fn shard_dir(dir: &Path, shard: u32) -> PathBuf {
+    dir.join(format!("shard{shard}"))
 }
 
 /// Whether an engine error is the simulated power failure itself (the
 /// expected way a doomed run ends) rather than a genuine bug. Power loss
 /// surfaces through the WAL on commits/checkpoints and through the array
 /// on GC-migration reads.
-pub(crate) fn is_power_loss(e: &EngineError) -> bool {
-    matches!(e, EngineError::Wal(WalError::PowerLoss))
-        || matches!(
-            e,
-            EngineError::Array(adapt_array::ArrayError::Storage {
-                failure: adapt_array::StorageFailure::PowerLoss,
-            })
-        )
+fn is_power_loss(e: &EngineError) -> bool {
+    matches!(
+        e,
+        EngineError::Wal(WalError::PowerLoss)
+            | EngineError::Array(ArrayError::Storage { failure: StorageFailure::PowerLoss })
+    )
 }
 
-/// One operation of the seeded workload.
+/// One operation of the directly driven workload.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Write { lba: u64 },
@@ -142,55 +269,75 @@ fn op_at(seed: u64, i: u64, user_blocks: u64) -> (Op, u64) {
 }
 
 /// What the doomed run left behind.
+#[derive(Debug, Default)]
 struct RunOutcome {
-    /// `(lba, version)` pairs acknowledged by completed WAL syncs.
-    acked: Vec<(u64, u64)>,
-    /// Operations fully applied before power failed.
+    /// Per shard, the `(shard-local lba, version)` pairs acknowledged
+    /// durable before the cut.
+    acked: Vec<Vec<(u64, u64)>>,
+    /// Timestamp of the last TRIM issued over each LBA. Includes the op
+    /// that broke the run: its trim record may have reached the WAL
+    /// before power died, in which case recovery replayed it.
+    trims: HashMap<u64, u64>,
+    /// Operations that completed before power failed.
     ops_done: u64,
-    /// Clock value when the run stopped (resume writes continue after it).
-    end_ts_us: u64,
-    /// A non-power-loss engine error, if one surfaced (always a bug).
+    /// A failure that is not the power loss itself (always a bug).
     run_error: Option<String>,
 }
 
-struct CrashRun<'a> {
-    scn: &'a CrashScenario,
-    dir: &'a Path,
-    budget: Option<Arc<PowerBudget>>,
+/// Bring up a fresh durable engine under `dir` (segment files in
+/// `array/`, log in `wal/`), every media write drawing on `budget`.
+/// `Ok(None)`: power died while the backend was coming up.
+fn durable_engine<P: PlacementPolicy>(
+    scn: &CrashScenario,
+    lss: LssConfig,
+    dir: &Path,
+    budget: &Arc<PowerBudget>,
+    policy: P,
+) -> Result<Option<Lss<P, FileArraySink>>, String> {
+    let options = scn.sink_options(Some(budget.clone()));
+    let sink = match FileArraySink::create(lss.array_config(), dir.join("array"), options) {
+        Ok(s) => s,
+        Err(FileSinkError::Media(MediaError::PowerLoss)) => return Ok(None),
+        Err(e) => return Err(format!("sink create: {e}")),
+    };
+    if budget.is_tripped() {
+        return Ok(None);
+    }
+    let durability = scn.durability_config(Some(budget.clone()));
+    Ok(Some(Lss::builder(policy, sink).config(lss).durability(dir.join("wal"), durability).build()))
 }
 
-impl PolicyVisitor<RunOutcome> for CrashRun<'_> {
+/// The doomed run of [`Topology::Engine`].
+struct EngineRun<'a> {
+    scn: &'a CrashScenario,
+    dir: &'a Path,
+    budget: &'a Arc<PowerBudget>,
+}
+
+impl PolicyVisitor<RunOutcome> for EngineRun<'_> {
     fn visit<P: PlacementPolicy + Send + 'static>(self, policy: P) -> RunOutcome {
-        let CrashRun { scn, dir, budget } = self;
-        let mut out = RunOutcome { acked: Vec::new(), ops_done: 0, end_ts_us: 0, run_error: None };
-        let sink = match FileArraySink::create(
-            scn.lss.array_config(),
-            dir.join("array"),
-            scn.sink_options(budget.clone()),
-        ) {
-            Ok(s) => s,
-            Err(FileSinkError::Media(adapt_array::MediaError::PowerLoss)) => return out,
+        let EngineRun { scn, dir, budget } = self;
+        let mut out = RunOutcome { acked: vec![Vec::new()], ..Default::default() };
+        let mut engine = match durable_engine(scn, scn.lss, dir, budget, policy) {
+            Ok(Some(engine)) => engine,
+            Ok(None) => return out,
             Err(e) => {
-                out.run_error = Some(format!("sink create: {e}"));
+                out.run_error = Some(e);
                 return out;
             }
         };
-        if budget.as_deref().is_some_and(PowerBudget::is_tripped) {
-            return out;
-        }
-        let mut engine = Lss::builder(policy, sink)
-            .config(scn.lss)
-            .durability(dir.join("wal"), scn.durability_config(budget.clone()))
-            .build();
         let mut ts = 0u64;
         for i in 0..scn.requests {
             let (op, gap) = op_at(scn.seed, i, scn.lss.user_blocks);
             ts += gap;
             let res = match op {
                 Op::Write { lba } => engine.try_write(ts, lba),
-                Op::Trim { lba, blocks } => engine.try_trim(ts, lba, blocks),
+                Op::Trim { lba, blocks } => {
+                    out.trims.extend((lba..lba + blocks as u64).map(|l| (l, ts)));
+                    engine.try_trim(ts, lba, blocks)
+                }
             };
-            engine.drain_durable_acks(&mut out.acked);
+            engine.drain_durable_acks(&mut out.acked[0]);
             match res {
                 Ok(()) => out.ops_done += 1,
                 Err(e) if is_power_loss(&e) => break,
@@ -199,11 +346,11 @@ impl PolicyVisitor<RunOutcome> for CrashRun<'_> {
                     break;
                 }
             }
-            if budget.as_deref().is_some_and(PowerBudget::is_tripped) {
+            if budget.is_tripped() {
                 break;
             }
         }
-        if budget.as_deref().is_none_or(|b| !b.is_tripped()) {
+        if !budget.is_tripped() {
             // Park the tail so the byte total covers a final sync +
             // checkpoint too. A limited budget may trip right here —
             // that's still just the crash, not a failure.
@@ -212,19 +359,139 @@ impl PolicyVisitor<RunOutcome> for CrashRun<'_> {
                 Err(e) if is_power_loss(&e) => {}
                 Err(e) => out.run_error = Some(format!("final sync: {e}")),
             }
-            engine.drain_durable_acks(&mut out.acked);
+            engine.drain_durable_acks(&mut out.acked[0]);
         }
-        out.end_ts_us = engine.now_us();
         out
     }
 }
 
-/// Verdict for one crash point.
-#[derive(Debug, Clone, Serialize)]
+/// Placeholder engine for a shard whose backend never finished coming up
+/// (power died during sink/WAL creation). Every operation fails with the
+/// power-loss error, so the shard fail-stops on first contact and
+/// clients get completions instead of hangs.
+struct DeadEngine;
+
+impl ShardEngine for DeadEngine {
+    fn apply_write(&mut self, _ts: u64, _lba: Lba, _blocks: u32) -> Result<(), EngineError> {
+        Err(EngineError::Wal(WalError::PowerLoss))
+    }
+    fn apply_read(&mut self, _ts: u64, _lba: Lba, _blocks: u32) -> Result<(), EngineError> {
+        Err(EngineError::Wal(WalError::PowerLoss))
+    }
+    fn apply_trim(&mut self, _ts: u64, _lba: Lba, _blocks: u32) -> Result<(), EngineError> {
+        Err(EngineError::Wal(WalError::PowerLoss))
+    }
+    fn sync(&mut self) -> Result<(), EngineError> {
+        Err(EngineError::Wal(WalError::PowerLoss))
+    }
+    fn flush_all(&mut self) -> Result<(), EngineError> {
+        Err(EngineError::Wal(WalError::PowerLoss))
+    }
+    fn gc_needed(&self) -> bool {
+        false
+    }
+    fn gc_step(&mut self) -> Result<bool, EngineError> {
+        Ok(false)
+    }
+    fn probe(&self) -> adapt_serve::shard::Probe {
+        adapt_serve::shard::Probe::default()
+    }
+    fn telemetry(&mut self) -> TelemetrySnapshot {
+        TelemetrySnapshot::merge(&[])
+    }
+}
+
+/// Durable file-backed shard engines, all drawing on one power budget.
+struct DurableShards<'a> {
+    scn: &'a CrashScenario,
+    dir: &'a Path,
+    budget: &'a Arc<PowerBudget>,
+}
+
+impl ShardEngineBuilder for DurableShards<'_> {
+    fn build<P: PlacementPolicy + Send + 'static>(
+        &mut self,
+        plan: &ShardPlan,
+        policy: P,
+    ) -> Box<dyn ShardEngine> {
+        let dir = shard_dir(self.dir, plan.shard);
+        match durable_engine(self.scn, plan.lss, &dir, self.budget, policy) {
+            Ok(Some(engine)) => Box::new(engine),
+            Ok(None) => Box::new(DeadEngine),
+            Err(e) => panic!("shard {}: {e}", plan.shard),
+        }
+    }
+}
+
+/// The doomed run of [`Topology::Server`]: the seeded workload through a
+/// real client, harvesting every completion.
+fn server_run(
+    scn: &CrashScenario,
+    topo: &ServerTopology,
+    dir: &Path,
+    budget: &Arc<PowerBudget>,
+) -> RunOutcome {
+    const IN_FLIGHT: usize = 64;
+    let engines = DurableShards { scn, dir, budget };
+    let server = start_server_with(scn.scheme, topo.builder(scn.lss), engines);
+    let client = server.client();
+    let router = topo.router();
+    let mut out =
+        RunOutcome { acked: vec![Vec::new(); topo.shards as usize], ..Default::default() };
+    let mut harvest = |c: Completion| match c.result {
+        Ok(()) => {
+            out.ops_done += 1;
+            if c.durable {
+                let at =
+                    router.locate(c.request.volume, c.request.lba, 1).expect("acked op must route");
+                out.acked[at.shard as usize].push((at.local_lba, c.version));
+            }
+        }
+        // An error completion is the crash itself only once power is gone.
+        Err(e) => {
+            if !budget.is_tripped() {
+                out.run_error = Some(format!("completion failed with power on: {e}"));
+            }
+        }
+    };
+    let mut tickets = VecDeque::with_capacity(IN_FLIGHT);
+    for i in 0..scn.requests {
+        let (volume, lba) = topo.op_at(scn.seed, i);
+        let ticket = client
+            .submit_backoff(Request::write(0, volume, lba, 1))
+            .unwrap_or_else(|e| panic!("doomed-run submission failed: {e}"));
+        tickets.push_back(ticket);
+        if tickets.len() >= IN_FLIGHT {
+            harvest(client.wait(tickets.pop_front().expect("window is full")));
+        }
+    }
+    for t in tickets {
+        harvest(client.wait(t));
+    }
+    if !server.shutdown().balanced() {
+        out.run_error = Some("queue accounting lost a completion".to_string());
+    }
+    out
+}
+
+/// Run the scenario's seeded workload under `dir` until it ends or
+/// `budget` trips.
+fn doomed_run(scn: &CrashScenario, dir: &Path, budget: &Arc<PowerBudget>) -> RunOutcome {
+    let _ = std::fs::remove_dir_all(dir);
+    std::fs::create_dir_all(dir).expect("create crash-run dir");
+    match &scn.topology {
+        Topology::Engine => with_policy(scn.scheme, &scn.lss, EngineRun { scn, dir, budget }),
+        Topology::Server(topo) => server_run(scn, topo, dir, budget),
+    }
+}
+
+/// Verdict for one crash point. Recovery fields aggregate over shards.
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct CrashPointResult {
     /// Byte offset at which power failed.
     pub offset: u64,
-    /// Offset class: "uniform", "rename", or "superblock".
+    /// Offset class: "uniform", or the targeted media unit
+    /// ("wal_record", "rename", "delta_frame", ...).
     pub class: String,
     /// The media unit the budget tripped inside, if it tripped.
     pub trip_tag: Option<String>,
@@ -232,7 +499,8 @@ pub struct CrashPointResult {
     pub ops_done: u64,
     /// Writes acknowledged before the cut.
     pub acked: u64,
-    /// Acknowledged writes missing (or stale) after recovery. Must be 0.
+    /// Acknowledged writes missing (or stale) after recovery, plus every
+    /// ack of a shard that failed to recover. Must be 0.
     pub lost_acks: u64,
     /// Whether recovery loaded a checkpoint.
     pub checkpoint_loaded: bool,
@@ -248,89 +516,76 @@ pub struct CrashPointResult {
     pub torn_tail: bool,
     /// WAL records replayed.
     pub records_applied: u64,
-    /// Recovery returned an error. Benign only when nothing was acked
-    /// (power died before the backend finished coming up).
+    /// The first error of the doomed run, recovery, or the post-recovery
+    /// checks. A recovery error is benign only for a shard that acked
+    /// nothing (power died before its backend finished coming up).
     pub recovery_error: Option<String>,
-    /// The recovered engine failed an invariant or recovery self-check,
-    /// or panicked. Must be false.
+    /// A recovered engine failed an invariant or recovery self-check, or
+    /// panicked. Must be false.
     pub corrupt: bool,
-    /// The doomed run hit a non-power-loss error. Must be false.
+    /// The doomed run hit a non-power-loss error, a completion failed
+    /// with power still on, or queue accounting lost one. Must be false.
     pub run_failed: bool,
 }
 
 impl CrashPointResult {
     /// Whether this point upholds the durability contract.
     pub fn ok(&self) -> bool {
-        !self.run_failed
-            && !self.corrupt
-            && self.lost_acks == 0
-            && (self.recovery_error.is_none() || self.acked == 0)
+        !self.run_failed && !self.corrupt && self.lost_acks == 0
     }
 }
 
-struct RecoverVerify<'a> {
+/// Recover one shard with fresh (unlimited) power and verify its acks.
+struct RecoverShard<'a> {
     scn: &'a CrashScenario,
+    shard: usize,
+    lss: LssConfig,
     dir: &'a Path,
     run: &'a RunOutcome,
     result: &'a mut CrashPointResult,
 }
 
-impl PolicyVisitor<()> for RecoverVerify<'_> {
+impl PolicyVisitor<()> for RecoverShard<'_> {
     fn visit<P: PlacementPolicy + Send + 'static>(self, policy: P) {
-        let RecoverVerify { scn, dir, run, result } = self;
-        let sink = match FileArraySink::open_recovery(
-            scn.lss.array_config(),
+        let RecoverShard { scn, shard, lss, dir, run, result } = self;
+        let acked = &run.acked[shard];
+        let recovered = FileArraySink::open_recovery(
+            lss.array_config(),
             dir.join("array"),
             scn.sink_options(None),
-        ) {
-            Ok(s) => s,
-            Err(e) => {
-                result.recovery_error = Some(format!("sink: {e}"));
-                return;
-            }
-        };
-        let recovered = Lss::builder(policy, sink)
-            .config(scn.lss)
-            .durability(dir.join("wal"), scn.durability_config(None))
-            .recover();
+        )
+        .map_err(|e| format!("sink: {e}"))
+        .and_then(|sink| {
+            Lss::builder(policy, sink)
+                .config(lss)
+                .durability(dir.join("wal"), scn.durability_config(None))
+                .recover()
+                .map_err(|e| e.to_string())
+        });
         let (mut engine, report) = match recovered {
             Ok(pair) => pair,
             Err(e) => {
-                result.recovery_error = Some(e.to_string());
+                result.recovery_error.get_or_insert(format!("shard {shard}: {e}"));
+                result.lost_acks += acked.len() as u64;
                 return;
             }
         };
-        result.checkpoint_loaded = report.checkpoint_loaded;
-        result.deltas_applied = report.deltas_applied;
-        result.torn_delta = report.torn_delta;
-        result.stale_deltas = report.stale_deltas;
-        result.torn_tail = report.torn_tail.is_some();
-        result.records_applied = report.records_applied;
+        result.checkpoint_loaded |= report.checkpoint_loaded;
+        result.deltas_applied += report.deltas_applied;
+        result.torn_delta |= report.torn_delta;
+        result.stale_deltas |= report.stale_deltas;
+        result.torn_tail |= report.torn_tail.is_some();
+        result.records_applied += report.records_applied;
         // Ground truth: every acknowledged write survived at (or above)
         // its acknowledged version. GC/overwrites may have bumped the
         // version — monotone per LBA — but it can never go backwards, and
         // an LBA may only vanish via a logged TRIM (which recovery
         // replayed; its version entry is gone, so `durable_version`
         // returning `None` for a *still-acked* pair is loss).
-        let mut newest: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-        for &(lba, version) in &run.acked {
+        let mut newest: HashMap<u64, u64> = HashMap::new();
+        for &(lba, version) in acked {
             let e = newest.entry(lba).or_insert(version);
             *e = (*e).max(version);
-        }
-        // Timestamp of the last trim covering each LBA. Includes the op
-        // that broke the run: its trim record may have reached the WAL
-        // before power died, in which case recovery replayed it.
-        let mut trim_ts: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-        let mut ts = 0u64;
-        for i in 0..(run.ops_done + 1).min(scn.requests) {
-            let (op, gap) = op_at(scn.seed, i, scn.lss.user_blocks);
-            ts += gap;
-            if let Op::Trim { lba, blocks } = op {
-                for b in 0..blocks as u64 {
-                    let e = trim_ts.entry(lba + b).or_insert(ts);
-                    *e = (*e).max(ts);
-                }
-            }
         }
         for (&lba, &version) in &newest {
             let ok = match engine.durable_version(lba) {
@@ -338,7 +593,7 @@ impl PolicyVisitor<()> for RecoverVerify<'_> {
                 // A trim at-or-after the acked write legitimately erased
                 // it; anything else is loss. (A trim *before* the write
                 // can't land here: the write would still be mapped.)
-                None => trim_ts.get(&lba).is_some_and(|&t| t >= version),
+                None => run.trims.get(&lba).is_some_and(|&t| t >= version),
             };
             if !ok {
                 result.lost_acks += 1;
@@ -349,9 +604,9 @@ impl PolicyVisitor<()> for RecoverVerify<'_> {
         let verify = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             engine.check_invariants();
             engine.try_check_recovery()?;
-            let mut ts = run.end_ts_us;
-            for i in 0..4 * scn.lss.chunk_blocks as u64 {
-                let lba = mix64(scn.seed ^ 0xD15C ^ i) % scn.lss.user_blocks;
+            let mut ts = engine.now_us();
+            for i in 0..4 * lss.chunk_blocks as u64 {
+                let lba = mix64(scn.seed ^ 0xD15C ^ i) % lss.user_blocks;
                 ts += 1;
                 engine.try_write(ts, lba)?;
             }
@@ -360,52 +615,40 @@ impl PolicyVisitor<()> for RecoverVerify<'_> {
             engine.check_invariants();
             Ok::<(), EngineError>(())
         }));
-        match verify {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => {
-                result.corrupt = true;
-                result.recovery_error = Some(format!("post-recovery: {e}"));
-            }
-            Err(_) => {
-                result.corrupt = true;
-                result.recovery_error = Some("panic during post-recovery checks".into());
-            }
-        }
+        let failed = match verify {
+            Ok(Ok(())) => return,
+            Ok(Err(e)) => format!("shard {shard} post-recovery: {e}"),
+            Err(_) => format!("shard {shard} panicked in post-recovery checks"),
+        };
+        result.corrupt = true;
+        result.recovery_error.get_or_insert(failed);
     }
 }
 
 /// Run one crash point: doomed run under `PowerBudget::limited(offset)`,
-/// then recover with unlimited power and verify. The point directory is
-/// removed afterwards unless the point failed (the debris is the best
-/// debugging artifact there is).
+/// then recover every shard with unlimited power and verify. The point
+/// directory is removed afterwards unless the point failed (the debris
+/// is the best debugging artifact there is).
 pub fn crash_point(scn: &CrashScenario, dir: &Path, offset: u64, class: &str) -> CrashPointResult {
-    let _ = std::fs::remove_dir_all(dir);
-    std::fs::create_dir_all(dir).expect("create crash-point dir");
     let budget = PowerBudget::limited(offset);
-    let run =
-        with_policy(scn.scheme, &scn.lss, CrashRun { scn, dir, budget: Some(budget.clone()) });
+    let run = doomed_run(scn, dir, &budget);
     let mut result = CrashPointResult {
         offset,
         class: class.to_string(),
         trip_tag: budget.trip_tag().map(|t| format!("{t:?}")),
         ops_done: run.ops_done,
-        acked: run.acked.len() as u64,
-        lost_acks: 0,
-        checkpoint_loaded: false,
-        deltas_applied: 0,
-        torn_delta: false,
-        stale_deltas: false,
-        torn_tail: false,
-        records_applied: 0,
-        recovery_error: None,
-        corrupt: false,
+        acked: run.acked.iter().map(|a| a.len() as u64).sum(),
         run_failed: run.run_error.is_some(),
+        ..Default::default()
     };
     if let Some(e) = &run.run_error {
         result.recovery_error = Some(format!("doomed run: {e}"));
         return result;
     }
-    with_policy(scn.scheme, &scn.lss, RecoverVerify { scn, dir, run: &run, result: &mut result });
+    for (shard, (lss, dir)) in scn.shards(dir).into_iter().enumerate() {
+        let recover = RecoverShard { scn, shard, lss, dir: &dir, run: &run, result: &mut result };
+        with_policy(scn.scheme, &lss, recover);
+    }
     if result.ok() {
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -466,7 +709,7 @@ impl CrashSweepReport {
 /// mid-rename, mid-superblock, mid-checkpoint-delta and between a base
 /// rename and the delta-log truncation even though sink data dominates
 /// the byte stream.
-pub(crate) fn pick_offsets(
+fn pick_offsets(
     seed: u64,
     uniform_points: u32,
     targeted_per_tag: u32,
@@ -514,21 +757,29 @@ pub(crate) fn pick_offsets(
     offsets
 }
 
+/// One directory per crash point. [`pick_offsets`] dedups on `(class,
+/// offset)`, so two classes can draw the same offset: the class is part
+/// of the name, or two pool tasks would wipe and fill one directory at
+/// the same time.
+fn point_dirs(base_dir: &Path, offsets: Vec<(String, u64)>) -> Vec<(String, u64, PathBuf)> {
+    offsets
+        .into_iter()
+        .map(|(class, off)| {
+            let dir = base_dir.join(format!("pt_{class}_{off}"));
+            (class, off, dir)
+        })
+        .collect()
+}
+
 /// Run the full sweep under `base_dir` (one subdirectory per point,
 /// removed as points pass). Points fan out on the work-stealing pool;
-/// the report is deterministic in (scenario, seed) at any job count.
+/// under [`Topology::Engine`] the report is deterministic in (scenario,
+/// seed) at any job count.
 pub fn run_crash_sweep(scn: &CrashScenario, base_dir: &Path) -> CrashSweepReport {
-    std::fs::create_dir_all(base_dir).expect("create sweep dir");
     // Phase 1: golden metered run — byte total + grant journal.
     let golden_dir = base_dir.join("golden");
-    let _ = std::fs::remove_dir_all(&golden_dir);
-    std::fs::create_dir_all(&golden_dir).expect("create golden dir");
     let budget = PowerBudget::metered();
-    let golden = with_policy(
-        scn.scheme,
-        &scn.lss,
-        CrashRun { scn, dir: &golden_dir, budget: Some(budget.clone()) },
-    );
+    let golden = doomed_run(scn, &golden_dir, &budget);
     assert!(golden.run_error.is_none(), "golden run failed: {:?}", golden.run_error);
     let total = budget.consumed();
     let journal = budget.journal();
@@ -536,18 +787,12 @@ pub fn run_crash_sweep(scn: &CrashScenario, base_dir: &Path) -> CrashSweepReport
 
     // Phase 2: the seeded points, in parallel.
     let offsets = pick_offsets(scn.seed, scn.uniform_points, scn.targeted_per_tag, total, &journal);
-    let dirs: Vec<(String, u64, PathBuf)> = offsets
-        .into_iter()
-        .map(|(class, off)| {
-            let dir = base_dir.join(format!("pt_{off}"));
-            (class, off, dir)
-        })
-        .collect();
+    let dirs = point_dirs(base_dir, offsets);
     let mut points: Vec<CrashPointResult> =
         dirs.par_iter().map(|(class, off, dir)| crash_point(scn, dir, *off, class)).collect();
     points.sort_by_key(|p| p.offset);
 
-    let mut tags: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
+    let mut tags: BTreeMap<String, u64> = BTreeMap::new();
     for p in &points {
         if let Some(t) = &p.trip_tag {
             *tags.entry(t.clone()).or_insert(0) += 1;
@@ -559,7 +804,7 @@ pub fn run_crash_sweep(scn: &CrashScenario, base_dir: &Path) -> CrashSweepReport
         seed: scn.seed,
         fsync: scn.fsync.label(),
         golden_bytes: total,
-        golden_acked: golden.acked.len() as u64,
+        golden_acked: golden.acked.iter().map(|a| a.len() as u64).sum(),
         points: points.len() as u64,
         clean: points.iter().filter(|p| p.ok()).count() as u64,
         lost_acks_total: points.iter().map(|p| p.lost_acks).sum(),
@@ -661,10 +906,61 @@ mod tests {
     fn single_point_mid_stream_reports_faithfully() {
         let scn = CrashScenario::quick(42);
         let dir = tdir("single");
-        std::fs::create_dir_all(&dir).unwrap();
         let p = crash_point(&scn, &dir.join("pt"), 200_000, "uniform");
         assert!(p.ok(), "{p:?}");
         assert!(p.acked > 0, "mid-stream cut must land after some acks: {p:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn colliding_offsets_get_distinct_point_dirs() {
+        use std::collections::HashSet;
+        // A 12-byte stream and 40 uniform draws: classes must share
+        // offsets, and every point still needs a directory of its own.
+        let journal = [(WriteTag::WalRecord, 4), (WriteTag::SinkRecord, 4), (WriteTag::Rename, 4)];
+        let offsets = pick_offsets(9, 40, 8, 12, &journal);
+        let drawn: HashSet<u64> = offsets.iter().map(|&(_, off)| off).collect();
+        assert!(drawn.len() < offsets.len(), "no two classes drew one offset: {offsets:?}");
+        let dirs = point_dirs(Path::new("sweep"), offsets);
+        let names: HashSet<&PathBuf> = dirs.iter().map(|(.., dir)| dir).collect();
+        assert_eq!(names.len(), dirs.len(), "two points share a directory: {dirs:?}");
+    }
+
+    #[test]
+    fn two_shard_sweep_has_zero_acked_write_loss() {
+        let scn = CrashScenario::quick_server(0x5EAC);
+        let dir = tdir("serve_quick");
+        let report = run_crash_sweep(&scn, &dir);
+        assert!(
+            report.clean_sweep(),
+            "serve crash sweep failed: lost={} corrupt={} failures={:#?}",
+            report.lost_acks_total,
+            report.corrupt_points,
+            report.failures
+        );
+        assert!(report.golden_acked > 0, "golden run must ack writes");
+        // Thread interleaving moves the byte stream between runs, so a
+        // targeted offset need not land in the same grant twice; some
+        // shard recovering through or past a delta is the robust claim.
+        assert!(
+            report.with_deltas + report.with_torn_delta + report.with_stale_deltas > 0,
+            "no shard recovered through a checkpoint delta: {:?}",
+            report.trip_tags
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dead_engine_fails_without_hanging() {
+        // Offset 1: power is gone before either shard's backend exists.
+        // Every submission must still complete (with errors), queues must
+        // balance, and nothing may be acked.
+        let scn = CrashScenario::quick_server(0xDEAD);
+        let dir = tdir("serve_dead");
+        let r = crash_point(&scn, &dir, 1, "uniform");
+        assert_eq!(r.acked, 0);
+        assert!(!r.run_failed, "completions must balance even with dead shards: {r:?}");
+        assert_eq!(r.lost_acks, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

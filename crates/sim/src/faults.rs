@@ -15,12 +15,13 @@
 //! log-structured arrays hold the open stripe in controller NVRAM until
 //! its parity lands, so those blocks are buffer-served, not lost.
 
-use crate::replay::{ReplayConfig, Warmup};
+use crate::replay::{drive_with, ReplayConfig};
 use crate::scheme::{with_policy, PolicyVisitor, Scheme};
 use adapt_array::{ArrayError, ArraySink, ArrayStats, FaultPlan, FaultyArray};
 use adapt_lss::{EngineError, Lss, LssMetrics, PlacementPolicy};
 use adapt_trace::TraceRecord;
 use serde::{Deserialize, Serialize};
+use std::ops::ControlFlow;
 
 /// Scripted fault scenario.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -152,178 +153,150 @@ impl FaultReport {
 }
 
 struct FaultVisitor {
+    scheme: Scheme,
     scenario: FaultScenario,
     trace: Vec<TraceRecord>,
+}
+
+/// Where the scripted fault stands; advanced by the per-record hook.
+enum Stage {
+    Healthy,
+    Degraded { remaining: u64 },
+    Rebuilding,
+    Restored,
+    Lost,
 }
 
 impl PolicyVisitor<FaultReport> for FaultVisitor {
     fn visit<P: PlacementPolicy + Send + 'static>(self, policy: P) -> FaultReport {
-        run_with_policy(self.scenario, self.trace, policy)
-    }
-}
+        let FaultVisitor { scheme, scenario, trace } = self;
+        let cfg = scenario.replay;
+        let plan =
+            FaultPlan::new(scenario.seed).with_transient_read_prob(scenario.transient_read_prob);
+        let sink = FaultyArray::new(cfg.lss.array_config(), plan);
+        let mut engine =
+            Lss::builder(policy, sink).config(cfg.lss).gc_select(cfg.gc).events(cfg.events).build();
 
-/// Drive one record through the engine, tolerating reads that hit the
-/// open tail stripe on the failed device.
-fn replay_record<P: PlacementPolicy>(
-    engine: &mut Lss<P, FaultyArray>,
-    rec: &TraceRecord,
-    failed_reads: &mut u64,
-) {
-    if rec.is_write() {
-        engine.write_request(rec.ts_us, rec.lba, rec.num_blocks);
-    } else {
-        match engine.try_read_request(rec.ts_us, rec.lba, rec.num_blocks) {
-            Ok(()) => {}
-            Err(EngineError::Array(ArrayError::Unreconstructable { .. })) => {
+        let fail_at = (trace.len() as f64 * scenario.fail_at_frac.clamp(0.0, 1.0)) as u64;
+        let mut failed_reads = 0u64;
+        let mut phases: Vec<PhaseReport> = Vec::with_capacity(4);
+        let mut phase_records = 0u64;
+        let mut verify = VerifySweep::default();
+        let mut rebuild_ops_window = 0u64;
+        let mut stage = Stage::Healthy;
+
+        let snapshot = |engine: &mut Lss<P, FaultyArray>,
+                        phases: &mut Vec<PhaseReport>,
+                        records: &mut u64,
+                        name: &str| {
+            phases.push(PhaseReport {
+                phase: name.to_string(),
+                records: *records,
+                metrics: engine.metrics().clone(),
+            });
+            engine.reset_metrics();
+            *records = 0;
+        };
+
+        drive_with(&mut engine, &cfg, trace, |engine, i, read| {
+            match read {
+                Ok(()) => {}
                 // Open tail stripe on the failed device: buffer-served in
                 // deployment (stripe not yet acknowledged to the log).
-                *failed_reads += 1;
+                Err(EngineError::Array(ArrayError::Unreconstructable { .. })) => failed_reads += 1,
+                Err(e) => panic!("unexpected engine fault during scenario: {e}"),
             }
-            Err(e) => panic!("unexpected engine fault during scenario: {e}"),
-        }
-    }
-}
-
-fn run_with_policy<P: PlacementPolicy>(
-    scenario: FaultScenario,
-    trace: Vec<TraceRecord>,
-    policy: P,
-) -> FaultReport {
-    let cfg = scenario.replay;
-    let plan = FaultPlan::new(scenario.seed).with_transient_read_prob(scenario.transient_read_prob);
-    let sink = FaultyArray::new(cfg.lss.array_config(), plan);
-    let mut engine =
-        Lss::builder(policy, sink).config(cfg.lss).gc_select(cfg.gc).events(cfg.events).build();
-
-    let total = trace.len() as u64;
-    let fail_at = ((total as f64) * scenario.fail_at_frac.clamp(0.0, 1.0)) as u64;
-    let warmup_bytes = match cfg.warmup {
-        Warmup::None => 0,
-        Warmup::CapacityOnce => cfg.lss.user_blocks * cfg.lss.block_bytes,
-        Warmup::Blocks(b) => b * cfg.lss.block_bytes,
-    };
-    let mut warmed = warmup_bytes == 0;
-    let mut failed_reads = 0u64;
-    let mut phases: Vec<PhaseReport> = Vec::with_capacity(4);
-    let mut phase_records = 0u64;
-    let mut verify = VerifySweep::default();
-    let mut rebuild_ops_window = 0u64;
-
-    let snapshot = |engine: &mut Lss<P, FaultyArray>,
-                    phases: &mut Vec<PhaseReport>,
-                    records: &mut u64,
-                    name: &str| {
-        phases.push(PhaseReport {
-            phase: name.to_string(),
-            records: *records,
-            metrics: engine.metrics().clone(),
-        });
-        engine.reset_metrics();
-        *records = 0;
-    };
-
-    enum Stage {
-        Healthy,
-        Degraded { remaining: u64 },
-        Rebuilding,
-        Restored,
-        Lost,
-    }
-    let mut stage = Stage::Healthy;
-
-    for (i, rec) in trace.iter().enumerate() {
-        replay_record(&mut engine, rec, &mut failed_reads);
-        phase_records += 1;
-        if !warmed && engine.user_bytes_clock() >= warmup_bytes {
-            engine.reset_metrics();
-            warmed = true;
-        }
-        match stage {
-            Stage::Healthy if i as u64 + 1 >= fail_at => {
-                snapshot(&mut engine, &mut phases, &mut phase_records, "healthy");
-                engine.sink_mut().fail_device(scenario.fail_device);
-                if let Some(second) = scenario.second_fail_device {
-                    engine.sink_mut().fail_device(second);
+            phase_records += 1;
+            match stage {
+                Stage::Healthy if i + 1 >= fail_at => {
+                    snapshot(engine, &mut phases, &mut phase_records, "healthy");
+                    engine.sink_mut().fail_device(scenario.fail_device);
+                    if let Some(second) = scenario.second_fail_device {
+                        engine.sink_mut().fail_device(second);
+                    }
+                    let budget = engine.sink().config().parity_devices;
+                    if engine.sink_mut().failed_devices().len() > budget {
+                        // Past the code's fault budget: no rebuild can run
+                        // and continuing the replay would only churn an
+                        // array that has already lost data. Quantify the
+                        // damage with the verify sweep and stop at a
+                        // terminal phase.
+                        verify = verify_live_lbas(engine, cfg.lss.user_blocks);
+                        snapshot(engine, &mut phases, &mut phase_records, "data-loss");
+                        stage = Stage::Lost;
+                        return ControlFlow::Break(());
+                    }
+                    stage = Stage::Degraded { remaining: scenario.degraded_records };
                 }
-                let budget = engine.sink().config().parity_devices;
-                if engine.sink_mut().failed_devices().len() > budget {
-                    // Past the code's fault budget: no rebuild can run and
-                    // continuing the replay would only churn an array that
-                    // has already lost data. Quantify the damage with the
-                    // verify sweep and stop at a terminal phase.
-                    verify = verify_live_lbas(&mut engine, cfg.lss.user_blocks);
-                    snapshot(&mut engine, &mut phases, &mut phase_records, "data-loss");
-                    stage = Stage::Lost;
-                    break;
+                Stage::Degraded { ref mut remaining } => {
+                    if *remaining > 0 {
+                        *remaining -= 1;
+                    } else {
+                        // Verify every live LBA is still serviceable before
+                        // the rebuild begins repairing the array.
+                        verify = verify_live_lbas(engine, cfg.lss.user_blocks);
+                        snapshot(engine, &mut phases, &mut phase_records, "degraded");
+                        engine
+                            .sink_mut()
+                            .start_rebuild()
+                            .expect("within-budget fault must start its rebuild");
+                        stage = Stage::Rebuilding;
+                    }
                 }
-                stage = Stage::Degraded { remaining: scenario.degraded_records };
-            }
-            Stage::Degraded { ref mut remaining } => {
-                if *remaining > 0 {
-                    *remaining -= 1;
-                } else {
-                    // Verify every live LBA is still serviceable before
-                    // the rebuild begins repairing the array.
-                    verify = verify_live_lbas(&mut engine, cfg.lss.user_blocks);
-                    snapshot(&mut engine, &mut phases, &mut phase_records, "degraded");
-                    engine
+                Stage::Rebuilding => {
+                    rebuild_ops_window += 1;
+                    let progress = engine
                         .sink_mut()
-                        .start_rebuild()
-                        .expect("within-budget fault must start its rebuild");
-                    stage = Stage::Rebuilding;
+                        .rebuild_step(scenario.rebuild_stripes_per_record)
+                        .expect("rebuild step");
+                    if progress.complete {
+                        snapshot(engine, &mut phases, &mut phase_records, "rebuilding");
+                        stage = Stage::Restored;
+                    }
                 }
+                _ => {}
             }
-            Stage::Rebuilding => {
-                rebuild_ops_window += 1;
-                let progress = engine
-                    .sink_mut()
-                    .rebuild_step(scenario.rebuild_stripes_per_record)
-                    .expect("rebuild step");
-                if progress.complete {
-                    snapshot(&mut engine, &mut phases, &mut phase_records, "rebuilding");
-                    stage = Stage::Restored;
-                }
-            }
-            _ => {}
+            ControlFlow::Continue(())
+        });
+        // A short trace can end before a stage boundary fires; close out
+        // whatever window is open under its stage name. A data-loss run
+        // already snapshotted its terminal phase before breaking out.
+        let open = match stage {
+            Stage::Lost => None,
+            Stage::Healthy => Some("healthy"),
+            Stage::Degraded { .. } => Some("degraded"),
+            Stage::Rebuilding => Some("rebuilding"),
+            Stage::Restored => Some("restored"),
+        };
+        if let Some(name) = open {
+            snapshot(&mut engine, &mut phases, &mut phase_records, name);
         }
-    }
-    engine.flush_all();
-    // A short trace can end before a stage boundary fires; close out
-    // whatever window is open under its stage name. A data-loss run
-    // already snapshotted its terminal phase before breaking out.
-    match stage {
-        Stage::Lost => {}
-        Stage::Healthy => snapshot(&mut engine, &mut phases, &mut phase_records, "healthy"),
-        Stage::Degraded { .. } => {
-            snapshot(&mut engine, &mut phases, &mut phase_records, "degraded")
-        }
-        Stage::Rebuilding => snapshot(&mut engine, &mut phases, &mut phase_records, "rebuilding"),
-        Stage::Restored => snapshot(&mut engine, &mut phases, &mut phase_records, "restored"),
-    }
 
-    // Engine-side rebuild metrics live in whichever window saw the
-    // healthy transition; take the op-count fallback from the driver.
-    let rebuild_ops = phases
-        .iter()
-        .map(|p| p.metrics.rebuild_ops)
-        .max()
-        .filter(|&v| v > 0)
-        .unwrap_or(rebuild_ops_window);
-    FaultReport {
-        scheme: scheme_tag(engine.policy().name()),
-        geometry: engine.sink().config().geometry().label(),
-        scenario,
-        phases,
-        verify,
-        failed_reads,
-        rebuild_bytes: engine.sink().stats().rebuild_bytes(),
-        rebuild_ops,
-        array: engine.sink().stats().clone(),
+        // Engine-side rebuild metrics live in whichever window saw the
+        // healthy transition; take the op-count fallback from the driver.
+        let rebuild_ops = phases
+            .iter()
+            .map(|p| p.metrics.rebuild_ops)
+            .max()
+            .filter(|&v| v > 0)
+            .unwrap_or(rebuild_ops_window);
+        FaultReport {
+            scheme,
+            geometry: engine.sink().config().geometry().label(),
+            scenario,
+            phases,
+            verify,
+            failed_reads,
+            rebuild_bytes: engine.sink().stats().rebuild_bytes(),
+            rebuild_ops,
+            array: engine.sink().stats().clone(),
+        }
     }
 }
 
-/// Read every live LBA once, classifying how each was served.
-fn verify_live_lbas<P: PlacementPolicy>(
+/// Read every live LBA once, classifying how each was served — the one
+/// verification sweep the fault and scrub scenarios share.
+pub(crate) fn verify_live_lbas<P: PlacementPolicy>(
     engine: &mut Lss<P, FaultyArray>,
     user_blocks: u64,
 ) -> VerifySweep {
@@ -351,26 +324,13 @@ fn verify_live_lbas<P: PlacementPolicy>(
     sweep
 }
 
-fn scheme_tag(name: &str) -> Scheme {
-    match name {
-        "SepGC" => Scheme::SepGc,
-        "DAC" => Scheme::Dac,
-        "WARCIP" => Scheme::Warcip,
-        "MiDA" => Scheme::Mida,
-        "SepBIT" => Scheme::SepBit,
-        _ => Scheme::Adapt,
-    }
-}
-
 /// Run a fault scenario for one scheme over a trace.
 pub fn run_fault_scenario<I>(scheme: Scheme, scenario: FaultScenario, trace: I) -> FaultReport
 where
     I: Iterator<Item = TraceRecord>,
 {
     let trace: Vec<TraceRecord> = trace.collect();
-    let mut report = with_policy(scheme, &scenario.replay.lss, FaultVisitor { scenario, trace });
-    report.scheme = scheme;
-    report
+    with_policy(scheme, &scenario.replay.lss, FaultVisitor { scheme, scenario, trace })
 }
 
 #[cfg(test)]

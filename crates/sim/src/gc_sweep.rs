@@ -3,10 +3,9 @@
 //! Random). Backs the paper's §4.2 observation that ADAPT "demonstrates
 //! better universality" across selection strategies.
 
-use crate::replay::{ReplayConfig, Warmup};
-use crate::scheme::{with_policy, PolicyVisitor, Scheme};
-use adapt_array::CountingArray;
-use adapt_lss::{GcSelection, Lss, LssMetrics, PlacementPolicy, VictimPolicy};
+use crate::replay::{replay_with, ReplayConfig};
+use crate::scheme::Scheme;
+use adapt_lss::{GcSelection, LssMetrics, VictimPolicy};
 use adapt_trace::{TraceRecord, VolumeModel};
 use rayon::prelude::*;
 use serde::Serialize;
@@ -36,43 +35,6 @@ pub struct GcSweepCell {
     pub metrics: LssMetrics,
 }
 
-struct SweepVisitor<I> {
-    cfg: ReplayConfig,
-    victim: VictimPolicy,
-    trace: I,
-}
-
-impl<I: Iterator<Item = TraceRecord>> PolicyVisitor<LssMetrics> for SweepVisitor<I> {
-    fn visit<P: PlacementPolicy + Send + 'static>(self, policy: P) -> LssMetrics {
-        let SweepVisitor { cfg, victim, trace } = self;
-        let sink = CountingArray::new(cfg.lss.array_config());
-        let mut engine = Lss::builder(policy, sink)
-            .config(cfg.lss)
-            .victim_policy(victim)
-            .events(cfg.events)
-            .build();
-        let warmup_bytes = match cfg.warmup {
-            Warmup::None => 0,
-            Warmup::CapacityOnce => cfg.lss.user_blocks * cfg.lss.block_bytes,
-            Warmup::Blocks(b) => b * cfg.lss.block_bytes,
-        };
-        let mut warmed = warmup_bytes == 0;
-        for rec in trace {
-            if rec.is_write() {
-                engine.write_request(rec.ts_us, rec.lba, rec.num_blocks);
-            } else {
-                engine.read_request(rec.ts_us, rec.lba, rec.num_blocks);
-            }
-            if !warmed && engine.user_bytes_clock() >= warmup_bytes {
-                engine.reset_metrics();
-                warmed = true;
-            }
-        }
-        engine.flush_all();
-        engine.metrics().clone()
-    }
-}
-
 /// Replay one trace under one (scheme, victim policy) combination.
 pub fn replay_with_victim<I>(
     scheme: Scheme,
@@ -85,7 +47,7 @@ where
 {
     let name = victim.name().to_string();
     let geometry = cfg.lss.array_config().geometry().label();
-    let metrics = with_policy(scheme, &cfg.lss.clone(), SweepVisitor { cfg, victim, trace });
+    let metrics = replay_with(scheme, cfg, victim, 0, trace).metrics;
     GcSweepCell { scheme, geometry, victim: name, metrics }
 }
 

@@ -24,11 +24,13 @@ pub mod runner;
 pub mod scheme;
 pub mod scrub;
 pub mod serve;
-pub mod serve_crash;
 
-pub use crash::{crash_point, run_crash_sweep, CrashPointResult, CrashScenario, CrashSweepReport};
+pub use crash::{
+    crash_point, run_crash_sweep, CrashPointResult, CrashScenario, CrashSweepReport,
+    ServerTopology, Topology,
+};
 pub use faults::{run_fault_scenario, FaultReport, FaultScenario, PhaseReport, VerifySweep};
-pub use replay::{replay_volume, ReplayConfig, VolumeResult, Warmup};
+pub use replay::{drive, drive_with, replay_volume, ReplayConfig, VolumeResult, Warmup};
 pub use report::{write_run_report, RunReport};
 pub use runner::{run_suite, run_suite_all_schemes, SuiteResult};
 pub use scheme::Scheme;
@@ -36,8 +38,4 @@ pub use scrub::{run_scrub_scenario, ScrubReport, ScrubScenario};
 pub use serve::{
     run_serve_replay, run_serve_replay_with, shard_engine, start_server, start_server_with,
     MemEngines, ServeReplayConfig, ServeReplayResult, ShardEngineBuilder,
-};
-pub use serve_crash::{
-    run_serve_crash_sweep, serve_crash_point, ServeCrashPointResult, ServeCrashReport,
-    ServeCrashScenario,
 };

@@ -6,7 +6,7 @@
 //! device-internal write amplification of each. The array-level traffic is
 //! identical by construction; only the devices' internal GC differs.
 
-use crate::replay::{ReplayConfig, Warmup};
+use crate::replay::{drive, ReplayConfig};
 use crate::scheme::{with_policy, PolicyVisitor, Scheme};
 use adapt_array::FtlArray;
 use adapt_lss::{Lss, PlacementPolicy};
@@ -29,6 +29,7 @@ pub struct MultiStreamResult {
 }
 
 struct FtlVisitor<I> {
+    scheme: Scheme,
     cfg: ReplayConfig,
     multi_stream: bool,
     trace: I,
@@ -36,7 +37,7 @@ struct FtlVisitor<I> {
 
 impl<I: Iterator<Item = TraceRecord>> PolicyVisitor<MultiStreamResult> for FtlVisitor<I> {
     fn visit<P: PlacementPolicy + Send + 'static>(self, policy: P) -> MultiStreamResult {
-        let FtlVisitor { cfg, multi_stream, trace } = self;
+        let FtlVisitor { scheme, cfg, multi_stream, trace } = self;
         let groups = policy.groups().len();
         let sink = FtlArray::new(
             cfg.lss.array_config(),
@@ -48,28 +49,11 @@ impl<I: Iterator<Item = TraceRecord>> PolicyVisitor<MultiStreamResult> for FtlVi
         );
         let mut engine =
             Lss::builder(policy, sink).config(cfg.lss).gc_select(cfg.gc).events(cfg.events).build();
-        let warmup_bytes = match cfg.warmup {
-            Warmup::None => 0,
-            Warmup::CapacityOnce => cfg.lss.user_blocks * cfg.lss.block_bytes,
-            Warmup::Blocks(b) => b * cfg.lss.block_bytes,
-        };
-        let mut warmed = warmup_bytes == 0;
-        for rec in trace {
-            if rec.is_write() {
-                engine.write_request(rec.ts_us, rec.lba, rec.num_blocks);
-            } else {
-                engine.read_request(rec.ts_us, rec.lba, rec.num_blocks);
-            }
-            if !warmed && engine.user_bytes_clock() >= warmup_bytes {
-                engine.reset_metrics();
-                warmed = true;
-            }
-        }
-        engine.flush_all();
+        drive(&mut engine, &cfg, trace);
         let array_wa = engine.metrics().wa();
         let sink = engine.sink();
         MultiStreamResult {
-            scheme: Scheme::Adapt, // overwritten by the caller
+            scheme,
             multi_stream,
             array_wa,
             in_device_wa: sink.in_device_wa(),
@@ -88,9 +72,7 @@ pub fn replay_multistream<I>(
 where
     I: Iterator<Item = TraceRecord>,
 {
-    let mut r = with_policy(scheme, &cfg.lss.clone(), FtlVisitor { cfg, multi_stream, trace });
-    r.scheme = scheme;
-    r
+    with_policy(scheme, &cfg.lss, FtlVisitor { scheme, cfg, multi_stream, trace })
 }
 
 #[cfg(test)]

@@ -1,13 +1,14 @@
 //! Replaying one volume's trace through the engine.
 
 use crate::scheme::{with_policy, PolicyVisitor, Scheme};
-use adapt_array::CountingArray;
+use adapt_array::{ArraySink, CountingArray};
 use adapt_lss::{
-    EventConfig, GcSelection, GroupTraffic, Lss, LssConfig, LssMetrics, PlacementPolicy,
-    TelemetrySnapshot,
+    EngineError, EventConfig, GcSelection, GroupTraffic, Lss, LssConfig, LssMetrics,
+    PlacementPolicy, TelemetrySnapshot, VictimPolicy,
 };
 use adapt_trace::TraceRecord;
 use serde::{Deserialize, Serialize};
+use std::ops::ControlFlow;
 
 /// When to reset metrics so that the measurement window excludes warm-up
 /// (the paper measures WA after filling, over the update phase).
@@ -96,41 +97,80 @@ impl VolumeResult {
     }
 }
 
+/// The one replay loop every experiment shares: apply each record of
+/// `trace` to an already-built engine, reset the metrics once the host
+/// byte clock crosses `cfg`'s warm-up edge, call `hook` with the record's
+/// index and outcome, and flush the open chunks when the trace (or the
+/// hook) ends the run.
+///
+/// Writes panic on an engine error; a read hands its `Result` to the
+/// hook — it drives the clock and the read-amplification accounting but
+/// never enters the placement path, and only a fault script expects one
+/// to fail. The hook runs after the warm-up reset, so a scenario that
+/// windows the metrics itself sees the same edge a plain replay does.
+pub fn drive_with<P: PlacementPolicy, S: ArraySink>(
+    engine: &mut Lss<P, S>,
+    cfg: &ReplayConfig,
+    trace: impl IntoIterator<Item = TraceRecord>,
+    mut hook: impl FnMut(&mut Lss<P, S>, u64, Result<(), EngineError>) -> ControlFlow<()>,
+) {
+    let warmup_bytes = match cfg.warmup {
+        Warmup::None => 0,
+        Warmup::CapacityOnce => cfg.lss.user_blocks * cfg.lss.block_bytes,
+        Warmup::Blocks(b) => b * cfg.lss.block_bytes,
+    };
+    let mut warmed = warmup_bytes == 0;
+    for (i, rec) in (0u64..).zip(trace) {
+        let outcome = if rec.is_write() {
+            engine.write_request(rec.ts_us, rec.lba, rec.num_blocks);
+            Ok(())
+        } else {
+            engine.try_read_request(rec.ts_us, rec.lba, rec.num_blocks)
+        };
+        if !warmed && engine.user_bytes_clock() >= warmup_bytes {
+            engine.reset_metrics();
+            warmed = true;
+        }
+        if hook(engine, i, outcome).is_break() {
+            break;
+        }
+    }
+    engine.flush_all();
+}
+
+/// [`drive_with`] without a scenario: every read must succeed.
+pub fn drive<P: PlacementPolicy, S: ArraySink>(
+    engine: &mut Lss<P, S>,
+    cfg: &ReplayConfig,
+    trace: impl IntoIterator<Item = TraceRecord>,
+) {
+    drive_with(engine, cfg, trace, |_, _, read| {
+        read.unwrap_or_else(|e| panic!("{e}"));
+        ControlFlow::Continue(())
+    });
+}
+
 struct ReplayVisitor<I> {
+    scheme: Scheme,
     cfg: ReplayConfig,
+    victim: VictimPolicy,
     trace: I,
     volume_id: u32,
 }
 
 impl<I: Iterator<Item = TraceRecord>> PolicyVisitor<VolumeResult> for ReplayVisitor<I> {
     fn visit<P: PlacementPolicy + Send + 'static>(self, policy: P) -> VolumeResult {
-        let ReplayVisitor { cfg, trace, volume_id } = self;
+        let ReplayVisitor { scheme, cfg, victim, trace, volume_id } = self;
         let sink = CountingArray::new(cfg.lss.array_config());
-        let mut engine =
-            Lss::builder(policy, sink).config(cfg.lss).gc_select(cfg.gc).events(cfg.events).build();
-        let warmup_bytes = match cfg.warmup {
-            Warmup::None => 0,
-            Warmup::CapacityOnce => cfg.lss.user_blocks * cfg.lss.block_bytes,
-            Warmup::Blocks(b) => b * cfg.lss.block_bytes,
-        };
-        let mut warmed = warmup_bytes == 0;
-        for rec in trace {
-            if rec.is_write() {
-                engine.write_request(rec.ts_us, rec.lba, rec.num_blocks);
-            } else {
-                // Reads drive the clock and the read-amplification
-                // accounting; they never enter the placement path.
-                engine.read_request(rec.ts_us, rec.lba, rec.num_blocks);
-            }
-            if !warmed && engine.user_bytes_clock() >= warmup_bytes {
-                engine.reset_metrics();
-                warmed = true;
-            }
-        }
-        engine.flush_all();
+        let mut engine = Lss::builder(policy, sink)
+            .config(cfg.lss)
+            .victim_policy(victim)
+            .events(cfg.events)
+            .build();
+        drive(&mut engine, &cfg, trace);
         let telemetry = cfg.events.enabled.then(|| engine.telemetry());
         VolumeResult {
-            scheme: scheme_of_name(engine.policy().name()),
+            scheme,
             gc: cfg.gc,
             volume_id,
             metrics: engine.metrics().clone(),
@@ -141,29 +181,28 @@ impl<I: Iterator<Item = TraceRecord>> PolicyVisitor<VolumeResult> for ReplayVisi
     }
 }
 
-/// Reverse-map a policy display name to its scheme tag (ablated ADAPT
-/// variants all report as `Adapt`; the caller tracks which ablation ran).
-fn scheme_of_name(name: &str) -> Scheme {
-    match name {
-        "SepGC" => Scheme::SepGc,
-        "DAC" => Scheme::Dac,
-        "WARCIP" => Scheme::Warcip,
-        "MiDA" => Scheme::Mida,
-        "SepBIT" => Scheme::SepBit,
-        _ => Scheme::Adapt,
-    }
-}
-
 /// Replay a trace through one scheme; the hot loop is monomorphized per
 /// policy.
 pub fn replay_volume<I>(scheme: Scheme, cfg: ReplayConfig, volume_id: u32, trace: I) -> VolumeResult
 where
     I: Iterator<Item = TraceRecord>,
 {
-    let mut result = with_policy(scheme, &cfg.lss, ReplayVisitor { cfg, trace, volume_id });
-    // Preserve the ablation tag (policy name collapses them to ADAPT).
-    result.scheme = scheme;
-    result
+    replay_with(scheme, cfg, VictimPolicy::Base(cfg.gc), volume_id, trace)
+}
+
+/// [`replay_volume`] under any member of the extended victim-policy
+/// family (`cfg.gc` only labels the result).
+pub(crate) fn replay_with<I>(
+    scheme: Scheme,
+    cfg: ReplayConfig,
+    victim: VictimPolicy,
+    volume_id: u32,
+    trace: I,
+) -> VolumeResult
+where
+    I: Iterator<Item = TraceRecord>,
+{
+    with_policy(scheme, &cfg.lss, ReplayVisitor { scheme, cfg, victim, trace, volume_id })
 }
 
 #[cfg(test)]

@@ -13,13 +13,15 @@
 //! single-fault corruption in place, serves every live LBA, and shows no
 //! recovery drift.
 
-use crate::replay::{ReplayConfig, Warmup};
+use crate::faults::verify_live_lbas;
+use crate::replay::{drive_with, ReplayConfig};
 use crate::scheme::{with_policy, PolicyVisitor, Scheme};
 use adapt_array::{ArraySink, ArrayStats, FaultPlan, FaultyArray};
 use adapt_lss::{Lss, LssMetrics, PlacementPolicy};
 use adapt_trace::TraceRecord;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 
 /// Scripted corruption-and-scrub scenario.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -108,14 +110,9 @@ impl ScrubReport {
 }
 
 struct ScrubVisitor {
+    scheme: Scheme,
     scenario: ScrubScenario,
     trace: Vec<TraceRecord>,
-}
-
-impl PolicyVisitor<ScrubReport> for ScrubVisitor {
-    fn visit<P: PlacementPolicy + Send + 'static>(self, policy: P) -> ScrubReport {
-        run_with_policy(self.scenario, self.trace, policy)
-    }
 }
 
 fn splitmix(state: &mut u64) -> u64 {
@@ -171,108 +168,75 @@ fn inject_burst<P: PlacementPolicy>(
     (injected, latent_injected)
 }
 
-fn run_with_policy<P: PlacementPolicy>(
-    scenario: ScrubScenario,
-    trace: Vec<TraceRecord>,
-    policy: P,
-) -> ScrubReport {
-    let mut cfg = scenario.replay;
-    cfg.lss = cfg.lss.with_scrub_stripes_per_op(scenario.scrub_stripes_per_op);
-    let sink = FaultyArray::new(cfg.lss.array_config(), FaultPlan::new(scenario.seed));
-    let mut engine =
-        Lss::builder(policy, sink).config(cfg.lss).gc_select(cfg.gc).events(cfg.events).build();
+impl PolicyVisitor<ScrubReport> for ScrubVisitor {
+    fn visit<P: PlacementPolicy + Send + 'static>(self, policy: P) -> ScrubReport {
+        let ScrubVisitor { scheme, scenario, trace } = self;
+        let mut cfg = scenario.replay;
+        cfg.lss = cfg.lss.with_scrub_stripes_per_op(scenario.scrub_stripes_per_op);
+        let sink = FaultyArray::new(cfg.lss.array_config(), FaultPlan::new(scenario.seed));
+        let mut engine =
+            Lss::builder(policy, sink).config(cfg.lss).gc_select(cfg.gc).events(cfg.events).build();
 
-    let total = trace.len() as u64;
-    let bursts = scenario.bursts.max(1) as u64;
-    let warmup_bytes = match cfg.warmup {
-        Warmup::None => 0,
-        Warmup::CapacityOnce => cfg.lss.user_blocks * cfg.lss.block_bytes,
-        Warmup::Blocks(b) => b * cfg.lss.block_bytes,
-    };
-    let mut warmed = warmup_bytes == 0;
-    let mut rng = scenario.seed ^ 0x00c0_ffee;
-    let mut touched = BTreeSet::new();
-    let mut injected = 0u64;
-    let mut latent_injected = 0u64;
-    let mut next_burst = 1u64;
+        let total = trace.len() as u64;
+        let bursts = scenario.bursts.max(1) as u64;
+        let mut rng = scenario.seed ^ 0x00c0_ffee;
+        let mut touched = BTreeSet::new();
+        let mut injected = 0u64;
+        let mut latent_injected = 0u64;
+        let mut next_burst = 1u64;
 
-    for (i, rec) in trace.iter().enumerate() {
-        if rec.is_write() {
-            engine.write_request(rec.ts_us, rec.lba, rec.num_blocks);
-        } else if let Err(e) = engine.try_read_request(rec.ts_us, rec.lba, rec.num_blocks) {
+        drive_with(&mut engine, &cfg, trace, |engine, i, read| {
             // Every injected fault is single-fault-repairable, so reads
             // must heal, never fail.
-            panic!("unexpected engine fault during scrub scenario: {e}");
-        }
-        if !warmed && engine.user_bytes_clock() >= warmup_bytes {
-            engine.reset_metrics();
-            warmed = true;
-        }
-        // Burst k fires at trace fraction k/(bursts+1), k = 1..=bursts.
-        if next_burst <= bursts && (i as u64 + 1) * (bursts + 1) >= next_burst * total {
-            let (c, l) = inject_burst(
-                &mut engine,
-                &mut rng,
-                scenario.corruptions_per_burst,
-                scenario.latent_per_burst,
-                &mut touched,
-            );
-            injected += c;
-            latent_injected += l;
-            next_burst += 1;
-        }
-    }
-    engine.flush_all();
+            read.unwrap_or_else(|e| panic!("unexpected engine fault during scrub scenario: {e}"));
+            // Burst k fires at trace fraction k/(bursts+1), k = 1..=bursts.
+            if next_burst <= bursts && (i + 1) * (bursts + 1) >= next_burst * total {
+                let (c, l) = inject_burst(
+                    engine,
+                    &mut rng,
+                    scenario.corruptions_per_burst,
+                    scenario.latent_per_burst,
+                    &mut touched,
+                );
+                injected += c;
+                latent_injected += l;
+                next_burst += 1;
+            }
+            ControlFlow::Continue(())
+        });
 
-    // Final full scrub: finish the in-flight pass, then one fresh pass
-    // over every closed stripe so cold corruption nothing ever read is
-    // still found.
-    for _ in 0..2 {
-        FaultyArray::scrub_step(engine.sink_mut(), u64::MAX);
-    }
-
-    // Post-mortem: every live LBA must be serviceable.
-    let mut live_readable = 0u64;
-    let mut live_lost = 0u64;
-    let now = engine.now_us();
-    for lba in 0..cfg.lss.user_blocks {
-        match engine.try_read_request(now, lba, 1) {
-            Ok(()) => live_readable += 1,
-            Err(_) => live_lost += 1,
+        // Final full scrub: finish the in-flight pass, then one fresh pass
+        // over every closed stripe so cold corruption nothing ever read is
+        // still found.
+        for _ in 0..2 {
+            FaultyArray::scrub_step(engine.sink_mut(), u64::MAX);
         }
-    }
-    let recovery_drift = engine.try_check_recovery().err().map(|e| e.to_string());
 
-    let undetected = engine.sink().outstanding_corruptions() as u64;
-    let array = engine.sink().stats().clone();
-    ScrubReport {
-        scheme: scheme_tag(engine.policy().name()),
-        geometry: engine.sink().config().geometry().label(),
-        scenario,
-        metrics: engine.metrics().clone(),
-        injected,
-        detected: array.corruptions_detected,
-        healed: array.corruptions_healed,
-        unrecoverable: array.corruptions_unrecoverable,
-        undetected,
-        latent_injected,
-        latent_repaired: array.scrub_latent_repaired,
-        mean_detection_latency_ops: array.mean_detection_latency_ops(),
-        live_readable,
-        live_lost,
-        recovery_drift,
-        array,
-    }
-}
+        // Post-mortem: every live LBA must be serviceable (nothing is
+        // failed, so a read the open tail stripe cannot serve is lost too).
+        let sweep = verify_live_lbas(&mut engine, cfg.lss.user_blocks);
+        let recovery_drift = engine.try_check_recovery().err().map(|e| e.to_string());
 
-fn scheme_tag(name: &str) -> Scheme {
-    match name {
-        "SepGC" => Scheme::SepGc,
-        "DAC" => Scheme::Dac,
-        "WARCIP" => Scheme::Warcip,
-        "MiDA" => Scheme::Mida,
-        "SepBIT" => Scheme::SepBit,
-        _ => Scheme::Adapt,
+        let undetected = engine.sink().outstanding_corruptions() as u64;
+        let array = engine.sink().stats().clone();
+        ScrubReport {
+            scheme,
+            geometry: engine.sink().config().geometry().label(),
+            scenario,
+            metrics: engine.metrics().clone(),
+            injected,
+            detected: array.corruptions_detected,
+            healed: array.corruptions_healed,
+            unrecoverable: array.corruptions_unrecoverable,
+            undetected,
+            latent_injected,
+            latent_repaired: array.scrub_latent_repaired,
+            mean_detection_latency_ops: array.mean_detection_latency_ops(),
+            live_readable: sweep.readable,
+            live_lost: sweep.lost + sweep.buffered_tail,
+            recovery_drift,
+            array,
+        }
     }
 }
 
@@ -282,9 +246,7 @@ where
     I: Iterator<Item = TraceRecord>,
 {
     let trace: Vec<TraceRecord> = trace.collect();
-    let mut report = with_policy(scheme, &scenario.replay.lss, ScrubVisitor { scenario, trace });
-    report.scheme = scheme;
-    report
+    with_policy(scheme, &scenario.replay.lss, ScrubVisitor { scheme, scenario, trace })
 }
 
 #[cfg(test)]

@@ -201,3 +201,35 @@ fn warmup_blocks_window() {
     let r = replay_volume(Scheme::SepGc, cfg, 0, ycsb(5_000, TrafficIntensity::Heavy).generator());
     assert_eq!(r.metrics.host_write_bytes, 5_000 * 4096);
 }
+
+/// Every replay wrapper is the one driver — same warm-up edge, same op
+/// order: on one write-only trace the victim-policy sweep returns
+/// `replay_volume`'s metrics, the FTL-backed replay its WA, and a scrub
+/// scenario that injects nothing its traffic.
+#[test]
+fn replay_wrappers_share_one_driver() {
+    use adapt_repro::lss::VictimPolicy;
+    use adapt_repro::sim::gc_sweep::replay_with_victim;
+    use adapt_repro::sim::multistream::replay_multistream;
+    use adapt_repro::sim::{run_scrub_scenario, ScrubScenario};
+    let cfg = ReplayConfig::for_volume(8 * 1024, GcSelection::Greedy);
+    let trace = || ycsb(40_000, TrafficIntensity::Medium).generator();
+    let quiet = ScrubScenario {
+        corruptions_per_burst: 0,
+        latent_per_burst: 0,
+        scrub_stripes_per_op: 0,
+        ..ScrubScenario::bursts_with_scrub(cfg)
+    };
+    for scheme in [Scheme::SepGc, Scheme::Adapt] {
+        let base = replay_volume(scheme, cfg, 0, trace());
+        assert!(base.metrics.gc_passes > 0 && base.padding_ratio() > 0.0, "{}", scheme.name());
+        let greedy = VictimPolicy::Base(GcSelection::Greedy);
+        assert_eq!(replay_with_victim(scheme, cfg, greedy, trace()).metrics, base.metrics);
+        assert_eq!(replay_multistream(scheme, cfg, true, trace()).array_wa, base.wa());
+        let scrub = run_scrub_scenario(scheme, quiet, trace()).metrics;
+        assert_eq!(scrub.host_write_bytes, base.metrics.host_write_bytes);
+        assert_eq!(scrub.gc_passes, base.metrics.gc_passes);
+        assert_eq!(scrub.wa(), base.wa());
+        assert_eq!(scrub.padding_ratio(), base.padding_ratio());
+    }
+}
