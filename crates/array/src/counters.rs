@@ -1,6 +1,7 @@
 //! Per-device and array-wide traffic accounting.
 
 use crate::fault::ScrubStep;
+use crate::sink::ChunkFlush;
 use serde::{Deserialize, Serialize};
 
 /// Byte counters for one member device.
@@ -94,6 +95,34 @@ impl ArrayStats {
     /// Create stats for an array of `n` devices.
     pub fn new(n: usize) -> Self {
         Self { devices: vec![DeviceCounters::default(); n], ..Default::default() }
+    }
+
+    /// Charge one flushed data chunk to `device`.
+    pub fn charge_data_chunk(&mut self, device: usize, flush: &ChunkFlush) {
+        let dev = &mut self.devices[device];
+        dev.data_bytes += flush.payload_bytes();
+        dev.pad_bytes += flush.pad_bytes;
+        dev.chunk_writes += 1;
+        if flush.pad_bytes > 0 {
+            self.padded_chunks += 1;
+        } else {
+            self.full_chunks += 1;
+        }
+    }
+
+    /// Charge the parity of a stripe that just closed: one chunk to each
+    /// of its parity devices.
+    pub fn charge_stripe_parity(
+        &mut self,
+        parity_devices: impl Iterator<Item = usize>,
+        chunk_bytes: u64,
+    ) {
+        for device in parity_devices {
+            let dev = &mut self.devices[device];
+            dev.parity_bytes += chunk_bytes;
+            dev.chunk_writes += 1;
+        }
+        self.stripes_completed += 1;
     }
 
     /// Total payload bytes across devices.

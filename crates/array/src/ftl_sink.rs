@@ -129,23 +129,12 @@ impl ArraySink for FtlArray {
         let lpn = stripe * self.pages_per_chunk as u64;
         self.devices[device].write_pages(lpn, self.pages_per_chunk, stream);
 
-        let dev = &mut self.stats.devices[device];
-        dev.data_bytes += flush.payload_bytes();
-        dev.pad_bytes += flush.pad_bytes;
-        dev.chunk_writes += 1;
-        if flush.pad_bytes > 0 {
-            self.stats.padded_chunks += 1;
-        } else {
-            self.stats.full_chunks += 1;
-        }
+        self.stats.charge_data_chunk(device, &flush);
 
         // Parity rewrite when the stripe's last data column lands.
         if column as u64 == self.data_columns - 1 {
             self.devices[parity_dev].write_pages(lpn, self.pages_per_chunk, stream);
-            let p = &mut self.stats.devices[parity_dev];
-            p.parity_bytes += cfg.chunk_bytes;
-            p.chunk_writes += 1;
-            self.stats.stripes_completed += 1;
+            self.stats.charge_stripe_parity(std::iter::once(parity_dev), cfg.chunk_bytes);
         }
         loc
     }

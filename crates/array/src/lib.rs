@@ -1,23 +1,31 @@
 //! SSD-array substrate for the ADAPT reproduction.
 //!
 //! Models the array layer the paper deploys beneath its log-structured
-//! store: an mdraid-style RAID-5 volume whose minimum write unit is a
-//! *chunk* (64 KiB default). Chunks from different devices form *stripes*;
-//! each stripe carries one parity chunk, with parity rotated across devices
+//! store: an mdraid-style volume whose minimum write unit is a *chunk*
+//! (64 KiB default). Chunks from different devices form *stripes*; each
+//! stripe carries `m` parity chunks (`k + m` erasure coding: XOR RAID-5
+//! at `m = 1`, Reed-Solomon beyond), rotated across devices
 //! (left-symmetric layout, as in Linux mdraid's default).
 //!
-//! Two levels of fidelity are provided:
+//! Two in-memory arrays, for two jobs:
 //!
 //! * [`CountingArray`] — a pure accounting model used by the trace-driven
-//!   simulator: it tracks where each flushed chunk lands, how many bytes of
-//!   user data, GC data, shadow copies, and zero padding each device
-//!   absorbs, and how much parity traffic the stripe geometry implies.
-//! * [`InMemoryArray`] — a byte-faithful RAID-5 store used by the prototype
-//!   and the fault-injection tests: it keeps real chunk contents, computes
-//!   XOR parity when a stripe completes, and can reconstruct any single
-//!   failed device from the survivors.
+//!   figure sweeps: it tracks where each flushed chunk lands, how many
+//!   bytes of user data, GC data, shadow copies, and zero padding each
+//!   device absorbs, and how much parity traffic the stripe geometry
+//!   implies. It never fails.
+//! * [`InMemoryArray`] — the one array that models faults: it keeps chunk
+//!   contents, computes parity as a stripe fills, checksums every chunk,
+//!   and implements device failure, degraded reads of up to `m` erased
+//!   members per stripe, the rebuild sweep, drain, verify-on-read and the
+//!   scrub. It comes at two body lengths — every byte of every chunk
+//!   ([`InMemoryArray::new`]: the prototype, the byte-exactness tests, the
+//!   repo benchmark) or one byte of it ([`InMemoryArray::modelled`]: the
+//!   trace-driven fault and scrub scenarios) — and is otherwise the same
+//!   code: `tests/modelled_vs_bytes.rs` holds the two to the same
+//!   counters and read outcomes.
 //!
-//! The log-structured engine above talks to either through the
+//! The log-structured engine above talks to any of them through the
 //! [`ArraySink`] trait, which receives chunk-granular flushes (the paper's
 //! invariant: the array never sees sub-chunk writes — partial chunks are
 //! zero-padded by the layer above).
@@ -53,7 +61,5 @@ pub use ftl_sink::FtlArray;
 pub use layout::{ChunkLocation, Raid5Layout, StripeLayout, StripeRole};
 pub use media::{atomic_replace, MediaError, MediaFile, PowerBudget, WriteTag};
 pub use rs::ReedSolomon;
-pub use sink::{
-    ArraySink, ChunkFlush, CountingArray, FaultyArray, RecoveredFlush, SinkReconcile, Traffic,
-};
+pub use sink::{ArraySink, ChunkFlush, CountingArray, RecoveredFlush, SinkReconcile, Traffic};
 pub use store::InMemoryArray;

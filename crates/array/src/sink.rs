@@ -1,15 +1,13 @@
 //! The chunk-flush interface between the log-structured layer and the
-//! array, plus the accounting-only array implementation.
+//! array, plus the accounting-only array implementation. (The array that
+//! models faults is [`crate::store::InMemoryArray`].)
 
 use crate::config::ArrayConfig;
 use crate::counters::ArrayStats;
 use crate::error::ArrayError;
-use crate::fault::{
-    ArrayHealth, DiskState, FaultPlan, ReadOutcome, RebuildProgress, ScrubProgress, ScrubStep,
-};
+use crate::fault::{ArrayHealth, ReadOutcome, ScrubStep};
 use crate::layout::{ChunkLocation, Raid5Layout};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Category of bytes inside a flushed chunk, for accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -194,12 +192,6 @@ impl CountingArray {
     pub fn layout(&self) -> &Raid5Layout {
         &self.layout
     }
-
-    /// Mutable counters, for wrappers that layer fault accounting on top
-    /// (see [`FaultyArray`]).
-    pub fn stats_mut(&mut self) -> &mut ArrayStats {
-        &mut self.stats
-    }
 }
 
 impl ArraySink for CountingArray {
@@ -213,29 +205,12 @@ impl ArraySink for CountingArray {
         let loc = self.layout.locate(self.next_chunk_seq);
         self.next_chunk_seq += 1;
 
-        let dev = &mut self.stats.devices[loc.device];
-        dev.data_bytes += flush.payload_bytes();
-        dev.pad_bytes += flush.pad_bytes;
-        dev.chunk_writes += 1;
-        if flush.pad_bytes > 0 {
-            self.stats.padded_chunks += 1;
-        } else {
-            self.stats.full_chunks += 1;
-        }
-
-        // Parity: `m` parity chunks per completed stripe, charged to the
-        // stripe's parity devices. Log-structured appends fill stripes
-        // sequentially, so the stripe completes exactly when its last data
-        // column is written.
-        let k = cfg.data_columns() as u64;
-        if self.next_chunk_seq.is_multiple_of(k) {
-            for j in 0..cfg.parity_devices {
-                let pdev = self.layout.parity_device_j(loc.stripe, j);
-                let p = &mut self.stats.devices[pdev];
-                p.parity_bytes += cfg.chunk_bytes;
-                p.chunk_writes += 1;
-            }
-            self.stats.stripes_completed += 1;
+        self.stats.charge_data_chunk(loc.device, &flush);
+        // Log-structured appends fill stripes sequentially, so the stripe
+        // completes exactly when its last data column is written.
+        if self.next_chunk_seq.is_multiple_of(cfg.data_columns() as u64) {
+            let parity_devices = self.layout.parity_devices(loc.stripe);
+            self.stats.charge_stripe_parity(parity_devices, cfg.chunk_bytes);
         }
         loc
     }
@@ -259,574 +234,6 @@ impl ArraySink for CountingArray {
         // after in-memory recovery cover the post-recovery epoch only).
         self.next_chunk_seq = next_chunk_seq;
         Ok(SinkReconcile::default())
-    }
-}
-
-/// Fault-aware accounting array: a [`CountingArray`] plus a deterministic
-/// [`FaultPlan`], degraded-read accounting, and an incremental rebuild
-/// driver. This is what the trace-driven fault-scenario simulator runs
-/// against — O(1) per chunk like [`CountingArray`], no data bytes stored
-/// (reconstruction is modeled by charging the survivor reads the erasure
-/// math implies; the byte-exactness of that math is proven separately by
-/// [`crate::store::InMemoryArray`] and the parity/Reed-Solomon property
-/// tests). The geometry's `m` parity columns set the fault budget: any
-/// combination of at most `m` simultaneous erasures (failed devices,
-/// latent sectors) per stripe stays readable.
-#[derive(Debug, Clone)]
-pub struct FaultyArray {
-    inner: CountingArray,
-    plan: FaultPlan,
-    /// Devices failed so far, in failure order.
-    failed: Vec<usize>,
-    /// Devices the current rebuild sweep is restoring (≤ m of them —
-    /// one sweep replaces every failed device at once).
-    rebuild_targets: Vec<usize>,
-    /// Priority-ordered stripe worklist of the current sweep: stripes
-    /// carrying extra exposure (latent sectors, undetected corruption)
-    /// first, then the rest in address order.
-    rebuild_queue: Vec<u64>,
-    rebuild_pos: usize,
-    /// Stripes the sweep has already restored (the worklist is not in
-    /// address order, so a cursor comparison is not enough).
-    rebuild_done: BTreeSet<u64>,
-    /// Stripes closed when the sweep started; stripes at or past this
-    /// were written with the spares already in place.
-    rebuild_total: u64,
-    rebuilding: bool,
-    /// Device being proactively evacuated (planned removal), if any.
-    draining: Option<usize>,
-    drain_cursor: u64,
-    drain_total: u64,
-    /// Silently corrupted chunks, (device, stripe) → op at injection.
-    /// Modeled like latent sectors but invisible without a checksum: reads
-    /// still "succeed" — only verify-on-read or a scrub pass notices.
-    corrupted: BTreeMap<(usize, u64), u64>,
-    /// Chunks already reported unrecoverable (counted once, not per read).
-    known_bad: BTreeSet<(usize, u64)>,
-    /// Scrub sweep state: next stripe to verify and the pass's extent.
-    scrub_cursor: u64,
-    scrub_total: u64,
-}
-
-impl FaultyArray {
-    /// Wrap an empty counting array with a fault plan.
-    pub fn new(cfg: ArrayConfig, plan: FaultPlan) -> Self {
-        Self {
-            inner: CountingArray::new(cfg),
-            plan,
-            failed: Vec::new(),
-            rebuild_targets: Vec::new(),
-            rebuild_queue: Vec::new(),
-            rebuild_pos: 0,
-            rebuild_done: BTreeSet::new(),
-            rebuild_total: 0,
-            rebuilding: false,
-            draining: None,
-            drain_cursor: 0,
-            drain_total: 0,
-            corrupted: BTreeMap::new(),
-            known_bad: BTreeSet::new(),
-            scrub_cursor: 0,
-            scrub_total: 0,
-        }
-    }
-
-    /// Number of chunks flushed so far.
-    pub fn chunks_written(&self) -> u64 {
-        self.inner.chunks_written()
-    }
-
-    /// The fault plan (op counter, outstanding schedules).
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Mutable fault plan, for injecting faults mid-run.
-    pub fn plan_mut(&mut self) -> &mut FaultPlan {
-        &mut self.plan
-    }
-
-    /// Fail a device immediately (outside the plan's schedule).
-    pub fn fail_device(&mut self, device: usize) {
-        assert!(device < self.inner.config().num_devices, "no such device");
-        if !self.failed.contains(&device) {
-            self.failed.push(device);
-        }
-    }
-
-    /// Devices currently failed.
-    pub fn failed_devices(&self) -> &[usize] {
-        &self.failed
-    }
-
-    /// Begin an incremental rebuild of every failed device onto spares.
-    /// Up to `m` devices rebuild in one sweep; more than `m` is past the
-    /// code's fault budget and the data is gone. The sweep covers every
-    /// stripe closed so far, most-exposed stripes first; stripes closed
-    /// after this point are written with the spares already in place and
-    /// need no sweep.
-    pub fn start_rebuild(&mut self) -> Result<RebuildProgress, ArrayError> {
-        let m = self.inner.config().parity_devices;
-        if self.failed.is_empty() {
-            return Err(ArrayError::NotDegraded);
-        }
-        if self.failed.len() > m {
-            let loc = ChunkLocation { stripe: 0, device: self.failed[m], column: 0 };
-            return Err(ArrayError::DoubleFault { loc });
-        }
-        self.rebuilding = true;
-        self.rebuild_targets = self.failed.clone();
-        self.rebuild_total = self.inner.stats().stripes_completed;
-        self.rebuild_queue = self.priority_stripe_order(self.rebuild_total);
-        self.rebuild_pos = 0;
-        self.rebuild_done.clear();
-        Ok(self.rebuild_progress())
-    }
-
-    /// Stripe order for the rebuild sweep: stripes carrying extra
-    /// exposure on their surviving members (latent sectors, undetected
-    /// corruption, condemned chunks) come first — most exposed first —
-    /// because one more fault there turns into data loss; the rest follow
-    /// in address order.
-    fn priority_stripe_order(&self, total: u64) -> Vec<u64> {
-        let mut exposure: BTreeMap<u64, usize> = BTreeMap::new();
-        {
-            let targets = &self.rebuild_targets;
-            let mut note = |d: usize, s: u64| {
-                if s < total && !targets.contains(&d) {
-                    *exposure.entry(s).or_insert(0) += 1;
-                }
-            };
-            for &(d, s) in self.plan.latent_entries() {
-                note(d, s);
-            }
-            for &(d, s) in self.corrupted.keys() {
-                note(d, s);
-            }
-            for &(d, s) in &self.known_bad {
-                note(d, s);
-            }
-        }
-        let mut exposed: Vec<u64> = exposure.keys().copied().collect();
-        exposed.sort_by_key(|s| (std::cmp::Reverse(exposure[s]), *s));
-        let mut order = exposed;
-        order.extend((0..total).filter(|s| !exposure.contains_key(s)));
-        order
-    }
-
-    /// Advance the rebuild sweep by at most `max_stripes` stripes,
-    /// charging survivor reads and spare writes to the rebuild counters
-    /// (each visited stripe reads its `n - targets` surviving chunks once
-    /// and writes one chunk per rebuilt device). Completing the sweep
-    /// returns the array to [`ArrayHealth::Healthy`].
-    pub fn rebuild_step(&mut self, max_stripes: u64) -> Result<RebuildProgress, ArrayError> {
-        if !self.rebuilding {
-            return Err(ArrayError::NotDegraded);
-        }
-        let chunk = self.inner.config().chunk_bytes;
-        let targets = self.rebuild_targets.clone();
-        let survivors = (self.inner.config().num_devices - targets.len()) as u64;
-        let end = (self.rebuild_pos as u64)
-            .saturating_add(max_stripes)
-            .min(self.rebuild_queue.len() as u64) as usize;
-        let stripes = (end - self.rebuild_pos) as u64;
-        let stats = self.inner.stats_mut();
-        stats.rebuild_read_bytes += stripes * survivors * chunk;
-        stats.rebuild_write_bytes += stripes * targets.len() as u64 * chunk;
-        stats.rebuilt_chunks += stripes * targets.len() as u64;
-        for i in self.rebuild_pos..end {
-            let stripe = self.rebuild_queue[i];
-            for &d in &targets {
-                self.plan.clear_latent(d, stripe);
-            }
-            self.rebuild_done.insert(stripe);
-        }
-        self.rebuild_pos = end;
-        if self.rebuild_pos == self.rebuild_queue.len() {
-            self.rebuilding = false;
-            self.failed.retain(|d| !targets.contains(d));
-            self.rebuild_targets.clear();
-            self.rebuild_done.clear();
-        }
-        Ok(self.rebuild_progress())
-    }
-
-    /// Current sweep progress.
-    pub fn rebuild_progress(&self) -> RebuildProgress {
-        RebuildProgress {
-            stripes_done: self.rebuild_pos as u64,
-            stripes_total: self.rebuild_queue.len() as u64,
-            complete: !self.rebuilding && self.rebuild_pos >= self.rebuild_queue.len(),
-        }
-    }
-
-    /// Per-device lifecycle states.
-    pub fn disk_states(&self) -> Vec<DiskState> {
-        (0..self.inner.config().num_devices)
-            .map(|d| {
-                if self.rebuilding && self.rebuild_targets.contains(&d) {
-                    DiskState::Rebuilding
-                } else if self.failed.contains(&d) {
-                    DiskState::Failed
-                } else if self.draining == Some(d) {
-                    DiskState::Draining
-                } else {
-                    DiskState::Healthy
-                }
-            })
-            .collect()
-    }
-
-    /// Begin proactively draining `device` onto a replacement (planned
-    /// removal). Unlike a rebuild this spends no redundancy: the device
-    /// keeps serving reads while a paced sweep copies its chunks out.
-    /// Panics if the device is failed or another drain is in flight —
-    /// drains are planned operations issued by a scheduler that can see
-    /// [`Self::disk_states`].
-    pub fn start_drain(&mut self, device: usize) -> RebuildProgress {
-        assert!(device < self.inner.config().num_devices, "no such device");
-        assert!(!self.failed.contains(&device), "cannot drain a failed device");
-        assert!(self.draining.is_none(), "one drain at a time");
-        self.draining = Some(device);
-        self.drain_cursor = 0;
-        self.drain_total = self.inner.stats().stripes_completed;
-        self.drain_progress()
-    }
-
-    /// Advance the drain sweep by at most `max_stripes` stripes. Each
-    /// stripe copies the device's one chunk directly (read + write, no
-    /// decode) to the replacement, charged to the drain counters; latent
-    /// sectors on the drained device are refreshed by the copy.
-    /// Completing the sweep releases the device.
-    pub fn drain_step(&mut self, max_stripes: u64) -> RebuildProgress {
-        let Some(device) = self.draining else {
-            return self.drain_progress();
-        };
-        let chunk = self.inner.config().chunk_bytes;
-        let end = self.drain_cursor.saturating_add(max_stripes).min(self.drain_total);
-        let stripes = end - self.drain_cursor;
-        let stats = self.inner.stats_mut();
-        stats.drain_read_bytes += stripes * chunk;
-        stats.drain_write_bytes += stripes * chunk;
-        stats.drained_chunks += stripes;
-        for stripe in self.drain_cursor..end {
-            self.plan.clear_latent(device, stripe);
-        }
-        self.drain_cursor = end;
-        if self.drain_cursor == self.drain_total {
-            self.draining = None;
-        }
-        self.drain_progress()
-    }
-
-    /// Current drain-sweep progress.
-    pub fn drain_progress(&self) -> RebuildProgress {
-        RebuildProgress {
-            stripes_done: self.drain_cursor,
-            stripes_total: self.drain_total,
-            complete: self.draining.is_none(),
-        }
-    }
-
-    /// Has the current rebuild sweep already restored `stripe` (or was it
-    /// closed after the sweep started, with the spares in place)?
-    fn stripe_rebuilt(&self, stripe: u64) -> bool {
-        self.rebuilding && (stripe >= self.rebuild_total || self.rebuild_done.contains(&stripe))
-    }
-
-    /// Does the chunk at (device, stripe) currently count as an erasure —
-    /// its home copy unreadable, requiring decode from the other members?
-    fn device_erased_at(&self, device: usize, stripe: u64) -> bool {
-        let failed = self.failed.contains(&device);
-        let rebuilt =
-            failed && self.rebuild_targets.contains(&device) && self.stripe_rebuilt(stripe);
-        (failed && !rebuilt) || self.plan.is_latent(device, stripe)
-    }
-
-    /// Every device whose chunk in `stripe` is currently erased.
-    fn erased_members(&self, stripe: u64) -> Vec<usize> {
-        let n = self.inner.config().num_devices;
-        (0..n).filter(|&d| self.device_erased_at(d, stripe)).collect()
-    }
-
-    /// Stripe `stripe` has parity on disk (appends close stripes in
-    /// order, so this is a simple cursor comparison).
-    fn stripe_complete(&self, stripe: u64) -> bool {
-        stripe < self.inner.stats().stripes_completed
-    }
-
-    fn apply_due_failures(&mut self, due: Vec<usize>) {
-        for d in due {
-            if !self.failed.contains(&d) {
-                self.failed.push(d);
-            }
-        }
-    }
-
-    fn apply_due_corruptions(&mut self) {
-        for (d, s) in self.plan.take_due_corruptions() {
-            self.inject_corruption(d, s);
-        }
-    }
-
-    /// Mark the chunk at (device, stripe) silently corrupt. Modeled — no
-    /// bytes are stored, so corruption is a flag plus the injection op for
-    /// detection-latency accounting. Only chunks in closed stripes can
-    /// corrupt meaningfully; returns false otherwise.
-    pub fn inject_corruption(&mut self, device: usize, stripe: u64) -> bool {
-        if device >= self.inner.config().num_devices || !self.stripe_complete(stripe) {
-            return false;
-        }
-        self.corrupted.insert((device, stripe), self.plan.ops());
-        true
-    }
-
-    /// Injected corruptions not yet detected.
-    pub fn outstanding_corruptions(&self) -> usize {
-        self.corrupted.len()
-    }
-
-    /// Chunks reported unrecoverable so far.
-    pub fn unrecoverable_chunks(&self) -> usize {
-        self.known_bad.len()
-    }
-
-    /// Can the chunk at (device, stripe) be honestly repaired from the
-    /// stripe's other members? Erasure decode needs `k` intact shards:
-    /// erased, silently corrupt, and condemned members all shrink the
-    /// pool. (With `m = 1` this reduces to the classic RAID-5 rule: any
-    /// second fault in the stripe makes repair impossible.)
-    fn repairable(&self, device: usize, stripe: u64) -> bool {
-        let cfg = self.inner.config();
-        let intact = (0..cfg.num_devices)
-            .filter(|&d| d != device)
-            .filter(|&d| {
-                !self.device_erased_at(d, stripe)
-                    && !self.corrupted.contains_key(&(d, stripe))
-                    && !self.known_bad.contains(&(d, stripe))
-            })
-            .count();
-        intact >= cfg.data_columns()
-    }
-
-    /// Advance the background scrub by at most `max_stripes` stripes,
-    /// verifying every chunk (data + parity) of each visited stripe
-    /// against its checksum, repairing corrupt chunks from survivors, and
-    /// rewriting latent sectors before they can pair with a device failure
-    /// into a double fault. Pauses while a rebuild is in flight; restarts
-    /// a fresh pass after the previous one completes.
-    pub fn scrub_step(&mut self, max_stripes: u64) -> ScrubStep {
-        if self.rebuilding {
-            return ScrubStep::paused();
-        }
-        if self.scrub_cursor >= self.scrub_total {
-            self.scrub_total = self.inner.stats().stripes_completed;
-            self.scrub_cursor = 0;
-            if self.scrub_total == 0 {
-                return ScrubStep::default();
-            }
-        }
-        let chunk = self.inner.config().chunk_bytes;
-        let n = self.inner.config().num_devices;
-        // A repair decode reads the `k` shards it needs, not every member.
-        let decode_reads = self.inner.config().data_columns() as u64;
-        let ops = self.plan.ops();
-        let mut step = ScrubStep::default();
-        let end = self.scrub_cursor.saturating_add(max_stripes).min(self.scrub_total);
-        for stripe in self.scrub_cursor..end {
-            step.stripes_scrubbed += 1;
-            for device in 0..n {
-                if self.failed.contains(&device) || self.known_bad.contains(&(device, stripe)) {
-                    continue;
-                }
-                if self.plan.is_latent(device, stripe) {
-                    if self.repairable(device, stripe) {
-                        self.plan.clear_latent(device, stripe);
-                        step.latent_repaired += 1;
-                        step.read_bytes += decode_reads * chunk;
-                        step.heal_write_bytes += chunk;
-                    }
-                    continue;
-                }
-                step.chunks_scrubbed += 1;
-                step.read_bytes += chunk;
-                let Some(at) = self.corrupted.remove(&(device, stripe)) else {
-                    continue;
-                };
-                step.detected += 1;
-                step.detection_latency_ops += ops.saturating_sub(at);
-                if self.repairable(device, stripe) {
-                    step.healed += 1;
-                    step.read_bytes += decode_reads * chunk;
-                    step.heal_write_bytes += chunk;
-                } else {
-                    step.unrecoverable += 1;
-                    self.known_bad.insert((device, stripe));
-                }
-            }
-        }
-        self.scrub_cursor = end;
-        step.pass_complete = self.scrub_total > 0 && self.scrub_cursor >= self.scrub_total;
-        self.inner.stats_mut().fold_scrub_step(&step);
-        step
-    }
-
-    /// Current scrub-pass progress.
-    pub fn scrub_progress(&self) -> ScrubProgress {
-        ScrubProgress {
-            stripes_done: self.scrub_cursor,
-            stripes_total: self.scrub_total,
-            complete: self.scrub_cursor >= self.scrub_total,
-        }
-    }
-}
-
-impl ArraySink for FaultyArray {
-    fn write_chunk(&mut self, flush: ChunkFlush) -> ChunkLocation {
-        let due = self.plan.record_op();
-        self.apply_due_failures(due);
-        self.apply_due_corruptions();
-        // Degraded writes still advance the layout: the chunk destined to
-        // the failed member is lost until rebuilt, but parity (written to
-        // a survivor) keeps it reconstructable, so accounting is
-        // unchanged.
-        let stripes_before = self.inner.stats().stripes_completed;
-        let loc = self.inner.write_chunk(flush);
-        // Rewrites refresh the media, clearing latent sector errors.
-        self.plan.clear_latent(loc.device, loc.stripe);
-        if self.inner.stats().stripes_completed > stripes_before {
-            for j in 0..self.inner.config().parity_devices {
-                let pdev = self.inner.layout().parity_device_j(loc.stripe, j);
-                self.plan.clear_latent(pdev, loc.stripe);
-            }
-        }
-        loc
-    }
-
-    fn config(&self) -> &ArrayConfig {
-        self.inner.config()
-    }
-
-    fn stats(&self) -> &ArrayStats {
-        self.inner.stats()
-    }
-
-    fn health(&self) -> ArrayHealth {
-        ArrayHealth::from_disk_states(&self.disk_states())
-    }
-
-    fn read_chunk_at(&mut self, loc: ChunkLocation) -> Result<ReadOutcome, ArrayError> {
-        let due = self.plan.record_op();
-        self.apply_due_failures(due);
-        self.apply_due_corruptions();
-        let cfg = *self.config();
-        let chunk = cfg.chunk_bytes;
-        let k = cfg.data_columns();
-        let m = cfg.parity_devices;
-
-        if self.plan.transient_read_fires() {
-            return Err(ArrayError::TransientRead { loc });
-        }
-        if self.device_erased_at(loc.device, loc.stripe) {
-            // Degraded read: decode from the stripe's other members. The
-            // code tolerates at most `m` erasures per stripe (failed
-            // devices not yet re-covered by the rebuild sweep, plus
-            // latent sectors).
-            let erased = self.erased_members(loc.stripe);
-            if erased.len() > m {
-                return Err(ArrayError::DoubleFault { loc });
-            }
-            if !self.stripe_complete(loc.stripe) {
-                return Err(ArrayError::Unreconstructable { loc });
-            }
-            if self.known_bad.contains(&(loc.device, loc.stripe)) {
-                // Condemned before its device was lost: still gone.
-                return Err(ArrayError::ChecksumMismatch { loc });
-            }
-            // The decode draws on the intact members. Condemned and
-            // silently corrupt members shrink the pool; with fewer than
-            // `k` honest shards left, reconstruction is impossible and
-            // the corrupt member is the casualty to report.
-            let members: Vec<usize> =
-                (0..cfg.num_devices).filter(|&d| !erased.contains(&d)).collect();
-            let bad_known: Vec<usize> = members
-                .iter()
-                .copied()
-                .filter(|&d| self.known_bad.contains(&(d, loc.stripe)))
-                .collect();
-            let bad_corrupt: Vec<usize> = members
-                .iter()
-                .copied()
-                .filter(|&d| self.corrupted.contains_key(&(d, loc.stripe)))
-                .collect();
-            let intact = members.len() - bad_known.len() - bad_corrupt.len();
-            if intact < k {
-                if let Some(&bad) = bad_known.first() {
-                    let loc = ChunkLocation { stripe: loc.stripe, device: bad, column: 0 };
-                    return Err(ArrayError::ChecksumMismatch { loc });
-                }
-                if let Some(&bad) = bad_corrupt.first() {
-                    // Find-and-remove: if another path already condemned
-                    // the member between checks, we simply don't reach
-                    // here — no double count.
-                    let at = self.corrupted.remove(&(bad, loc.stripe)).unwrap_or_default();
-                    self.known_bad.insert((bad, loc.stripe));
-                    let ops = self.plan.ops();
-                    let stats = self.inner.stats_mut();
-                    stats.corruptions_detected += 1;
-                    stats.detection_latency_ops += ops.saturating_sub(at);
-                    stats.corruptions_unrecoverable += 1;
-                    let loc = ChunkLocation { stripe: loc.stripe, device: bad, column: 0 };
-                    return Err(ArrayError::ChecksumMismatch { loc });
-                }
-                // `erased.len() <= m` guarantees `members.len() >= k`, so
-                // a shortfall without bad members cannot happen; keep a
-                // typed error rather than a panic for release builds.
-                return Err(ArrayError::Unreconstructable { loc });
-            }
-            // Redundancy to spare (only possible with m >= 2): verify-on-
-            // read heals corrupt members discovered along the way instead
-            // of condemning them.
-            let ops = self.plan.ops();
-            for bad in bad_corrupt {
-                let at = self.corrupted.remove(&(bad, loc.stripe)).unwrap_or_default();
-                let stats = self.inner.stats_mut();
-                stats.corruptions_detected += 1;
-                stats.detection_latency_ops += ops.saturating_sub(at);
-                stats.corruptions_healed += 1;
-                stats.heal_write_bytes += chunk;
-            }
-            let stats = self.inner.stats_mut();
-            stats.degraded_reads += 1;
-            stats.reconstructed_bytes += chunk * k as u64;
-            return Ok(ReadOutcome::reconstructed(chunk, k));
-        }
-        // Direct read: verify against the stored checksum.
-        if self.known_bad.contains(&(loc.device, loc.stripe)) {
-            return Err(ArrayError::ChecksumMismatch { loc });
-        }
-        if let Some(at) = self.corrupted.remove(&(loc.device, loc.stripe)) {
-            let ops = self.plan.ops();
-            let repairable = self.repairable(loc.device, loc.stripe);
-            let stats = self.inner.stats_mut();
-            stats.corruptions_detected += 1;
-            stats.detection_latency_ops += ops.saturating_sub(at);
-            if !repairable {
-                stats.corruptions_unrecoverable += 1;
-                self.known_bad.insert((loc.device, loc.stripe));
-                return Err(ArrayError::ChecksumMismatch { loc });
-            }
-            // Parity-guided repair: decode `k` shards, re-verify, rewrite
-            // the healed chunk in place.
-            stats.corruptions_healed += 1;
-            stats.heal_write_bytes += chunk;
-            return Ok(ReadOutcome::healed(chunk, k));
-        }
-        Ok(ReadOutcome::normal(chunk))
-    }
-
-    fn scrub_step(&mut self, max_stripes: usize) -> Option<ScrubStep> {
-        Some(FaultyArray::scrub_step(self, max_stripes as u64))
     }
 }
 
@@ -940,238 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn faulty_array_degraded_reads_and_rebuild() {
-        use crate::fault::{ArrayHealth, ReadMode};
-        // Fail device on the 7th op (after 2 full stripes of writes).
-        let plan = FaultPlan::new(42).fail_device_at(1, 7);
-        let mut a = FaultyArray::new(ArrayConfig::default(), plan);
-        let locs: Vec<_> = (0..6).map(|_| a.write_chunk(full_chunk(0))).collect();
-        assert_eq!(a.health(), ArrayHealth::Healthy);
-        a.write_chunk(full_chunk(0)); // 7th op: device 1 dies
-        assert_eq!(a.health(), ArrayHealth::Degraded { device: 1 });
-
-        // Reads to surviving devices are normal; reads to device 1 in
-        // closed stripes reconstruct.
-        let mut degraded = 0;
-        for &loc in &locs {
-            let out = a.read_chunk_at(loc).unwrap();
-            if loc.device == 1 {
-                assert_eq!(out.mode, ReadMode::Reconstructed);
-                assert_eq!(out.device_bytes_read, 3 * 65536);
-                degraded += 1;
-            } else {
-                assert_eq!(out.mode, ReadMode::Normal);
-            }
-        }
-        assert!(degraded > 0, "rotation must place some chunks on device 1");
-        assert_eq!(a.stats().degraded_reads, degraded);
-        assert_eq!(a.stats().reconstructed_bytes, degraded * 3 * 65536);
-
-        // Incremental rebuild sweeps the closed stripes.
-        a.start_rebuild().unwrap();
-        assert_eq!(a.health(), ArrayHealth::Rebuilding { device: 1 });
-        let p = a.rebuild_step(1).unwrap();
-        assert_eq!(p.stripes_done, 1);
-        assert!(!p.complete);
-        let p = a.rebuild_step(u64::MAX).unwrap();
-        assert!(p.complete);
-        assert_eq!(a.health(), ArrayHealth::Healthy);
-        assert_eq!(a.stats().rebuilt_chunks, p.stripes_total);
-        assert_eq!(a.stats().rebuild_write_bytes, p.stripes_total * 65536);
-        assert_eq!(a.stats().rebuild_read_bytes, p.stripes_total * 3 * 65536);
-
-        // Post-rebuild reads are normal again.
-        for &loc in &locs {
-            assert_eq!(a.read_chunk_at(loc).unwrap().mode, ReadMode::Normal);
-        }
-    }
-
-    #[test]
-    fn faulty_array_incomplete_stripe_unreconstructable() {
-        let mut a = FaultyArray::new(ArrayConfig::default(), FaultPlan::new(0));
-        let loc = a.write_chunk(full_chunk(0)); // stripe 0 still open
-        a.fail_device(loc.device);
-        assert_eq!(a.read_chunk_at(loc), Err(ArrayError::Unreconstructable { loc }));
-    }
-
-    #[test]
-    fn faulty_array_double_fault_errors() {
-        let mut a = FaultyArray::new(ArrayConfig::default(), FaultPlan::new(0));
-        let locs: Vec<_> = (0..3).map(|_| a.write_chunk(full_chunk(0))).collect();
-        a.fail_device(0);
-        a.fail_device(1);
-        let on_failed = locs.iter().find(|l| l.device <= 1).copied().unwrap();
-        assert!(matches!(a.read_chunk_at(on_failed), Err(ArrayError::DoubleFault { .. })));
-        assert!(matches!(a.start_rebuild(), Err(ArrayError::DoubleFault { .. })));
-    }
-
-    #[test]
-    fn faulty_array_transient_errors_fire() {
-        let plan = FaultPlan::new(9).with_transient_read_prob(0.5);
-        let mut a = FaultyArray::new(ArrayConfig::default(), plan);
-        let loc = a.write_chunk(full_chunk(0));
-        let mut transients = 0;
-        for _ in 0..64 {
-            if let Err(e) = a.read_chunk_at(loc) {
-                assert!(e.is_transient());
-                transients += 1;
-            }
-        }
-        assert!(transients > 10, "p=0.5 over 64 reads fired {transients}");
-    }
-
-    #[test]
-    fn faulty_array_latent_sector_reconstructs() {
-        use crate::fault::ReadMode;
-        let mut a = FaultyArray::new(ArrayConfig::default(), FaultPlan::new(0));
-        let locs: Vec<_> = (0..3).map(|_| a.write_chunk(full_chunk(0))).collect();
-        let victim = locs[0];
-        // Media degrades after the stripe was written and closed.
-        a.plan_mut().add_latent_sector(victim.device, victim.stripe);
-        let out = a.read_chunk_at(victim).unwrap();
-        assert_eq!(out.mode, ReadMode::Reconstructed);
-        assert_eq!(a.stats().degraded_reads, 1);
-    }
-
-    #[test]
-    fn rebuild_without_failure_is_error() {
-        let mut a = FaultyArray::new(ArrayConfig::default(), FaultPlan::new(0));
-        assert_eq!(a.start_rebuild(), Err(ArrayError::NotDegraded));
-        assert_eq!(a.rebuild_step(1), Err(ArrayError::NotDegraded));
-    }
-
-    #[test]
-    fn corrupt_read_is_detected_and_healed() {
-        use crate::fault::ReadMode;
-        let mut a = FaultyArray::new(ArrayConfig::default(), FaultPlan::new(0));
-        let locs: Vec<_> = (0..3).map(|_| a.write_chunk(full_chunk(0))).collect();
-        assert!(a.inject_corruption(locs[0].device, locs[0].stripe));
-        let out = a.read_chunk_at(locs[0]).unwrap();
-        assert_eq!(out.mode, ReadMode::Healed);
-        assert_eq!(out.device_bytes_read, 4 * 65536, "bad chunk + 3 survivors");
-        assert_eq!(a.stats().corruptions_detected, 1);
-        assert_eq!(a.stats().corruptions_healed, 1);
-        assert_eq!(a.stats().heal_write_bytes, 65536);
-        assert_eq!(a.outstanding_corruptions(), 0);
-        // Healed in place: the next read is clean.
-        assert_eq!(a.read_chunk_at(locs[0]).unwrap().mode, ReadMode::Normal);
-    }
-
-    #[test]
-    fn corruption_in_open_stripe_is_rejected() {
-        let mut a = FaultyArray::new(ArrayConfig::default(), FaultPlan::new(0));
-        let loc = a.write_chunk(full_chunk(0));
-        assert!(!a.inject_corruption(loc.device, loc.stripe), "stripe not closed yet");
-    }
-
-    #[test]
-    fn corruption_plus_failed_device_is_unrecoverable() {
-        let mut a = FaultyArray::new(ArrayConfig::default(), FaultPlan::new(0));
-        let locs: Vec<_> = (0..3).map(|_| a.write_chunk(full_chunk(0))).collect();
-        a.inject_corruption(locs[0].device, locs[0].stripe);
-        let other = locs.iter().find(|l| l.device != locs[0].device).unwrap();
-        a.fail_device(other.device);
-        // Direct read of the corrupt chunk: repair needs the failed member.
-        let err = a.read_chunk_at(locs[0]).unwrap_err();
-        assert!(matches!(err, ArrayError::ChecksumMismatch { .. }), "{err}");
-        assert_eq!(a.stats().corruptions_unrecoverable, 1);
-        assert!(!err.is_transient());
-        // The verdict is sticky: re-reads fail without re-counting.
-        let err = a.read_chunk_at(locs[0]).unwrap_err();
-        assert!(matches!(err, ArrayError::ChecksumMismatch { .. }));
-        assert_eq!(a.stats().corruptions_detected, 1);
-    }
-
-    #[test]
-    fn degraded_read_detects_corrupt_survivor() {
-        let mut a = FaultyArray::new(ArrayConfig::default(), FaultPlan::new(0));
-        let locs: Vec<_> = (0..3).map(|_| a.write_chunk(full_chunk(0))).collect();
-        a.fail_device(locs[0].device);
-        a.inject_corruption(locs[1].device, locs[1].stripe);
-        let err = a.read_chunk_at(locs[0]).unwrap_err();
-        match err {
-            ArrayError::ChecksumMismatch { loc } => assert_eq!(loc.device, locs[1].device),
-            other => panic!("expected checksum mismatch, got {other}"),
-        }
-        assert_eq!(a.stats().corruptions_unrecoverable, 1);
-    }
-
-    #[test]
-    fn scrub_detects_heals_and_paces() {
-        // 9 chunks = 3 closed stripes; corrupt one data chunk and the
-        // parity of another stripe.
-        let mut a = FaultyArray::new(ArrayConfig::default(), FaultPlan::new(0));
-        for _ in 0..9 {
-            a.write_chunk(full_chunk(0));
-        }
-        let pdev = a.inner.layout().parity_device(1);
-        assert!(a.inject_corruption(0, 0));
-        assert!(a.inject_corruption(pdev, 1));
-        let step = FaultyArray::scrub_step(&mut a, 1);
-        assert_eq!(step.stripes_scrubbed, 1);
-        assert_eq!(step.detected, 1);
-        assert_eq!(step.healed, 1);
-        assert!(!step.pass_complete);
-        let step = FaultyArray::scrub_step(&mut a, u64::MAX);
-        assert_eq!(step.stripes_scrubbed, 2);
-        assert_eq!(step.detected, 1, "parity corruption found");
-        assert!(step.pass_complete);
-        assert_eq!(a.stats().corruptions_detected, 2);
-        assert_eq!(a.stats().corruptions_healed, 2);
-        assert_eq!(a.stats().chunks_scrubbed, 12, "3 stripes × 4 chunks");
-        assert_eq!(a.outstanding_corruptions(), 0);
-        // A fresh pass starts automatically and finds nothing.
-        let step = FaultyArray::scrub_step(&mut a, u64::MAX);
-        assert_eq!(step.stripes_scrubbed, 3);
-        assert_eq!(step.detected, 0);
-    }
-
-    #[test]
-    fn scrub_pauses_for_rebuild() {
-        let mut a = FaultyArray::new(ArrayConfig::default(), FaultPlan::new(0));
-        for _ in 0..6 {
-            a.write_chunk(full_chunk(0));
-        }
-        a.fail_device(1);
-        a.start_rebuild().unwrap();
-        let step = FaultyArray::scrub_step(&mut a, u64::MAX);
-        assert!(step.paused_for_rebuild);
-        a.rebuild_step(u64::MAX).unwrap();
-        let step = FaultyArray::scrub_step(&mut a, u64::MAX);
-        assert!(!step.paused_for_rebuild);
-        assert!(step.pass_complete);
-    }
-
-    #[test]
-    fn scrub_repairs_latent_before_double_fault() {
-        let mut a = FaultyArray::new(ArrayConfig::default(), FaultPlan::new(0));
-        let locs: Vec<_> = (0..3).map(|_| a.write_chunk(full_chunk(0))).collect();
-        a.plan_mut().add_latent_sector(locs[0].device, locs[0].stripe);
-        let step = FaultyArray::scrub_step(&mut a, u64::MAX);
-        assert_eq!(step.latent_repaired, 1);
-        assert_eq!(a.plan().latent_count(), 0);
-        assert_eq!(a.stats().scrub_latent_repaired, 1);
-        // Device failure after the repair: single fault, read succeeds.
-        a.fail_device(locs[1].device);
-        assert!(a.read_chunk_at(locs[1]).is_ok());
-    }
-
-    #[test]
-    fn scheduled_corruption_latency_counted_by_scrub() {
-        let plan = FaultPlan::new(1).with_corruption_at(6, 0, 0);
-        let mut a = FaultyArray::new(ArrayConfig::default(), plan);
-        for _ in 0..9 {
-            a.write_chunk(full_chunk(0)); // corruption fires on op 6
-        }
-        assert_eq!(a.outstanding_corruptions(), 1);
-        let step = FaultyArray::scrub_step(&mut a, u64::MAX);
-        assert_eq!(step.detected, 1);
-        // Injected at op 6, scrubbed after op 9.
-        assert_eq!(step.detection_latency_ops, 3);
-        assert_eq!(a.stats().mean_detection_latency_ops(), 3.0);
-    }
-
-    #[test]
     fn default_sink_has_no_scrub() {
         let mut a = CountingArray::new(ArrayConfig::default());
         a.write_chunk(full_chunk(0));
@@ -1193,176 +368,5 @@ mod tests {
         assert_eq!(a.stats().parity_bytes(), 8 * 2 * 65536);
         // 8 stripes = one full rotation: perfectly balanced.
         assert!(a.stats().device_imbalance() < 1e-9, "{:?}", a.stats().devices);
-    }
-
-    #[test]
-    fn raid6_survives_correlated_double_failure() {
-        use crate::fault::{ArrayHealth, ReadMode};
-        // Both devices die on the same op, after two closed stripes.
-        let plan = FaultPlan::new(7).fail_devices_at(&[2, 5], 13);
-        let mut a = FaultyArray::new(raid6(), plan);
-        let locs: Vec<_> = (0..12).map(|_| a.write_chunk(full_chunk(0))).collect();
-        a.write_chunk(full_chunk(0)); // 13th op: devices 2 and 5 die together
-        assert_eq!(a.health(), ArrayHealth::Degraded { device: 2 });
-        assert_eq!(a.failed_devices(), &[2, 5]);
-
-        // Every chunk in the two closed stripes stays readable: direct on
-        // the 6 survivors, decoded from k = 6 members on the dead pair.
-        let mut degraded = 0;
-        for &loc in &locs {
-            let out = a.read_chunk_at(loc).unwrap();
-            if loc.device == 2 || loc.device == 5 {
-                assert_eq!(out.mode, ReadMode::Reconstructed);
-                assert_eq!(out.device_bytes_read, 6 * 65536);
-                degraded += 1;
-            } else {
-                assert_eq!(out.mode, ReadMode::Normal);
-            }
-        }
-        assert!(degraded > 0, "rotation must place chunks on the dead pair");
-        assert_eq!(a.stats().degraded_reads, degraded);
-        assert_eq!(a.stats().reconstructed_bytes, degraded * 6 * 65536);
-
-        // One sweep rebuilds both devices: 6 survivor reads and 2 spare
-        // writes per stripe.
-        a.start_rebuild().unwrap();
-        assert_eq!(a.health(), ArrayHealth::Rebuilding { device: 2 });
-        assert_eq!(
-            a.disk_states()[2],
-            DiskState::Rebuilding,
-            "both targets rebuilding: {:?}",
-            a.disk_states()
-        );
-        assert_eq!(a.disk_states()[5], DiskState::Rebuilding);
-        let p = a.rebuild_step(u64::MAX).unwrap();
-        assert!(p.complete);
-        assert_eq!(a.health(), ArrayHealth::Healthy);
-        assert_eq!(a.stats().rebuilt_chunks, p.stripes_total * 2);
-        assert_eq!(a.stats().rebuild_read_bytes, p.stripes_total * 6 * 65536);
-        assert_eq!(a.stats().rebuild_write_bytes, p.stripes_total * 2 * 65536);
-        for &loc in &locs {
-            assert_eq!(a.read_chunk_at(loc).unwrap().mode, ReadMode::Normal);
-        }
-    }
-
-    #[test]
-    fn raid6_triple_fault_exceeds_budget() {
-        let mut a = FaultyArray::new(raid6(), FaultPlan::new(0));
-        let locs: Vec<_> = (0..6).map(|_| a.write_chunk(full_chunk(0))).collect();
-        a.fail_device(0);
-        a.fail_device(1);
-        a.fail_device(2);
-        let on_failed = locs.iter().find(|l| l.device <= 2).copied().unwrap();
-        assert!(matches!(a.read_chunk_at(on_failed), Err(ArrayError::DoubleFault { .. })));
-        match a.start_rebuild() {
-            Err(ArrayError::DoubleFault { loc }) => assert_eq!(loc.device, 2, "third failure"),
-            other => panic!("expected DoubleFault, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn raid6_latent_plus_failure_still_reads() {
-        use crate::fault::ReadMode;
-        // One dead device and a latent sector elsewhere in the same
-        // stripe: two erasures, within the m = 2 budget.
-        let mut a = FaultyArray::new(raid6(), FaultPlan::new(0));
-        let locs: Vec<_> = (0..6).map(|_| a.write_chunk(full_chunk(0))).collect();
-        a.fail_device(locs[0].device);
-        a.plan_mut().add_latent_sector(locs[1].device, locs[1].stripe);
-        assert_eq!(a.read_chunk_at(locs[0]).unwrap().mode, ReadMode::Reconstructed);
-        assert_eq!(a.read_chunk_at(locs[1]).unwrap().mode, ReadMode::Reconstructed);
-        // A third erasure in the stripe breaks the budget.
-        a.plan_mut().add_latent_sector(locs[2].device, locs[2].stripe);
-        assert!(matches!(a.read_chunk_at(locs[0]), Err(ArrayError::DoubleFault { .. })));
-    }
-
-    #[test]
-    fn raid6_degraded_read_heals_corrupt_survivor() {
-        use crate::fault::ReadMode;
-        // With one erasure and one corrupt member, RAID-6 still has k
-        // honest shards: the read decodes AND heals the corrupt member,
-        // where RAID-5 had to condemn it.
-        let mut a = FaultyArray::new(raid6(), FaultPlan::new(0));
-        let locs: Vec<_> = (0..6).map(|_| a.write_chunk(full_chunk(0))).collect();
-        a.fail_device(locs[0].device);
-        assert!(a.inject_corruption(locs[1].device, locs[1].stripe));
-        let out = a.read_chunk_at(locs[0]).unwrap();
-        assert_eq!(out.mode, ReadMode::Reconstructed);
-        assert_eq!(a.stats().corruptions_detected, 1);
-        assert_eq!(a.stats().corruptions_healed, 1);
-        assert_eq!(a.stats().corruptions_unrecoverable, 0);
-        assert_eq!(a.outstanding_corruptions(), 0);
-    }
-
-    #[test]
-    fn rebuild_visits_most_exposed_stripes_first() {
-        // 4 closed stripes; stripe 2 has a latent sector and stripe 1 has
-        // latent + corruption on the survivors. Priority order: 1, 2, then
-        // 0, 3.
-        let mut a = FaultyArray::new(ArrayConfig::default(), FaultPlan::new(0));
-        for _ in 0..12 {
-            a.write_chunk(full_chunk(0));
-        }
-        a.fail_device(0);
-        let layout = *a.inner.layout();
-        let survivor = |stripe: u64| (1..4).find(|&d| layout.parity_device(stripe) != d).unwrap();
-        a.plan_mut().add_latent_sector(survivor(1), 1);
-        a.inject_corruption(layout.parity_device(1), 1);
-        a.plan_mut().add_latent_sector(survivor(2), 2);
-        a.start_rebuild().unwrap();
-        assert_eq!(a.rebuild_queue, vec![1, 2, 0, 3]);
-        let p = a.rebuild_step(1).unwrap();
-        assert_eq!(p.stripes_done, 1);
-        assert!(a.rebuild_done.contains(&1), "most-exposed stripe restored first");
-        a.rebuild_step(u64::MAX).unwrap();
-        assert!(a.rebuild_progress().complete);
-    }
-
-    #[test]
-    fn drain_copies_without_spending_redundancy() {
-        use crate::fault::ArrayHealth;
-        let mut a = FaultyArray::new(ArrayConfig::default(), FaultPlan::new(0));
-        for _ in 0..9 {
-            a.write_chunk(full_chunk(0));
-        }
-        a.plan_mut().add_latent_sector(1, 0);
-        let p = a.start_drain(1);
-        assert!(!p.complete);
-        assert_eq!(a.disk_states()[1], DiskState::Draining);
-        assert_eq!(a.health(), ArrayHealth::Healthy, "drain is planned, not a fault");
-        let p = a.drain_step(1);
-        assert_eq!(p.stripes_done, 1);
-        assert!(!a.plan().is_latent(1, 0), "copy refreshes the media");
-        let p = a.drain_step(u64::MAX);
-        assert!(p.complete);
-        assert_eq!(a.disk_states()[1], DiskState::Healthy);
-        // One chunk read + one chunk written per stripe, no decode.
-        assert_eq!(a.stats().drained_chunks, 3);
-        assert_eq!(a.stats().drain_read_bytes, 3 * 65536);
-        assert_eq!(a.stats().drain_write_bytes, 3 * 65536);
-        assert_eq!(a.stats().degraded_reads, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot drain a failed device")]
-    fn drain_of_failed_device_panics() {
-        let mut a = FaultyArray::new(ArrayConfig::default(), FaultPlan::new(0));
-        a.fail_device(2);
-        a.start_drain(2);
-    }
-
-    #[test]
-    fn disk_states_track_lifecycle() {
-        let mut a = FaultyArray::new(ArrayConfig::default(), FaultPlan::new(0));
-        for _ in 0..3 {
-            a.write_chunk(full_chunk(0));
-        }
-        assert!(a.disk_states().iter().all(|s| *s == DiskState::Healthy));
-        a.fail_device(3);
-        assert_eq!(a.disk_states()[3], DiskState::Failed);
-        a.start_rebuild().unwrap();
-        assert_eq!(a.disk_states()[3], DiskState::Rebuilding);
-        a.rebuild_step(u64::MAX).unwrap();
-        assert_eq!(a.disk_states()[3], DiskState::Healthy);
     }
 }

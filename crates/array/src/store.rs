@@ -1,11 +1,24 @@
-//! Byte-faithful in-memory erasure-coded store.
+//! The array's one fault-modelling store: an erasure-coded array held in
+//! memory.
 //!
-//! Used by the prototype (§4.4) and the fault-injection integration tests.
-//! Keeps real chunk contents per device, generates the `m` parity chunks
-//! when a stripe's last data column arrives, and serves reads through
-//! Reed-Solomon decode while up to `m` members of a stripe are erased
-//! (failed devices or latent sectors). `m = 1` reproduces the original
-//! XOR RAID-5 store byte-for-byte, including every counter.
+//! Keeps chunk contents per device, generates the `m` parity chunks when
+//! a stripe's last data column arrives, checksums every chunk (CRC32C)
+//! and serves reads through Reed-Solomon decode while up to `m` members
+//! of a stripe are erased (failed devices or latent sectors). Failure,
+//! degraded read, rebuild sweep, drain, verify-on-read and scrub are each
+//! implemented here once. `m = 1` reproduces the original XOR RAID-5
+//! store byte-for-byte, including every counter.
+//!
+//! One struct, two body lengths. [`InMemoryArray::new`] keeps every byte
+//! of every chunk — the prototype (§4.4), the byte-exactness tests and
+//! the repo benchmark's `array-rebuild` workload run on it.
+//! [`InMemoryArray::modelled`] keeps the first byte only, which is what
+//! the trace-driven fault and scrub scenarios run on: parity, GF(256)
+//! decode and CRC32C still run for real over that byte (a flipped byte
+//! always fails its checksum), every counter still charges whole chunks,
+//! and no line below asks which of the two it is — `tests/modelled_vs_bytes.rs`
+//! holds the two to the same counters, read outcomes and progress under
+//! random operation streams.
 //!
 //! The store is also *elastic*: [`InMemoryArray::add_device`] widens the
 //! array online. Widening takes effect at the next stripe boundary and
@@ -29,7 +42,7 @@ use crate::rs::ReedSolomon;
 use crate::sink::{ArraySink, ChunkFlush};
 use bytes::{Bytes, BytesMut};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 /// One geometry epoch: every stripe in `first_stripe..` (until the next
 /// epoch) was written with this layout and code.
@@ -45,16 +58,17 @@ struct Epoch {
 
 impl Epoch {
     /// Decode the chunk `device` holds in `stripe` from `survivors`
-    /// (`(shard, chunk)` pairs, at least `k`). The chunk is built in the
-    /// buffer that is returned: a produced chunk is never copied.
+    /// (`(shard, chunk)` pairs, at least `k`, all of one length). The
+    /// chunk is built in the buffer that is returned: a produced chunk is
+    /// never copied.
     fn recover(&self, survivors: &[(usize, &[u8])], stripe: u64, device: usize) -> Option<Bytes> {
-        let mut out = BytesMut::zeroed(self.layout.config().chunk_bytes as usize);
+        let mut out = BytesMut::zeroed(survivors.first()?.1.len());
         self.code.recover_into(survivors, self.layout.shard_of(stripe, device), &mut out).ok()?;
         Some(out.freeze())
     }
 }
 
-/// A byte-level erasure-coded array held in memory.
+/// An erasure-coded array held in memory, with its fault model.
 #[derive(Debug)]
 pub struct InMemoryArray {
     /// Geometry epochs, oldest first. The last entry is the geometry new
@@ -65,8 +79,13 @@ pub struct InMemoryArray {
     pending_devices: usize,
     stats: ArrayStats,
     next_chunk_seq: u64,
+    /// Bytes of each chunk that are stored, summed, encoded and decoded:
+    /// the whole chunk, or one byte on a [`Self::modelled`] store.
+    /// Counters charge `chunk_bytes` either way.
+    body_len: usize,
     /// Device id → (stripe → chunk contents). Sparse: only written stripes
-    /// are present.
+    /// are present. A failed device's map is its dead media and is not
+    /// read; [`Self::start_rebuild`] replaces it with the empty spare.
     devices: Vec<HashMap<u64, Bytes>>,
     /// Streaming parity accumulators (one per parity row) for the stripe
     /// currently being filled; empty between stripes. Each arriving column
@@ -84,9 +103,9 @@ pub struct InMemoryArray {
     failed: Vec<bool>,
     /// Deterministic fault schedule (empty by default).
     plan: FaultPlan,
-    /// In-progress rebuild: target device and the stripe worklist,
-    /// most-exposed stripes first.
-    rebuild_target: Option<usize>,
+    /// Devices the in-progress rebuild sweep is restoring onto spares
+    /// (empty: no sweep), and its stripe worklist, most-exposed first.
+    rebuild_targets: Vec<usize>,
     rebuild_stripes: Vec<u64>,
     rebuild_cursor: usize,
     /// In-progress proactive drain (planned removal) and its worklist.
@@ -99,12 +118,13 @@ pub struct InMemoryArray {
     checksums: Vec<HashMap<u64, u32>>,
     /// (device, stripe) → op counter at injection, for detection latency.
     corruption_injected_at: HashMap<(usize, u64), u64>,
-    /// Chunks already reported unrecoverable (so a scrub pass does not
-    /// re-count them every revisit).
+    /// Chunks reported unrecoverable. The verdict is sticky until the
+    /// chunk is rewritten: reads answer `ChecksumMismatch` and neither
+    /// they nor the scrub count the chunk again.
     known_bad: BTreeSet<(usize, u64)>,
-    /// Sorted stripe worklist of the current scrub pass.
-    scrub_worklist: Vec<u64>,
-    scrub_cursor: usize,
+    /// The current scrub pass: next stripe to verify, and its extent.
+    scrub_cursor: u64,
+    scrub_total: u64,
 }
 
 impl InMemoryArray {
@@ -115,6 +135,18 @@ impl InMemoryArray {
 
     /// Create an empty array driven by a fault schedule.
     pub fn with_fault_plan(cfg: ArrayConfig, plan: FaultPlan) -> Self {
+        Self::with_body_len(cfg, plan, cfg.chunk_bytes as usize)
+    }
+
+    /// Create an empty array that keeps one byte of every chunk: the same
+    /// state machines, codes and checksums at a cost per chunk that does
+    /// not depend on the chunk size. What the trace-driven fault and
+    /// scrub scenarios run on.
+    pub fn modelled(cfg: ArrayConfig, plan: FaultPlan) -> Self {
+        Self::with_body_len(cfg, plan, 1)
+    }
+
+    fn with_body_len(cfg: ArrayConfig, plan: FaultPlan, body_len: usize) -> Self {
         cfg.validate();
         Self {
             epochs: vec![Epoch {
@@ -127,13 +159,14 @@ impl InMemoryArray {
             pending_devices: 0,
             stats: ArrayStats::new(cfg.num_devices),
             next_chunk_seq: 0,
+            body_len,
             devices: vec![HashMap::new(); cfg.num_devices],
             parity_acc: Vec::with_capacity(cfg.parity_devices),
             open_columns: 0,
-            zero_chunk: BytesMut::zeroed(cfg.chunk_bytes as usize).freeze(),
+            zero_chunk: BytesMut::zeroed(body_len).freeze(),
             failed: vec![false; cfg.num_devices],
             plan,
-            rebuild_target: None,
+            rebuild_targets: Vec::new(),
             rebuild_stripes: Vec::new(),
             rebuild_cursor: 0,
             draining: None,
@@ -142,8 +175,8 @@ impl InMemoryArray {
             checksums: vec![HashMap::new(); cfg.num_devices],
             corruption_injected_at: HashMap::new(),
             known_bad: BTreeSet::new(),
-            scrub_worklist: Vec::new(),
             scrub_cursor: 0,
+            scrub_total: 0,
         }
     }
 
@@ -218,22 +251,49 @@ impl InMemoryArray {
         self.pending_devices = 0;
     }
 
-    /// Write one chunk of real bytes; returns its location. The caller is
-    /// responsible for zero-padding — `data.len()` must equal the chunk
-    /// size. `flush` carries the accounting breakdown of the same chunk.
-    pub fn write_chunk_bytes(&mut self, data: Bytes, flush: ChunkFlush) -> ChunkLocation {
-        let cfg = self.cfg;
-        assert_eq!(data.len() as u64, cfg.chunk_bytes, "sub-chunk write reached the array");
-        assert_eq!(flush.total_bytes(), cfg.chunk_bytes, "flush accounting mismatch");
+    /// Take `device` out of service. A drain of it is moot from here on:
+    /// the rebuild takes over.
+    fn mark_failed(&mut self, device: usize) {
+        self.failed[device] = true;
+        if self.draining == Some(device) {
+            self.draining = None;
+        }
+    }
 
+    /// Count one array operation and apply the faults the plan has
+    /// scheduled for it.
+    fn record_op(&mut self) {
         for d in self.plan.record_op() {
             if d < self.failed.len() {
-                self.failed[d] = true;
+                self.mark_failed(d);
             }
         }
         for (d, s) in self.plan.take_due_corruptions() {
             self.inject_corruption(d, s);
         }
+    }
+
+    /// Put freshly written `bytes` on (device, stripe): record their
+    /// checksum and clear whatever fault the old contents carried — a
+    /// rewrite refreshes the chunk's media.
+    fn store_chunk(&mut self, device: usize, stripe: u64, bytes: Bytes) {
+        self.plan.clear_latent(device, stripe);
+        self.checksums[device].insert(stripe, crc::crc32c(&bytes));
+        self.corruption_injected_at.remove(&(device, stripe));
+        self.known_bad.remove(&(device, stripe));
+        self.devices[device].insert(stripe, bytes);
+    }
+
+    /// Write one chunk body; returns its location. `data.len()` must
+    /// equal the store's body length — the chunk size (the caller is
+    /// responsible for zero-padding), or one byte on a [`Self::modelled`]
+    /// store. `flush` carries the accounting breakdown of the same chunk.
+    pub fn write_chunk_bytes(&mut self, data: Bytes, flush: ChunkFlush) -> ChunkLocation {
+        let cfg = self.cfg;
+        assert_eq!(data.len(), self.body_len, "sub-chunk write reached the array");
+        assert_eq!(flush.total_bytes(), cfg.chunk_bytes, "flush accounting mismatch");
+
+        self.record_op();
         let ei = self.epochs.len() - 1;
         let (loc, k) = {
             let ep = &self.epochs[ei];
@@ -243,46 +303,25 @@ impl InMemoryArray {
             (ep.layout.locate_at(stripe, (local % k as u64) as usize), k)
         };
         self.next_chunk_seq += 1;
-
-        // A rewrite refreshes the chunk's media, clearing any latent error.
-        self.plan.clear_latent(loc.device, loc.stripe);
-        self.checksums[loc.device].insert(loc.stripe, crc::crc32c(&data));
-        self.corruption_injected_at.remove(&(loc.device, loc.stripe));
-        self.known_bad.remove(&(loc.device, loc.stripe));
-        self.devices[loc.device].insert(loc.stripe, data.clone());
-        let dev = &mut self.stats.devices[loc.device];
-        dev.data_bytes += flush.payload_bytes();
-        dev.pad_bytes += flush.pad_bytes;
-        dev.chunk_writes += 1;
-        if flush.pad_bytes > 0 {
-            self.stats.padded_chunks += 1;
-        } else {
-            self.stats.full_chunks += 1;
-        }
+        self.store_chunk(loc.device, loc.stripe, data.clone());
+        self.stats.charge_data_chunk(loc.device, &flush);
 
         if self.open_columns == 0 {
             // Zero-seed the m accumulators; row 0 of the code is all ones,
             // so for m = 1 this is exactly the historical parity seed copy.
             let rows = 0..cfg.parity_devices;
-            self.parity_acc.extend(rows.map(|_| BytesMut::zeroed(cfg.chunk_bytes as usize)));
-            self.stats.copy_bytes += cfg.parity_devices as u64 * cfg.chunk_bytes;
+            self.parity_acc.extend(rows.map(|_| BytesMut::zeroed(self.body_len)));
+            self.stats.copy_bytes += (cfg.parity_devices * self.body_len) as u64;
         }
         self.epochs[ei].code.accumulate(&mut self.parity_acc, loc.column, &data);
         self.open_columns += 1;
         if self.open_columns == k {
-            for (j, acc) in self.parity_acc.drain(..).enumerate() {
-                let parity_chunk = acc.freeze();
-                let pdev = self.epochs[ei].layout.parity_device_j(loc.stripe, j);
-                self.plan.clear_latent(pdev, loc.stripe);
-                self.checksums[pdev].insert(loc.stripe, crc::crc32c(&parity_chunk));
-                self.corruption_injected_at.remove(&(pdev, loc.stripe));
-                self.known_bad.remove(&(pdev, loc.stripe));
-                self.devices[pdev].insert(loc.stripe, parity_chunk);
-                let p = &mut self.stats.devices[pdev];
-                p.parity_bytes += cfg.chunk_bytes;
-                p.chunk_writes += 1;
+            let layout = self.epochs[ei].layout;
+            while let Some(acc) = self.parity_acc.pop() {
+                let pdev = layout.parity_device_j(loc.stripe, self.parity_acc.len());
+                self.store_chunk(pdev, loc.stripe, acc.freeze());
             }
-            self.stats.stripes_completed += 1;
+            self.stats.charge_stripe_parity(layout.parity_devices(loc.stripe), cfg.chunk_bytes);
             self.open_columns = 0;
             if self.pending_devices > 0 {
                 self.roll_epoch();
@@ -291,29 +330,45 @@ impl InMemoryArray {
         loc
     }
 
+    /// Is `device`'s own copy of its chunk in `stripe` gone: the device
+    /// failed, and no spare holds the chunk yet? A chunk the rebuild sweep
+    /// has restored, or that was written after the sweep began, sits on
+    /// the spare and is read from there.
+    fn lost(&self, device: usize, stripe: u64) -> bool {
+        self.failed[device]
+            && !(self.rebuild_targets.contains(&device)
+                && self.devices[device].contains_key(&stripe))
+    }
+
+    /// Does (device, stripe) currently count as an erasure against the
+    /// stripe's budget of `m` — lost, or hidden by a latent sector error?
+    fn erased(&self, device: usize, stripe: u64) -> bool {
+        self.lost(device, stripe) || self.plan.is_latent(device, stripe)
+    }
+
     /// Read the chunk at a location previously returned by
-    /// [`Self::write_chunk_bytes`]. If the owning device has failed, the
-    /// chunk is decoded from the stripe's survivors (requires at least `k`
-    /// of its members). Returns `None` for never-written or unrecoverable
-    /// locations.
+    /// [`Self::write_chunk_bytes`], ignoring the fault plan and the
+    /// checksums. If the owning device has failed, the chunk is decoded
+    /// from the stripe's survivors (requires at least `k` of its members).
+    /// Returns `None` for never-written or unrecoverable locations.
     pub fn read_chunk(&self, loc: ChunkLocation) -> Option<Bytes> {
-        if !self.failed[loc.device] {
+        let ep = self.epoch_for_stripe(loc.stripe);
+        let n = ep.layout.config().num_devices;
+        if loc.device >= n {
+            return None;
+        }
+        if !self.lost(loc.device, loc.stripe) {
             return self.devices[loc.device].get(&loc.stripe).cloned();
         }
         // Degraded read: decode from the stripe's surviving members.
-        let ep = self.epoch_for_stripe(loc.stripe);
-        let n = ep.layout.config().num_devices;
-        let k = ep.layout.config().data_columns();
-        let mut survivors: Vec<(usize, &[u8])> = Vec::with_capacity(n - 1);
-        for dev in 0..n {
-            if dev == loc.device || self.failed[dev] {
-                continue;
-            }
-            if let Some(b) = self.devices[dev].get(&loc.stripe) {
-                survivors.push((ep.layout.shard_of(loc.stripe, dev), b.as_ref()));
-            }
-        }
-        if survivors.len() < k {
+        let survivors: Vec<(usize, &[u8])> = (0..n)
+            .filter(|&dev| !self.lost(dev, loc.stripe))
+            .filter_map(|dev| {
+                let b = self.devices[dev].get(&loc.stripe)?;
+                Some((ep.layout.shard_of(loc.stripe, dev), b.as_ref()))
+            })
+            .collect();
+        if survivors.len() < ep.layout.config().data_columns() {
             return None; // erasures exceed the code's budget (or stripe never closed)
         }
         ep.recover(&survivors, loc.stripe, loc.device)
@@ -326,21 +381,22 @@ impl InMemoryArray {
     /// checksum mismatches in place from stripe survivors, serves reads
     /// on erased members by decode as long as no more than `m` members of
     /// the stripe are erased, and counts the traffic in [`ArrayStats`].
+    /// A device or stripe the array does not have is `MissingChunk`.
     pub fn try_read_chunk(&mut self, loc: ChunkLocation) -> Result<(Bytes, ReadMode), ArrayError> {
-        for d in self.plan.record_op() {
-            if d < self.failed.len() {
-                self.failed[d] = true;
-            }
-        }
-        for (d, s) in self.plan.take_due_corruptions() {
-            self.inject_corruption(d, s);
-        }
+        self.record_op();
         if self.plan.transient_read_fires() {
             return Err(ArrayError::TransientRead { loc });
         }
-        let chunk_bytes = self.cfg.chunk_bytes;
-        let direct_ok = !self.failed[loc.device] && !self.plan.is_latent(loc.device, loc.stripe);
-        if direct_ok {
+        let layout = self.epoch_for_stripe(loc.stripe).layout;
+        let n = layout.config().num_devices;
+        let k = layout.config().data_columns();
+        if loc.device >= n {
+            return Err(ArrayError::MissingChunk { loc });
+        }
+        if self.known_bad.contains(&(loc.device, loc.stripe)) {
+            return Err(ArrayError::ChecksumMismatch { loc });
+        }
+        if !self.erased(loc.device, loc.stripe) {
             let bytes = self.devices[loc.device]
                 .get(&loc.stripe)
                 .cloned()
@@ -352,63 +408,50 @@ impl InMemoryArray {
             self.note_detection(loc.device, loc.stripe);
             return match self.try_repair(loc.device, loc.stripe) {
                 Some((healed, _survivors)) => {
-                    self.devices[loc.device].insert(loc.stripe, healed.clone());
-                    self.known_bad.remove(&(loc.device, loc.stripe));
-                    self.stats.corruptions_healed += 1;
-                    self.stats.heal_write_bytes += chunk_bytes;
+                    self.heal(loc.device, loc.stripe, healed.clone());
                     Ok((healed, ReadMode::Healed))
                 }
-                None => {
-                    self.stats.corruptions_unrecoverable += 1;
-                    self.known_bad.insert((loc.device, loc.stripe));
-                    Err(ArrayError::ChecksumMismatch { loc })
-                }
+                None => Err(self.condemn(loc)),
             };
         }
         // Degraded read: decode the chunk from the stripe's other members,
         // verifying every member read — a corrupt shard fed to the decoder
         // would silently produce garbage.
-        let layout = self.epoch_for_stripe(loc.stripe).layout;
-        let n = layout.config().num_devices;
-        let k = layout.config().data_columns();
-        let m = layout.config().parity_devices;
-        if loc.device >= n {
-            return Err(ArrayError::MissingChunk { loc });
-        }
-        let erased: Vec<usize> =
-            (0..n).filter(|&d| self.failed[d] || self.plan.is_latent(d, loc.stripe)).collect();
-        if erased.len() > m {
-            return Err(ArrayError::DoubleFault { loc });
-        }
+        let member = |device| ChunkLocation { stripe: loc.stripe, device, column: 0 };
+        let (mut erased, mut missing, mut condemned) = (0, false, None);
         let mut good: Vec<usize> = Vec::with_capacity(n - 1);
         let mut corrupt: Vec<usize> = Vec::new();
         for dev in 0..n {
-            if erased.contains(&dev) {
-                continue;
-            }
-            match self.devices[dev].get(&loc.stripe) {
-                Some(b) => {
-                    let stored = self.checksums[dev].get(&loc.stripe).copied();
-                    if stored.is_some_and(|sum| crc::crc32c(b) != sum) {
-                        corrupt.push(dev);
-                    } else {
-                        good.push(dev);
-                    }
+            if self.erased(dev, loc.stripe) {
+                erased += 1;
+            } else if self.known_bad.contains(&(dev, loc.stripe)) {
+                condemned = condemned.or(Some(dev));
+            } else {
+                match self.devices[dev].get(&loc.stripe) {
+                    Some(b) if self.verifies(dev, loc.stripe, b) => good.push(dev),
+                    Some(_) => corrupt.push(dev),
+                    None => missing = true,
                 }
-                None => return Err(ArrayError::Unreconstructable { loc }),
             }
         }
+        if erased > layout.config().parity_devices {
+            return Err(ArrayError::DoubleFault { loc });
+        }
+        if missing {
+            return Err(ArrayError::Unreconstructable { loc }); // stripe never closed
+        }
         if good.len() < k {
-            if let Some(&bad_dev) = corrupt.first() {
-                // Honest repair is impossible: a silent corruption has
-                // eaten into the erasure budget. Fatal, as under RAID-5.
-                let bad = ChunkLocation { stripe: loc.stripe, device: bad_dev, column: 0 };
-                self.note_detection(bad_dev, loc.stripe);
-                self.stats.corruptions_unrecoverable += 1;
-                self.known_bad.insert((bad_dev, loc.stripe));
-                return Err(ArrayError::ChecksumMismatch { loc: bad });
-            }
-            return Err(ArrayError::Unreconstructable { loc });
+            // Honest repair is impossible: a silent corruption has eaten
+            // into the erasure budget. Fatal, as under RAID-5; the bad
+            // member is the casualty to report (and to count, once).
+            return Err(match (condemned, corrupt.first()) {
+                (Some(dev), _) => ArrayError::ChecksumMismatch { loc: member(dev) },
+                (None, Some(&dev)) => {
+                    self.note_detection(dev, loc.stripe);
+                    self.condemn(member(dev))
+                }
+                (None, None) => ArrayError::Unreconstructable { loc },
+            });
         }
         let shards: Vec<(usize, Bytes)> = good
             .iter()
@@ -417,22 +460,16 @@ impl InMemoryArray {
         let refs: Vec<(usize, &[u8])> = shards.iter().map(|(s, b)| (*s, b.as_ref())).collect();
         // With spare redundancy (m ≥ 2) a corrupt member alongside the
         // erasure can still be healed from the honest shards.
-        for &bad_dev in &corrupt {
-            let bad = ChunkLocation { stripe: loc.stripe, device: bad_dev, column: 0 };
+        for &dev in &corrupt {
             let healed = self
                 .epoch_for_stripe(loc.stripe)
-                .recover(&refs, loc.stripe, bad_dev)
-                .filter(|healed| self.verifies(bad_dev, loc.stripe, healed));
-            self.note_detection(bad_dev, loc.stripe);
-            let Some(healed) = healed else {
-                self.stats.corruptions_unrecoverable += 1;
-                self.known_bad.insert((bad_dev, loc.stripe));
-                return Err(ArrayError::ChecksumMismatch { loc: bad });
-            };
-            self.devices[bad_dev].insert(loc.stripe, healed);
-            self.known_bad.remove(&(bad_dev, loc.stripe));
-            self.stats.corruptions_healed += 1;
-            self.stats.heal_write_bytes += chunk_bytes;
+                .recover(&refs, loc.stripe, dev)
+                .filter(|healed| self.verifies(dev, loc.stripe, healed));
+            self.note_detection(dev, loc.stripe);
+            match healed {
+                Some(healed) => self.heal(dev, loc.stripe, healed),
+                None => return Err(self.condemn(member(dev))),
+            }
         }
         let bytes = self
             .epoch_for_stripe(loc.stripe)
@@ -440,12 +477,10 @@ impl InMemoryArray {
             .ok_or(ArrayError::Unreconstructable { loc })?;
         if !self.verifies(loc.device, loc.stripe, &bytes) {
             self.note_detection(loc.device, loc.stripe);
-            self.stats.corruptions_unrecoverable += 1;
-            self.known_bad.insert((loc.device, loc.stripe));
-            return Err(ArrayError::ChecksumMismatch { loc });
+            return Err(self.condemn(loc));
         }
         self.stats.degraded_reads += 1;
-        self.stats.reconstructed_bytes += k as u64 * chunk_bytes;
+        self.stats.reconstructed_bytes += k as u64 * self.cfg.chunk_bytes;
         Ok((bytes, ReadMode::Reconstructed))
     }
 
@@ -467,53 +502,67 @@ impl InMemoryArray {
         }
     }
 
+    /// Rewrite a corrupt chunk in place with its repaired contents.
+    fn heal(&mut self, device: usize, stripe: u64, healed: Bytes) {
+        self.devices[device].insert(stripe, healed);
+        self.known_bad.remove(&(device, stripe));
+        self.stats.corruptions_healed += 1;
+        self.stats.heal_write_bytes += self.cfg.chunk_bytes;
+    }
+
+    /// Give up on the chunk at `loc`: count it unrecoverable, once, and
+    /// make the verdict stick. Returns the error its readers get.
+    fn condemn(&mut self, loc: ChunkLocation) -> ArrayError {
+        self.stats.corruptions_unrecoverable += 1;
+        self.known_bad.insert((loc.device, loc.stripe));
+        ArrayError::ChecksumMismatch { loc }
+    }
+
     /// Rebuild the chunk at (device, stripe) from its stripe survivors,
-    /// skipping members that are failed, latent, missing, or fail their
-    /// own CRC, and re-verifying the decode against the target's stored
-    /// CRC. Returns the verified bytes and the number of shards read, or
+    /// skipping members that are erased, missing, or fail their own CRC,
+    /// and re-verifying the decode against the target's stored CRC.
+    /// Returns the verified bytes and the number of shards read, or
     /// `None` when fewer than `k` honest members remain.
     fn try_repair(&self, device: usize, stripe: u64) -> Option<(Bytes, usize)> {
-        let expect = *self.checksums[device].get(&stripe)?;
+        self.checksums[device].get(&stripe)?;
         let ep = self.epoch_for_stripe(stripe);
-        let n = ep.layout.config().num_devices;
         let k = ep.layout.config().data_columns();
-        let mut survivors: Vec<(usize, &[u8])> = Vec::with_capacity(n - 1);
-        for dev in 0..n {
-            if dev == device || self.failed[dev] || self.plan.is_latent(dev, stripe) {
-                continue;
-            }
-            let Some(b) = self.devices[dev].get(&stripe) else {
-                continue;
-            };
-            if let Some(&sum) = self.checksums[dev].get(&stripe) {
-                if crc::crc32c(b) != sum {
-                    continue; // member is silently corrupt too
-                }
-            }
-            survivors.push((ep.layout.shard_of(stripe, dev), b.as_ref()));
-        }
+        let survivors: Vec<(usize, &[u8])> = (0..ep.layout.config().num_devices)
+            .filter(|&dev| dev != device && !self.erased(dev, stripe))
+            .filter_map(|dev| {
+                let b = self.devices[dev].get(&stripe)?;
+                // A member that is silently corrupt too is no witness.
+                self.verifies(dev, stripe, b).then(|| (ep.layout.shard_of(stripe, dev), b.as_ref()))
+            })
+            .take(k)
+            .collect();
         if survivors.len() < k {
             return None;
         }
-        survivors.truncate(k);
         let out = ep.recover(&survivors, stripe, device)?;
-        (crc::crc32c(&out) == expect).then_some((out, k))
+        self.verifies(device, stripe, &out).then_some((out, k))
     }
 
     /// Silently flip bytes in the stored chunk at (device, stripe) — the
     /// device keeps serving it as if nothing happened; only the checksum
-    /// can tell. Returns false if the chunk was never written.
+    /// can tell. Any written chunk can corrupt, in an open stripe too.
+    /// Returns false if there is no such chunk, or it is corrupt already
+    /// (a second flip would restore the bytes).
     pub fn inject_corruption(&mut self, device: usize, stripe: u64) -> bool {
-        let Some(bytes) = self.devices[device].get(&stripe) else {
+        let key = (device, stripe);
+        let Some(bytes) = self.devices.get(device).and_then(|chunks| chunks.get(&stripe)) else {
             return false;
         };
+        if self.corruption_injected_at.contains_key(&key) || self.known_bad.contains(&key) {
+            return false;
+        }
         let mut v = BytesMut::zeroed(bytes.len());
         v.copy_from_slice(bytes);
         let mid = v.len() / 2;
         v[0] ^= 0xA5;
         v[mid] ^= 0x5A;
         self.devices[device].insert(stripe, v.freeze());
-        self.corruption_injected_at.insert((device, stripe), self.plan.ops());
+        self.corruption_injected_at.insert(key, self.plan.ops());
         true
     }
 
@@ -524,7 +573,13 @@ impl InMemoryArray {
 
     /// Mark a device failed (degraded mode).
     pub fn fail_device(&mut self, device: usize) {
-        self.failed[device] = true;
+        assert!(device < self.failed.len(), "no such device");
+        self.mark_failed(device);
+    }
+
+    /// Devices currently failed (under rebuild or not), in id order.
+    pub fn failed_devices(&self) -> Vec<usize> {
+        (0..self.failed.len()).filter(|&d| self.failed[d]).collect()
     }
 
     /// Current health: rebuilding beats degraded beats healthy. (A drain
@@ -537,7 +592,7 @@ impl InMemoryArray {
     pub fn disk_states(&self) -> Vec<DiskState> {
         (0..self.devices.len())
             .map(|d| {
-                if self.rebuild_target == Some(d) {
+                if self.rebuild_targets.contains(&d) {
                     DiskState::Rebuilding
                 } else if self.failed[d] {
                     DiskState::Failed
@@ -550,141 +605,128 @@ impl InMemoryArray {
             .collect()
     }
 
-    /// Begin an incremental rebuild of `device` onto a fresh spare. The
-    /// worklist is every stripe any survivor holds, **most-exposed stripes
-    /// first**: a stripe that already carries a latent, corrupt, or
-    /// condemned chunk on another device is one fault from data loss, so
-    /// the sweep closes those windows before touching clean stripes.
-    /// Incomplete stripes are skipped by the sweep (their chunks are lost
-    /// — no parity was written). Writes that arrive while rebuilding go to
-    /// the spare directly and are preserved. Errors when the remaining
-    /// failed devices would exceed the code's erasure budget.
+    /// Begin an incremental rebuild of `device` onto a fresh spare (a
+    /// healthy device is dropped first: that is a replacement). See
+    /// [`Self::start_rebuild_all`] for the sweep.
     pub fn start_rebuild(&mut self, device: usize) -> Result<RebuildProgress, ArrayError> {
-        let m = self.cfg.parity_devices;
-        let others: Vec<usize> = self
-            .failed
-            .iter()
-            .enumerate()
-            .filter(|&(d, &f)| f && d != device)
-            .map(|(d, _)| d)
-            .collect();
-        if others.len() >= m {
-            let loc = ChunkLocation { stripe: 0, device: others[m - 1], column: 0 };
-            return Err(ArrayError::DoubleFault { loc });
+        assert!(device < self.failed.len(), "no such device");
+        self.start_sweep(vec![device])
+    }
+
+    /// Begin one incremental rebuild sweep that restores every failed
+    /// device — up to `m` of them — onto fresh spares, reading each
+    /// stripe's survivors once. The worklist is every closed stripe,
+    /// **most-exposed stripes first**: a stripe that already carries a
+    /// latent, corrupt, or condemned chunk on a surviving device is one
+    /// fault from data loss, so the sweep closes those windows before
+    /// touching clean stripes. Writes that arrive while rebuilding go to
+    /// the spares directly. Errors when nothing is failed, or when the
+    /// failed devices exceed the code's erasure budget.
+    pub fn start_rebuild_all(&mut self) -> Result<RebuildProgress, ArrayError> {
+        let targets = self.failed_devices();
+        if targets.is_empty() {
+            return Err(ArrayError::NotDegraded);
         }
-        self.failed[device] = true; // replacing a healthy device drops it first
-        let mut stripes: Vec<u64> = self
-            .devices
-            .iter()
-            .enumerate()
-            .filter(|&(d, _)| d != device)
-            .flat_map(|(_, m)| m.keys().copied())
-            .collect();
-        stripes.sort_unstable();
-        stripes.dedup();
-        let mut exposure: BTreeMap<u64, usize> = BTreeMap::new();
-        for &(d, s) in self.corruption_injected_at.keys() {
-            if d != device {
+        self.start_sweep(targets)
+    }
+
+    fn start_sweep(&mut self, targets: Vec<usize>) -> Result<RebuildProgress, ArrayError> {
+        let mut down = targets.clone();
+        down.extend(self.failed_devices().into_iter().filter(|d| !targets.contains(d)));
+        if let Some(&device) = down.get(self.cfg.parity_devices) {
+            return Err(ArrayError::DoubleFault {
+                loc: ChunkLocation { stripe: 0, device, column: 0 },
+            });
+        }
+        let mut exposure: HashMap<u64, usize> = HashMap::new();
+        let exposed = self.corruption_injected_at.keys().chain(&self.known_bad);
+        for &(d, s) in exposed.chain(self.plan.latent_entries()) {
+            if !targets.contains(&d) {
                 *exposure.entry(s).or_default() += 1;
             }
         }
-        for &(d, s) in &self.known_bad {
-            if d != device {
-                *exposure.entry(s).or_default() += 1;
-            }
-        }
-        for &(d, s) in self.plan.latent_entries() {
-            if d != device {
-                *exposure.entry(s).or_default() += 1;
-            }
-        }
+        // The sweep covers the stripes closed so far; later ones are written
+        // with the spares in place.
+        let closed = self.stats.stripes_completed;
+        let mut stripes: Vec<u64> = (0..closed).collect();
         stripes.sort_by_key(|s| (Reverse(exposure.get(s).copied().unwrap_or(0)), *s));
-        self.devices[device].clear(); // the spare starts empty
-        self.rebuild_target = Some(device);
+        for &d in &targets {
+            self.mark_failed(d);
+            // The spare starts empty, but for what the array still holds in
+            // its stripe buffer: the chunks of the stripe being filled, which
+            // no parity covers yet. They go onto the spare as they are.
+            self.devices[d].retain(|&stripe, _| stripe >= closed);
+        }
+        self.rebuild_targets = targets;
         self.rebuild_stripes = stripes;
         self.rebuild_cursor = 0;
         Ok(self.rebuild_progress())
     }
 
     /// Advance the rebuild sweep by at most `max_stripes` stripes. Each
-    /// rebuilt chunk reads the stripe's present members and writes one
-    /// chunk to the spare, charged to the rebuild counters. Completing the
-    /// sweep returns the device to service.
+    /// stripe reads its surviving members once and writes one chunk to
+    /// every spare, charged to the rebuild counters. Completing the sweep
+    /// returns the devices to service.
     pub fn rebuild_step(&mut self, max_stripes: usize) -> Result<RebuildProgress, ArrayError> {
-        let device = self.rebuild_target.ok_or(ArrayError::NotDegraded)?;
-        let chunk_bytes = self.cfg.chunk_bytes;
+        if self.rebuild_targets.is_empty() {
+            return Err(ArrayError::NotDegraded);
+        }
         let end = self.rebuild_cursor.saturating_add(max_stripes).min(self.rebuild_stripes.len());
         for i in self.rebuild_cursor..end {
-            let stripe = self.rebuild_stripes[i];
-            if self.devices[device].contains_key(&stripe) {
-                continue; // written to the spare while rebuilding
+            self.rebuild_stripe(self.rebuild_stripes[i]);
+        }
+        self.rebuild_cursor = end;
+        if end == self.rebuild_stripes.len() {
+            for d in self.rebuild_targets.drain(..) {
+                self.failed[d] = false;
             }
-            let layout = self.epoch_for_stripe(stripe).layout;
-            let n = layout.config().num_devices;
-            let k = layout.config().data_columns();
-            if device >= n {
-                continue; // stripe predates the device: it holds nothing there
-            }
-            let mut good: Vec<(usize, Bytes)> = Vec::with_capacity(n - 1);
-            let mut gathered = 0usize;
-            let mut complete = true;
-            for dev in 0..n {
-                if dev == device || self.failed[dev] {
-                    continue;
-                }
-                match self.devices[dev].get(&stripe) {
-                    Some(b) => {
-                        gathered += 1;
-                        let ok = match self.checksums[dev].get(&stripe) {
-                            Some(&sum) => crc::crc32c(b) == sum,
-                            None => true,
-                        };
-                        if ok {
-                            good.push((layout.shard_of(stripe, dev), b.clone()));
-                        }
-                    }
-                    None => {
-                        complete = false;
-                        break;
-                    }
+        }
+        Ok(self.rebuild_progress())
+    }
+
+    /// Restore `stripe` on every spare.
+    fn rebuild_stripe(&mut self, stripe: u64) {
+        let layout = self.epoch_for_stripe(stripe).layout;
+        let n = layout.config().num_devices;
+        // A stripe that predates a device holds nothing there.
+        let spares: Vec<usize> = self.rebuild_targets.iter().copied().filter(|&d| d < n).collect();
+        if spares.is_empty() {
+            return;
+        }
+        let mut good: Vec<(usize, Bytes)> = Vec::with_capacity(n - 1);
+        let mut gathered = 0;
+        for dev in (0..n).filter(|&dev| !self.lost(dev, stripe)) {
+            if let Some(b) = self.devices[dev].get(&stripe) {
+                gathered += 1;
+                if self.verifies(dev, stripe, b) {
+                    good.push((layout.shard_of(stripe, dev), b.clone()));
                 }
             }
-            if !complete {
-                continue; // stripe never closed: chunk unrecoverable
-            }
-            let rebuilt = if good.len() < k {
-                None
-            } else {
-                let refs: Vec<(usize, &[u8])> =
-                    good.iter().map(|(s, b)| (*s, b.as_ref())).collect();
-                self.epoch_for_stripe(stripe)
-                    .recover(&refs, stripe, device)
-                    .filter(|b| self.verifies(device, stripe, b))
-            };
+        }
+        let chunk_bytes = self.cfg.chunk_bytes;
+        self.stats.rebuild_read_bytes += gathered * chunk_bytes;
+        let refs: Vec<(usize, &[u8])> = good.iter().map(|(s, b)| (*s, b.as_ref())).collect();
+        for device in spares {
+            let rebuilt = (refs.len() >= layout.config().data_columns())
+                .then(|| self.epoch_for_stripe(stripe).recover(&refs, stripe, device))
+                .flatten()
+                .filter(|b| self.verifies(device, stripe, b));
             let Some(rebuilt) = rebuilt else {
                 // A silently corrupt member poisoned the decode; writing it
                 // would launder bad data into a "fresh" spare.
                 self.note_detection(device, stripe);
-                self.stats.corruptions_unrecoverable += 1;
-                self.known_bad.insert((device, stripe));
-                self.stats.rebuild_read_bytes += gathered as u64 * chunk_bytes;
+                self.condemn(ChunkLocation { stripe, device, column: 0 });
                 continue;
             };
+            // The dead media took its latent sector, its corruption and
+            // any verdict on it along.
             self.devices[device].insert(stripe, rebuilt);
             self.plan.clear_latent(device, stripe);
+            self.corruption_injected_at.remove(&(device, stripe));
             self.known_bad.remove(&(device, stripe));
-            self.stats.rebuild_read_bytes += gathered as u64 * chunk_bytes;
             self.stats.rebuild_write_bytes += chunk_bytes;
             self.stats.rebuilt_chunks += 1;
         }
-        self.rebuild_cursor = end;
-        if self.rebuild_cursor == self.rebuild_stripes.len() {
-            self.rebuild_target = None;
-            self.rebuild_stripes.clear();
-            self.rebuild_cursor = 0;
-            self.failed[device] = false;
-        }
-        Ok(self.rebuild_progress())
     }
 
     /// Current sweep progress.
@@ -692,7 +734,7 @@ impl InMemoryArray {
         RebuildProgress {
             stripes_done: self.rebuild_cursor as u64,
             stripes_total: self.rebuild_stripes.len() as u64,
-            complete: self.rebuild_target.is_none(),
+            complete: self.rebuild_targets.is_empty(),
         }
     }
 
@@ -703,9 +745,7 @@ impl InMemoryArray {
     pub fn rebuild_device(&mut self, device: usize) -> Option<usize> {
         let before = self.stats.rebuilt_chunks;
         self.start_rebuild(device).ok()?;
-        while self.rebuild_target.is_some() {
-            self.rebuild_step(usize::MAX).ok()?;
-        }
+        self.rebuild_step(usize::MAX).ok()?;
         Some((self.stats.rebuilt_chunks - before) as usize)
     }
 
@@ -731,7 +771,8 @@ impl InMemoryArray {
     /// stripe copies the device's one chunk (read + write, no decode when
     /// the chunk is clean) to the replacement; latent or corrupt chunks
     /// are repaired from stripe survivors first so the replacement starts
-    /// pristine. Completing the sweep releases the device.
+    /// pristine (a condemned chunk is copied as it is, verdict and all).
+    /// Completing the sweep releases the device.
     pub fn drain_step(&mut self, max_stripes: usize) -> RebuildProgress {
         let Some(device) = self.draining else {
             return self.drain_progress();
@@ -745,26 +786,25 @@ impl InMemoryArray {
                 && self.devices[device]
                     .get(&stripe)
                     .is_some_and(|b| self.verifies(device, stripe, b));
-            if !clean {
-                match self.try_repair(device, stripe) {
+            if !clean && !self.known_bad.contains(&(device, stripe)) {
+                let repaired = self.try_repair(device, stripe);
+                if !latent {
+                    self.note_detection(device, stripe);
+                }
+                match repaired {
                     Some((healed, shards_read)) => {
-                        self.devices[device].insert(stripe, healed);
-                        self.known_bad.remove(&(device, stripe));
                         self.stats.drain_read_bytes += shards_read as u64 * chunk_bytes;
                         if latent {
+                            // Unreadable, not corrupt: a scrub-style repair.
+                            self.devices[device].insert(stripe, healed);
                             self.stats.scrub_latent_repaired += 1;
+                            self.stats.heal_write_bytes += chunk_bytes;
                         } else {
-                            self.note_detection(device, stripe);
-                            self.stats.corruptions_healed += 1;
+                            self.heal(device, stripe, healed);
                         }
-                        self.stats.heal_write_bytes += chunk_bytes;
                     }
                     None => {
-                        if !latent {
-                            self.note_detection(device, stripe);
-                        }
-                        self.stats.corruptions_unrecoverable += 1;
-                        self.known_bad.insert((device, stripe));
+                        self.condemn(ChunkLocation { stripe, device, column: 0 });
                     }
                 }
             }
@@ -776,8 +816,6 @@ impl InMemoryArray {
         self.drain_cursor = end;
         if self.drain_cursor == self.drain_worklist.len() {
             self.draining = None;
-            self.drain_worklist.clear();
-            self.drain_cursor = 0;
         }
         self.drain_progress()
     }
@@ -806,31 +844,27 @@ impl InMemoryArray {
     /// in-flight rebuild and restarts a fresh pass after the previous one
     /// completes, so it runs continuously when pumped.
     pub fn scrub_step(&mut self, max_stripes: usize) -> ScrubStep {
-        if self.rebuild_target.is_some() {
+        if !self.rebuild_targets.is_empty() {
             return ScrubStep::paused();
         }
-        if self.scrub_cursor >= self.scrub_worklist.len() {
-            let mut stripes: Vec<u64> =
-                self.devices.iter().flat_map(|m| m.keys().copied()).collect();
-            stripes.sort_unstable();
-            stripes.dedup();
-            self.scrub_worklist = stripes;
+        if self.scrub_cursor >= self.scrub_total {
+            // The log appends stripes in order: the written ones are the
+            // closed ones plus the one being filled.
+            self.scrub_total = self.stats.stripes_completed + (self.open_columns > 0) as u64;
             self.scrub_cursor = 0;
         }
         let chunk_bytes = self.cfg.chunk_bytes;
-        let num_devices = self.devices.len();
         let mut step = ScrubStep::default();
-        let end = self.scrub_cursor.saturating_add(max_stripes).min(self.scrub_worklist.len());
-        for i in self.scrub_cursor..end {
-            let stripe = self.scrub_worklist[i];
+        let end = self.scrub_cursor.saturating_add(max_stripes as u64).min(self.scrub_total);
+        for stripe in self.scrub_cursor..end {
             step.stripes_scrubbed += 1;
-            for device in 0..num_devices {
-                if self.failed[device]
-                    || self.known_bad.contains(&(device, stripe))
-                    || !self.devices[device].contains_key(&stripe)
-                {
+            for device in 0..self.devices.len() {
+                if self.failed[device] || self.known_bad.contains(&(device, stripe)) {
                     continue;
                 }
+                let Some(bytes) = self.devices[device].get(&stripe) else {
+                    continue;
+                };
                 if self.plan.is_latent(device, stripe) {
                     // Unreadable media with intact redundancy: rewrite the
                     // chunk from survivors while we still can.
@@ -845,14 +879,7 @@ impl InMemoryArray {
                 }
                 step.chunks_scrubbed += 1;
                 step.read_bytes += chunk_bytes;
-                let clean = {
-                    let bytes = &self.devices[device][&stripe];
-                    match self.checksums[device].get(&stripe) {
-                        Some(&sum) => crc::crc32c(bytes) == sum,
-                        None => true,
-                    }
-                };
-                if clean {
+                if self.verifies(device, stripe, bytes) {
                     continue;
                 }
                 step.detected += 1;
@@ -874,8 +901,7 @@ impl InMemoryArray {
             }
         }
         self.scrub_cursor = end;
-        step.pass_complete =
-            !self.scrub_worklist.is_empty() && self.scrub_cursor >= self.scrub_worklist.len();
+        step.pass_complete = self.scrub_total > 0 && self.scrub_cursor >= self.scrub_total;
         self.stats.fold_scrub_step(&step);
         step
     }
@@ -883,9 +909,9 @@ impl InMemoryArray {
     /// Current scrub-pass progress.
     pub fn scrub_progress(&self) -> ScrubProgress {
         ScrubProgress {
-            stripes_done: self.scrub_cursor as u64,
-            stripes_total: self.scrub_worklist.len() as u64,
-            complete: self.scrub_cursor >= self.scrub_worklist.len(),
+            stripes_done: self.scrub_cursor,
+            stripes_total: self.scrub_total,
+            complete: self.scrub_cursor >= self.scrub_total,
         }
     }
 }
@@ -900,9 +926,11 @@ impl ArraySink for InMemoryArray {
 
     fn write_chunk_payload(&mut self, flush: ChunkFlush, payload: &[u8]) -> ChunkLocation {
         // The ownership boundary: stored chunks must outlive the caller's
-        // buffer, so the borrowed payload is copied exactly once, here.
-        self.stats.copy_bytes += payload.len() as u64;
-        self.write_chunk_bytes(Bytes::copy_from_slice(payload), flush)
+        // buffer, so what the store keeps of the borrowed payload is
+        // copied exactly once, here.
+        assert_eq!(payload.len() as u64, self.cfg.chunk_bytes, "sub-chunk write reached the array");
+        self.stats.copy_bytes += self.body_len as u64;
+        self.write_chunk_bytes(Bytes::copy_from_slice(&payload[..self.body_len]), flush)
     }
 
     fn config(&self) -> &ArrayConfig {
@@ -957,6 +985,33 @@ mod tests {
         ArrayConfig::with_parity(8, 2, 65536)
     }
 
+    /// The two stores a test runs its body on: one keeps all 64 KiB of
+    /// every chunk, the other its first byte.
+    fn both(cfg: ArrayConfig, plan: FaultPlan) -> [InMemoryArray; 2] {
+        [InMemoryArray::with_fault_plan(cfg, plan.clone()), InMemoryArray::modelled(cfg, plan)]
+    }
+
+    fn raid5_stores() -> [InMemoryArray; 2] {
+        both(ArrayConfig::default(), FaultPlan::new(0))
+    }
+
+    /// What `a` keeps of `body(seed)`.
+    fn kept(a: &InMemoryArray, seed: u8) -> Bytes {
+        Bytes::copy_from_slice(&body(seed)[..a.body_len])
+    }
+
+    /// Append one chunk of `body(seed)` per seed.
+    fn fill(a: &mut InMemoryArray, seeds: std::ops::Range<u8>) -> Vec<ChunkLocation> {
+        seeds.map(|seed| a.write_chunk_bytes(kept(a, seed), flush_full())).collect()
+    }
+
+    /// `locs[i]` holds `body(first_seed + i)` on the media.
+    fn assert_contents(a: &InMemoryArray, locs: &[ChunkLocation], first_seed: u8) {
+        for (i, loc) in locs.iter().enumerate() {
+            assert_eq!(a.read_chunk(*loc).unwrap(), kept(a, first_seed + i as u8), "chunk {i}");
+        }
+    }
+
     #[test]
     fn streaming_parity_matches_batch_parity() {
         let mut a = InMemoryArray::new(ArrayConfig::default());
@@ -988,512 +1043,745 @@ mod tests {
 
     #[test]
     fn accounting_path_copies_only_the_parity_seed() {
-        let mut a = InMemoryArray::new(ArrayConfig::default());
-        for _ in 0..6 {
-            a.write_chunk(flush_full());
+        for mut a in raid5_stores() {
+            for _ in 0..6 {
+                a.write_chunk(flush_full());
+            }
+            // 6 chunks = 2 closed stripes; the shared zero chunk means the
+            // only copies are the two parity-accumulator seeds.
+            assert_eq!(a.stats().copy_bytes, 2 * a.body_len as u64);
+            assert_eq!(a.stats().stripes_completed, 2);
+            assert_eq!(a.stats().parity_bytes(), 2 * 65536, "counters charge whole chunks");
+            assert_eq!(a.stats().data_bytes(), 6 * 65536);
         }
-        // 6 chunks = 2 closed stripes; the shared zero chunk means the only
-        // copies are the two parity-accumulator seeds.
-        assert_eq!(a.stats().copy_bytes, 2 * 65536);
     }
 
     #[test]
     fn payload_write_is_copied_once_and_roundtrips() {
-        let mut a = InMemoryArray::new(ArrayConfig::default());
-        let payload = body(42);
-        let loc = a.write_chunk_payload(flush_full(), &payload);
-        // One ownership-transfer copy plus the parity seed of a new stripe.
-        assert_eq!(a.stats().copy_bytes, 2 * 65536);
-        assert_eq!(a.read_chunk(loc).unwrap(), payload);
-    }
-
-    #[test]
-    fn write_read_roundtrip() {
-        let mut a = InMemoryArray::new(ArrayConfig::default());
-        let loc = a.write_chunk_bytes(body(1), flush_full());
-        assert_eq!(a.read_chunk(loc).unwrap(), body(1));
+        for mut a in raid5_stores() {
+            let loc = a.write_chunk_payload(flush_full(), &body(42));
+            // One ownership-transfer copy plus the parity seed of a new stripe.
+            assert_eq!(a.stats().copy_bytes, 2 * a.body_len as u64);
+            assert_eq!(a.read_chunk(loc).unwrap(), kept(&a, 42));
+        }
     }
 
     #[test]
     fn degraded_read_reconstructs() {
-        let mut a = InMemoryArray::new(ArrayConfig::default());
-        let locs: Vec<_> = (0..3).map(|i| a.write_chunk_bytes(body(i), flush_full())).collect();
         // Stripe 0 is complete; fail each data device in turn and re-read.
-        for (i, loc) in locs.iter().enumerate() {
-            let mut b = InMemoryArray::new(ArrayConfig::default());
-            for j in 0..3 {
-                b.write_chunk_bytes(body(j), flush_full());
+        for victim in 0..3 {
+            for mut a in raid5_stores() {
+                let locs = fill(&mut a, 0..3);
+                a.fail_device(locs[victim].device);
+                assert_contents(&a, &locs, 0);
             }
-            b.fail_device(loc.device);
-            assert_eq!(b.read_chunk(*loc).unwrap(), body(i as u8), "chunk {i}");
         }
     }
 
     #[test]
     fn double_fault_unrecoverable() {
-        let mut a = InMemoryArray::new(ArrayConfig::default());
-        let loc = a.write_chunk_bytes(body(1), flush_full());
-        for _ in 0..2 {
-            a.write_chunk_bytes(body(9), flush_full());
+        for mut a in raid5_stores() {
+            let loc = fill(&mut a, 1..4)[0];
+            a.fail_device(loc.device);
+            a.fail_device((loc.device + 1) % 4);
+            assert!(a.read_chunk(loc).is_none());
         }
-        a.fail_device(loc.device);
-        a.fail_device((loc.device + 1) % 4);
-        assert!(a.read_chunk(loc).is_none());
     }
 
     #[test]
     fn rebuild_restores_contents() {
-        let mut a = InMemoryArray::new(ArrayConfig::default());
-        let locs: Vec<_> = (0..6).map(|i| a.write_chunk_bytes(body(i), flush_full())).collect();
-        let victim = locs[0].device;
-        a.fail_device(victim);
-        let rebuilt = a.rebuild_device(victim).unwrap();
-        assert!(rebuilt > 0);
-        for (i, loc) in locs.iter().enumerate() {
-            assert_eq!(a.read_chunk(*loc).unwrap(), body(i as u8), "chunk {i}");
+        for mut a in raid5_stores() {
+            let locs = fill(&mut a, 0..6);
+            let victim = locs[0].device;
+            a.fail_device(victim);
+            assert!(a.rebuild_device(victim).unwrap() > 0);
+            assert_contents(&a, &locs, 0);
         }
     }
 
     #[test]
     fn rebuild_refuses_double_fault() {
-        let mut a = InMemoryArray::new(ArrayConfig::default());
-        for i in 0..3 {
-            a.write_chunk_bytes(body(i), flush_full());
+        for mut a in raid5_stores() {
+            fill(&mut a, 0..3);
+            a.fail_device(0);
+            a.fail_device(1);
+            assert!(a.rebuild_device(0).is_none());
+            assert!(matches!(a.start_rebuild_all(), Err(ArrayError::DoubleFault { .. })));
         }
-        a.fail_device(0);
-        a.fail_device(1);
-        assert!(a.rebuild_device(0).is_none());
     }
 
     #[test]
-    fn incomplete_stripe_degraded_read_fails_gracefully() {
-        let mut a = InMemoryArray::new(ArrayConfig::default());
-        let loc = a.write_chunk_bytes(body(1), flush_full());
-        // Stripe not complete: no parity yet.
-        a.fail_device(loc.device);
-        assert!(a.read_chunk(loc).is_none());
-    }
-
-    #[test]
-    fn stats_match_counting_model() {
-        let mut a = InMemoryArray::new(ArrayConfig::default());
-        for _ in 0..6 {
-            a.write_chunk(flush_full());
+    fn rebuild_without_failure_is_error() {
+        for mut a in raid5_stores() {
+            assert_eq!(a.start_rebuild_all(), Err(ArrayError::NotDegraded));
+            assert_eq!(a.rebuild_step(1), Err(ArrayError::NotDegraded));
         }
-        assert_eq!(a.stats().stripes_completed, 2);
-        assert_eq!(a.stats().parity_bytes(), 2 * 65536);
-        assert_eq!(a.stats().data_bytes(), 6 * 65536);
     }
 
     #[test]
     fn try_read_typed_errors() {
-        use crate::error::ArrayError;
-        let mut a = InMemoryArray::new(ArrayConfig::default());
-        let loc = a.write_chunk_bytes(body(1), flush_full());
-        // Unwritten location.
-        let missing = ChunkLocation { stripe: 99, device: 0, column: 0 };
-        assert_eq!(a.try_read_chunk(missing), Err(ArrayError::MissingChunk { loc: missing }));
-        // Failed device before the stripe closed.
-        a.fail_device(loc.device);
-        assert_eq!(a.try_read_chunk(loc), Err(ArrayError::Unreconstructable { loc }));
-        // Second failure → double fault.
-        a.fail_device((loc.device + 1) % 4);
-        assert_eq!(a.try_read_chunk(loc), Err(ArrayError::DoubleFault { loc }));
-    }
-
-    #[test]
-    fn try_read_degraded_accounts_reconstruction() {
-        use crate::fault::ReadMode;
-        let mut a = InMemoryArray::new(ArrayConfig::default());
-        let locs: Vec<_> = (0..3).map(|i| a.write_chunk_bytes(body(i), flush_full())).collect();
-        a.fail_device(locs[0].device);
-        let (bytes, mode) = a.try_read_chunk(locs[0]).unwrap();
-        assert_eq!(mode, ReadMode::Reconstructed);
-        assert_eq!(bytes, body(0));
-        assert_eq!(a.stats().degraded_reads, 1);
-        assert_eq!(a.stats().reconstructed_bytes, 3 * 65536);
-    }
-
-    #[test]
-    fn scheduled_failure_fires_on_write_path() {
-        use crate::fault::ArrayHealth;
-        let plan = FaultPlan::new(5).fail_device_at(2, 4);
-        let mut a = InMemoryArray::with_fault_plan(ArrayConfig::default(), plan);
-        for i in 0..3 {
-            a.write_chunk_bytes(body(i), flush_full());
+        for mut a in raid5_stores() {
+            let loc = fill(&mut a, 1..2)[0];
+            // Unwritten location.
+            let missing = ChunkLocation { stripe: 99, device: 0, column: 0 };
+            assert_eq!(a.try_read_chunk(missing), Err(ArrayError::MissingChunk { loc: missing }));
+            // Failed device before the stripe closed: no parity to decode with.
+            a.fail_device(loc.device);
+            assert!(a.read_chunk(loc).is_none());
+            assert_eq!(a.try_read_chunk(loc), Err(ArrayError::Unreconstructable { loc }));
+            assert_eq!(a.read_chunk_at(loc), Err(ArrayError::Unreconstructable { loc }));
+            // Second failure → double fault.
+            a.fail_device((loc.device + 1) % 4);
+            assert_eq!(a.try_read_chunk(loc), Err(ArrayError::DoubleFault { loc }));
         }
-        assert_eq!(a.health_view(), ArrayHealth::Healthy);
-        a.write_chunk_bytes(body(9), flush_full()); // 4th op
-        assert_eq!(a.health_view(), ArrayHealth::Degraded { device: 2 });
+    }
+
+    #[test]
+    fn devices_and_stripes_the_array_lacks_are_typed_errors() {
+        for mut a in raid5_stores() {
+            let loc = fill(&mut a, 0..1)[0];
+            let no_device = ChunkLocation { device: 4, ..loc };
+            let no_stripe = ChunkLocation { stripe: 9, ..loc };
+            for missing in [no_device, no_stripe] {
+                let err = ArrayError::MissingChunk { loc: missing };
+                assert_eq!(a.try_read_chunk(missing), Err(err));
+                assert_eq!(a.read_chunk_at(missing), Err(err));
+                assert!(a.read_chunk(missing).is_none());
+                assert!(!a.inject_corruption(missing.device, missing.stripe));
+            }
+            assert_eq!(a.outstanding_corruptions(), 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no such device")]
+    fn failing_a_device_the_array_lacks_is_a_named_assert() {
+        InMemoryArray::modelled(ArrayConfig::default(), FaultPlan::new(0)).fail_device(4);
+    }
+
+    #[test]
+    fn transient_errors_fire() {
+        for mut a in both(ArrayConfig::default(), FaultPlan::new(9).with_transient_read_prob(0.5)) {
+            let loc = fill(&mut a, 0..1)[0];
+            let mut transients = 0;
+            for _ in 0..64 {
+                if let Err(e) = a.read_chunk_at(loc) {
+                    assert!(e.is_transient());
+                    transients += 1;
+                }
+            }
+            assert!(transients > 10, "p=0.5 over 64 reads fired {transients}");
+        }
+    }
+
+    #[test]
+    fn degraded_read_accounts_reconstruction() {
+        for mut a in raid5_stores() {
+            let locs = fill(&mut a, 0..3);
+            a.fail_device(locs[0].device);
+            let (bytes, mode) = a.try_read_chunk(locs[0]).unwrap();
+            assert_eq!(mode, ReadMode::Reconstructed);
+            assert_eq!(bytes, kept(&a, 0));
+            assert_eq!(a.stats().degraded_reads, 1);
+            assert_eq!(a.stats().reconstructed_bytes, 3 * 65536);
+            let out = a.read_chunk_at(locs[0]).unwrap();
+            assert_eq!(out.mode, ReadMode::Reconstructed);
+            assert_eq!(out.device_bytes_read, 3 * 65536);
+        }
+    }
+
+    #[test]
+    fn degraded_reads_and_rebuild() {
+        // Device 1 fails on the 7th op (after 2 full stripes of writes).
+        for mut a in both(ArrayConfig::default(), FaultPlan::new(42).fail_device_at(1, 7)) {
+            let locs = fill(&mut a, 0..6);
+            assert_eq!(a.health_view(), ArrayHealth::Healthy);
+            fill(&mut a, 6..7); // 7th op: device 1 dies
+            assert_eq!(a.health_view(), ArrayHealth::Degraded { device: 1 });
+
+            // Reads to surviving devices are normal; reads to device 1 in
+            // closed stripes reconstruct.
+            let mut degraded = 0;
+            for &loc in &locs {
+                let out = a.read_chunk_at(loc).unwrap();
+                if loc.device == 1 {
+                    assert_eq!(out.mode, ReadMode::Reconstructed);
+                    assert_eq!(out.device_bytes_read, 3 * 65536);
+                    degraded += 1;
+                } else {
+                    assert_eq!(out.mode, ReadMode::Normal);
+                }
+            }
+            assert!(degraded > 0, "rotation must place some chunks on device 1");
+            assert_eq!(a.stats().degraded_reads, degraded);
+            assert_eq!(a.stats().reconstructed_bytes, degraded * 3 * 65536);
+
+            // Incremental rebuild sweeps the closed stripes.
+            let p = a.start_rebuild_all().unwrap();
+            assert!(!p.complete);
+            assert_eq!(a.health_view(), ArrayHealth::Rebuilding { device: 1 });
+            let p = a.rebuild_step(1).unwrap();
+            assert_eq!(p.stripes_done, 1);
+            assert!(!p.complete);
+            let p = a.rebuild_step(usize::MAX).unwrap();
+            assert!(p.complete);
+            assert_eq!(a.health_view(), ArrayHealth::Healthy);
+            assert_eq!(p.stripes_total, 2);
+            assert_eq!(a.stats().rebuilt_chunks, p.stripes_total);
+            assert_eq!(a.stats().rebuild_write_bytes, p.stripes_total * 65536);
+            assert_eq!(a.stats().rebuild_read_bytes, p.stripes_total * 3 * 65536);
+
+            // Post-rebuild reads are normal again, and byte-exact.
+            for &loc in &locs {
+                assert_eq!(a.read_chunk_at(loc).unwrap().mode, ReadMode::Normal);
+            }
+            assert_contents(&a, &locs, 0);
+        }
     }
 
     #[test]
     fn latent_sector_read_reconstructs() {
-        use crate::fault::ReadMode;
-        let mut a = InMemoryArray::new(ArrayConfig::default());
-        let locs: Vec<_> = (0..3).map(|i| a.write_chunk_bytes(body(i), flush_full())).collect();
-        let victim = locs[1];
-        // Media degrades after the stripe was written.
-        a.plan_mut().add_latent_sector(victim.device, victim.stripe);
-        let (bytes, mode) = a.try_read_chunk(victim).unwrap();
-        assert_eq!(mode, ReadMode::Reconstructed);
-        assert_eq!(bytes, body(1));
-        assert_eq!(a.stats().degraded_reads, 1);
-        // A rewrite of the same (device, stripe) slot clears the error.
-        a.plan_mut().clear_latent(victim.device, victim.stripe);
-        let (_, mode) = a.try_read_chunk(victim).unwrap();
-        assert_eq!(mode, ReadMode::Normal);
-    }
-
-    #[test]
-    fn incremental_rebuild_steps_to_completion() {
-        use crate::fault::ArrayHealth;
-        let mut a = InMemoryArray::new(ArrayConfig::default());
-        let locs: Vec<_> = (0..9).map(|i| a.write_chunk_bytes(body(i), flush_full())).collect();
-        let victim = locs[0].device;
-        a.fail_device(victim);
-        let p = a.start_rebuild(victim).unwrap();
-        assert!(!p.complete);
-        assert_eq!(a.health_view(), ArrayHealth::Rebuilding { device: victim });
-        let mut steps = 0;
-        while !a.rebuild_step(1).unwrap().complete {
-            steps += 1;
-            assert!(steps < 100, "rebuild must terminate");
-        }
-        assert_eq!(a.health_view(), ArrayHealth::Healthy);
-        assert!(a.stats().rebuilt_chunks > 0);
-        assert_eq!(a.stats().rebuild_write_bytes, a.stats().rebuilt_chunks * 65536);
-        assert_eq!(a.stats().rebuild_read_bytes, a.stats().rebuilt_chunks * 3 * 65536);
-        for (i, loc) in locs.iter().enumerate() {
-            assert_eq!(a.read_chunk(*loc).unwrap(), body(i as u8), "chunk {i}");
+        for mut a in raid5_stores() {
+            let locs = fill(&mut a, 0..3);
+            let victim = locs[1];
+            // Media degrades after the stripe was written.
+            a.plan_mut().add_latent_sector(victim.device, victim.stripe);
+            let (bytes, mode) = a.try_read_chunk(victim).unwrap();
+            assert_eq!(mode, ReadMode::Reconstructed);
+            assert_eq!(bytes, kept(&a, 1));
+            assert_eq!(a.stats().degraded_reads, 1);
+            // A rewrite of the same (device, stripe) slot clears the error.
+            a.plan_mut().clear_latent(victim.device, victim.stripe);
+            let (_, mode) = a.try_read_chunk(victim).unwrap();
+            assert_eq!(mode, ReadMode::Normal);
         }
     }
 
     #[test]
     fn writes_during_rebuild_land_on_spare_and_survive() {
-        let mut a = InMemoryArray::new(ArrayConfig::default());
-        let locs: Vec<_> = (0..3).map(|i| a.write_chunk_bytes(body(i), flush_full())).collect();
-        let victim = locs[0].device;
-        a.fail_device(victim);
-        a.start_rebuild(victim).unwrap();
-        // Write three more chunks mid-rebuild (one lands on the spare).
-        let new_locs: Vec<_> =
-            (10..13).map(|i| a.write_chunk_bytes(body(i), flush_full())).collect();
-        while !a.rebuild_step(1).unwrap().complete {}
-        for (i, loc) in locs.iter().enumerate() {
-            assert_eq!(a.read_chunk(*loc).unwrap(), body(i as u8));
-        }
-        for (i, loc) in new_locs.iter().enumerate() {
-            assert_eq!(a.read_chunk(*loc).unwrap(), body(10 + i as u8));
+        for mut a in raid5_stores() {
+            let locs = fill(&mut a, 0..3);
+            let victim = locs[0].device;
+            a.fail_device(victim);
+            a.start_rebuild(victim).unwrap();
+            // Write three more chunks mid-rebuild (one lands on the spare).
+            let new_locs = fill(&mut a, 10..13);
+            while !a.rebuild_step(1).unwrap().complete {}
+            assert_contents(&a, &locs, 0);
+            assert_contents(&a, &new_locs, 10);
         }
     }
 
     #[test]
-    fn sink_read_chunk_at_reports_reconstruction() {
-        use crate::fault::ReadMode;
-        let mut a = InMemoryArray::new(ArrayConfig::default());
-        let locs: Vec<_> = (0..3).map(|i| a.write_chunk_bytes(body(i), flush_full())).collect();
-        a.fail_device(locs[2].device);
-        let out = a.read_chunk_at(locs[2]).unwrap();
-        assert_eq!(out.mode, ReadMode::Reconstructed);
-        assert_eq!(out.device_bytes_read, 3 * 65536);
+    fn open_stripe_moves_to_the_spare_from_the_stripe_buffer() {
+        for mut a in raid5_stores() {
+            let locs = fill(&mut a, 0..4); // stripe 0 closed, stripe 1 has one chunk
+            let tail = locs[3];
+            a.fail_device(tail.device);
+            assert_eq!(a.try_read_chunk(tail), Err(ArrayError::Unreconstructable { loc: tail }));
+            let p = a.start_rebuild(tail.device).unwrap();
+            assert_eq!(p.stripes_total, 1, "the sweep covers the closed stripe");
+            assert_eq!(a.try_read_chunk(tail).unwrap(), (kept(&a, 3), ReadMode::Normal));
+            assert!(a.rebuild_step(usize::MAX).unwrap().complete);
+            // Once stripe 1 closes, its parity covers the chunk like any other.
+            fill(&mut a, 4..6);
+            a.fail_device(tail.device);
+            assert_eq!(a.try_read_chunk(tail).unwrap(), (kept(&a, 3), ReadMode::Reconstructed));
+        }
+    }
+
+    #[test]
+    fn restored_stripes_are_read_from_the_spare() {
+        for mut a in raid5_stores() {
+            let locs = fill(&mut a, 0..6);
+            let victim = locs[0];
+            let pending = *locs[3..].iter().find(|l| l.device == victim.device).unwrap();
+            a.fail_device(victim.device);
+            a.start_rebuild(victim.device).unwrap();
+            a.rebuild_step(1).unwrap(); // stripe 0 is restored, stripe 1 is not
+            assert_eq!(a.try_read_chunk(victim).unwrap().1, ReadMode::Normal);
+            assert_eq!(a.try_read_chunk(pending).unwrap().1, ReadMode::Reconstructed);
+            // The restored chunk is no erasure any more: a latent sector on
+            // another member is the stripe's first fault, not its second.
+            a.plan_mut().add_latent_sector(locs[1].device, 0);
+            assert_eq!(a.try_read_chunk(victim).unwrap().1, ReadMode::Normal);
+            let (bytes, mode) = a.try_read_chunk(locs[1]).unwrap();
+            assert_eq!((bytes, mode), (kept(&a, 1), ReadMode::Reconstructed));
+            assert_eq!(a.stats().degraded_reads, 2);
+        }
     }
 
     #[test]
     fn corrupted_read_heals_in_place() {
-        use crate::fault::ReadMode;
-        let mut a = InMemoryArray::new(ArrayConfig::default());
-        let locs: Vec<_> = (0..3).map(|i| a.write_chunk_bytes(body(i), flush_full())).collect();
-        assert!(a.inject_corruption(locs[1].device, locs[1].stripe));
-        let (bytes, mode) = a.try_read_chunk(locs[1]).unwrap();
-        assert_eq!(mode, ReadMode::Healed);
-        assert_eq!(bytes, body(1), "healed contents bit-identical to pre-corruption");
-        assert_eq!(a.stats().corruptions_detected, 1);
-        assert_eq!(a.stats().corruptions_healed, 1);
-        assert_eq!(a.stats().heal_write_bytes, 65536);
-        // The rewrite stuck: the next read is clean and direct.
-        let (_, mode) = a.try_read_chunk(locs[1]).unwrap();
-        assert_eq!(mode, ReadMode::Normal);
-        assert_eq!(a.stats().corruptions_detected, 1, "no re-detection after heal");
+        for mut a in raid5_stores() {
+            let locs = fill(&mut a, 0..3);
+            assert!(a.inject_corruption(locs[1].device, locs[1].stripe));
+            assert!(!a.inject_corruption(locs[1].device, locs[1].stripe), "corrupt already");
+            let (bytes, mode) = a.try_read_chunk(locs[1]).unwrap();
+            assert_eq!(mode, ReadMode::Healed);
+            assert_eq!(bytes, kept(&a, 1), "healed contents bit-identical to pre-corruption");
+            assert_eq!(a.stats().corruptions_detected, 1);
+            assert_eq!(a.stats().corruptions_healed, 1);
+            assert_eq!(a.stats().heal_write_bytes, 65536);
+            assert_eq!(a.outstanding_corruptions(), 0);
+            // The rewrite stuck: the next read is clean and direct.
+            let (_, mode) = a.try_read_chunk(locs[1]).unwrap();
+            assert_eq!(mode, ReadMode::Normal);
+            assert_eq!(a.stats().corruptions_detected, 1, "no re-detection after heal");
+            // Through the sink interface a heal reports what it read.
+            assert!(a.inject_corruption(locs[0].device, locs[0].stripe));
+            let out = a.read_chunk_at(locs[0]).unwrap();
+            assert_eq!(out.mode, ReadMode::Healed);
+            assert_eq!(out.device_bytes_read, 4 * 65536, "bad chunk + 3 survivors");
+        }
+    }
+
+    #[test]
+    fn corruption_in_an_open_stripe_is_detected() {
+        for mut a in raid5_stores() {
+            let loc = fill(&mut a, 0..1)[0];
+            assert!(a.inject_corruption(loc.device, loc.stripe), "any written chunk can corrupt");
+            // No parity yet, so no repair — but never the wrong bytes.
+            assert_eq!(a.try_read_chunk(loc), Err(ArrayError::ChecksumMismatch { loc }));
+            assert_eq!(a.stats().corruptions_detected, 1);
+            assert_eq!(a.stats().corruptions_unrecoverable, 1);
+        }
     }
 
     #[test]
     fn corrupted_parity_healed_by_scrub() {
-        let mut a = InMemoryArray::new(ArrayConfig::default());
-        for i in 0..3 {
-            a.write_chunk_bytes(body(i), flush_full());
+        for mut a in raid5_stores() {
+            fill(&mut a, 0..3);
+            let pdev = a.epochs[0].layout.parity_device(0);
+            assert!(a.inject_corruption(pdev, 0));
+            let step = a.scrub_step(usize::MAX);
+            assert_eq!(step.detected, 1);
+            assert_eq!(step.healed, 1);
+            assert!(step.pass_complete);
+            assert_eq!(a.outstanding_corruptions(), 0);
+            // Parity is good again: a degraded read still reconstructs.
+            let loc = ChunkLocation { stripe: 0, device: (pdev + 1) % 4, column: 0 };
+            a.fail_device(loc.device);
+            let got = a.read_chunk(loc).unwrap();
+            assert_eq!(crc::crc32c(&got), a.checksums[loc.device][&0]);
         }
-        let pdev = a.epochs[0].layout.parity_device(0);
-        assert!(a.inject_corruption(pdev, 0));
-        let step = a.scrub_step(usize::MAX);
-        assert_eq!(step.detected, 1);
-        assert_eq!(step.healed, 1);
-        assert!(step.pass_complete);
-        assert_eq!(a.outstanding_corruptions(), 0);
-        // Parity is good again: a degraded read still reconstructs.
-        let loc = ChunkLocation { stripe: 0, device: (pdev + 1) % 4, column: 0 };
-        a.fail_device(loc.device);
-        let got = a.read_chunk(loc).unwrap();
-        assert_eq!(crc::crc32c(&got), a.checksums[loc.device][&0]);
     }
 
     #[test]
     fn corruption_plus_device_failure_is_unrecoverable() {
-        use crate::error::ArrayError;
-        let mut a = InMemoryArray::new(ArrayConfig::default());
-        let locs: Vec<_> = (0..3).map(|i| a.write_chunk_bytes(body(i), flush_full())).collect();
-        a.inject_corruption(locs[0].device, locs[0].stripe);
-        a.fail_device(locs[1].device);
-        // Direct read of the corrupt chunk: repair needs the failed member.
-        let err = a.try_read_chunk(locs[0]).unwrap_err();
-        assert!(matches!(err, ArrayError::ChecksumMismatch { .. }), "{err}");
-        assert_eq!(a.stats().corruptions_unrecoverable, 1);
-        // Degraded read of the failed member: corrupt survivor detected.
-        let err = a.try_read_chunk(locs[1]).unwrap_err();
-        assert!(matches!(err, ArrayError::ChecksumMismatch { .. }), "{err}");
+        for mut a in raid5_stores() {
+            let locs = fill(&mut a, 0..3);
+            a.inject_corruption(locs[0].device, locs[0].stripe);
+            a.fail_device(locs[1].device);
+            // Direct read of the corrupt chunk: repair needs the failed member.
+            let err = a.try_read_chunk(locs[0]).unwrap_err();
+            assert!(matches!(err, ArrayError::ChecksumMismatch { .. }), "{err}");
+            assert!(!err.is_transient());
+            assert_eq!(a.stats().corruptions_unrecoverable, 1);
+            // The verdict is sticky: re-reads fail without re-counting, and
+            // so does the degraded read that needs the condemned member.
+            for loc in [locs[0], locs[0], locs[1]] {
+                let err = a.try_read_chunk(loc).unwrap_err();
+                assert_eq!(err, ArrayError::ChecksumMismatch { loc: locs[0] }, "{err}");
+            }
+            assert_eq!(a.stats().corruptions_detected, 1);
+            assert_eq!(a.stats().corruptions_unrecoverable, 1);
+        }
+    }
+
+    #[test]
+    fn degraded_read_detects_corrupt_survivor() {
+        for mut a in raid5_stores() {
+            let locs = fill(&mut a, 0..3);
+            a.fail_device(locs[0].device);
+            a.inject_corruption(locs[1].device, locs[1].stripe);
+            match a.read_chunk_at(locs[0]).unwrap_err() {
+                ArrayError::ChecksumMismatch { loc } => assert_eq!(loc.device, locs[1].device),
+                other => panic!("expected checksum mismatch, got {other}"),
+            }
+            assert_eq!(a.stats().corruptions_unrecoverable, 1);
+        }
     }
 
     #[test]
     fn scheduled_corruption_fires_and_latency_is_counted() {
         let plan = FaultPlan::new(3).with_corruption_at(3, 0, 0);
-        let mut a = InMemoryArray::with_fault_plan(ArrayConfig::default(), plan);
-        let locs: Vec<_> = (0..3).map(|i| a.write_chunk_bytes(body(i), flush_full())).collect();
-        assert_eq!(a.outstanding_corruptions(), 1, "fired on the 3rd op");
-        let victim = locs.iter().find(|l| l.device == 0).unwrap();
-        // Two clean reads of other chunks, then hit the corrupt one.
-        for loc in locs.iter().filter(|l| l.device != 0) {
-            a.try_read_chunk(*loc).unwrap();
+        for mut a in both(ArrayConfig::default(), plan) {
+            let locs = fill(&mut a, 0..3);
+            assert_eq!(a.outstanding_corruptions(), 1, "fired on the 3rd op");
+            let victim = locs.iter().find(|l| l.device == 0).unwrap();
+            // Two clean reads of other chunks, then hit the corrupt one.
+            for loc in locs.iter().filter(|l| l.device != 0) {
+                a.try_read_chunk(*loc).unwrap();
+            }
+            let (bytes, mode) = a.try_read_chunk(*victim).unwrap();
+            assert_eq!(mode, ReadMode::Healed);
+            assert_eq!(crc::crc32c(&bytes), a.checksums[victim.device][&victim.stripe]);
+            // Injected at op 3, detected at op 6 (3 writes + 3 reads).
+            assert_eq!(a.stats().detection_latency_ops, 3);
+            assert_eq!(a.stats().mean_detection_latency_ops(), 3.0);
         }
-        let (bytes, mode) = a.try_read_chunk(*victim).unwrap();
-        assert_eq!(mode, ReadMode::Healed);
-        assert_eq!(crc::crc32c(&bytes), a.checksums[victim.device][&victim.stripe]);
-        // Injected at op 3, detected at op 6 (3 writes + 3 reads).
-        assert_eq!(a.stats().detection_latency_ops, 3);
-        assert_eq!(a.stats().mean_detection_latency_ops(), 3.0);
+    }
+
+    #[test]
+    fn scheduled_corruption_latency_counted_by_scrub() {
+        let plan = FaultPlan::new(1).with_corruption_at(6, 0, 0);
+        for mut a in both(ArrayConfig::default(), plan) {
+            fill(&mut a, 0..9); // corruption fires on op 6
+            assert_eq!(a.outstanding_corruptions(), 1);
+            let step = a.scrub_step(usize::MAX);
+            assert_eq!(step.detected, 1);
+            // Injected at op 6, scrubbed after op 9.
+            assert_eq!(step.detection_latency_ops, 3);
+            assert_eq!(a.stats().mean_detection_latency_ops(), 3.0);
+        }
     }
 
     #[test]
     fn scrub_repairs_latent_sectors() {
-        let mut a = InMemoryArray::new(ArrayConfig::default());
-        let locs: Vec<_> = (0..3).map(|i| a.write_chunk_bytes(body(i), flush_full())).collect();
-        a.plan_mut().add_latent_sector(locs[0].device, locs[0].stripe);
-        let step = a.scrub_step(usize::MAX);
-        assert_eq!(step.latent_repaired, 1);
-        assert_eq!(a.plan().latent_count(), 0);
-        // Now a device failure is a single fault, not a double fault.
-        a.fail_device(locs[1].device);
-        assert!(a.try_read_chunk(locs[1]).is_ok());
+        for mut a in raid5_stores() {
+            let locs = fill(&mut a, 0..3);
+            a.plan_mut().add_latent_sector(locs[0].device, locs[0].stripe);
+            let step = a.scrub_step(usize::MAX);
+            assert_eq!(step.latent_repaired, 1);
+            assert_eq!(a.plan().latent_count(), 0);
+            assert_eq!(a.stats().scrub_latent_repaired, 1);
+            // Now a device failure is a single fault, not a double fault.
+            a.fail_device(locs[1].device);
+            assert!(a.try_read_chunk(locs[1]).is_ok());
+        }
     }
 
     #[test]
     fn scrub_pauses_during_rebuild_and_resumes() {
-        let mut a = InMemoryArray::new(ArrayConfig::default());
-        let locs: Vec<_> = (0..6).map(|i| a.write_chunk_bytes(body(i), flush_full())).collect();
-        let victim = locs[0].device;
-        a.fail_device(victim);
-        a.start_rebuild(victim).unwrap();
-        let step = a.scrub_step(usize::MAX);
-        assert!(step.paused_for_rebuild);
-        assert_eq!(step.chunks_scrubbed, 0);
-        while !a.rebuild_step(1).unwrap().complete {}
-        let step = a.scrub_step(usize::MAX);
-        assert!(!step.paused_for_rebuild);
-        assert!(step.chunks_scrubbed > 0);
-        assert!(step.pass_complete);
+        for mut a in raid5_stores() {
+            let victim = fill(&mut a, 0..6)[0].device;
+            a.fail_device(victim);
+            a.start_rebuild(victim).unwrap();
+            let step = a.scrub_step(usize::MAX);
+            assert!(step.paused_for_rebuild);
+            assert_eq!(step.chunks_scrubbed, 0);
+            while !a.rebuild_step(1).unwrap().complete {}
+            let step = a.scrub_step(usize::MAX);
+            assert!(!step.paused_for_rebuild);
+            assert!(step.chunks_scrubbed > 0);
+            assert!(step.pass_complete);
+        }
     }
 
     #[test]
-    fn scrub_paces_in_increments() {
-        let mut a = InMemoryArray::new(ArrayConfig::default());
-        for i in 0..9 {
-            a.write_chunk_bytes(body(i), flush_full());
+    fn scrub_detects_heals_and_paces() {
+        // 9 chunks = 3 closed stripes; corrupt one data chunk and the
+        // parity of another stripe.
+        for mut a in raid5_stores() {
+            fill(&mut a, 0..9);
+            let pdev = a.epochs[0].layout.parity_device(1);
+            assert!(a.inject_corruption(0, 0));
+            assert!(a.inject_corruption(pdev, 1));
+            let step = a.scrub_step(1);
+            assert_eq!(step.stripes_scrubbed, 1);
+            assert_eq!((step.detected, step.healed), (1, 1));
+            assert!(!step.pass_complete);
+            let p = a.scrub_progress();
+            assert_eq!((p.stripes_done, p.stripes_total), (1, 3));
+            let step = a.scrub_step(usize::MAX);
+            assert_eq!(step.stripes_scrubbed, 2);
+            assert_eq!(step.detected, 1, "parity corruption found");
+            assert!(step.pass_complete);
+            assert_eq!(a.stats().corruptions_detected, 2);
+            assert_eq!(a.stats().corruptions_healed, 2);
+            assert_eq!(a.stats().chunks_scrubbed, 12, "3 stripes × 4 chunks");
+            assert_eq!(a.stats().scrub_read_bytes, (12 + 2 * 3) * 65536, "and two decodes");
+            assert_eq!(a.outstanding_corruptions(), 0);
+            // The next step starts a fresh pass (continuous scrubbing) and
+            // finds nothing.
+            let step = a.scrub_step(usize::MAX);
+            assert_eq!(step.stripes_scrubbed, 3);
+            assert_eq!(step.detected, 0);
         }
-        // 9 data chunks over 3 data columns = 3 complete stripes.
-        let step = a.scrub_step(1);
-        assert_eq!(step.stripes_scrubbed, 1);
-        assert!(!step.pass_complete);
-        let p = a.scrub_progress();
-        assert_eq!(p.stripes_done, 1);
-        assert_eq!(p.stripes_total, 3);
-        let step = a.scrub_step(2);
-        assert!(step.pass_complete);
-        assert_eq!(a.stats().chunks_scrubbed, 12, "3 stripes × 4 chunks");
-        assert_eq!(a.stats().scrub_read_bytes, 12 * 65536);
-        // The next step starts a fresh pass (continuous scrubbing).
-        let step = a.scrub_step(usize::MAX);
-        assert_eq!(step.stripes_scrubbed, 3);
     }
 
     #[test]
     fn rebuild_refuses_to_launder_corrupt_survivor() {
-        let mut a = InMemoryArray::new(ArrayConfig::default());
-        let locs: Vec<_> = (0..3).map(|i| a.write_chunk_bytes(body(i), flush_full())).collect();
-        a.inject_corruption(locs[1].device, locs[1].stripe);
-        let victim = locs[0].device;
-        a.fail_device(victim);
-        a.rebuild_device(victim);
-        assert_eq!(a.stats().corruptions_unrecoverable, 1);
-        assert_eq!(a.stats().rebuilt_chunks, 0, "poisoned stripe not rebuilt");
+        for mut a in raid5_stores() {
+            let locs = fill(&mut a, 0..3);
+            a.inject_corruption(locs[1].device, locs[1].stripe);
+            let victim = locs[0].device;
+            a.fail_device(victim);
+            a.rebuild_device(victim);
+            assert_eq!(a.stats().corruptions_unrecoverable, 1);
+            assert_eq!(a.stats().rebuilt_chunks, 0, "poisoned stripe not rebuilt");
+        }
     }
 
     #[test]
     fn raid6_degraded_reads_survive_double_failure() {
-        let mut a = InMemoryArray::new(raid6());
-        let locs: Vec<_> = (0..12).map(|i| a.write_chunk_bytes(body(i), flush_full())).collect();
-        a.fail_device(locs[0].device);
-        a.fail_device(locs[1].device);
-        for (i, loc) in locs.iter().enumerate() {
-            assert_eq!(a.read_chunk(*loc).unwrap(), body(i as u8), "chunk {i}");
-            let (bytes, _) = a.try_read_chunk(*loc).unwrap();
-            assert_eq!(bytes, body(i as u8), "chunk {i} via fallible path");
+        for mut a in both(raid6(), FaultPlan::new(0)) {
+            let locs = fill(&mut a, 0..12);
+            a.fail_device(locs[0].device);
+            a.fail_device(locs[1].device);
+            assert_contents(&a, &locs, 0);
+            for (i, loc) in locs.iter().enumerate() {
+                let (bytes, _) = a.try_read_chunk(*loc).unwrap();
+                assert_eq!(bytes, kept(&a, i as u8), "chunk {i} via fallible path");
+            }
+            assert!(a.stats().degraded_reads > 0);
+            // Every decode read exactly k = 6 shards.
+            assert_eq!(a.stats().reconstructed_bytes, a.stats().degraded_reads * 6 * 65536);
         }
-        assert!(a.stats().degraded_reads > 0);
-        // Every decode read exactly k = 6 shards.
-        assert_eq!(a.stats().reconstructed_bytes, a.stats().degraded_reads * 6 * 65536);
+    }
+
+    #[test]
+    fn raid6_one_sweep_rebuilds_a_correlated_double_failure() {
+        // Both devices die on the same op, after two closed stripes.
+        for mut a in both(raid6(), FaultPlan::new(7).fail_devices_at(&[2, 5], 13)) {
+            let locs = fill(&mut a, 0..12);
+            fill(&mut a, 12..13); // 13th op: devices 2 and 5 die together
+            assert_eq!(a.health_view(), ArrayHealth::Degraded { device: 2 });
+            assert_eq!(a.failed_devices(), [2, 5]);
+
+            // Every chunk in the two closed stripes stays readable: direct on
+            // the 6 survivors, decoded from k = 6 members on the dead pair.
+            let mut degraded = 0;
+            for &loc in &locs {
+                let out = a.read_chunk_at(loc).unwrap();
+                if loc.device == 2 || loc.device == 5 {
+                    assert_eq!(out.mode, ReadMode::Reconstructed);
+                    assert_eq!(out.device_bytes_read, 6 * 65536);
+                    degraded += 1;
+                } else {
+                    assert_eq!(out.mode, ReadMode::Normal);
+                }
+            }
+            assert!(degraded > 0, "rotation must place chunks on the dead pair");
+            assert_eq!(a.stats().degraded_reads, degraded);
+            assert_eq!(a.stats().reconstructed_bytes, degraded * 6 * 65536);
+
+            // One sweep rebuilds both devices: each closed stripe reads its
+            // n − 2 = 6 survivors once and writes 2 spare chunks.
+            a.start_rebuild_all().unwrap();
+            assert_eq!(a.health_view(), ArrayHealth::Rebuilding { device: 2 });
+            assert_eq!(a.disk_states()[2], DiskState::Rebuilding, "{:?}", a.disk_states());
+            assert_eq!(a.disk_states()[5], DiskState::Rebuilding);
+            let p = a.rebuild_step(usize::MAX).unwrap();
+            assert!(p.complete);
+            assert_eq!(a.health_view(), ArrayHealth::Healthy);
+            let stripes = p.stripes_total;
+            assert_eq!(stripes, 2);
+            assert_eq!(a.stats().rebuilt_chunks, stripes * 2);
+            assert_eq!(a.stats().rebuild_read_bytes, stripes * 6 * 65536);
+            assert_eq!(a.stats().rebuild_write_bytes, stripes * 2 * 65536);
+            for &loc in &locs {
+                assert_eq!(a.read_chunk_at(loc).unwrap().mode, ReadMode::Normal);
+            }
+            assert_contents(&a, &locs, 0);
+        }
     }
 
     #[test]
     fn raid6_triple_fault_is_unrecoverable() {
-        let mut a = InMemoryArray::new(raid6());
-        let locs: Vec<_> = (0..6).map(|i| a.write_chunk_bytes(body(i), flush_full())).collect();
-        for loc in &locs[0..3] {
-            a.fail_device(loc.device);
+        for mut a in both(raid6(), FaultPlan::new(0)) {
+            let locs = fill(&mut a, 0..6);
+            for loc in &locs[0..3] {
+                a.fail_device(loc.device);
+            }
+            assert!(a.read_chunk(locs[0]).is_none());
+            assert_eq!(a.try_read_chunk(locs[0]), Err(ArrayError::DoubleFault { loc: locs[0] }));
+            match a.start_rebuild_all() {
+                Err(ArrayError::DoubleFault { loc }) => assert_eq!(loc.device, locs[2].device),
+                other => panic!("expected DoubleFault at the third failure, got {other:?}"),
+            }
         }
-        assert!(a.read_chunk(locs[0]).is_none());
-        assert_eq!(a.try_read_chunk(locs[0]), Err(ArrayError::DoubleFault { loc: locs[0] }));
     }
 
     #[test]
     fn raid6_rebuilds_through_second_failure() {
-        let mut a = InMemoryArray::new(raid6());
-        let locs: Vec<_> = (0..12).map(|i| a.write_chunk_bytes(body(i), flush_full())).collect();
-        let (d0, d1) = (locs[0].device, locs[1].device);
-        a.fail_device(d0);
-        a.fail_device(d1);
-        // With m = 2, rebuilding one device while the other is still down
-        // stays inside the erasure budget.
-        assert!(a.rebuild_device(d0).unwrap() > 0);
-        assert!(a.rebuild_device(d1).unwrap() > 0);
-        assert_eq!(a.health_view(), ArrayHealth::Healthy);
-        for (i, loc) in locs.iter().enumerate() {
-            let (bytes, mode) = a.try_read_chunk(*loc).unwrap();
-            assert_eq!(bytes, body(i as u8), "chunk {i}");
-            assert_eq!(mode, ReadMode::Normal, "chunk {i} served directly after rebuild");
+        for mut a in both(raid6(), FaultPlan::new(0)) {
+            let locs = fill(&mut a, 0..12);
+            let (d0, d1) = (locs[0].device, locs[1].device);
+            a.fail_device(d0);
+            a.fail_device(d1);
+            // With m = 2, rebuilding one device while the other is still down
+            // stays inside the erasure budget.
+            assert!(a.rebuild_device(d0).unwrap() > 0);
+            assert!(a.rebuild_device(d1).unwrap() > 0);
+            assert_eq!(a.health_view(), ArrayHealth::Healthy);
+            for (i, loc) in locs.iter().enumerate() {
+                let (bytes, mode) = a.try_read_chunk(*loc).unwrap();
+                assert_eq!(bytes, kept(&a, i as u8), "chunk {i}");
+                assert_eq!(mode, ReadMode::Normal, "chunk {i} served directly after rebuild");
+            }
         }
     }
 
     #[test]
     fn raid6_degraded_read_heals_corrupt_member() {
-        let mut a = InMemoryArray::new(raid6());
-        let locs: Vec<_> = (0..12).map(|i| a.write_chunk_bytes(body(i), flush_full())).collect();
-        let (victim, witness) = (locs[0], locs[1]);
-        assert!(a.inject_corruption(witness.device, witness.stripe));
-        a.fail_device(victim.device);
-        // One erasure + one corruption still leaves k = 6 honest shards:
-        // the decode heals the corrupt member on the way through.
-        let (bytes, mode) = a.try_read_chunk(victim).unwrap();
-        assert_eq!(mode, ReadMode::Reconstructed);
-        assert_eq!(bytes, body(0));
-        assert_eq!(a.stats().corruptions_detected, 1);
-        assert_eq!(a.stats().corruptions_healed, 1);
-        let (bytes, mode) = a.try_read_chunk(witness).unwrap();
-        assert_eq!(mode, ReadMode::Normal, "witness healed in place");
-        assert_eq!(bytes, body(1));
+        for mut a in both(raid6(), FaultPlan::new(0)) {
+            let locs = fill(&mut a, 0..12);
+            let (victim, witness) = (locs[0], locs[1]);
+            assert!(a.inject_corruption(witness.device, witness.stripe));
+            a.fail_device(victim.device);
+            // One erasure + one corruption still leaves k = 6 honest shards:
+            // the decode heals the corrupt member on the way through, where
+            // RAID-5 had to condemn it.
+            let (bytes, mode) = a.try_read_chunk(victim).unwrap();
+            assert_eq!(mode, ReadMode::Reconstructed);
+            assert_eq!(bytes, kept(&a, 0));
+            assert_eq!(a.stats().corruptions_detected, 1);
+            assert_eq!(a.stats().corruptions_healed, 1);
+            assert_eq!(a.stats().corruptions_unrecoverable, 0);
+            assert_eq!(a.outstanding_corruptions(), 0);
+            let (bytes, mode) = a.try_read_chunk(witness).unwrap();
+            assert_eq!(mode, ReadMode::Normal, "witness healed in place");
+            assert_eq!(bytes, kept(&a, 1));
+        }
     }
 
     #[test]
     fn raid6_latent_plus_failure_within_budget() {
-        let mut a = InMemoryArray::new(raid6());
-        let locs: Vec<_> = (0..6).map(|i| a.write_chunk_bytes(body(i), flush_full())).collect();
-        a.fail_device(locs[0].device);
-        a.plan_mut().add_latent_sector(locs[1].device, locs[1].stripe);
-        let (bytes, mode) = a.try_read_chunk(locs[0]).unwrap();
-        assert_eq!(mode, ReadMode::Reconstructed);
-        assert_eq!(bytes, body(0));
-        let (bytes, mode) = a.try_read_chunk(locs[1]).unwrap();
-        assert_eq!(mode, ReadMode::Reconstructed);
-        assert_eq!(bytes, body(1));
+        for mut a in both(raid6(), FaultPlan::new(0)) {
+            let locs = fill(&mut a, 0..6);
+            a.fail_device(locs[0].device);
+            a.plan_mut().add_latent_sector(locs[1].device, locs[1].stripe);
+            for (i, loc) in locs.iter().enumerate().take(2) {
+                let (bytes, mode) = a.try_read_chunk(*loc).unwrap();
+                assert_eq!(mode, ReadMode::Reconstructed);
+                assert_eq!(bytes, kept(&a, i as u8));
+            }
+            // A third erasure in the stripe breaks the budget.
+            a.plan_mut().add_latent_sector(locs[2].device, locs[2].stripe);
+            assert!(matches!(a.try_read_chunk(locs[0]), Err(ArrayError::DoubleFault { .. })));
+        }
     }
 
     #[test]
     fn add_device_widens_at_stripe_boundary() {
-        let mut a = InMemoryArray::new(ArrayConfig::default());
-        let old: Vec<_> = (0..3).map(|i| a.write_chunk_bytes(body(i), flush_full())).collect();
-        assert_eq!(a.config().num_devices, 4);
-        let id = a.add_device();
-        assert_eq!(id, 4);
-        assert_eq!(a.config().num_devices, 5, "at a boundary the epoch rolls immediately");
-        let new: Vec<_> = (10..14).map(|i| a.write_chunk_bytes(body(i), flush_full())).collect();
-        assert!(new.iter().all(|l| l.stripe == 1), "4 data columns fill one 4+1 stripe");
-        assert_eq!(a.stats().stripes_completed, 2);
-        for (i, loc) in old.iter().enumerate() {
-            assert_eq!(a.read_chunk(*loc).unwrap(), body(i as u8), "old-epoch chunk {i}");
-        }
-        for (i, loc) in new.iter().enumerate() {
-            assert_eq!(a.read_chunk(*loc).unwrap(), body(10 + i as u8), "new-epoch chunk {i}");
-        }
-        // Degraded reads decode each stripe with its own epoch's geometry.
-        a.fail_device(0);
-        for (i, loc) in old.iter().chain(new.iter()).enumerate() {
-            assert!(a.read_chunk(*loc).is_some(), "chunk {i} readable degraded");
+        for mut a in raid5_stores() {
+            let old = fill(&mut a, 0..3);
+            assert_eq!(a.config().num_devices, 4);
+            assert_eq!(a.add_device(), 4);
+            assert_eq!(a.config().num_devices, 5, "at a boundary the epoch rolls immediately");
+            let new = fill(&mut a, 10..14);
+            assert!(new.iter().all(|l| l.stripe == 1), "4 data columns fill one 4+1 stripe");
+            assert_eq!(a.stats().stripes_completed, 2);
+            assert_contents(&a, &old, 0);
+            assert_contents(&a, &new, 10);
+            // Degraded reads decode each stripe with its own epoch's geometry.
+            a.fail_device(0);
+            assert_contents(&a, &old, 0);
+            assert_contents(&a, &new, 10);
         }
     }
 
     #[test]
     fn add_device_mid_stripe_defers_to_close() {
-        let mut a = InMemoryArray::new(ArrayConfig::default());
-        let mut locs = vec![a.write_chunk_bytes(body(0), flush_full())];
-        a.add_device();
-        assert_eq!(a.config().num_devices, 4, "the open stripe keeps its geometry");
-        locs.push(a.write_chunk_bytes(body(1), flush_full()));
-        locs.push(a.write_chunk_bytes(body(2), flush_full()));
-        assert_eq!(locs[2].stripe, 0);
-        assert_eq!(a.config().num_devices, 5, "widened once the stripe closed");
-        let next: Vec<_> = (3..7).map(|i| a.write_chunk_bytes(body(i), flush_full())).collect();
-        assert!(next.iter().all(|l| l.stripe == 1));
-        locs.extend(next);
-        for (i, loc) in locs.iter().enumerate() {
-            assert_eq!(a.read_chunk(*loc).unwrap(), body(i as u8), "chunk {i}");
+        for mut a in raid5_stores() {
+            let mut locs = fill(&mut a, 0..1);
+            a.add_device();
+            assert_eq!(a.config().num_devices, 4, "the open stripe keeps its geometry");
+            locs.extend(fill(&mut a, 1..3));
+            assert_eq!(locs[2].stripe, 0);
+            assert_eq!(a.config().num_devices, 5, "widened once the stripe closed");
+            let next = fill(&mut a, 3..7);
+            assert!(next.iter().all(|l| l.stripe == 1));
+            locs.extend(next);
+            assert_contents(&a, &locs, 0);
+            let scrubbed = a.scrub_step(usize::MAX);
+            assert!(scrubbed.pass_complete);
+            assert_eq!(scrubbed.detected, 0, "mixed-geometry scrub finds nothing wrong");
         }
-        let scrubbed = a.scrub_step(usize::MAX);
-        assert!(scrubbed.pass_complete);
-        assert_eq!(scrubbed.detected, 0, "mixed-geometry scrub finds nothing wrong");
     }
 
     #[test]
-    fn drain_refreshes_latent_and_returns_healthy() {
-        let mut a = InMemoryArray::new(ArrayConfig::default());
-        let locs: Vec<_> = (0..6).map(|i| a.write_chunk_bytes(body(i), flush_full())).collect();
-        let device = locs[0].device;
-        a.plan_mut().add_latent_sector(device, locs[0].stripe);
-        let held = a.devices[device].len() as u64;
-        a.start_drain(device);
-        assert_eq!(a.disk_states()[device], DiskState::Draining);
-        assert_eq!(a.health_view(), ArrayHealth::Healthy, "draining spends no redundancy");
-        while !a.drain_step(1).complete {}
-        assert_eq!(a.disk_states()[device], DiskState::Healthy);
-        assert_eq!(a.stats().drained_chunks, held);
-        assert_eq!(a.stats().drain_write_bytes, held * 65536);
-        assert_eq!(a.plan().latent_count(), 0, "the copy refreshed the latent sector");
-        for (i, loc) in locs.iter().enumerate() {
-            assert_eq!(a.read_chunk(*loc).unwrap(), body(i as u8), "chunk {i}");
+    fn drain_heals_on_the_way_out_without_spending_redundancy() {
+        for mut a in raid5_stores() {
+            let locs = fill(&mut a, 0..9);
+            a.plan_mut().add_latent_sector(1, 0);
+            assert!(a.inject_corruption(1, 2));
+            let p = a.start_drain(1);
+            assert!(!p.complete);
+            assert_eq!(a.disk_states()[1], DiskState::Draining);
+            assert_eq!(a.health_view(), ArrayHealth::Healthy, "drain is planned, not a fault");
+            let p = a.drain_step(1);
+            assert_eq!(p.stripes_done, 1);
+            assert!(!a.plan().is_latent(1, 0), "copy refreshes the media");
+            while !a.drain_step(1).complete {}
+            assert_eq!(a.disk_states()[1], DiskState::Healthy);
+            // One chunk read + one chunk written per stripe; the latent and
+            // the corrupt chunk were each decoded from 3 survivors first, so
+            // the replacement starts pristine.
+            assert_eq!(a.stats().drained_chunks, 3);
+            assert_eq!(a.stats().drain_write_bytes, 3 * 65536);
+            assert_eq!(a.stats().drain_read_bytes, (3 + 2 * 3) * 65536);
+            assert_eq!(a.stats().degraded_reads, 0);
+            assert_eq!(a.stats().scrub_latent_repaired, 1);
+            assert_eq!(a.stats().corruptions_healed, 1);
+            assert_eq!(a.outstanding_corruptions(), 0);
+            assert_contents(&a, &locs, 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot drain a failed device")]
+    fn drain_of_failed_device_panics() {
+        let mut a = InMemoryArray::modelled(ArrayConfig::default(), FaultPlan::new(0));
+        a.fail_device(2);
+        a.start_drain(2);
+    }
+
+    #[test]
+    fn disk_states_track_lifecycle() {
+        for mut a in raid5_stores() {
+            fill(&mut a, 0..3);
+            assert!(a.disk_states().iter().all(|s| *s == DiskState::Healthy));
+            a.start_drain(3);
+            assert_eq!(a.disk_states()[3], DiskState::Draining);
+            a.fail_device(3);
+            assert_eq!(a.disk_states()[3], DiskState::Failed);
+            assert!(a.drain_progress().complete, "a failed device has nothing left to drain");
+            a.start_rebuild_all().unwrap();
+            assert_eq!(a.disk_states()[3], DiskState::Rebuilding);
+            a.rebuild_step(usize::MAX).unwrap();
+            assert_eq!(a.disk_states()[3], DiskState::Healthy);
         }
     }
 
     #[test]
     fn rebuild_prioritizes_exposed_stripes() {
-        let mut a = InMemoryArray::new(ArrayConfig::default());
-        let locs: Vec<_> = (0..9).map(|i| a.write_chunk_bytes(body(i), flush_full())).collect();
-        let victim = locs[0].device;
-        // Expose stripe 2 on a non-victim device.
-        let exposed = locs[6..9].iter().find(|l| l.device != victim).unwrap();
-        a.plan_mut().add_latent_sector(exposed.device, exposed.stripe);
-        a.fail_device(victim);
-        a.start_rebuild(victim).unwrap();
-        assert_eq!(a.rebuild_stripes[0], exposed.stripe, "most-exposed stripe first");
-        while !a.rebuild_step(1).unwrap().complete {}
-        for (i, loc) in locs.iter().enumerate() {
-            assert_eq!(a.read_chunk(*loc).unwrap(), body(i as u8), "chunk {i}");
+        for mut a in raid5_stores() {
+            let locs = fill(&mut a, 0..9);
+            let victim = locs[0].device;
+            // Expose stripe 2 on a non-victim device.
+            let exposed = locs[6..9].iter().find(|l| l.device != victim).unwrap();
+            a.plan_mut().add_latent_sector(exposed.device, exposed.stripe);
+            a.fail_device(victim);
+            a.start_rebuild(victim).unwrap();
+            assert_eq!(a.rebuild_stripes[0], exposed.stripe, "most-exposed stripe first");
+            while !a.rebuild_step(1).unwrap().complete {}
+            assert_contents(&a, &locs, 0);
+        }
+    }
+
+    #[test]
+    fn rebuild_visits_most_exposed_stripes_first() {
+        // 4 closed stripes; stripe 2 has a latent sector and stripe 1 has
+        // latent + corruption on the survivors. Priority order: 1, 2, then
+        // 0, 3.
+        for mut a in raid5_stores() {
+            fill(&mut a, 0..12);
+            a.fail_device(0);
+            let layout = a.epochs[0].layout;
+            let survivor =
+                |stripe: u64| (1..4).find(|&d| layout.parity_device(stripe) != d).unwrap();
+            a.plan_mut().add_latent_sector(survivor(1), 1);
+            a.inject_corruption(layout.parity_device(1), 1);
+            a.plan_mut().add_latent_sector(survivor(2), 2);
+            a.start_rebuild_all().unwrap();
+            assert_eq!(a.rebuild_stripes, vec![1, 2, 0, 3]);
+            let p = a.rebuild_step(1).unwrap();
+            assert_eq!(p.stripes_done, 1, "most-exposed stripe visited first");
+            a.rebuild_step(usize::MAX).unwrap();
+            assert!(a.rebuild_progress().complete);
         }
     }
 }

@@ -2752,11 +2752,11 @@ mod tests {
 
     #[test]
     fn degraded_reads_served_via_reconstruction() {
-        use adapt_array::{FaultPlan, FaultyArray};
+        use adapt_array::{FaultPlan, InMemoryArray};
         let cfg = small_cfg();
         let mut e = Lss::builder(
             TestPolicy::sepgc(),
-            FaultyArray::new(cfg.array_config(), FaultPlan::new(7)),
+            InMemoryArray::modelled(cfg.array_config(), FaultPlan::new(7)),
         )
         .config(cfg)
         .build();
@@ -2780,12 +2780,13 @@ mod tests {
 
     #[test]
     fn transient_read_errors_retry_then_surface() {
-        use adapt_array::{ArrayError, FaultPlan, FaultyArray};
+        use adapt_array::{ArrayError, FaultPlan, InMemoryArray};
         let cfg = small_cfg();
         let plan = FaultPlan::new(3).with_transient_read_prob(1.0);
-        let mut e = Lss::builder(TestPolicy::sepgc(), FaultyArray::new(cfg.array_config(), plan))
-            .config(cfg)
-            .build();
+        let mut e =
+            Lss::builder(TestPolicy::sepgc(), InMemoryArray::modelled(cfg.array_config(), plan))
+                .config(cfg)
+                .build();
         for i in 0..16u64 {
             e.write(i, i);
         }
@@ -2804,12 +2805,12 @@ mod tests {
 
     #[test]
     fn gc_pauses_during_rebuild_and_resumes_after() {
-        use adapt_array::{ArrayHealth, FaultPlan, FaultyArray};
+        use adapt_array::{ArrayHealth, FaultPlan, InMemoryArray};
         let mut cfg = small_cfg();
         cfg.background_gc = true;
         let mut e = Lss::builder(
             TestPolicy::sepgc(),
-            FaultyArray::new(cfg.array_config(), FaultPlan::new(1)),
+            InMemoryArray::modelled(cfg.array_config(), FaultPlan::new(1)),
         )
         .config(cfg)
         .build();
@@ -2825,13 +2826,13 @@ mod tests {
         }
         // Enter rebuild: background GC steps must decline.
         e.sink_mut().fail_device(1);
-        e.sink_mut().start_rebuild().unwrap();
+        e.sink_mut().start_rebuild_all().unwrap();
         assert!(matches!(e.sink().health(), ArrayHealth::Rebuilding { .. }));
         assert!(!e.gc_step(), "GC must pause while rebuilding");
         assert!(e.metrics().gc_throttled > 0);
         let reclaimed_during = e.metrics().segments_reclaimed;
         // Finish the rebuild; GC resumes.
-        e.sink_mut().rebuild_step(u64::MAX).unwrap();
+        e.sink_mut().rebuild_step(usize::MAX).unwrap();
         assert_eq!(e.sink().health(), ArrayHealth::Healthy);
         assert!(e.gc_step(), "GC must resume once healthy");
         assert!(e.metrics().segments_reclaimed > reclaimed_during);
@@ -2840,11 +2841,11 @@ mod tests {
 
     #[test]
     fn rebuild_metrics_capture_ops_and_bytes() {
-        use adapt_array::{FaultPlan, FaultyArray};
+        use adapt_array::{FaultPlan, InMemoryArray};
         let cfg = small_cfg();
         let mut e = Lss::builder(
             TestPolicy::sepgc(),
-            FaultyArray::new(cfg.array_config(), FaultPlan::new(2)),
+            InMemoryArray::modelled(cfg.array_config(), FaultPlan::new(2)),
         )
         .config(cfg)
         .build();
@@ -2854,13 +2855,13 @@ mod tests {
             ts += 1;
         }
         e.sink_mut().fail_device(0);
-        e.sink_mut().start_rebuild().unwrap();
+        e.sink_mut().start_rebuild_all().unwrap();
         // Ops observed while rebuilding count toward time-to-rebuild.
         for lba in 0..64u64 {
             e.write(ts, lba);
             ts += 1;
         }
-        e.sink_mut().rebuild_step(u64::MAX).unwrap();
+        e.sink_mut().rebuild_step(usize::MAX).unwrap();
         // The healthy transition is noticed at the next host op.
         e.write(ts, 0);
         let m = e.metrics();

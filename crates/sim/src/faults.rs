@@ -1,6 +1,7 @@
 //! Fault-scenario replay: a trace with a scripted mid-run device failure.
 //!
-//! Replays a volume through the engine on a [`FaultyArray`] sink, fails
+//! Replays a volume through the engine on a modelled [`InMemoryArray`]
+//! sink (one byte kept per chunk, every counter charged in full), fails
 //! one device partway through, lets the array run degraded, then drives
 //! an incremental rebuild onto a spare while the trace continues. The
 //! run is split into four measurement phases — healthy, degraded,
@@ -17,7 +18,7 @@
 
 use crate::replay::{drive_with, ReplayConfig};
 use crate::scheme::{with_policy, PolicyVisitor, Scheme};
-use adapt_array::{ArrayError, ArraySink, ArrayStats, FaultPlan, FaultyArray};
+use adapt_array::{ArrayError, ArraySink, ArrayStats, FaultPlan, InMemoryArray};
 use adapt_lss::{EngineError, Lss, LssMetrics, PlacementPolicy};
 use adapt_trace::TraceRecord;
 use serde::{Deserialize, Serialize};
@@ -173,7 +174,7 @@ impl PolicyVisitor<FaultReport> for FaultVisitor {
         let cfg = scenario.replay;
         let plan =
             FaultPlan::new(scenario.seed).with_transient_read_prob(scenario.transient_read_prob);
-        let sink = FaultyArray::new(cfg.lss.array_config(), plan);
+        let sink = InMemoryArray::modelled(cfg.lss.array_config(), plan);
         let mut engine =
             Lss::builder(policy, sink).config(cfg.lss).gc_select(cfg.gc).events(cfg.events).build();
 
@@ -185,7 +186,7 @@ impl PolicyVisitor<FaultReport> for FaultVisitor {
         let mut rebuild_ops_window = 0u64;
         let mut stage = Stage::Healthy;
 
-        let snapshot = |engine: &mut Lss<P, FaultyArray>,
+        let snapshot = |engine: &mut Lss<P, InMemoryArray>,
                         phases: &mut Vec<PhaseReport>,
                         records: &mut u64,
                         name: &str| {
@@ -215,7 +216,7 @@ impl PolicyVisitor<FaultReport> for FaultVisitor {
                         engine.sink_mut().fail_device(second);
                     }
                     let budget = engine.sink().config().parity_devices;
-                    if engine.sink_mut().failed_devices().len() > budget {
+                    if engine.sink().failed_devices().len() > budget {
                         // Past the code's fault budget: no rebuild can run
                         // and continuing the replay would only churn an
                         // array that has already lost data. Quantify the
@@ -238,7 +239,7 @@ impl PolicyVisitor<FaultReport> for FaultVisitor {
                         snapshot(engine, &mut phases, &mut phase_records, "degraded");
                         engine
                             .sink_mut()
-                            .start_rebuild()
+                            .start_rebuild_all()
                             .expect("within-budget fault must start its rebuild");
                         stage = Stage::Rebuilding;
                     }
@@ -247,7 +248,7 @@ impl PolicyVisitor<FaultReport> for FaultVisitor {
                     rebuild_ops_window += 1;
                     let progress = engine
                         .sink_mut()
-                        .rebuild_step(scenario.rebuild_stripes_per_record)
+                        .rebuild_step(scenario.rebuild_stripes_per_record as usize)
                         .expect("rebuild step");
                     if progress.complete {
                         snapshot(engine, &mut phases, &mut phase_records, "rebuilding");
@@ -297,7 +298,7 @@ impl PolicyVisitor<FaultReport> for FaultVisitor {
 /// Read every live LBA once, classifying how each was served — the one
 /// verification sweep the fault and scrub scenarios share.
 pub(crate) fn verify_live_lbas<P: PlacementPolicy>(
-    engine: &mut Lss<P, FaultyArray>,
+    engine: &mut Lss<P, InMemoryArray>,
     user_blocks: u64,
 ) -> VerifySweep {
     let mut sweep = VerifySweep::default();

@@ -32,10 +32,10 @@ pub use crash::{
 pub use faults::{run_fault_scenario, FaultReport, FaultScenario, PhaseReport, VerifySweep};
 pub use replay::{drive, drive_with, replay_volume, ReplayConfig, VolumeResult, Warmup};
 pub use report::{write_run_report, RunReport};
-pub use runner::{run_suite, run_suite_all_schemes, SuiteResult};
+pub use runner::{run_suite, SuiteResult};
 pub use scheme::Scheme;
 pub use scrub::{run_scrub_scenario, ScrubReport, ScrubScenario};
 pub use serve::{
-    run_serve_replay, run_serve_replay_with, shard_engine, start_server, start_server_with,
-    MemEngines, ServeReplayConfig, ServeReplayResult, ShardEngineBuilder,
+    run_serve_replay, shard_engine, start_server, start_server_with, MemEngines, ServeReplayConfig,
+    ServeReplayResult, ShardEngineBuilder,
 };

@@ -109,15 +109,6 @@ pub fn requests_for(vol: &adapt_trace::VolumeModel) -> u64 {
     (target_blocks / (write_frac * mean_blocks)).ceil() as u64
 }
 
-/// Run all paper schemes over one suite (parallel inside each scheme).
-pub fn run_suite_all_schemes(
-    gc: GcSelection,
-    suite: &WorkloadSuite,
-    requests_cap: Option<u64>,
-) -> Vec<SuiteResult> {
-    Scheme::PAPER.iter().map(|&s| run_suite(s, gc, suite, requests_cap)).collect()
-}
-
 /// Generate all three suites at the standard seed used across figures.
 pub fn standard_suites(seed: u64, volumes_per_suite: usize) -> Vec<WorkloadSuite> {
     SuiteKind::ALL.iter().map(|&k| WorkloadSuite::generate_n(k, seed, volumes_per_suite)).collect()

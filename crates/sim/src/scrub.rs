@@ -1,8 +1,9 @@
 //! Scrub-scenario replay: a trace with seeded silent-corruption bursts.
 //!
-//! Replays a volume through the engine on a [`FaultyArray`] sink with the
-//! background scrub enabled, injecting bursts of silent corruptions into
-//! closed stripes at scheduled points in the trace. Corruptions are
+//! Replays a volume through the engine on a modelled [`InMemoryArray`]
+//! sink (one byte kept per chunk) with the background scrub enabled,
+//! injecting bursts of silent corruptions into closed stripes at
+//! scheduled points in the trace. Corruptions are
 //! caught two ways — verify-on-read when the host or GC happens to read
 //! the chunk, and the paced scrub pass for chunks nothing reads (the cold
 //! data ADAPT deliberately parks). After the replay a final full scrub
@@ -16,7 +17,7 @@
 use crate::faults::verify_live_lbas;
 use crate::replay::{drive_with, ReplayConfig};
 use crate::scheme::{with_policy, PolicyVisitor, Scheme};
-use adapt_array::{ArraySink, ArrayStats, FaultPlan, FaultyArray};
+use adapt_array::{ArraySink, ArrayStats, FaultPlan, InMemoryArray};
 use adapt_lss::{Lss, LssMetrics, PlacementPolicy};
 use adapt_trace::TraceRecord;
 use serde::{Deserialize, Serialize};
@@ -128,7 +129,7 @@ fn splitmix(state: &mut u64) -> u64 {
 /// previous burst touched. One fault per stripe keeps every corruption
 /// honestly repairable — the property the scenario verifies.
 fn inject_burst<P: PlacementPolicy>(
-    engine: &mut Lss<P, FaultyArray>,
+    engine: &mut Lss<P, InMemoryArray>,
     rng: &mut u64,
     corruptions: u32,
     latent: u32,
@@ -173,7 +174,7 @@ impl PolicyVisitor<ScrubReport> for ScrubVisitor {
         let ScrubVisitor { scheme, scenario, trace } = self;
         let mut cfg = scenario.replay;
         cfg.lss = cfg.lss.with_scrub_stripes_per_op(scenario.scrub_stripes_per_op);
-        let sink = FaultyArray::new(cfg.lss.array_config(), FaultPlan::new(scenario.seed));
+        let sink = InMemoryArray::modelled(cfg.lss.array_config(), FaultPlan::new(scenario.seed));
         let mut engine =
             Lss::builder(policy, sink).config(cfg.lss).gc_select(cfg.gc).events(cfg.events).build();
 
@@ -209,7 +210,7 @@ impl PolicyVisitor<ScrubReport> for ScrubVisitor {
         // over every closed stripe so cold corruption nothing ever read is
         // still found.
         for _ in 0..2 {
-            FaultyArray::scrub_step(engine.sink_mut(), u64::MAX);
+            InMemoryArray::scrub_step(engine.sink_mut(), usize::MAX);
         }
 
         // Post-mortem: every live LBA must be serviceable (nothing is

@@ -275,15 +275,7 @@ impl ServeReplayResult {
 /// the seeded trace onto shards with dense apply sequences, stripe
 /// submission over `cfg.clients` threads, wait for every completion.
 pub fn run_serve_replay(cfg: &ServeReplayConfig) -> ServeReplayResult {
-    run_serve_replay_with(cfg, MemEngines)
-}
-
-/// [`run_serve_replay`] with a custom engine builder.
-pub fn run_serve_replay_with<B: ShardEngineBuilder>(
-    cfg: &ServeReplayConfig,
-    builder: B,
-) -> ServeReplayResult {
-    let server = start_server_with(cfg.scheme, cfg.server_builder(), builder);
+    let server = start_server(cfg.scheme, cfg.server_builder());
     let client = server.client();
 
     // Assign each op its shard's next dense sequence number. The

@@ -4,7 +4,7 @@
 //! the open-stripe buffer — and (b) the rebuild accounting balances
 //! exactly against the array geometry.
 
-use adapt_repro::array::{ArrayError, ArraySink, FaultPlan, FaultyArray};
+use adapt_repro::array::{ArrayError, ArraySink, FaultPlan, InMemoryArray};
 use adapt_repro::lss::{EngineError, GcSelection, Lss, LssConfig};
 use adapt_repro::placement::SepBit;
 use adapt_repro::sim::{run_fault_scenario, FaultReport, FaultScenario, ReplayConfig, Scheme};
@@ -110,7 +110,7 @@ fn raid6_survives_two_simultaneous_device_failures() {
 
 /// Build a small engine on a fault-modeling sink, write every LBA once,
 /// and flush, so the array holds closed stripes for every block.
-fn small_engine(scrub_stripes_per_op: u64) -> Lss<SepBit, FaultyArray> {
+fn small_engine(scrub_stripes_per_op: u64) -> Lss<SepBit, InMemoryArray> {
     small_engine_with_geometry(scrub_stripes_per_op, 0, 0)
 }
 
@@ -120,7 +120,7 @@ fn small_engine_with_geometry(
     scrub_stripes_per_op: u64,
     devices: usize,
     parity: usize,
-) -> Lss<SepBit, FaultyArray> {
+) -> Lss<SepBit, InMemoryArray> {
     let cfg = LssConfig {
         user_blocks: 2048,
         op_ratio: 1.5,
@@ -131,7 +131,7 @@ fn small_engine_with_geometry(
         array_parity: parity,
         ..Default::default()
     };
-    let sink = FaultyArray::new(cfg.array_config(), FaultPlan::new(7));
+    let sink = InMemoryArray::modelled(cfg.array_config(), FaultPlan::new(7));
     let mut e =
         Lss::builder(SepBit::new(), sink).config(cfg).gc_select(GcSelection::Greedy).build();
     for lba in 0..2048 {
