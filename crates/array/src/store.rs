@@ -221,17 +221,18 @@ impl InMemoryArray {
         if self.pending_devices == 0 {
             return;
         }
-        let (replace_last, first_stripe) = {
-            let last = self.epochs.last().expect("at least one epoch");
-            if last.first_seq == self.next_chunk_seq {
-                // Nothing written under the previous geometry yet: replace
-                // it instead of stacking an empty epoch.
-                (true, last.first_stripe)
-            } else {
+        let (replace_last, first_stripe) = match self.epochs.last() {
+            // Nothing written under the previous geometry yet: replace
+            // it instead of stacking an empty epoch.
+            Some(last) if last.first_seq == self.next_chunk_seq => (true, last.first_stripe),
+            Some(last) => {
                 let k = last.layout.config().data_columns() as u64;
                 debug_assert_eq!((self.next_chunk_seq - last.first_seq) % k, 0);
                 (false, last.first_stripe + (self.next_chunk_seq - last.first_seq) / k)
             }
+            // The constructor opens the first epoch, so there is always one
+            // to continue; an empty table would simply start at stripe 0.
+            None => (false, 0),
         };
         if replace_last {
             self.epochs.pop();

@@ -69,7 +69,7 @@ fn bench_placement(c: &mut Criterion) {
 }
 
 fn bench_ra_identifier(c: &mut Criterion) {
-    let mut ra = RaIdentifier::new(vec![4, 5], 4, 4096, 2);
+    let mut ra = RaIdentifier::with_filter_capacity(&[4, 5], 4096);
     for lba in 0..20_000u64 {
         ra.observe_migration(lba % 4096, 4, 4);
     }
@@ -84,7 +84,7 @@ fn bench_ra_identifier(c: &mut Criterion) {
 
 fn bench_distance_tree(c: &mut Criterion) {
     c.bench_function("distance_tree_access", |b| {
-        let mut tree = DistanceTree::new();
+        let mut tree = DistanceTree::with_capacity(1 << 20);
         for lba in 0..4096u64 {
             tree.access(lba);
         }

@@ -23,38 +23,39 @@
 
 use adapt_lss::{GroupId, PolicyCtx, SlaAction};
 
-/// Decision state for cross-group aggregation between one hot/cold user
-/// group pair.
+/// Donated substitutes per cold segment, in units of the home group's
+/// average padding per padded chunk, beyond which aggregation stops. The
+/// paper's rule (Eq. 1) stops at 1×; 4× is ours.
+const DONATION_STOP_FACTOR: f64 = 4.0;
+
+/// Decision state for cross-group aggregation into one cold user group.
 #[derive(Debug, Clone)]
 pub struct AggregationCtl {
-    /// Hot user group (shadow source).
-    hot: GroupId,
     /// Cold user group (shadow target).
     cold: GroupId,
-    /// Enabled switch (ablation).
-    enabled: bool,
+    /// The engine's chunk-coalescing SLA (µs): the prediction horizon.
+    sla_us: u64,
     /// Shadow blocks donated into the cold group's current open segment.
     donated_in_segment: u64,
 }
 
 impl AggregationCtl {
-    /// Create the controller for a hot/cold pair.
-    pub fn new(hot: GroupId, cold: GroupId, enabled: bool) -> Self {
-        Self { hot, cold, enabled, donated_in_segment: 0 }
+    /// Create the controller for shadow target `cold` under the engine's
+    /// `sla_us`.
+    pub fn new(cold: GroupId, sla_us: u64) -> Self {
+        Self { cold, sla_us, donated_in_segment: 0 }
     }
 
     /// Decide the SLA action for `group`'s expiring partial chunk.
     ///
     /// Fires for the hot user group, and also for GC groups holding
     /// *demoted* user blocks whose SLA ran out — both donate their
-    /// unpersisted blocks into the cold group's unfilled chunk.
+    /// unpersisted blocks into the cold group's unfilled chunk. (The cold
+    /// group itself pads; pure-GC chunks never start a timer.)
     pub fn on_sla_expire(&mut self, ctx: &PolicyCtx, group: GroupId) -> SlaAction {
-        if !self.enabled || group == self.cold || group as usize >= ctx.groups.len() {
+        if group == self.cold || group as usize >= ctx.groups.len() {
             return SlaAction::Pad;
         }
-        // Only the hot user group and the demotion GC groups carry SLA
-        // timers (cold pads above; pure-GC chunks never start a timer).
-        debug_assert!(group == self.hot || group > self.cold);
         let hot = &ctx.groups[group as usize];
         let cold = &ctx.groups[self.cold as usize];
 
@@ -78,24 +79,23 @@ impl AggregationCtl {
         // the recent inter-arrival gap. A gap estimate of u64::MAX (no
         // second arrival yet) trivially predicts "unfilled".
         let missing = (hot.chunk_blocks - hot.pending_blocks) as u64;
-        let sla_us = 100; // prediction horizon ≈ one SLA window
         let projected_fill_us = hot.ewma_gap_us.saturating_mul(missing);
-        if projected_fill_us <= sla_us {
-            // Dense traffic: the next chunk would fill on its own; padding
-            // once now is cheaper than donating shadow copies.
+        if projected_fill_us <= self.sla_us {
+            // Dense traffic: the next chunk would fill on its own within
+            // one more SLA window; padding once now is cheaper than
+            // donating shadow copies.
             return SlaAction::Pad;
         }
 
         // Step 2 — cost balance: stop once this segment already absorbed
         // more substitutes than the hot group's average padding size.
         if let Some(avg_pad) = hot.avg_pad_blocks() {
-            if self.donated_in_segment as f64 >= avg_pad.max(1.0) * 4.0 {
+            if self.donated_in_segment as f64 >= avg_pad.max(1.0) * DONATION_STOP_FACTOR {
                 return SlaAction::Pad;
             }
         }
 
         self.donated_in_segment += hot.pending_blocks as u64;
-        let _ = group;
         SlaAction::ShadowAppend { target: self.cold }
     }
 
@@ -105,11 +105,6 @@ impl AggregationCtl {
         if group == self.cold {
             self.donated_in_segment = 0;
         }
-    }
-
-    /// Donated blocks charged against the current cold segment.
-    pub fn donated_in_segment(&self) -> u64 {
-        self.donated_in_segment
     }
 }
 
@@ -138,48 +133,54 @@ mod tests {
 
     #[test]
     fn sparse_hot_group_aggregates() {
-        let mut a = AggregationCtl::new(0, 1, true);
+        let mut a = AggregationCtl::new(1, 100);
         // 4 pending, gap 1000 µs: 12 missing blocks → 12 ms ≫ SLA.
         let action = a.on_sla_expire(&ctx(4, 2, 1000, 0), 0);
         assert_eq!(action, SlaAction::ShadowAppend { target: 1 });
-        assert_eq!(a.donated_in_segment(), 4);
+        assert_eq!(a.donated_in_segment, 4);
     }
 
     #[test]
     fn dense_traffic_pads_instead() {
-        let mut a = AggregationCtl::new(0, 1, true);
+        let mut a = AggregationCtl::new(1, 100);
         // gap 2 µs × 12 missing = 24 µs < SLA: the next chunk will fill.
         assert_eq!(a.on_sla_expire(&ctx(4, 2, 2, 0), 0), SlaAction::Pad);
     }
 
     #[test]
     fn cold_group_expiry_always_pads() {
-        let mut a = AggregationCtl::new(0, 1, true);
+        let mut a = AggregationCtl::new(1, 100);
         assert_eq!(a.on_sla_expire(&ctx(4, 2, 1000, 0), 1), SlaAction::Pad);
     }
 
     #[test]
-    fn disabled_controller_pads() {
-        let mut a = AggregationCtl::new(0, 1, false);
-        assert_eq!(a.on_sla_expire(&ctx(4, 2, 1000, 0), 0), SlaAction::Pad);
+    fn prediction_horizon_is_the_engines_sla() {
+        // gap 50 µs × 12 missing = 600 µs: past a 100 µs SLA (the literal
+        // this used to compare against), inside a 1 ms one.
+        let c = ctx(4, 2, 50, 0);
+        assert_eq!(
+            AggregationCtl::new(1, 100).on_sla_expire(&c, 0),
+            SlaAction::ShadowAppend { target: 1 }
+        );
+        assert_eq!(AggregationCtl::new(1, 1000).on_sla_expire(&c, 0), SlaAction::Pad);
     }
 
     #[test]
     fn no_room_in_cold_chunk_pads() {
-        let mut a = AggregationCtl::new(0, 1, true);
+        let mut a = AggregationCtl::new(1, 100);
         // 10 hot + 10 cold > 16-block chunk.
         assert_eq!(a.on_sla_expire(&ctx(10, 10, 1000, 0), 0), SlaAction::Pad);
     }
 
     #[test]
     fn empty_cold_chunk_pads() {
-        let mut a = AggregationCtl::new(0, 1, true);
+        let mut a = AggregationCtl::new(1, 100);
         assert_eq!(a.on_sla_expire(&ctx(4, 0, 1000, 0), 0), SlaAction::Pad);
     }
 
     #[test]
     fn donation_budget_stops_aggregation() {
-        let mut a = AggregationCtl::new(0, 1, true);
+        let mut a = AggregationCtl::new(1, 100);
         // avg pad = 8 blocks → budget 32 donated blocks per cold segment.
         let c = ctx(8, 2, 1000, 2);
         for _ in 0..4 {
@@ -193,16 +194,16 @@ mod tests {
 
     #[test]
     fn hot_segment_seal_does_not_reset_budget() {
-        let mut a = AggregationCtl::new(0, 1, true);
+        let mut a = AggregationCtl::new(1, 100);
         let c = ctx(8, 2, 1000, 2);
         a.on_sla_expire(&c, 0);
         a.on_segment_sealed(0);
-        assert_eq!(a.donated_in_segment(), 8);
+        assert_eq!(a.donated_in_segment, 8);
     }
 
     #[test]
     fn empty_pending_pads() {
-        let mut a = AggregationCtl::new(0, 1, true);
+        let mut a = AggregationCtl::new(1, 100);
         assert_eq!(a.on_sla_expire(&ctx(0, 0, 1000, 0), 0), SlaAction::Pad);
     }
 }

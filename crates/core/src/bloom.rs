@@ -5,24 +5,19 @@
 //! nanoseconds" requirement — implemented with double hashing from a
 //! single 64-bit mix (Kirsch–Mitzenmacher).
 
+use crate::sampler::mix64;
 use adapt_lss::Lba;
+
+/// Hash probes per element (≈ 1 % false positives at 9.6 bits/element).
+const HASHES: u32 = 7;
 
 /// Fixed-capacity Bloom filter over LBAs.
 #[derive(Debug, Clone)]
 pub struct BloomFilter {
     bits: Vec<u64>,
     mask: u64,
-    hashes: u32,
     inserted: usize,
     capacity: usize,
-}
-
-/// SplitMix64 finalizer (same mixing function the sampler uses).
-#[inline]
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl BloomFilter {
@@ -34,7 +29,6 @@ impl BloomFilter {
         Self {
             bits: vec![0u64; bits_needed / 64],
             mask: bits_needed as u64 - 1,
-            hashes: 7,
             inserted: 0,
             capacity,
         }
@@ -50,7 +44,7 @@ impl BloomFilter {
 
     /// Insert an LBA.
     pub fn insert(&mut self, lba: Lba) {
-        for i in 0..self.hashes {
+        for i in 0..HASHES {
             let (word, bit) = self.probe(lba, i);
             self.bits[word] |= bit;
         }
@@ -60,31 +54,15 @@ impl BloomFilter {
     /// Membership test (false positives possible, negatives exact).
     #[inline]
     pub fn contains(&self, lba: Lba) -> bool {
-        (0..self.hashes).all(|i| {
+        (0..HASHES).all(|i| {
             let (word, bit) = self.probe(lba, i);
             self.bits[word] & bit != 0
         })
     }
 
-    /// Insertions so far.
-    pub fn len(&self) -> usize {
-        self.inserted
-    }
-
-    /// True when nothing was inserted.
-    pub fn is_empty(&self) -> bool {
-        self.inserted == 0
-    }
-
     /// Whether the filter reached its design capacity (rotate signal).
     pub fn is_full(&self) -> bool {
         self.inserted >= self.capacity
-    }
-
-    /// Reset to empty.
-    pub fn clear(&mut self) {
-        self.bits.fill(0);
-        self.inserted = 0;
     }
 
     /// Resident bytes.
@@ -124,7 +102,6 @@ mod tests {
         let f = BloomFilter::new(10);
         assert!(!f.contains(0));
         assert!(!f.contains(123456));
-        assert!(f.is_empty());
     }
 
     #[test]
@@ -135,17 +112,6 @@ mod tests {
         f.insert(2);
         f.insert(3);
         assert!(f.is_full());
-        assert_eq!(f.len(), 3);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut f = BloomFilter::new(10);
-        f.insert(42);
-        assert!(f.contains(42));
-        f.clear();
-        assert!(!f.contains(42));
-        assert!(f.is_empty());
     }
 
     #[test]

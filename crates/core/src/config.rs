@@ -1,84 +1,33 @@
-//! ADAPT configuration.
+//! ADAPT configuration: which of the three mechanisms are built.
+//!
+//! Everything else the policy once exposed as a tunable has a single value
+//! in every run and is a named constant next to the code that reads it
+//! ([`crate::threshold`], [`crate::demotion`]), or is derived from the
+//! engine configuration by the component that needs it.
 
 use adapt_lss::LssConfig;
-use serde::{Deserialize, Serialize};
 
-/// Tunables of the ADAPT policy. `derive(Default)` is intentionally not
-/// provided — use [`AdaptConfig::for_engine`] so the ghost-set geometry is
-/// scaled consistently with the engine configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+/// The ablation switches of the ADAPT policy (§4.3): a mechanism that is
+/// off is not constructed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdaptConfig {
-    /// Spatial sampling rate (paper reports 0.001 for production volumes;
-    /// simulation volumes are small, so the default is denser).
-    pub sample_rate: f64,
-    /// Number of ghost sets (candidate thresholds) simulated in parallel.
-    pub ghost_sets: usize,
-    /// Ghost segment capacity in sampled blocks (real segment size scaled
-    /// by the sampling rate, floored at 4).
-    pub ghost_segment_blocks: u32,
-    /// Ghost set capacity in segments (sampled user working set plus the
-    /// same over-provisioning as the real store).
-    pub ghost_capacity_segments: u32,
-    /// Ghost chunk capacity in sampled blocks.
-    pub ghost_chunk_blocks: u32,
-    /// Scaled chunk-aggregation window for ghost sets (µs): chosen so a
-    /// sampled stream fills a ghost chunk with the same probability the
-    /// full stream fills a real chunk ("the chunk aggregation time is
-    /// proportionally increased", §3.2).
-    pub ghost_sla_us: u64,
-    /// Fraction of logical capacity that must be written between threshold
-    /// adoptions (paper: 10%).
-    pub adoption_volume_frac: f64,
-    /// Logical capacity in bytes (for the adoption condition).
-    pub user_capacity_bytes: u64,
-    /// Bloom filters per cascading discriminator.
-    pub filters_per_discriminator: usize,
-    /// Capacity of each Bloom filter (insertions before rotation).
-    pub filter_capacity: usize,
-    /// Minimum RA-identifier score to demote a user write (paper's
-    /// "pre-defined threshold").
-    pub score_threshold: u32,
-    /// Ablation switch: density-aware threshold adaptation (§3.2).
+    /// Density-aware threshold adaptation (§3.2).
     pub enable_adaptation: bool,
-    /// Ablation switch: cross-group dynamic aggregation (§3.3).
+    /// Cross-group dynamic aggregation (§3.3).
     pub enable_aggregation: bool,
-    /// Ablation switch: proactive demotion placement (§3.4).
+    /// Proactive demotion placement (§3.4).
     pub enable_demotion: bool,
 }
 
 impl AdaptConfig {
-    /// Configuration scaled to an engine config.
-    pub fn for_engine(cfg: &LssConfig) -> Self {
-        let sample_rate = 1.0 / 64.0;
-        let seg_blocks_scaled = ((cfg.segment_blocks() as f64 * sample_rate).round() as u32).max(4);
-        let sampled_blocks = (cfg.user_blocks as f64 * sample_rate).ceil();
-        let ghost_capacity = ((sampled_blocks * (1.0 + cfg.op_ratio) / seg_blocks_scaled as f64)
-            .ceil() as u32)
-            .max(8);
-        let ghost_chunk_blocks = (seg_blocks_scaled / 2).max(2).min(seg_blocks_scaled);
-        // Fill-probability-preserving window: ghost_sla = c_g * sla /
-        // (rate * c_real).
-        let ghost_sla_us = (ghost_chunk_blocks as f64 * cfg.sla_us as f64
-            / (sample_rate * cfg.chunk_blocks as f64)) as u64;
-        Self {
-            sample_rate,
-            ghost_sets: 7,
-            ghost_segment_blocks: seg_blocks_scaled,
-            ghost_capacity_segments: ghost_capacity,
-            ghost_chunk_blocks,
-            ghost_sla_us,
-            adoption_volume_frac: 0.10,
-            user_capacity_bytes: cfg.user_blocks * cfg.block_bytes,
-            filters_per_discriminator: 4,
-            filter_capacity: (cfg.user_blocks / 16).clamp(256, 65_536) as usize,
-            score_threshold: 2,
-            enable_adaptation: true,
-            enable_aggregation: true,
-            enable_demotion: true,
-        }
+    /// Full ADAPT. The engine configuration is taken for source
+    /// compatibility; the components derive their geometry from the one
+    /// handed to [`crate::Adapt::with_config`].
+    pub fn for_engine(_cfg: &LssConfig) -> Self {
+        Self { enable_adaptation: true, enable_aggregation: true, enable_demotion: true }
     }
 
-    /// Disable one mechanism for ablation studies.
+    /// Disable density-aware threshold adaptation.
     pub fn without_adaptation(mut self) -> Self {
         self.enable_adaptation = false;
         self
@@ -95,20 +44,6 @@ impl AdaptConfig {
         self.enable_demotion = false;
         self
     }
-
-    /// Panic on nonsensical settings.
-    pub fn validate(&self) {
-        assert!(self.sample_rate > 0.0 && self.sample_rate <= 1.0);
-        assert!(self.ghost_sets >= 2, "threshold search needs ≥ 2 ghost sets");
-        assert!(self.ghost_segment_blocks >= 1);
-        assert!(self.ghost_chunk_blocks >= 1);
-        assert!(self.ghost_chunk_blocks <= self.ghost_segment_blocks);
-        assert!(self.ghost_sla_us > 0);
-        assert!(self.ghost_capacity_segments >= 4);
-        assert!(self.adoption_volume_frac > 0.0);
-        assert!(self.filters_per_discriminator >= 1);
-        assert!(self.filter_capacity >= 1);
-    }
 }
 
 #[cfg(test)]
@@ -116,34 +51,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn derived_geometry_scales_with_engine() {
-        let lss = LssConfig { user_blocks: 64 * 1024, ..Default::default() };
-        let c = AdaptConfig::for_engine(&lss);
-        c.validate();
-        // 128-block segments at 1/64 sampling → 2, floored to 4.
-        assert_eq!(c.ghost_segment_blocks, 4);
-        // 1024 sampled blocks * 1.2 / 4 = ~308 segments.
-        assert!(c.ghost_capacity_segments > 100);
-        assert_eq!(c.user_capacity_bytes, 64 * 1024 * 4096);
-    }
-
-    #[test]
     fn ablation_toggles() {
         let lss = LssConfig::default();
-        let c = AdaptConfig::for_engine(&lss)
-            .without_adaptation()
-            .without_aggregation()
-            .without_demotion();
+        let full = AdaptConfig::for_engine(&lss);
+        assert!(full.enable_adaptation && full.enable_aggregation && full.enable_demotion);
+        let c = full.without_adaptation().without_aggregation().without_demotion();
         assert!(!c.enable_adaptation && !c.enable_aggregation && !c.enable_demotion);
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic]
-    fn validate_rejects_single_ghost() {
-        let lss = LssConfig::default();
-        let mut c = AdaptConfig::for_engine(&lss);
-        c.ghost_sets = 1;
-        c.validate();
     }
 }

@@ -11,48 +11,55 @@
 //! traffic under Zipfian workloads).
 
 use crate::bloom::BloomFilter;
-use adapt_lss::{GroupId, Lba};
+use adapt_lss::{GroupId, Lba, LssConfig};
 use std::collections::VecDeque;
+
+/// Bloom filters per cascading discriminator; no figure from the paper is
+/// on record here. Four generations let a score of [`SCORE_THRESHOLD`]
+/// mean "re-migrated in two different epochs".
+const FILTERS_PER_DISCRIMINATOR: usize = 4;
+
+/// Minimum RA-identifier score that demotes a user write — the paper's
+/// "pre-defined threshold" (§3.4; no value on record here). Two: one hit may be a
+/// Bloom false positive, two filters agreeing rarely are.
+const SCORE_THRESHOLD: u32 = 2;
 
 /// FIFO cascade of Bloom filters for one GC group.
 #[derive(Debug, Clone)]
 pub struct CascadingDiscriminator {
     filters: VecDeque<BloomFilter>,
-    max_filters: usize,
     filter_capacity: usize,
 }
 
 impl CascadingDiscriminator {
-    /// Create a cascade of at most `max_filters` filters, each sized for
-    /// `filter_capacity` insertions.
-    pub fn new(max_filters: usize, filter_capacity: usize) -> Self {
-        assert!(max_filters >= 1 && filter_capacity >= 1);
-        let mut filters = VecDeque::with_capacity(max_filters);
+    /// Create a cascade of at most [`FILTERS_PER_DISCRIMINATOR`] filters,
+    /// each sized for `filter_capacity` insertions.
+    pub fn new(filter_capacity: usize) -> Self {
+        let mut filters = VecDeque::with_capacity(FILTERS_PER_DISCRIMINATOR);
         filters.push_back(BloomFilter::new(filter_capacity));
-        Self { filters, max_filters, filter_capacity }
+        Self { filters, filter_capacity }
     }
 
     /// Record a re-access observation; rotates filters FIFO when the
     /// newest fills, bounding memory.
     pub fn insert(&mut self, lba: Lba) {
-        if self.filters.back().expect("cascade never empty").is_full() {
-            if self.filters.len() == self.max_filters {
-                self.filters.pop_front();
+        match self.filters.back_mut() {
+            Some(newest) if !newest.is_full() => newest.insert(lba),
+            _ => {
+                if self.filters.len() == FILTERS_PER_DISCRIMINATOR {
+                    self.filters.pop_front();
+                }
+                let mut fresh = BloomFilter::new(self.filter_capacity);
+                fresh.insert(lba);
+                self.filters.push_back(fresh);
             }
-            self.filters.push_back(BloomFilter::new(self.filter_capacity));
         }
-        self.filters.back_mut().unwrap().insert(lba);
     }
 
-    /// Score = number of filters containing the LBA (0..=max_filters).
+    /// Score = number of filters containing the LBA.
     #[inline]
     pub fn score(&self, lba: Lba) -> u32 {
         self.filters.iter().filter(|f| f.contains(lba)).count() as u32
-    }
-
-    /// Number of active filters.
-    pub fn filter_count(&self) -> usize {
-        self.filters.len()
     }
 
     /// Resident bytes.
@@ -67,23 +74,21 @@ pub struct RaIdentifier {
     /// GC group ids covered, in order.
     gc_groups: Vec<GroupId>,
     discriminators: Vec<CascadingDiscriminator>,
-    /// Minimum score for a demotion decision.
-    score_threshold: u32,
 }
 
 impl RaIdentifier {
-    /// Create an identifier for the given GC groups.
-    pub fn new(
-        gc_groups: Vec<GroupId>,
-        max_filters: usize,
-        filter_capacity: usize,
-        score_threshold: u32,
-    ) -> Self {
-        let discriminators = gc_groups
-            .iter()
-            .map(|_| CascadingDiscriminator::new(max_filters, filter_capacity))
-            .collect();
-        Self { gc_groups, discriminators, score_threshold }
+    /// Create an identifier for the given GC groups, its filters sized to
+    /// the engine's volume: a sixteenth of the logical blocks, within
+    /// 256..=65 536 insertions per filter.
+    pub fn new(gc_groups: &[GroupId], lss: &LssConfig) -> Self {
+        Self::with_filter_capacity(gc_groups, (lss.user_blocks / 16).clamp(256, 65_536) as usize)
+    }
+
+    /// As [`RaIdentifier::new`] with an explicit per-filter capacity.
+    pub fn with_filter_capacity(gc_groups: &[GroupId], filter_capacity: usize) -> Self {
+        let discriminators =
+            gc_groups.iter().map(|_| CascadingDiscriminator::new(filter_capacity)).collect();
+        Self { gc_groups: gc_groups.to_vec(), discriminators }
     }
 
     /// GC observed `lba` migrating from `from` back into `to`; a same-group
@@ -97,7 +102,7 @@ impl RaIdentifier {
     }
 
     /// Demotion check at user-write time: the GC group with the highest
-    /// score wins if it reaches the threshold.
+    /// score wins if it reaches [`SCORE_THRESHOLD`].
     pub fn check(&self, lba: Lba) -> Option<GroupId> {
         let (best_idx, best_score) = self
             .discriminators
@@ -105,11 +110,7 @@ impl RaIdentifier {
             .enumerate()
             .map(|(i, d)| (i, d.score(lba)))
             .max_by_key(|&(_, s)| s)?;
-        if best_score >= self.score_threshold {
-            Some(self.gc_groups[best_idx])
-        } else {
-            None
-        }
+        (best_score >= SCORE_THRESHOLD).then(|| self.gc_groups[best_idx])
     }
 
     /// Resident bytes.
@@ -125,19 +126,19 @@ mod tests {
 
     #[test]
     fn cascade_rotates_fifo() {
-        let mut c = CascadingDiscriminator::new(3, 2);
+        let mut c = CascadingDiscriminator::new(2);
         for lba in 0..10u64 {
             c.insert(lba);
         }
-        assert_eq!(c.filter_count(), 3);
-        // Oldest entries (0..4) were evicted with their filters.
+        assert_eq!(c.filters.len(), FILTERS_PER_DISCRIMINATOR);
+        // The oldest entries (0, 1) were evicted with their filter.
         assert_eq!(c.score(0), 0);
         assert!(c.score(9) >= 1);
     }
 
     #[test]
     fn score_counts_filters() {
-        let mut c = CascadingDiscriminator::new(4, 2);
+        let mut c = CascadingDiscriminator::new(2);
         // Insert the same LBA across several filter generations.
         for _ in 0..4 {
             c.insert(77);
@@ -148,7 +149,7 @@ mod tests {
 
     #[test]
     fn ra_identifier_trains_on_same_group_migrations_only() {
-        let mut ra = RaIdentifier::new(vec![2, 3, 4, 5], 4, 100, 2);
+        let mut ra = RaIdentifier::with_filter_capacity(&[2, 3, 4, 5], 100);
         // Cross-group migration: no training.
         ra.observe_migration(9, 2, 3);
         assert_eq!(ra.check(9), None);
@@ -167,25 +168,32 @@ mod tests {
 
     #[test]
     fn check_prefers_highest_scoring_group() {
-        let mut ra = RaIdentifier::new(vec![2, 3], 4, 10, 1);
+        let mut ra = RaIdentifier::with_filter_capacity(&[2, 3], 2);
+        // One generation in group 2, two in group 3.
+        ra.observe_migration(5, 2, 2);
+        ra.observe_migration(5, 3, 3);
+        ra.observe_migration(1000, 3, 3); // fill group 3's filter to force rotation
         ra.observe_migration(5, 3, 3);
         assert_eq!(ra.check(5), Some(3));
     }
 
     #[test]
     fn unknown_lba_not_demoted() {
-        let ra = RaIdentifier::new(vec![2, 3], 4, 10, 1);
+        let ra = RaIdentifier::with_filter_capacity(&[2, 3], 10);
         assert_eq!(ra.check(12345), None);
     }
 
     #[test]
     fn memory_bounded_by_rotation() {
-        let mut c = CascadingDiscriminator::new(2, 10);
+        let mut c = CascadingDiscriminator::new(10);
         let before = c.memory_bytes();
         for lba in 0..10_000u64 {
             c.insert(lba);
         }
         let after = c.memory_bytes();
-        assert!(after <= before * 3, "memory grew unbounded: {before} -> {after}");
+        assert!(
+            after <= before * (FILTERS_PER_DISCRIMINATOR + 1),
+            "memory grew unbounded: {before} -> {after}"
+        );
     }
 }

@@ -65,11 +65,6 @@ impl Fenwick {
     }
 }
 
-/// Default cap on tracked blocks (see [`DistanceTree::with_capacity`]):
-/// generous enough that a fully sampled multi-GiB volume never evicts,
-/// small enough that memory stays bounded on any stream.
-pub const DEFAULT_MAX_BLOCKS: usize = 1 << 20;
-
 /// Streaming reuse-distance tracker.
 #[derive(Debug, Clone)]
 pub struct DistanceTree {
@@ -82,18 +77,7 @@ pub struct DistanceTree {
     scratch: Vec<(usize, Lba)>,
 }
 
-impl Default for DistanceTree {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl DistanceTree {
-    /// Create an empty tracker with the default block cap.
-    pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_MAX_BLOCKS)
-    }
-
     /// Create an empty tracker that tracks at most `max_blocks` distinct
     /// blocks, evicting least-recently-accessed entries beyond that.
     pub fn with_capacity(max_blocks: usize) -> Self {
@@ -104,11 +88,6 @@ impl DistanceTree {
             max_blocks: max_blocks.max(16),
             scratch: Vec::new(),
         }
-    }
-
-    /// The configured cap on tracked blocks.
-    pub fn capacity_blocks(&self) -> usize {
-        self.max_blocks
     }
 
     /// Record an access; returns the reuse distance (distinct intervening
@@ -139,18 +118,6 @@ impl DistanceTree {
             self.compact_keeping(self.max_blocks - self.max_blocks / 8);
         }
         distance
-    }
-
-    /// Distinct blocks currently tracked.
-    pub fn live_blocks(&self) -> usize {
-        self.last_pos.len()
-    }
-
-    /// Forget a block (e.g., evicted from the ghost working set).
-    pub fn forget(&mut self, lba: Lba) {
-        if let Some(pos) = self.last_pos.remove(&lba) {
-            self.fenwick.add(pos, -1);
-        }
     }
 
     /// Rebuild the position line compactly, keeping only the `keep` most
@@ -187,16 +154,21 @@ impl DistanceTree {
 mod tests {
     use super::*;
 
+    /// A tracker whose cap no test stream reaches.
+    fn tree() -> DistanceTree {
+        DistanceTree::with_capacity(1 << 20)
+    }
+
     #[test]
     fn first_access_has_no_distance() {
-        let mut t = DistanceTree::new();
+        let mut t = tree();
         assert_eq!(t.access(1), None);
         assert_eq!(t.access(2), None);
     }
 
     #[test]
     fn immediate_reaccess_distance_zero() {
-        let mut t = DistanceTree::new();
+        let mut t = tree();
         t.access(1);
         assert_eq!(t.access(1), Some(0));
     }
@@ -204,7 +176,7 @@ mod tests {
     #[test]
     fn classic_sequence() {
         // a b c a : distance(a) = 2 (b, c intervene)
-        let mut t = DistanceTree::new();
+        let mut t = tree();
         t.access(1);
         t.access(2);
         t.access(3);
@@ -216,7 +188,7 @@ mod tests {
     #[test]
     fn repeats_do_not_inflate_distance() {
         // a b b b a : only b intervenes → distance 1
-        let mut t = DistanceTree::new();
+        let mut t = tree();
         t.access(1);
         t.access(2);
         t.access(2);
@@ -226,7 +198,7 @@ mod tests {
 
     #[test]
     fn compaction_preserves_distances() {
-        let mut t = DistanceTree::new();
+        let mut t = tree();
         // Touch enough distinct blocks to force several compactions.
         for round in 0..5u64 {
             for lba in 0..600u64 {
@@ -236,27 +208,7 @@ mod tests {
         }
         // Full cyclic scan: distance = 599 for every block.
         assert_eq!(t.access(0), Some(599));
-        assert_eq!(t.live_blocks(), 600);
-    }
-
-    #[test]
-    fn forget_removes_from_distances() {
-        let mut t = DistanceTree::new();
-        t.access(1);
-        t.access(2);
-        t.access(3);
-        t.forget(2);
-        // Only 3 intervenes now.
-        assert_eq!(t.access(1), Some(1));
-        assert_eq!(t.live_blocks(), 2); // 1 and 3 (2 forgotten; 1 re-added)
-    }
-
-    #[test]
-    fn forgotten_block_is_fresh_again() {
-        let mut t = DistanceTree::new();
-        t.access(9);
-        t.forget(9);
-        assert_eq!(t.access(9), None);
+        assert_eq!(t.last_pos.len(), 600);
     }
 
     #[test]
@@ -276,7 +228,7 @@ mod tests {
         for lba in 0..10 * cap as u64 {
             t.access(lba);
         }
-        assert!(t.live_blocks() <= cap, "live {} > cap {cap}", t.live_blocks());
+        assert!(t.last_pos.len() <= cap, "live {} > cap {cap}", t.last_pos.len());
         // Memory proportional to the cap (generous slack for hash-map load
         // factor and the eviction hysteresis), not to the stream footprint.
         assert!(
@@ -296,7 +248,7 @@ mod tests {
         }
         // The cap (16) was exceeded at the 17th insert: the oldest eighth
         // was dropped, the most recent survive.
-        assert!(t.live_blocks() <= 16);
+        assert!(t.last_pos.len() <= 16);
         assert_eq!(t.access(17), Some(0), "newest block must survive eviction");
     }
 
@@ -304,7 +256,7 @@ mod tests {
     fn distances_match_naive_reference() {
         use adapt_trace::rng::Xoshiro256StarStar;
         let mut rng = Xoshiro256StarStar::new(99);
-        let mut t = DistanceTree::new();
+        let mut t = tree();
         let mut history: Vec<Lba> = Vec::new();
         for _ in 0..3000 {
             let lba = rng.next_bounded(200);

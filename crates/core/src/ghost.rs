@@ -37,10 +37,9 @@ struct GhostSegment {
     blocks: Vec<Lba>,
     /// Blocks whose latest copy lives here.
     valid: u32,
-    /// Whether the segment is sealed (full).
+    /// Whether the segment is sealed (full); open and reclaimed slots are
+    /// not.
     sealed: bool,
-    /// Whether the slot is free for reuse.
-    free: bool,
 }
 
 /// Per-temperature open chunk state.
@@ -98,6 +97,7 @@ impl GhostSet {
     ) -> Self {
         assert!(seg_blocks >= 1 && chunk_blocks >= 1);
         assert!(chunk_blocks <= seg_blocks);
+        assert!(sla_us > 0);
         assert!(capacity_segs >= 4, "ghost set needs room for GC to matter");
         Self {
             threshold,
@@ -137,21 +137,6 @@ impl GhostSet {
         self.gc_count
     }
 
-    /// Blocks written into the set.
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
-    /// Padding blocks charged so far.
-    pub fn padded(&self) -> u64 {
-        self.padded
-    }
-
-    /// Shadow blocks charged so far by modeled aggregation.
-    pub fn shadowed(&self) -> u64 {
-        self.shadowed
-    }
-
     /// Record a sampled write at time `ts_us`. `interval_bytes` is the
     /// block's scaled access interval (`None` = first access → cold).
     pub fn write(&mut self, lba: Lba, interval_bytes: Option<u64>, ts_us: u64) {
@@ -168,24 +153,8 @@ impl GhostSet {
             Some(v) if v < self.threshold => 0, // hot
             _ => 1,                             // cold
         };
-        let seg_id = self.append(temp, lba, ts_us);
+        let seg_id = self.push_slot(temp, lba);
         self.index.insert(lba, seg_id);
-    }
-
-    /// Append one slot into `temp`'s open segment, maintaining the chunk
-    /// timer; returns the segment id used.
-    fn append(&mut self, temp: usize, slot: Lba, ts_us: u64) -> u32 {
-        let seg_id = self.open_segment(temp);
-        let seg = &mut self.segments[seg_id as usize];
-        seg.blocks.push(slot);
-        if slot != PAD {
-            seg.valid += 1;
-        }
-        let full_seg = seg.blocks.len() as u32 == self.seg_blocks;
-        if full_seg {
-            seg.sealed = true;
-            self.open[temp] = None;
-        }
         // Chunk timer bookkeeping.
         let c = &mut self.chunk[temp];
         if c.filled == 0 {
@@ -194,6 +163,22 @@ impl GhostSet {
         c.filled += 1;
         if c.filled >= self.chunk_blocks {
             *c = OpenChunk::default();
+        }
+    }
+
+    /// Append one slot (an LBA or [`PAD`]) into `temp`'s open segment,
+    /// sealing it when full; returns the segment id used. The chunk timer
+    /// is the caller's business.
+    fn push_slot(&mut self, temp: usize, slot: Lba) -> u32 {
+        let seg_id = self.open_segment(temp);
+        let seg = &mut self.segments[seg_id as usize];
+        seg.blocks.push(slot);
+        if slot != PAD {
+            seg.valid += 1;
+        }
+        if seg.blocks.len() as u32 == self.seg_blocks {
+            seg.sealed = true;
+            self.open[temp] = None;
         }
         seg_id
     }
@@ -216,7 +201,7 @@ impl GhostSet {
             if cold.filled > 0 && cold.filled + c.filled < self.chunk_blocks {
                 self.shadowed += c.filled as u64;
                 for _ in 0..c.filled {
-                    self.append_pad(1); // substitutes become cold-segment garbage
+                    self.push_slot(1, PAD); // substitutes become cold-segment garbage
                 }
                 self.chunk[1].filled += c.filled;
                 if self.chunk[1].filled >= self.chunk_blocks {
@@ -232,20 +217,8 @@ impl GhostSet {
         self.chunk[temp] = OpenChunk::default();
         // Pad slots consume real segment space.
         for _ in 0..missing {
-            self.append_pad(temp);
+            self.push_slot(temp, PAD);
         }
-    }
-
-    /// Append a PAD slot without touching the chunk timer.
-    fn append_pad(&mut self, temp: usize) -> u32 {
-        let seg_id = self.open_segment(temp);
-        let seg = &mut self.segments[seg_id as usize];
-        seg.blocks.push(PAD);
-        if seg.blocks.len() as u32 == self.seg_blocks {
-            seg.sealed = true;
-            self.open[temp] = None;
-        }
-        seg_id
     }
 
     /// The open segment for a temperature, allocating (and GC-ing) as
@@ -257,20 +230,11 @@ impl GhostSet {
         if self.live_segments() >= self.capacity_segs {
             self.collect();
         }
-        let id = match self.free_slots.pop() {
-            Some(id) => {
-                let s = &mut self.segments[id as usize];
-                s.blocks.clear();
-                s.valid = 0;
-                s.sealed = false;
-                s.free = false;
-                id
-            }
-            None => {
-                self.segments.push(GhostSegment::default());
-                (self.segments.len() - 1) as u32
-            }
-        };
+        // A reclaimed slot comes back already reset by `collect`.
+        let id = self.free_slots.pop().unwrap_or_else(|| {
+            self.segments.push(GhostSegment::default());
+            (self.segments.len() - 1) as u32
+        });
         self.open[temp] = Some(id);
         id
     }
@@ -285,7 +249,7 @@ impl GhostSet {
             .segments
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.sealed && !s.free)
+            .filter(|(_, s)| s.sealed)
             .max_by_key(|(_, s)| s.blocks.len() as u32 - s.valid)
             .map(|(i, _)| i as u32);
         let Some(victim) = victim else {
@@ -307,7 +271,6 @@ impl GhostSet {
         s.blocks.clear();
         s.valid = 0;
         s.sealed = false;
-        s.free = true;
         self.free_slots.push(victim);
     }
 
@@ -400,7 +363,7 @@ mod tests {
         for i in 0..50u64 {
             g.write(i, None, i * 1000);
         }
-        assert!(g.padded() > 0);
+        assert!(g.padded > 0);
         assert!(g.wa() > 1.5, "wa {}", g.wa());
     }
 
@@ -410,7 +373,7 @@ mod tests {
         for i in 0..50u64 {
             g.write(i, None, i); // 1 µs apart
         }
-        assert_eq!(g.padded(), 0);
+        assert_eq!(g.padded, 0);
     }
 
     #[test]
@@ -450,6 +413,6 @@ mod tests {
     fn wa_of_untouched_set_is_one() {
         let g = dense(5, 4);
         assert_eq!(g.wa(), 1.0);
-        assert_eq!(g.written(), 0);
+        assert_eq!(g.written, 0);
     }
 }

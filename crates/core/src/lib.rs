@@ -19,8 +19,11 @@
 //!    group; such long-lived blocks are placed straight into that GC group
 //!    at *user-write* time, skipping the cascade of GC migrations.
 //!
-//! The composite policy lives in [`policy::Adapt`]; each mechanism can be
-//! disabled independently through [`AdaptConfig`] for ablation studies.
+//! The composite policy lives in [`policy::Adapt`]: SepBIT's lifespan
+//! separator ([`adapt_placement::SepBit`]) plus the three mechanisms, each
+//! an optional component that [`AdaptConfig`] leaves unbuilt for ablation
+//! studies. DESIGN.md, "The ADAPT policy", has the constants and the rules
+//! that are ours rather than the paper's.
 //!
 //! # Example
 //!
@@ -49,17 +52,9 @@ pub mod config;
 pub mod demotion;
 pub mod distance;
 pub mod ghost;
-pub mod mrc;
 pub mod policy;
 pub mod sampler;
 pub mod threshold;
 
 pub use config::AdaptConfig;
 pub use policy::Adapt;
-
-/// The workspace-wide one-time CPU-feature probe (SSE2/SSE4.2/AVX2 +
-/// `ADAPT_NO_SIMD` override). The module lives in `adapt-array` — the
-/// bottom of the crate graph, next to the CRC and parity kernels that
-/// consume it — and is re-exported here so policy-level code and the crates
-/// above share the same probe without depending on `adapt-array` directly.
-pub use adapt_array::cpu_features;

@@ -16,9 +16,12 @@
 //! ```
 //!
 //! `T` comes from the ghost-set machinery ([`crate::threshold`]) once it
-//! has adopted; before that (and whenever adaptation is disabled for
-//! ablation) ADAPT falls back to a SepBIT-style cold-start estimate: the
-//! EWMA lifespan of reclaimed hot-group segments, initially infinite.
+//! has adopted; before that (and whenever adaptation is not built) ADAPT
+//! is SepBIT: the threshold is the EWMA lifespan of reclaimed hot-group
+//! segments, initially infinite. The lifespan separator — last-write
+//! table, age on the byte clock, residual ladder, EWMA — is
+//! [`adapt_placement::SepBit`] itself, held once; each mechanism is an
+//! `Option`, `None` when an ablation turns it off.
 
 use crate::aggregation::AggregationCtl;
 use crate::config::AdaptConfig;
@@ -28,50 +31,26 @@ use adapt_lss::{
     GroupId, GroupKind, Lba, LssConfig, PlacementPolicy, PolicyCtx, PolicyEvent, ReclaimInfo,
     SegmentMeta, SlaAction, VictimMeta,
 };
-use adapt_placement::LbaTable;
-
-/// EWMA factor of the cold-start lifespan estimate.
-const COLD_START_ALPHA: f64 = 0.5;
-
-/// Itemized resident memory of ADAPT's components (Fig. 12b).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemoryBreakdown {
-    /// Per-LBA last-write table (shared with lifespan-based baselines).
-    pub lifespan_table_bytes: usize,
-    /// Sampling module: distance tree + ghost sets (§3.2's ~44 B/sampled
-    /// block and ~20 B/simulated block).
-    pub sampling_bytes: usize,
-    /// Cascading Bloom discriminators (§3.4).
-    pub ra_identifier_bytes: usize,
-}
-
-impl MemoryBreakdown {
-    /// Sum of the parts.
-    pub fn total(&self) -> usize {
-        self.lifespan_table_bytes + self.sampling_bytes + self.ra_identifier_bytes
-    }
-}
+use adapt_placement::SepBit;
 
 /// The ADAPT policy.
 #[derive(Debug, Clone)]
 pub struct Adapt {
-    cfg: AdaptConfig,
-    groups: [GroupKind; 6],
-    /// Byte clock of each block's last user write, +1 (0 = never).
-    last_write_bytes: LbaTable<u64>,
-    /// Ghost-set threshold adaptation (§3.2).
-    adapter: ThresholdAdapter,
-    /// Cold-start / fallback threshold (bytes).
-    cold_start_threshold: f64,
+    /// SepBIT's lifespan separator: the 2 + 4 topology, the per-LBA
+    /// last-write table and the cold-start threshold (its own ℓ).
+    sepbit: SepBit,
     /// EWMA lifespan of reclaimed user-group segments (bytes): the base ℓ
-    /// of the GC residual-lifespan ladder. Distinct from the hot/cold
-    /// threshold — that one may legitimately adapt to 0 ("no separation")
-    /// while GC classing still needs a lifespan scale.
+    /// of the GC residual-lifespan ladder, and the one place ADAPT's
+    /// separator differs from SepBIT's, which ladders over its hot/cold
+    /// threshold. ADAPT's threshold may legitimately adapt to 0 ("no
+    /// separation") while GC classing still needs a lifespan scale.
     gc_ladder_base: f64,
+    /// Ghost-set threshold adaptation (§3.2).
+    adapter: Option<ThresholdAdapter>,
     /// Cross-group aggregation decisions (§3.3).
-    aggregation: AggregationCtl,
+    aggregation: Option<AggregationCtl>,
     /// Proactive demotion identifier (§3.4).
-    ra: RaIdentifier,
+    ra: Option<RaIdentifier>,
     /// Whether the user groups showed padding in their recent window —
     /// the regime where the ghost-adapted threshold (which uniquely models
     /// the padding/density tradeoff) overrides the lifespan estimate.
@@ -87,61 +66,34 @@ pub struct Adapt {
 
 impl Adapt {
     /// Hot user group.
-    pub const HOT: GroupId = 0;
+    pub const HOT: GroupId = SepBit::CLASS1;
     /// Cold user group.
-    pub const COLD: GroupId = 1;
-    /// GC groups (residual-lifespan classes, short → long).
-    pub const GC_GROUPS: [GroupId; 4] = [2, 3, 4, 5];
+    pub const COLD: GroupId = SepBit::CLASS2;
     /// GC groups eligible for proactive demotion: only the *cold* classes.
     /// The paper's motivation (§3.4) is blocks that trickle through
     /// progressively colder groups before settling — demoting into the
     /// short-residual classes would only re-mix churn-prone data.
     pub const DEMOTION_GROUPS: [GroupId; 2] = [4, 5];
 
-    /// Create ADAPT for an engine configuration with default tuning.
+    /// Create full ADAPT for an engine configuration.
     pub fn new(lss: &LssConfig) -> Self {
         Self::with_config(lss, AdaptConfig::for_engine(lss))
     }
 
-    /// Create ADAPT with explicit tuning (ablations, sensitivity studies).
+    /// Create ADAPT with only the mechanisms `cfg` enables (ablations).
     pub fn with_config(lss: &LssConfig, cfg: AdaptConfig) -> Self {
-        cfg.validate();
         Self {
-            cfg,
-            groups: [
-                GroupKind::User,
-                GroupKind::User,
-                GroupKind::Gc,
-                GroupKind::Gc,
-                GroupKind::Gc,
-                GroupKind::Gc,
-            ],
-            last_write_bytes: LbaTable::default(),
-            adapter: ThresholdAdapter::new(cfg, lss.segment_bytes(), lss.block_bytes),
-            cold_start_threshold: f64::INFINITY,
+            sepbit: SepBit::new(),
             gc_ladder_base: f64::INFINITY,
-            aggregation: AggregationCtl::new(Self::HOT, Self::COLD, cfg.enable_aggregation),
-            ra: RaIdentifier::new(
-                Self::DEMOTION_GROUPS.to_vec(),
-                cfg.filters_per_discriminator,
-                cfg.filter_capacity,
-                cfg.score_threshold,
-            ),
+            adapter: cfg.enable_adaptation.then(|| ThresholdAdapter::new(lss)),
+            aggregation: cfg
+                .enable_aggregation
+                .then(|| AggregationCtl::new(Self::COLD, lss.sla_us)),
+            ra: cfg.enable_demotion.then(|| RaIdentifier::new(&Self::DEMOTION_GROUPS, lss)),
             padding_present: true,
             demotions: 0,
             adoptions: 0,
             pending_events: Vec::new(),
-        }
-    }
-
-    /// The hot/cold threshold as a byte count for event records
-    /// (`u64::MAX` encodes "infinite — everything is cold-startable").
-    fn threshold_bytes_for_events(&self) -> u64 {
-        let t = self.effective_threshold();
-        if t.is_finite() {
-            t as u64
-        } else {
-            u64::MAX
         }
     }
 
@@ -152,14 +104,11 @@ impl Adapt {
     /// when chunks fill on their own, ADAPT falls back to the SepBIT-style
     /// lifespan estimate, which is the better pure-GC separator.
     pub fn effective_threshold(&self) -> f64 {
-        if self.cfg.enable_adaptation && self.padding_present {
-            match self.adapter.threshold() {
-                Some(t) => t as f64,
-                None => self.cold_start_threshold,
-            }
-        } else {
-            self.cold_start_threshold
-        }
+        let adopted = match &self.adapter {
+            Some(adapter) if self.padding_present => adapter.threshold(),
+            _ => None,
+        };
+        adopted.map_or(self.sepbit.threshold(), |t| t as f64)
     }
 
     /// User writes demoted by the RA identifier so far.
@@ -172,44 +121,22 @@ impl Adapt {
         self.adoptions
     }
 
-    /// The adaptation machinery, for inspection.
-    pub fn adapter(&self) -> &ThresholdAdapter {
-        &self.adapter
-    }
-
-    /// Itemized resident memory (the paper's Fig. 12b discussion itemizes
-    /// the sampling module and the ghost simulation separately).
-    pub fn memory_breakdown(&self) -> MemoryBreakdown {
-        MemoryBreakdown {
-            lifespan_table_bytes: self.last_write_bytes.memory_bytes(),
-            sampling_bytes: self.adapter.memory_bytes(),
-            ra_identifier_bytes: self.ra.memory_bytes(),
-        }
-    }
-
-    /// Age of `lba`'s current data on the byte clock.
-    fn age_bytes(&self, lba: Lba, now_bytes: u64) -> Option<u64> {
-        let v = self.last_write_bytes.get(lba);
-        if v == 0 {
-            None
-        } else {
-            Some(now_bytes.saturating_sub(v - 1))
-        }
-    }
-
-    /// Residual-lifespan class for a GC-rewritten block of the given age:
-    /// bounds ℓ, 4ℓ, 16ℓ over the learned user-segment lifespan.
-    fn gc_class(&self, age: u64) -> GroupId {
-        let l = self.gc_ladder_base;
-        let a = age as f64;
-        if a < l {
-            Self::GC_GROUPS[0]
-        } else if a < 4.0 * l {
-            Self::GC_GROUPS[1]
-        } else if a < 16.0 * l {
-            Self::GC_GROUPS[2]
-        } else {
-            Self::GC_GROUPS[3]
+    /// Re-read from the group windows whether padding is a live cost, and
+    /// record the regime flip: the ghost-adapted threshold takes over when
+    /// it is, and yields to the lifespan estimate when chunks fill on
+    /// their own.
+    fn observe_padding(&mut self, ctx: &PolicyCtx) {
+        let padded =
+            |g: GroupId| ctx.groups.get(g as usize).is_none_or(|g| g.window_pad_chunks > 0);
+        let was_present = self.padding_present;
+        self.padding_present = padded(Self::HOT) || padded(Self::COLD);
+        if ctx.events_enabled && was_present != self.padding_present {
+            let t = self.effective_threshold();
+            self.pending_events.push(PolicyEvent::GhostOutcome {
+                adapted_governs: self.adapter.is_some() && self.padding_present,
+                // `u64::MAX` encodes an infinite threshold.
+                effective_threshold_bytes: if t.is_finite() { t as u64 } else { u64::MAX },
+            });
         }
     }
 }
@@ -220,112 +147,84 @@ impl PlacementPolicy for Adapt {
     }
 
     fn groups(&self) -> &[GroupKind] {
-        &self.groups
+        self.sepbit.groups()
     }
 
     fn place_user(&mut self, ctx: &PolicyCtx, lba: Lba) -> GroupId {
-        // Feed the density/popularity tracking pipeline.
-        if self.cfg.enable_adaptation && self.adapter.on_user_write(lba, ctx.now_us) {
-            self.adoptions += 1;
-            if ctx.events_enabled {
-                self.pending_events.push(PolicyEvent::ThresholdAdopted {
-                    threshold_bytes: self.adapter.threshold().unwrap_or(0),
-                    linear: self.adapter.is_linear(),
-                    candidates: self.adapter.candidates().len() as u32,
-                });
-            }
-        }
-        let padding_was_present = self.padding_present;
-        self.padding_present = ctx
-            .groups
-            .get(Self::HOT as usize)
-            .map(|g| g.window_pad_chunks > 0)
-            .unwrap_or(true)
-            || ctx.groups.get(Self::COLD as usize).map(|g| g.window_pad_chunks > 0).unwrap_or(true);
-        if ctx.events_enabled && padding_was_present != self.padding_present {
-            // The governing regime flipped: the ghost-adapted threshold
-            // takes over when padding is a live cost, and yields to the
-            // lifespan estimate when chunks fill on their own.
-            self.pending_events.push(PolicyEvent::GhostOutcome {
-                adapted_governs: self.cfg.enable_adaptation && self.padding_present,
-                effective_threshold_bytes: self.threshold_bytes_for_events(),
-            });
-        }
-
-        // Proactive demotion: a block that repeatedly migrated back into
-        // the same GC group belongs there from the start. Demote only when
-        // that group's open chunk already carries payload — joining a
-        // partially filled bulk chunk costs nothing, whereas opening a
-        // fresh chunk with one sparse user block would force a padded
-        // flush at the SLA deadline and waste more than the saved
-        // migrations.
-        if self.cfg.enable_demotion {
-            if let Some(gc_group) = self.ra.check(lba) {
-                if ctx.groups[gc_group as usize].pending_blocks > 0 {
-                    self.demotions += 1;
-                    if ctx.events_enabled {
-                        self.pending_events.push(PolicyEvent::Demotion { lba, group: gc_group });
-                    }
-                    self.last_write_bytes.set(lba, ctx.user_bytes + 1);
-                    return gc_group;
+        // Track: feed the density/popularity pipeline (§3.2).
+        if let Some(adapter) = &mut self.adapter {
+            if adapter.on_user_write(lba, ctx.now_us) {
+                self.adoptions += 1;
+                if ctx.events_enabled {
+                    self.pending_events.push(PolicyEvent::ThresholdAdopted {
+                        threshold_bytes: adapter.threshold().unwrap_or(0),
+                        linear: adapter.is_linear(),
+                        candidates: adapter.candidate_count() as u32,
+                    });
                 }
             }
         }
+        self.observe_padding(ctx);
 
-        // Hot/cold split by inferred lifespan vs the adaptive threshold.
-        let group = match self.age_bytes(lba, ctx.user_bytes) {
-            Some(interval) if (interval as f64) < self.effective_threshold() => Self::HOT,
-            Some(_) => Self::COLD,
-            None => Self::COLD, // first write: no inference, assume cold
-        };
-        self.last_write_bytes.set(lba, ctx.user_bytes + 1);
-        group
+        // Demote? A block that repeatedly migrated back into the same GC
+        // group belongs there from the start (§3.4). Only when that
+        // group's open chunk already carries payload — joining a partially
+        // filled bulk chunk costs nothing, whereas opening a fresh chunk
+        // with one sparse user block would force a padded flush at the SLA
+        // deadline and waste more than the saved migrations.
+        if let Some(gc_group) = self.ra.as_ref().and_then(|ra| ra.check(lba)) {
+            if ctx.groups[gc_group as usize].pending_blocks > 0 {
+                self.demotions += 1;
+                if ctx.events_enabled {
+                    self.pending_events.push(PolicyEvent::Demotion { lba, group: gc_group });
+                }
+                self.sepbit.record_write(lba, ctx.user_bytes);
+                return gc_group;
+            }
+        }
+
+        // Hot/cold: inferred lifespan against the threshold in force.
+        self.sepbit.class_user(lba, ctx.user_bytes, self.effective_threshold())
     }
 
     fn place_gc(&mut self, ctx: &PolicyCtx, lba: Lba, _victim: &VictimMeta) -> GroupId {
-        let age = self.age_bytes(lba, ctx.user_bytes).unwrap_or(u64::MAX);
-        self.gc_class(age)
+        self.sepbit.gc_class(lba, ctx.user_bytes, self.gc_ladder_base)
     }
 
     fn on_sla_expire(&mut self, ctx: &PolicyCtx, group: GroupId) -> SlaAction {
-        self.aggregation.on_sla_expire(ctx, group)
+        match &mut self.aggregation {
+            Some(aggregation) => aggregation.on_sla_expire(ctx, group),
+            None => SlaAction::Pad,
+        }
     }
 
     fn on_gc_block_migrated(&mut self, lba: Lba, from: GroupId, to: GroupId) {
-        if self.cfg.enable_demotion {
-            self.ra.observe_migration(lba, from, to);
+        if let Some(ra) = &mut self.ra {
+            ra.observe_migration(lba, from, to);
         }
     }
 
     fn on_segment_sealed(&mut self, _ctx: &PolicyCtx, meta: &SegmentMeta) {
-        self.aggregation.on_segment_sealed(meta.group);
+        if let Some(aggregation) = &mut self.aggregation {
+            aggregation.on_segment_sealed(meta.group);
+        }
     }
 
-    fn on_segment_reclaimed(&mut self, _ctx: &PolicyCtx, info: &ReclaimInfo) {
-        let lifespan = info.lifespan_bytes() as f64;
+    fn on_segment_reclaimed(&mut self, ctx: &PolicyCtx, info: &ReclaimInfo) {
         // Cold-start threshold: lifespan of hot-group segments (§3.2,
-        // "Updating threshold configuration").
-        if info.group == Self::HOT {
-            self.cold_start_threshold = if self.cold_start_threshold.is_finite() {
-                COLD_START_ALPHA * lifespan + (1.0 - COLD_START_ALPHA) * self.cold_start_threshold
-            } else {
-                lifespan
-            };
-        }
+        // "Updating threshold configuration") — SepBIT's own rule.
+        self.sepbit.on_segment_reclaimed(ctx, info);
         // GC-ladder scale: lifespan of *any* user-written segment.
         if info.group == Self::HOT || info.group == Self::COLD {
-            self.gc_ladder_base = if self.gc_ladder_base.is_finite() {
-                COLD_START_ALPHA * lifespan + (1.0 - COLD_START_ALPHA) * self.gc_ladder_base
-            } else {
-                lifespan
-            };
+            self.gc_ladder_base =
+                SepBit::ewma_lifespan(self.gc_ladder_base, info.lifespan_bytes() as f64);
         }
     }
 
     fn memory_bytes(&self) -> usize {
-        self.last_write_bytes.memory_bytes()
-            + self.adapter.memory_bytes()
-            + self.ra.memory_bytes()
+        self.sepbit.memory_bytes()
+            + self.adapter.as_ref().map_or(0, |a| a.memory_bytes())
+            + self.ra.as_ref().map_or(0, |ra| ra.memory_bytes())
             + std::mem::size_of::<Self>()
     }
 
@@ -404,6 +303,51 @@ mod tests {
         assert_eq!(p.place_gc(&ctx(50_000_000), 1, &victim()), 5);
     }
 
+    /// ADAPT with every mechanism off is SepBIT, except that its GC ladder
+    /// scales over the lifespan of *any* user segment (`gc_ladder_base`)
+    /// where SepBIT's scales over ℓ: the two are fed one random callback
+    /// stream and must agree on every user placement, and on every GC
+    /// class until a cold-group reclaim moves `gc_ladder_base` alone.
+    #[test]
+    fn mechanisms_off_is_sepbit_up_to_the_gc_ladder_base() {
+        use adapt_trace::rng::Xoshiro256StarStar;
+        let off = AdaptConfig::for_engine(&lss())
+            .without_adaptation()
+            .without_aggregation()
+            .without_demotion();
+        let mut adapt = Adapt::with_config(&lss(), off);
+        let mut sepbit = SepBit::new();
+        let mut rng = Xoshiro256StarStar::new(21);
+        let mut now = 0u64;
+        let mut gc_disagreements = 0;
+        for step in 0..40_000u64 {
+            let hot_reclaims_only = step < 20_000;
+            now += 4096 * (1 + rng.next_bounded(8));
+            let c = ctx(now);
+            let lba = rng.next_bounded(512);
+            match rng.next_bounded(8) {
+                0 => {
+                    let reclaimed = if hot_reclaims_only { Adapt::HOT } else { Adapt::COLD };
+                    let info =
+                        reclaim(reclaimed, now - now.min(4096 * rng.next_bounded(4096)), now);
+                    adapt.on_segment_reclaimed(&c, &info);
+                    sepbit.on_segment_reclaimed(&c, &info);
+                }
+                1 | 2 => {
+                    let (a, s) =
+                        (adapt.place_gc(&c, lba, &victim()), sepbit.place_gc(&c, lba, &victim()));
+                    assert!(a == s || !hot_reclaims_only, "step {step}: GC class {a} vs {s}");
+                    gc_disagreements += u32::from(a != s);
+                }
+                _ => {
+                    assert_eq!(adapt.place_user(&c, lba), sepbit.place_user(&c, lba), "step {step}")
+                }
+            }
+            assert_eq!(adapt.effective_threshold().to_bits(), sepbit.threshold().to_bits());
+        }
+        assert!(gc_disagreements > 0, "cold reclaims never moved the GC ladder apart");
+    }
+
     #[test]
     fn demotion_overrides_hot_cold() {
         let mut p = Adapt::new(&lss());
@@ -474,21 +418,20 @@ mod tests {
     }
 
     #[test]
-    fn memory_accounts_all_components() {
-        let mut p = Adapt::new(&lss());
-        for i in 0..10_000u64 {
-            p.place_user(&ctx(i * 4096), i % 2000);
-        }
+    fn memory_accounts_only_built_components() {
+        let mem = |cfg: AdaptConfig| {
+            let mut p = Adapt::with_config(&lss(), cfg);
+            for i in 0..10_000u64 {
+                p.place_user(&ctx(i * 4096), i % 2000);
+            }
+            p.memory_bytes()
+        };
+        let full = AdaptConfig::for_engine(&lss());
         // Table + sampler machinery + RA identifier all contribute.
-        assert!(p.memory_bytes() > 16_000, "mem {}", p.memory_bytes());
-        let b = p.memory_breakdown();
-        assert!(b.lifespan_table_bytes > 0);
-        assert!(b.sampling_bytes > 0);
-        assert!(b.ra_identifier_bytes > 0);
-        // Breakdown total tracks the trait-level number (modulo the
-        // struct's own size).
-        let diff = p.memory_bytes() as i64 - b.total() as i64;
-        assert!(diff.unsigned_abs() < 4096, "diff {diff}");
+        assert!(mem(full) > 16_000, "mem {}", mem(full));
+        // A mechanism that is off is not built, so it is not paid for.
+        assert!(mem(full.without_adaptation()) < mem(full));
+        assert!(mem(full.without_demotion()) < mem(full));
     }
 
     #[test]

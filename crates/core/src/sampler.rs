@@ -11,9 +11,9 @@
 
 use adapt_lss::Lba;
 
-/// SplitMix64 finalizer used as the sampling hash.
+/// SplitMix64 finalizer: the sampling hash, and the Bloom filters' mixer.
 #[inline]
-fn mix64(mut z: u64) -> u64 {
+pub(crate) fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -34,11 +34,6 @@ impl SpatialSampler {
         assert!(rate > 0.0 && rate <= 1.0, "rate must be in (0,1], got {rate}");
         let threshold = if rate >= 1.0 { u64::MAX } else { (rate * u64::MAX as f64) as u64 };
         Self { threshold, rate }
-    }
-
-    /// The sampling rate.
-    pub fn rate(&self) -> f64 {
-        self.rate
     }
 
     /// Scale factor to convert sampled distances to full-stream distances.

@@ -13,11 +13,25 @@
 //! set's WA has stabilized — and in either case only once all sets have
 //! seen real GC activity.
 
-use crate::config::AdaptConfig;
 use crate::distance::DistanceTree;
 use crate::ghost::GhostSet;
 use crate::sampler::SpatialSampler;
-use adapt_lss::Lba;
+use adapt_lss::{Lba, LssConfig};
+
+/// Spatial sampling rate. The paper reports 0.001 on production volumes
+/// (§3.2); the simulated volumes here are orders of magnitude smaller, so
+/// ours is denser — 1/64 still leaves a 16 Ki-block volume 256 sampled
+/// blocks to simulate.
+const SAMPLE_RATE: f64 = 1.0 / 64.0;
+
+/// Ghost sets (candidate thresholds) simulated in parallel; no figure
+/// from the paper is on record here. Seven: the "no separation" candidate
+/// plus six rungs, i.e. a 32× span per exponential ladder.
+const GHOST_SETS: usize = 7;
+
+/// Fraction of logical capacity that must be written between threshold
+/// adoptions (paper: 10 %, §3.2).
+const ADOPTION_VOLUME_FRAC: f64 = 0.10;
 
 /// Relative WA change below which a ghost set counts as stable.
 const STABLE_EPS: f64 = 0.01;
@@ -27,6 +41,37 @@ const STABLE_EPS: f64 = 0.01;
 /// "WA of ghost sets will gradually stabilize after multiple GCs" is a
 /// between-checkpoint property.
 const CHECK_INTERVAL: u64 = 512;
+
+/// Ghost-set geometry: the engine's, scaled by [`SAMPLE_RATE`] so the
+/// miniature sees the same fill probabilities and GC pressure (§3.2).
+#[derive(Debug, Clone, Copy)]
+struct GhostGeometry {
+    /// Ghost segment capacity in sampled blocks (floored at 4).
+    segment_blocks: u32,
+    /// Ghost set capacity in segments: the sampled user working set plus
+    /// the same over-provisioning as the real store.
+    capacity_segments: u32,
+    /// Ghost chunk capacity in sampled blocks.
+    chunk_blocks: u32,
+    /// Chunk-aggregation window (µs), chosen so a sampled stream fills a
+    /// ghost chunk with the same probability the full stream fills a real
+    /// one ("the chunk aggregation time is proportionally increased"):
+    /// `chunk_g · sla / (rate · chunk_real)`.
+    sla_us: u64,
+}
+
+impl GhostGeometry {
+    fn for_engine(cfg: &LssConfig) -> Self {
+        let segment_blocks = ((cfg.segment_blocks() as f64 * SAMPLE_RATE).round() as u32).max(4);
+        let sampled_blocks = (cfg.user_blocks as f64 * SAMPLE_RATE).ceil();
+        let capacity_segments =
+            ((sampled_blocks * (1.0 + cfg.op_ratio) / segment_blocks as f64).ceil() as u32).max(8);
+        let chunk_blocks = (segment_blocks / 2).max(2).min(segment_blocks);
+        let sla_us = (chunk_blocks as f64 * cfg.sla_us as f64
+            / (SAMPLE_RATE * cfg.chunk_blocks as f64)) as u64;
+        Self { segment_blocks, capacity_segments, chunk_blocks, sla_us }
+    }
+}
 
 /// The threshold-adaptation controller.
 #[derive(Debug, Clone)]
@@ -51,34 +96,34 @@ pub struct ThresholdAdapter {
     adoption_trigger_bytes: u64,
     /// Sampled writes since the last stability checkpoint.
     writes_since_check: u64,
-    cfg: AdaptConfig,
+    geometry: GhostGeometry,
 }
 
 impl ThresholdAdapter {
-    /// Create the adapter. `unit_bytes` is the real segment size.
-    pub fn new(cfg: AdaptConfig, unit_bytes: u64, block_bytes: u64) -> Self {
-        cfg.validate();
-        let sampler = SpatialSampler::new(cfg.sample_rate);
+    /// Create the adapter for an engine configuration.
+    pub fn new(lss: &LssConfig) -> Self {
+        Self::with_sampling(SAMPLE_RATE, GhostGeometry::for_engine(lss), lss)
+    }
+
+    fn with_sampling(sample_rate: f64, geometry: GhostGeometry, lss: &LssConfig) -> Self {
         // Bound the reuse-distance tracker by the sampled share of the
         // volume (2× slack): within-volume workloads never evict, while a
         // stream roaming an unbounded LBA space cannot grow it.
-        let sampled_cap = ((cfg.user_capacity_bytes / block_bytes.max(1)) as f64
-            * cfg.sample_rate
-            * 2.0) as usize;
+        let sampled_cap = (lss.user_blocks as f64 * sample_rate * 2.0) as usize;
+        let user_capacity_bytes = lss.user_blocks * lss.block_bytes;
         let mut adapter = Self {
-            sampler,
+            sampler: SpatialSampler::new(sample_rate),
             tree: DistanceTree::with_capacity(sampled_cap.max(1024)),
             ghosts: Vec::new(),
             last_wa: Vec::new(),
             adopted: None,
             linear_mode: false,
-            unit_bytes,
-            block_bytes,
+            unit_bytes: lss.segment_bytes(),
+            block_bytes: lss.block_bytes,
             bytes_since_adoption: 0,
-            adoption_trigger_bytes: (cfg.user_capacity_bytes as f64 * cfg.adoption_volume_frac)
-                as u64,
+            adoption_trigger_bytes: (user_capacity_bytes as f64 * ADOPTION_VOLUME_FRAC) as u64,
             writes_since_check: 0,
-            cfg,
+            geometry,
         };
         adapter.build_exponential_ladder();
         adapter
@@ -89,9 +134,9 @@ impl ThresholdAdapter {
         self.adopted
     }
 
-    /// The candidate thresholds currently simulated.
-    pub fn candidates(&self) -> Vec<u64> {
-        self.ghosts.iter().map(|g| g.threshold()).collect()
+    /// How many candidate thresholds are currently simulated.
+    pub fn candidate_count(&self) -> usize {
+        self.ghosts.len()
     }
 
     /// Whether the ladder is refining linearly.
@@ -116,11 +161,6 @@ impl ThresholdAdapter {
         self.maybe_adopt()
     }
 
-    /// Number of sampled blocks currently tracked.
-    pub fn sampled_blocks(&self) -> usize {
-        self.tree.live_blocks()
-    }
-
     /// Resident bytes of the whole adaptation machinery (Fig. 12b).
     pub fn memory_bytes(&self) -> usize {
         self.tree.memory_bytes()
@@ -137,7 +177,7 @@ impl ThresholdAdapter {
         // is often the global optimum (padding dominates), and including it
         // is what lets ADAPT collapse toward SepGC-like grouping when the
         // density cannot sustain two streams.
-        let n = self.cfg.ghost_sets;
+        let n = GHOST_SETS;
         let mut thresholds = Vec::with_capacity(n);
         thresholds.push(0);
         // Exponential ladder spanning below and above the center:
@@ -152,7 +192,7 @@ impl ThresholdAdapter {
     }
 
     fn build_linear_ladder(&mut self, best: u64, lo: u64, hi: u64) {
-        let n = self.cfg.ghost_sets as u64;
+        let n = GHOST_SETS as u64;
         let lo = lo.max(self.unit_bytes);
         let hi = hi.max(lo + self.unit_bytes);
         let step = ((hi - lo) / n).max(self.unit_bytes);
@@ -172,16 +212,11 @@ impl ThresholdAdapter {
     }
 
     fn rebuild(&mut self, thresholds: Vec<u64>) {
+        let g = self.geometry;
         self.ghosts = thresholds
             .into_iter()
             .map(|t| {
-                GhostSet::new(
-                    t,
-                    self.cfg.ghost_segment_blocks,
-                    self.cfg.ghost_chunk_blocks,
-                    self.cfg.ghost_sla_us,
-                    self.cfg.ghost_capacity_segments,
-                )
+                GhostSet::new(t, g.segment_blocks, g.chunk_blocks, g.sla_us, g.capacity_segments)
             })
             .collect();
         self.last_wa = vec![1.0; self.ghosts.len()];
@@ -208,21 +243,16 @@ impl ThresholdAdapter {
         for (slot, g) in self.last_wa.iter_mut().zip(&self.ghosts) {
             *slot = g.wa();
         }
-        if !warmed || !(volume_ready || stable) {
-            return false;
-        }
-        self.adopt();
-        true
+        warmed && (volume_ready || stable) && self.adopt()
     }
 
-    fn adopt(&mut self) {
-        let (best_idx, _) = self
-            .ghosts
-            .iter()
-            .enumerate()
-            .map(|(i, g)| (i, g.wa()))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-            .expect("ladder never empty");
+    /// Adopt the lowest-WA candidate (the first on a tie) and rebuild the
+    /// ladder around it; `false` only for a ladder with no candidate.
+    fn adopt(&mut self) -> bool {
+        let by_wa = self.ghosts.iter().map(GhostSet::wa).enumerate();
+        let Some((best_idx, _)) = by_wa.min_by(|a, b| a.1.total_cmp(&b.1)) else {
+            return false;
+        };
         let best = self.ghosts[best_idx].threshold();
         self.adopted = Some(best);
         self.bytes_since_adoption = 0;
@@ -238,21 +268,38 @@ impl ThresholdAdapter {
             let hi = self.ghosts[best_idx + 1].threshold();
             self.build_linear_ladder(best, lo, hi);
         }
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adapt_lss::LssConfig;
 
+    /// Sample everything into small ghost sets: fast tests.
     fn adapter() -> ThresholdAdapter {
         let lss = LssConfig { user_blocks: 16 * 1024, ..Default::default() };
-        let mut cfg = AdaptConfig::for_engine(&lss);
-        cfg.sample_rate = 1.0; // sample everything: fast tests
-        cfg.ghost_segment_blocks = 8;
-        cfg.ghost_capacity_segments = 32;
-        ThresholdAdapter::new(cfg, lss.segment_bytes(), lss.block_bytes)
+        let geometry = GhostGeometry {
+            segment_blocks: 8,
+            capacity_segments: 32,
+            ..GhostGeometry::for_engine(&lss)
+        };
+        ThresholdAdapter::with_sampling(1.0, geometry, &lss)
+    }
+
+    fn candidates(a: &ThresholdAdapter) -> Vec<u64> {
+        a.ghosts.iter().map(|g| g.threshold()).collect()
+    }
+
+    #[test]
+    fn derived_geometry_scales_with_engine() {
+        let lss = LssConfig { user_blocks: 64 * 1024, ..Default::default() };
+        let g = GhostGeometry::for_engine(&lss);
+        // 128-block segments at 1/64 sampling → 2, floored to 4.
+        assert_eq!(g.segment_blocks, 4);
+        // 1024 sampled blocks * 1.2 / 4 = ~308 segments.
+        assert!(g.capacity_segments > 100);
+        assert!(g.chunk_blocks <= g.segment_blocks && g.sla_us > 0);
     }
 
     #[test]
@@ -260,7 +307,8 @@ mod tests {
         let a = adapter();
         assert_eq!(a.threshold(), None);
         assert!(!a.is_linear());
-        let c = a.candidates();
+        assert_eq!(a.candidate_count(), GHOST_SETS);
+        let c = candidates(&a);
         // First candidate is "no separation" (threshold 0)…
         assert_eq!(c[0], 0);
         // …then a geometric ladder: each step doubles.
@@ -301,15 +349,13 @@ mod tests {
         // machinery must have adopted and kept a sane ladder. Candidate 0
         // ("no separation") is legal in exponential mode.
         assert!(a.threshold().is_some());
-        assert!(a.candidates().len() >= 2);
+        assert!(a.candidate_count() >= 2);
     }
 
     #[test]
     fn unsampled_stream_never_adopts() {
         let lss = LssConfig::default();
-        let mut cfg = AdaptConfig::for_engine(&lss);
-        cfg.sample_rate = 1e-9_f64.max(1.0 / u64::MAX as f64);
-        let mut a = ThresholdAdapter::new(cfg, lss.segment_bytes(), lss.block_bytes);
+        let mut a = ThresholdAdapter::with_sampling(1e-9, GhostGeometry::for_engine(&lss), &lss);
         for i in 0..10_000u64 {
             assert!(!a.on_user_write(i % 100, i));
         }
@@ -323,7 +369,6 @@ mod tests {
             a.on_user_write(i % 500, i);
         }
         assert!(a.memory_bytes() > 0);
-        assert!(a.sampled_blocks() > 0);
     }
 
     #[test]
@@ -335,7 +380,7 @@ mod tests {
         }
         if a.is_linear() {
             let unit = 512 * 1024;
-            assert!(a.candidates().iter().all(|&t| t % unit == 0), "{:?}", a.candidates());
+            assert!(candidates(&a).iter().all(|&t| t % unit == 0), "{:?}", candidates(&a));
         }
     }
 }

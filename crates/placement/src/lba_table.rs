@@ -15,11 +15,6 @@ impl<T: Copy + Default> Default for LbaTable<T> {
 }
 
 impl<T: Copy + Default> LbaTable<T> {
-    /// Create with a capacity hint.
-    pub fn with_capacity(blocks: u64) -> Self {
-        Self { entries: Vec::with_capacity(blocks as usize) }
-    }
-
     /// Value for `lba` (default when never set).
     #[inline]
     pub fn get(&self, lba: u64) -> T {
@@ -36,26 +31,9 @@ impl<T: Copy + Default> LbaTable<T> {
         self.entries[idx] = value;
     }
 
-    /// Whether `lba` has an explicit entry slot (it may still hold the
-    /// default value).
-    #[inline]
-    pub fn covers(&self, lba: u64) -> bool {
-        (lba as usize) < self.entries.len()
-    }
-
     /// Approximate resident bytes.
     pub fn memory_bytes(&self) -> usize {
         self.entries.capacity() * std::mem::size_of::<T>()
-    }
-
-    /// Number of slots allocated.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing was ever set.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -70,15 +48,14 @@ mod tests {
         t.set(10, 7);
         assert_eq!(t.get(10), 7);
         assert_eq!(t.get(9), 0);
-        assert!(t.covers(10));
-        assert!(!t.covers(11));
+        assert_eq!(t.get(11), 0);
     }
 
     #[test]
     fn grows_sparsely() {
         let mut t: LbaTable<u8> = LbaTable::default();
         t.set(1000, 3);
-        assert_eq!(t.len(), 1001);
+        assert_eq!(t.get(1000), 3);
         assert_eq!(t.get(500), 0);
     }
 

@@ -76,18 +76,52 @@ impl SepBit {
         }
     }
 
-    /// Map an age to a GC class (groups 2..=5) with bounds ℓ, 4ℓ, 16ℓ.
-    fn gc_class(&self, age: u64) -> GroupId {
-        let l = self.threshold;
-        let a = age as f64;
-        if a < l {
+    /// Stamp a user write of `lba` at `now_bytes` without classing it
+    /// (ADAPT's demoted writes bypass the hot/cold split).
+    #[inline]
+    pub fn record_write(&mut self, lba: Lba, now_bytes: u64) {
+        self.last_write_bytes.set(lba, now_bytes + 1);
+    }
+
+    /// Class a user write against `threshold` and stamp it. The inferred
+    /// BIT of the new write is the lifespan of the version it kills; a
+    /// first write allows no inference and goes to class 2 (unknown data
+    /// is assumed long-lived). SepBIT passes its own ℓ; ADAPT passes
+    /// whichever threshold governs.
+    #[inline]
+    pub fn class_user(&mut self, lba: Lba, now_bytes: u64, threshold: f64) -> GroupId {
+        let class = match self.age_bytes(lba, now_bytes) {
+            Some(v) if (v as f64) < threshold => Self::CLASS1,
+            _ => Self::CLASS2,
+        };
+        self.record_write(lba, now_bytes);
+        class
+    }
+
+    /// Residual-lifespan class (groups 2..=5) of a GC-rewritten block by
+    /// its age, with bounds ℓ, 4ℓ, 16ℓ over `ladder_base`; a block never
+    /// user-written is the coldest.
+    #[inline]
+    pub fn gc_class(&self, lba: Lba, now_bytes: u64, ladder_base: f64) -> GroupId {
+        let a = self.age_bytes(lba, now_bytes).unwrap_or(u64::MAX) as f64;
+        if a < ladder_base {
             2
-        } else if a < 4.0 * l {
+        } else if a < 4.0 * ladder_base {
             3
-        } else if a < 16.0 * l {
+        } else if a < 16.0 * ladder_base {
             4
         } else {
             5
+        }
+    }
+
+    /// Fold one reclaimed segment's lifespan into an EWMA estimate that is
+    /// infinite until its first observation.
+    pub fn ewma_lifespan(estimate: f64, lifespan: f64) -> f64 {
+        if estimate.is_finite() {
+            EWMA_ALPHA * lifespan + (1.0 - EWMA_ALPHA) * estimate
+        } else {
+            lifespan
         }
     }
 }
@@ -102,32 +136,17 @@ impl PlacementPolicy for SepBit {
     }
 
     fn place_user(&mut self, ctx: &PolicyCtx, lba: Lba) -> GroupId {
-        // Inferred BIT of the new write = lifespan of the version it kills.
-        let class = match self.age_bytes(lba, ctx.user_bytes) {
-            Some(v) if (v as f64) < self.threshold => Self::CLASS1,
-            Some(_) => Self::CLASS2,
-            // First write: no inference possible; SepBIT sends it to
-            // class 2 (unknown data is assumed long-lived).
-            None => Self::CLASS2,
-        };
-        self.last_write_bytes.set(lba, ctx.user_bytes + 1);
-        class
+        self.class_user(lba, ctx.user_bytes, self.threshold)
     }
 
     fn place_gc(&mut self, ctx: &PolicyCtx, lba: Lba, _victim: &VictimMeta) -> GroupId {
-        let age = self.age_bytes(lba, ctx.user_bytes).unwrap_or(u64::MAX);
-        self.gc_class(age)
+        self.gc_class(lba, ctx.user_bytes, self.threshold)
     }
 
     fn on_segment_reclaimed(&mut self, _ctx: &PolicyCtx, info: &ReclaimInfo) {
         // ℓ tracks the lifespan of collected class-1 segments.
         if info.group == Self::CLASS1 {
-            let lifespan = info.lifespan_bytes() as f64;
-            self.threshold = if self.threshold.is_finite() {
-                EWMA_ALPHA * lifespan + (1.0 - EWMA_ALPHA) * self.threshold
-            } else {
-                lifespan
-            };
+            self.threshold = Self::ewma_lifespan(self.threshold, info.lifespan_bytes() as f64);
         }
     }
 
@@ -198,7 +217,7 @@ mod tests {
     }
 
     #[test]
-    fn gc_classes_follow_age_ladder() {
+    fn residual_classes_follow_age_ladder() {
         let mut p = SepBit::new();
         p.on_segment_reclaimed(&ctx(0), &reclaim(SepBit::CLASS1, 0, 1_000_000));
         // Blocks written at byte-clock 0, collected at different ages.

@@ -104,7 +104,7 @@ impl PlacementPolicy for Warcip {
         // Online k-means update keeps clusters tracking the workload.
         self.centroids[cluster] += LEARNING_RATE * (x - self.centroids[cluster]);
         // Preserve ordering so group ids keep their hot→cold meaning.
-        self.centroids.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        self.centroids.sort_by(f64::total_cmp);
         cluster as GroupId
     }
 
