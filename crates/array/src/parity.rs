@@ -82,9 +82,8 @@ fn xor_into_unchecked(acc: &mut [u8], src: &[u8]) {
 }
 
 /// The scalar reference kernel: `u64` words, byte tail. Public so the
-/// property tests and the micro-benchmarks can compare the SIMD paths
-/// against it regardless of what the host CPU supports; prefer
-/// [`xor_into`].
+/// property tests can compare the SIMD paths against it regardless of
+/// what the host CPU supports; prefer [`xor_into`].
 pub fn xor_into_scalar(acc: &mut [u8], src: &[u8]) {
     assert_eq!(acc.len(), src.len(), "parity operands must be equal length");
     let words = acc.len() / 8;
@@ -97,21 +96,6 @@ pub fn xor_into_scalar(acc: &mut [u8], src: &[u8]) {
     }
     for (a, s) in acc_tail.iter_mut().zip(src_tail) {
         *a ^= s;
-    }
-}
-
-/// Strictly byte-serial XOR: one byte per iteration, with the loop index
-/// laundered through [`std::hint::black_box`] so the optimizer can
-/// neither vectorize nor unroll it. This is the pre-vectorization
-/// reference the kernel tests pin the real kernels to —
-/// [`xor_into_scalar`] autovectorizes in release builds, so a speed
-/// ratio against it measures the memory bus, not the kernel. Never
-/// dispatched; do not call on a hot path.
-pub fn xor_into_bytewise(acc: &mut [u8], src: &[u8]) {
-    assert_eq!(acc.len(), src.len(), "parity operands must be equal length");
-    for i in 0..acc.len() {
-        let i = std::hint::black_box(i);
-        acc[i] ^= src[i];
     }
 }
 
@@ -332,20 +316,6 @@ mod tests {
                 xor_into_scalar(&mut slow, &src[offset..offset + len]);
                 assert_eq!(fast, slow, "offset {offset} len {len}");
             }
-        }
-    }
-
-    /// The byte-serial microbench reference computes the same function as
-    /// the word-scalar and dispatched kernels.
-    #[test]
-    fn bytewise_reference_matches_scalar() {
-        let src = noise(4099, 0xB17E);
-        for &len in &[0usize, 1, 7, 8, 9, 63, 64, 65, 1000, 4099] {
-            let mut byte = noise(len, 0xACC);
-            let mut word = byte.clone();
-            xor_into_bytewise(&mut byte, &src[..len]);
-            xor_into_scalar(&mut word, &src[..len]);
-            assert_eq!(byte, word, "len {len}");
         }
     }
 }

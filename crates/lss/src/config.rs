@@ -40,13 +40,6 @@ pub struct LssConfig {
     /// GC keeps collecting until the pool recovers to this many segments.
     #[doc(hidden)]
     pub gc_high_water: u32,
-    /// When true, the engine does not run GC inline on the write path
-    /// (except as an emergency when the free pool is nearly exhausted);
-    /// the embedder drives collection via [`crate::Lss::gc_step`] from
-    /// dedicated threads, as the paper's prototype does (§4.4: "the number
-    /// of background GC threads matches the number of client threads").
-    #[doc(hidden)]
-    pub background_gc: bool,
     /// How many times a chunk read hitting a *transient* array error
     /// (media retry, link hiccup) is retried before the error surfaces.
     /// Persistent faults (failed device, double fault) never retry.
@@ -91,7 +84,6 @@ impl Default for LssConfig {
             sla_us: 100,
             gc_low_water: 12,
             gc_high_water: 18,
-            background_gc: false,
             read_retry_limit: 3,
             retry_backoff_us: 50,
             scrub_stripes_per_op: 0,
@@ -193,13 +185,6 @@ impl LssConfig {
     pub fn with_gc_watermarks(mut self, low: u32, high: u32) -> Self {
         self.gc_low_water = low;
         self.gc_high_water = high;
-        self
-    }
-
-    /// This config with background GC on or off (see the field docs for
-    /// what the embedder then owes the engine).
-    pub fn with_background_gc(mut self, background_gc: bool) -> Self {
-        self.background_gc = background_gc;
         self
     }
 

@@ -1305,24 +1305,16 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         Ok(())
     }
 
-    /// Inline GC policy: always when foreground GC is configured; under
-    /// background GC only as an emergency (the pool is nearly dry because
-    /// the GC threads fell behind). While the array rebuilds, only
-    /// emergency GC runs — the throttle that keeps GC traffic from
-    /// competing with reconstruction I/O.
+    /// Inline GC policy: whenever the free pool is at the low watermark.
+    /// While the array rebuilds, only emergency GC runs — the throttle
+    /// that keeps GC traffic from competing with reconstruction I/O.
     fn should_inline_gc(&mut self) -> bool {
-        let emergency = self.free.len() <= self.emergency_free_level();
-        if !emergency && matches!(self.sink.health(), ArrayHealth::Rebuilding { .. }) {
-            if self.free.len() <= self.cfg.gc_low_water as usize {
-                self.metrics.gc_throttled += 1;
-            }
+        let low = self.free.len() <= self.cfg.gc_low_water as usize;
+        if low && self.gc_paused_for_rebuild() {
+            self.metrics.gc_throttled += 1;
             return false;
         }
-        if self.cfg.background_gc {
-            emergency
-        } else {
-            self.free.len() <= self.cfg.gc_low_water as usize
-        }
+        low
     }
 
     /// Take a segment from the free pool for `gid`, running GC first when
@@ -2548,21 +2540,21 @@ mod tests {
     }
 
     #[test]
-    fn background_gc_steps_keep_pool_healthy() {
-        let mut cfg = small_cfg();
-        cfg.background_gc = true;
+    fn idle_gc_steps_keep_pool_healthy() {
+        let cfg = small_cfg();
         let mut e = Lss::builder(TestPolicy::sepgc(), CountingArray::new(cfg.array_config()))
             .config(cfg)
             .build();
         let mut steps = 0u64;
         for i in 0..6 * 4096u64 {
             e.write(i, scattered_lba(i, 4096));
-            // A cooperating "GC thread": step whenever the pool runs low.
-            while e.needs_gc() && e.gc_step() {
+            // `serve`'s idle GC: a step off the write path whenever the
+            // queue runs dry, here every 64 writes, between inline passes.
+            if i % 64 == 63 && e.gc_step() {
                 steps += 1;
             }
         }
-        assert!(steps > 0, "background steps never ran");
+        assert!(steps > 0, "idle steps never reclaimed a segment");
         assert!(e.free_segments() > 0);
         e.check_invariants();
         e.check_recovery();
@@ -2637,22 +2629,6 @@ mod tests {
         for (lba, version) in acked {
             assert!(r.durable_version(lba) >= Some(version), "acked write of lba {lba} lost");
         }
-    }
-
-    #[test]
-    fn emergency_inline_gc_saves_a_lagging_background_collector() {
-        let mut cfg = small_cfg();
-        cfg.background_gc = true;
-        let mut e = Lss::builder(TestPolicy::sepgc(), CountingArray::new(cfg.array_config()))
-            .config(cfg)
-            .build();
-        // Never call gc_step: the emergency inline path must keep the
-        // engine alive anyway.
-        for i in 0..6 * 4096u64 {
-            e.write(i, scattered_lba(i, 4096));
-        }
-        assert!(e.metrics().segments_reclaimed > 0);
-        e.check_invariants();
     }
 
     #[test]
@@ -2806,8 +2782,7 @@ mod tests {
     #[test]
     fn gc_pauses_during_rebuild_and_resumes_after() {
         use adapt_array::{ArrayHealth, FaultPlan, InMemoryArray};
-        let mut cfg = small_cfg();
-        cfg.background_gc = true;
+        let cfg = small_cfg();
         let mut e = Lss::builder(
             TestPolicy::sepgc(),
             InMemoryArray::modelled(cfg.array_config(), FaultPlan::new(1)),
@@ -2824,7 +2799,7 @@ mod tests {
             e.write(ts, scattered_lba(i, 4096));
             ts += 1;
         }
-        // Enter rebuild: background GC steps must decline.
+        // Enter rebuild: idle GC steps must decline.
         e.sink_mut().fail_device(1);
         e.sink_mut().start_rebuild_all().unwrap();
         assert!(matches!(e.sink().health(), ArrayHealth::Rebuilding { .. }));

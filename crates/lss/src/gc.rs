@@ -65,7 +65,10 @@ impl GcSelection {
                     let age = now_user_bytes.saturating_sub(s.created_user_bytes);
                     (s.id, cost_benefit_score(s.valid_blocks, s.capacity(), age))
                 })
-                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
+                // Scores are never NaN or -0.0 (age >= 0, `u` < 1 on a
+                // segment with garbage, `u == 0` scores +inf), so
+                // `total_cmp` orders them exactly as `partial_cmp` would.
+                .max_by(|a, b| a.1.total_cmp(&b.1))
                 .map(|(id, _)| id),
         }
     }

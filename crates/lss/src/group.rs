@@ -150,7 +150,7 @@ impl Group {
         self.window_sums.pad_blocks += entry.pad_blocks;
         self.window.push_back(entry);
         while self.window.len() > PAD_WINDOW_SEGMENTS {
-            let old = self.window.pop_front().unwrap();
+            let Some(old) = self.window.pop_front() else { break };
             self.window_sums.blocks -= old.blocks;
             self.window_sums.pad_chunks -= old.pad_chunks;
             self.window_sums.pad_blocks -= old.pad_blocks;

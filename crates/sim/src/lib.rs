@@ -24,6 +24,7 @@ pub mod runner;
 pub mod scheme;
 pub mod scrub;
 pub mod serve;
+pub mod throughput;
 
 pub use crash::{
     crash_point, run_crash_sweep, CrashPointResult, CrashScenario, CrashSweepReport,

@@ -11,13 +11,11 @@
 //! * [`adapt_core`] — the ADAPT placement policy itself.
 //! * [`adapt_sim`] — trace-driven experiment runner.
 //! * [`adapt_serve`] — sharded multi-tenant serving layer.
-//! * [`adapt_proto`] — multi-threaded throughput prototype.
 
 pub use adapt_array as array;
 pub use adapt_core as adapt;
 pub use adapt_lss as lss;
 pub use adapt_placement as placement;
-pub use adapt_proto as proto;
 pub use adapt_serve as serve;
 pub use adapt_sim as sim;
 pub use adapt_trace as trace;

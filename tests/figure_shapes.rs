@@ -5,6 +5,7 @@
 
 use adapt_repro::lss::GcSelection;
 use adapt_repro::sim::runner::run_suite;
+use adapt_repro::sim::throughput::{replay_throughput, DEVICE_BYTES_PER_SEC};
 use adapt_repro::sim::{replay_volume, ReplayConfig, Scheme};
 use adapt_repro::trace::ycsb::{AccessDistribution, TrafficIntensity, YcsbConfig};
 use adapt_repro::trace::{SuiteKind, WorkloadSuite};
@@ -118,6 +119,46 @@ fn adapt_handles_high_skew() {
         replay_volume(scheme, rc, 0, cfg.generator()).wa()
     };
     assert!(run(Scheme::Adapt) <= run(Scheme::SepBit) * 1.02);
+}
+
+/// Fig. 12a shape: throughput is the clients' ops over the longer of
+/// their pacing window and the busiest device's busy time, so it is set
+/// by pacing alone until the array saturates, and by bytes written after.
+#[test]
+fn shared_array_throughput_follows_the_bandwidth_model() {
+    let run = |scheme, clients| replay_throughput(scheme, 8 * 1024, clients, 2_000);
+    // One client: the pacing window binds, so every scheme serves the
+    // same ops/s, bit for bit.
+    let one: Vec<f64> =
+        Scheme::PAPER.iter().map(|&s| run(s, 1).ops_per_sec(DEVICE_BYTES_PER_SEC)).collect();
+    assert!(one.iter().all(|x| x.to_bits() == one[0].to_bits()), "1 client: {one:?}");
+    // A bandwidth that never binds: 4 clients serve exactly 4 × 1.
+    let unbound = |clients| run(Scheme::SepGc, clients).ops_per_sec(f64::INFINITY);
+    assert_eq!(unbound(4), 4.0 * unbound(1));
+    // Eight clients saturate the array: ops/s falls as the busiest
+    // device's bytes rise.
+    let mut saturated: Vec<_> = Scheme::PAPER.iter().map(|&s| run(s, 8)).collect();
+    for r in &saturated {
+        let (bound, free) = (r.ops_per_sec(DEVICE_BYTES_PER_SEC), r.ops_per_sec(f64::INFINITY));
+        assert!(bound < free, "{}: 8 clients {bound:.0} ops/s, unsaturated", r.scheme.name());
+    }
+    saturated.sort_by_key(|r| r.busiest_device_bytes);
+    for pair in saturated.windows(2) {
+        let (a, b) = (&pair[0], &pair[1]);
+        let (fa, fb) = (a.ops_per_sec(DEVICE_BYTES_PER_SEC), b.ops_per_sec(DEVICE_BYTES_PER_SEC));
+        assert!(
+            fa > fb || (fa == fb && a.busiest_device_bytes == b.busiest_device_bytes),
+            "{} {} B {fa:.0} ops/s vs {} {} B {fb:.0} ops/s",
+            a.scheme.name(),
+            a.busiest_device_bytes,
+            b.scheme.name(),
+            b.busiest_device_bytes
+        );
+    }
+    // One replay, no clock: a second run is equal in every field.
+    for r in &saturated {
+        assert_eq!(*r, run(r.scheme, 8));
+    }
 }
 
 /// Cost-Benefit vs Greedy: both policies must produce sane, comparable
