@@ -68,6 +68,10 @@ pub struct GhostSet {
     segments: Vec<GhostSegment>,
     /// Free slot ids.
     free_slots: Vec<u32>,
+    /// Sealed segments by garbage slots: one bitset over segment ids per
+    /// garbage count `k`, laid out word-major (word `w` of bucket `k` is
+    /// `by_garbage[w * (seg_blocks + 1) + k]`), so it grows by appending.
+    by_garbage: Vec<u64>,
     /// Open segment id per temperature (0 = hot, 1 = cold).
     open: [Option<u32>; 2],
     /// Open chunk fill/timer per temperature.
@@ -107,6 +111,7 @@ impl GhostSet {
             capacity_segs,
             segments: Vec::new(),
             free_slots: Vec::new(),
+            by_garbage: Vec::new(),
             open: [None, None],
             chunk: [OpenChunk::default(); 2],
             index: FxHashMap::default(),
@@ -147,7 +152,13 @@ impl GhostSet {
         }
         // Invalidate the previous copy.
         if let Some(&seg) = self.index.get(&lba) {
-            self.segments[seg as usize].valid -= 1;
+            let s = &mut self.segments[seg as usize];
+            s.valid -= 1;
+            if s.sealed {
+                let garbage = self.seg_blocks - s.valid;
+                self.flip(seg, garbage - 1);
+                self.flip(seg, garbage);
+            }
         }
         let temp = match interval_bytes {
             Some(v) if v < self.threshold => 0, // hot
@@ -178,7 +189,9 @@ impl GhostSet {
         }
         if seg.blocks.len() as u32 == self.seg_blocks {
             seg.sealed = true;
+            let garbage = self.seg_blocks - seg.valid;
             self.open[temp] = None;
+            self.flip(seg_id, garbage);
         }
         seg_id
     }
@@ -243,18 +256,36 @@ impl GhostSet {
         (self.segments.len() - self.free_slots.len()) as u32
     }
 
-    /// Greedy GC: discard the sealed segment with the most garbage.
+    /// Add sealed segment `seg` to, or remove it from, the bucket of
+    /// `garbage` slots.
+    fn flip(&mut self, seg: u32, garbage: u32) {
+        let buckets = self.seg_blocks as usize + 1;
+        let word = seg as usize / 64;
+        let len = (word + 1) * buckets;
+        if self.by_garbage.len() < len {
+            self.by_garbage.reserve_exact(len - self.by_garbage.len());
+            self.by_garbage.resize(len, 0);
+        }
+        self.by_garbage[word * buckets + garbage as usize] ^= 1 << (seg % 64);
+    }
+
+    /// The greedy victim and its garbage slots: the sealed segment with
+    /// the most garbage, the highest id on a tie.
+    fn victim(&self) -> Option<(u32, u32)> {
+        let buckets = self.seg_blocks as usize + 1;
+        (0..buckets.min(self.by_garbage.len())).rev().find_map(|garbage| {
+            let words = self.by_garbage[garbage..].iter().step_by(buckets);
+            let (word, bits) = words.enumerate().rfind(|(_, &bits)| bits != 0)?;
+            Some((word as u32 * 64 + 63 - bits.leading_zeros(), garbage as u32))
+        })
+    }
+
+    /// Greedy GC: discard the [`GhostSet::victim`].
     fn collect(&mut self) {
-        let victim = self
-            .segments
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.sealed)
-            .max_by_key(|(_, s)| s.blocks.len() as u32 - s.valid)
-            .map(|(i, _)| i as u32);
-        let Some(victim) = victim else {
+        let Some((victim, garbage)) = self.victim() else {
             return; // nothing sealed yet; capacity will grow past the cap
         };
+        self.flip(victim, garbage);
         self.gc_count += 1;
         // Iterate the victim's slots in place (only `index`/`discarded`
         // change here), so its block buffer keeps its allocation for the
@@ -275,7 +306,8 @@ impl GhostSet {
     }
 
     /// Approximate resident bytes (the paper budgets ~20 B per simulated
-    /// block: the LBA record plus index share).
+    /// block: the LBA record plus index share). Per-segment bookkeeping
+    /// (slot headers, free list, garbage buckets) is not counted.
     pub fn memory_bytes(&self) -> usize {
         let blocks: usize = self.segments.iter().map(|s| s.blocks.capacity() * 8).sum();
         blocks + self.index.capacity() * 24 + std::mem::size_of::<Self>()
@@ -407,6 +439,30 @@ mod tests {
             g.write(i % 1000, Some(i % 2000), i);
         }
         assert!(g.memory_bytes() < 100_000, "mem {}", g.memory_bytes());
+    }
+
+    #[test]
+    fn bucketed_victim_matches_naive_scan() {
+        use adapt_trace::rng::Xoshiro256StarStar;
+        let naive = |g: &GhostSet| {
+            g.segments
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.sealed)
+                .max_by_key(|(_, s)| s.blocks.len() as u32 - s.valid)
+                .map(|(i, s)| (i as u32, s.blocks.len() as u32 - s.valid))
+        };
+        let mut rng = Xoshiro256StarStar::new(7);
+        // 100 segments span two bitset words; a 5 µs window pads often.
+        let mut g = GhostSet::new(50_000, 8, 4, 5, 100);
+        let mut now = 0;
+        for step in 0..60_000 {
+            now += rng.next_bounded(4);
+            let lba = rng.next_bounded(600);
+            g.write(lba, Some(rng.next_bounded(100_000)), now);
+            assert_eq!(g.victim(), naive(&g), "step {step}");
+        }
+        assert!(g.gc_count() > 1000 && g.padded > 0);
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //!    traffic would force zero padding in the hot group, its pending
 //!    blocks are persisted as substitutes inside the cold group's unfilled
 //!    chunk (shadow append; the engine provides the mechanics).
-//! 3. **Proactive demotion** ([`demotion`]): cascading Bloom filters per
-//!    GC group recognize blocks that keep migrating back into the same
-//!    group; such long-lived blocks are placed straight into that GC group
-//!    at *user-write* time, skipping the cascade of GC migrations.
+//! 3. **Proactive demotion** ([`demotion`]): bit-sliced cascading Bloom
+//!    filters per GC group recognize blocks that keep migrating back into
+//!    the same group; such long-lived blocks are placed straight into that
+//!    GC group at *user-write* time, skipping the cascade of GC migrations.
 //!
 //! The composite policy lives in [`policy::Adapt`]: SepBIT's lifespan
 //! separator ([`adapt_placement::SepBit`]) plus the three mechanisms, each
@@ -47,7 +47,6 @@
 //! ```
 
 pub mod aggregation;
-pub mod bloom;
 pub mod config;
 pub mod demotion;
 pub mod distance;

@@ -172,15 +172,16 @@ impl PlacementPolicy for Adapt {
         // filled bulk chunk costs nothing, whereas opening a fresh chunk
         // with one sparse user block would force a padded flush at the SLA
         // deadline and waste more than the saved migrations.
-        if let Some(gc_group) = self.ra.as_ref().and_then(|ra| ra.check(lba)) {
-            if ctx.groups[gc_group as usize].pending_blocks > 0 {
-                self.demotions += 1;
-                if ctx.events_enabled {
-                    self.pending_events.push(PolicyEvent::Demotion { lba, group: gc_group });
-                }
-                self.sepbit.record_write(lba, ctx.user_bytes);
-                return gc_group;
+        // With no demotion target carrying payload, skip the check.
+        let carries = |g: GroupId| ctx.groups.get(g as usize).is_some_and(|g| g.pending_blocks > 0);
+        let demote = self.ra.as_ref().filter(|_| Self::DEMOTION_GROUPS.into_iter().any(carries));
+        if let Some(gc_group) = demote.and_then(|ra| ra.check(lba)).filter(|&g| carries(g)) {
+            self.demotions += 1;
+            if ctx.events_enabled {
+                self.pending_events.push(PolicyEvent::Demotion { lba, group: gc_group });
             }
+            self.sepbit.record_write(lba, ctx.user_bytes);
+            return gc_group;
         }
 
         // Hot/cold: inferred lifespan against the threshold in force.

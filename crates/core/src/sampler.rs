@@ -11,7 +11,7 @@
 
 use adapt_lss::Lba;
 
-/// SplitMix64 finalizer: the sampling hash, and the Bloom filters' mixer.
+/// SplitMix64 finalizer: the sampling hash, and the demotion Bloom filters' mixer.
 #[inline]
 pub(crate) fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
