@@ -446,9 +446,10 @@ pub mod fig12 {
         // Fig. 12b reads the 4-client runs: ADAPT vs SepBIT (same group
         // count and lifespan machinery, per the paper).
         let mut memory = Vec::new();
+        let mut events = Vec::new();
         for clients in [1, 4, 8] {
             for scheme in Scheme::PAPER {
-                let r = replay_throughput(scheme, blocks, clients, ops);
+                let r = replay_throughput(scheme, blocks, clients, ops, cli.event_config());
                 let ops_per_sec = r.ops_per_sec(DEVICE_BYTES_PER_SEC);
                 rows.push(vec![
                     clients.to_string(),
@@ -464,6 +465,14 @@ pub mod fig12 {
                     r.wa,
                     r.busiest_device_bytes,
                 ));
+                if cli.events {
+                    let kinds = r.events.kinds.iter().map(|(k, n)| format!("{k} {n}"));
+                    events.push(vec![
+                        clients.to_string(),
+                        scheme.name().to_string(),
+                        kinds.collect::<Vec<_>>().join(", "),
+                    ]);
+                }
                 if clients == 4 && matches!(scheme, Scheme::SepBit | Scheme::Adapt) {
                     memory.push((
                         scheme.name().to_string(),
@@ -474,6 +483,9 @@ pub mod fig12 {
             }
         }
         println!("{}", render_table(&["clients", "scheme", "ops/s", "WA", "busiest MiB"], &rows));
+        if cli.events {
+            println!("{}", render_table(&["clients", "scheme", "events (kind total)"], &events));
+        }
 
         let mut rows = Vec::new();
         for (scheme, policy, engine) in &memory {

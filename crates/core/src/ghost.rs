@@ -2,10 +2,10 @@
 //!
 //! A ghost set is a miniature, metadata-only model of the *user-written*
 //! groups under one candidate hot/cold threshold. It tracks only LBAs and
-//! timestamps: sampled writes are routed hot/cold by their (scaled) access
-//! interval, blocks coalesce into scaled chunks under a scaled aggregation
-//! window, segments seal when full, and when the set runs out of segments
-//! a greedy victim is collected.
+//! timestamps: sampled writes are routed hot/cold by their age on the
+//! user-byte clock, blocks coalesce into scaled chunks under a scaled
+//! aggregation window, segments seal when full, and when the set runs out
+//! of segments a greedy victim is collected.
 //!
 //! Two costs make up the ghost's WA estimate, mirroring what the real
 //! user-written groups would pay under that threshold:
@@ -142,9 +142,9 @@ impl GhostSet {
         self.gc_count
     }
 
-    /// Record a sampled write at time `ts_us`. `interval_bytes` is the
-    /// block's scaled access interval (`None` = first access → cold).
-    pub fn write(&mut self, lba: Lba, interval_bytes: Option<u64>, ts_us: u64) {
+    /// Record a sampled write at time `ts_us`. `age_bytes` is the
+    /// block's age on the user-byte clock (`None` = first write → cold).
+    pub fn write(&mut self, lba: Lba, age_bytes: Option<u64>, ts_us: u64) {
         self.written += 1;
         // Expire stale aggregation windows on both temperatures first.
         for temp in 0..2 {
@@ -160,7 +160,7 @@ impl GhostSet {
                 self.flip(seg, garbage);
             }
         }
-        let temp = match interval_bytes {
+        let temp = match age_bytes {
             Some(v) if v < self.threshold => 0, // hot
             _ => 1,                             // cold
         };

@@ -8,8 +8,9 @@
 //!    requests feed miniature *ghost set* simulations ([`ghost`]), one per
 //!    candidate hot/cold threshold; the live threshold follows whichever
 //!    ghost set shows the least write amplification. Sampling is
-//!    SHARDS-style spatial hashing ([`sampler`]); access intervals come
-//!    from a reuse-distance tree ([`distance`]).
+//!    SHARDS-style spatial hashing ([`sampler`]); a sampled write's access
+//!    interval is its age on SepBIT's user-byte clock, the same quantity
+//!    the live hot/cold split compares against the threshold.
 //! 2. **Cross-group dynamic aggregation** ([`aggregation`]): when sparse
 //!    traffic would force zero padding in the hot group, its pending
 //!    blocks are persisted as substitutes inside the cold group's unfilled
@@ -49,7 +50,6 @@
 pub mod aggregation;
 pub mod config;
 pub mod demotion;
-pub mod distance;
 pub mod ghost;
 pub mod policy;
 pub mod sampler;

@@ -151,9 +151,11 @@ impl PlacementPolicy for Adapt {
     }
 
     fn place_user(&mut self, ctx: &PolicyCtx, lba: Lba) -> GroupId {
-        // Track: feed the density/popularity pipeline (§3.2).
+        // Track: feed the density/popularity pipeline (§3.2) the block's age
+        // on the user-byte clock, read before `class_user` stamps the write.
         if let Some(adapter) = &mut self.adapter {
-            if adapter.on_user_write(lba, ctx.now_us) {
+            let age_bytes = self.sepbit.age_bytes(lba, ctx.user_bytes);
+            if adapter.on_user_write(lba, age_bytes, ctx.now_us) {
                 self.adoptions += 1;
                 if ctx.events_enabled {
                     self.pending_events.push(PolicyEvent::ThresholdAdopted {

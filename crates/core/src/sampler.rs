@@ -6,8 +6,8 @@
 //! is in the sample iff `hash(lba) < rate · 2^64`. Hashing makes the
 //! decision stateless and consistent — every access to a sampled block is
 //! observed, accesses to unsampled blocks never are — which preserves
-//! reuse-distance structure (Waldspurger et al., FAST '15). Measured
-//! distances are scaled back up by `1/rate`.
+//! reuse structure (Waldspurger et al., FAST '15). Ages need no scaling
+//! (they are full-stream bytes); the sampled write volume is scaled by `1/rate`.
 
 use adapt_lss::Lba;
 

@@ -1,19 +1,22 @@
 //! Density-aware threshold adaptation (§3.2).
 //!
-//! Orchestrates the sampling pipeline: spatial sampler → distance tree →
-//! a ladder of ghost sets, each simulating one candidate hot/cold
-//! threshold. Candidate thresholds are quantized to the segment size;
-//! the ladder starts *exponential* (S, 2S, 4S, …) and switches to *linear*
-//! refinement around the winner after the first adoption, re-expanding
-//! exponentially if the WA landscape turns monotone (the winner sits on
-//! the ladder's edge), as the paper prescribes.
+//! Orchestrates the sampling pipeline: spatial sampler → a ladder of ghost
+//! sets, each simulating one candidate hot/cold threshold. A sampled write
+//! is classed by its age on the user-byte clock — SepBIT's last-write age,
+//! which the caller reads before `SepBit::class_user` stamps the write —
+//! so each ghost set simulates the comparison the live classifier makes
+//! against the threshold it would adopt. Candidate thresholds are
+//! quantized to the segment size; the ladder starts *exponential* (S, 2S,
+//! 4S, …) and switches to *linear* refinement around the winner after the
+//! first adoption, re-expanding exponentially if the WA landscape turns
+//! monotone (the winner sits on the ladder's edge), as the paper
+//! prescribes.
 //!
 //! A new threshold is adopted when the (scaled) write volume since the
 //! last adoption exceeds 10% of logical capacity, or when every ghost
 //! set's WA has stabilized — and in either case only once all sets have
 //! seen real GC activity.
 
-use crate::distance::DistanceTree;
 use crate::ghost::GhostSet;
 use crate::sampler::SpatialSampler;
 use adapt_lss::{Lba, LssConfig};
@@ -77,7 +80,6 @@ impl GhostGeometry {
 #[derive(Debug, Clone)]
 pub struct ThresholdAdapter {
     sampler: SpatialSampler,
-    tree: DistanceTree,
     ghosts: Vec<GhostSet>,
     /// WA of each ghost at the last stability check.
     last_wa: Vec<f64>,
@@ -106,14 +108,9 @@ impl ThresholdAdapter {
     }
 
     fn with_sampling(sample_rate: f64, geometry: GhostGeometry, lss: &LssConfig) -> Self {
-        // Bound the reuse-distance tracker by the sampled share of the
-        // volume (2× slack): within-volume workloads never evict, while a
-        // stream roaming an unbounded LBA space cannot grow it.
-        let sampled_cap = (lss.user_blocks as f64 * sample_rate * 2.0) as usize;
         let user_capacity_bytes = lss.user_blocks * lss.block_bytes;
         let mut adapter = Self {
             sampler: SpatialSampler::new(sample_rate),
-            tree: DistanceTree::with_capacity(sampled_cap.max(1024)),
             ghosts: Vec::new(),
             last_wa: Vec::new(),
             adopted: None,
@@ -144,28 +141,24 @@ impl ThresholdAdapter {
         self.linear_mode
     }
 
-    /// Feed one user-written block at time `now_us`. Returns `true` if a
-    /// new threshold was adopted on this call.
-    pub fn on_user_write(&mut self, lba: Lba, now_us: u64) -> bool {
+    /// Feed one user-written block at time `now_us`. `age_bytes` is the
+    /// block's age on the user-byte clock (`None` for a first write), the
+    /// quantity `place_user` compares against the adopted threshold.
+    /// Returns `true` if a new threshold was adopted on this call.
+    pub fn on_user_write(&mut self, lba: Lba, age_bytes: Option<u64>, now_us: u64) -> bool {
         if !self.sampler.is_sampled(lba) {
             return false;
         }
-        let scale = self.sampler.scale();
-        self.bytes_since_adoption += (self.block_bytes as f64 * scale) as u64;
-        let distance = self.tree.access(lba);
-        // Scale the sampled reuse distance back to full-stream bytes.
-        let interval_bytes = distance.map(|d| (d as f64 * scale * self.block_bytes as f64) as u64);
+        self.bytes_since_adoption += (self.block_bytes as f64 * self.sampler.scale()) as u64;
         for g in &mut self.ghosts {
-            g.write(lba, interval_bytes, now_us);
+            g.write(lba, age_bytes, now_us);
         }
         self.maybe_adopt()
     }
 
     /// Resident bytes of the whole adaptation machinery (Fig. 12b).
     pub fn memory_bytes(&self) -> usize {
-        self.tree.memory_bytes()
-            + self.ghosts.iter().map(|g| g.memory_bytes()).sum::<usize>()
-            + std::mem::size_of::<Self>()
+        self.ghosts.iter().map(|g| g.memory_bytes()).sum::<usize>() + std::mem::size_of::<Self>()
     }
 
     // ---------------------------------------------------------------
@@ -275,6 +268,7 @@ impl ThresholdAdapter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adapt_placement::SepBit;
 
     /// Sample everything into small ghost sets: fast tests.
     fn adapter() -> ThresholdAdapter {
@@ -289,6 +283,23 @@ mod tests {
 
     fn candidates(a: &ThresholdAdapter) -> Vec<u64> {
         a.ghosts.iter().map(|g| g.threshold()).collect()
+    }
+
+    /// A stream of 4 KiB user writes on the user-byte clock, each fed to
+    /// the adapter with its SepBIT age, as `Adapt::place_user` feeds it.
+    #[derive(Default)]
+    struct Stream {
+        sepbit: SepBit,
+        user_bytes: u64,
+    }
+
+    impl Stream {
+        fn write(&mut self, a: &mut ThresholdAdapter, lba: Lba, now_us: u64) -> bool {
+            let age = self.sepbit.age_bytes(lba, self.user_bytes);
+            self.sepbit.record_write(lba, self.user_bytes);
+            self.user_bytes += 4096;
+            a.on_user_write(lba, age, now_us)
+        }
     }
 
     #[test]
@@ -319,14 +330,14 @@ mod tests {
 
     #[test]
     fn adoption_happens_under_sustained_load() {
-        let mut a = adapter();
+        let (mut a, mut s) = (adapter(), Stream::default());
         let mut adopted = false;
         // Hot/cold mixture: 16 hot blocks hammered, 2000 cold blocks cycled.
         let mut i = 0u64;
         for _ in 0..400_000 {
             i += 1;
             let lba = if i.is_multiple_of(2) { i % 16 } else { 1000 + (i % 2000) };
-            adopted |= a.on_user_write(lba, i);
+            adopted |= s.write(&mut a, lba, i);
             if adopted {
                 break;
             }
@@ -337,10 +348,10 @@ mod tests {
 
     #[test]
     fn linear_refinement_after_interior_win() {
-        let mut a = adapter();
+        let (mut a, mut s) = (adapter(), Stream::default());
         for i in 0..500_000u64 {
             let lba = if i.is_multiple_of(2) { i % 16 } else { 1000 + (i % 2000) };
-            a.on_user_write(lba, i);
+            s.write(&mut a, lba, i);
             if a.is_linear() {
                 break;
             }
@@ -352,31 +363,56 @@ mod tests {
         assert!(a.candidate_count() >= 2);
     }
 
+    /// `a b b b b a`: one distinct block separates `a`'s two writes, but
+    /// five blocks of user bytes do. With a 3-block ghost threshold, `a`'s
+    /// second write is cold by its byte age, as `class_user` would class
+    /// it; by distinct-block distance it would be hot.
+    #[test]
+    fn ghost_sets_class_by_user_byte_age() {
+        let lss = LssConfig { user_blocks: 16 * 1024, ..Default::default() };
+        let geometry =
+            GhostGeometry { segment_blocks: 4, chunk_blocks: 2, sla_us: 100, capacity_segments: 8 };
+        let mut a = ThresholdAdapter::with_sampling(1.0, geometry, &lss);
+        a.rebuild(vec![3 * 4096]);
+        let mut s = Stream::default();
+        for lba in [1, 2, 2, 2, 2, 1] {
+            s.write(&mut a, lba, 0);
+        }
+        // Cold: `1`, `2` (first writes; chunk closed), then `1` again.
+        // Hot: `2` × 3 (one chunk closed, one block pending). Had `1` gone
+        // hot it would have closed the hot chunk and left nothing pending.
+        // A write past the window pads each open chunk by its one
+        // missing block.
+        s.write(&mut a, 3, 1_000);
+        assert_eq!(a.ghosts[0].wa(), 1.0 + 2.0 / 7.0);
+    }
+
     #[test]
     fn unsampled_stream_never_adopts() {
         let lss = LssConfig::default();
         let mut a = ThresholdAdapter::with_sampling(1e-9, GhostGeometry::for_engine(&lss), &lss);
+        let mut s = Stream::default();
         for i in 0..10_000u64 {
-            assert!(!a.on_user_write(i % 100, i));
+            assert!(!s.write(&mut a, i % 100, i));
         }
         assert_eq!(a.threshold(), None);
     }
 
     #[test]
     fn memory_reported() {
-        let mut a = adapter();
+        let (mut a, mut s) = (adapter(), Stream::default());
         for i in 0..10_000u64 {
-            a.on_user_write(i % 500, i);
+            s.write(&mut a, i % 500, i);
         }
         assert!(a.memory_bytes() > 0);
     }
 
     #[test]
     fn thresholds_are_segment_quantized_in_linear_mode() {
-        let mut a = adapter();
+        let (mut a, mut s) = (adapter(), Stream::default());
         for i in 0..800_000u64 {
             let lba = if i.is_multiple_of(2) { i % 16 } else { 1000 + (i % 2000) };
-            a.on_user_write(lba, i);
+            s.write(&mut a, lba, i);
         }
         if a.is_linear() {
             let unit = 512 * 1024;

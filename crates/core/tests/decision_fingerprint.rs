@@ -14,6 +14,13 @@
 //! `crates/core`; a refactor of the policy layer must reproduce them. A
 //! change that moves a decision on purpose re-records them and says which
 //! rule moved.
+//!
+//! Re-recorded once since, for the one-clock rule: ghost sets class a
+//! sampled write by its SepBIT age on the user-byte clock, no longer by its
+//! distinct-block reuse distance. The three sparse runs that adapt the
+//! threshold moved; the dense runs, where no user chunk pads and
+//! `padding_present` hands the split back to SepBIT's ℓ, and the
+//! adaptation-off sparse run did not.
 
 use adapt_array::CountingArray;
 use adapt_core::{Adapt, AdaptConfig};
@@ -260,11 +267,11 @@ fn sparse_stream_decisions_are_pinned() {
     ];
     let want = [
         Outcome {
-            fingerprint: 0xbc44_fa58_c42e_bcc0,
+            fingerprint: 0x3812_8193_4287_b96b,
             adoptions: 2,
-            demotions: 98,
-            sla_expiries: 40056,
-            shadow_appends: 6479,
+            demotions: 103,
+            sla_expiries: 39733,
+            shadow_appends: 6098,
         },
         Outcome {
             fingerprint: 0xf49c_ff4c_ca97_2c8b,
@@ -274,18 +281,18 @@ fn sparse_stream_decisions_are_pinned() {
             shadow_appends: 5709,
         },
         Outcome {
-            fingerprint: 0x4d77_b41f_0ef1_8766,
+            fingerprint: 0x830a_58f6_fd71_c2cf,
             adoptions: 2,
-            demotions: 85,
-            sla_expiries: 45498,
+            demotions: 81,
+            sla_expiries: 44917,
             shadow_appends: 0,
         },
         Outcome {
-            fingerprint: 0x73a7_03d9_95a5_3338,
+            fingerprint: 0x57a7_2e73_d607_ea90,
             adoptions: 2,
             demotions: 0,
-            sla_expiries: 40020,
-            shadow_appends: 6474,
+            sla_expiries: 39693,
+            shadow_appends: 6107,
         },
     ];
     assert_eq!(got, want);

@@ -66,8 +66,10 @@ impl SepBit {
         self.threshold
     }
 
-    /// Age of `lba`'s current data on the byte clock, if ever written.
-    fn age_bytes(&self, lba: Lba, now_bytes: u64) -> Option<u64> {
+    /// Age of `lba`'s current data on the byte clock, if ever written:
+    /// the lifespan [`SepBit::class_user`] infers for the next write.
+    #[inline]
+    pub fn age_bytes(&self, lba: Lba, now_bytes: u64) -> Option<u64> {
         let v = self.last_write_bytes.get(lba);
         if v == 0 {
             None
@@ -183,6 +185,20 @@ mod tests {
         assert_eq!(p.place_user(&ctx(0), 1), SepBit::CLASS2); // first write
                                                               // With ℓ = ∞ every inferred lifespan is "short".
         assert_eq!(p.place_user(&ctx(10_000), 1), SepBit::CLASS1);
+    }
+
+    #[test]
+    fn age_is_none_before_first_write_then_exact() {
+        let mut p = SepBit::new();
+        assert_eq!(p.age_bytes(3, 0), None);
+        assert_eq!(p.age_bytes(3, 50_000), None);
+        p.record_write(3, 8192);
+        assert_eq!(p.age_bytes(3, 8192), Some(0));
+        assert_eq!(p.age_bytes(3, 20_480), Some(12_288));
+        // A write at byte clock 0 is remembered too (the table stores +1).
+        p.class_user(4, 0, f64::INFINITY);
+        assert_eq!(p.age_bytes(4, 4096), Some(4096));
+        assert_eq!(p.age_bytes(5, 4096), None);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use crate::replay::{drive_with, ReplayConfig, Warmup};
 use crate::scheme::{with_policy, PolicyVisitor, Scheme};
 use adapt_array::{ArraySink, CountingArray};
-use adapt_lss::{GcSelection, Lss, PlacementPolicy};
+use adapt_lss::{EventConfig, EventStats, GcSelection, Lss, PlacementPolicy};
 use adapt_trace::ycsb::{TrafficIntensity, YcsbConfig};
 use std::ops::ControlFlow;
 
@@ -48,6 +48,9 @@ pub struct ThroughputResult {
     pub policy_memory_bytes: u64,
     /// Engine resident bytes (block index + policy) at the end.
     pub engine_memory_bytes: u64,
+    /// Per-kind event totals over the whole replay (empty unless events
+    /// were enabled).
+    pub events: EventStats,
 }
 
 impl ThroughputResult {
@@ -101,6 +104,7 @@ impl PolicyVisitor<ThroughputResult> for ThroughputVisitor {
             busiest_device_bytes,
             policy_memory_bytes: engine.policy().memory_bytes() as u64,
             engine_memory_bytes: engine.memory_bytes() as u64,
+            events: engine.events().stats(),
         }
     }
 }
@@ -111,15 +115,17 @@ fn device_bytes(sink: &impl ArraySink) -> Vec<u64> {
 
 /// Replay `clients × ops_per_client` YCSB-A ops (Zipf 0.99, back to back)
 /// over a `blocks`-block volume, filled first, through `scheme` with
-/// Greedy GC.
+/// Greedy GC, recording the event stream as `events` says.
 pub fn replay_throughput(
     scheme: Scheme,
     blocks: u64,
     clients: u64,
     ops_per_client: u64,
+    events: EventConfig,
 ) -> ThroughputResult {
     let cfg = ReplayConfig {
         warmup: Warmup::Blocks(blocks),
+        events,
         ..ReplayConfig::for_volume(blocks, GcSelection::Greedy)
     };
     with_policy(scheme, &cfg.lss, ThroughputVisitor { scheme, cfg, clients, ops_per_client })
@@ -131,7 +137,7 @@ mod tests {
 
     #[test]
     fn window_excludes_the_load() {
-        let r = replay_throughput(Scheme::SepGc, 8 * 1024, 1, 2_000);
+        let r = replay_throughput(Scheme::SepGc, 8 * 1024, 1, 2_000, EventConfig::default());
         // The 32 MiB load plus its parity would put ~10.7 MiB on each of
         // the 4 devices; 1 000 writes put a fraction of that.
         assert!(r.busiest_device_bytes > 0);

@@ -126,7 +126,8 @@ fn adapt_handles_high_skew() {
 /// by pacing alone until the array saturates, and by bytes written after.
 #[test]
 fn shared_array_throughput_follows_the_bandwidth_model() {
-    let run = |scheme, clients| replay_throughput(scheme, 8 * 1024, clients, 2_000);
+    let run =
+        |scheme, clients| replay_throughput(scheme, 8 * 1024, clients, 2_000, Default::default());
     // One client: the pacing window binds, so every scheme serves the
     // same ops/s, bit for bit.
     let one: Vec<f64> =
