@@ -24,8 +24,14 @@
 //! [`gf_dot_into`] does it in one pass: the same nibble tables, four
 //! sources folded in registers per group, the output stored once instead
 //! of zero-filled and then read and rewritten once per survivor.
+//!
+//! A decode the store trusts also needs the CRC32C of every survivor (a
+//! corrupt one would decode to garbage) and of the result (checked against
+//! the lost chunk's own CRC). [`gf_dot_crc_into`] computes all of them in
+//! the same pass as the dot product, so each survivor byte leaves memory
+//! once instead of three times (verify, decode, verify).
 
-use crate::parity;
+use crate::{crc, parity};
 
 /// The AES/RS field polynomial x^8 + x^4 + x^3 + x^2 + 1.
 const POLY: u16 = 0x11D;
@@ -374,6 +380,158 @@ unsafe fn gf_dot_into_avx2(out: &mut [u8], terms: &[(u8, &[u8])]) {
     gf_dot_tail(out, terms, whole);
 }
 
+/// [`gf_dot_into`] that checksums in the same pass: overwrites `out` with
+/// `Σ c_j · src_j`, sets `crcs[j]` to the CRC32C of `src_j`, and returns
+/// the CRC32C of `out`. A zero coefficient makes its term CRC-only. With
+/// AVX2 and SSE4.2 every source byte is loaded once for both; elsewhere,
+/// and under `ADAPT_NO_SIMD`, it is the composition of [`gf_dot_into`] and
+/// [`crc::crc32c`]. Panics on length mismatch or when `crcs` and `terms`
+/// differ in length.
+pub fn gf_dot_crc_into(out: &mut [u8], terms: &[(u8, &[u8])], crcs: &mut [u32]) -> u32 {
+    assert_eq!(crcs.len(), terms.len(), "one CRC per term");
+    for &(_, src) in terms {
+        assert_eq!(src.len(), out.len(), "gf_dot_crc_into operands must be equal length");
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        let f = crate::cpu_features::get();
+        if f.avx2 && f.sse42 && terms.iter().any(|&(c, _)| c != 0) {
+            // SAFETY: the probe confirmed AVX2 and SSE4.2; every source was
+            // checked to be `out.len()` long and `crcs` to match `terms`.
+            return unsafe { gf_dot_crc_into_avx2(out, terms, crcs) };
+        }
+    }
+    gf_dot_into(out, terms);
+    for (crc, &(_, src)) in crcs.iter_mut().zip(terms) {
+        *crc = crc::crc32c(src);
+    }
+    crc::crc32c(out)
+}
+
+/// The fused kernel: passes over `out` 64 bytes at a time, up to four
+/// sources per pass (as [`gf_dot_into_avx2`]), then the bytes past the
+/// last whole step through the composition. The last pass also
+/// checksums the output it has just stored. Needs a term with a nonzero
+/// coefficient, or the output would never be written.
+///
+/// # Safety
+/// The CPU must support AVX2 and SSE4.2, every source must be `out.len()`
+/// long and `crcs` must be `terms.len()` long.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,sse4.2")]
+unsafe fn gf_dot_crc_into_avx2(out: &mut [u8], terms: &[(u8, &[u8])], crcs: &mut [u32]) -> u32 {
+    let whole = out.len() - out.len() % 64;
+    crcs.fill(!0);
+    let mut out_crc = !0;
+    let groups = terms.len().div_ceil(DOT_GROUP);
+    for (g, (group, states)) in terms.chunks(DOT_GROUP).zip(crcs.chunks_mut(DOT_GROUP)).enumerate()
+    {
+        let out_state = (g + 1 == groups).then_some(&mut out_crc);
+        let out = &mut *out;
+        match group.len() {
+            1 => dot_crc_pass::<1>(out, whole, group, states, g == 0, out_state),
+            2 => dot_crc_pass::<2>(out, whole, group, states, g == 0, out_state),
+            3 => dot_crc_pass::<3>(out, whole, group, states, g == 0, out_state),
+            _ => dot_crc_pass::<4>(out, whole, group, states, g == 0, out_state),
+        }
+    }
+    gf_dot_tail(out, terms, whole);
+    for (state, &(_, src)) in crcs.iter_mut().zip(terms) {
+        *state = crc::update(*state, &src[whole..]) ^ !0;
+    }
+    crc::update(out_crc, &out[whole..]) ^ !0
+}
+
+/// One pass of [`gf_dot_crc_into_avx2`] over `out[..whole]` for the `N`
+/// sources of `group`, advancing their running CRC states in `states`.
+/// The first group overwrites `out`, later ones fold into it; the last
+/// one also advances the output's running CRC, `out_crc`.
+///
+/// Per 64-byte step, each source is loaded once as two vectors for the
+/// nibble-table dot and fed, from the same line, to its own `crc32q`
+/// chain: every stream is an independent chain, so two or more sources
+/// keep the CRC unit busy without splitting a buffer as [`crc::update`]
+/// does. Each source is prefetched 512 bytes ahead (a hint past the end
+/// cannot fault); a decode reads its survivors straight out of DRAM.
+///
+/// # Safety
+/// As [`gf_dot_crc_into_avx2`]; `group` and `states` hold `N` entries and
+/// `whole` is a multiple of 64 no larger than `out.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,sse4.2")]
+unsafe fn dot_crc_pass<const N: usize>(
+    out: &mut [u8],
+    whole: usize,
+    group: &[(u8, &[u8])],
+    states: &mut [u32],
+    first: bool,
+    out_crc: Option<&mut u32>,
+) {
+    use std::arch::x86_64::*;
+    const AHEAD: usize = 512;
+    let mask = _mm256_set1_epi8(0x0F);
+    let mut lo = [_mm256_setzero_si256(); N];
+    let mut hi = [_mm256_setzero_si256(); N];
+    let mut src = [std::ptr::null::<u8>(); N];
+    let mut state = [0u64; N];
+    for slot in 0..N {
+        let (c, s) = group[slot];
+        let (l, h) = nibble_tables(c);
+        lo[slot] = _mm256_broadcastsi128_si256(_mm_loadu_si128(l.as_ptr() as *const __m128i));
+        hi[slot] = _mm256_broadcastsi128_si256(_mm_loadu_si128(h.as_ptr() as *const __m128i));
+        src[slot] = s.as_ptr();
+        state[slot] = states[slot] as u64;
+    }
+    let mut out_state = out_crc.as_deref().map_or(0, |&s| s as u64);
+    let word = |p: *const u8| u64::from_le_bytes(p.cast::<[u8; 8]>().read_unaligned());
+    let mut i = 0;
+    while i < whole {
+        let o = out.as_mut_ptr().add(i);
+        let (mut acc0, mut acc1) = if first {
+            (_mm256_setzero_si256(), _mm256_setzero_si256())
+        } else {
+            (
+                _mm256_loadu_si256(o as *const __m256i),
+                _mm256_loadu_si256(o.add(32) as *const __m256i),
+            )
+        };
+        for slot in 0..N {
+            let p = src[slot].add(i);
+            _mm_prefetch::<_MM_HINT_T0>(p.wrapping_add(AHEAD).cast());
+            let s0 = _mm256_loadu_si256(p as *const __m256i);
+            let s1 = _mm256_loadu_si256(p.add(32) as *const __m256i);
+            for w in 0..8 {
+                state[slot] = _mm_crc32_u64(state[slot], word(p.add(8 * w)));
+            }
+            let (l, h) = (lo[slot], hi[slot]);
+            let p0 = _mm256_xor_si256(
+                _mm256_shuffle_epi8(l, _mm256_and_si256(s0, mask)),
+                _mm256_shuffle_epi8(h, _mm256_and_si256(_mm256_srli_epi64(s0, 4), mask)),
+            );
+            let p1 = _mm256_xor_si256(
+                _mm256_shuffle_epi8(l, _mm256_and_si256(s1, mask)),
+                _mm256_shuffle_epi8(h, _mm256_and_si256(_mm256_srli_epi64(s1, 4), mask)),
+            );
+            acc0 = _mm256_xor_si256(acc0, p0);
+            acc1 = _mm256_xor_si256(acc1, p1);
+        }
+        _mm256_storeu_si256(o as *mut __m256i, acc0);
+        _mm256_storeu_si256(o.add(32) as *mut __m256i, acc1);
+        if out_crc.is_some() {
+            for w in 0..8 {
+                out_state = _mm_crc32_u64(out_state, word(o.add(8 * w)));
+            }
+        }
+        i += 64;
+    }
+    for slot in 0..N {
+        states[slot] = state[slot] as u32;
+    }
+    if let Some(s) = out_crc {
+        *s = out_state as u32;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -516,6 +674,79 @@ mod tests {
                 }
             }
         }
+    }
+
+    type DotCrcFn = fn(&mut [u8], &[(u8, &[u8])], &mut [u32]) -> u32;
+
+    /// The fused kernel's tiers on this machine: the dispatcher, plus the
+    /// AVX2 + SSE4.2 kernel called directly when the CPU has both, so it
+    /// is exercised under `ADAPT_NO_SIMD` too.
+    fn dot_crc_tiers() -> Vec<(&'static str, DotCrcFn)> {
+        let mut tiers: Vec<(&'static str, DotCrcFn)> = vec![("dispatched", gf_dot_crc_into)];
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("sse4.2") {
+            // SAFETY: both features were detected; the sweep passes equal
+            // lengths, one CRC slot per term and a nonzero coefficient.
+            tiers.push(("avx2", |out, terms, crcs| unsafe {
+                gf_dot_crc_into_avx2(out, terms, crcs)
+            }));
+        }
+        tiers
+    }
+
+    #[test]
+    fn dot_crc_matches_scalar_composition() {
+        // Widths 1–9 cross the four-source group twice; the coefficient
+        // rows put 0s (CRC-only terms) and 1s in every position class.
+        let rows: [[u8; 9]; 3] =
+            [[29, 0, 1, 0xFF, 2, 116, 0, 1, 0x1D], [1; 9], [0, 3, 0, 0, 7, 0, 0, 0, 9]];
+        for len in [1usize, 63, 64, 65, 4097, 65536] {
+            for &off in &[0usize, 1, 3, 7] {
+                let srcs: Vec<Vec<u8>> =
+                    (0..9).map(|j| pattern(len + off, (5 + 40 * j) as u8)).collect();
+                for k in 1..=9usize {
+                    for row in &rows {
+                        if len == 65536 && (off != 3 || row[0] != 29) {
+                            continue; // the long buffer once per width
+                        }
+                        let terms: Vec<(u8, &[u8])> =
+                            row.iter().zip(&srcs).take(k).map(|(&c, s)| (c, &s[off..])).collect();
+                        let stale = pattern(len + off, 71);
+                        let mut slow = stale.clone();
+                        gf_dot_into_scalar(&mut slow[off..], &terms);
+                        let want: Vec<u32> =
+                            terms.iter().map(|&(_, s)| crc::crc32c_soft(s)).collect();
+                        let want_out = crc::crc32c_soft(&slow[off..]);
+                        for (tier, dot_crc) in dot_crc_tiers() {
+                            if tier != "dispatched" && terms.iter().all(|&(c, _)| c == 0) {
+                                continue; // the kernel needs a term that writes `out`
+                            }
+                            let mut fast = stale.clone();
+                            let mut crcs = vec![0u32; k];
+                            let out_crc = dot_crc(&mut fast[off..], &terms, &mut crcs);
+                            let at = format!("{tier} k={k} row={row:?} len={len} off={off}");
+                            assert_eq!(fast, slow, "{at}");
+                            assert_eq!(crcs, want, "{at}");
+                            assert_eq!(out_crc, want_out, "{at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dot_crc_of_nothing_is_a_zero_chunk() {
+        let mut out = pattern(100, 3);
+        assert_eq!(gf_dot_crc_into(&mut out, &[], &mut []), crc::crc32c(&[0u8; 100]));
+        assert_eq!(out, vec![0u8; 100]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn dot_crc_needs_a_slot_per_term() {
+        let mut out = vec![0u8; 8];
+        gf_dot_crc_into(&mut out, &[(2, &[0u8; 8])], &mut []);
     }
 
     #[test]

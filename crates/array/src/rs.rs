@@ -21,9 +21,12 @@
 //! elimination, and reconstructs each erased chunk as one coefficient
 //! vector applied in a single pass by the [`crate::gf256::gf_dot_into`]
 //! kernel — so a single-erasure decode under `m = 1` is again a pure XOR.
+//! [`ReedSolomon::recover_checked_into`] runs the same decode through
+//! [`crate::gf256::gf_dot_crc_into`], which checksums every member and the
+//! result in that one pass.
 
 use crate::error::ParityError;
-use crate::gf256::{gf_div, gf_dot_into, gf_inv, gf_mul, gf_mul_into, gf_pow};
+use crate::gf256::{gf_div, gf_dot_crc_into, gf_dot_into, gf_inv, gf_mul, gf_mul_into, gf_pow};
 use std::ops::DerefMut;
 
 /// A systematic `k + m` Reed-Solomon code. Shards are indexed
@@ -181,6 +184,37 @@ impl ReedSolomon {
             coeffs.iter().zip(picked).map(|(&c, &(_, chunk))| (c, chunk)).collect();
         gf_dot_into(out, &terms);
         Ok(())
+    }
+
+    /// [`Self::recover_into`] that checksums in the same pass: decodes
+    /// shard `target` from the first `k` of `members` into `out` and
+    /// returns the CRC32C of every member, in `members` order, and of
+    /// `out`. Members beyond the first `k` are read for their CRC alone,
+    /// so every member must be chunk-sized.
+    pub fn recover_checked_into(
+        &self,
+        members: &[(usize, &[u8])],
+        target: usize,
+        out: &mut [u8],
+    ) -> Result<(Vec<u32>, u32), ParityError> {
+        if members.len() < self.k {
+            return Err(ParityError::NotEnoughShards { have: members.len(), need: self.k });
+        }
+        assert!(target < self.total_shards(), "target shard out of range");
+        debug_assert!(members.iter().all(|&(s, _)| s != target), "target listed among members");
+        if let Some(&(_, bad)) = members.iter().find(|(_, chunk)| chunk.len() != out.len()) {
+            return Err(ParityError::LengthMismatch { expected: out.len(), got: bad.len() });
+        }
+        let idx: Vec<usize> = members[..self.k].iter().map(|&(s, _)| s).collect();
+        let coeffs = self.recovery_coeffs(&idx, target)?;
+        let terms: Vec<(u8, &[u8])> = members
+            .iter()
+            .enumerate()
+            .map(|(i, &(_, chunk))| (coeffs.get(i).copied().unwrap_or(0), chunk))
+            .collect();
+        let mut crcs = vec![0; members.len()];
+        let out_crc = gf_dot_crc_into(out, &terms, &mut crcs);
+        Ok((crcs, out_crc))
     }
 
     /// Reconstruct several shards at once; returns chunks in `targets`
@@ -378,6 +412,38 @@ mod tests {
         let mut out = vec![0u8; len];
         rs.recover_into(&survivors, 2, &mut out).unwrap();
         assert_eq!(out, data[2]);
+    }
+
+    #[test]
+    fn checked_recovery_decodes_like_recover_into_and_sums_every_member() {
+        let (k, m, len) = (4, 2, 1000);
+        let rs = ReedSolomon::new(k, m);
+        let data = stripe(k, len);
+        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
+        let parity = rs.encode(&refs).unwrap();
+        let shards: Vec<&[u8]> =
+            refs.iter().copied().chain(parity.iter().map(|p| p.as_slice())).collect();
+        for target in 0..k + m {
+            // Five members: four decode, the fifth is checksummed only.
+            let members: Vec<(usize, &[u8])> =
+                (0..k + m).filter(|&i| i != target).map(|i| (i, shards[i])).collect();
+            let mut out = vec![0xEE; len];
+            let (crcs, out_crc) = rs.recover_checked_into(&members, target, &mut out).unwrap();
+            assert_eq!(out, shards[target], "target {target}");
+            assert_eq!(out_crc, crate::crc::crc32c(shards[target]));
+            let want: Vec<u32> = members.iter().map(|&(_, c)| crate::crc::crc32c(c)).collect();
+            assert_eq!(crcs, want, "target {target}");
+        }
+        let short = [(0usize, &shards[0][..1]), (1, shards[1]), (2, shards[2]), (3, shards[3])];
+        let mut out = vec![0; len];
+        assert_eq!(
+            rs.recover_checked_into(&short, 4, &mut out),
+            Err(ParityError::LengthMismatch { expected: len, got: 1 })
+        );
+        assert_eq!(
+            rs.recover_checked_into(&short[1..], 4, &mut out),
+            Err(ParityError::NotEnoughShards { have: 3, need: 4 })
+        );
     }
 
     #[test]

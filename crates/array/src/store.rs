@@ -68,6 +68,22 @@ impl Epoch {
     }
 }
 
+/// What [`InMemoryArray::decode_verified`] found.
+struct Decoded {
+    /// The members that failed their stored CRC, in member order.
+    corrupt: Vec<usize>,
+    /// The decoded chunk and whether it matches the target's stored CRC;
+    /// `None` when fewer than `k` members are honest.
+    chunk: Option<(Bytes, bool)>,
+}
+
+impl Decoded {
+    /// The decoded chunk, if it matches the target's stored CRC.
+    fn verified(self) -> Option<Bytes> {
+        self.chunk.and_then(|(bytes, ok)| ok.then_some(bytes))
+    }
+}
+
 /// An erasure-coded array held in memory, with its fault model.
 #[derive(Debug)]
 pub struct InMemoryArray {
@@ -420,8 +436,7 @@ impl InMemoryArray {
         // would silently produce garbage.
         let member = |device| ChunkLocation { stripe: loc.stripe, device, column: 0 };
         let (mut erased, mut missing, mut condemned) = (0, false, None);
-        let mut good: Vec<usize> = Vec::with_capacity(n - 1);
-        let mut corrupt: Vec<usize> = Vec::new();
+        let mut held: Vec<(usize, Bytes)> = Vec::with_capacity(n - 1);
         for dev in 0..n {
             if self.erased(dev, loc.stripe) {
                 erased += 1;
@@ -429,8 +444,7 @@ impl InMemoryArray {
                 condemned = condemned.or(Some(dev));
             } else {
                 match self.devices[dev].get(&loc.stripe) {
-                    Some(b) if self.verifies(dev, loc.stripe, b) => good.push(dev),
-                    Some(_) => corrupt.push(dev),
+                    Some(b) => held.push((dev, b.clone())),
                     None => missing = true,
                 }
             }
@@ -441,11 +455,13 @@ impl InMemoryArray {
         if missing {
             return Err(ArrayError::Unreconstructable { loc }); // stripe never closed
         }
-        if good.len() < k {
+        let members: Vec<(usize, &[u8])> = held.iter().map(|(d, b)| (*d, b.as_ref())).collect();
+        let decoded = self.decode_verified(loc.stripe, &members, loc.device);
+        if members.len() - decoded.corrupt.len() < k {
             // Honest repair is impossible: a silent corruption has eaten
             // into the erasure budget. Fatal, as under RAID-5; the bad
             // member is the casualty to report (and to count, once).
-            return Err(match (condemned, corrupt.first()) {
+            return Err(match (condemned, decoded.corrupt.first()) {
                 (Some(dev), _) => ArrayError::ChecksumMismatch { loc: member(dev) },
                 (None, Some(&dev)) => {
                     self.note_detection(dev, loc.stripe);
@@ -454,29 +470,20 @@ impl InMemoryArray {
                 (None, None) => ArrayError::Unreconstructable { loc },
             });
         }
-        let shards: Vec<(usize, Bytes)> = good
-            .iter()
-            .map(|&d| (layout.shard_of(loc.stripe, d), self.devices[d][&loc.stripe].clone()))
-            .collect();
-        let refs: Vec<(usize, &[u8])> = shards.iter().map(|(s, b)| (*s, b.as_ref())).collect();
         // With spare redundancy (m ≥ 2) a corrupt member alongside the
         // erasure can still be healed from the honest shards.
-        for &dev in &corrupt {
-            let healed = self
-                .epoch_for_stripe(loc.stripe)
-                .recover(&refs, loc.stripe, dev)
-                .filter(|healed| self.verifies(dev, loc.stripe, healed));
+        let honest: Vec<(usize, &[u8])> =
+            members.iter().filter(|(d, _)| !decoded.corrupt.contains(d)).copied().collect();
+        for &dev in &decoded.corrupt {
+            let healed = self.decode_verified(loc.stripe, &honest, dev).verified();
             self.note_detection(dev, loc.stripe);
             match healed {
                 Some(healed) => self.heal(dev, loc.stripe, healed),
                 None => return Err(self.condemn(member(dev))),
             }
         }
-        let bytes = self
-            .epoch_for_stripe(loc.stripe)
-            .recover(&refs, loc.stripe, loc.device)
-            .ok_or(ArrayError::Unreconstructable { loc })?;
-        if !self.verifies(loc.device, loc.stripe, &bytes) {
+        let (bytes, verified) = decoded.chunk.ok_or(ArrayError::Unreconstructable { loc })?;
+        if !verified {
             self.note_detection(loc.device, loc.stripe);
             return Err(self.condemn(loc));
         }
@@ -485,13 +492,55 @@ impl InMemoryArray {
         Ok((bytes, ReadMode::Reconstructed))
     }
 
-    /// Does `bytes` match the CRC recorded for (device, stripe)? Chunks
-    /// written before checksumming existed (none in practice) pass.
-    fn verifies(&self, device: usize, stripe: u64, bytes: &[u8]) -> bool {
-        match self.checksums[device].get(&stripe) {
-            Some(&sum) => crc::crc32c(bytes) == sum,
-            None => true,
+    /// Decode the chunk `target` holds in `stripe` from the first `k` of
+    /// `members` (`(device, chunk)` pairs of the stripe, in device order),
+    /// checking every member against its stored CRC in the same pass. Only
+    /// when a member inside the decode set fails is the chunk decoded a
+    /// second time, from the first `k` honest members.
+    fn decode_verified(&self, stripe: u64, members: &[(usize, &[u8])], target: usize) -> Decoded {
+        let ep = self.epoch_for_stripe(stripe);
+        let k = ep.layout.config().data_columns();
+        let shard = ep.layout.shard_of(stripe, target);
+        let shards: Vec<(usize, &[u8])> =
+            members.iter().map(|&(d, b)| (ep.layout.shard_of(stripe, d), b)).collect();
+        let mut out = BytesMut::zeroed(members.first().map_or(0, |(_, b)| b.len()));
+        let Ok((crcs, out_crc)) = ep.code.recover_checked_into(&shards, shard, &mut out) else {
+            // Nothing to decode from: the members are checked alone.
+            let corrupt = members.iter().filter(|&&(d, b)| !self.verifies(d, stripe, b));
+            return Decoded { corrupt: corrupt.map(|&(d, _)| d).collect(), chunk: None };
+        };
+        let corrupt: Vec<usize> = members
+            .iter()
+            .zip(&crcs)
+            .filter(|&(&(d, _), &c)| !self.sums_to(d, stripe, c))
+            .map(|(&(d, _), _)| d)
+            .collect();
+        let mut out_crc = Some(out_crc);
+        if members[..k].iter().any(|(d, _)| corrupt.contains(d)) {
+            let good: Vec<(usize, &[u8])> = shards
+                .iter()
+                .zip(members)
+                .filter(|(_, (d, _))| !corrupt.contains(d))
+                .map(|(&s, _)| s)
+                .collect();
+            out_crc = (good.len() >= k)
+                .then(|| ep.code.recover_checked_into(&good[..k], shard, &mut out).ok())
+                .flatten()
+                .map(|(_, c)| c);
         }
+        let chunk = out_crc.map(|c| (out.freeze(), self.sums_to(target, stripe, c)));
+        Decoded { corrupt, chunk }
+    }
+
+    /// Does `bytes` match the CRC recorded for (device, stripe)?
+    fn verifies(&self, device: usize, stripe: u64, bytes: &[u8]) -> bool {
+        self.sums_to(device, stripe, crc::crc32c(bytes))
+    }
+
+    /// Is `crc` the CRC recorded for (device, stripe)? Chunks written
+    /// before checksumming existed (none in practice) pass.
+    fn sums_to(&self, device: usize, stripe: u64, crc: u32) -> bool {
+        self.checksums[device].get(&stripe).is_none_or(|&sum| sum == crc)
     }
 
     /// Account one detection: bump the counter and, if the corruption was
@@ -527,21 +576,12 @@ impl InMemoryArray {
     fn try_repair(&self, device: usize, stripe: u64) -> Option<(Bytes, usize)> {
         self.checksums[device].get(&stripe)?;
         let ep = self.epoch_for_stripe(stripe);
-        let k = ep.layout.config().data_columns();
-        let survivors: Vec<(usize, &[u8])> = (0..ep.layout.config().num_devices)
+        let members: Vec<(usize, &[u8])> = (0..ep.layout.config().num_devices)
             .filter(|&dev| dev != device && !self.erased(dev, stripe))
-            .filter_map(|dev| {
-                let b = self.devices[dev].get(&stripe)?;
-                // A member that is silently corrupt too is no witness.
-                self.verifies(dev, stripe, b).then(|| (ep.layout.shard_of(stripe, dev), b.as_ref()))
-            })
-            .take(k)
+            .filter_map(|dev| Some((dev, self.devices[dev].get(&stripe)?.as_ref())))
             .collect();
-        if survivors.len() < k {
-            return None;
-        }
-        let out = ep.recover(&survivors, stripe, device)?;
-        self.verifies(device, stripe, &out).then_some((out, k))
+        let out = self.decode_verified(stripe, &members, device).verified()?;
+        Some((out, ep.layout.config().data_columns()))
     }
 
     /// Silently flip bytes in the stored chunk at (device, stripe) — the
@@ -694,24 +734,18 @@ impl InMemoryArray {
         if spares.is_empty() {
             return;
         }
-        let mut good: Vec<(usize, Bytes)> = Vec::with_capacity(n - 1);
-        let mut gathered = 0;
-        for dev in (0..n).filter(|&dev| !self.lost(dev, stripe)) {
-            if let Some(b) = self.devices[dev].get(&stripe) {
-                gathered += 1;
-                if self.verifies(dev, stripe, b) {
-                    good.push((layout.shard_of(stripe, dev), b.clone()));
-                }
-            }
-        }
+        let held: Vec<(usize, Bytes)> = (0..n)
+            .filter(|&dev| !self.lost(dev, stripe))
+            .filter_map(|dev| Some((dev, self.devices[dev].get(&stripe)?.clone())))
+            .collect();
         let chunk_bytes = self.cfg.chunk_bytes;
-        self.stats.rebuild_read_bytes += gathered * chunk_bytes;
-        let refs: Vec<(usize, &[u8])> = good.iter().map(|(s, b)| (*s, b.as_ref())).collect();
+        self.stats.rebuild_read_bytes += held.len() as u64 * chunk_bytes;
+        let mut members: Vec<(usize, &[u8])> = held.iter().map(|(d, b)| (*d, b.as_ref())).collect();
         for device in spares {
-            let rebuilt = (refs.len() >= layout.config().data_columns())
-                .then(|| self.epoch_for_stripe(stripe).recover(&refs, stripe, device))
-                .flatten()
-                .filter(|b| self.verifies(device, stripe, b));
+            let decoded = self.decode_verified(stripe, &members, device);
+            // Later spares decode from the members already found honest.
+            members.retain(|(d, _)| !decoded.corrupt.contains(d));
+            let rebuilt = decoded.verified();
             let Some(rebuilt) = rebuilt else {
                 // A silently corrupt member poisoned the decode; writing it
                 // would launder bad data into a "fresh" spare.
@@ -1635,6 +1669,47 @@ mod tests {
             let (bytes, mode) = a.try_read_chunk(witness).unwrap();
             assert_eq!(mode, ReadMode::Normal, "witness healed in place");
             assert_eq!(bytes, kept(&a, 1));
+        }
+    }
+
+    #[test]
+    fn raid6_rebuild_decodes_past_a_corrupt_member_of_the_decode_set() {
+        for mut a in both(raid6(), FaultPlan::new(0)) {
+            fill(&mut a, 0..12);
+            let victim = 7;
+            let before = a.devices[victim].clone();
+            // Device 0 is the first member of every stripe, so the first
+            // decode of stripe 0 reads the corrupt chunk and a second one,
+            // from the first k honest members, restores the spare.
+            assert!(a.inject_corruption(0, 0));
+            a.fail_device(victim);
+            assert_eq!(a.rebuild_device(victim), Some(2));
+            assert_eq!(a.devices[victim], before, "every chunk restored byte for byte");
+            assert_eq!(a.stats().corruptions_unrecoverable, 0);
+            assert!(a.known_bad.is_empty(), "nothing condemned");
+            // A rebuild drops a corrupt survivor from the decode without
+            // counting or healing it: it is still there to be found.
+            assert_eq!(a.stats().corruptions_detected, 0);
+            assert_eq!(a.outstanding_corruptions(), 1);
+        }
+    }
+
+    #[test]
+    fn raid6_scrub_repairs_a_latent_chunk_past_a_corrupt_member() {
+        for mut a in both(raid6(), FaultPlan::new(0)) {
+            fill(&mut a, 0..12);
+            let before: Vec<Bytes> = (0..8).map(|d| a.devices[d][&0].clone()).collect();
+            // The scrub reaches device 0 first: its repair decodes from
+            // devices 1.., and device 1 is corrupt.
+            a.plan_mut().add_latent_sector(0, 0);
+            assert!(a.inject_corruption(1, 0));
+            let step = a.scrub_step(usize::MAX);
+            assert_eq!(step.latent_repaired, 1);
+            assert_eq!((step.detected, step.healed, step.unrecoverable), (1, 1, 0));
+            assert_eq!(a.plan().latent_count(), 0);
+            assert_eq!(a.outstanding_corruptions(), 0);
+            let after: Vec<Bytes> = (0..8).map(|d| a.devices[d][&0].clone()).collect();
+            assert_eq!(after, before, "stripe 0 restored byte for byte");
         }
     }
 

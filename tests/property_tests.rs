@@ -483,6 +483,36 @@ proptest! {
         prop_assert_eq!(fast, slow, "len={} off={} c={}", len, off, c);
     }
 
+    /// The fused decode-and-checksum kernel is the composition of the
+    /// scalar dot product and the software CRC32C: the same output, the
+    /// same CRC of every source and of the output, for any coefficients
+    /// (zero ones are CRC-only), widths across the four-source group,
+    /// lengths around the 64-byte step and alignment offsets.
+    #[test]
+    fn gf_dot_crc_matches_scalar_composition(
+        len in 0usize..300,
+        off in 0usize..32,
+        coeffs in prop::collection::vec(any::<u8>(), 1..=9),
+        seed in any::<u64>(),
+    ) {
+        use adapt_repro::array::crc::crc32c_soft;
+        use adapt_repro::array::gf256::{gf_dot_crc_into, gf_dot_into_scalar};
+        let off = off.min(len);
+        let srcs: Vec<Vec<u8>> =
+            (0..coeffs.len() as u64).map(|j| prng_fill(seed ^ j, len)).collect();
+        let terms: Vec<(u8, &[u8])> =
+            coeffs.iter().zip(&srcs).map(|(&c, s)| (c, &s[off..])).collect();
+        let stale = prng_fill(seed ^ 0xacc, len);
+        let (mut fast, mut slow) = (stale.clone(), stale);
+        let mut crcs = vec![0u32; terms.len()];
+        let out_crc = gf_dot_crc_into(&mut fast[off..], &terms, &mut crcs);
+        gf_dot_into_scalar(&mut slow[off..], &terms);
+        let want: Vec<u32> = terms.iter().map(|&(_, s)| crc32c_soft(s)).collect();
+        prop_assert_eq!(&fast, &slow, "len={} off={} coeffs={:?}", len, off, &coeffs);
+        prop_assert_eq!(crcs, want);
+        prop_assert_eq!(out_crc, crc32c_soft(&slow[off..]));
+    }
+
     /// A single-parity (m = 1) Reed-Solomon code degenerates exactly to
     /// the XOR parity the original RAID-5 path computes, for any stripe
     /// width and payload.
