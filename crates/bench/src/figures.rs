@@ -100,7 +100,7 @@ pub mod fig3 {
         for scheme in Scheme::PAPER {
             let r = run_suite(scheme, GcSelection::Greedy, &suite, None);
             // Sum group traffic across volumes (groups align by id).
-            let n_groups = scheme.group_count();
+            let n_groups = r.volumes.iter().map(|v| v.groups.len()).max().unwrap_or(0);
             let mut agg = vec![[0u64; 4]; n_groups];
             let mut segs = vec![0u32; n_groups];
             for v in &r.volumes {

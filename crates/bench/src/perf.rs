@@ -19,9 +19,8 @@
 //! ledger, and a speed claim is made there, against a same-run parent.
 
 use adapt_array::CountingArray;
-use adapt_lss::{EventConfig, GcSelection, Lss, LssConfig, PlacementPolicy};
+use adapt_lss::{EventConfig, GcSelection, LssConfig};
 use adapt_sim::runner::run_suite;
-use adapt_sim::scheme::{with_policy, PolicyVisitor};
 use adapt_sim::{drive, ReplayConfig, Scheme, Warmup};
 use adapt_trace::arrival::ArrivalModel;
 use adapt_trace::ycsb::{AccessDistribution, YcsbConfig};
@@ -113,41 +112,6 @@ pub fn key_of(w: &Workload, scheme: Scheme, gc: GcSelection) -> String {
     format!("{}/{}/{}", w.name, scheme.name(), gc.name())
 }
 
-struct PerfVisitor<'a> {
-    cfg: ReplayConfig,
-    trace: &'a [TraceRecord],
-    key: String,
-}
-
-impl PolicyVisitor<Measurement> for PerfVisitor<'_> {
-    fn visit<P: PlacementPolicy + Send + 'static>(self, policy: P) -> Measurement {
-        let PerfVisitor { cfg, trace, key } = self;
-        let mut engine = Lss::builder(policy, CountingArray::new(cfg.lss.array_config()))
-            .config(cfg.lss)
-            .gc_select(cfg.gc)
-            .events(cfg.events)
-            .build();
-        let start = Instant::now();
-        drive(&mut engine, &cfg, trace.iter().copied());
-        let wall = start.elapsed();
-        let wall_ms = wall.as_secs_f64() * 1e3;
-        let gc_select_ms = engine.gc_select_nanos() as f64 / 1e6;
-        let blocks: u64 = trace.iter().map(|r| r.num_blocks as u64).sum();
-        Measurement {
-            key,
-            blocks,
-            wall_ms,
-            kops_per_sec: blocks as f64 / wall.as_secs_f64() / 1e3,
-            gc_select_ms,
-            gc_select_share: (gc_select_ms / wall_ms).min(1.0),
-            gc_passes: engine.metrics().gc_passes,
-            wa: engine.metrics().wa(),
-            memory_bytes: engine.memory_bytes() as u64,
-            events_emitted: engine.events().emitted(),
-        }
-    }
-}
-
 /// Materialize a workload's trace (writes only, dense arrivals so the SLA
 /// path stays realistic without dominating).
 pub fn trace_of(w: &Workload) -> Vec<TraceRecord> {
@@ -190,8 +154,26 @@ pub fn measure_with_events(
         cfg.lss = cfg.lss.with_geometry(n, m);
     }
     let trace = trace_of(w);
-    let key = key_of(w, scheme, gc);
-    with_policy(scheme, &cfg.lss, PerfVisitor { cfg, trace: &trace, key })
+    let sink = CountingArray::new(cfg.lss.array_config());
+    let mut engine = cfg.engine(scheme.policy(&cfg.lss), sink);
+    let start = Instant::now();
+    drive(&mut engine, &cfg, trace.iter().copied());
+    let wall = start.elapsed();
+    let wall_ms = wall.as_secs_f64() * 1e3;
+    let gc_select_ms = engine.gc_select_nanos() as f64 / 1e6;
+    let blocks: u64 = trace.iter().map(|r| r.num_blocks as u64).sum();
+    Measurement {
+        key: key_of(w, scheme, gc),
+        blocks,
+        wall_ms,
+        kops_per_sec: blocks as f64 / wall.as_secs_f64() / 1e3,
+        gc_select_ms,
+        gc_select_share: (gc_select_ms / wall_ms).min(1.0),
+        gc_passes: engine.metrics().gc_passes,
+        wa: engine.metrics().wa(),
+        memory_bytes: engine.memory_bytes() as u64,
+        events_emitted: engine.events().emitted(),
+    }
 }
 
 /// Parallel-scaling measurement of a suite sweep: the same seeded

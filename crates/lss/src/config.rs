@@ -40,17 +40,6 @@ pub struct LssConfig {
     /// GC keeps collecting until the pool recovers to this many segments.
     #[doc(hidden)]
     pub gc_high_water: u32,
-    /// How many times a chunk read hitting a *transient* array error
-    /// (media retry, link hiccup) is retried before the error surfaces.
-    /// Persistent faults (failed device, double fault) never retry.
-    #[doc(hidden)]
-    pub read_retry_limit: u32,
-    /// Simulated backoff before the first read retry, in microseconds;
-    /// doubles on each subsequent attempt. Accounted in
-    /// [`crate::LssMetrics::retry_backoff_us`] rather than advancing the
-    /// engine clock (retries must not perturb SLA deadlines).
-    #[doc(hidden)]
-    pub retry_backoff_us: u64,
     /// Background scrub pacing: stripes verified per host operation
     /// (0 disables scrubbing, the default). Paced exactly like the rebuild
     /// driver — a bounded amount of background work piggybacks on every
@@ -84,8 +73,6 @@ impl Default for LssConfig {
             sla_us: 100,
             gc_low_water: 12,
             gc_high_water: 18,
-            read_retry_limit: 3,
-            retry_backoff_us: 50,
             scrub_stripes_per_op: 0,
             array_devices: 0,
             array_parity: 0,
@@ -192,14 +179,6 @@ impl LssConfig {
     /// op, 0 = scrubbing off).
     pub fn with_scrub_stripes_per_op(mut self, stripes: u64) -> Self {
         self.scrub_stripes_per_op = stripes;
-        self
-    }
-
-    /// This config with the given transient-read retry budget and initial
-    /// backoff.
-    pub fn with_read_retry(mut self, limit: u32, backoff_us: u64) -> Self {
-        self.read_retry_limit = limit;
-        self.retry_backoff_us = backoff_us;
         self
     }
 }

@@ -339,7 +339,7 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
     /// routed through the sink's fault model: reads of chunks on a failed
     /// device are served via parity reconstruction (accounted in
     /// [`LssMetrics::degraded_reads`]), transient errors are retried up to
-    /// [`LssConfig::read_retry_limit`] times with exponential backoff, and
+    /// three times with exponential backoff from 50 µs, and
     /// persistent faults (double fault, unreconstructable stripe) surface
     /// as [`EngineError::Array`].
     pub fn try_read_request(
@@ -383,6 +383,17 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         self.wal_commit()
     }
 
+    /// How many times a chunk read hitting a *transient* array error
+    /// (media retry, link hiccup) is retried before the error surfaces.
+    /// Persistent faults (failed device, double fault) never retry.
+    const READ_RETRY_LIMIT: u32 = 3;
+
+    /// Simulated backoff before the first read retry, in microseconds;
+    /// doubles on each subsequent attempt. Accounted in
+    /// [`LssMetrics::retry_backoff_us`] rather than advancing the engine
+    /// clock (retries must not perturb SLA deadlines).
+    const RETRY_BACKOFF_US: u64 = 50;
+
     /// Fetch one chunk through the sink's fault model, retrying transient
     /// errors with exponential backoff (simulated — accounted in metrics,
     /// not the engine clock, so SLA deadlines are unperturbed).
@@ -418,9 +429,9 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
                     }
                     return Ok(());
                 }
-                Err(e) if e.is_transient() && attempt < self.cfg.read_retry_limit => {
+                Err(e) if e.is_transient() && attempt < Self::READ_RETRY_LIMIT => {
                     self.metrics.retried_reads += 1;
-                    self.metrics.retry_backoff_us += self.cfg.retry_backoff_us << attempt.min(16);
+                    self.metrics.retry_backoff_us += Self::RETRY_BACKOFF_US << attempt.min(16);
                     attempt += 1;
                 }
                 Err(e) => return Err(e.into()),
@@ -2767,12 +2778,12 @@ mod tests {
             e.write(i, i);
         }
         // Every attempt draws a transient error: the engine retries
-        // read_retry_limit times, then surfaces the fault.
+        // READ_RETRY_LIMIT times, then surfaces the fault.
         let err = e.try_read_request(100, 0, 4).unwrap_err();
         assert!(matches!(err, EngineError::Array(ArrayError::TransientRead { .. })));
         assert!(err.is_transient());
         let m = e.metrics();
-        assert_eq!(m.retried_reads, cfg.read_retry_limit as u64);
+        assert_eq!(m.retried_reads, 3);
         // Exponential backoff: 50 + 100 + 200 simulated µs.
         assert_eq!(m.retry_backoff_us, 50 + 100 + 200);
         // The failed fetch was not charged as array traffic served.

@@ -9,7 +9,7 @@
 //! is suspect and the instance should be discarded; the other variants
 //! leave the engine consistent — `OutOfSpace` callers may TRIM and retry,
 //! and transient array errors (see [`EngineError::is_transient`]) are
-//! retried internally up to [`crate::LssConfig::read_retry_limit`].
+//! retried internally, up to three times.
 
 use crate::types::Lba;
 use crate::wal::WalError;

@@ -41,18 +41,16 @@
 //! not — there the *contract* is checked per run: acks collected in a run
 //! are verified against that run's own media state.
 
-use crate::scheme::{with_policy, PolicyVisitor, Scheme};
-use crate::serve::{start_server_with, ShardEngineBuilder};
+use crate::scheme::{Scheme, SchemePolicy};
 use adapt_array::{
     ArrayError, FileArraySink, FileSinkError, FileSinkOptions, MediaError, PowerBudget,
     StorageFailure, WriteTag,
 };
 use adapt_lss::{
-    DurabilityConfig, EngineError, FsyncPolicy, Lba, Lss, LssConfig, PlacementPolicy,
-    TelemetrySnapshot, WalError,
+    DurabilityConfig, EngineError, FsyncPolicy, Lba, Lss, LssConfig, TelemetrySnapshot, WalError,
 };
 use adapt_serve::{
-    Completion, Request, ServerBuilder, ShardEngine, ShardPlan, ShardRouter, VolumeId, VolumeSpec,
+    Completion, Request, ServerBuilder, ShardEngine, ShardRouter, VolumeId, VolumeSpec,
 };
 use adapt_trace::rng::mix64;
 use rayon::prelude::*;
@@ -284,16 +282,15 @@ struct RunOutcome {
     run_error: Option<String>,
 }
 
-/// Bring up a fresh durable engine under `dir` (segment files in
-/// `array/`, log in `wal/`), every media write drawing on `budget`.
-/// `Ok(None)`: power died while the backend was coming up.
-fn durable_engine<P: PlacementPolicy>(
+/// Bring up a fresh durable engine of `lss` shape under `dir` (segment
+/// files in `array/`, log in `wal/`), every media write drawing on
+/// `budget`. `Ok(None)`: power died while the backend was coming up.
+fn durable_engine(
     scn: &CrashScenario,
     lss: LssConfig,
     dir: &Path,
     budget: &Arc<PowerBudget>,
-    policy: P,
-) -> Result<Option<Lss<P, FileArraySink>>, String> {
+) -> Result<Option<Lss<SchemePolicy, FileArraySink>>, String> {
     let options = scn.sink_options(Some(budget.clone()));
     let sink = match FileArraySink::create(lss.array_config(), dir.join("array"), options) {
         Ok(s) => s,
@@ -304,65 +301,57 @@ fn durable_engine<P: PlacementPolicy>(
         return Ok(None);
     }
     let durability = scn.durability_config(Some(budget.clone()));
+    let policy = scn.scheme.policy(&lss);
     Ok(Some(Lss::builder(policy, sink).config(lss).durability(dir.join("wal"), durability).build()))
 }
 
 /// The doomed run of [`Topology::Engine`].
-struct EngineRun<'a> {
-    scn: &'a CrashScenario,
-    dir: &'a Path,
-    budget: &'a Arc<PowerBudget>,
-}
-
-impl PolicyVisitor<RunOutcome> for EngineRun<'_> {
-    fn visit<P: PlacementPolicy + Send + 'static>(self, policy: P) -> RunOutcome {
-        let EngineRun { scn, dir, budget } = self;
-        let mut out = RunOutcome { acked: vec![Vec::new()], ..Default::default() };
-        let mut engine = match durable_engine(scn, scn.lss, dir, budget, policy) {
-            Ok(Some(engine)) => engine,
-            Ok(None) => return out,
-            Err(e) => {
-                out.run_error = Some(e);
-                return out;
+fn engine_run(scn: &CrashScenario, dir: &Path, budget: &Arc<PowerBudget>) -> RunOutcome {
+    let mut out = RunOutcome { acked: vec![Vec::new()], ..Default::default() };
+    let mut engine = match durable_engine(scn, scn.lss, dir, budget) {
+        Ok(Some(engine)) => engine,
+        Ok(None) => return out,
+        Err(e) => {
+            out.run_error = Some(e);
+            return out;
+        }
+    };
+    let mut ts = 0u64;
+    for i in 0..scn.requests {
+        let (op, gap) = op_at(scn.seed, i, scn.lss.user_blocks);
+        ts += gap;
+        let res = match op {
+            Op::Write { lba } => engine.try_write(ts, lba),
+            Op::Trim { lba, blocks } => {
+                out.trims.extend((lba..lba + blocks as u64).map(|l| (l, ts)));
+                engine.try_trim(ts, lba, blocks)
             }
         };
-        let mut ts = 0u64;
-        for i in 0..scn.requests {
-            let (op, gap) = op_at(scn.seed, i, scn.lss.user_blocks);
-            ts += gap;
-            let res = match op {
-                Op::Write { lba } => engine.try_write(ts, lba),
-                Op::Trim { lba, blocks } => {
-                    out.trims.extend((lba..lba + blocks as u64).map(|l| (l, ts)));
-                    engine.try_trim(ts, lba, blocks)
-                }
-            };
-            engine.drain_durable_acks(&mut out.acked[0]);
-            match res {
-                Ok(()) => out.ops_done += 1,
-                Err(e) if is_power_loss(&e) => break,
-                Err(e) => {
-                    out.run_error = Some(format!("op {i}: {e}"));
-                    break;
-                }
-            }
-            if budget.is_tripped() {
+        engine.drain_durable_acks(&mut out.acked[0]);
+        match res {
+            Ok(()) => out.ops_done += 1,
+            Err(e) if is_power_loss(&e) => break,
+            Err(e) => {
+                out.run_error = Some(format!("op {i}: {e}"));
                 break;
             }
         }
-        if !budget.is_tripped() {
-            // Park the tail so the byte total covers a final sync +
-            // checkpoint too. A limited budget may trip right here —
-            // that's still just the crash, not a failure.
-            match engine.try_flush_all().and_then(|()| engine.sync_wal()) {
-                Ok(()) => {}
-                Err(e) if is_power_loss(&e) => {}
-                Err(e) => out.run_error = Some(format!("final sync: {e}")),
-            }
-            engine.drain_durable_acks(&mut out.acked[0]);
+        if budget.is_tripped() {
+            break;
         }
-        out
     }
+    if !budget.is_tripped() {
+        // Park the tail so the byte total covers a final sync +
+        // checkpoint too. A limited budget may trip right here —
+        // that's still just the crash, not a failure.
+        match engine.try_flush_all().and_then(|()| engine.sync_wal()) {
+            Ok(()) => {}
+            Err(e) if is_power_loss(&e) => {}
+            Err(e) => out.run_error = Some(format!("final sync: {e}")),
+        }
+        engine.drain_durable_acks(&mut out.acked[0]);
+    }
+    out
 }
 
 /// Placeholder engine for a shard whose backend never finished coming up
@@ -401,28 +390,6 @@ impl ShardEngine for DeadEngine {
     }
 }
 
-/// Durable file-backed shard engines, all drawing on one power budget.
-struct DurableShards<'a> {
-    scn: &'a CrashScenario,
-    dir: &'a Path,
-    budget: &'a Arc<PowerBudget>,
-}
-
-impl ShardEngineBuilder for DurableShards<'_> {
-    fn build<P: PlacementPolicy + Send + 'static>(
-        &mut self,
-        plan: &ShardPlan,
-        policy: P,
-    ) -> Box<dyn ShardEngine> {
-        let dir = shard_dir(self.dir, plan.shard);
-        match durable_engine(self.scn, plan.lss, &dir, self.budget, policy) {
-            Ok(Some(engine)) => Box::new(engine),
-            Ok(None) => Box::new(DeadEngine),
-            Err(e) => panic!("shard {}: {e}", plan.shard),
-        }
-    }
-}
-
 /// The doomed run of [`Topology::Server`]: the seeded workload through a
 /// real client, harvesting every completion.
 fn server_run(
@@ -432,8 +399,14 @@ fn server_run(
     budget: &Arc<PowerBudget>,
 ) -> RunOutcome {
     const IN_FLIGHT: usize = 64;
-    let engines = DurableShards { scn, dir, budget };
-    let server = start_server_with(scn.scheme, topo.builder(scn.lss), engines);
+    // Durable file-backed shard engines, all drawing on one power budget.
+    let server = topo.builder(scn.lss).start(|plan| {
+        match durable_engine(scn, plan.lss, &shard_dir(dir, plan.shard), budget) {
+            Ok(Some(engine)) => Box::new(engine),
+            Ok(None) => Box::new(DeadEngine),
+            Err(e) => panic!("shard {}: {e}", plan.shard),
+        }
+    });
     let client = server.client();
     let router = topo.router();
     let mut out =
@@ -480,7 +453,7 @@ fn doomed_run(scn: &CrashScenario, dir: &Path, budget: &Arc<PowerBudget>) -> Run
     let _ = std::fs::remove_dir_all(dir);
     std::fs::create_dir_all(dir).expect("create crash-run dir");
     match &scn.topology {
-        Topology::Engine => with_policy(scn.scheme, &scn.lss, EngineRun { scn, dir, budget }),
+        Topology::Engine => engine_run(scn, dir, budget),
         Topology::Server(topo) => server_run(scn, topo, dir, budget),
     }
 }
@@ -535,94 +508,87 @@ impl CrashPointResult {
     }
 }
 
-/// Recover one shard with fresh (unlimited) power and verify its acks.
-struct RecoverShard<'a> {
-    scn: &'a CrashScenario,
+/// Recover shard `shard` (shaped `lss`, under `dir`) with fresh
+/// (unlimited) power and verify its acks.
+fn recover_shard(
+    scn: &CrashScenario,
     shard: usize,
     lss: LssConfig,
-    dir: &'a Path,
-    run: &'a RunOutcome,
-    result: &'a mut CrashPointResult,
-}
-
-impl PolicyVisitor<()> for RecoverShard<'_> {
-    fn visit<P: PlacementPolicy + Send + 'static>(self, policy: P) {
-        let RecoverShard { scn, shard, lss, dir, run, result } = self;
-        let acked = &run.acked[shard];
-        let recovered = FileArraySink::open_recovery(
-            lss.array_config(),
-            dir.join("array"),
-            scn.sink_options(None),
-        )
-        .map_err(|e| format!("sink: {e}"))
-        .and_then(|sink| {
-            Lss::builder(policy, sink)
-                .config(lss)
-                .durability(dir.join("wal"), scn.durability_config(None))
-                .recover()
-                .map_err(|e| e.to_string())
-        });
-        let (mut engine, report) = match recovered {
-            Ok(pair) => pair,
-            Err(e) => {
-                result.recovery_error.get_or_insert(format!("shard {shard}: {e}"));
-                result.lost_acks += acked.len() as u64;
-                return;
-            }
-        };
-        result.checkpoint_loaded |= report.checkpoint_loaded;
-        result.deltas_applied += report.deltas_applied;
-        result.torn_delta |= report.torn_delta;
-        result.stale_deltas |= report.stale_deltas;
-        result.torn_tail |= report.torn_tail.is_some();
-        result.records_applied += report.records_applied;
-        // Ground truth: every acknowledged write survived at (or above)
-        // its acknowledged version. GC/overwrites may have bumped the
-        // version — monotone per LBA — but it can never go backwards, and
-        // an LBA may only vanish via a logged TRIM (which recovery
-        // replayed; its version entry is gone, so `durable_version`
-        // returning `None` for a *still-acked* pair is loss).
-        let mut newest: HashMap<u64, u64> = HashMap::new();
-        for &(lba, version) in acked {
-            let e = newest.entry(lba).or_insert(version);
-            *e = (*e).max(version);
+    dir: &Path,
+    run: &RunOutcome,
+    result: &mut CrashPointResult,
+) {
+    let acked = &run.acked[shard];
+    let recovered =
+        FileArraySink::open_recovery(lss.array_config(), dir.join("array"), scn.sink_options(None))
+            .map_err(|e| format!("sink: {e}"))
+            .and_then(|sink| {
+                Lss::builder(scn.scheme.policy(&lss), sink)
+                    .config(lss)
+                    .durability(dir.join("wal"), scn.durability_config(None))
+                    .recover()
+                    .map_err(|e| e.to_string())
+            });
+    let (mut engine, report) = match recovered {
+        Ok(pair) => pair,
+        Err(e) => {
+            result.recovery_error.get_or_insert(format!("shard {shard}: {e}"));
+            result.lost_acks += acked.len() as u64;
+            return;
         }
-        for (&lba, &version) in &newest {
-            let ok = match engine.durable_version(lba) {
-                Some(v) => v >= version,
-                // A trim at-or-after the acked write legitimately erased
-                // it; anything else is loss. (A trim *before* the write
-                // can't land here: the write would still be mapped.)
-                None => run.trims.get(&lba).is_some_and(|&t| t >= version),
-            };
-            if !ok {
-                result.lost_acks += 1;
-            }
-        }
-        // Structural self-checks, then prove the engine is usable by
-        // running fresh traffic through it.
-        let verify = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.check_invariants();
-            engine.try_check_recovery()?;
-            let mut ts = engine.now_us();
-            for i in 0..4 * lss.chunk_blocks as u64 {
-                let lba = mix64(scn.seed ^ 0xD15C ^ i) % lss.user_blocks;
-                ts += 1;
-                engine.try_write(ts, lba)?;
-            }
-            engine.try_flush_all()?;
-            engine.sync_wal()?;
-            engine.check_invariants();
-            Ok::<(), EngineError>(())
-        }));
-        let failed = match verify {
-            Ok(Ok(())) => return,
-            Ok(Err(e)) => format!("shard {shard} post-recovery: {e}"),
-            Err(_) => format!("shard {shard} panicked in post-recovery checks"),
-        };
-        result.corrupt = true;
-        result.recovery_error.get_or_insert(failed);
+    };
+    result.checkpoint_loaded |= report.checkpoint_loaded;
+    result.deltas_applied += report.deltas_applied;
+    result.torn_delta |= report.torn_delta;
+    result.stale_deltas |= report.stale_deltas;
+    result.torn_tail |= report.torn_tail.is_some();
+    result.records_applied += report.records_applied;
+    // Ground truth: every acknowledged write survived at (or above)
+    // its acknowledged version. GC/overwrites may have bumped the
+    // version — monotone per LBA — but it can never go backwards, and
+    // an LBA may only vanish via a logged TRIM (which recovery
+    // replayed; its version entry is gone, so `durable_version`
+    // returning `None` for a *still-acked* pair is loss).
+    let mut newest: HashMap<u64, u64> = HashMap::new();
+    for &(lba, version) in acked {
+        let e = newest.entry(lba).or_insert(version);
+        *e = (*e).max(version);
     }
+    for (&lba, &version) in &newest {
+        let ok = match engine.durable_version(lba) {
+            Some(v) => v >= version,
+            // A trim at-or-after the acked write legitimately erased
+            // it; anything else is loss. (A trim *before* the write
+            // can't land here: the write would still be mapped.)
+            None => run.trims.get(&lba).is_some_and(|&t| t >= version),
+        };
+        if !ok {
+            result.lost_acks += 1;
+        }
+    }
+    // Structural self-checks, then prove the engine is usable by
+    // running fresh traffic through it.
+    let verify = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        engine.check_invariants();
+        engine.try_check_recovery()?;
+        let mut ts = engine.now_us();
+        for i in 0..4 * lss.chunk_blocks as u64 {
+            let lba = mix64(scn.seed ^ 0xD15C ^ i) % lss.user_blocks;
+            ts += 1;
+            engine.try_write(ts, lba)?;
+        }
+        engine.try_flush_all()?;
+        engine.sync_wal()?;
+        engine.check_invariants();
+        Ok::<(), EngineError>(())
+    }));
+    let failed = match verify {
+        Ok(Ok(())) => return,
+        Ok(Err(e)) => format!("shard {shard} post-recovery: {e}"),
+        Err(_) => format!("shard {shard} panicked in post-recovery checks"),
+    };
+    result.corrupt = true;
+    result.recovery_error.get_or_insert(failed);
 }
 
 /// Run one crash point: doomed run under `PowerBudget::limited(offset)`,
@@ -646,8 +612,7 @@ pub fn crash_point(scn: &CrashScenario, dir: &Path, offset: u64, class: &str) ->
         return result;
     }
     for (shard, (lss, dir)) in scn.shards(dir).into_iter().enumerate() {
-        let recover = RecoverShard { scn, shard, lss, dir: &dir, run: &run, result: &mut result };
-        with_policy(scn.scheme, &lss, recover);
+        recover_shard(scn, shard, lss, &dir, &run, &mut result);
     }
     if result.ok() {
         let _ = std::fs::remove_dir_all(dir);

@@ -17,9 +17,9 @@
 //! its parity lands, so those blocks are buffer-served, not lost.
 
 use crate::replay::{drive_with, ReplayConfig};
-use crate::scheme::{with_policy, PolicyVisitor, Scheme};
+use crate::scheme::{Scheme, SchemePolicy};
 use adapt_array::{ArrayError, ArraySink, ArrayStats, FaultPlan, InMemoryArray};
-use adapt_lss::{EngineError, Lss, LssMetrics, PlacementPolicy};
+use adapt_lss::{EngineError, Lss, LssMetrics};
 use adapt_trace::TraceRecord;
 use serde::{Deserialize, Serialize};
 use std::ops::ControlFlow;
@@ -153,12 +153,6 @@ impl FaultReport {
     }
 }
 
-struct FaultVisitor {
-    scheme: Scheme,
-    scenario: FaultScenario,
-    trace: Vec<TraceRecord>,
-}
-
 /// Where the scripted fault stands; advanced by the per-record hook.
 enum Stage {
     Healthy,
@@ -168,137 +162,10 @@ enum Stage {
     Lost,
 }
 
-impl PolicyVisitor<FaultReport> for FaultVisitor {
-    fn visit<P: PlacementPolicy + Send + 'static>(self, policy: P) -> FaultReport {
-        let FaultVisitor { scheme, scenario, trace } = self;
-        let cfg = scenario.replay;
-        let plan =
-            FaultPlan::new(scenario.seed).with_transient_read_prob(scenario.transient_read_prob);
-        let sink = InMemoryArray::modelled(cfg.lss.array_config(), plan);
-        let mut engine =
-            Lss::builder(policy, sink).config(cfg.lss).gc_select(cfg.gc).events(cfg.events).build();
-
-        let fail_at = (trace.len() as f64 * scenario.fail_at_frac.clamp(0.0, 1.0)) as u64;
-        let mut failed_reads = 0u64;
-        let mut phases: Vec<PhaseReport> = Vec::with_capacity(4);
-        let mut phase_records = 0u64;
-        let mut verify = VerifySweep::default();
-        let mut rebuild_ops_window = 0u64;
-        let mut stage = Stage::Healthy;
-
-        let snapshot = |engine: &mut Lss<P, InMemoryArray>,
-                        phases: &mut Vec<PhaseReport>,
-                        records: &mut u64,
-                        name: &str| {
-            phases.push(PhaseReport {
-                phase: name.to_string(),
-                records: *records,
-                metrics: engine.metrics().clone(),
-            });
-            engine.reset_metrics();
-            *records = 0;
-        };
-
-        drive_with(&mut engine, &cfg, trace, |engine, i, read| {
-            match read {
-                Ok(()) => {}
-                // Open tail stripe on the failed device: buffer-served in
-                // deployment (stripe not yet acknowledged to the log).
-                Err(EngineError::Array(ArrayError::Unreconstructable { .. })) => failed_reads += 1,
-                Err(e) => panic!("unexpected engine fault during scenario: {e}"),
-            }
-            phase_records += 1;
-            match stage {
-                Stage::Healthy if i + 1 >= fail_at => {
-                    snapshot(engine, &mut phases, &mut phase_records, "healthy");
-                    engine.sink_mut().fail_device(scenario.fail_device);
-                    if let Some(second) = scenario.second_fail_device {
-                        engine.sink_mut().fail_device(second);
-                    }
-                    let budget = engine.sink().config().parity_devices;
-                    if engine.sink().failed_devices().len() > budget {
-                        // Past the code's fault budget: no rebuild can run
-                        // and continuing the replay would only churn an
-                        // array that has already lost data. Quantify the
-                        // damage with the verify sweep and stop at a
-                        // terminal phase.
-                        verify = verify_live_lbas(engine, cfg.lss.user_blocks);
-                        snapshot(engine, &mut phases, &mut phase_records, "data-loss");
-                        stage = Stage::Lost;
-                        return ControlFlow::Break(());
-                    }
-                    stage = Stage::Degraded { remaining: scenario.degraded_records };
-                }
-                Stage::Degraded { ref mut remaining } => {
-                    if *remaining > 0 {
-                        *remaining -= 1;
-                    } else {
-                        // Verify every live LBA is still serviceable before
-                        // the rebuild begins repairing the array.
-                        verify = verify_live_lbas(engine, cfg.lss.user_blocks);
-                        snapshot(engine, &mut phases, &mut phase_records, "degraded");
-                        engine
-                            .sink_mut()
-                            .start_rebuild_all()
-                            .expect("within-budget fault must start its rebuild");
-                        stage = Stage::Rebuilding;
-                    }
-                }
-                Stage::Rebuilding => {
-                    rebuild_ops_window += 1;
-                    let progress = engine
-                        .sink_mut()
-                        .rebuild_step(scenario.rebuild_stripes_per_record as usize)
-                        .expect("rebuild step");
-                    if progress.complete {
-                        snapshot(engine, &mut phases, &mut phase_records, "rebuilding");
-                        stage = Stage::Restored;
-                    }
-                }
-                _ => {}
-            }
-            ControlFlow::Continue(())
-        });
-        // A short trace can end before a stage boundary fires; close out
-        // whatever window is open under its stage name. A data-loss run
-        // already snapshotted its terminal phase before breaking out.
-        let open = match stage {
-            Stage::Lost => None,
-            Stage::Healthy => Some("healthy"),
-            Stage::Degraded { .. } => Some("degraded"),
-            Stage::Rebuilding => Some("rebuilding"),
-            Stage::Restored => Some("restored"),
-        };
-        if let Some(name) = open {
-            snapshot(&mut engine, &mut phases, &mut phase_records, name);
-        }
-
-        // Engine-side rebuild metrics live in whichever window saw the
-        // healthy transition; take the op-count fallback from the driver.
-        let rebuild_ops = phases
-            .iter()
-            .map(|p| p.metrics.rebuild_ops)
-            .max()
-            .filter(|&v| v > 0)
-            .unwrap_or(rebuild_ops_window);
-        FaultReport {
-            scheme,
-            geometry: engine.sink().config().geometry().label(),
-            scenario,
-            phases,
-            verify,
-            failed_reads,
-            rebuild_bytes: engine.sink().stats().rebuild_bytes(),
-            rebuild_ops,
-            array: engine.sink().stats().clone(),
-        }
-    }
-}
-
 /// Read every live LBA once, classifying how each was served — the one
 /// verification sweep the fault and scrub scenarios share.
-pub(crate) fn verify_live_lbas<P: PlacementPolicy>(
-    engine: &mut Lss<P, InMemoryArray>,
+pub(crate) fn verify_live_lbas(
+    engine: &mut Lss<SchemePolicy, InMemoryArray>,
     user_blocks: u64,
 ) -> VerifySweep {
     let mut sweep = VerifySweep::default();
@@ -331,7 +198,125 @@ where
     I: Iterator<Item = TraceRecord>,
 {
     let trace: Vec<TraceRecord> = trace.collect();
-    with_policy(scheme, &scenario.replay.lss, FaultVisitor { scheme, scenario, trace })
+    let cfg = scenario.replay;
+    let plan = FaultPlan::new(scenario.seed).with_transient_read_prob(scenario.transient_read_prob);
+    let sink = InMemoryArray::modelled(cfg.lss.array_config(), plan);
+    let mut engine = cfg.engine(scheme.policy(&cfg.lss), sink);
+
+    let fail_at = (trace.len() as f64 * scenario.fail_at_frac.clamp(0.0, 1.0)) as u64;
+    let mut failed_reads = 0u64;
+    let mut phases: Vec<PhaseReport> = Vec::with_capacity(4);
+    let mut phase_records = 0u64;
+    let mut verify = VerifySweep::default();
+    let mut rebuild_ops_window = 0u64;
+    let mut stage = Stage::Healthy;
+
+    let snapshot = |engine: &mut Lss<SchemePolicy, InMemoryArray>,
+                    phases: &mut Vec<PhaseReport>,
+                    records: &mut u64,
+                    name: &str| {
+        phases.push(PhaseReport {
+            phase: name.to_string(),
+            records: *records,
+            metrics: engine.metrics().clone(),
+        });
+        engine.reset_metrics();
+        *records = 0;
+    };
+
+    drive_with(&mut engine, &cfg, trace, |engine, i, read| {
+        match read {
+            Ok(()) => {}
+            // Open tail stripe on the failed device: buffer-served in
+            // deployment (stripe not yet acknowledged to the log).
+            Err(EngineError::Array(ArrayError::Unreconstructable { .. })) => failed_reads += 1,
+            Err(e) => panic!("unexpected engine fault during scenario: {e}"),
+        }
+        phase_records += 1;
+        match stage {
+            Stage::Healthy if i + 1 >= fail_at => {
+                snapshot(engine, &mut phases, &mut phase_records, "healthy");
+                engine.sink_mut().fail_device(scenario.fail_device);
+                if let Some(second) = scenario.second_fail_device {
+                    engine.sink_mut().fail_device(second);
+                }
+                let budget = engine.sink().config().parity_devices;
+                if engine.sink().failed_devices().len() > budget {
+                    // Past the code's fault budget: no rebuild can run
+                    // and continuing the replay would only churn an
+                    // array that has already lost data. Quantify the
+                    // damage with the verify sweep and stop at a
+                    // terminal phase.
+                    verify = verify_live_lbas(engine, cfg.lss.user_blocks);
+                    snapshot(engine, &mut phases, &mut phase_records, "data-loss");
+                    stage = Stage::Lost;
+                    return ControlFlow::Break(());
+                }
+                stage = Stage::Degraded { remaining: scenario.degraded_records };
+            }
+            Stage::Degraded { ref mut remaining } => {
+                if *remaining > 0 {
+                    *remaining -= 1;
+                } else {
+                    // Verify every live LBA is still serviceable before
+                    // the rebuild begins repairing the array.
+                    verify = verify_live_lbas(engine, cfg.lss.user_blocks);
+                    snapshot(engine, &mut phases, &mut phase_records, "degraded");
+                    engine
+                        .sink_mut()
+                        .start_rebuild_all()
+                        .expect("within-budget fault must start its rebuild");
+                    stage = Stage::Rebuilding;
+                }
+            }
+            Stage::Rebuilding => {
+                rebuild_ops_window += 1;
+                let progress = engine
+                    .sink_mut()
+                    .rebuild_step(scenario.rebuild_stripes_per_record as usize)
+                    .expect("rebuild step");
+                if progress.complete {
+                    snapshot(engine, &mut phases, &mut phase_records, "rebuilding");
+                    stage = Stage::Restored;
+                }
+            }
+            _ => {}
+        }
+        ControlFlow::Continue(())
+    });
+    // A short trace can end before a stage boundary fires; close out
+    // whatever window is open under its stage name. A data-loss run
+    // already snapshotted its terminal phase before breaking out.
+    let open = match stage {
+        Stage::Lost => None,
+        Stage::Healthy => Some("healthy"),
+        Stage::Degraded { .. } => Some("degraded"),
+        Stage::Rebuilding => Some("rebuilding"),
+        Stage::Restored => Some("restored"),
+    };
+    if let Some(name) = open {
+        snapshot(&mut engine, &mut phases, &mut phase_records, name);
+    }
+
+    // Engine-side rebuild metrics live in whichever window saw the
+    // healthy transition; take the op-count fallback from the driver.
+    let rebuild_ops = phases
+        .iter()
+        .map(|p| p.metrics.rebuild_ops)
+        .max()
+        .filter(|&v| v > 0)
+        .unwrap_or(rebuild_ops_window);
+    FaultReport {
+        scheme,
+        geometry: engine.sink().config().geometry().label(),
+        scenario,
+        phases,
+        verify,
+        failed_reads,
+        rebuild_bytes: engine.sink().stats().rebuild_bytes(),
+        rebuild_ops,
+        array: engine.sink().stats().clone(),
+    }
 }
 
 #[cfg(test)]

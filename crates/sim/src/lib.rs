@@ -34,9 +34,6 @@ pub use faults::{run_fault_scenario, FaultReport, FaultScenario, PhaseReport, Ve
 pub use replay::{drive, drive_with, replay_volume, ReplayConfig, VolumeResult, Warmup};
 pub use report::{write_run_report, RunReport};
 pub use runner::{run_suite, SuiteResult};
-pub use scheme::Scheme;
+pub use scheme::{Scheme, SchemePolicy};
 pub use scrub::{run_scrub_scenario, ScrubReport, ScrubScenario};
-pub use serve::{
-    run_serve_replay, shard_engine, start_server, start_server_with, MemEngines, ServeReplayConfig,
-    ServeReplayResult, ShardEngineBuilder,
-};
+pub use serve::{run_serve_replay, ServeReplayConfig, ServeReplayResult};

@@ -7,9 +7,9 @@
 //! identical by construction; only the devices' internal GC differs.
 
 use crate::replay::{drive, ReplayConfig};
-use crate::scheme::{with_policy, PolicyVisitor, Scheme};
+use crate::scheme::Scheme;
 use adapt_array::FtlArray;
-use adapt_lss::{Lss, PlacementPolicy};
+use adapt_lss::PlacementPolicy;
 use adapt_trace::TraceRecord;
 use serde::Serialize;
 
@@ -28,40 +28,6 @@ pub struct MultiStreamResult {
     pub erases: u64,
 }
 
-struct FtlVisitor<I> {
-    scheme: Scheme,
-    cfg: ReplayConfig,
-    multi_stream: bool,
-    trace: I,
-}
-
-impl<I: Iterator<Item = TraceRecord>> PolicyVisitor<MultiStreamResult> for FtlVisitor<I> {
-    fn visit<P: PlacementPolicy + Send + 'static>(self, policy: P) -> MultiStreamResult {
-        let FtlVisitor { scheme, cfg, multi_stream, trace } = self;
-        let groups = policy.groups().len();
-        let sink = FtlArray::new(
-            cfg.lss.array_config(),
-            cfg.lss.total_segments(),
-            cfg.lss.segment_chunks,
-            16 * 1024,
-            groups + 1, // one stream per group + the device-GC stream
-            multi_stream,
-        );
-        let mut engine =
-            Lss::builder(policy, sink).config(cfg.lss).gc_select(cfg.gc).events(cfg.events).build();
-        drive(&mut engine, &cfg, trace);
-        let array_wa = engine.metrics().wa();
-        let sink = engine.sink();
-        MultiStreamResult {
-            scheme,
-            multi_stream,
-            array_wa,
-            in_device_wa: sink.in_device_wa(),
-            erases: sink.ftl_stats().iter().map(|s| s.erases).sum(),
-        }
-    }
-}
-
 /// Replay `trace` over FTL-modeled devices with or without multi-stream.
 pub fn replay_multistream<I>(
     scheme: Scheme,
@@ -72,7 +38,25 @@ pub fn replay_multistream<I>(
 where
     I: Iterator<Item = TraceRecord>,
 {
-    with_policy(scheme, &cfg.lss, FtlVisitor { scheme, cfg, multi_stream, trace })
+    let policy = scheme.policy(&cfg.lss);
+    let sink = FtlArray::new(
+        cfg.lss.array_config(),
+        cfg.lss.total_segments(),
+        cfg.lss.segment_chunks,
+        16 * 1024,
+        policy.groups().len() + 1, // one stream per group + the device-GC stream
+        multi_stream,
+    );
+    let mut engine = cfg.engine(policy, sink);
+    drive(&mut engine, &cfg, trace);
+    let sink = engine.sink();
+    MultiStreamResult {
+        scheme,
+        multi_stream,
+        array_wa: engine.metrics().wa(),
+        in_device_wa: sink.in_device_wa(),
+        erases: sink.ftl_stats().iter().map(|s| s.erases).sum(),
+    }
 }
 
 #[cfg(test)]

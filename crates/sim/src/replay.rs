@@ -1,6 +1,6 @@
 //! Replaying one volume's trace through the engine.
 
-use crate::scheme::{with_policy, PolicyVisitor, Scheme};
+use crate::scheme::{Scheme, SchemePolicy};
 use adapt_array::{ArraySink, CountingArray};
 use adapt_lss::{
     EngineError, EventConfig, GcSelection, GroupTraffic, Lss, LssConfig, LssMetrics,
@@ -61,6 +61,12 @@ impl ReplayConfig {
     pub fn with_events(mut self, events: EventConfig) -> Self {
         self.events = events;
         self
+    }
+
+    /// An engine running `policy` over `sink` with this configuration's
+    /// engine settings, GC policy and event capture.
+    pub fn engine<S: ArraySink>(&self, policy: SchemePolicy, sink: S) -> Lss<SchemePolicy, S> {
+        Lss::builder(policy, sink).config(self.lss).gc_select(self.gc).events(self.events).build()
     }
 }
 
@@ -150,39 +156,7 @@ pub fn drive<P: PlacementPolicy, S: ArraySink>(
     });
 }
 
-struct ReplayVisitor<I> {
-    scheme: Scheme,
-    cfg: ReplayConfig,
-    victim: VictimPolicy,
-    trace: I,
-    volume_id: u32,
-}
-
-impl<I: Iterator<Item = TraceRecord>> PolicyVisitor<VolumeResult> for ReplayVisitor<I> {
-    fn visit<P: PlacementPolicy + Send + 'static>(self, policy: P) -> VolumeResult {
-        let ReplayVisitor { scheme, cfg, victim, trace, volume_id } = self;
-        let sink = CountingArray::new(cfg.lss.array_config());
-        let mut engine = Lss::builder(policy, sink)
-            .config(cfg.lss)
-            .victim_policy(victim)
-            .events(cfg.events)
-            .build();
-        drive(&mut engine, &cfg, trace);
-        let telemetry = cfg.events.enabled.then(|| engine.telemetry());
-        VolumeResult {
-            scheme,
-            gc: cfg.gc,
-            volume_id,
-            metrics: engine.metrics().clone(),
-            groups: engine.group_traffic(),
-            memory_bytes: engine.memory_bytes() as u64,
-            telemetry,
-        }
-    }
-}
-
-/// Replay a trace through one scheme; the hot loop is monomorphized per
-/// policy.
+/// Replay a trace through one scheme.
 pub fn replay_volume<I>(scheme: Scheme, cfg: ReplayConfig, volume_id: u32, trace: I) -> VolumeResult
 where
     I: Iterator<Item = TraceRecord>,
@@ -202,7 +176,23 @@ pub(crate) fn replay_with<I>(
 where
     I: Iterator<Item = TraceRecord>,
 {
-    with_policy(scheme, &cfg.lss, ReplayVisitor { scheme, cfg, victim, trace, volume_id })
+    let sink = CountingArray::new(cfg.lss.array_config());
+    let mut engine = Lss::builder(scheme.policy(&cfg.lss), sink)
+        .config(cfg.lss)
+        .victim_policy(victim)
+        .events(cfg.events)
+        .build();
+    drive(&mut engine, &cfg, trace);
+    let telemetry = cfg.events.enabled.then(|| engine.telemetry());
+    VolumeResult {
+        scheme,
+        gc: cfg.gc,
+        volume_id,
+        metrics: engine.metrics().clone(),
+        groups: engine.group_traffic(),
+        memory_bytes: engine.memory_bytes() as u64,
+        telemetry,
+    }
 }
 
 #[cfg(test)]
@@ -236,7 +226,7 @@ mod tests {
             assert!(r.metrics.host_write_bytes > 0, "{:?}", scheme);
             let wa = r.wa();
             assert!((1.0..20.0).contains(&wa), "{:?}: wa {wa}", scheme.name());
-            assert_eq!(r.groups.len(), scheme.group_count());
+            assert_eq!(r.groups.len(), scheme.policy(&cfg(GcSelection::Greedy).lss).groups().len());
             assert!(r.memory_bytes > 0);
         }
     }

@@ -16,9 +16,9 @@
 
 use crate::faults::verify_live_lbas;
 use crate::replay::{drive_with, ReplayConfig};
-use crate::scheme::{with_policy, PolicyVisitor, Scheme};
+use crate::scheme::{Scheme, SchemePolicy};
 use adapt_array::{ArraySink, ArrayStats, FaultPlan, InMemoryArray};
-use adapt_lss::{Lss, LssMetrics, PlacementPolicy};
+use adapt_lss::{Lss, LssMetrics};
 use adapt_trace::TraceRecord;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -110,12 +110,6 @@ impl ScrubReport {
     }
 }
 
-struct ScrubVisitor {
-    scheme: Scheme,
-    scenario: ScrubScenario,
-    trace: Vec<TraceRecord>,
-}
-
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e3779b97f4a7c15);
     let mut z = *state;
@@ -128,8 +122,8 @@ fn splitmix(state: &mut u64) -> u64 {
 /// latent sector errors, each targeting a distinct closed stripe no
 /// previous burst touched. One fault per stripe keeps every corruption
 /// honestly repairable — the property the scenario verifies.
-fn inject_burst<P: PlacementPolicy>(
-    engine: &mut Lss<P, InMemoryArray>,
+fn inject_burst(
+    engine: &mut Lss<SchemePolicy, InMemoryArray>,
     rng: &mut u64,
     corruptions: u32,
     latent: u32,
@@ -169,85 +163,77 @@ fn inject_burst<P: PlacementPolicy>(
     (injected, latent_injected)
 }
 
-impl PolicyVisitor<ScrubReport> for ScrubVisitor {
-    fn visit<P: PlacementPolicy + Send + 'static>(self, policy: P) -> ScrubReport {
-        let ScrubVisitor { scheme, scenario, trace } = self;
-        let mut cfg = scenario.replay;
-        cfg.lss = cfg.lss.with_scrub_stripes_per_op(scenario.scrub_stripes_per_op);
-        let sink = InMemoryArray::modelled(cfg.lss.array_config(), FaultPlan::new(scenario.seed));
-        let mut engine =
-            Lss::builder(policy, sink).config(cfg.lss).gc_select(cfg.gc).events(cfg.events).build();
-
-        let total = trace.len() as u64;
-        let bursts = scenario.bursts.max(1) as u64;
-        let mut rng = scenario.seed ^ 0x00c0_ffee;
-        let mut touched = BTreeSet::new();
-        let mut injected = 0u64;
-        let mut latent_injected = 0u64;
-        let mut next_burst = 1u64;
-
-        drive_with(&mut engine, &cfg, trace, |engine, i, read| {
-            // Every injected fault is single-fault-repairable, so reads
-            // must heal, never fail.
-            read.unwrap_or_else(|e| panic!("unexpected engine fault during scrub scenario: {e}"));
-            // Burst k fires at trace fraction k/(bursts+1), k = 1..=bursts.
-            if next_burst <= bursts && (i + 1) * (bursts + 1) >= next_burst * total {
-                let (c, l) = inject_burst(
-                    engine,
-                    &mut rng,
-                    scenario.corruptions_per_burst,
-                    scenario.latent_per_burst,
-                    &mut touched,
-                );
-                injected += c;
-                latent_injected += l;
-                next_burst += 1;
-            }
-            ControlFlow::Continue(())
-        });
-
-        // Final full scrub: finish the in-flight pass, then one fresh pass
-        // over every closed stripe so cold corruption nothing ever read is
-        // still found.
-        for _ in 0..2 {
-            InMemoryArray::scrub_step(engine.sink_mut(), usize::MAX);
-        }
-
-        // Post-mortem: every live LBA must be serviceable (nothing is
-        // failed, so a read the open tail stripe cannot serve is lost too).
-        let sweep = verify_live_lbas(&mut engine, cfg.lss.user_blocks);
-        let recovery_drift = engine.try_check_recovery().err().map(|e| e.to_string());
-
-        let undetected = engine.sink().outstanding_corruptions() as u64;
-        let array = engine.sink().stats().clone();
-        ScrubReport {
-            scheme,
-            geometry: engine.sink().config().geometry().label(),
-            scenario,
-            metrics: engine.metrics().clone(),
-            injected,
-            detected: array.corruptions_detected,
-            healed: array.corruptions_healed,
-            unrecoverable: array.corruptions_unrecoverable,
-            undetected,
-            latent_injected,
-            latent_repaired: array.scrub_latent_repaired,
-            mean_detection_latency_ops: array.mean_detection_latency_ops(),
-            live_readable: sweep.readable,
-            live_lost: sweep.lost + sweep.buffered_tail,
-            recovery_drift,
-            array,
-        }
-    }
-}
-
 /// Run a scrub scenario for one scheme over a trace.
 pub fn run_scrub_scenario<I>(scheme: Scheme, scenario: ScrubScenario, trace: I) -> ScrubReport
 where
     I: Iterator<Item = TraceRecord>,
 {
     let trace: Vec<TraceRecord> = trace.collect();
-    with_policy(scheme, &scenario.replay.lss, ScrubVisitor { scheme, scenario, trace })
+    let mut cfg = scenario.replay;
+    cfg.lss = cfg.lss.with_scrub_stripes_per_op(scenario.scrub_stripes_per_op);
+    let sink = InMemoryArray::modelled(cfg.lss.array_config(), FaultPlan::new(scenario.seed));
+    let mut engine = cfg.engine(scheme.policy(&cfg.lss), sink);
+
+    let total = trace.len() as u64;
+    let bursts = scenario.bursts.max(1) as u64;
+    let mut rng = scenario.seed ^ 0x00c0_ffee;
+    let mut touched = BTreeSet::new();
+    let mut injected = 0u64;
+    let mut latent_injected = 0u64;
+    let mut next_burst = 1u64;
+
+    drive_with(&mut engine, &cfg, trace, |engine, i, read| {
+        // Every injected fault is single-fault-repairable, so reads
+        // must heal, never fail.
+        read.unwrap_or_else(|e| panic!("unexpected engine fault during scrub scenario: {e}"));
+        // Burst k fires at trace fraction k/(bursts+1), k = 1..=bursts.
+        if next_burst <= bursts && (i + 1) * (bursts + 1) >= next_burst * total {
+            let (c, l) = inject_burst(
+                engine,
+                &mut rng,
+                scenario.corruptions_per_burst,
+                scenario.latent_per_burst,
+                &mut touched,
+            );
+            injected += c;
+            latent_injected += l;
+            next_burst += 1;
+        }
+        ControlFlow::Continue(())
+    });
+
+    // Final full scrub: finish the in-flight pass, then one fresh pass
+    // over every closed stripe so cold corruption nothing ever read is
+    // still found.
+    for _ in 0..2 {
+        InMemoryArray::scrub_step(engine.sink_mut(), usize::MAX);
+    }
+
+    // Post-mortem: every live LBA must be serviceable (nothing is
+    // failed, so a read the open tail stripe cannot serve is lost too).
+    let sweep = verify_live_lbas(&mut engine, cfg.lss.user_blocks);
+    let recovery_drift = engine.try_check_recovery().err().map(|e| e.to_string());
+
+    let undetected = engine.sink().outstanding_corruptions() as u64;
+    let array = engine.sink().stats().clone();
+    ScrubReport {
+        scheme,
+        geometry: engine.sink().config().geometry().label(),
+        scenario,
+        metrics: engine.metrics().clone(),
+        injected,
+        detected: array.corruptions_detected,
+        healed: array.corruptions_healed,
+        unrecoverable: array.corruptions_unrecoverable,
+        undetected,
+        latent_injected,
+        latent_repaired: array.scrub_latent_repaired,
+        mean_detection_latency_ops: array.mean_detection_latency_ops(),
+        live_readable: sweep.readable,
+        live_lost: sweep.lost + sweep.buffered_tail,
+        recovery_drift,
+        array,
+    }
 }
 
 #[cfg(test)]

@@ -1,13 +1,11 @@
-//! Serving-layer harness: spawn sharded servers for any [`Scheme`] and
-//! drive deterministic multi-client replays through the async
-//! submission API.
+//! Serving-layer harness: deterministic multi-client replays of any
+//! [`Scheme`] through a sharded server and its async submission API.
 //!
-//! `adapt-serve` is policy-agnostic (shard engines are `Box<dyn
-//! ShardEngine>`); this module supplies the monomorphization glue. A
-//! [`ShardEngineBuilder`] receives the concrete policy value from
-//! [`scheme::with_policy`](crate::scheme) per shard — each shard gets
-//! its own policy instance and its own sink — so a 4-shard ADAPT server
-//! is four fully independent engines behind one [`Client`].
+//! `adapt-serve` is policy-agnostic: `ServerBuilder::start` takes a
+//! closure that builds each shard's boxed engine from its plan. Here that
+//! closure is `Lss::builder(scheme.policy(&plan.lss), sink)` — each shard
+//! gets its own policy instance and its own sink — so a 4-shard ADAPT
+//! server is four fully independent engines behind one [`Client`].
 //!
 //! [`run_serve_replay`] is the determinism workhorse: it generates a
 //! seeded multi-volume trace, pre-partitions it onto shards (assigning
@@ -18,76 +16,16 @@
 //! submitted it — the property the cross-shard determinism suite and
 //! the saturation bench both gate on.
 
-use crate::scheme::{with_policy, PolicyVisitor, Scheme};
+use crate::scheme::Scheme;
 use adapt_array::CountingArray;
-use adapt_lss::{Lss, LssMetrics, PlacementPolicy, Retryable, TelemetrySnapshot};
+use adapt_lss::{Lss, LssMetrics, Retryable, TelemetrySnapshot};
 use adapt_serve::{
-    Client, Completion, Request, Server, ServerBuilder, ShardEngine, ShardPlan, ShardStatsSnapshot,
-    Ticket, VolumeId,
+    Client, Completion, Request, ServerBuilder, ShardStatsSnapshot, Ticket, VolumeId,
 };
 use adapt_trace::rng::Xoshiro256StarStar;
 use adapt_trace::ZipfGenerator;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
-
-/// Builds one boxed shard engine from the concrete policy value
-/// `with_policy` constructs. Implementations choose the sink (counting
-/// array, durable file sink, timeline-charging prototype sink, ...).
-pub trait ShardEngineBuilder {
-    /// Build the engine for `plan` around `policy`.
-    fn build<P: PlacementPolicy + Send + 'static>(
-        &mut self,
-        plan: &ShardPlan,
-        policy: P,
-    ) -> Box<dyn ShardEngine>;
-}
-
-/// Default engine builder: in-memory [`CountingArray`] sinks.
-#[derive(Debug, Default)]
-pub struct MemEngines;
-
-impl ShardEngineBuilder for MemEngines {
-    fn build<P: PlacementPolicy + Send + 'static>(
-        &mut self,
-        plan: &ShardPlan,
-        policy: P,
-    ) -> Box<dyn ShardEngine> {
-        let sink = CountingArray::new(plan.lss.array_config());
-        Box::new(Lss::builder(policy, sink).config(plan.lss).build())
-    }
-}
-
-/// Build one shard engine for `scheme` via `builder`.
-pub fn shard_engine<B: ShardEngineBuilder>(
-    scheme: Scheme,
-    plan: &ShardPlan,
-    builder: &mut B,
-) -> Box<dyn ShardEngine> {
-    struct V<'a, B> {
-        plan: &'a ShardPlan,
-        builder: &'a mut B,
-    }
-    impl<B: ShardEngineBuilder> PolicyVisitor<Box<dyn ShardEngine>> for V<'_, B> {
-        fn visit<P: PlacementPolicy + Send + 'static>(self, policy: P) -> Box<dyn ShardEngine> {
-            self.builder.build(self.plan, policy)
-        }
-    }
-    with_policy(scheme, &plan.lss, V { plan, builder })
-}
-
-/// Launch a server whose shards run `scheme` over engines from `builder`.
-pub fn start_server_with<B: ShardEngineBuilder>(
-    scheme: Scheme,
-    server: ServerBuilder,
-    mut builder: B,
-) -> Server {
-    server.start(move |plan| shard_engine(scheme, plan, &mut builder))
-}
-
-/// Launch a server whose shards run `scheme` over in-memory sinks.
-pub fn start_server(scheme: Scheme, server: ServerBuilder) -> Server {
-    start_server_with(scheme, server, MemEngines)
-}
 
 /// A deterministic multi-client replay through a sharded server.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -275,7 +213,10 @@ impl ServeReplayResult {
 /// the seeded trace onto shards with dense apply sequences, stripe
 /// submission over `cfg.clients` threads, wait for every completion.
 pub fn run_serve_replay(cfg: &ServeReplayConfig) -> ServeReplayResult {
-    let server = start_server(cfg.scheme, cfg.server_builder());
+    let server = cfg.server_builder().start(|plan| {
+        let sink = CountingArray::new(plan.lss.array_config());
+        Box::new(Lss::builder(cfg.scheme.policy(&plan.lss), sink).config(plan.lss).build())
+    });
     let client = server.client();
 
     // Assign each op its shard's next dense sequence number. The

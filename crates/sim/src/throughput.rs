@@ -14,9 +14,9 @@
 //! thread count.
 
 use crate::replay::{drive_with, ReplayConfig, Warmup};
-use crate::scheme::{with_policy, PolicyVisitor, Scheme};
+use crate::scheme::Scheme;
 use adapt_array::{ArraySink, CountingArray};
-use adapt_lss::{EventConfig, EventStats, GcSelection, Lss, PlacementPolicy};
+use adapt_lss::{EventConfig, EventStats, GcSelection, PlacementPolicy};
 use adapt_trace::ycsb::{TrafficIntensity, YcsbConfig};
 use std::ops::ControlFlow;
 
@@ -63,52 +63,6 @@ impl ThroughputResult {
     }
 }
 
-struct ThroughputVisitor {
-    scheme: Scheme,
-    cfg: ReplayConfig,
-    clients: u64,
-    ops_per_client: u64,
-}
-
-impl PolicyVisitor<ThroughputResult> for ThroughputVisitor {
-    fn visit<P: PlacementPolicy + Send + 'static>(self, policy: P) -> ThroughputResult {
-        let ThroughputVisitor { scheme, cfg, clients, ops_per_client } = self;
-        let blocks = cfg.lss.user_blocks;
-        let sink = CountingArray::new(cfg.lss.array_config());
-        let mut engine =
-            Lss::builder(policy, sink).config(cfg.lss).gc_select(cfg.gc).events(cfg.events).build();
-        let trace =
-            YcsbConfig::workload_a(blocks, clients * ops_per_client, 0.99, TrafficIntensity::Heavy)
-                .generator();
-        // The load phase is one record per block; its last record is the
-        // warm-up edge, where the window's device bytes start counting.
-        let mut loaded = Vec::new();
-        drive_with(&mut engine, &cfg, trace, |e, i, read| {
-            read.unwrap_or_else(|err| panic!("{err}"));
-            if i + 1 == blocks {
-                loaded = device_bytes(e.sink());
-            }
-            ControlFlow::Continue(())
-        });
-        let busiest_device_bytes = device_bytes(engine.sink())
-            .iter()
-            .zip(&loaded)
-            .map(|(now, before)| now - before)
-            .max()
-            .unwrap_or(0);
-        ThroughputResult {
-            scheme,
-            clients,
-            ops_per_client,
-            wa: engine.metrics().wa(),
-            busiest_device_bytes,
-            policy_memory_bytes: engine.policy().memory_bytes() as u64,
-            engine_memory_bytes: engine.memory_bytes() as u64,
-            events: engine.events().stats(),
-        }
-    }
-}
-
 fn device_bytes(sink: &impl ArraySink) -> Vec<u64> {
     sink.stats().devices.iter().map(|d| d.total_bytes()).collect()
 }
@@ -128,7 +82,37 @@ pub fn replay_throughput(
         events,
         ..ReplayConfig::for_volume(blocks, GcSelection::Greedy)
     };
-    with_policy(scheme, &cfg.lss, ThroughputVisitor { scheme, cfg, clients, ops_per_client })
+    let sink = CountingArray::new(cfg.lss.array_config());
+    let mut engine = cfg.engine(scheme.policy(&cfg.lss), sink);
+    let trace =
+        YcsbConfig::workload_a(blocks, clients * ops_per_client, 0.99, TrafficIntensity::Heavy)
+            .generator();
+    // The load phase is one record per block; its last record is the
+    // warm-up edge, where the window's device bytes start counting.
+    let mut loaded = Vec::new();
+    drive_with(&mut engine, &cfg, trace, |e, i, read| {
+        read.unwrap_or_else(|err| panic!("{err}"));
+        if i + 1 == blocks {
+            loaded = device_bytes(e.sink());
+        }
+        ControlFlow::Continue(())
+    });
+    let busiest_device_bytes = device_bytes(engine.sink())
+        .iter()
+        .zip(&loaded)
+        .map(|(now, before)| now - before)
+        .max()
+        .unwrap_or(0);
+    ThroughputResult {
+        scheme,
+        clients,
+        ops_per_client,
+        wa: engine.metrics().wa(),
+        busiest_device_bytes,
+        policy_memory_bytes: engine.policy().memory_bytes() as u64,
+        engine_memory_bytes: engine.memory_bytes() as u64,
+        events: engine.events().stats(),
+    }
 }
 
 #[cfg(test)]

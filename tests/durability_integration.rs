@@ -18,12 +18,11 @@ use adapt_repro::array::{ArraySink, CountingArray, FileArraySink, FileSinkOption
 use adapt_repro::lss::{
     DurabilityConfig, FsyncPolicy, GcSelection, Lss, LssConfig, LssMetrics, PlacementPolicy,
 };
-use adapt_repro::sim::scheme::{with_policy, PolicyVisitor};
 use adapt_repro::sim::{report, CrashScenario, Scheme};
 use adapt_repro::trace::arrival::ArrivalModel;
 use adapt_repro::trace::ycsb::{AccessDistribution, YcsbConfig};
 use adapt_repro::trace::TraceRecord;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn tdir(name: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("adapt_durint_{name}_{}", std::process::id()));
@@ -67,38 +66,34 @@ fn drive<P: PlacementPolicy, S: ArraySink>(mut engine: Lss<P, S>) -> LssMetrics 
     engine.metrics().clone()
 }
 
-struct InMemory(LssConfig);
-impl PolicyVisitor<LssMetrics> for InMemory {
-    fn visit<P: PlacementPolicy + Send + 'static>(self, policy: P) -> LssMetrics {
-        let sink = CountingArray::new(self.0.array_config());
-        drive(Lss::builder(policy, sink).config(self.0).gc_select(GcSelection::Greedy).build())
-    }
+fn in_memory(scheme: Scheme, cfg: LssConfig) -> LssMetrics {
+    let sink = CountingArray::new(cfg.array_config());
+    drive(
+        Lss::builder(scheme.policy(&cfg), sink).config(cfg).gc_select(GcSelection::Greedy).build(),
+    )
 }
 
-struct Durable(LssConfig, PathBuf);
-impl PolicyVisitor<LssMetrics> for Durable {
-    fn visit<P: PlacementPolicy + Send + 'static>(self, policy: P) -> LssMetrics {
-        let sink = FileArraySink::create(
-            self.0.array_config(),
-            self.1.join("array"),
-            FileSinkOptions { fsync: false, stripes_per_file: 64, budget: None },
-        )
-        .expect("create file sink");
-        let dcfg = DurabilityConfig {
-            fsync: FsyncPolicy::GroupCommit(8),
-            rotate_bytes: 256 * 1024,
-            checkpoint_every_flushes: 128,
-            fsync_data: false,
-            budget: None,
-        };
-        drive(
-            Lss::builder(policy, sink)
-                .config(self.0)
-                .gc_select(GcSelection::Greedy)
-                .durability(self.1.join("wal"), dcfg)
-                .build(),
-        )
-    }
+fn durable(scheme: Scheme, cfg: LssConfig, dir: &Path) -> LssMetrics {
+    let sink = FileArraySink::create(
+        cfg.array_config(),
+        dir.join("array"),
+        FileSinkOptions { fsync: false, stripes_per_file: 64, budget: None },
+    )
+    .expect("create file sink");
+    let dcfg = DurabilityConfig {
+        fsync: FsyncPolicy::GroupCommit(8),
+        rotate_bytes: 256 * 1024,
+        checkpoint_every_flushes: 128,
+        fsync_data: false,
+        budget: None,
+    };
+    drive(
+        Lss::builder(scheme.policy(&cfg), sink)
+            .config(cfg)
+            .gc_select(GcSelection::Greedy)
+            .durability(dir.join("wal"), dcfg)
+            .build(),
+    )
 }
 
 /// The durable backend must not perturb the engine: same trace, same
@@ -109,8 +104,8 @@ fn file_backend_with_wal_is_metrically_identical_to_in_memory() {
     let cfg = medium_cfg();
     for scheme in [Scheme::SepGc, Scheme::Adapt] {
         let dir = tdir(&format!("metrics_{}", scheme.name()));
-        let mem = with_policy(scheme, &cfg, InMemory(cfg));
-        let dur = with_policy(scheme, &cfg, Durable(cfg, dir.clone()));
+        let mem = in_memory(scheme, cfg);
+        let dur = durable(scheme, cfg, &dir);
         assert!(mem.host_write_bytes > 0);
         assert!(mem.wa() > 1.0, "medium trace must trigger GC: wa {}", mem.wa());
         // Serialize-compare: every metric field, bit for bit.
