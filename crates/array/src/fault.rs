@@ -246,11 +246,6 @@ impl FaultPlan {
         self
     }
 
-    /// Schedule a silent corruption on an existing plan.
-    pub fn add_corruption_at(&mut self, op: u64, device: usize, stripe: u64) {
-        self.corrupt_at_op.push((op, device, stripe));
-    }
-
     /// Drain corruption events whose scheduled op has been reached.
     /// Arrays call this right after [`Self::record_op`] and flip bytes in
     /// (or mark as corrupted) each returned (device, stripe).

@@ -62,16 +62,6 @@ impl ReedSolomon {
         Self { k, m, rows }
     }
 
-    /// Data chunks per stripe.
-    pub fn data_shards(&self) -> usize {
-        self.k
-    }
-
-    /// Parity chunks per stripe.
-    pub fn parity_shards(&self) -> usize {
-        self.m
-    }
-
     /// Total chunks per stripe (`k + m`).
     pub fn total_shards(&self) -> usize {
         self.k + self.m

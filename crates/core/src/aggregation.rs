@@ -57,12 +57,13 @@ impl AggregationCtl {
             return SlaAction::Pad;
         }
         let hot = &ctx.groups[group as usize];
-        let cold = &ctx.groups[self.cold as usize];
+        let hot_pending = hot.pending.len() as u32;
+        let cold_pending = ctx.groups[self.cold as usize].pending.len() as u32;
 
         // Mechanical feasibility: every unpersisted pending block must fit
         // in the cold group's open chunk (the engine enforces this too and
         // pads on violation; checking here keeps the accounting honest).
-        if hot.pending_blocks == 0 || hot.pending_blocks + cold.pending_blocks > hot.chunk_blocks {
+        if hot_pending == 0 || hot_pending + cold_pending > ctx.chunk_blocks {
             return SlaAction::Pad;
         }
 
@@ -71,15 +72,15 @@ impl AggregationCtl {
         // chunk replaces two separately padded ones. Donating substitutes
         // into an *empty* cold chunk merely relocates the padding and adds
         // shadow garbage.
-        if cold.pending_blocks == 0 {
+        if cold_pending == 0 {
             return SlaAction::Pad;
         }
 
         // Step 1 — predict the chunk stays unfilled: project fill time from
         // the recent inter-arrival gap. A gap estimate of u64::MAX (no
         // second arrival yet) trivially predicts "unfilled".
-        let missing = (hot.chunk_blocks - hot.pending_blocks) as u64;
-        let projected_fill_us = hot.ewma_gap_us.saturating_mul(missing);
+        let missing = (ctx.chunk_blocks - hot_pending) as u64;
+        let projected_fill_us = hot.ewma_gap_us().saturating_mul(missing);
         if projected_fill_us <= self.sla_us {
             // Dense traffic: the next chunk would fill on its own within
             // one more SLA window; padding once now is cheaper than
@@ -95,7 +96,7 @@ impl AggregationCtl {
             }
         }
 
-        self.donated_in_segment += hot.pending_blocks as u64;
+        self.donated_in_segment += hot_pending as u64;
         SlaAction::ShadowAppend { target: self.cold }
     }
 
@@ -111,31 +112,44 @@ impl AggregationCtl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adapt_lss::GroupSnapshot;
+    use adapt_array::Traffic;
+    use adapt_lss::group::{Group, PendingBlock};
+    use adapt_lss::GroupKind;
 
-    fn ctx(hot_pending: u32, cold_pending: u32, gap_us: u64, pad_chunks: u64) -> PolicyCtx {
-        let mk = |pending: u32| GroupSnapshot {
-            pending_blocks: pending,
-            chunk_blocks: 16,
-            ewma_gap_us: gap_us,
-            window_pad_chunks: pad_chunks,
-            window_pad_blocks: pad_chunks * 8,
-            window_blocks: 100,
-            ..Default::default()
+    /// Hot (0) and cold (1) user groups, each with `pending` blocks
+    /// buffered, an inter-arrival gap of exactly `gap_us`, and `pad_chunks`
+    /// padded chunks of 8 pad blocks each in its Eq. 1 window.
+    fn groups(hot_pending: u32, cold_pending: u32, gap_us: u64, pad_chunks: u64) -> Vec<Group> {
+        let mk = |id: GroupId, pending: u32| {
+            let mut g = Group::new(id, GroupKind::User);
+            for lba in 0..pending as u64 {
+                g.pending.push(PendingBlock {
+                    lba,
+                    traffic: Traffic::User,
+                    arrival_us: 0,
+                    needs_sla: true,
+                });
+            }
+            g.note_arrival(0);
+            g.note_arrival(gap_us);
+            for _ in 0..pad_chunks {
+                g.account_chunk(8, 0, 0, 8);
+            }
+            g
         };
-        PolicyCtx {
-            groups: vec![mk(hot_pending), mk(cold_pending)],
-            segment_blocks: 128,
-            block_bytes: 4096,
-            ..Default::default()
-        }
+        vec![mk(0, hot_pending), mk(1, cold_pending)]
+    }
+
+    /// The engine's view of `groups` with 16-block chunks.
+    fn ctx(groups: &[Group]) -> PolicyCtx<'_> {
+        PolicyCtx { chunk_blocks: 16, groups, ..Default::default() }
     }
 
     #[test]
     fn sparse_hot_group_aggregates() {
         let mut a = AggregationCtl::new(1, 100);
         // 4 pending, gap 1000 µs: 12 missing blocks → 12 ms ≫ SLA.
-        let action = a.on_sla_expire(&ctx(4, 2, 1000, 0), 0);
+        let action = a.on_sla_expire(&ctx(&groups(4, 2, 1000, 0)), 0);
         assert_eq!(action, SlaAction::ShadowAppend { target: 1 });
         assert_eq!(a.donated_in_segment, 4);
     }
@@ -144,20 +158,21 @@ mod tests {
     fn dense_traffic_pads_instead() {
         let mut a = AggregationCtl::new(1, 100);
         // gap 2 µs × 12 missing = 24 µs < SLA: the next chunk will fill.
-        assert_eq!(a.on_sla_expire(&ctx(4, 2, 2, 0), 0), SlaAction::Pad);
+        assert_eq!(a.on_sla_expire(&ctx(&groups(4, 2, 2, 0)), 0), SlaAction::Pad);
     }
 
     #[test]
     fn cold_group_expiry_always_pads() {
         let mut a = AggregationCtl::new(1, 100);
-        assert_eq!(a.on_sla_expire(&ctx(4, 2, 1000, 0), 1), SlaAction::Pad);
+        assert_eq!(a.on_sla_expire(&ctx(&groups(4, 2, 1000, 0)), 1), SlaAction::Pad);
     }
 
     #[test]
     fn prediction_horizon_is_the_engines_sla() {
         // gap 50 µs × 12 missing = 600 µs: past a 100 µs SLA (the literal
         // this used to compare against), inside a 1 ms one.
-        let c = ctx(4, 2, 50, 0);
+        let gs = groups(4, 2, 50, 0);
+        let c = ctx(&gs);
         assert_eq!(
             AggregationCtl::new(1, 100).on_sla_expire(&c, 0),
             SlaAction::ShadowAppend { target: 1 }
@@ -169,20 +184,21 @@ mod tests {
     fn no_room_in_cold_chunk_pads() {
         let mut a = AggregationCtl::new(1, 100);
         // 10 hot + 10 cold > 16-block chunk.
-        assert_eq!(a.on_sla_expire(&ctx(10, 10, 1000, 0), 0), SlaAction::Pad);
+        assert_eq!(a.on_sla_expire(&ctx(&groups(10, 10, 1000, 0)), 0), SlaAction::Pad);
     }
 
     #[test]
     fn empty_cold_chunk_pads() {
         let mut a = AggregationCtl::new(1, 100);
-        assert_eq!(a.on_sla_expire(&ctx(4, 0, 1000, 0), 0), SlaAction::Pad);
+        assert_eq!(a.on_sla_expire(&ctx(&groups(4, 0, 1000, 0)), 0), SlaAction::Pad);
     }
 
     #[test]
     fn donation_budget_stops_aggregation() {
         let mut a = AggregationCtl::new(1, 100);
         // avg pad = 8 blocks → budget 32 donated blocks per cold segment.
-        let c = ctx(8, 2, 1000, 2);
+        let gs = groups(8, 2, 1000, 2);
+        let c = ctx(&gs);
         for _ in 0..4 {
             assert_eq!(a.on_sla_expire(&c, 0), SlaAction::ShadowAppend { target: 1 });
         }
@@ -195,7 +211,8 @@ mod tests {
     #[test]
     fn hot_segment_seal_does_not_reset_budget() {
         let mut a = AggregationCtl::new(1, 100);
-        let c = ctx(8, 2, 1000, 2);
+        let gs = groups(8, 2, 1000, 2);
+        let c = ctx(&gs);
         a.on_sla_expire(&c, 0);
         a.on_segment_sealed(0);
         assert_eq!(a.donated_in_segment, 8);
@@ -204,6 +221,6 @@ mod tests {
     #[test]
     fn empty_pending_pads() {
         let mut a = AggregationCtl::new(1, 100);
-        assert_eq!(a.on_sla_expire(&ctx(0, 0, 1000, 0), 0), SlaAction::Pad);
+        assert_eq!(a.on_sla_expire(&ctx(&groups(0, 0, 1000, 0)), 0), SlaAction::Pad);
     }
 }

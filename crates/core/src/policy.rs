@@ -127,7 +127,7 @@ impl Adapt {
     /// their own.
     fn observe_padding(&mut self, ctx: &PolicyCtx) {
         let padded =
-            |g: GroupId| ctx.groups.get(g as usize).is_none_or(|g| g.window_pad_chunks > 0);
+            |g: GroupId| ctx.groups.get(g as usize).is_none_or(|g| g.window_padding().0 > 0);
         let was_present = self.padding_present;
         self.padding_present = padded(Self::HOT) || padded(Self::COLD);
         if ctx.events_enabled && was_present != self.padding_present {
@@ -175,7 +175,8 @@ impl PlacementPolicy for Adapt {
         // with one sparse user block would force a padded flush at the SLA
         // deadline and waste more than the saved migrations.
         // With no demotion target carrying payload, skip the check.
-        let carries = |g: GroupId| ctx.groups.get(g as usize).is_some_and(|g| g.pending_blocks > 0);
+        let carries =
+            |g: GroupId| ctx.groups.get(g as usize).is_some_and(|g| !g.pending.is_empty());
         let demote = self.ra.as_ref().filter(|_| Self::DEMOTION_GROUPS.into_iter().any(carries));
         if let Some(gc_group) = demote.and_then(|ra| ra.check(lba)).filter(|&g| carries(g)) {
             self.demotions += 1;
@@ -239,19 +240,42 @@ impl PlacementPolicy for Adapt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adapt_array::Traffic;
+    use adapt_lss::group::{Group, PendingBlock};
+    use std::sync::OnceLock;
 
     fn lss() -> LssConfig {
         LssConfig { user_blocks: 16 * 1024, ..Default::default() }
     }
 
-    fn ctx(user_bytes: u64) -> PolicyCtx {
-        PolicyCtx {
-            user_bytes,
-            groups: vec![Default::default(); 6],
-            segment_blocks: 128,
-            block_bytes: 4096,
-            ..Default::default()
+    /// ADAPT's six groups as the engine starts them: nothing buffered, no
+    /// arrivals, no padding in any window.
+    fn fresh_groups() -> Vec<Group> {
+        let kind = |g| if g < 2 { GroupKind::User } else { GroupKind::Gc };
+        (0..6).map(|g| Group::new(g, kind(g))).collect()
+    }
+
+    /// A context at byte clock `user_bytes` over fresh groups and 16-block
+    /// chunks.
+    fn ctx(user_bytes: u64) -> PolicyCtx<'static> {
+        static FRESH: OnceLock<Vec<Group>> = OnceLock::new();
+        let groups = FRESH.get_or_init(fresh_groups);
+        PolicyCtx { user_bytes, chunk_blocks: 16, groups, ..Default::default() }
+    }
+
+    /// Buffer `n` user blocks in `g`'s open chunk.
+    fn buffer(g: &mut Group, n: u64) {
+        for lba in 0..n {
+            let block =
+                PendingBlock { lba, traffic: Traffic::User, arrival_us: 0, needs_sla: true };
+            g.pending.push(block);
         }
+    }
+
+    /// Give `g` an inter-arrival gap of exactly `gap_us`.
+    fn arrivals(g: &mut Group, gap_us: u64) {
+        g.note_arrival(0);
+        g.note_arrival(gap_us);
     }
 
     fn victim() -> VictimMeta {
@@ -361,9 +385,9 @@ mod tests {
             p.on_gc_block_migrated(100_000 + filler, 4, 4);
         }
         // Demotion requires the target GC group's chunk to carry payload.
-        let mut c = ctx(0);
-        c.groups[4].pending_blocks = 3;
-        let g = p.place_user(&c, 9);
+        let mut gs = fresh_groups();
+        buffer(&mut gs[4], 3);
+        let g = p.place_user(&PolicyCtx { groups: &gs, ..ctx(0) }, 9);
         assert_eq!(g, 4, "expected demotion into group 4");
         assert!(p.demotions() > 0);
         // With an empty target chunk the block falls back to hot/cold.
@@ -396,12 +420,11 @@ mod tests {
     #[test]
     fn sla_expiry_delegates_to_aggregation() {
         let mut p = Adapt::new(&lss());
-        let mut c = ctx(0);
-        c.groups[0].pending_blocks = 4;
-        c.groups[0].chunk_blocks = 16;
-        c.groups[0].ewma_gap_us = 10_000;
-        c.groups[1].chunk_blocks = 16;
-        c.groups[1].pending_blocks = 2;
+        let mut gs = fresh_groups();
+        buffer(&mut gs[0], 4);
+        arrivals(&mut gs[0], 10_000);
+        buffer(&mut gs[1], 2);
+        let c = PolicyCtx { groups: &gs, ..ctx(0) };
         assert_eq!(
             p.on_sla_expire(&c, Adapt::HOT),
             SlaAction::ShadowAppend { target: Adapt::COLD }
@@ -413,10 +436,10 @@ mod tests {
     fn aggregation_disabled_by_ablation() {
         let cfg = AdaptConfig::for_engine(&lss()).without_aggregation();
         let mut p = Adapt::with_config(&lss(), cfg);
-        let mut c = ctx(0);
-        c.groups[0].pending_blocks = 4;
-        c.groups[0].chunk_blocks = 16;
-        c.groups[0].ewma_gap_us = 10_000;
+        let mut gs = fresh_groups();
+        buffer(&mut gs[0], 4);
+        arrivals(&mut gs[0], 10_000);
+        let c = PolicyCtx { groups: &gs, ..ctx(0) };
         assert_eq!(p.on_sla_expire(&c, Adapt::HOT), SlaAction::Pad);
     }
 

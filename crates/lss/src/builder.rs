@@ -38,7 +38,7 @@ use crate::placement::PlacementPolicy;
 use crate::recovery::{RecoveryError, RecoveryReport};
 use crate::wal::DurabilityConfig;
 use adapt_array::ArraySink;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Builder for [`Lss`]. Create via [`Lss::builder`].
 #[must_use = "builders do nothing until build() is called"]
@@ -116,14 +116,7 @@ impl<P: PlacementPolicy, S: ArraySink> EngineBuilder<P, S> {
     /// engine/array chunk-size mismatch, or if the JSONL sink or WAL
     /// cannot be created.
     pub fn build(self) -> Lss<P, S> {
-        let mut recorder = EventRecorder::new(self.events);
-        if self.events.enabled {
-            if let Some(path) = &self.jsonl {
-                recorder
-                    .set_jsonl_sink(path)
-                    .unwrap_or_else(|e| panic!("event JSONL sink {}: {e}", path.display()));
-            }
-        }
+        let recorder = Self::recorder(self.events, self.jsonl.as_deref());
         let durability = self.durability;
         let mut engine =
             Lss::with_recorder(self.cfg, self.victim, self.policy, self.sink, recorder);
@@ -149,18 +142,27 @@ impl<P: PlacementPolicy, S: ArraySink> EngineBuilder<P, S> {
         let Some((dir, dcfg)) = self.durability else {
             return Err(RecoveryError::NotConfigured);
         };
-        let mut recorder = EventRecorder::new(self.events);
-        if self.events.enabled {
-            if let Some(path) = &self.jsonl {
-                recorder
-                    .set_jsonl_sink(path)
-                    .unwrap_or_else(|e| panic!("event JSONL sink {}: {e}", path.display()));
-            }
-        }
+        let recorder = Self::recorder(self.events, self.jsonl.as_deref());
         let mut engine =
             Lss::with_recorder(self.cfg, self.victim, self.policy, self.sink, recorder);
         let report = engine.recover_in_place(&dir, dcfg)?;
         Ok((engine, report))
+    }
+
+    /// The event recorder for `events`, streaming to `jsonl` when events
+    /// are enabled and a path is set.
+    ///
+    /// # Panics
+    ///
+    /// If the JSONL sink cannot be created.
+    fn recorder(events: EventConfig, jsonl: Option<&Path>) -> EventRecorder {
+        let mut recorder = EventRecorder::new(events);
+        if let Some(path) = jsonl.filter(|_| events.enabled) {
+            recorder
+                .set_jsonl_sink(path)
+                .unwrap_or_else(|e| panic!("event JSONL sink {}: {e}", path.display()));
+        }
+        recorder
     }
 }
 

@@ -162,12 +162,6 @@ impl LssConfig {
         self
     }
 
-    /// This config with the given coalescing SLA window (µs).
-    pub fn with_sla_us(mut self, sla_us: u64) -> Self {
-        self.sla_us = sla_us;
-        self
-    }
-
     /// This config with the given GC trigger/stop watermarks (segments).
     pub fn with_gc_watermarks(mut self, low: u32, high: u32) -> Self {
         self.gc_low_water = low;

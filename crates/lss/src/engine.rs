@@ -54,6 +54,22 @@ use adapt_array::{
 };
 use std::path::Path;
 
+/// The policy's view of the engine for one callback: both clocks, the
+/// chunk size and the live groups. A macro rather than a `&self` method,
+/// so each field is borrowed on its own while `self.policy` is borrowed
+/// mutably by the same call.
+macro_rules! policy_ctx {
+    ($lss:ident) => {
+        PolicyCtx {
+            now_us: $lss.now_us,
+            user_bytes: $lss.user_bytes_clock,
+            chunk_blocks: $lss.cfg.chunk_blocks,
+            events_enabled: $lss.events.enabled(),
+            groups: &$lss.groups,
+        }
+    };
+}
+
 /// Durability machinery attached to an engine: the WAL, the checkpoint
 /// files with their dirty sets, and the per-LBA durable-version map the
 /// power-loss sweep verifies against. Boxed behind an `Option` so engines
@@ -101,8 +117,6 @@ pub struct Lss<P: PlacementPolicy, S: ArraySink> {
     now_us: u64,
     /// Monotonic byte clock: total host bytes ever written (never reset).
     user_bytes_clock: u64,
-    /// Scratch context handed to policy callbacks.
-    ctx: PolicyCtx,
     /// Re-entrancy guard: segment allocation during GC must not start a
     /// nested GC pass.
     in_gc: bool,
@@ -158,18 +172,6 @@ pub struct Lss<P: PlacementPolicy, S: ArraySink> {
     sla_next: Option<(u64, GroupId)>,
     /// Whether `sla_next` must be recomputed before use.
     sla_dirty: bool,
-    /// Per-group staleness flags for the `ctx.groups` snapshots.
-    /// [`Lss::refresh_ctx`] runs before every policy callback — including
-    /// once per host write — but typically only one or two groups mutated
-    /// since the previous refresh, so rebuilding every snapshot is wasted
-    /// work. Every group mutation that a [`GroupSnapshot`] field derives
-    /// from marks its flag; refresh re-snapshots only flagged groups.
-    /// Debug builds re-derive every snapshot on each refresh and assert
-    /// equality, so a missed mark fails loudly across the test suite.
-    ctx_dirty: Vec<bool>,
-    /// Coarse override: re-snapshot every group on the next refresh
-    /// (wholesale rebuilds during recovery/replay).
-    ctx_dirty_all: bool,
 }
 
 impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
@@ -179,13 +181,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
     /// sensible defaults.
     pub fn builder(policy: P, sink: S) -> crate::EngineBuilder<P, S> {
         crate::EngineBuilder::new(policy, sink)
-    }
-
-    /// Build an engine with any [`VictimPolicy`] and events disabled.
-    /// Prefer [`Lss::builder`] with
-    /// [`victim_policy`](crate::EngineBuilder::victim_policy).
-    pub fn with_victim_policy(cfg: LssConfig, gc_select: VictimPolicy, policy: P, sink: S) -> Self {
-        Self::with_recorder(cfg, gc_select, policy, sink, EventRecorder::disabled())
     }
 
     /// Build an engine around a pre-configured event recorder (the
@@ -217,13 +212,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
             .map(|(i, &kind)| Group::new(i as GroupId, kind))
             .collect();
         let index = BlockIndex::with_capacity(cfg.user_blocks);
-        let ctx = PolicyCtx {
-            segment_blocks: cfg.segment_blocks(),
-            block_bytes: cfg.block_bytes,
-            groups: vec![Default::default(); num_groups],
-            events_enabled: events.enabled(),
-            ..Default::default()
-        };
         // Open segments are allocated lazily at each group's first flush:
         // idle groups (e.g. GC classes a workload never populates) must not
         // pin capacity.
@@ -239,7 +227,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
             metrics: LssMetrics::default(),
             now_us: 0,
             user_bytes_clock: 0,
-            ctx,
             in_gc: false,
             next_open_seq: 0,
             next_flush_seq: 0,
@@ -257,8 +244,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
             dur: None,
             sla_next: None,
             sla_dirty: true,
-            ctx_dirty: vec![true; num_groups],
-            ctx_dirty_all: true,
         }
     }
 
@@ -285,13 +270,12 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
 
         // Skip the transient `Absent` store: `append_pending` below
         // unconditionally overwrites the entry, and nothing reads the
-        // index in between (`place_user` sees only the context snapshot).
+        // index in between (`place_user` reads the clocks and the groups,
+        // never the index).
         self.retire_entry(lba, false)?;
 
-        self.refresh_ctx();
-        let g = self.policy.place_user(&self.ctx, lba);
+        let g = self.policy.place_user(&policy_ctx!(self), lba);
         debug_assert!((g as usize) < self.groups.len(), "policy returned bad group");
-        self.ctx_dirty[g as usize] = true;
         self.groups[g as usize].note_arrival(self.now_us);
         self.append_pending(
             g,
@@ -596,11 +580,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
     /// The structured event stream (ring contents, gauge series, totals).
     pub fn events(&self) -> &EventRecorder {
         &self.events
-    }
-
-    /// Mutable access to the event recorder (attach a JSONL sink, flush).
-    pub fn events_mut(&mut self) -> &mut EventRecorder {
-        &mut self.events
     }
 
     /// One unified, serializable snapshot of everything the stack
@@ -956,7 +935,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
                 self.invalidate_block(seg);
             }
             BlockEntry::Pending { group, shadow } => {
-                self.ctx_dirty[group as usize] = true;
                 let g = &mut self.groups[group as usize];
                 let pos = g.find_pending(lba).ok_or_else(|| EngineError::IndexCorruption {
                     lba,
@@ -996,7 +974,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         let lba = block.lba;
         let needs_sla = block.needs_sla;
         let arrival = block.arrival_us;
-        self.ctx_dirty[gid as usize] = true;
         {
             let g = &mut self.groups[gid as usize];
             g.pending.push(block);
@@ -1016,8 +993,7 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
     /// shadow-append.
     fn handle_sla_expiry(&mut self, gid: GroupId) -> Result<(), EngineError> {
         debug_assert!(self.groups[gid as usize].pending_since_us.is_some());
-        self.refresh_ctx();
-        match self.policy.on_sla_expire(&self.ctx, gid) {
+        match self.policy.on_sla_expire(&policy_ctx!(self), gid) {
             SlaAction::Pad => self.flush_chunk(gid, &[], GroupId::MAX),
             SlaAction::ShadowAppend { target } => self.shadow_append(gid, target),
         }
@@ -1072,7 +1048,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         self.shadow_scratch = shadows;
         flushed?;
         // Home blocks are now persistent via their shadows: stop the timer.
-        self.ctx_dirty[home as usize] = true;
         let g = &mut self.groups[home as usize];
         for p in &mut g.pending {
             p.needs_sla = false;
@@ -1107,7 +1082,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         let seg_id = self.groups[gid as usize].open_segment;
 
         // Drain at most one chunk's worth of pending blocks (oldest first).
-        self.ctx_dirty[gid as usize] = true;
         let max_payload = (chunk_blocks as usize).saturating_sub(shadows.len());
         let take_n = self.groups[gid as usize].pending.len().min(max_payload);
         let mut pending = self.pending_pool.pop().unwrap_or_default();
@@ -1213,7 +1187,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         self.groups[gid as usize].account_chunk(user, gc, shadow_cnt, pad_cnt);
         self.groups[gid as usize].recompute_pending_since();
         self.sla_dirty = true;
-        self.ctx_dirty[gid as usize] = true;
         self.metrics.user_bytes += user * block_bytes;
         self.metrics.gc_bytes += gc * block_bytes;
         self.metrics.shadow_bytes += shadow_cnt * block_bytes;
@@ -1307,9 +1280,7 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         self.groups[gid as usize].sealed.push(seg_id);
         self.groups[gid as usize].roll_window();
         self.groups[gid as usize].open_segment = SegmentId::MAX;
-        self.ctx_dirty[gid as usize] = true;
-        self.refresh_ctx();
-        self.policy.on_segment_sealed(&self.ctx, &meta);
+        self.policy.on_segment_sealed(&policy_ctx!(self), &meta);
         if !self.in_gc && self.should_inline_gc() {
             self.run_gc()?;
         }
@@ -1366,7 +1337,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         self.segments[seg_id as usize].open_seq = self.next_open_seq;
         self.next_open_seq += 1;
         self.groups[gid as usize].open_segment = seg_id;
-        self.ctx_dirty[gid as usize] = true;
         if self.dur.is_some() {
             let s = &self.segments[seg_id as usize];
             self.wal_append(WalRecord::Open {
@@ -1423,7 +1393,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         }
         self.buckets.remove(victim_id);
         let pos = self.segments[victim_id as usize].group_pos as usize;
-        self.ctx_dirty[victim_group as usize] = true;
         let g = &mut self.groups[victim_group as usize];
         debug_assert_eq!(g.sealed.get(pos), Some(&victim_id));
         g.sealed.swap_remove(pos);
@@ -1437,11 +1406,9 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         let mut slots = std::mem::take(&mut self.gc_scratch);
         slots.clear();
         slots.extend(self.segments[victim_id as usize].written_slots());
-        // One context snapshot per victim: the byte clock and `now_us`
-        // cannot advance during migration (GC traffic doesn't tick them),
-        // and no shipped policy reads the per-group snapshot from
-        // `place_gc`.
-        self.refresh_ctx();
+        // Every block is placed against the live groups; the byte clock
+        // and `now_us` stay put during migration (GC traffic does not tick
+        // them), so all of one victim's blocks see the same clocks.
         let mut migrated = 0u32;
         let mut result = Ok(());
         for &(off, slot) in &slots {
@@ -1455,7 +1422,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
                 // drop the home pending entry — the block's data already
                 // moved, rewriting it later would only add traffic.
                 if let BlockEntry::Pending { group: home, .. } = self.index.get(lba) {
-                    self.ctx_dirty[home as usize] = true;
                     let hg = &mut self.groups[home as usize];
                     if let Some(pos) = hg.find_pending(lba) {
                         hg.pending.swap_remove(pos);
@@ -1464,7 +1430,7 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
                     }
                 }
             }
-            let dest = self.policy.place_gc(&self.ctx, lba, &vm);
+            let dest = self.policy.place_gc(&policy_ctx!(self), lba, &vm);
             debug_assert!((dest as usize) < self.groups.len());
             self.policy.on_gc_block_migrated(lba, victim_group, dest);
             self.segments[victim_id as usize].valid_blocks -= 1;
@@ -1519,8 +1485,7 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
             reclaimed_user_bytes: self.user_bytes_clock,
             migrated_blocks: migrated,
         };
-        self.refresh_ctx();
-        self.policy.on_segment_reclaimed(&self.ctx, &info);
+        self.policy.on_segment_reclaimed(&policy_ctx!(self), &info);
         Ok(())
     }
 
@@ -1798,9 +1763,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         detached: &mut Vec<SegmentId>,
         report: &mut RecoveryReport,
     ) -> Result<(), RecoveryError> {
-        // Replay mutates groups along many arms; this is a cold path, so
-        // one wholesale mark per record beats per-arm bookkeeping.
-        self.ctx_dirty_all = true;
         let bad = |detail: String| RecoveryError::Replay { detail };
         match rec {
             WalRecord::Open { seg, group, open_seq, created_user_bytes, created_ts_us } => {
@@ -2041,9 +2003,8 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
     ) -> Result<RecoveryReport, RecoveryError> {
         let mut report = RecoveryReport::default();
         let mut versions = VersionIndex::new();
-        // Groups, buffers and segments are rebuilt wholesale below; every
-        // context snapshot and any cached SLA deadline is stale afterwards.
-        self.ctx_dirty_all = true;
+        // Groups, buffers and segments are rebuilt wholesale below; any
+        // cached SLA deadline is stale afterwards.
         self.sla_dirty = true;
         let loaded = checkpoint::load(
             dir,
@@ -2160,52 +2121,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
             wal_slot_buf: Vec::new(),
         }));
         Ok(report)
-    }
-
-    /// Rebuild one group's snapshot from its current state.
-    fn snap_group(snap: &mut crate::placement::GroupSnapshot, g: &Group, chunk_blocks: u32) {
-        let (wb, wpc, wpb) = g.window_totals();
-        snap.pending_blocks = g.pending.len() as u32;
-        snap.chunk_blocks = chunk_blocks;
-        snap.segments = g.segment_count();
-        snap.user_blocks = g.user_blocks;
-        snap.gc_blocks = g.gc_blocks;
-        snap.window_blocks = wb;
-        snap.window_pad_chunks = wpc;
-        snap.window_pad_blocks = wpb;
-        snap.ewma_gap_us = g.ewma_gap_us();
-    }
-
-    /// Refresh the scratch policy context from engine state. Incremental:
-    /// only groups whose `ctx_dirty` flag is set since the previous
-    /// refresh are re-snapshotted (see the field docs for the contract).
-    fn refresh_ctx(&mut self) {
-        self.ctx.now_us = self.now_us;
-        self.ctx.user_bytes = self.user_bytes_clock;
-        let chunk_blocks = self.cfg.chunk_blocks;
-        if self.ctx_dirty_all {
-            self.ctx_dirty_all = false;
-            self.ctx_dirty.fill(false);
-            for (snap, g) in self.ctx.groups.iter_mut().zip(&self.groups) {
-                Self::snap_group(snap, g, chunk_blocks);
-            }
-        } else {
-            for (i, dirty) in self.ctx_dirty.iter_mut().enumerate() {
-                if *dirty {
-                    *dirty = false;
-                    Self::snap_group(&mut self.ctx.groups[i], &self.groups[i], chunk_blocks);
-                }
-            }
-        }
-        // Debug builds re-derive every snapshot on every refresh: a group
-        // mutation site missing its `ctx_dirty` mark trips this across the
-        // whole test suite instead of silently handing policies stale state.
-        #[cfg(debug_assertions)]
-        for (snap, g) in self.ctx.groups.iter().zip(&self.groups) {
-            let mut fresh = crate::placement::GroupSnapshot::default();
-            Self::snap_group(&mut fresh, g, chunk_blocks);
-            debug_assert_eq!(*snap, fresh, "stale policy-context cache for group {}", g.id);
-        }
     }
 }
 

@@ -23,10 +23,9 @@ pub struct PendingBlock {
 }
 
 /// Per-segment padding record for the sliding window behind the paper's
-/// Eq. 1 (`V_i`, `P_i` over the last `k` segments).
+/// Eq. 1 (`P_i` over the last `k` segments).
 #[derive(Debug, Clone, Copy, Default)]
 struct SegmentWindowEntry {
-    blocks: u64,
     pad_chunks: u64,
     pad_blocks: u64,
 }
@@ -70,7 +69,7 @@ pub struct Group {
     /// Eq. 1 sliding window over recent segments.
     window: VecDeque<SegmentWindowEntry>,
     /// Running sum over `window` (exact u64 adds/subtracts on roll), so
-    /// [`Group::window_totals`] — called on every placement decision — is
+    /// [`Group::window_padding`] — called on every placement decision — is
     /// O(1) instead of walking the deque.
     window_sums: SegmentWindowEntry,
     /// Counters for the segment currently accumulating.
@@ -134,7 +133,6 @@ impl Group {
         self.shadow_blocks += shadow;
         self.pad_blocks += pad;
         self.chunks += 1;
-        self.current_entry.blocks += user + gc + shadow;
         if pad > 0 {
             self.pad_chunks += 1;
             self.current_entry.pad_chunks += 1;
@@ -145,26 +143,30 @@ impl Group {
     /// Roll the Eq. 1 window at segment seal.
     pub fn roll_window(&mut self) {
         let entry = std::mem::take(&mut self.current_entry);
-        self.window_sums.blocks += entry.blocks;
         self.window_sums.pad_chunks += entry.pad_chunks;
         self.window_sums.pad_blocks += entry.pad_blocks;
         self.window.push_back(entry);
         while self.window.len() > PAD_WINDOW_SEGMENTS {
             let Some(old) = self.window.pop_front() else { break };
-            self.window_sums.blocks -= old.blocks;
             self.window_sums.pad_chunks -= old.pad_chunks;
             self.window_sums.pad_blocks -= old.pad_blocks;
         }
     }
 
-    /// Windowed totals `(V_i blocks, P_i padded chunks, pad blocks)`
-    /// including the in-progress segment.
-    pub fn window_totals(&self) -> (u64, u64, u64) {
+    /// Windowed padding `(P_i padded chunks, pad blocks)` including the
+    /// in-progress segment.
+    pub fn window_padding(&self) -> (u64, u64) {
         (
-            self.window_sums.blocks + self.current_entry.blocks,
             self.window_sums.pad_chunks + self.current_entry.pad_chunks,
             self.window_sums.pad_blocks + self.current_entry.pad_blocks,
         )
+    }
+
+    /// The paper's Eq. 1 over the window: average padding per padded
+    /// chunk, in blocks. `None` when the window holds no padded chunk.
+    pub fn avg_pad_blocks(&self) -> Option<f64> {
+        let (pad_chunks, pad_blocks) = self.window_padding();
+        (pad_chunks > 0).then(|| pad_blocks as f64 / pad_chunks as f64)
     }
 
     /// Segments currently owned (sealed + the open one).
@@ -222,21 +224,41 @@ mod tests {
     #[test]
     fn window_rolls_and_caps() {
         let mut g = Group::new(0, GroupKind::User);
+        // Segments 0..7, every odd one with one padded chunk of 1 block.
         for i in 0..(PAD_WINDOW_SEGMENTS + 3) {
             g.account_chunk(10, 0, 0, (i % 2) as u64);
             g.roll_window();
         }
-        let (blocks, _, _) = g.window_totals();
-        // Only the last PAD_WINDOW_SEGMENTS sealed segments count.
-        assert_eq!(blocks, PAD_WINDOW_SEGMENTS as u64 * 10);
+        // Only the last PAD_WINDOW_SEGMENTS sealed segments (3..7) count:
+        // segments 3 and 5 padded, segment 1 has rolled out.
+        assert_eq!(g.window_padding(), (2, 2));
     }
 
     #[test]
     fn window_includes_current_segment() {
         let mut g = Group::new(0, GroupKind::User);
         g.account_chunk(5, 0, 0, 3);
-        let (blocks, pad_chunks, pad_blocks) = g.window_totals();
-        assert_eq!((blocks, pad_chunks, pad_blocks), (5, 1, 3));
+        assert_eq!(g.window_padding(), (1, 3));
+    }
+
+    #[test]
+    fn avg_pad_blocks_is_eq1_mean_padding() {
+        // Window: 2 padded chunks with 6 pad blocks total over 16-block
+        // chunks, beside one full chunk → average pad 3.
+        let mut g = Group::new(0, GroupKind::User);
+        g.account_chunk(13, 0, 0, 3);
+        g.account_chunk(16, 0, 0, 0);
+        g.roll_window();
+        g.account_chunk(10, 0, 3, 3);
+        assert_eq!(g.avg_pad_blocks(), Some(3.0));
+    }
+
+    #[test]
+    fn avg_pad_blocks_none_without_padding() {
+        let mut g = Group::new(0, GroupKind::User);
+        assert_eq!(g.avg_pad_blocks(), None);
+        g.account_chunk(16, 0, 0, 0);
+        assert_eq!(g.avg_pad_blocks(), None);
     }
 
     fn pb(lba: Lba, traffic: Traffic, arrival_us: u64, needs_sla: bool) -> PendingBlock {

@@ -102,8 +102,7 @@ pub use index::{BlockEntry, BlockIndex, DenseMap, VersionIndex};
 pub use latency::{LatencyHistogram, LatencySummary};
 pub use metrics::{GroupTraffic, LssMetrics};
 pub use placement::{
-    GroupKind, GroupSnapshot, PlacementPolicy, PolicyCtx, ReclaimInfo, SegmentMeta, SlaAction,
-    VictimMeta,
+    GroupKind, PlacementPolicy, PolicyCtx, ReclaimInfo, SegmentMeta, SlaAction, VictimMeta,
 };
 pub use recovery::{RecoveryError, RecoveryReport};
 pub use telemetry::TelemetrySnapshot;

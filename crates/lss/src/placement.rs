@@ -8,6 +8,7 @@
 //! segment lifespans.
 
 use crate::events::PolicyEvent;
+use crate::group::Group;
 use crate::types::{GroupId, Lba, SegmentId};
 use serde::{Deserialize, Serialize};
 
@@ -40,81 +41,23 @@ pub enum SlaAction {
     },
 }
 
-/// Immutable per-group view handed to the policy at decision time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GroupSnapshot {
-    /// Blocks currently pending in the group's open chunk.
-    pub pending_blocks: u32,
-    /// Capacity of a chunk in blocks (same for all groups; replicated here
-    /// for convenience).
-    pub chunk_blocks: u32,
-    /// Segments currently owned by the group (sealed + open).
-    pub segments: u32,
-    /// Lifetime user blocks written to this group.
-    pub user_blocks: u64,
-    /// Lifetime GC blocks written to this group.
-    pub gc_blocks: u64,
-    /// Padded chunks flushed from this group over the recent window
-    /// (`P_i` in the paper's Eq. 1).
-    pub window_pad_chunks: u64,
-    /// Blocks written from this group over the recent window (`V_i`).
-    pub window_blocks: u64,
-    /// Padding blocks written over the recent window.
-    pub window_pad_blocks: u64,
-    /// Exponentially-weighted mean inter-arrival gap of user blocks into
-    /// this group, in µs (u64::MAX until two blocks have arrived).
-    pub ewma_gap_us: u64,
-}
-
-impl GroupSnapshot {
-    /// The paper's Eq. 1: average accumulated payload of *unfilled* chunks,
-    /// in blocks. `None` when the window contains no padded chunk.
-    pub fn avg_unfilled_payload_blocks(&self) -> Option<f64> {
-        if self.window_pad_chunks == 0 {
-            return None;
-        }
-        // V_i minus the payload of full chunks, averaged over padded chunks.
-        // Equivalent formulation: padded chunks carried
-        // (chunk_blocks - pad) payload each on average.
-        let avg_pad = self.window_pad_blocks as f64 / self.window_pad_chunks as f64;
-        Some(self.chunk_blocks as f64 - avg_pad)
-    }
-
-    /// Average padding per padded chunk, in blocks.
-    pub fn avg_pad_blocks(&self) -> Option<f64> {
-        if self.window_pad_chunks == 0 {
-            return None;
-        }
-        Some(self.window_pad_blocks as f64 / self.window_pad_chunks as f64)
-    }
-}
-
-/// Snapshot of engine state passed to every policy callback.
-#[derive(Debug, Clone, Default)]
-pub struct PolicyCtx {
+/// The engine's state as a policy callback sees it. The groups are
+/// borrowed from the engine for the length of the call, never copied.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PolicyCtx<'a> {
     /// Current simulated time (µs).
     pub now_us: u64,
     /// Logical user bytes written so far — the "byte clock" lifespan-based
     /// policies measure ages and lifespans against (SepBIT, ADAPT).
     pub user_bytes: u64,
-    /// Per-group state, indexed by `GroupId`.
-    pub groups: Vec<GroupSnapshot>,
-    /// Segment size in blocks.
-    pub segment_blocks: u32,
-    /// Block size in bytes.
-    pub block_bytes: u64,
+    /// Capacity of a chunk in blocks.
+    pub chunk_blocks: u32,
     /// Whether the engine's structured event stream is recording. Policies
     /// buffer [`PolicyEvent`]s for [`PlacementPolicy::drain_events`] only
     /// when set, keeping the disabled path allocation-free.
     pub events_enabled: bool,
-}
-
-impl PolicyCtx {
-    /// Segment size in bytes (the unit lifespan thresholds are naturally
-    /// quantized to).
-    pub fn segment_bytes(&self) -> u64 {
-        self.segment_blocks as u64 * self.block_bytes
-    }
+    /// The engine's groups, indexed by `GroupId`.
+    pub groups: &'a [Group],
 }
 
 /// Metadata of a sealed segment (lifecycle notifications).
@@ -219,28 +162,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn eq1_average_unfilled_payload() {
-        // Window: 2 padded chunks with 6 pad blocks total over 16-block
-        // chunks → average pad 3 → average payload 13.
-        let g = GroupSnapshot {
-            chunk_blocks: 16,
-            window_pad_chunks: 2,
-            window_pad_blocks: 6,
-            window_blocks: 100,
-            ..Default::default()
-        };
-        assert_eq!(g.avg_unfilled_payload_blocks(), Some(13.0));
-        assert_eq!(g.avg_pad_blocks(), Some(3.0));
-    }
-
-    #[test]
-    fn eq1_none_without_padding() {
-        let g = GroupSnapshot { chunk_blocks: 16, ..Default::default() };
-        assert_eq!(g.avg_unfilled_payload_blocks(), None);
-        assert_eq!(g.avg_pad_blocks(), None);
-    }
-
-    #[test]
     fn reclaim_lifespan() {
         let r = ReclaimInfo {
             seg: 0,
@@ -250,11 +171,5 @@ mod tests {
             migrated_blocks: 3,
         };
         assert_eq!(r.lifespan_bytes(), 4000);
-    }
-
-    #[test]
-    fn ctx_segment_bytes() {
-        let ctx = PolicyCtx { segment_blocks: 128, block_bytes: 4096, ..Default::default() };
-        assert_eq!(ctx.segment_bytes(), 512 * 1024);
     }
 }

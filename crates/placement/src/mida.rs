@@ -48,11 +48,6 @@ impl Mida {
     fn cap(&self, count: u8) -> GroupId {
         count.min((self.groups.len() - 1) as u8)
     }
-
-    /// Migration count of a block's current version.
-    pub fn migration_count(&self, lba: Lba) -> u8 {
-        self.migrations.get(lba)
-    }
 }
 
 impl PlacementPolicy for Mida {

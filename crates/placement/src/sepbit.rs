@@ -161,7 +161,7 @@ impl PlacementPolicy for SepBit {
 mod tests {
     use super::*;
 
-    fn ctx(user_bytes: u64) -> PolicyCtx {
+    fn ctx(user_bytes: u64) -> PolicyCtx<'static> {
         PolicyCtx { user_bytes, ..Default::default() }
     }
 

@@ -123,7 +123,7 @@ impl PlacementPolicy for Warcip {
 mod tests {
     use super::*;
 
-    fn ctx_at(now_us: u64) -> PolicyCtx {
+    fn ctx_at(now_us: u64) -> PolicyCtx<'static> {
         PolicyCtx { now_us, ..Default::default() }
     }
 

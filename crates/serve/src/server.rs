@@ -47,7 +47,6 @@ pub struct ServerBuilder {
     queue_depth: u32,
     window: u32,
     range_blocks: u64,
-    clock_step_us: u64,
     ordered: bool,
     durable: bool,
     apply_batch: usize,
@@ -72,7 +71,6 @@ impl ServerBuilder {
             queue_depth: 256,
             window: 32,
             range_blocks: 4096,
-            clock_step_us: 1,
             ordered: false,
             durable: false,
             apply_batch: usize::MAX,
@@ -108,12 +106,6 @@ impl ServerBuilder {
     pub fn range_blocks(mut self, blocks: u64) -> Self {
         assert!(blocks > 0, "routing range must be nonzero");
         self.range_blocks = blocks;
-        self
-    }
-
-    /// Engine µs that elapse per applied op (the deterministic clock).
-    pub fn clock_step_us(mut self, us: u64) -> Self {
-        self.clock_step_us = us;
         self
     }
 
@@ -223,7 +215,6 @@ impl ServerBuilder {
                     window: self.window as usize,
                     ordered: self.ordered,
                     durable: self.durable,
-                    clock_step_us: self.clock_step_us,
                     apply_batch: self.apply_batch,
                 };
                 std::thread::Builder::new()
@@ -328,23 +319,6 @@ impl Client {
             }
             Err(PushError::Closed) => Err(SubmitError::Shutdown),
         }
-    }
-
-    /// Submit a batch; per-request rejections don't abort the rest.
-    /// Returns accepted tickets and `(request, error)` for the rest.
-    pub fn submit_batch(
-        &self,
-        requests: impl IntoIterator<Item = Request>,
-    ) -> (Vec<Ticket>, Vec<(Request, SubmitError)>) {
-        let mut tickets = Vec::new();
-        let mut rejected = Vec::new();
-        for request in requests {
-            match self.submit(request) {
-                Ok(t) => tickets.push(t),
-                Err(e) => rejected.push((request, e)),
-            }
-        }
-        (tickets, rejected)
     }
 
     /// Submit, retrying backpressure rejections (`Busy` /

@@ -35,7 +35,7 @@
 //!   points canonical too).
 //!
 //! Engine timestamps are synthesized from the applied-op count
-//! (`(applied+1) × clock_step_us`), never from wall time, which makes
+//! (`(applied+1) × 1 µs`), never from wall time, which makes
 //! completions' `version` fields — and everything the engine derives
 //! from its clock — reproducible.
 //!
@@ -480,8 +480,6 @@ pub(crate) struct ShardWorker {
     pub(crate) ordered: bool,
     /// Whether barriers confer durability (engine has a WAL).
     pub(crate) durable: bool,
-    /// Engine µs per applied op.
-    pub(crate) clock_step_us: u64,
     /// Max consecutive same-volume ops fused into one
     /// [`ShardEngine::apply_ops`] call (`usize::MAX` = fuse whole drained
     /// slices). Any value yields bit-identical results; see
@@ -658,6 +656,9 @@ impl ShardWorker {
         st.run.push(op);
     }
 
+    /// Engine µs that elapse per applied op (the deterministic clock).
+    const CLOCK_STEP_US: u64 = 1;
+
     /// Apply the staged run of same-volume commands through the engine's
     /// batch entry point. Semantically the per-op loop, in order:
     /// timestamps come off the same op clock, one before/after probe
@@ -675,7 +676,7 @@ impl ShardWorker {
             self.deliver(st.run.drain(..).map(|op| self.failure(op, 0, shard_failed.clone())));
             return;
         }
-        let step = self.clock_step_us.max(1);
+        let step = Self::CLOCK_STEP_US;
         st.ops.clear();
         for (j, cmd) in st.run.iter().enumerate() {
             let ts = (st.applied + j as u64 + 1) * step;
