@@ -8,9 +8,11 @@
 //! fills; dropping a ticket is allowed (the completion is simply
 //! discarded).
 
+use crate::spin::spin_until;
 use adapt_lss::{EngineError, Retryable};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Tenant identifier for QoS accounting.
@@ -221,19 +223,26 @@ pub struct Completion {
 /// takes the value. Backs every [`Ticket`] and the reply of a telemetry
 /// probe.
 ///
-/// Wake protocol: a consumer that finds the cell empty sets `parked`
-/// *under the mutex* and waits on the condvar (which releases that mutex
-/// atomically with going to sleep); `fill` stores the value and clears
-/// `parked` under the same mutex and notifies only if it cleared it. No
-/// wake-up is lost — a consumer either sees the value before it parks or
-/// has its flag seen by the filler — and a spurious wake-up finds the
-/// cell still empty and sets the flag again. With nobody parked (`poll`
-/// harvesting, or a `wait` that arrives after the fill) a fill is two
-/// uncontended atomic operations and no system call.
+/// Wake protocol: a consumer first polls `ready` for up to
+/// [`SPIN_NS`](crate::SPIN_NS), so a fill that lands within that window
+/// costs neither side a system call. If the cell is still empty it sets
+/// `parked` *under the mutex* and waits on the condvar (which releases
+/// that mutex atomically with going to sleep); `fill` stores the value,
+/// sets `ready` and clears `parked` under the same mutex and notifies
+/// only if it cleared it. No wake-up is lost — a consumer either sees the
+/// value before it parks or has its flag seen by the filler — and a
+/// spurious wake-up finds the cell still empty and sets the flag again.
+/// With nobody parked (`poll` harvesting, or a `wait` that arrives after
+/// the fill or within the spin) a fill takes an uncontended lock and
+/// makes no system call.
 #[derive(Debug)]
 pub(crate) struct OneShot<T> {
     state: Mutex<OneShotState<T>>,
     cv: Condvar,
+    /// Set by `fill`, under the mutex, before it takes `parked`: what a
+    /// waiter polls without the lock before it parks. It publishes no
+    /// data (the value is only ever taken under the mutex), so `Relaxed`.
+    ready: AtomicBool,
 }
 
 #[derive(Debug)]
@@ -247,6 +256,7 @@ impl<T> OneShot<T> {
         Arc::new(Self {
             state: Mutex::new(OneShotState { value: None, parked: false }),
             cv: Condvar::new(),
+            ready: AtomicBool::new(false),
         })
     }
 
@@ -260,6 +270,7 @@ impl<T> OneShot<T> {
         let mut s = self.lock();
         debug_assert!(s.value.is_none(), "one-shot cell filled twice");
         s.value = Some(value);
+        self.ready.store(true, Ordering::Relaxed);
         let wake = std::mem::take(&mut s.parked);
         drop(s);
         if wake {
@@ -268,8 +279,10 @@ impl<T> OneShot<T> {
         wake
     }
 
-    /// Block until the cell is filled and take the value.
+    /// Block until the cell is filled and take the value, polling
+    /// `ready` for up to [`SPIN_NS`](crate::SPIN_NS) before parking.
     pub(crate) fn take(&self) -> T {
+        spin_until(|| self.ready.load(Ordering::Relaxed));
         let mut s = self.lock();
         loop {
             if let Some(v) = s.value.take() {

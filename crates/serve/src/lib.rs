@@ -52,9 +52,11 @@ pub mod qos;
 pub mod router;
 pub mod server;
 pub mod shard;
+mod spin;
 
 pub use api::{Completion, OpKind, Request, ServeError, SubmitError, TenantId, Ticket, VolumeId};
 pub use qos::{QosConfig, TenantGovernor};
 pub use router::{Routed, ShardRouter, VolumeSpec};
 pub use server::{Client, ServeReport, Server, ServerBuilder, ShardPlan};
 pub use shard::{ShardEngine, ShardReport, ShardStatsSnapshot};
+pub use spin::SPIN_NS;

@@ -42,20 +42,26 @@
 //! **Wake protocol.** While both sides are running, submit → completion
 //! makes no system call: a side notifies the other's condvar only when
 //! the other recorded, under the mutex both take, that it is about to
-//! sleep. The shard thread sets `parked` in [`ShardQueue`] before it
-//! waits for work and a producer notifies only if its push cleared the
-//! flag; a ticket waiter does the same on its [`OneShot`] cell. The
-//! drain loop's "is the queue empty?" probes read an atomic mirror of the
-//! queue length, not the producers' mutex.
+//! sleep. A shard thread that runs out of work first polls an atomic
+//! mirror of "the queue holds commands" and "the queue is closed", on a
+//! cache line of its own, for up to [`SPIN_NS`](crate::SPIN_NS): a
+//! request that arrives in that window is picked up without a `futex`
+//! wake or an idle vCPU's halt exit. Only then does it set `parked` in
+//! [`ShardQueue`] and wait; a producer notifies only if its push cleared
+//! the flag. A ticket waiter spins and parks the same way on its
+//! [`OneShot`] cell. The spin counts as idle time, outside
+//! [`ShardReport::busy_ns`]. The drain loop's "is the queue empty?"
+//! probes read the same mirror, not the producers' mutex.
 
 use crate::api::{Completion, OneShot, OpKind, Request, ServeError, VolumeId};
+use crate::spin::spin_until;
 use adapt_array::{ArrayError, ArraySink};
 use adapt_lss::{
     EngineError, HostOp, HostOpKind, Lba, Lss, LssMetrics, PlacementPolicy, TelemetrySnapshot,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// The engine surface a shard thread drives. Implemented for every
@@ -233,13 +239,27 @@ pub(crate) struct ShardQueue {
     depth: usize,
     state: Mutex<QueueInner>,
     cv: Condvar,
-    /// Mirror of `q.len()`, stored under the mutex on every change. The
-    /// shard thread reads it without the lock to decide "barrier now or
-    /// after the next drain" and "keep collecting"; it publishes no data
-    /// (commands are only ever taken under the mutex), so `Relaxed` is
-    /// enough and a stale value merely shifts a barrier.
-    len: AtomicUsize,
+    /// What the shard thread polls without the lock.
+    mirror: Mirror,
     pub(crate) stats: ShardStats,
+}
+
+/// Lock-free copies of "the queue is not empty" and `closed`, stored
+/// under the mutex whenever they change — and only then: a store, even of
+/// the value already there, takes the line from a spinning shard thread,
+/// so a producer that pushed onto a non-empty queue would pay a cache miss
+/// for nothing. The shard thread reads them without the lock: `queued` to
+/// decide "barrier now or after the next drain" and "keep collecting",
+/// both to end its spin before it parks. They publish no data (commands
+/// are only ever taken under the mutex), so `Relaxed` is enough: a stale
+/// value merely shifts a barrier or lets the spin run on into the locked
+/// re-check. Their own cache line keeps a spinning shard thread's reads
+/// off the line of the mutex every producer takes.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct Mirror {
+    queued: AtomicBool,
+    closed: AtomicBool,
 }
 
 #[derive(Debug)]
@@ -264,7 +284,7 @@ impl ShardQueue {
                 parked: false,
             }),
             cv: Condvar::new(),
-            len: AtomicUsize::new(0),
+            mirror: Mirror::default(),
             stats: ShardStats::default(),
         })
     }
@@ -276,7 +296,9 @@ impl ShardQueue {
     /// Release the queue after a change the shard thread waits for (a
     /// push, or close) and wake it only if it parked.
     fn publish(&self, mut s: MutexGuard<'_, QueueInner>) {
-        self.len.store(s.q.len(), Ordering::Relaxed);
+        if s.q.len() == 1 {
+            self.mirror.queued.store(true, Ordering::Relaxed);
+        }
         let wake = std::mem::take(&mut s.parked);
         drop(s);
         if wake {
@@ -320,18 +342,36 @@ impl ShardQueue {
     pub(crate) fn close(&self) {
         let mut s = self.lock();
         s.closed = true;
+        self.mirror.closed.store(true, Ordering::Relaxed);
         self.publish(s);
     }
 
-    /// Commands queued right now, as of the last push or drain.
+    /// Commands queued right now (takes the producers' mutex).
     pub(crate) fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.lock().q.len()
+    }
+
+    /// Whether the queue holds commands, as of the last push or drain,
+    /// without the lock.
+    fn queued(&self) -> bool {
+        self.mirror.queued.load(Ordering::Relaxed)
+    }
+
+    /// Whether a blocking [`pop_all`](Self::pop_all) would return at once
+    /// (something is queued, or the queue is closed), as of the mirror.
+    fn has_news(&self) -> bool {
+        self.queued() || self.mirror.closed.load(Ordering::Relaxed)
     }
 
     /// Drain everything queued into `into`. Blocks while open and empty
-    /// when `block`; returns `true` once the queue is closed *and* this
-    /// call returned nothing (the shard can exit after local cleanup).
+    /// when `block`, first spinning for up to [`SPIN_NS`](crate::SPIN_NS)
+    /// on the mirror and then parking; returns `true` once the queue is
+    /// closed *and* this call returned nothing (the shard can exit after
+    /// local cleanup).
     fn pop_all(&self, into: &mut Vec<Command>, block: bool) -> bool {
+        if block {
+            spin_until(|| self.has_news());
+        }
         let mut s = self.lock();
         if block {
             while s.q.is_empty() && !s.closed {
@@ -342,8 +382,10 @@ impl ShardQueue {
                     .expect("shard queue poisoned: a thread panicked while holding it");
             }
         }
-        into.extend(s.q.drain(..));
-        self.len.store(0, Ordering::Relaxed);
+        if !s.q.is_empty() {
+            into.extend(s.q.drain(..));
+            self.mirror.queued.store(false, Ordering::Relaxed);
+        }
         s.closed && into.is_empty()
     }
 }
@@ -453,7 +495,8 @@ pub struct ShardReport {
     /// Ops applied to the engine.
     pub applied_ops: u64,
     /// Wall time the shard thread spent doing work (apply, barriers,
-    /// idle GC) — excludes blocking on an empty queue. On a machine with
+    /// idle GC) — excludes waiting on an empty queue, both the spin
+    /// before the park and the park itself. On a machine with
     /// ≥ one core per shard this is the shard's service time; the
     /// saturation bench divides total ops by the *maximum* shard busy
     /// time to get the critical-path throughput of the sharded array,
@@ -556,8 +599,7 @@ impl ShardWorker {
                 }
             }
             self.apply_run(&mut st);
-            if st.pending.len() >= self.window || (!st.pending.is_empty() && self.queue.len() == 0)
-            {
+            if st.pending.len() >= self.window || (!st.pending.is_empty() && !self.queue.queued()) {
                 self.barrier(&mut st);
             }
             if drained_closed {
@@ -570,7 +612,7 @@ impl ShardWorker {
                 // keep collecting while the queue stays empty.
                 loop {
                     self.idle_gc(&mut st);
-                    if st.failed || !self.engine.gc_needed() || self.queue.len() > 0 {
+                    if st.failed || !self.engine.gc_needed() || self.queue.queued() {
                         break;
                     }
                 }
@@ -846,7 +888,7 @@ mod tests {
         let mut buf = Vec::new();
         assert!(!q.pop_all(&mut buf, true), "closed but items remain");
         assert_eq!(buf.len(), 3);
-        assert_eq!(q.len(), 0, "length mirror follows the drain");
+        assert!(!q.queued(), "the mirror follows the drain");
         buf.clear();
         assert!(q.pop_all(&mut buf, true), "closed and drained");
         assert_eq!(q.stats.snapshot().wakeups, 0, "the consumer never parked");
@@ -910,6 +952,31 @@ mod tests {
         assert_eq!(q.stats.snapshot().wakeups, 1);
         q.close();
         assert_eq!(q.stats.snapshot().wakeups, 1, "nobody parked: closing again is silent");
+    }
+
+    #[test]
+    fn close_ends_the_spin_on_an_empty_queue() {
+        let q = ShardQueue::new(8);
+        assert!(!q.has_news());
+        assert!(q.try_push(cell()).is_ok());
+        assert!(q.has_news(), "a push ends the spin");
+        let mut buf = Vec::new();
+        assert!(!q.pop_all(&mut buf, false));
+        assert!(!q.has_news(), "drained: the spin would run on");
+        q.close();
+        assert!(q.has_news(), "close ends the spin although nothing is queued");
+    }
+
+    #[test]
+    fn the_spun_on_mirror_sits_off_the_mutex_line() {
+        let q = ShardQueue::new(8);
+        let line = |p: usize| p / 64;
+        let mirror = std::ptr::from_ref(&q.mirror) as usize;
+        let mutex = std::ptr::from_ref(&q.state) as usize;
+        let mutex_end = mutex + std::mem::size_of_val(&q.state) - 1;
+        assert_eq!(mirror % 64, 0);
+        assert_eq!(std::mem::size_of::<Mirror>(), 64, "the mirror fills its line alone");
+        assert!(line(mirror) != line(mutex) && line(mirror) != line(mutex_end));
     }
 
     #[test]

@@ -6,15 +6,20 @@
 //! producers in `Busy` back-off; depth 256 keeps both sides running) and
 //! the two drain modes; harvesting alternates between blocking `wait`
 //! and `poll`, and a side thread keeps sending telemetry probes through
-//! the control path. One pass proves little — CI runs this file in a loop.
+//! the control path. A paced scenario submits one request at a time with
+//! gaps below, inside and past the window a waiter spins before it parks
+//! ([`SPIN_NS`]), so every pass takes both the spin exit and the park
+//! exit. One pass proves little — CI runs this file in a loop, and once
+//! pinned to one CPU, where a spinner shares its core with the thread it
+//! waits for.
 
 use adapt_array::CountingArray;
 use adapt_lss::Lss;
 use adapt_placement::SepGc;
-use adapt_serve::{Client, Request, ServerBuilder, ShardPlan, SubmitError, Ticket};
+use adapt_serve::{Client, Request, ServerBuilder, ShardPlan, SubmitError, Ticket, SPIN_NS};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::time::Duration;
+use std::sync::{mpsc, Barrier};
+use std::time::{Duration, Instant};
 
 const SHARDS: u32 = 2;
 const VOLUME_BLOCKS: u64 = 8 * 1024;
@@ -110,19 +115,29 @@ fn harvest(client: &Client, tickets: &mut Vec<Ticket>, round: usize) -> (u64, u6
 }
 
 /// Keep sending telemetry probes to every shard until told to stop (or
-/// until the queues close); each one blocks on a one-shot cell.
-fn probe_until(client: &Client, stop: &AtomicBool) -> u64 {
+/// until the queues close); each one blocks on a one-shot cell. The
+/// prober meets `first_round` once its first round is answered, so
+/// traffic started after that barrier always runs alongside probes
+/// however late the scheduler starts this thread.
+fn probe_until(client: &Client, stop: &AtomicBool, first_round: &Barrier) -> u64 {
     let mut answered = 0;
-    while !stop.load(Ordering::Relaxed) {
+    let mut rounds = 0u64;
+    loop {
         for shard in 0..SHARDS {
             match client.telemetry(shard) {
                 Some(_) => answered += 1,
                 None => return answered,
             }
         }
+        rounds += 1;
+        if rounds == 1 {
+            first_round.wait();
+        }
+        if stop.load(Ordering::Relaxed) {
+            return answered;
+        }
         std::thread::yield_now();
     }
-    answered
 }
 
 /// Every op of a fixed stream completes, whatever the interleaving.
@@ -132,8 +147,10 @@ fn drain_scenario(clients: usize, depth: u32, ordered: bool) {
     let client = server.client();
     let ops = stream(&client, OPS, ordered);
     let stop = AtomicBool::new(false);
+    let first_round = Barrier::new(2);
     std::thread::scope(|scope| {
-        let prober = scope.spawn(|| probe_until(&client, &stop));
+        let prober = scope.spawn(|| probe_until(&client, &stop, &first_round));
+        first_round.wait();
         let workers: Vec<_> = (0..clients)
             .map(|t| {
                 let client = client.clone();
@@ -176,9 +193,11 @@ fn shutdown_scenario(clients: usize, depth: u32, ordered: bool) {
     let client = server.client();
     let ops = stream(&client, OPS, ordered);
     let stop = AtomicBool::new(false);
+    let first_round = Barrier::new(2);
     let harvested_so_far = AtomicU64::new(0);
     let (accepted, harvested, report) = std::thread::scope(|scope| {
-        let prober = scope.spawn(|| probe_until(&client, &stop));
+        let prober = scope.spawn(|| probe_until(&client, &stop, &first_round));
+        first_round.wait();
         let workers: Vec<_> = (0..clients)
             .map(|t| {
                 let client = client.clone();
@@ -228,6 +247,37 @@ fn shutdown_scenario(clients: usize, depth: u32, ordered: bool) {
     assert!(client.telemetry(0).is_none());
 }
 
+/// One request in flight at a time, `gap` between a completion and the
+/// next submit. Below the spin window the next push finds the shard
+/// thread (and a `wait`ing client the shard's fill) still polling; past
+/// it the shard has parked, and the push must wake it.
+fn paced_scenario(gap: Duration, ordered: bool) {
+    const OPS: u64 = 400;
+    let server = builder(4, ordered).start(factory);
+    let client = server.client();
+    let mut tickets = Vec::with_capacity(1);
+    for (round, req) in stream(&client, OPS, ordered).into_iter().enumerate() {
+        tickets.push(client.submit_backoff(req).expect("accepted"));
+        assert_eq!(harvest(&client, &mut tickets, round), (1, 1), "the op failed");
+        if gap < Duration::from_nanos(SPIN_NS) {
+            // A sleep would overshoot the window by the timer slack.
+            let t0 = Instant::now();
+            while t0.elapsed() < gap {
+                std::thread::yield_now();
+            }
+        } else {
+            std::thread::sleep(gap);
+        }
+    }
+    let report = server.shutdown();
+    assert!(report.balanced() && !report.any_failed());
+    assert_eq!(report.total_completed(), OPS);
+    if gap > Duration::from_nanos(SPIN_NS) {
+        let wakeups: u64 = report.shards.iter().map(|s| s.stats.wakeups).sum();
+        assert!(wakeups > 0, "no shard thread ever parked across a {gap:?} gap");
+    }
+}
+
 fn sweep(ordered: bool) {
     for clients in [1, 2, 8] {
         for depth in [1, 4, 256] {
@@ -248,4 +298,16 @@ fn fifo_sweep_never_hangs() {
 #[test]
 fn ordered_sweep_never_hangs() {
     sweep(true);
+}
+
+#[test]
+fn paced_submits_straddle_the_spin_window() {
+    let window = Duration::from_nanos(SPIN_NS);
+    for gap in [Duration::ZERO, window / 2, window * 3] {
+        for ordered in [false, true] {
+            watchdog(format!("paced gap={gap:?} ordered={ordered}"), 120, move || {
+                paced_scenario(gap, ordered)
+            });
+        }
+    }
 }
