@@ -27,7 +27,7 @@ use crate::counters::ArrayStats;
 use crate::crc::crc32c;
 use crate::error::{ArrayError, StorageFailure};
 use crate::fault::{ArrayHealth, ReadOutcome};
-use crate::layout::{ChunkLocation, Raid5Layout};
+use crate::layout::{ChunkLocation, StripeLayout};
 use crate::media::{atomic_replace, MediaError, MediaFile, PowerBudget, WriteTag};
 use crate::sink::{ArraySink, ChunkFlush, CountingArray, RecoveredFlush, SinkReconcile};
 use std::io::{Read, Seek, SeekFrom};
@@ -674,7 +674,7 @@ impl ArraySink for FileArraySink {
             return Err(ArrayError::Storage { failure: StorageFailure::Unsupported });
         };
         let cfg = *self.counting.config();
-        let layout = Raid5Layout::new(cfg);
+        let layout = StripeLayout::new(cfg);
         let k = cfg.data_columns() as u64;
         let mut report = SinkReconcile {
             records_scanned: scanned.iter().map(|v| v.len() as u64).sum(),
@@ -917,7 +917,7 @@ mod tests {
             assert_eq!(report.records_discarded, 0);
             assert_eq!(sink.counting.chunks_written(), n as u64);
             // The rebuilt sink serves reads and accepts appends.
-            let loc = Raid5Layout::new(cfg).locate(3);
+            let loc = StripeLayout::new(cfg).locate(3);
             assert!(sink.read_chunk_at(loc).is_ok());
             sink.write_chunk(flush(0, 9, 0));
             let _ = std::fs::remove_dir_all(&dir);
@@ -948,7 +948,7 @@ mod tests {
         let report = sink.recover_reconcile(6, &tail).unwrap();
         assert!(report.records_restored > 0, "{report:?}");
         for seq in 0..6 {
-            let loc = Raid5Layout::new(cfg).locate(seq);
+            let loc = StripeLayout::new(cfg).locate(seq);
             assert!(sink.read_chunk_at(loc).is_ok(), "chunk {seq}");
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -999,7 +999,7 @@ mod tests {
         assert_eq!(report.records_restored, 0, "{report:?}");
         assert_eq!(report.records_discarded, 0, "{report:?}");
         assert_eq!(sink.counting.chunks_written(), n as u64);
-        let loc = Raid5Layout::new(cfg).locate(5);
+        let loc = StripeLayout::new(cfg).locate(5);
         assert!(sink.read_chunk_at(loc).is_ok());
         sink.write_chunk(flush(0, 9, 0));
         let _ = std::fs::remove_dir_all(&dir);

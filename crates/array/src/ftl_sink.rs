@@ -10,22 +10,22 @@
 //! is exactly the benefit the paper attributes to one-to-one group/stream
 //! mapping.
 //!
-//! Parity modeling note: the stripe's parity chunk is rewritten when the
-//! stripe's last data column is written. Stripes that straddle a segment
-//! boundary are approximated the same way (log-structured arrays align
-//! segments to stripes in deployment; our default geometry does not, and
-//! the approximation only affects parity-page churn).
+//! Parity modeling note: the stripe's `m` parity chunks are rewritten
+//! when the stripe's last data column is written. Stripes that straddle a
+//! segment boundary are approximated the same way (log-structured arrays
+//! align segments to stripes in deployment; our default geometry does
+//! not, and the approximation only affects parity-page churn).
 
 use crate::config::ArrayConfig;
 use crate::counters::ArrayStats;
 use crate::ftl::{FtlConfig, FtlDevice, FtlStats};
-use crate::layout::{ChunkLocation, Raid5Layout};
+use crate::layout::{ChunkLocation, StripeLayout};
 use crate::sink::{ArraySink, ChunkFlush};
 
-/// RAID-5 array whose members are FTL-modeled SSDs.
+/// `k + m` array whose members are FTL-modeled SSDs.
 #[derive(Debug, Clone)]
 pub struct FtlArray {
-    layout: Raid5Layout,
+    layout: StripeLayout,
     stats: ArrayStats,
     devices: Vec<FtlDevice>,
     /// Pages per chunk.
@@ -80,7 +80,7 @@ impl FtlArray {
             gc_low_water,
         };
         Self {
-            layout: Raid5Layout::new(cfg),
+            layout: StripeLayout::new(cfg),
             stats: ArrayStats::new(cfg.num_devices),
             devices: (0..cfg.num_devices).map(|i| FtlDevice::with_id(ftl_cfg, i)).collect(),
             pages_per_chunk,
@@ -121,20 +121,20 @@ impl ArraySink for FtlArray {
         let addr = flush.physical_chunk_addr(self.chunks_per_segment);
         let stripe = addr / self.data_columns;
         let column = (addr % self.data_columns) as usize;
-        let parity_dev = self.layout.parity_device(stripe);
-        let device = (parity_dev + 1 + column) % cfg.num_devices;
-        let loc = ChunkLocation { stripe, device, column };
+        let loc = self.layout.locate_at(stripe, column);
 
         let stream = self.stream_for(flush.group);
         let lpn = stripe * self.pages_per_chunk as u64;
-        self.devices[device].write_pages(lpn, self.pages_per_chunk, stream);
+        self.devices[loc.device].write_pages(lpn, self.pages_per_chunk, stream);
 
-        self.stats.charge_data_chunk(device, &flush);
+        self.stats.charge_data_chunk(loc.device, &flush);
 
         // Parity rewrite when the stripe's last data column lands.
         if column as u64 == self.data_columns - 1 {
-            self.devices[parity_dev].write_pages(lpn, self.pages_per_chunk, stream);
-            self.stats.charge_stripe_parity(std::iter::once(parity_dev), cfg.chunk_bytes);
+            for device in self.layout.parity_devices(stripe) {
+                self.devices[device].write_pages(lpn, self.pages_per_chunk, stream);
+            }
+            self.stats.charge_stripe_parity(self.layout.parity_devices(stripe), cfg.chunk_bytes);
         }
         loc
     }
@@ -220,6 +220,28 @@ mod tests {
             }
         }
         assert_eq!(multi.stats().data_bytes(), single.stats().data_bytes());
+    }
+
+    #[test]
+    fn double_parity_writes_data_off_parity_and_charges_m_chunks() {
+        let cfg = ArrayConfig::with_parity(6, 2, 64 * 1024);
+        let mut a = FtlArray::new(cfg, 64, 8, 16 * 1024, 8, true);
+        let layout = StripeLayout::new(cfg);
+        for seg in 0..4u32 {
+            for idx in 0..8 {
+                let loc = a.write_chunk(flush(0, seg, idx));
+                let parity: Vec<usize> = layout.parity_devices(loc.stripe).collect();
+                assert!(!parity.contains(&loc.device), "data chunk on parity device: {loc:?}");
+                assert_eq!(loc, layout.locate_at(loc.stripe, loc.column));
+            }
+        }
+        // 32 chunks on 4 data columns: every stripe completes.
+        let stats = a.stats();
+        assert_eq!(stats.stripes_completed, 8);
+        assert_eq!(stats.parity_bytes(), 2 * cfg.chunk_bytes * stats.stripes_completed);
+        assert!(stats.devices.iter().all(|d| d.data_bytes > 0), "every device holds data");
+        assert!(stats.devices.iter().all(|d| d.parity_bytes > 0), "every device holds parity");
+        assert!(a.ftl_stats().iter().all(|d| d.host_pages > 0), "every device is written");
     }
 
     #[test]

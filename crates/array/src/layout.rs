@@ -43,10 +43,6 @@ pub struct StripeLayout {
     cfg: ArrayConfig,
 }
 
-/// The historical name of [`StripeLayout`]; `m = 1` behaves identically
-/// to the original RAID-5-only implementation.
-pub type Raid5Layout = StripeLayout;
-
 impl StripeLayout {
     /// Build a layout over the given geometry.
     pub fn new(cfg: ArrayConfig) -> Self {

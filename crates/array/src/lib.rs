@@ -58,7 +58,7 @@ pub use fault::{
 pub use file_sink::{FileArraySink, FileSinkError, FileSinkOptions};
 pub use ftl::{FtlConfig, FtlDevice, FtlStats};
 pub use ftl_sink::FtlArray;
-pub use layout::{ChunkLocation, Raid5Layout, StripeLayout, StripeRole};
+pub use layout::{ChunkLocation, StripeLayout, StripeRole};
 pub use media::{atomic_replace, MediaError, MediaFile, PowerBudget, WriteTag};
 pub use rs::ReedSolomon;
 pub use sink::{ArraySink, ChunkFlush, CountingArray, RecoveredFlush, SinkReconcile, Traffic};

@@ -6,7 +6,7 @@ use crate::config::ArrayConfig;
 use crate::counters::ArrayStats;
 use crate::error::ArrayError;
 use crate::fault::{ArrayHealth, ReadOutcome, ScrubStep};
-use crate::layout::{ChunkLocation, Raid5Layout};
+use crate::layout::{ChunkLocation, StripeLayout};
 use serde::{Deserialize, Serialize};
 
 /// Category of bytes inside a flushed chunk, for accounting.
@@ -168,7 +168,7 @@ pub trait ArraySink {
 /// chunk; this is what the trace-driven simulator uses.
 #[derive(Debug, Clone)]
 pub struct CountingArray {
-    layout: Raid5Layout,
+    layout: StripeLayout,
     stats: ArrayStats,
     next_chunk_seq: u64,
 }
@@ -177,7 +177,7 @@ impl CountingArray {
     /// Create an empty counting array.
     pub fn new(cfg: ArrayConfig) -> Self {
         Self {
-            layout: Raid5Layout::new(cfg),
+            layout: StripeLayout::new(cfg),
             stats: ArrayStats::new(cfg.num_devices),
             next_chunk_seq: 0,
         }
@@ -189,7 +189,7 @@ impl CountingArray {
     }
 
     /// The layout in use.
-    pub fn layout(&self) -> &Raid5Layout {
+    pub fn layout(&self) -> &StripeLayout {
         &self.layout
     }
 }

@@ -39,12 +39,12 @@
 //!     .config(cfg)
 //!     .gc_select(GcSelection::Greedy)
 //!     .build();
-//! for lba in 0..1024u64 {
-//!     engine.write(lba, lba % 512); // skewed overwrites
-//! }
-//! engine.flush_all();
+//! // Skewed overwrites: every LBA below 512 is written twice.
+//! (0..1024u64).try_for_each(|lba| engine.try_write(lba, lba % 512))?;
+//! engine.try_flush_all()?;
 //! assert!(engine.metrics().wa() >= 0.5);
 //! assert!(engine.policy().effective_threshold() > 0.0);
+//! # Ok::<(), adapt_lss::EngineError>(())
 //! ```
 
 pub mod aggregation;

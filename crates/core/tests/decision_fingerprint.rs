@@ -133,14 +133,14 @@ fn dense(e: &mut Engine) {
     let zipf = ZipfGenerator::new(BLOCKS, 0.99);
     let mut rng = Xoshiro256StarStar::new(21);
     for lba in 0..BLOCKS {
-        e.write(lba, lba);
+        e.try_write(lba, lba).unwrap();
     }
     for i in 0..24 * BLOCKS {
         // Scatter ranks over the LBA space so hot blocks are not adjacent.
         let lba = mix64(zipf.sample(&mut rng)) % BLOCKS;
-        e.write(BLOCKS + i, lba);
+        e.try_write(BLOCKS + i, lba).unwrap();
     }
-    e.flush_all();
+    e.try_flush_all().unwrap();
 }
 
 /// The benchmark's `replay-sparse` shape at 1/16 size: YCSB-A at 16 667
@@ -158,14 +158,14 @@ fn sparse(e: &mut Engine) {
     };
     for (i, rec) in ycsb.generator().enumerate() {
         match rec.op {
-            OpType::Write => e.write_request(rec.ts_us, rec.lba, rec.num_blocks),
-            OpType::Read => e.read_request(rec.ts_us, rec.lba, rec.num_blocks),
+            OpType::Write => e.try_write_request(rec.ts_us, rec.lba, rec.num_blocks).unwrap(),
+            OpType::Read => e.try_read_request(rec.ts_us, rec.lba, rec.num_blocks).unwrap(),
         }
         if i as u64 >= BLOCKS && (i as u64 + 1).is_multiple_of(256) {
-            e.trim(rec.ts_us, mix64(21 ^ i as u64) % (BLOCKS - 16), 16);
+            e.try_trim(rec.ts_us, mix64(21 ^ i as u64) % (BLOCKS - 16), 16).unwrap();
         }
     }
-    e.flush_all();
+    e.try_flush_all().unwrap();
 }
 
 /// What one run came to: the decision hash plus the counters that show the

@@ -2,7 +2,7 @@
 //!
 //! The old `Lss::new`'s four positional arguments (config, GC selection,
 //! policy, sink) grew organically, and every new knob — victim-policy
-//! variants, event capture, JSONL sinks — would have widened them
+//! variants, event capture, a write-ahead log — would have widened them
 //! further; that constructor is gone. The builder names each piece,
 //! defaults everything but the two genuinely required parts (the
 //! placement policy and the array sink), and funnels all construction
@@ -38,7 +38,7 @@ use crate::placement::PlacementPolicy;
 use crate::recovery::{RecoveryError, RecoveryReport};
 use crate::wal::DurabilityConfig;
 use adapt_array::ArraySink;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Builder for [`Lss`]. Create via [`Lss::builder`].
 #[must_use = "builders do nothing until build() is called"]
@@ -48,7 +48,6 @@ pub struct EngineBuilder<P: PlacementPolicy, S: ArraySink> {
     policy: P,
     sink: S,
     events: EventConfig,
-    jsonl: Option<PathBuf>,
     durability: Option<(PathBuf, DurabilityConfig)>,
 }
 
@@ -62,7 +61,6 @@ impl<P: PlacementPolicy, S: ArraySink> EngineBuilder<P, S> {
             policy,
             sink,
             events: EventConfig::default(),
-            jsonl: None,
             durability: None,
         }
     }
@@ -91,13 +89,6 @@ impl<P: PlacementPolicy, S: ArraySink> EngineBuilder<P, S> {
         self
     }
 
-    /// Stream every recorded event to `path` as JSON Lines. Only takes
-    /// effect when events are enabled.
-    pub fn event_jsonl(mut self, path: impl Into<PathBuf>) -> Self {
-        self.jsonl = Some(path.into());
-        self
-    }
-
     /// Attach a durable backend: a write-ahead log plus periodic
     /// checkpoints in `dir`. `build()` starts fresh (wiping stale WAL
     /// files there); use [`EngineBuilder::recover`] instead to restart
@@ -113,10 +104,9 @@ impl<P: PlacementPolicy, S: ArraySink> EngineBuilder<P, S> {
     /// # Panics
     ///
     /// On invalid configuration (see [`LssConfig::validate`]), on an
-    /// engine/array chunk-size mismatch, or if the JSONL sink or WAL
-    /// cannot be created.
+    /// engine/array chunk-size mismatch, or if the WAL cannot be created.
     pub fn build(self) -> Lss<P, S> {
-        let recorder = Self::recorder(self.events, self.jsonl.as_deref());
+        let recorder = EventRecorder::new(self.events);
         let durability = self.durability;
         let mut engine =
             Lss::with_recorder(self.cfg, self.victim, self.policy, self.sink, recorder);
@@ -142,27 +132,11 @@ impl<P: PlacementPolicy, S: ArraySink> EngineBuilder<P, S> {
         let Some((dir, dcfg)) = self.durability else {
             return Err(RecoveryError::NotConfigured);
         };
-        let recorder = Self::recorder(self.events, self.jsonl.as_deref());
+        let recorder = EventRecorder::new(self.events);
         let mut engine =
             Lss::with_recorder(self.cfg, self.victim, self.policy, self.sink, recorder);
         let report = engine.recover_in_place(&dir, dcfg)?;
         Ok((engine, report))
-    }
-
-    /// The event recorder for `events`, streaming to `jsonl` when events
-    /// are enabled and a path is set.
-    ///
-    /// # Panics
-    ///
-    /// If the JSONL sink cannot be created.
-    fn recorder(events: EventConfig, jsonl: Option<&Path>) -> EventRecorder {
-        let mut recorder = EventRecorder::new(events);
-        if let Some(path) = jsonl.filter(|_| events.enabled) {
-            recorder
-                .set_jsonl_sink(path)
-                .unwrap_or_else(|e| panic!("event JSONL sink {}: {e}", path.display()));
-        }
-        recorder
     }
 }
 

@@ -687,12 +687,12 @@ pub(crate) mod tests {
     fn durable_workload(e: &mut Engine) {
         let mut ts = 0u64;
         for i in 0..6 * 4096u64 {
-            e.write(ts, scattered_lba(i, 4096));
+            e.try_write(ts, scattered_lba(i, 4096)).unwrap();
             ts += 1;
         }
-        e.trim(ts, 100, 50);
+        e.try_trim(ts, 100, 50).unwrap();
         for i in 0..512u64 {
-            e.write(ts + i, scattered_lba(i * 7 + 3, 4096));
+            e.try_write(ts + i, scattered_lba(i * 7 + 3, 4096)).unwrap();
         }
         assert!(e.metrics().segments_reclaimed > 0, "workload must exercise GC");
     }
@@ -742,14 +742,14 @@ pub(crate) mod tests {
         let mut ts = 0u64;
         for round in 0..40u64 {
             for i in 0..200u64 {
-                e.write(ts, scattered_lba(round * 200 + i, 4096));
+                e.try_write(ts, scattered_lba(round * 200 + i, 4096)).unwrap();
                 ts += 1;
             }
             for k in 0..3 {
-                e.write(ts + 10_000, scattered_lba(round * 3 + k, 64));
+                e.try_write(ts + 10_000, scattered_lba(round * 3 + k, 64)).unwrap();
             }
             ts += 300_000;
-            e.advance_time(ts);
+            e.try_advance_time(ts).unwrap();
         }
         assert!(e.metrics().shadow_append_events > 0, "must exercise shadow append");
         assert!(e.metrics().lazy_appends > 0, "must exercise lazy append");
@@ -779,7 +779,7 @@ pub(crate) mod tests {
         let mut e = build(small_cfg(), false, &dir, dcfg.clone());
         let mut acked = Vec::new();
         for i in 0..2048u64 {
-            e.write(i, scattered_lba(i, 4096));
+            e.try_write(i, scattered_lba(i, 4096)).unwrap();
             e.drain_durable_acks(&mut acked);
         }
         assert!(!acked.is_empty());
@@ -869,9 +869,9 @@ pub(crate) mod tests {
             let space = if r.is_multiple_of(3) { blocks / 8 } else { blocks };
             let lba = mix64(r) % space;
             if r.is_multiple_of(29) {
-                e.trim(ts, lba, 1 + (r >> 8) as u32 % 8);
+                e.try_trim(ts, lba, 1 + (r >> 8) as u32 % 8).unwrap();
             } else {
-                e.write(ts, lba);
+                e.try_write(ts, lba).unwrap();
             }
         }
         e.sync_wal().unwrap();
@@ -1166,11 +1166,11 @@ pub(crate) mod tests {
             .durability(&dir, DurabilityConfig { checkpoint_every_flushes: 256, ..dcfg(256) })
             .build();
         for lba in 0..cfg.user_blocks {
-            e.write(0, lba);
+            e.try_write(0, lba).unwrap();
         }
         let write = |e: &mut Lss<_, _>, n: u64, salt: u64| {
             for i in 0..n {
-                e.write(1, mix64(salt ^ i) % cfg.user_blocks);
+                e.try_write(1, mix64(salt ^ i) % cfg.user_blocks).unwrap();
             }
         };
         // Warm up past the first base, then measure whole fold cycles.

@@ -50,7 +50,7 @@ use crate::wal::{
     self, DurabilityConfig, Wal, WalError, WalRecord, WalSlot, WalSlotKind, WalStats,
 };
 use adapt_array::{
-    ArrayHealth, ArraySink, ChunkFlush, Raid5Layout, ReadMode, RecoveredFlush, ScrubStep, Traffic,
+    ArrayHealth, ArraySink, ChunkFlush, ReadMode, RecoveredFlush, ScrubStep, StripeLayout, Traffic,
 };
 use std::path::Path;
 
@@ -251,17 +251,8 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
     // Public API
     // ------------------------------------------------------------------
 
-    /// Process one host block write at time `ts_us`.
-    ///
-    /// # Panics
-    ///
-    /// On any [`EngineError`]; use [`Lss::try_write`] to handle faults.
-    pub fn write(&mut self, ts_us: u64, lba: Lba) {
-        self.try_write(ts_us, lba).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible variant of [`Lss::write`]: reports index corruption and
-    /// free-pool exhaustion as typed errors instead of panicking.
+    /// Process one host block write at time `ts_us`. Index corruption
+    /// and free-pool exhaustion surface as typed errors.
     pub fn try_write(&mut self, ts_us: u64, lba: Lba) -> Result<(), EngineError> {
         self.try_advance_time(ts_us)?;
         self.note_host_op();
@@ -284,16 +275,8 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         self.wal_commit()
     }
 
-    /// Process a multi-block host write request.
-    ///
-    /// # Panics
-    ///
-    /// On any [`EngineError`]; use [`Lss::try_write_request`].
-    pub fn write_request(&mut self, ts_us: u64, lba: Lba, num_blocks: u32) {
-        self.try_write_request(ts_us, lba, num_blocks).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible variant of [`Lss::write_request`].
+    /// Process a multi-block host write request: one
+    /// [`try_write`](Lss::try_write) per block, stopping at the first error.
     pub fn try_write_request(
         &mut self,
         ts_us: u64,
@@ -309,23 +292,13 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
     /// Process a host read. The array serves whole chunks (§2.2), so the
     /// fetch cost is the number of *distinct chunks* the live copies span;
     /// blocks still pending in an open-chunk buffer are served from RAM.
-    /// Unwritten blocks read as zeroes (no array traffic).
-    ///
-    /// # Panics
-    ///
-    /// On any [`EngineError`] — e.g. an unreconstructable chunk on a
-    /// faulted array; use [`Lss::try_read_request`] to handle faults.
-    pub fn read_request(&mut self, ts_us: u64, lba: Lba, num_blocks: u32) {
-        self.try_read_request(ts_us, lba, num_blocks).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible variant of [`Lss::read_request`]. Each chunk fetch is
-    /// routed through the sink's fault model: reads of chunks on a failed
-    /// device are served via parity reconstruction (accounted in
+    /// Unwritten blocks read as zeroes (no array traffic). Each chunk
+    /// fetch is routed through the sink's fault model: reads of chunks on
+    /// a failed device are served via parity reconstruction (accounted in
     /// [`LssMetrics::degraded_reads`]), transient errors are retried up to
-    /// three times with exponential backoff from 50 µs, and
-    /// persistent faults (double fault, unreconstructable stripe) surface
-    /// as [`EngineError::Array`].
+    /// three times with exponential backoff from 50 µs, and persistent
+    /// faults (double fault, unreconstructable stripe) surface as
+    /// [`EngineError::Array`].
     pub fn try_read_request(
         &mut self,
         ts_us: u64,
@@ -425,15 +398,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
 
     /// TRIM/discard: invalidate `num_blocks` starting at `lba`. The freed
     /// slots become garbage immediately, cheapening future GC.
-    ///
-    /// # Panics
-    ///
-    /// On any [`EngineError`]; use [`Lss::try_trim`].
-    pub fn trim(&mut self, ts_us: u64, lba: Lba, num_blocks: u32) {
-        self.try_trim(ts_us, lba, num_blocks).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible variant of [`Lss::trim`].
     pub fn try_trim(&mut self, ts_us: u64, lba: Lba, num_blocks: u32) -> Result<(), EngineError> {
         self.try_advance_time(ts_us)?;
         self.note_host_op();
@@ -452,15 +416,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
     /// Advance simulated time, handling any SLA expiries strictly before
     /// `ts_us`. Reads (which bypass the write path) should call this so
     /// that coalescing deadlines fire at faithful instants.
-    ///
-    /// # Panics
-    ///
-    /// On any [`EngineError`]; use [`Lss::try_advance_time`].
-    pub fn advance_time(&mut self, ts_us: u64) {
-        self.try_advance_time(ts_us).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible variant of [`Lss::advance_time`].
     pub fn try_advance_time(&mut self, ts_us: u64) -> Result<(), EngineError> {
         loop {
             if self.sla_dirty {
@@ -498,15 +453,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
 
     /// Flush every group's partial chunk (padding as needed). Call at the
     /// end of a trace so all buffered blocks reach the array.
-    ///
-    /// # Panics
-    ///
-    /// On any [`EngineError`]; use [`Lss::try_flush_all`].
-    pub fn flush_all(&mut self) {
-        self.try_flush_all().unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible variant of [`Lss::flush_all`].
     pub fn try_flush_all(&mut self) -> Result<(), EngineError> {
         for gid in 0..self.groups.len() as GroupId {
             if !self.groups[gid as usize].pending.is_empty() {
@@ -586,12 +532,11 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
     /// measures: engine metrics and derived rates, per-group traffic,
     /// array counters and health, utilization statistics, latency
     /// percentiles, and — when events are enabled — event totals and the
-    /// gauge time series. Takes `&mut self` so buffered policy events and
-    /// the JSONL sink are drained first.
+    /// gauge time series. Takes `&mut self` so buffered policy events are
+    /// drained first.
     pub fn telemetry(&mut self) -> TelemetrySnapshot {
         if self.events.enabled() {
             self.drain_policy_events();
-            let _ = self.events.flush();
         }
         TelemetrySnapshot {
             host_ops: self.ops_seen,
@@ -630,15 +575,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
     /// Returns `true` if a segment was reclaimed. No-op when nothing is
     /// reclaimable, or when GC is paused because the array is rebuilding
     /// (rebuild I/O has priority; GC still runs if the pool is nearly dry).
-    ///
-    /// # Panics
-    ///
-    /// On any [`EngineError`]; use [`Lss::try_gc_step`].
-    pub fn gc_step(&mut self) -> bool {
-        self.try_gc_step().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`Lss::gc_step`].
     pub fn try_gc_step(&mut self) -> Result<bool, EngineError> {
         if self.in_gc {
             return Ok(false);
@@ -1537,16 +1473,10 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
 
     /// Verify that crash recovery reproduces the live index's durable
     /// view: every `Durable` entry and every pending block's shadow copy
-    /// must be found by the scan at the same location. Panics on drift;
-    /// use [`Lss::try_check_recovery`] to report drift instead.
-    pub fn check_recovery(&self) {
-        self.try_check_recovery().unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible variant of [`Lss::check_recovery`]: returns
-    /// [`EngineError::IndexCorruption`] describing the first drifting LBA
-    /// instead of aborting, so scenario runners can report recovery drift
-    /// as a failure mode rather than crash mid-replay.
+    /// must be found by the scan at the same location. Drift surfaces as
+    /// [`EngineError::IndexCorruption`] naming the first drifting LBA, so
+    /// scenario runners can report it as a failure mode rather than crash
+    /// mid-replay.
     pub fn try_check_recovery(&self) -> Result<(), EngineError> {
         let recovered = self.recover_index();
         for lba in 0..self.index.len() as Lba {
@@ -2062,7 +1992,7 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         // Recompute array locations from flush sequences — the engine and
         // the sink advance in lockstep, so chunk N of the log is chunk N
         // of the array, always.
-        let layout = Raid5Layout::new(*self.sink.config());
+        let layout = StripeLayout::new(*self.sink.config());
         for seg in &mut self.segments {
             if seg.state == SegmentState::Free {
                 continue;
@@ -2208,7 +2138,7 @@ mod tests {
         // 64 blocks back-to-back (1 µs apart, well under the SLA in sum
         // because each chunk of 16 fills within 16 µs).
         for i in 0..64u64 {
-            e.write(i, i);
+            e.try_write(i, i).unwrap();
         }
         assert_eq!(e.metrics().chunks_flushed, 4);
         assert_eq!(e.metrics().pad_bytes, 0);
@@ -2221,9 +2151,9 @@ mod tests {
         let mut e = engine(TestPolicy::sepgc());
         // 4 writes spaced 1 ms apart: each times out alone in its chunk.
         for i in 0..4u64 {
-            e.write(i * 1000, i);
+            e.try_write(i * 1000, i).unwrap();
         }
-        e.advance_time(10_000);
+        e.try_advance_time(10_000).unwrap();
         assert_eq!(e.metrics().chunks_flushed, 4);
         assert_eq!(e.metrics().padded_chunks, 4);
         // Each chunk: 1 block payload + 15 pad.
@@ -2234,12 +2164,12 @@ mod tests {
     #[test]
     fn sla_fires_exactly_at_window_edge() {
         let mut e = engine(TestPolicy::sepgc());
-        e.write(0, 1);
+        e.try_write(0, 1).unwrap();
         // Just before the deadline: nothing flushed.
-        e.advance_time(99);
+        e.try_advance_time(99).unwrap();
         assert_eq!(e.metrics().chunks_flushed, 0);
         // At the deadline: padded flush.
-        e.advance_time(100);
+        e.try_advance_time(100).unwrap();
         assert_eq!(e.metrics().chunks_flushed, 1);
         assert_eq!(e.metrics().padded_chunks, 1);
     }
@@ -2247,9 +2177,9 @@ mod tests {
     #[test]
     fn overwrite_in_buffer_is_absorbed() {
         let mut e = engine(TestPolicy::sepgc());
-        e.write(0, 7);
-        e.write(1, 7); // overwrites the still-buffered copy
-        e.advance_time(1_000);
+        e.try_write(0, 7).unwrap();
+        e.try_write(1, 7).unwrap(); // overwrites the still-buffered copy
+        e.try_advance_time(1_000).unwrap();
         assert_eq!(e.metrics().buffer_absorbed_blocks, 1);
         // Only one copy ever flushed.
         assert_eq!(e.metrics().user_bytes, 4096);
@@ -2268,11 +2198,11 @@ mod tests {
         let mut ts = 0u64;
         // Fill the volume, then overwrite randomly, densely.
         for lba in 0..4096u64 {
-            e.write(ts, lba);
+            e.try_write(ts, lba).unwrap();
             ts += 1;
         }
         for i in 0..5 * 4096u64 {
-            e.write(ts, scattered_lba(i, 4096));
+            e.try_write(ts, scattered_lba(i, 4096)).unwrap();
             ts += 1;
         }
         assert!(e.metrics().gc_passes > 0, "GC never ran");
@@ -2291,18 +2221,18 @@ mod tests {
         let mut e = engine(TestPolicy::sepgc());
         let mut ts = 0u64;
         for lba in 0..4096u64 {
-            e.write(ts, lba);
+            e.try_write(ts, lba).unwrap();
             ts += 1;
         }
         for i in 0..5 * 4096u64 {
-            e.write(ts, scattered_lba(i, 4096));
+            e.try_write(ts, scattered_lba(i, 4096)).unwrap();
             ts += 1;
         }
         // Let the final user blocks' own SLA window resolve first...
-        e.advance_time(ts + 200);
+        e.try_advance_time(ts + 200).unwrap();
         let padded_before = e.metrics().padded_chunks;
         // ...then jump far ahead: pending GC blocks must NOT pad out.
-        e.advance_time(ts + 1_000_000);
+        e.try_advance_time(ts + 1_000_000).unwrap();
         assert_eq!(e.metrics().padded_chunks, padded_before);
     }
 
@@ -2310,8 +2240,8 @@ mod tests {
     fn shadow_append_persists_without_padding_home_group() {
         let mut e = engine(TestPolicy::with_shadow());
         // One sparse block: SLA expiry → shadow append into group 1.
-        e.write(0, 42);
-        e.advance_time(1_000);
+        e.try_write(0, 42).unwrap();
+        e.try_advance_time(1_000).unwrap();
         assert_eq!(e.metrics().shadow_append_events, 1);
         assert_eq!(e.metrics().shadow_bytes, 4096);
         // The donated chunk was padded (nothing else pending in group 1).
@@ -2320,7 +2250,7 @@ mod tests {
         // The block is durable (via shadow) yet still pending in group 0.
         // Now fill group 0's chunk: lazy append completes, shadow dies.
         for i in 0..16u64 {
-            e.write(2_000 + i, 100 + i);
+            e.try_write(2_000 + i, 100 + i).unwrap();
         }
         assert!(e.metrics().lazy_appends >= 1);
         e.check_invariants();
@@ -2329,13 +2259,13 @@ mod tests {
     #[test]
     fn shadow_then_overwrite_kills_shadow_copy() {
         let mut e = engine(TestPolicy::with_shadow());
-        e.write(0, 42);
-        e.advance_time(1_000); // shadow append happened
-        e.write(2_000, 42); // overwrite: pending + shadow both die
-                            // The rewritten block is sparse again, so it gets shadow-appended a
-                            // second time at its own SLA deadline.
-        e.advance_time(100_000);
-        e.flush_all();
+        e.try_write(0, 42).unwrap();
+        e.try_advance_time(1_000).unwrap(); // shadow append happened
+        e.try_write(2_000, 42).unwrap(); // overwrite: pending + shadow both die
+                                         // The rewritten block is sparse again, so it gets shadow-appended a
+                                         // second time at its own SLA deadline.
+        e.try_advance_time(100_000).unwrap();
+        e.try_flush_all().unwrap();
         e.check_invariants();
         let m = e.metrics();
         assert_eq!(m.shadow_append_events, 2);
@@ -2347,9 +2277,9 @@ mod tests {
     #[test]
     fn flush_all_drains_every_buffer() {
         let mut e = engine(TestPolicy::sepgc());
-        e.write(0, 1);
-        e.write(0, 2);
-        e.flush_all();
+        e.try_write(0, 1).unwrap();
+        e.try_write(0, 2).unwrap();
+        e.try_flush_all().unwrap();
         assert_eq!(e.metrics().chunks_flushed, 1);
         assert_eq!(e.metrics().user_bytes, 2 * 4096);
         e.check_invariants();
@@ -2359,7 +2289,7 @@ mod tests {
     fn policy_lifecycle_callbacks_fire() {
         let mut e = engine(TestPolicy::sepgc());
         for i in 0..5 * 4096u64 {
-            e.write(i, scattered_lba(i, 4096));
+            e.try_write(i, scattered_lba(i, 4096)).unwrap();
         }
         assert!(e.policy().seals > 0);
         assert!(e.policy().reclaims > 0);
@@ -2369,12 +2299,12 @@ mod tests {
     fn metrics_reset_starts_clean_window() {
         let mut e = engine(TestPolicy::sepgc());
         for i in 0..4096u64 {
-            e.write(i, i);
+            e.try_write(i, i).unwrap();
         }
         e.reset_metrics();
         assert_eq!(e.metrics().host_write_bytes, 0);
         for i in 0..16u64 {
-            e.write(100_000 + i, i);
+            e.try_write(100_000 + i, i).unwrap();
         }
         assert_eq!(e.metrics().host_write_bytes, 16 * 4096);
         e.check_invariants();
@@ -2385,14 +2315,14 @@ mod tests {
         let mut e = engine(TestPolicy::sepgc());
         let mut ts = 0;
         for lba in 0..4096u64 {
-            e.write(ts, lba);
+            e.try_write(ts, lba).unwrap();
             ts += 1;
         }
         for i in 0..5 * 4096u64 {
-            e.write(ts, scattered_lba(i, 4096));
+            e.try_write(ts, scattered_lba(i, 4096)).unwrap();
             ts += 1;
         }
-        e.flush_all();
+        e.try_flush_all().unwrap();
         let gt = e.group_traffic();
         // Group 0 got user traffic; group 1 only GC traffic.
         assert!(gt[0].user_blocks > 0);
@@ -2407,7 +2337,7 @@ mod tests {
     #[test]
     fn bytes_clock_monotonic_and_counts_hosts_writes() {
         let mut e = engine(TestPolicy::sepgc());
-        e.write_request(0, 0, 4);
+        e.try_write_request(0, 0, 4).unwrap();
         assert_eq!(e.user_bytes_clock(), 4 * 4096);
         assert_eq!(e.metrics().host_write_bytes, 4 * 4096);
     }
@@ -2417,14 +2347,14 @@ mod tests {
         let mut e = engine(TestPolicy::sepgc());
         // 32 dense writes: two full chunks flushed.
         for i in 0..32u64 {
-            e.write(i, i);
+            e.try_write(i, i).unwrap();
         }
         // Read 4 blocks that live in the same chunk: one chunk fetched.
-        e.read_request(100, 0, 4);
+        e.try_read_request(100, 0, 4).unwrap();
         assert_eq!(e.metrics().host_read_bytes, 4 * 4096);
         assert_eq!(e.metrics().array_read_bytes, 64 * 1024);
         // A read spanning both chunks fetches two.
-        e.read_request(101, 12, 8);
+        e.try_read_request(101, 12, 8).unwrap();
         assert_eq!(e.metrics().array_read_bytes, 3 * 64 * 1024);
         assert!(e.metrics().read_amplification() > 1.0);
     }
@@ -2432,8 +2362,8 @@ mod tests {
     #[test]
     fn buffered_blocks_read_from_ram() {
         let mut e = engine(TestPolicy::sepgc());
-        e.write(0, 7); // still pending
-        e.read_request(1, 7, 1);
+        e.try_write(0, 7).unwrap(); // still pending
+        e.try_read_request(1, 7, 1).unwrap();
         assert_eq!(e.metrics().buffer_read_blocks, 1);
         assert_eq!(e.metrics().array_read_bytes, 0);
     }
@@ -2441,7 +2371,7 @@ mod tests {
     #[test]
     fn unwritten_blocks_read_as_zeroes() {
         let mut e = engine(TestPolicy::sepgc());
-        e.read_request(0, 100, 4);
+        e.try_read_request(0, 100, 4).unwrap();
         assert_eq!(e.metrics().array_read_bytes, 0);
         assert_eq!(e.metrics().host_read_bytes, 4 * 4096);
     }
@@ -2450,18 +2380,18 @@ mod tests {
     fn trim_invalidates_blocks() {
         let mut e = engine(TestPolicy::sepgc());
         for i in 0..16u64 {
-            e.write(i, i); // one full chunk, durable
+            e.try_write(i, i).unwrap(); // one full chunk, durable
         }
-        e.trim(100, 0, 8);
+        e.try_trim(100, 0, 8).unwrap();
         assert_eq!(e.metrics().trimmed_blocks, 8);
         e.check_invariants();
         // Trimming unwritten space is a no-op.
-        e.trim(101, 1000, 4);
+        e.try_trim(101, 1000, 4).unwrap();
         assert_eq!(e.metrics().trimmed_blocks, 8);
         // Trimmed blocks no longer cost GC migration: reading them back is
         // zero-fill (no array bytes).
         let before = e.metrics().array_read_bytes;
-        e.read_request(102, 0, 8);
+        e.try_read_request(102, 0, 8).unwrap();
         assert_eq!(e.metrics().array_read_bytes, before);
     }
 
@@ -2473,17 +2403,17 @@ mod tests {
             .build();
         let mut steps = 0u64;
         for i in 0..6 * 4096u64 {
-            e.write(i, scattered_lba(i, 4096));
+            e.try_write(i, scattered_lba(i, 4096)).unwrap();
             // `serve`'s idle GC: a step off the write path whenever the
             // queue runs dry, here every 64 writes, between inline passes.
-            if i % 64 == 63 && e.gc_step() {
+            if i % 64 == 63 && e.try_gc_step().unwrap() {
                 steps += 1;
             }
         }
         assert!(steps > 0, "idle steps never reclaimed a segment");
         assert!(e.free_segments() > 0);
         e.check_invariants();
-        e.check_recovery();
+        e.try_check_recovery().unwrap();
     }
 
     /// Synchronous GC logs a victim's `GcBegin`, its migrations and its
@@ -2562,32 +2492,32 @@ mod tests {
         let mut e = engine(TestPolicy::sepgc());
         let mut ts = 0u64;
         for lba in 0..4096u64 {
-            e.write(ts, lba);
+            e.try_write(ts, lba).unwrap();
             ts += 1;
         }
         for i in 0..5 * 4096u64 {
-            e.write(ts, scattered_lba(i, 4096));
+            e.try_write(ts, scattered_lba(i, 4096)).unwrap();
             ts += 1;
         }
-        e.check_recovery();
-        e.flush_all();
-        e.check_recovery();
+        e.try_check_recovery().unwrap();
+        e.try_flush_all().unwrap();
+        e.try_check_recovery().unwrap();
     }
 
     #[test]
     fn recovery_handles_shadow_and_lazy_append() {
         let mut e = engine(TestPolicy::with_shadow());
-        e.write(0, 42);
-        e.advance_time(1_000); // shadow append: durable copy is the shadow
-        e.check_recovery();
+        e.try_write(0, 42).unwrap();
+        e.try_advance_time(1_000).unwrap(); // shadow append: durable copy is the shadow
+        e.try_check_recovery().unwrap();
         for i in 0..16u64 {
-            e.write(2_000 + i, 100 + i); // lazy append supersedes the shadow
+            e.try_write(2_000 + i, 100 + i).unwrap(); // lazy append supersedes the shadow
         }
-        e.check_recovery();
-        e.write(50_000, 42); // overwrite again
-        e.advance_time(200_000);
-        e.flush_all();
-        e.check_recovery();
+        e.try_check_recovery().unwrap();
+        e.try_write(50_000, 42).unwrap(); // overwrite again
+        e.try_advance_time(200_000).unwrap();
+        e.try_flush_all().unwrap();
+        e.try_check_recovery().unwrap();
     }
 
     #[test]
@@ -2595,11 +2525,11 @@ mod tests {
         let mut e = engine(TestPolicy::sepgc());
         let mut ts = 0u64;
         for lba in 0..4096u64 {
-            e.write(ts, lba);
+            e.try_write(ts, lba).unwrap();
             ts += 1;
         }
         for i in 0..5 * 4096u64 {
-            e.write(ts, scattered_lba(i, 4096));
+            e.try_write(ts, scattered_lba(i, 4096)).unwrap();
             ts += 1;
         }
         let h = e.utilization_histogram();
@@ -2619,15 +2549,15 @@ mod tests {
     fn durability_latency_tracks_sla_and_fills() {
         let mut e = engine(TestPolicy::sepgc());
         // A lone sparse block becomes durable at the SLA deadline.
-        e.write(0, 1);
-        e.advance_time(10_000);
+        e.try_write(0, 1).unwrap();
+        e.try_advance_time(10_000).unwrap();
         let h = &e.metrics().durability_latency;
         assert_eq!(h.count(), 1);
         assert!(h.max_us() >= 100, "latency {}", h.max_us());
         // Dense writes fill the chunk quickly: low latencies.
         let mut e = engine(TestPolicy::sepgc());
         for i in 0..16u64 {
-            e.write(i, i);
+            e.try_write(i, i).unwrap();
         }
         let h = &e.metrics().durability_latency;
         assert_eq!(h.count(), 16);
@@ -2638,15 +2568,15 @@ mod tests {
     #[test]
     fn shadow_append_grants_durability_at_expiry() {
         let mut e = engine(TestPolicy::with_shadow());
-        e.write(0, 42);
-        e.advance_time(1_000); // shadow append at t=100
+        e.try_write(0, 42).unwrap();
+        e.try_advance_time(1_000).unwrap(); // shadow append at t=100
         let h = &e.metrics().durability_latency;
         assert_eq!(h.count(), 1, "shadowed block counted once");
         // Completing the home chunk later must NOT double-count it: the
         // chunk flushes with the shadowed block (skipped) + 15 new blocks
         // (recorded); the 16th new block stays pending.
         for i in 0..16u64 {
-            e.write(2_000 + i, 100 + i);
+            e.try_write(2_000 + i, 100 + i).unwrap();
         }
         assert!(e.metrics().lazy_appends >= 1);
         assert_eq!(e.metrics().durability_latency.count(), 16);
@@ -2664,7 +2594,7 @@ mod tests {
         .build();
         // Three dense chunks complete RAID-5 stripe 0 (3 data columns).
         for i in 0..48u64 {
-            e.write(i, i);
+            e.try_write(i, i).unwrap();
         }
         // Chunk 0 (stripe 0, column 0) sits on device 0 under the
         // left-symmetric layout. Fail it; reads must reconstruct.
@@ -2690,7 +2620,7 @@ mod tests {
                 .config(cfg)
                 .build();
         for i in 0..16u64 {
-            e.write(i, i);
+            e.try_write(i, i).unwrap();
         }
         // Every attempt draws a transient error: the engine retries
         // READ_RETRY_LIMIT times, then surfaces the fault.
@@ -2718,24 +2648,24 @@ mod tests {
         // Churn: plenty of sealed segments with garbage for GC to eat.
         let mut ts = 0u64;
         for lba in 0..4096u64 {
-            e.write(ts, lba);
+            e.try_write(ts, lba).unwrap();
             ts += 1;
         }
         for i in 0..2 * 4096u64 {
-            e.write(ts, scattered_lba(i, 4096));
+            e.try_write(ts, scattered_lba(i, 4096)).unwrap();
             ts += 1;
         }
         // Enter rebuild: idle GC steps must decline.
         e.sink_mut().fail_device(1);
         e.sink_mut().start_rebuild_all().unwrap();
         assert!(matches!(e.sink().health(), ArrayHealth::Rebuilding { .. }));
-        assert!(!e.gc_step(), "GC must pause while rebuilding");
+        assert!(!e.try_gc_step().unwrap(), "GC must pause while rebuilding");
         assert!(e.metrics().gc_throttled > 0);
         let reclaimed_during = e.metrics().segments_reclaimed;
         // Finish the rebuild; GC resumes.
         e.sink_mut().rebuild_step(usize::MAX).unwrap();
         assert_eq!(e.sink().health(), ArrayHealth::Healthy);
-        assert!(e.gc_step(), "GC must resume once healthy");
+        assert!(e.try_gc_step().unwrap(), "GC must resume once healthy");
         assert!(e.metrics().segments_reclaimed > reclaimed_during);
         e.check_invariants();
     }
@@ -2752,19 +2682,19 @@ mod tests {
         .build();
         let mut ts = 0u64;
         for lba in 0..1024u64 {
-            e.write(ts, lba);
+            e.try_write(ts, lba).unwrap();
             ts += 1;
         }
         e.sink_mut().fail_device(0);
         e.sink_mut().start_rebuild_all().unwrap();
         // Ops observed while rebuilding count toward time-to-rebuild.
         for lba in 0..64u64 {
-            e.write(ts, lba);
+            e.try_write(ts, lba).unwrap();
             ts += 1;
         }
         e.sink_mut().rebuild_step(usize::MAX).unwrap();
         // The healthy transition is noticed at the next host op.
-        e.write(ts, 0);
+        e.try_write(ts, 0).unwrap();
         let m = e.metrics();
         assert!(m.rebuild_ops >= 64, "rebuild_ops {}", m.rebuild_ops);
         assert!(m.rebuild_bytes > 0);
@@ -2778,7 +2708,7 @@ mod tests {
         // emptying the free pool until a migration needs a fresh segment.
         let mut e = engine(TestPolicy::sepgc());
         for i in 0..5 * 4096u64 {
-            e.write(i, scattered_lba(i, 4096));
+            e.try_write(i, scattered_lba(i, 4096)).unwrap();
         }
         let err = loop {
             e.free.clear();
@@ -2817,17 +2747,17 @@ mod tests {
                     .build();
             let mut ts = 0u64;
             for lba in 0..4096u64 {
-                e.write(ts, lba);
+                e.try_write(ts, lba).unwrap();
                 ts += 1;
             }
             for i in 0..4 * 4096u64 {
-                e.write(ts, scattered_lba(i, 4096));
+                e.try_write(ts, scattered_lba(i, 4096)).unwrap();
                 ts += 1;
             }
             // A lone straggler exercises the shadow-append path.
-            e.write(ts + 10_000, 4095);
-            e.advance_time(ts + 200_000);
-            e.flush_all();
+            e.try_write(ts + 10_000, 4095).unwrap();
+            e.try_advance_time(ts + 200_000).unwrap();
+            e.try_flush_all().unwrap();
             e
         };
         let mut off = run(false);
@@ -2848,10 +2778,10 @@ mod tests {
     #[test]
     fn trim_of_pending_block_drops_buffer_entry() {
         let mut e = engine(TestPolicy::sepgc());
-        e.write(0, 5);
-        e.trim(1, 5, 1);
+        e.try_write(0, 5).unwrap();
+        e.try_trim(1, 5, 1).unwrap();
         assert_eq!(e.metrics().trimmed_blocks, 1);
-        e.advance_time(10_000);
+        e.try_advance_time(10_000).unwrap();
         // Nothing left to pad out: buffer was emptied by the trim.
         assert_eq!(e.metrics().chunks_flushed, 0);
         e.check_invariants();

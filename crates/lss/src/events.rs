@@ -17,15 +17,13 @@
 //! PR-2 perf harness sees a bit-identical replay. When enabled, events
 //! land in a bounded ring buffer (oldest dropped first) while per-kind
 //! totals persist across wraparound, so event-derived rates stay exact
-//! even for long runs. An optional JSONL sink streams every record to
-//! disk as it is emitted.
+//! even for long runs.
 //!
 //! [`PlacementPolicy::drain_events`]: crate::PlacementPolicy::drain_events
 
 use crate::types::{GroupId, Lba, SegmentId};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::io::Write as _;
 
 /// Policy-side observability records, buffered by a [`PlacementPolicy`]
 /// while [`PolicyCtx::events_enabled`] is set and drained by the engine
@@ -203,8 +201,7 @@ pub struct EngineEvent {
 }
 
 /// Event-stream configuration. `Copy` + serde so replay configs can embed
-/// it; the JSONL sink path is runtime-only state configured through
-/// [`EngineBuilder::event_jsonl`](crate::EngineBuilder::event_jsonl).
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EventConfig {
     /// Master switch. Off = zero-cost: one predictable branch per site.
@@ -277,7 +274,7 @@ impl EventStats {
 }
 
 /// The engine's event recorder: bounded ring + persistent per-kind totals
-/// + gauge series + optional JSONL sink.
+/// + gauge series.
 #[derive(Debug, Default)]
 pub struct EventRecorder {
     cfg: EventConfig,
@@ -286,12 +283,6 @@ pub struct EventRecorder {
     dropped: u64,
     per_kind: [u64; EVENT_KINDS],
     gauges: Vec<GaugeSample>,
-    jsonl: Option<std::io::BufWriter<std::fs::File>>,
-    /// First JSONL write failure. The sink detaches on the first error
-    /// (the stream is diagnostics, not ground truth — a half-written line
-    /// must not poison the replay), and the error is kept here for the
-    /// caller to inspect instead of vanishing.
-    sink_error: Option<std::io::Error>,
 }
 
 impl EventRecorder {
@@ -304,8 +295,6 @@ impl EventRecorder {
             dropped: 0,
             per_kind: [0; EVENT_KINDS],
             gauges: Vec::new(),
-            jsonl: None,
-            sink_error: None,
         }
     }
 
@@ -325,14 +314,6 @@ impl EventRecorder {
         self.cfg
     }
 
-    /// Attach a JSONL sink: every subsequent event is appended to `path`
-    /// as one JSON object per line.
-    pub fn set_jsonl_sink(&mut self, path: &std::path::Path) -> std::io::Result<()> {
-        let file = std::fs::File::create(path)?;
-        self.jsonl = Some(std::io::BufWriter::new(file));
-        Ok(())
-    }
-
     /// Record one event. Caller guards with [`EventRecorder::enabled`];
     /// recording while disabled is a silent no-op so un-guarded cold
     /// paths stay correct.
@@ -343,20 +324,6 @@ impl EventRecorder {
         let event = EngineEvent { seq: self.next_seq, now_us, op, kind };
         self.next_seq += 1;
         self.per_kind[kind.index()] += 1;
-        if let Some(w) = &mut self.jsonl {
-            // Serialization of a Copy enum cannot fail; a write failure
-            // detaches the sink (first error wins, see `sink_error`).
-            let res = serde_json::to_string(&event)
-                .map_err(|e| std::io::Error::other(e.to_string()))
-                .and_then(|line| {
-                    w.write_all(line.as_bytes())?;
-                    w.write_all(b"\n")
-                });
-            if let Err(e) = res {
-                self.sink_error = Some(e);
-                self.jsonl = None;
-            }
-        }
         if self.ring.len() >= self.cfg.ring_capacity as usize {
             self.ring.pop_front();
             self.dropped += 1;
@@ -419,44 +386,6 @@ impl EventRecorder {
                 .filter(|&(_, n)| n > 0)
                 .map(|(&k, n)| (k.to_string(), n))
                 .collect(),
-        }
-    }
-
-    /// Flush the JSONL sink, if one is attached. On failure the sink
-    /// detaches and the error is both returned and retained (see
-    /// [`EventRecorder::sink_error`]).
-    pub fn flush(&mut self) -> std::io::Result<()> {
-        if let Some(w) = &mut self.jsonl {
-            if let Err(e) = w.flush() {
-                let out = std::io::Error::new(e.kind(), e.to_string());
-                self.sink_error = Some(e);
-                self.jsonl = None;
-                return Err(out);
-            }
-        }
-        Ok(())
-    }
-
-    /// The first JSONL sink failure, if any. The sink is already
-    /// detached when this is set; events keep flowing to the ring.
-    pub fn sink_error(&self) -> Option<&std::io::Error> {
-        self.sink_error.as_ref()
-    }
-
-    /// Take ownership of the first JSONL sink failure, clearing it.
-    pub fn take_sink_error(&mut self) -> Option<std::io::Error> {
-        self.sink_error.take()
-    }
-}
-
-impl Drop for EventRecorder {
-    /// Best-effort flush so a recorder dropped mid-run (engine teardown,
-    /// panic unwind) leaves complete lines on disk. Errors here have no
-    /// caller to report to; use [`EventRecorder::flush`] for a checked
-    /// flush.
-    fn drop(&mut self) {
-        if let Some(w) = &mut self.jsonl {
-            let _ = w.flush();
         }
     }
 }
@@ -570,65 +499,5 @@ mod tests {
         assert_eq!(stats.distinct_kinds(), 1);
         assert_eq!(stats.kind_total("shadow_append"), 1);
         assert_eq!(stats.kind_total("gc_collect"), 0);
-    }
-
-    #[test]
-    fn jsonl_sink_streams_every_event() {
-        let dir = std::env::temp_dir().join("adapt_events_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("events.jsonl");
-        let mut r = rec(2);
-        r.set_jsonl_sink(&path).unwrap();
-        for i in 0..5u64 {
-            r.record(i, i, pad(0));
-        }
-        r.flush().unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        // All 5 events reach the sink even though the ring holds only 2.
-        assert_eq!(text.lines().count(), 5);
-        assert!(text.lines().all(|l| l.contains("PaddedFlush")));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn jsonl_sink_flushes_on_drop() {
-        let dir = std::env::temp_dir().join("adapt_events_drop_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("events_{}.jsonl", std::process::id()));
-        {
-            let mut r = rec(2);
-            r.set_jsonl_sink(&path).unwrap();
-            for i in 0..5u64 {
-                r.record(i, i, pad(0));
-            }
-            // No explicit flush: the drop must push the buffered tail out.
-        }
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 5);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn jsonl_write_failure_detaches_and_surfaces() {
-        // /dev/full accepts opens and fails every write with ENOSPC.
-        let full = std::path::Path::new("/dev/full");
-        if !full.exists() {
-            return;
-        }
-        let mut r = rec(4);
-        r.set_jsonl_sink(full).unwrap();
-        // Push well past the BufWriter's buffer so the failure hits
-        // inside `record`, not only at flush time.
-        for i in 0..10_000u64 {
-            r.record(i, i, pad(0));
-        }
-        let _ = r.flush();
-        let err = r.sink_error().expect("write failure must be retained");
-        assert_eq!(err.kind(), std::io::ErrorKind::StorageFull);
-        // The ring kept recording after the sink detached.
-        assert_eq!(r.emitted(), 10_000);
-        assert!(r.take_sink_error().is_some());
-        assert!(r.take_sink_error().is_none(), "error is taken once");
-        assert!(r.flush().is_ok(), "detached sink flushes cleanly");
     }
 }

@@ -53,15 +53,16 @@
 //!
 //! // Sixteen back-to-back 4 KiB writes fill exactly one 64 KiB chunk.
 //! for lba in 0..16 {
-//!     engine.write(lba, lba);
+//!     engine.try_write(lba, lba)?;
 //! }
 //! assert_eq!(engine.metrics().chunks_flushed, 1);
 //! assert_eq!(engine.metrics().pad_bytes, 0);
 //!
 //! // A lone write pads out at the 100 µs SLA deadline.
-//! engine.write(1_000_000, 42);
-//! engine.advance_time(2_000_000);
+//! engine.try_write(1_000_000, 42)?;
+//! engine.try_advance_time(2_000_000)?;
 //! assert_eq!(engine.metrics().padded_chunks, 1);
+//! # Ok::<(), adapt_lss::EngineError>(())
 //! ```
 
 pub mod builder;
@@ -106,7 +107,7 @@ pub use placement::{
 };
 pub use recovery::{RecoveryError, RecoveryReport};
 pub use telemetry::TelemetrySnapshot;
-pub use types::{GroupId, HostOp, HostOpKind, Lba, SegmentId};
+pub use types::{GroupId, Lba, SegmentId};
 pub use wal::{
     DurabilityConfig, FsyncPolicy, TornTail, Wal, WalError, WalRecord, WalSlot, WalSlotKind,
     WalStats,

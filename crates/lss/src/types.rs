@@ -27,52 +27,6 @@ pub enum Slot {
     Shadow(Lba),
 }
 
-/// One host block operation, the unit of the serve layer's fused runs
-/// (`ShardEngine::apply_ops`). Semantically identical to calling the
-/// corresponding one-shot engine method —
-/// [`crate::Lss::try_write_request`], [`crate::Lss::try_read_request`] or
-/// [`crate::Lss::try_trim`] — at the same timestamp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HostOp {
-    /// Arrival timestamp (simulated µs); must be monotone within a batch,
-    /// exactly as the one-shot calls require.
-    pub ts_us: u64,
-    /// What to do.
-    pub kind: HostOpKind,
-    /// First logical block of the request.
-    pub lba: Lba,
-    /// Request length in blocks.
-    pub blocks: u32,
-}
-
-/// Operation selector for [`HostOp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HostOpKind {
-    /// Block write(s): `blocks` sequential single-block writes at `lba`.
-    Write,
-    /// Block read spanning `blocks` blocks at `lba`.
-    Read,
-    /// TRIM/discard of `blocks` blocks at `lba`.
-    Trim,
-}
-
-impl HostOp {
-    /// A `blocks`-long write request at `lba`.
-    pub fn write(ts_us: u64, lba: Lba, blocks: u32) -> Self {
-        Self { ts_us, kind: HostOpKind::Write, lba, blocks }
-    }
-
-    /// A `blocks`-long read request at `lba`.
-    pub fn read(ts_us: u64, lba: Lba, blocks: u32) -> Self {
-        Self { ts_us, kind: HostOpKind::Read, lba, blocks }
-    }
-
-    /// A `blocks`-long TRIM at `lba`.
-    pub fn trim(ts_us: u64, lba: Lba, blocks: u32) -> Self {
-        Self { ts_us, kind: HostOpKind::Trim, lba, blocks }
-    }
-}
-
 const SLOT_FREE: u64 = u64::MAX;
 const SLOT_PAD: u64 = u64::MAX - 1;
 const SHADOW_BIT: u64 = 1 << 62;

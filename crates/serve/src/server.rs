@@ -49,7 +49,6 @@ pub struct ServerBuilder {
     range_blocks: u64,
     ordered: bool,
     durable: bool,
-    apply_batch: usize,
     base: LssConfig,
     volumes: Vec<VolumeSpec>,
     qos: Option<QosConfig>,
@@ -73,7 +72,6 @@ impl ServerBuilder {
             range_blocks: 4096,
             ordered: false,
             durable: false,
-            apply_batch: usize::MAX,
             base: LssConfig::default().with_gc_watermarks(10, 14),
             volumes: Vec::new(),
             qos: None,
@@ -120,18 +118,6 @@ impl ServerBuilder {
     /// confer durability and completions report `durable: true`.
     pub fn durable(mut self, on: bool) -> Self {
         self.durable = on;
-        self
-    }
-
-    /// Cap on consecutive same-volume ops fused into one engine
-    /// `apply_ops` slice per drain. Defaults to unbounded (whole drained
-    /// slices fuse). **Determinism contract:** every value — including
-    /// 1, which degenerates to op-at-a-time — produces bit-identical
-    /// completions, telemetry, and per-volume attribution; the cap only
-    /// trades per-op drain overhead against apply-latency granularity.
-    pub fn apply_batch(mut self, cap: usize) -> Self {
-        assert!(cap > 0, "apply-batch cap must be nonzero");
-        self.apply_batch = cap;
         self
     }
 
@@ -215,7 +201,6 @@ impl ServerBuilder {
                     window: self.window as usize,
                     ordered: self.ordered,
                     durable: self.durable,
-                    apply_batch: self.apply_batch,
                 };
                 std::thread::Builder::new()
                     .name(format!("adapt-shard-{}", plan.shard))

@@ -10,16 +10,13 @@
 //! pending set reaches the group-commit window or the queue momentarily
 //! drains — batching when loaded, never stalling acks when idle.
 //!
-//! The apply stage is *fused*: consecutive same-volume ops from one
-//! drain are handed to the engine as a single [`ShardEngine::apply_ops`]
-//! slice, so the drain pays its per-op overheads — two metric probes for
-//! volume attribution, virtual-call round-trips, completion bookkeeping
-//! — once per run instead of once per op. Fusion is invisible by
-//! construction: the batch is defined as the op-at-a-time loop,
-//! timestamps come off the same applied-op clock, and runs break at
-//! volume boundaries so per-volume attribution stays exact (the
-//! [`ServerBuilder::apply_batch`](crate::ServerBuilder::apply_batch) cap
-//! can shrink runs arbitrarily without changing any result).
+//! The apply stage works in *runs*: consecutive same-volume ops from one
+//! drain. Each op is one engine call ([`ShardEngine::apply_write`],
+//! [`apply_read`](ShardEngine::apply_read) or
+//! [`apply_trim`](ShardEngine::apply_trim)), but the two metric probes
+//! for per-volume attribution and the delivery of the completions a run
+//! produces at apply are paid once per run. Runs break at volume
+//! boundaries, so attribution stays exact.
 //!
 //! Two drain modes:
 //!
@@ -56,9 +53,7 @@
 use crate::api::{Completion, OneShot, OpKind, Request, ServeError, VolumeId};
 use crate::spin::spin_until;
 use adapt_array::{ArrayError, ArraySink};
-use adapt_lss::{
-    EngineError, HostOp, HostOpKind, Lba, Lss, LssMetrics, PlacementPolicy, TelemetrySnapshot,
-};
+use adapt_lss::{EngineError, Lba, Lss, LssMetrics, PlacementPolicy, TelemetrySnapshot};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -75,23 +70,6 @@ pub trait ShardEngine: Send {
     fn apply_read(&mut self, ts_us: u64, lba: Lba, blocks: u32) -> Result<(), EngineError>;
     /// Apply one trim request.
     fn apply_trim(&mut self, ts_us: u64, lba: Lba, blocks: u32) -> Result<(), EngineError>;
-    /// Apply a slice of ops in order, stopping at the first failure,
-    /// reported with the index of the op that hit it. *Defined* as the
-    /// per-op loop below — an engine with a fused batch path may
-    /// override, but must stay bit-identical to op-at-a-time for any
-    /// partitioning of the stream (the `apply_batch` determinism
-    /// contract). `Lss` keeps this default.
-    fn apply_ops(&mut self, ops: &[HostOp]) -> Result<(), (usize, EngineError)> {
-        for (i, op) in ops.iter().enumerate() {
-            let r = match op.kind {
-                HostOpKind::Write => self.apply_write(op.ts_us, op.lba, op.blocks),
-                HostOpKind::Read => self.apply_read(op.ts_us, op.lba, op.blocks),
-                HostOpKind::Trim => self.apply_trim(op.ts_us, op.lba, op.blocks),
-            };
-            r.map_err(|e| (i, e))?;
-        }
-        Ok(())
-    }
     /// Group-commit barrier: make every applied op durable. Must be a
     /// no-op `Ok(())` on engines without a WAL.
     fn sync(&mut self) -> Result<(), EngineError>;
@@ -523,11 +501,6 @@ pub(crate) struct ShardWorker {
     pub(crate) ordered: bool,
     /// Whether barriers confer durability (engine has a WAL).
     pub(crate) durable: bool,
-    /// Max consecutive same-volume ops fused into one
-    /// [`ShardEngine::apply_ops`] call (`usize::MAX` = fuse whole drained
-    /// slices). Any value yields bit-identical results; see
-    /// [`ServerBuilder::apply_batch`](crate::ServerBuilder::apply_batch).
-    pub(crate) apply_batch: usize,
 }
 
 /// Fatal errors fail-stop the shard (its state can no longer serve
@@ -554,12 +527,10 @@ struct WorkerState {
     per_volume: BTreeMap<VolumeId, LssMetrics>,
     background: LssMetrics,
     failed: bool,
-    /// Run-fusion scratch, reused across drain cycles: consecutive
-    /// same-volume ops accumulate in `run` and hit the engine as one
-    /// `apply_ops` slice (`ops`); `done` collects the completions a run
+    /// Scratch reused across drain cycles: consecutive same-volume ops
+    /// accumulate in `run`; `done` collects the completions a run
     /// delivers at apply (reads, failures).
     run: Vec<OpCommand>,
-    ops: Vec<HostOp>,
     done: Vec<(OpCommand, Completion)>,
 }
 
@@ -575,7 +546,6 @@ impl ShardWorker {
             background: LssMetrics::default(),
             failed: false,
             run: Vec::new(),
-            ops: Vec::new(),
             done: Vec::new(),
         };
         let mut buf: Vec<Command> = Vec::new();
@@ -686,13 +656,11 @@ impl ShardWorker {
         }
     }
 
-    /// Stage `op` into the current run, first flushing the run if `op`
+    /// Stage `op` into the current run, first applying the run if `op`
     /// would cross a volume boundary (per-volume attribution needs
-    /// single-volume runs) or overflow the fusion cap.
+    /// single-volume runs).
     fn stage_run(&mut self, st: &mut WorkerState, op: OpCommand) {
-        if st.run.len() >= self.apply_batch
-            || st.run.last().is_some_and(|prev| prev.request.volume != op.request.volume)
-        {
+        if st.run.last().is_some_and(|prev| prev.request.volume != op.request.volume) {
             self.apply_run(st);
         }
         st.run.push(op);
@@ -701,14 +669,13 @@ impl ShardWorker {
     /// Engine µs that elapse per applied op (the deterministic clock).
     const CLOCK_STEP_US: u64 = 1;
 
-    /// Apply the staged run of same-volume commands through the engine's
-    /// batch entry point. Semantically the per-op loop, in order:
-    /// timestamps come off the same op clock, one before/after probe
-    /// delta per *run* (not per op) credits the issuing volume with the
-    /// identical totals (the probed counters are monotone, so per-op
-    /// deltas telescope), a mid-run failure completes exactly the op
-    /// that hit it and resumes with the remainder, and a fatal error
-    /// fail-stops the shard with every later command failed unapplied.
+    /// Apply the staged run of same-volume commands, one engine call per
+    /// op, in order. Op `i` of the shard runs at `(i + 1) × CLOCK_STEP_US`
+    /// on the applied-op clock. One before/after probe pair per run
+    /// credits the issuing volume (the probed counters are monotone, so
+    /// per-op deltas telescope). A failed op completes alone with its
+    /// error; a fatal one also fail-stops the shard, and every later op of
+    /// the run fails with `ShardFailed` at version 0, unapplied.
     fn apply_run(&mut self, st: &mut WorkerState) {
         if st.run.is_empty() {
             return;
@@ -718,60 +685,36 @@ impl ShardWorker {
             self.deliver(st.run.drain(..).map(|op| self.failure(op, 0, shard_failed.clone())));
             return;
         }
-        let step = Self::CLOCK_STEP_US;
-        st.ops.clear();
-        for (j, cmd) in st.run.iter().enumerate() {
-            let ts = (st.applied + j as u64 + 1) * step;
-            let r = &cmd.request;
-            st.ops.push(match r.kind {
-                OpKind::Write => HostOp::write(ts, cmd.local_lba, r.blocks),
-                OpKind::Read => HostOp::read(ts, cmd.local_lba, r.blocks),
-                OpKind::Trim => HostOp::trim(ts, cmd.local_lba, r.blocks),
-            });
-        }
         let volume = st.run[0].request.volume;
         let before = self.engine.probe();
-        // Per-op failures are rare: remember them by run index and keep
-        // applying the remainder; a fatal one truncates the run.
-        let mut failed: VecDeque<(usize, ServeError)> = VecDeque::new();
-        let mut fatal_at: Option<usize> = None;
-        let mut start = 0;
-        while start < st.ops.len() {
-            match self.engine.apply_ops(&st.ops[start..]) {
-                Ok(()) => break,
-                Err((off, e)) => {
-                    let i = start + off;
-                    let fatal = is_fatal(&e);
-                    failed.push_back((i, ServeError::engine(&e)));
-                    start = i + 1;
-                    if fatal {
-                        fatal_at = Some(i);
-                        break;
-                    }
-                }
-            }
-        }
-        let after = self.engine.probe();
-        Probe::attribute(st.per_volume.entry(volume).or_default(), &before, &after);
-        let base = st.applied;
-        // Every op up to (and including) a fatal one ticked the op
-        // clock; ops cut off by the fatal never reached the engine.
-        st.applied += fatal_at.map_or(st.run.len(), |i| i + 1) as u64;
-        for (j, op) in st.run.drain(..).enumerate() {
-            let ts = (base + j as u64 + 1) * step;
-            if fatal_at.is_some_and(|i| j > i) {
+        let mut fatal = false;
+        for op in st.run.drain(..) {
+            if fatal {
                 st.done.push(self.failure(op, 0, shard_failed.clone()));
-            } else if failed.front().is_some_and(|&(i, _)| i == j) {
-                let (_, e) = failed.pop_front().expect("peeked");
-                st.done.push(self.failure(op, ts, e));
-            } else if op.request.kind == OpKind::Read {
-                st.done.push(self.completion(op, ts, false, Ok(())));
-            } else {
-                st.pending.push((op, ts));
+                continue;
+            }
+            st.applied += 1;
+            let ts = st.applied * Self::CLOCK_STEP_US;
+            let (kind, lba, blocks) = (op.request.kind, op.local_lba, op.request.blocks);
+            let result = match kind {
+                OpKind::Write => self.engine.apply_write(ts, lba, blocks),
+                OpKind::Read => self.engine.apply_read(ts, lba, blocks),
+                OpKind::Trim => self.engine.apply_trim(ts, lba, blocks),
+            };
+            match result {
+                Err(e) => {
+                    fatal = is_fatal(&e);
+                    st.done.push(self.failure(op, ts, ServeError::engine(&e)));
+                }
+                Ok(()) if kind == OpKind::Read => {
+                    st.done.push(self.completion(op, ts, false, Ok(())));
+                }
+                Ok(()) => st.pending.push((op, ts)),
             }
         }
+        Probe::attribute(st.per_volume.entry(volume).or_default(), &before, &self.engine.probe());
         self.deliver(st.done.drain(..));
-        if fatal_at.is_some() {
+        if fatal {
             self.fail_stop(st);
         }
     }

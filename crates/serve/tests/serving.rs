@@ -328,62 +328,35 @@ fn ordered_mode_rejects_missing_stale_duplicate_and_gapped_sequences() {
     assert_eq!(report.shards[0].stats.failed_ops, 4);
 }
 
-/// The `apply_batch` fusion cap is observably inert: capping runs at 1
-/// (pure op-at-a-time), at an awkward prime, or leaving them unbounded
-/// yields bit-identical telemetry, per-volume attribution, and op
-/// counts — the `ServerBuilder::apply_batch` determinism contract, exercised
-/// across volume-boundary run breaks.
-#[test]
-fn apply_batch_cap_is_bit_identical() {
-    let run = |cap: Option<usize>| {
-        let mut builder = mem_builder().shards(2).ordered_replay(true);
-        if let Some(cap) = cap {
-            builder = builder.apply_batch(cap);
-        }
-        let server = builder.start(mem_factory);
-        let client = server.client();
-        let mut next_seq = [0u64; 2];
-        for i in 0..3000u64 {
-            let r = mix(i ^ 0xBA7C);
-            let (volume, cap_blocks) =
-                if r.is_multiple_of(4) { (1, 4 * 1024) } else { (0, 8 * 1024) };
-            let lba = mix(r) % cap_blocks;
-            let mut req = match r % 17 {
-                0 => Request::trim(0, volume, lba, 1),
-                1..=3 => Request::read(0, volume, lba, 1),
-                _ => Request::write(0, volume, lba, 1),
-            };
-            let shard = client.shard_of(req.volume, req.lba, req.blocks).unwrap() as usize;
-            req = req.with_seq(next_seq[shard]);
-            next_seq[shard] += 1;
-            let t = client.submit_backoff(req).unwrap();
-            assert!(client.wait(t).result.is_ok());
-        }
-        let report = server.shutdown();
-        assert!(report.balanced());
-        report
-    };
-    let op_at_a_time = run(Some(1));
-    let prime = run(Some(7));
-    let unbounded = run(None);
-    for other in [&prime, &unbounded] {
-        for (a, b) in op_at_a_time.shards.iter().zip(&other.shards) {
-            assert_eq!(a.telemetry, b.telemetry, "shard {} telemetry diverged", a.shard);
-            assert_eq!(a.per_volume, b.per_volume, "shard {} attribution diverged", a.shard);
-            assert_eq!(a.applied_ops, b.applied_ops);
-        }
-    }
-}
-
 /// Wraps a real engine with a wait-gate on every apply (so tests can
-/// deterministically hold a shard's queue full) and optional fatal-error
-/// injection on writes.
+/// deterministically hold a shard's queue full) and error injection by
+/// LBA on writes and reads.
 struct GatedEngine {
     inner: Lss<SepGc, CountingArray>,
     /// `(open, cv)`: applies block while `!open`.
     gate: Arc<(Mutex<bool>, Condvar)>,
-    /// Inject `IndexCorruption` (fatal) on every write.
-    fail_writes: bool,
+    /// The error a write or read at this LBA fails with, if any.
+    fault: fn(u64) -> Option<EngineError>,
+}
+
+fn corrupt(lba: u64) -> EngineError {
+    EngineError::IndexCorruption { lba, detail: "injected fault".into() }
+}
+
+fn gated_server(
+    builder: ServerBuilder,
+    gate: &Arc<(Mutex<bool>, Condvar)>,
+    fault: fn(u64) -> Option<EngineError>,
+) -> adapt_serve::Server {
+    let gate = Arc::clone(gate);
+    builder.start(move |plan| {
+        let sink = CountingArray::new(plan.lss.array_config());
+        Box::new(GatedEngine {
+            inner: Lss::builder(SepGc::new(), sink).config(plan.lss).build(),
+            gate: Arc::clone(&gate),
+            fault,
+        })
+    })
 }
 
 impl GatedEngine {
@@ -405,14 +378,17 @@ fn open_gate(gate: &Arc<(Mutex<bool>, Condvar)>) {
 impl ShardEngine for GatedEngine {
     fn apply_write(&mut self, ts_us: u64, lba: u64, blocks: u32) -> Result<(), EngineError> {
         self.wait_gate();
-        if self.fail_writes {
-            return Err(EngineError::IndexCorruption { lba, detail: "injected fault".into() });
+        if let Some(e) = (self.fault)(lba) {
+            return Err(e);
         }
         ShardEngine::apply_write(&mut self.inner, ts_us, lba, blocks)
     }
 
     fn apply_read(&mut self, ts_us: u64, lba: u64, blocks: u32) -> Result<(), EngineError> {
         self.wait_gate();
+        if let Some(e) = (self.fault)(lba) {
+            return Err(e);
+        }
         ShardEngine::apply_read(&mut self.inner, ts_us, lba, blocks)
     }
 
@@ -454,23 +430,13 @@ impl ShardEngine for GatedEngine {
 #[test]
 fn queue_full_refunds_qos_token() {
     let gate = Arc::new((Mutex::new(false), Condvar::new()));
-    let server = {
-        let gate = Arc::clone(&gate);
-        ServerBuilder::new()
-            .volume(0, 8 * 1024)
-            .range_blocks(8 * 1024)
-            .shards(1)
-            .queue_depth(2)
-            .qos(adapt_serve::QosConfig { refill_per_op: 0.0, burst_ops: 8.0 })
-            .start(move |plan| {
-                let sink = CountingArray::new(plan.lss.array_config());
-                Box::new(GatedEngine {
-                    inner: Lss::builder(SepGc::new(), sink).config(plan.lss).build(),
-                    gate: Arc::clone(&gate),
-                    fail_writes: false,
-                })
-            })
-    };
+    let builder = ServerBuilder::new()
+        .volume(0, 8 * 1024)
+        .range_blocks(8 * 1024)
+        .shards(1)
+        .queue_depth(2)
+        .qos(adapt_serve::QosConfig { refill_per_op: 0.0, burst_ops: 8.0 });
+    let server = gated_server(builder, &gate, |_| None);
     let client = server.client();
     // First op: the worker dequeues it and parks on the closed gate.
     let mut tickets = vec![client.submit(Request::write(0, 0, 0, 1)).unwrap()];
@@ -516,19 +482,8 @@ fn queue_full_refunds_qos_token() {
 #[test]
 fn poll_observes_fail_stopped_shard() {
     let gate = Arc::new((Mutex::new(true), Condvar::new()));
-    let server = {
-        let gate = Arc::clone(&gate);
-        ServerBuilder::new().volume(0, 8 * 1024).range_blocks(8 * 1024).shards(1).start(
-            move |plan| {
-                let sink = CountingArray::new(plan.lss.array_config());
-                Box::new(GatedEngine {
-                    inner: Lss::builder(SepGc::new(), sink).config(plan.lss).build(),
-                    gate: Arc::clone(&gate),
-                    fail_writes: true,
-                })
-            },
-        )
-    };
+    let builder = ServerBuilder::new().volume(0, 8 * 1024).range_blocks(8 * 1024).shards(1);
+    let server = gated_server(builder, &gate, |lba| Some(corrupt(lba)));
     let client = server.client();
     // The op that hits the fault reports the engine error itself…
     let first = client.wait(client.submit(Request::write(0, 0, 0, 1)).unwrap());
@@ -552,6 +507,69 @@ fn poll_observes_fail_stopped_shard() {
     assert!(report.shards[0].failed);
     assert!(report.any_failed());
     assert_eq!(report.shards[0].stats.failed_ops, 3);
+}
+
+/// A run of same-volume ops that fails partway: ops B–F queue behind op
+/// A while the shard is held at the gate inside A, so they drain and
+/// apply as one run. A non-fatal error on B fails B alone; the fatal
+/// error on D fails D, fail-stops the shard, fails A (applied but not yet
+/// behind a barrier) with `ShardFailed` at its version, and fails E and F
+/// with `ShardFailed` at version 0 without applying them.
+#[test]
+fn run_that_fails_partway_completes_every_op_exactly() {
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let builder = ServerBuilder::new().volume(0, 8 * 1024).range_blocks(8 * 1024).shards(1);
+    fn lost_chunk() -> EngineError {
+        EngineError::Array(adapt_array::ArrayError::Unreconstructable {
+            loc: adapt_array::ChunkLocation { stripe: 0, device: 0, column: 0 },
+        })
+    }
+    let server = gated_server(builder, &gate, |lba| match lba {
+        1 => Some(lost_chunk()),
+        3 => Some(corrupt(lba)),
+        _ => None,
+    });
+    let client = server.client();
+    let a = client.submit(Request::write(0, 0, 0, 1)).unwrap();
+    // The worker has dequeued A and waits on the closed gate inside it.
+    while client.queue_depths()[0] > 0 {
+        std::thread::yield_now();
+    }
+    let rest: Vec<_> = [
+        Request::read(0, 0, 1, 1),  // B: non-fatal error
+        Request::read(0, 0, 2, 1),  // C: completes at apply
+        Request::write(0, 0, 3, 1), // D: fatal error
+        Request::write(0, 0, 4, 1), // E: cut off
+        Request::read(0, 0, 5, 1),  // F: cut off
+    ]
+    .into_iter()
+    .map(|req| client.submit(req).unwrap())
+    .collect();
+    open_gate(&gate);
+    let got: Vec<_> = std::iter::once(a)
+        .chain(rest)
+        .map(|t| {
+            let c = client.wait(t);
+            (c.result, c.version, c.durable)
+        })
+        .collect();
+    let failed = Err(ServeError::ShardFailed { shard: 0 });
+    assert_eq!(
+        got,
+        vec![
+            (failed.clone(), 1, false),
+            (Err(ServeError::Engine(lost_chunk().to_string())), 2, false),
+            (Ok(()), 3, false),
+            (Err(ServeError::Engine(corrupt(3).to_string())), 4, false),
+            (failed.clone(), 0, false),
+            (failed, 0, false),
+        ]
+    );
+    let report = server.shutdown();
+    assert!(report.balanced());
+    assert!(report.shards[0].failed);
+    assert_eq!(report.shards[0].applied_ops, 4, "A–D reached the engine, E and F did not");
+    assert_eq!(report.shards[0].stats.failed_ops, 5);
 }
 
 /// An abandoned sequence gap must not hang shutdown: the gapped op

@@ -128,7 +128,9 @@ pub fn drive_with<P: PlacementPolicy, S: ArraySink>(
     let mut warmed = warmup_bytes == 0;
     for (i, rec) in (0u64..).zip(trace) {
         let outcome = if rec.is_write() {
-            engine.write_request(rec.ts_us, rec.lba, rec.num_blocks);
+            engine
+                .try_write_request(rec.ts_us, rec.lba, rec.num_blocks)
+                .unwrap_or_else(|e| panic!("{e}"));
             Ok(())
         } else {
             engine.try_read_request(rec.ts_us, rec.lba, rec.num_blocks)
@@ -141,7 +143,7 @@ pub fn drive_with<P: PlacementPolicy, S: ArraySink>(
             break;
         }
     }
-    engine.flush_all();
+    engine.try_flush_all().unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// [`drive_with`] without a scenario: every read must succeed.

@@ -222,14 +222,15 @@ mod tests {
         };
         for (i, rec) in ycsb.generator().enumerate() {
             match rec.op {
-                OpType::Write => e.write_request(rec.ts_us, rec.lba, rec.num_blocks),
-                OpType::Read => e.read_request(rec.ts_us, rec.lba, rec.num_blocks),
+                OpType::Write => e.try_write_request(rec.ts_us, rec.lba, rec.num_blocks),
+                OpType::Read => e.try_read_request(rec.ts_us, rec.lba, rec.num_blocks),
             }
+            .unwrap();
             if i as u64 >= BLOCKS && (i as u64 + 1).is_multiple_of(256) {
-                e.trim(rec.ts_us, mix64(21 ^ i as u64) % (BLOCKS - 16), 16);
+                e.try_trim(rec.ts_us, mix64(21 ^ i as u64) % (BLOCKS - 16), 16).unwrap();
             }
         }
-        e.flush_all();
+        e.try_flush_all().unwrap();
         let SchemePolicy::Adapt(a) = e.policy() else { panic!("{} is not ADAPT", scheme.name()) };
         Reached {
             adoptions: a.adoptions(),

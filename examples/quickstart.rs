@@ -8,10 +8,10 @@
 
 use adapt_repro::adapt::Adapt;
 use adapt_repro::array::{ArraySink, CountingArray};
-use adapt_repro::lss::{EventConfig, GcSelection, Lss, LssConfig};
+use adapt_repro::lss::{EngineError, EventConfig, GcSelection, Lss, LssConfig};
 use adapt_repro::trace::ycsb::{AccessDistribution, TrafficIntensity, YcsbConfig};
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     // 1. Configure the engine: 4 KiB blocks, 64 KiB chunks, 512 KiB
     //    segments, 100 µs coalescing SLA — the paper's setup.
     let cfg = LssConfig { user_blocks: 32 * 1024, op_ratio: 0.28, ..Default::default() };
@@ -41,14 +41,14 @@ fn main() {
     };
     let mut filled = false;
     for rec in workload.generator() {
-        engine.write_request(rec.ts_us, rec.lba, rec.num_blocks);
+        engine.try_write_request(rec.ts_us, rec.lba, rec.num_blocks)?;
         // Measure steady state only: reset counters once the fill is done.
         if !filled && engine.user_bytes_clock() >= 32 * 1024 * 4096 {
             engine.reset_metrics();
             filled = true;
         }
     }
-    engine.flush_all();
+    engine.try_flush_all()?;
 
     // 4. Inspect the results — one unified snapshot, then the raw metrics.
     let telemetry = engine.telemetry();
@@ -84,4 +84,5 @@ fn main() {
         telemetry.gauges.len()
     );
     println!("durability p99   : {:>10} µs", telemetry.durability_latency.p99_us);
+    Ok(())
 }

@@ -57,12 +57,12 @@ fn medium_trace() -> impl Iterator<Item = TraceRecord> {
 fn drive<P: PlacementPolicy, S: ArraySink>(mut engine: Lss<P, S>) -> LssMetrics {
     for rec in medium_trace() {
         if rec.is_write() {
-            engine.write_request(rec.ts_us, rec.lba, rec.num_blocks);
+            engine.try_write_request(rec.ts_us, rec.lba, rec.num_blocks).unwrap();
         } else {
-            engine.read_request(rec.ts_us, rec.lba, rec.num_blocks);
+            engine.try_read_request(rec.ts_us, rec.lba, rec.num_blocks).unwrap();
         }
     }
-    engine.flush_all();
+    engine.try_flush_all().unwrap();
     engine.metrics().clone()
 }
 

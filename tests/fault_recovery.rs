@@ -135,9 +135,9 @@ fn small_engine_with_geometry(
     let mut e =
         Lss::builder(SepBit::new(), sink).config(cfg).gc_select(GcSelection::Greedy).build();
     for lba in 0..2048 {
-        e.write(lba, lba);
+        e.try_write(lba, lba).unwrap();
     }
-    e.flush_all();
+    e.try_flush_all().unwrap();
     assert!(e.sink().stats().stripes_completed > 0);
     e
 }

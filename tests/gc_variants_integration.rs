@@ -23,11 +23,11 @@ fn cfg() -> LssConfig {
 fn workload(e: &mut Lss<impl adapt_repro::lss::PlacementPolicy, CountingArray>) {
     let mut ts = 0u64;
     for lba in 0..4096u64 {
-        e.write(ts, lba);
+        e.try_write(ts, lba).unwrap();
         ts += 1;
     }
     for i in 0..5 * 4096u64 {
-        e.write(ts, mix64(i) % 4096);
+        e.try_write(ts, mix64(i) % 4096).unwrap();
         ts += 1;
     }
 }
@@ -42,7 +42,7 @@ fn every_victim_policy_satisfies_engine_invariants() {
             .build();
         workload(&mut e);
         e.check_invariants();
-        e.flush_all();
+        e.try_flush_all().unwrap();
         e.check_invariants();
         assert!(e.metrics().segments_reclaimed > 0, "{}", victim.name());
     }
@@ -58,7 +58,7 @@ fn victim_policy_ordering_matches_theory() {
             .victim_policy(victim)
             .build();
         workload(&mut e);
-        e.flush_all();
+        e.try_flush_all().unwrap();
         e.metrics().wa()
     };
     let greedy = wa_of(VictimPolicy::Base(GcSelection::Greedy));

@@ -100,13 +100,13 @@ proptest! {
         let mut ts = 0u64;
         for (lba, gap) in ops {
             ts += gap;
-            e.write(ts, lba);
+            e.try_write(ts, lba).unwrap();
         }
         e.check_invariants();
-        e.flush_all();
+        e.try_flush_all().unwrap();
         e.check_invariants();
         // Crash recovery reproduces the durable view at any point.
-        e.check_recovery();
+        e.try_check_recovery().unwrap();
         // Accounting identity: everything the engine flushed reached the
         // array.
         let m = e.metrics();
@@ -134,10 +134,10 @@ proptest! {
         let mut ts = 0u64;
         for (lba, gap) in ops {
             ts += gap;
-            e.write(ts, lba);
+            e.try_write(ts, lba).unwrap();
         }
         e.check_invariants();
-        e.flush_all();
+        e.try_flush_all().unwrap();
         e.check_invariants();
     }
 
@@ -168,9 +168,9 @@ proptest! {
         let mut ts = 0u64;
         for (lba, gap) in ops {
             ts += gap;
-            e.write(ts, lba);
+            e.try_write(ts, lba).unwrap();
         }
-        e.flush_all();
+        e.try_flush_all().unwrap();
         let snap = e.telemetry();
         let m = e.metrics();
         prop_assert_eq!(&snap.lss, m);
@@ -204,9 +204,9 @@ proptest! {
             .gc_select(GcSelection::Greedy)
             .build();
         for lba in 0..count.min(2048) {
-            e.write(lba, lba);
+            e.try_write(lba, lba).unwrap();
         }
-        e.flush_all();
+        e.try_flush_all().unwrap();
         prop_assert!(e.metrics().wa() >= 1.0 - 1e-9);
     }
 }

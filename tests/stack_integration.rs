@@ -38,12 +38,12 @@ fn invariants_hold_after_real_workload_for_every_policy() {
                 .gc_select(GcSelection::Greedy)
                 .build();
             for rec in ycsb(60_000, TrafficIntensity::Medium).generator() {
-                e.write_request(rec.ts_us, rec.lba, rec.num_blocks);
+                e.try_write_request(rec.ts_us, rec.lba, rec.num_blocks).unwrap();
             }
             e.check_invariants();
-            e.flush_all();
+            e.try_flush_all().unwrap();
             e.check_invariants();
-            e.check_recovery();
+            e.try_check_recovery().unwrap();
             assert!(e.metrics().gc_passes > 0, "workload must trigger GC");
         }};
     }
@@ -64,9 +64,9 @@ fn engine_and_array_accounting_agree() {
         .gc_select(GcSelection::CostBenefit)
         .build();
     for rec in ycsb(40_000, TrafficIntensity::Light).generator() {
-        e.write_request(rec.ts_us, rec.lba, rec.num_blocks);
+        e.try_write_request(rec.ts_us, rec.lba, rec.num_blocks).unwrap();
     }
-    e.flush_all();
+    e.try_flush_all().unwrap();
     let m = e.metrics().clone();
     let stats = e.sink().stats();
     assert_eq!(m.physical_bytes(), stats.data_bytes() + stats.pad_bytes());
@@ -85,9 +85,9 @@ fn group_traffic_is_conserved() {
         .gc_select(GcSelection::Greedy)
         .build();
     for rec in ycsb(50_000, TrafficIntensity::Medium).generator() {
-        e.write_request(rec.ts_us, rec.lba, rec.num_blocks);
+        e.try_write_request(rec.ts_us, rec.lba, rec.num_blocks).unwrap();
     }
-    e.flush_all();
+    e.try_flush_all().unwrap();
     let m = e.metrics().clone();
     let groups = e.group_traffic();
     let bb = cfg.block_bytes;
@@ -109,9 +109,9 @@ fn inmemory_array_matches_counting_array() {
                 .gc_select(GcSelection::Greedy)
                 .build();
             for rec in ycsb(20_000, TrafficIntensity::Medium).generator() {
-                e.write_request(rec.ts_us, rec.lba, rec.num_blocks);
+                e.try_write_request(rec.ts_us, rec.lba, rec.num_blocks).unwrap();
             }
-            e.flush_all();
+            e.try_flush_all().unwrap();
             (e.metrics().clone(), e.sink().stats().clone())
         } else {
             let mut e = Lss::builder(SepGc::new(), CountingArray::new(cfg.array_config()))
@@ -119,9 +119,9 @@ fn inmemory_array_matches_counting_array() {
                 .gc_select(GcSelection::Greedy)
                 .build();
             for rec in ycsb(20_000, TrafficIntensity::Medium).generator() {
-                e.write_request(rec.ts_us, rec.lba, rec.num_blocks);
+                e.try_write_request(rec.ts_us, rec.lba, rec.num_blocks).unwrap();
             }
-            e.flush_all();
+            e.try_flush_all().unwrap();
             (e.metrics().clone(), e.sink().stats().clone())
         }
     };
@@ -147,9 +147,9 @@ fn device_failure_and_rebuild_after_workload() {
         .gc_select(GcSelection::Greedy)
         .build();
     for rec in ycsb(10_000, TrafficIntensity::Heavy).generator() {
-        e.write_request(rec.ts_us, rec.lba, rec.num_blocks);
+        e.try_write_request(rec.ts_us, rec.lba, rec.num_blocks).unwrap();
     }
-    e.flush_all();
+    e.try_flush_all().unwrap();
     // Rebuild is driven through the sink directly; we cannot take the sink
     // out of the engine, so replay the same flushes into a standalone
     // array to exercise failure handling at scale.
