@@ -313,11 +313,9 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         chunks.clear();
         for i in 0..num_blocks as u64 {
             match self.index.get(lba + i) {
-                BlockEntry::Durable { seg, off } => {
-                    chunks.push((seg, off / self.cfg.chunk_blocks));
-                }
-                BlockEntry::Pending { shadow: Some((seg, off)), .. } => {
-                    // Durable copy is the shadow; reading hits its chunk.
+                // A pending block's durable copy is its shadow.
+                BlockEntry::Durable { seg, off }
+                | BlockEntry::Pending { shadow: Some((seg, off)), .. } => {
                     chunks.push((seg, off / self.cfg.chunk_blocks));
                 }
                 BlockEntry::Pending { shadow: None, .. } => {
@@ -403,7 +401,7 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         self.note_host_op();
         for i in 0..num_blocks as u64 {
             if !matches!(self.index.get(lba + i), BlockEntry::Absent) {
-                self.retire_previous_version(lba + i)?;
+                self.retire_entry(lba + i, true)?;
                 self.metrics.trimmed_blocks += 1;
             }
         }
@@ -419,24 +417,13 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
     pub fn try_advance_time(&mut self, ts_us: u64) -> Result<(), EngineError> {
         loop {
             if self.sla_dirty {
-                self.sla_next = self
-                    .groups
-                    .iter()
-                    .filter_map(|g| g.sla_deadline(self.cfg.sla_us).map(|d| (d, g.id)))
-                    .min();
+                self.sla_next = self.earliest_deadline();
                 self.sla_dirty = false;
             }
             // Debug builds re-derive the minimum on every use: a mutation
             // site missing its `sla_dirty` mark trips this across the
             // whole test suite instead of silently shifting a deadline.
-            debug_assert_eq!(
-                self.sla_next,
-                self.groups
-                    .iter()
-                    .filter_map(|g| g.sla_deadline(self.cfg.sla_us).map(|d| (d, g.id)))
-                    .min(),
-                "stale SLA-deadline cache"
-            );
+            debug_assert_eq!(self.sla_next, self.earliest_deadline(), "stale SLA-deadline cache");
             match self.sla_next {
                 Some((deadline, gid)) if deadline <= ts_us => {
                     self.now_us = self.now_us.max(deadline);
@@ -451,12 +438,18 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         self.wal_commit()
     }
 
+    /// The earliest SLA deadline across all groups, `(deadline, gid)`.
+    fn earliest_deadline(&self) -> Option<(u64, GroupId)> {
+        let sla_us = self.cfg.sla_us;
+        self.groups.iter().filter_map(|g| g.sla_deadline(sla_us).map(|d| (d, g.id))).min()
+    }
+
     /// Flush every group's partial chunk (padding as needed). Call at the
     /// end of a trace so all buffered blocks reach the array.
     pub fn try_flush_all(&mut self) -> Result<(), EngineError> {
         for gid in 0..self.groups.len() as GroupId {
             if !self.groups[gid as usize].pending.is_empty() {
-                self.flush_chunk(gid, &[], GroupId::MAX)?;
+                self.flush_chunk(gid, &[])?;
             }
         }
         self.wal_commit()
@@ -508,11 +501,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         &mut self.sink
     }
 
-    /// Host block operations processed so far (the op clock).
-    pub fn host_ops(&self) -> u64 {
-        self.ops_seen
-    }
-
     /// Current simulated time (µs).
     pub fn now_us(&self) -> u64 {
         self.now_us
@@ -559,11 +547,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
             gauges: self.events.gauges().to_vec(),
             lss: self.metrics.clone(),
         }
-    }
-
-    /// Free segments currently available.
-    pub fn free_segments(&self) -> usize {
-        self.free.len()
     }
 
     /// Whether the free pool is at or below the GC trigger watermark.
@@ -634,20 +617,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
     /// (Fig. 12b).
     pub fn memory_bytes(&self) -> usize {
         self.index.memory_bytes() + self.policy.memory_bytes()
-    }
-
-    /// Histogram of sealed-segment utilization (valid fraction), in ten
-    /// 10%-wide buckets. The shape of this histogram is what GC victim
-    /// selection feeds on: bimodal (hot segments near 0, cold near 1)
-    /// means separation is working; a hump in the middle means mixed
-    /// segments and expensive collections ahead.
-    pub fn utilization_histogram(&self) -> [u64; 10] {
-        self.buckets.histogram10()
-    }
-
-    /// Mean valid fraction across sealed segments (1.0 when none sealed).
-    pub fn mean_sealed_utilization(&self) -> f64 {
-        self.buckets.mean_utilization()
     }
 
     /// Validate internal invariants (test/debug aid): per-segment valid
@@ -853,16 +822,11 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         }
     }
 
-    /// Invalidate whatever copy of `lba` currently exists.
-    fn retire_previous_version(&mut self, lba: Lba) -> Result<(), EngineError> {
-        self.retire_entry(lba, true)
-    }
-
-    /// [`Lss::retire_previous_version`] with the final index store made
-    /// optional: the write hot path passes `clear_index = false` because
-    /// `append_pending` immediately overwrites the entry anyway (and
-    /// nothing can fail or read the index before that store lands), which
-    /// saves one packed-word write per host block.
+    /// Invalidate whatever copy of `lba` currently exists, clearing its
+    /// index entry when `clear_index`: the write hot path passes `false`
+    /// because `append_pending` immediately overwrites the entry anyway
+    /// (and nothing can fail or read the index before that store lands),
+    /// which saves one packed-word write per host block.
     fn retire_entry(&mut self, lba: Lba, clear_index: bool) -> Result<(), EngineError> {
         match self.index.get(lba) {
             BlockEntry::Absent => {}
@@ -907,20 +871,9 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
                 needs_sla: block.needs_sla,
             });
         }
-        let lba = block.lba;
-        let needs_sla = block.needs_sla;
-        let arrival = block.arrival_us;
-        {
-            let g = &mut self.groups[gid as usize];
-            g.pending.push(block);
-            if needs_sla && g.pending_since_us.is_none() {
-                g.pending_since_us = Some(arrival);
-                self.sla_dirty = true;
-            }
-        }
-        self.index.set(lba, BlockEntry::Pending { group: gid, shadow: None });
+        self.buffer_block(gid, block);
         if self.groups[gid as usize].pending.len() >= self.cfg.chunk_blocks as usize {
-            self.flush_chunk(gid, &[], GroupId::MAX)?;
+            self.flush_chunk(gid, &[])?;
         }
         Ok(())
     }
@@ -930,7 +883,7 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
     fn handle_sla_expiry(&mut self, gid: GroupId) -> Result<(), EngineError> {
         debug_assert!(self.groups[gid as usize].pending_since_us.is_some());
         match self.policy.on_sla_expire(&policy_ctx!(self), gid) {
-            SlaAction::Pad => self.flush_chunk(gid, &[], GroupId::MAX),
+            SlaAction::Pad => self.flush_chunk(gid, &[]),
             SlaAction::ShadowAppend { target } => self.shadow_append(gid, target),
         }
     }
@@ -940,7 +893,7 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
     /// padding the home chunk when the move is impossible.
     fn shadow_append(&mut self, home: GroupId, target: GroupId) -> Result<(), EngineError> {
         if home == target || target as usize >= self.groups.len() {
-            return self.flush_chunk(home, &[], GroupId::MAX);
+            return self.flush_chunk(home, &[]);
         }
         let mut shadows = std::mem::take(&mut self.shadow_scratch);
         let list = |groups: &[Group], shadows: &mut Vec<Lba>| {
@@ -956,7 +909,7 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
             // Target cannot absorb every unpersisted block; SLA forces the
             // home chunk out with padding instead.
             self.shadow_scratch = shadows;
-            return self.flush_chunk(home, &[], GroupId::MAX);
+            return self.flush_chunk(home, &[]);
         }
         if self.groups[target as usize].open_segment == SegmentId::MAX {
             // Give the target its segment *before* committing to the list:
@@ -980,30 +933,18 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
                 EventKind::ShadowAppend { home, target, blocks: shadows.len() as u32 },
             );
         }
-        let flushed = self.flush_chunk(target, &shadows, home);
+        let flushed = self.flush_chunk(target, &shadows);
         self.shadow_scratch = shadows;
         flushed?;
-        // Home blocks are now persistent via their shadows: stop the timer.
-        let g = &mut self.groups[home as usize];
-        for p in &mut g.pending {
-            p.needs_sla = false;
-        }
-        g.pending_since_us = None;
-        self.sla_dirty = true;
+        self.shadows_persisted(home);
         Ok(())
     }
 
     /// Flush `gid`'s pending buffer as one chunk, appending `shadows`
-    /// (substitute copies of blocks still pending in `shadow_home`) and
+    /// (substitute copies of blocks still pending in another group) and
     /// zero padding to reach chunk alignment.
-    fn flush_chunk(
-        &mut self,
-        gid: GroupId,
-        shadows: &[Lba],
-        shadow_home: GroupId,
-    ) -> Result<(), EngineError> {
+    fn flush_chunk(&mut self, gid: GroupId, shadows: &[Lba]) -> Result<(), EngineError> {
         let chunk_blocks = self.cfg.chunk_blocks;
-        let block_bytes = self.cfg.block_bytes;
         let lazy_before = self.metrics.lazy_appends;
         // The open segment is allocated lazily: sealing happens eagerly but
         // replacement waits until the group actually needs space again (so
@@ -1027,14 +968,11 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         // With a durable backend, collect this chunk's slots for the WAL
         // Flush record (blocks first, then shadows — the slot-offset order
         // replay must reproduce).
-        let mut wal_slots = match self.dur.as_mut() {
-            Some(d) => {
-                let mut buf = std::mem::take(&mut d.wal_slot_buf);
-                buf.clear();
-                Some(buf)
-            }
-            None => None,
-        };
+        let mut wal_slots = self.dur.as_mut().map(|d| {
+            let mut buf = std::mem::take(&mut d.wal_slot_buf);
+            buf.clear();
+            buf
+        });
 
         let mut user = 0u64;
         let mut gc = 0u64;
@@ -1046,24 +984,9 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
                 };
                 ws.push(WalSlot { kind, lba: p.lba, version: p.arrival_us });
             }
-            let seg = &mut self.segments[seg_id as usize];
-            let off = seg.append_slot(Slot::Block(p.lba));
-            seg.valid_blocks += 1;
-            // Lazy-append completion: a durable shadow elsewhere dies now.
-            if let BlockEntry::Pending { group, shadow } = self.index.get(p.lba) {
-                debug_assert_eq!(group, gid);
-                if let Some((sseg, soff)) = shadow {
-                    debug_assert_eq!(self.segments[sseg as usize].slot(soff), Slot::Shadow(p.lba));
-                    self.kill_shadow(sseg, soff);
-                    self.metrics.lazy_appends += 1;
-                }
-            } else {
-                return Err(EngineError::IndexCorruption {
-                    lba: p.lba,
-                    detail: "pending block lost its index entry during flush".into(),
-                });
+            if self.place_block(gid, seg_id, p.lba)? {
+                self.metrics.lazy_appends += 1;
             }
-            self.index.set(p.lba, BlockEntry::Durable { seg: seg_id, off });
             match p.traffic {
                 Traffic::Gc => gc += 1,
                 _ => {
@@ -1081,52 +1004,28 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         // Shadow substitutes for another group's pending blocks — this is
         // the moment those blocks become durable.
         for &lba in shadows {
-            let seg = &mut self.segments[seg_id as usize];
-            let off = seg.append_slot(Slot::Shadow(lba));
-            seg.valid_blocks += 1;
-            match self.index.get(lba) {
-                BlockEntry::Pending { group, shadow: None } => {
-                    debug_assert_eq!(group, shadow_home);
-                    self.index.set(lba, BlockEntry::Pending { group, shadow: Some((seg_id, off)) });
-                    let arrival = self.groups[shadow_home as usize]
-                        .find_pending(lba)
-                        .map(|pos| self.groups[shadow_home as usize].pending[pos].arrival_us);
-                    if let Some(arrival) = arrival {
-                        self.metrics.durability_latency.record(self.now_us.saturating_sub(arrival));
-                    }
-                    if let Some(ws) = wal_slots.as_mut() {
-                        ws.push(WalSlot {
-                            kind: WalSlotKind::Shadow,
-                            lba,
-                            version: arrival.unwrap_or(self.now_us),
-                        });
-                    }
-                }
-                other => {
-                    return Err(EngineError::IndexCorruption {
-                        lba,
-                        detail: format!("shadow source in unexpected state {other:?}"),
-                    });
-                }
+            let home = self.place_shadow(seg_id, lba)?;
+            let home = &self.groups[home as usize];
+            let arrival = home.find_pending(lba).map(|pos| home.pending[pos].arrival_us);
+            if let Some(arrival) = arrival {
+                self.metrics.durability_latency.record(self.now_us.saturating_sub(arrival));
+            }
+            if let Some(ws) = wal_slots.as_mut() {
+                let version = arrival.unwrap_or(self.now_us);
+                ws.push(WalSlot { kind: WalSlotKind::Shadow, lba, version });
             }
         }
         let payload = pending.len() + shadows.len();
         self.pending_pool.push(pending);
         let pad = chunk_blocks as usize - payload;
-        for _ in 0..pad {
-            self.segments[seg_id as usize].append_slot(Slot::Pad);
-        }
 
         // Account and hand the chunk to the array.
-        let shadow_cnt = shadows.len() as u64;
-        let pad_cnt = pad as u64;
-        self.groups[gid as usize].account_chunk(user, gc, shadow_cnt, pad_cnt);
-        self.groups[gid as usize].recompute_pending_since();
-        self.sla_dirty = true;
-        self.metrics.user_bytes += user * block_bytes;
-        self.metrics.gc_bytes += gc * block_bytes;
-        self.metrics.shadow_bytes += shadow_cnt * block_bytes;
-        self.metrics.pad_bytes += pad_cnt * block_bytes;
+        let (flush_seq, flush) =
+            self.close_chunk(gid, seg_id, [user, gc, shadows.len() as u64, pad as u64]);
+        self.metrics.user_bytes += flush.user_bytes;
+        self.metrics.gc_bytes += flush.gc_bytes;
+        self.metrics.shadow_bytes += flush.shadow_bytes;
+        self.metrics.pad_bytes += flush.pad_bytes;
         self.metrics.chunks_flushed += 1;
         if pad > 0 {
             self.metrics.padded_chunks += 1;
@@ -1152,37 +1051,19 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
                 );
             }
         }
-        // The chunk just written starts at slot `filled - chunk_blocks`.
-        let chunk_in_seg = (self.segments[seg_id as usize].filled - chunk_blocks) / chunk_blocks;
-        debug_assert_eq!(self.segments[seg_id as usize].chunk_seqs.len() as u32, chunk_in_seg);
-        let flush_seq = self.next_flush_seq;
-        self.segments[seg_id as usize].chunk_seqs.push(flush_seq);
-        self.next_flush_seq += 1;
-        let loc = self.sink.write_chunk(ChunkFlush {
-            user_bytes: user * block_bytes,
-            gc_bytes: gc * block_bytes,
-            shadow_bytes: shadow_cnt * block_bytes,
-            pad_bytes: pad_cnt * block_bytes,
-            group: gid,
-            seg: seg_id,
-            chunk_in_seg,
-        });
+        let loc = self.sink.write_chunk(flush);
         self.segments[seg_id as usize].chunk_locs.push(loc);
         if let Some(slots) = wal_slots.take() {
-            let rec = WalRecord::Flush {
+            self.wal_append(WalRecord::Flush {
                 flush_seq,
                 seg: seg_id,
-                chunk_in_seg,
+                chunk_in_seg: flush.chunk_in_seg,
                 group: gid,
                 now_us: self.now_us,
                 user_bytes_clock: self.user_bytes_clock,
                 pad_blocks: pad as u32,
                 slots,
-            };
-            self.wal_append(rec);
-            if let Some(d) = self.dur.as_mut() {
-                d.flushes_since_checkpoint += 1;
-            }
+            });
         }
 
         // Seal and replace the open segment if it just filled.
@@ -1193,7 +1074,7 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         // GC during the allocation above may have left more than a full
         // chunk of pending blocks behind; flush the surplus too.
         if self.groups[gid as usize].pending.len() >= chunk_blocks as usize {
-            self.flush_chunk(gid, &[], GroupId::MAX)?;
+            self.flush_chunk(gid, &[])?;
         }
         Ok(())
     }
@@ -1202,20 +1083,14 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
     /// The replacement open segment is allocated lazily at the next flush,
     /// so GC migrations triggered here can still route into this group.
     fn seal_segment(&mut self, gid: GroupId, seg_id: SegmentId) -> Result<(), EngineError> {
-        let seg = &mut self.segments[seg_id as usize];
-        seg.seal();
-        let valid = seg.valid_blocks;
+        self.seal_open(gid, seg_id);
+        let seg = &self.segments[seg_id as usize];
         let meta = SegmentMeta {
             seg: seg_id,
             group: gid,
             created_user_bytes: seg.created_user_bytes,
             created_ts_us: seg.created_ts_us,
         };
-        self.buckets.insert(seg_id, valid, meta.created_user_bytes);
-        self.segments[seg_id as usize].group_pos = self.groups[gid as usize].sealed.len() as u32;
-        self.groups[gid as usize].sealed.push(seg_id);
-        self.groups[gid as usize].roll_window();
-        self.groups[gid as usize].open_segment = SegmentId::MAX;
         self.policy.on_segment_sealed(&policy_ctx!(self), &meta);
         if !self.in_gc && self.should_inline_gc() {
             self.run_gc()?;
@@ -1247,40 +1122,33 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
                 return Ok(());
             }
         }
-        let seg_id = match self.free.pop() {
-            Some(id) => id,
-            None => {
-                let sealed =
-                    self.segments.iter().filter(|s| s.state == SegmentState::Sealed).count();
-                let sealed_garbage = self
-                    .segments
-                    .iter()
-                    .filter(|s| s.state == SegmentState::Sealed && s.garbage_blocks() > 0)
-                    .count();
-                let open = self.segments.iter().filter(|s| s.state == SegmentState::Open).count();
-                let valid: u64 = self.segments.iter().map(|s| s.valid_blocks as u64).sum();
-                return Err(EngineError::OutOfSpace {
-                    total_segments: self.segments.len(),
-                    sealed,
-                    sealed_with_garbage: sealed_garbage,
-                    open,
-                    valid_blocks: valid,
-                    in_gc: self.in_gc,
-                });
-            }
+        let Some(free_pos) = self.free.len().checked_sub(1) else {
+            let sealed = self.segments.iter().filter(|s| s.state == SegmentState::Sealed).count();
+            let sealed_garbage = self
+                .segments
+                .iter()
+                .filter(|s| s.state == SegmentState::Sealed && s.garbage_blocks() > 0)
+                .count();
+            let open = self.segments.iter().filter(|s| s.state == SegmentState::Open).count();
+            let valid: u64 = self.segments.iter().map(|s| s.valid_blocks as u64).sum();
+            return Err(EngineError::OutOfSpace {
+                total_segments: self.segments.len(),
+                sealed,
+                sealed_with_garbage: sealed_garbage,
+                open,
+                valid_blocks: valid,
+                in_gc: self.in_gc,
+            });
         };
-        self.segments[seg_id as usize].open(gid, self.user_bytes_clock, self.now_us);
-        self.segments[seg_id as usize].open_seq = self.next_open_seq;
-        self.next_open_seq += 1;
-        self.groups[gid as usize].open_segment = seg_id;
+        let open_seq = self.next_open_seq;
+        let seg_id = self.open_segment(gid, free_pos, open_seq, self.user_bytes_clock, self.now_us);
         if self.dur.is_some() {
-            let s = &self.segments[seg_id as usize];
             self.wal_append(WalRecord::Open {
                 seg: seg_id,
                 group: gid,
-                open_seq: s.open_seq,
-                created_user_bytes: s.created_user_bytes,
-                created_ts_us: s.created_ts_us,
+                open_seq,
+                created_user_bytes: self.user_bytes_clock,
+                created_ts_us: self.now_us,
             });
         }
         Ok(())
@@ -1327,14 +1195,8 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         if self.dur.is_some() {
             self.wal_append(WalRecord::GcBegin { seg: victim_id });
         }
-        self.buckets.remove(victim_id);
-        let pos = self.segments[victim_id as usize].group_pos as usize;
-        let g = &mut self.groups[victim_group as usize];
-        debug_assert_eq!(g.sealed.get(pos), Some(&victim_id));
-        g.sealed.swap_remove(pos);
-        if let Some(&moved) = g.sealed.get(pos) {
-            self.segments[moved as usize].group_pos = pos as u32;
-        }
+        let detached = self.detach_victim(victim_id);
+        debug_assert!(detached, "victim {victim_id} missing from its owner's sealed list");
 
         // Snapshot the slots: migration flushes through other segments and
         // can tombstone this one's shadow slots, which the per-slot
@@ -1391,10 +1253,8 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         // sealed, but in neither the bucket index nor its owner's list.
         result?;
 
-        let seg = &mut self.segments[victim_id as usize];
-        debug_assert_eq!(seg.valid_blocks, 0, "live blocks left behind in victim");
-        seg.reset();
-        self.free.push(victim_id);
+        let reclaimed = self.reclaim_segment(victim_id);
+        debug_assert!(reclaimed, "live blocks left behind in victim");
         self.metrics.segments_reclaimed += 1;
         if self.dur.is_some() {
             // Every live block was re-logged as a `BufferAppend` above, so
@@ -1425,6 +1285,176 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         Ok(())
     }
 
+    // ------------------------------------------------------------------
+    // Durable transitions: one definition each, for live ops and replay
+    // ------------------------------------------------------------------
+
+    /// Open free-pool entry `free_pos` for `gid`; returns the segment.
+    fn open_segment(
+        &mut self,
+        gid: GroupId,
+        free_pos: usize,
+        open_seq: u64,
+        created_user_bytes: u64,
+        created_ts_us: u64,
+    ) -> SegmentId {
+        let seg_id = self.free.swap_remove(free_pos);
+        let s = &mut self.segments[seg_id as usize];
+        s.open(gid, created_user_bytes, created_ts_us);
+        s.open_seq = open_seq;
+        self.groups[gid as usize].open_segment = seg_id;
+        self.next_open_seq = self.next_open_seq.max(open_seq.saturating_add(1));
+        seg_id
+    }
+
+    /// Put `block` into `gid`'s open-chunk buffer, arming the SLA timer.
+    fn buffer_block(&mut self, gid: GroupId, block: PendingBlock) {
+        let g = &mut self.groups[gid as usize];
+        g.pending.push(block);
+        if block.needs_sla && g.pending_since_us.is_none() {
+            g.pending_since_us = Some(block.arrival_us);
+            self.sla_dirty = true;
+        }
+        self.index.set(block.lba, BlockEntry::Pending { group: gid, shadow: None });
+    }
+
+    /// Write `gid`'s pending block `lba` into `seg_id`'s next slot. Its
+    /// live shadow copy elsewhere dies now (lazy append); returns whether
+    /// there was one.
+    fn place_block(
+        &mut self,
+        gid: GroupId,
+        seg_id: SegmentId,
+        lba: Lba,
+    ) -> Result<bool, EngineError> {
+        let corrupt = |detail| Err(EngineError::IndexCorruption { lba, detail });
+        let shadow = match self.index.get(lba) {
+            BlockEntry::Pending { group, shadow } if group == gid => shadow,
+            other => return corrupt(format!("block of group {gid} in state {other:?}")),
+        };
+        if let Some((sseg, soff)) = shadow {
+            if !self.segments.get(sseg as usize).is_some_and(|s| s.slot(soff) == Slot::Shadow(lba))
+            {
+                return corrupt(format!("stale shadow at (seg {sseg}, off {soff})"));
+            }
+            self.kill_shadow(sseg, soff);
+        }
+        let seg = &mut self.segments[seg_id as usize];
+        let off = seg.append_slot(Slot::Block(lba));
+        seg.valid_blocks += 1;
+        self.index.set(lba, BlockEntry::Durable { seg: seg_id, off });
+        Ok(shadow.is_some())
+    }
+
+    /// Write a shadow copy of `lba` — pending in its home group, without
+    /// one yet — into `seg_id`'s next slot; returns the home group.
+    fn place_shadow(&mut self, seg_id: SegmentId, lba: Lba) -> Result<GroupId, EngineError> {
+        let BlockEntry::Pending { group: home, shadow: None } = self.index.get(lba) else {
+            let detail = format!("shadow source in state {:?}", self.index.get(lba));
+            return Err(EngineError::IndexCorruption { lba, detail });
+        };
+        let seg = &mut self.segments[seg_id as usize];
+        let off = seg.append_slot(Slot::Shadow(lba));
+        seg.valid_blocks += 1;
+        self.index.set(lba, BlockEntry::Pending { group: home, shadow: Some((seg_id, off)) });
+        Ok(home)
+    }
+
+    /// `home`'s unpersisted blocks are durable as shadows: stop its timer.
+    fn shadows_persisted(&mut self, home: GroupId) {
+        let g = &mut self.groups[home as usize];
+        for p in &mut g.pending {
+            p.needs_sla = false;
+        }
+        g.pending_since_us = None;
+        self.sla_dirty = true;
+    }
+
+    /// Close the chunk just placed into `gid`'s open segment `seg_id`:
+    /// pad it, stamp the next flush sequence, account the
+    /// `[user, gc, shadow, pad]` block counts and re-arm the SLA timer.
+    /// Returns the sequence and the chunk as the sink sees it.
+    fn close_chunk(
+        &mut self,
+        gid: GroupId,
+        seg_id: SegmentId,
+        [user, gc, shadow, pad]: [u64; 4],
+    ) -> (u64, ChunkFlush) {
+        let chunk_blocks = self.cfg.chunk_blocks;
+        let seg = &mut self.segments[seg_id as usize];
+        for _ in 0..pad {
+            seg.append_slot(Slot::Pad);
+        }
+        // The chunk just closed starts at slot `filled - chunk_blocks`.
+        let chunk_in_seg = (seg.filled - chunk_blocks) / chunk_blocks;
+        debug_assert_eq!(seg.chunk_seqs.len() as u32, chunk_in_seg);
+        let flush_seq = self.next_flush_seq;
+        seg.chunk_seqs.push(flush_seq);
+        self.next_flush_seq += 1;
+        let g = &mut self.groups[gid as usize];
+        g.account_chunk(user, gc, shadow, pad);
+        g.recompute_pending_since();
+        self.sla_dirty = true;
+        let b = self.cfg.block_bytes;
+        let flush = ChunkFlush {
+            user_bytes: user * b,
+            gc_bytes: gc * b,
+            shadow_bytes: shadow * b,
+            pad_bytes: pad * b,
+            group: gid,
+            seg: seg_id,
+            chunk_in_seg,
+        };
+        (flush_seq, flush)
+    }
+
+    /// Seal `gid`'s full open segment `seg_id` and attach it.
+    fn seal_open(&mut self, gid: GroupId, seg_id: SegmentId) {
+        self.segments[seg_id as usize].seal();
+        self.attach_sealed(seg_id);
+        let g = &mut self.groups[gid as usize];
+        g.roll_window();
+        g.open_segment = SegmentId::MAX;
+    }
+
+    /// Attach sealed `seg_id` to its owner's sealed list and the bucket
+    /// index, making it a GC candidate.
+    fn attach_sealed(&mut self, seg_id: SegmentId) {
+        let s = &mut self.segments[seg_id as usize];
+        let g = &mut self.groups[s.group as usize];
+        s.group_pos = g.sealed.len() as u32;
+        g.sealed.push(seg_id);
+        self.buckets.insert(seg_id, s.valid_blocks, s.created_user_bytes);
+    }
+
+    /// Detach GC victim `seg_id` from its owner's sealed list and the bucket
+    /// index; `false`, changing nothing, if the list lacks it.
+    fn detach_victim(&mut self, seg_id: SegmentId) -> bool {
+        let s = &self.segments[seg_id as usize];
+        let (pos, g) = (s.group_pos as usize, &mut self.groups[s.group as usize]);
+        if g.sealed.get(pos) != Some(&seg_id) {
+            return false;
+        }
+        g.sealed.swap_remove(pos);
+        if let Some(&moved) = g.sealed.get(pos) {
+            self.segments[moved as usize].group_pos = pos as u32;
+        }
+        self.buckets.remove(seg_id);
+        true
+    }
+
+    /// Return drained segment `seg_id` to the free pool; `false`, changing
+    /// nothing, while it still holds live blocks.
+    fn reclaim_segment(&mut self, seg_id: SegmentId) -> bool {
+        let s = &mut self.segments[seg_id as usize];
+        if s.valid_blocks != 0 {
+            return false;
+        }
+        s.reset();
+        self.free.push(seg_id);
+        true
+    }
+
     /// Rebuild the durable part of the block index by scanning segment
     /// contents, exactly as crash recovery would: every written slot is
     /// visited, and for each LBA the copy in the most recently opened
@@ -1438,7 +1468,7 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
     /// Blocks that only exist in open-chunk buffers (pending, no shadow)
     /// are *lost* by a crash and absent from the recovered index — the
     /// SLA exists precisely to bound that window.
-    pub fn recover_index(&self) -> BlockIndex {
+    fn recover_index(&self) -> BlockIndex {
         let chunk_blocks = self.cfg.chunk_blocks;
         // LBAs are dense, so the best-copy scan keeps one slot per block
         // instead of hashing every written slot; flush sequences never
@@ -1526,6 +1556,7 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
                 }
             }
             WalRecord::Flush { seg, chunk_in_seg, slots, .. } => {
+                d.flushes_since_checkpoint += 1;
                 d.store.note_segment(*seg, chunk_in_seg * self.cfg.chunk_blocks);
                 for slot in slots {
                     d.store.note_lba(slot.lba);
@@ -1626,12 +1657,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         }
     }
 
-    /// [`Lss::view`] of a durable engine, for state comparisons in tests.
-    #[cfg(test)]
-    pub(crate) fn durable_view(&self) -> Option<View<'_>> {
-        self.dur.as_ref().map(|d| self.view(&d.versions))
-    }
-
     /// Attach a fresh durable backend in `dir` (wiping any WAL files and
     /// checkpoint files a previous incarnation left there — this is a new
     /// engine, not a recovery).
@@ -1681,16 +1706,17 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         self.dur.as_ref().and_then(|d| d.versions.get(lba))
     }
 
-    /// Re-apply one replayed WAL record, mirroring exactly the engine
-    /// mutation that produced it. Every id is bounds-checked and every
-    /// structural premise validated: a log inconsistent with the
-    /// reconstructed state yields [`RecoveryError::Replay`], never a
-    /// panic.
+    /// Re-apply one replayed WAL record through the same transition the
+    /// live engine ran when it logged it. Every id is bounds-checked and
+    /// every structural premise validated first: a log inconsistent with
+    /// the reconstructed state yields [`RecoveryError::Replay`], never a
+    /// panic. Each replayed flush is pushed onto `tail` for the sink.
     fn replay_record(
         &mut self,
         rec: &WalRecord,
         versions: &mut VersionIndex,
         detached: &mut Vec<SegmentId>,
+        tail: &mut Vec<RecoveredFlush>,
         report: &mut RecoveryReport,
     ) -> Result<(), RecoveryError> {
         let bad = |detail: String| RecoveryError::Replay { detail };
@@ -1706,30 +1732,31 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
                 let Some(pos) = self.free.iter().position(|&f| f == *seg) else {
                     return Err(bad(format!("open: segment {seg} is not free")));
                 };
-                self.free.swap_remove(pos);
-                let s = &mut self.segments[*seg as usize];
-                s.open(*group, *created_user_bytes, *created_ts_us);
-                s.open_seq = *open_seq;
-                self.groups[gid].open_segment = *seg;
-                self.next_open_seq = self.next_open_seq.max(open_seq + 1);
+                self.open_segment(*group, pos, *open_seq, *created_user_bytes, *created_ts_us);
             }
             WalRecord::BufferAppend { lba, version, group, gc, needs_sla } => {
                 let gid = *group as usize;
                 if gid >= self.groups.len() {
                     return Err(bad(format!("append: bad group {group}")));
                 }
-                self.retire_previous_version(*lba)
-                    .map_err(|e| bad(format!("append lba {lba}: {e}")))?;
+                let user_blocks = self.cfg.user_blocks;
+                if *lba >= user_blocks {
+                    return Err(bad(format!(
+                        "append: lba {lba} past the {user_blocks}-block volume"
+                    )));
+                }
+                self.retire_entry(*lba, true).map_err(|e| bad(format!("append lba {lba}: {e}")))?;
                 if self.groups[gid].pending.len() >= self.cfg.chunk_blocks as usize {
                     return Err(bad(format!("append: group {group} buffer over chunk size")));
                 }
-                self.groups[gid].pending.push(PendingBlock {
+                let traffic = if *gc { Traffic::Gc } else { Traffic::User };
+                let block = PendingBlock {
                     lba: *lba,
-                    traffic: if *gc { Traffic::Gc } else { Traffic::User },
+                    traffic,
                     arrival_us: *version,
                     needs_sla: *needs_sla,
-                });
-                self.index.set(*lba, BlockEntry::Pending { group: *group, shadow: None });
+                };
+                self.buffer_block(*group, block);
                 if !*gc {
                     versions.insert(*lba, *version);
                 }
@@ -1769,11 +1796,9 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
                         return Err(bad(format!("flush: shape mismatch on segment {seg}")));
                     }
                 }
-                let mut user = 0u64;
-                let mut gc = 0u64;
-                let mut shadow_cnt = 0u64;
+                let [mut user, mut gc, mut shadow] = [0u64; 3];
                 for slot in slots {
-                    match slot.kind {
+                    let placed = match slot.kind {
                         WalSlotKind::User | WalSlotKind::Gc => {
                             let Some(pos) = self.groups[gid].find_pending(slot.lba) else {
                                 return Err(bad(format!(
@@ -1784,115 +1809,38 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
                             // `remove`, not `swap_remove`: keep the engine's
                             // oldest-first residue order.
                             self.groups[gid].pending.remove(pos);
-                            match self.index.get(slot.lba) {
-                                BlockEntry::Pending { group: home, shadow } if home == *group => {
-                                    // Lazy-append completion: the durable
-                                    // shadow elsewhere dies now.
-                                    if let Some((sseg, soff)) = shadow {
-                                        let ok =
-                                            self.segments.get(sseg as usize).is_some_and(|s| {
-                                                s.slot(soff) == Slot::Shadow(slot.lba)
-                                            });
-                                        if !ok {
-                                            return Err(bad(format!(
-                                                "flush: stale shadow for lba {}",
-                                                slot.lba
-                                            )));
-                                        }
-                                        self.kill_shadow(sseg, soff);
-                                    }
-                                }
-                                other => {
-                                    return Err(bad(format!(
-                                        "flush: lba {} in state {other:?}",
-                                        slot.lba
-                                    )));
-                                }
-                            }
-                            let off =
-                                self.segments[*seg as usize].append_slot(Slot::Block(slot.lba));
-                            self.segments[*seg as usize].valid_blocks += 1;
-                            self.index.set(slot.lba, BlockEntry::Durable { seg: *seg, off });
-                            if slot.kind == WalSlotKind::Gc {
-                                gc += 1;
-                            } else {
-                                user += 1;
-                            }
+                            *if slot.kind == WalSlotKind::Gc { &mut gc } else { &mut user } += 1;
+                            self.place_block(*group, *seg, slot.lba).map(drop)
                         }
-                        WalSlotKind::Shadow => match self.index.get(slot.lba) {
-                            BlockEntry::Pending { group: home, shadow: None } => {
-                                let off = self.segments[*seg as usize]
-                                    .append_slot(Slot::Shadow(slot.lba));
-                                self.segments[*seg as usize].valid_blocks += 1;
-                                self.index.set(
-                                    slot.lba,
-                                    BlockEntry::Pending { group: home, shadow: Some((*seg, off)) },
-                                );
-                                // The engine stops the home blocks' SLA
-                                // timers once their shadows are durable;
-                                // shadows cover exactly that set, so replay
-                                // clears per shadowed block.
-                                if let Some(pos) = self.groups[home as usize].find_pending(slot.lba)
-                                {
-                                    self.groups[home as usize].pending[pos].needs_sla = false;
-                                }
-                                shadow_cnt += 1;
-                            }
-                            other => {
-                                return Err(bad(format!(
-                                    "flush: shadow source lba {} in state {other:?}",
-                                    slot.lba
-                                )));
-                            }
-                        },
-                    }
+                        WalSlotKind::Shadow => {
+                            shadow += 1;
+                            self.place_shadow(*seg, slot.lba).map(|h| self.shadows_persisted(h))
+                        }
+                    };
+                    placed.map_err(|e| bad(format!("flush: {e}")))?;
                 }
-                for _ in 0..*pad_blocks {
-                    self.segments[*seg as usize].append_slot(Slot::Pad);
-                }
-                self.segments[*seg as usize].chunk_seqs.push(*flush_seq);
-                self.next_flush_seq += 1;
-                self.groups[gid].account_chunk(user, gc, shadow_cnt, *pad_blocks as u64);
-                self.groups[gid].recompute_pending_since();
-                self.sla_dirty = true;
+                let (_, flush) =
+                    self.close_chunk(*group, *seg, [user, gc, shadow, *pad_blocks as u64]);
+                tail.push(RecoveredFlush { chunk_seq: *flush_seq, flush });
                 self.now_us = self.now_us.max(*now_us);
                 self.user_bytes_clock = self.user_bytes_clock.max(*user_bytes_clock);
                 if self.segments[*seg as usize].is_full() {
-                    let (valid, created) = {
-                        let s = &mut self.segments[*seg as usize];
-                        s.seal();
-                        (s.valid_blocks, s.created_user_bytes)
-                    };
-                    self.buckets.insert(*seg, valid, created);
-                    self.segments[*seg as usize].group_pos = self.groups[gid].sealed.len() as u32;
-                    self.groups[gid].sealed.push(*seg);
-                    self.groups[gid].roll_window();
-                    self.groups[gid].open_segment = SegmentId::MAX;
                     // No policy callback and no GC here: policy state is
                     // soft (reset by recovery), and any GC the live engine
                     // ran is in the log as its own records.
+                    self.seal_open(*group, *seg);
                 }
                 report.flushes_replayed += 1;
             }
             WalRecord::GcBegin { seg } => {
-                if *seg as usize >= self.segments.len() {
+                let Some(s) = self.segments.get(*seg as usize) else {
                     return Err(bad(format!("gc begin: bad segment {seg}")));
-                }
-                let (state_now, owner, pos) = {
-                    let s = &self.segments[*seg as usize];
-                    (s.state, s.group as usize, s.group_pos as usize)
                 };
-                if state_now != SegmentState::Sealed || detached.contains(seg) {
+                if s.state != SegmentState::Sealed || detached.contains(seg) {
                     return Err(bad(format!("gc begin: segment {seg} not a sealed candidate")));
                 }
-                self.buckets.remove(*seg);
-                let grp = &mut self.groups[owner];
-                if grp.sealed.get(pos) != Some(seg) {
+                if !self.detach_victim(*seg) {
                     return Err(bad(format!("gc begin: segment {seg} not in owner's sealed list")));
-                }
-                grp.sealed.swap_remove(pos);
-                if let Some(&moved) = grp.sealed.get(pos) {
-                    self.segments[moved as usize].group_pos = pos as u32;
                 }
                 detached.push(*seg);
             }
@@ -1900,23 +1848,26 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
                 let Some(dpos) = detached.iter().position(|d| d == seg) else {
                     return Err(bad(format!("reclaim: segment {seg} without a gc begin")));
                 };
-                let valid = self.segments[*seg as usize].valid_blocks;
-                if valid != 0 {
-                    // The migrations that drained it precede this record in
-                    // log order, so a prefix can never reclaim live data.
+                // The migrations that drained it precede this record in log
+                // order, so a prefix can never reclaim live data.
+                if !self.reclaim_segment(*seg) {
+                    let valid = self.segments[*seg as usize].valid_blocks;
                     return Err(bad(format!("reclaim: segment {seg} still has {valid} live")));
                 }
                 detached.swap_remove(dpos);
-                self.segments[*seg as usize].reset();
-                self.free.push(*seg);
             }
             WalRecord::Trim { lba, blocks } => {
-                for i in 0..*blocks as u64 {
-                    if !matches!(self.index.get(lba + i), BlockEntry::Absent) {
-                        self.retire_previous_version(lba + i)
-                            .map_err(|e| bad(format!("trim lba {}: {e}", lba + i)))?;
+                let Some(end) = lba.checked_add(*blocks as u64) else {
+                    return Err(bad(format!("trim: {blocks} blocks at lba {lba} overflow")));
+                };
+                // As in `wal_append`: LBAs past the index table were never
+                // written, so there is nothing to retire or forget.
+                for lba in *lba..end.min(self.index.len() as Lba) {
+                    if !matches!(self.index.get(lba), BlockEntry::Absent) {
+                        self.retire_entry(lba, true)
+                            .map_err(|e| bad(format!("trim lba {lba}: {e}")))?;
                     }
-                    versions.remove(lba + i);
+                    versions.remove(lba);
                 }
             }
         }
@@ -1933,9 +1884,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
     ) -> Result<RecoveryReport, RecoveryError> {
         let mut report = RecoveryReport::default();
         let mut versions = VersionIndex::new();
-        // Groups, buffers and segments are rebuilt wholesale below; any
-        // cached SLA deadline is stale afterwards.
-        self.sla_dirty = true;
         let loaded = checkpoint::load(
             dir,
             &mut ViewMut {
@@ -1967,8 +1915,11 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         let replay = wal::replay_dir(dir, start_idx)?;
         report.wal_files_scanned = replay.files_scanned;
         let mut detached = Vec::new();
+        // The replayed flushes, for the sink: those a checkpoint-time sink
+        // sync does not already cover.
+        let mut tail = Vec::new();
         for rec in &replay.records {
-            self.replay_record(rec, &mut versions, &mut detached, &mut report)?;
+            self.replay_record(rec, &mut versions, &mut detached, &mut tail, &mut report)?;
             report.records_applied += 1;
         }
         // A prefix cut between a victim's `GcBegin` and its `Reclaim`
@@ -1977,13 +1928,7 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         // copies, so what remains is simply a sealed segment with some
         // garbage — a future GC pass will pick it up again.
         for seg in detached {
-            let (owner, valid, created) = {
-                let s = &self.segments[seg as usize];
-                (s.group as usize, s.valid_blocks, s.created_user_bytes)
-            };
-            self.segments[seg as usize].group_pos = self.groups[owner].sealed.len() as u32;
-            self.groups[owner].sealed.push(seg);
-            self.buckets.insert(seg, valid, created);
+            self.attach_sealed(seg);
         }
         if let Some(torn) = replay.torn {
             report.torn_tail = Some((torn.file_idx, torn.offset));
@@ -2003,43 +1948,8 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
             grp.recompute_pending_since();
         }
         self.sla_dirty = true;
-        // Hand the sink the replayed tail (the flushes a checkpoint-time
-        // sink sync does not already cover) so it can verify, restore, or
+        // Hand the sink the replayed tail so it can verify, restore, or
         // truncate its own records.
-        let block_bytes = self.cfg.block_bytes;
-        let tail: Vec<RecoveredFlush> = replay
-            .records
-            .iter()
-            .filter_map(|r| match r {
-                WalRecord::Flush {
-                    flush_seq, seg, chunk_in_seg, group, pad_blocks, slots, ..
-                } => {
-                    let mut user = 0u64;
-                    let mut gc = 0u64;
-                    let mut shadow = 0u64;
-                    for s in slots {
-                        match s.kind {
-                            WalSlotKind::User => user += 1,
-                            WalSlotKind::Gc => gc += 1,
-                            WalSlotKind::Shadow => shadow += 1,
-                        }
-                    }
-                    Some(RecoveredFlush {
-                        chunk_seq: *flush_seq,
-                        flush: ChunkFlush {
-                            user_bytes: user * block_bytes,
-                            gc_bytes: gc * block_bytes,
-                            shadow_bytes: shadow * block_bytes,
-                            pad_bytes: *pad_blocks as u64 * block_bytes,
-                            group: *group,
-                            seg: *seg,
-                            chunk_in_seg: *chunk_in_seg,
-                        },
-                    })
-                }
-                _ => None,
-            })
-            .collect();
         report.sink = self.sink.recover_reconcile(self.next_flush_seq, &tail)?;
         let wal = Wal::resume(dir, cfg, replay.next_idx)?;
         let store = CheckpointStore::resume(dir, wal.config(), generation)?;
@@ -2051,6 +1961,14 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
             wal_slot_buf: Vec::new(),
         }));
         Ok(report)
+    }
+}
+
+#[cfg(test)]
+impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
+    /// [`Lss::view`] of a durable engine, for state comparisons in tests.
+    pub(crate) fn durable_view(&self) -> Option<View<'_>> {
+        self.dur.as_ref().map(|d| self.view(&d.versions))
     }
 }
 
@@ -2208,7 +2126,7 @@ mod tests {
         assert!(e.metrics().gc_passes > 0, "GC never ran");
         assert!(e.metrics().segments_reclaimed > 0);
         assert!(e.metrics().gc_bytes > 0, "GC migrated nothing");
-        assert!(e.free_segments() > 0);
+        assert!(e.telemetry().free_segments > 0);
         e.check_invariants();
         // WA must be sane for uniform-random overwrites at ~80% effective
         // utilization: above 1 (migration happened), below pathological.
@@ -2411,7 +2329,7 @@ mod tests {
             }
         }
         assert!(steps > 0, "idle steps never reclaimed a segment");
-        assert!(e.free_segments() > 0);
+        assert!(e.telemetry().free_segments > 0);
         e.check_invariants();
         e.try_check_recovery().unwrap();
     }
@@ -2532,17 +2450,17 @@ mod tests {
             e.try_write(ts, scattered_lba(i, 4096)).unwrap();
             ts += 1;
         }
-        let h = e.utilization_histogram();
-        assert!(h.iter().sum::<u64>() > 0, "no sealed segments");
-        let mean = e.mean_sealed_utilization();
+        let t = e.telemetry();
+        assert!(t.utilization_histogram.iter().sum::<u64>() > 0, "no sealed segments");
+        let mean = t.mean_sealed_utilization;
         assert!(mean > 0.0 && mean <= 1.0, "mean {mean}");
     }
 
     #[test]
     fn empty_engine_utilization_is_trivial() {
-        let e = engine(TestPolicy::sepgc());
-        assert_eq!(e.utilization_histogram(), [0u64; 10]);
-        assert_eq!(e.mean_sealed_utilization(), 1.0);
+        let t = engine(TestPolicy::sepgc()).telemetry();
+        assert_eq!(t.utilization_histogram, [0u64; 10]);
+        assert_eq!(t.mean_sealed_utilization, 1.0);
     }
 
     #[test]

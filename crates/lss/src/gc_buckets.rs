@@ -54,8 +54,7 @@ const NOT_TRACKED: u32 = u32::MAX;
 
 /// The bucketed index over sealed segments. Owned by the engine and kept
 /// in lockstep with segment state; see the maintenance hooks in
-/// `engine.rs` (`seal_segment`, `retire_previous_version`, `flush_chunk`,
-/// `collect_segment`).
+/// `engine.rs` (`attach_sealed`, `detach_victim`, `invalidate_block`).
 #[derive(Debug, Clone)]
 pub struct SegmentBuckets {
     /// Segment capacity in blocks (buckets are indexed by valid count).

@@ -47,9 +47,12 @@ pub struct TelemetrySnapshot {
     pub free_segments: u32,
     /// Total segments the engine manages.
     pub total_segments: u32,
-    /// Sealed-segment utilization histogram (ten 10%-wide buckets).
+    /// Sealed-segment utilization histogram (ten 10%-wide buckets). GC
+    /// victim selection feeds on its shape: bimodal (hot segments near 0,
+    /// cold near 1) means separation is working; a hump in the middle
+    /// means mixed segments and expensive collections ahead.
     pub utilization_histogram: [u64; 10],
-    /// Mean valid fraction across sealed segments.
+    /// Mean valid fraction across sealed segments (1.0 when none sealed).
     pub mean_sealed_utilization: f64,
     /// Resident index + policy memory (bytes).
     pub memory_bytes: u64,

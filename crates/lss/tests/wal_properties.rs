@@ -13,10 +13,10 @@ use adapt_lss::wal::{
     WalSlotKind,
 };
 use adapt_lss::{
-    GcSelection, GroupId, Lba, Lss, LssConfig, PlacementPolicy, PolicyCtx, VictimMeta,
+    GcSelection, GroupId, Lba, Lss, LssConfig, PlacementPolicy, PolicyCtx, SegmentId, VictimMeta,
 };
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Map a tuple of arbitraries onto one record, exercising every variant
 /// (including `Flush` slot vectors of every kind mix).
@@ -270,4 +270,265 @@ proptest! {
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// Three groups: host writes land in group 0, GC rewrites in group 1, and
+/// group 2 stays idle — a group without an open segment, for the cases
+/// that open one.
+struct UserGcIdle;
+impl PlacementPolicy for UserGcIdle {
+    fn name(&self) -> &'static str {
+        "user-gc-idle"
+    }
+    fn groups(&self) -> &[adapt_lss::GroupKind] {
+        use adapt_lss::GroupKind::{Gc, User};
+        &[User, Gc, User]
+    }
+    fn place_user(&mut self, _c: &PolicyCtx, _l: Lba) -> GroupId {
+        0
+    }
+    fn place_gc(&mut self, _c: &PolicyCtx, _l: Lba, _v: &VictimMeta) -> GroupId {
+        1
+    }
+}
+
+fn replay_cfg() -> LssConfig {
+    LssConfig {
+        user_blocks: 4096,
+        op_ratio: 0.5,
+        gc_low_water: 5,
+        gc_high_water: 7,
+        ..Default::default()
+    }
+}
+
+fn replay_builder(dir: &Path) -> adapt_lss::EngineBuilder<UserGcIdle, CountingArray> {
+    let cfg = replay_cfg();
+    Lss::builder(UserGcIdle, CountingArray::new(cfg.array_config()))
+        .config(cfg)
+        .gc_select(GcSelection::Greedy)
+        .durability(
+            dir,
+            DurabilityConfig {
+                fsync: FsyncPolicy::EveryCommit,
+                rotate_bytes: u64::MAX,
+                checkpoint_every_flushes: 0,
+                fsync_data: false,
+                budget: None,
+            },
+        )
+}
+
+/// What the durable prefix left behind, read off its own records.
+struct PrefixState {
+    /// The flush sequence the next `Flush` must carry.
+    next_seq: u64,
+    /// Group 0's open segment and how many chunks it holds.
+    open: SegmentId,
+    open_chunks: u32,
+    /// A sealed segment (with live blocks) still attached to group 0.
+    sealed: SegmentId,
+    /// The GC victim, reclaimed to the free pool.
+    free: SegmentId,
+}
+
+/// Write a real durable history into `dir` — two sealed segments, an
+/// overwrite, one GC pass, four blocks left buffered — and read back its
+/// shape from the log.
+fn durable_prefix(dir: &Path) -> PrefixState {
+    let mut e = replay_builder(dir).build();
+    let mut ts = 0;
+    for lba in (0..256).chain(0..32) {
+        e.try_write(ts, lba).unwrap();
+        ts += 1;
+    }
+    assert!(e.try_gc_step().unwrap());
+    for lba in 300..304 {
+        e.try_write(ts, lba).unwrap();
+        ts += 1;
+    }
+    e.sync_wal().unwrap();
+    drop(e);
+
+    let records = replay_dir(dir, 0).unwrap().records;
+    let flushes = |seg: SegmentId| {
+        records.iter().filter(|r| matches!(r, WalRecord::Flush { seg: s, .. } if *s == seg)).count()
+    };
+    let victim = records.iter().find_map(|r| match r {
+        WalRecord::GcBegin { seg } => Some(*seg),
+        _ => None,
+    });
+    let open = records.iter().rev().find_map(|r| match r {
+        WalRecord::Open { seg, group: 0, .. } => Some(*seg),
+        _ => None,
+    });
+    let segment_chunks = replay_cfg().segment_chunks as usize;
+    let sealed = records.iter().find_map(|r| match r {
+        WalRecord::Open { seg, .. } if Some(*seg) != victim && flushes(*seg) == segment_chunks => {
+            Some(*seg)
+        }
+        _ => None,
+    });
+    assert!(records.contains(&WalRecord::Reclaim { seg: victim.unwrap() }));
+    let open = open.unwrap();
+    PrefixState {
+        next_seq: records.iter().filter(|r| matches!(r, WalRecord::Flush { .. })).count() as u64,
+        open,
+        open_chunks: flushes(open) as u32,
+        sealed: sealed.unwrap(),
+        free: victim.unwrap(),
+    }
+}
+
+/// Recover a copy of the prefix in `base` with `tail` appended as
+/// CRC-valid frames, and return the outcome's display.
+fn recover_with_tail(base: &Path, case: &str, tail: &[WalRecord]) -> Result<(), String> {
+    let dir = tdir(&format!("replay_{case}"), 0);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut log = std::fs::read(base.join("wal-000000.log")).unwrap();
+    for rec in tail {
+        rec.encode_frame(&mut log);
+    }
+    std::fs::write(dir.join("wal-000000.log"), &log).unwrap();
+    let res = replay_builder(&dir).recover();
+    std::fs::remove_dir_all(&dir).unwrap();
+    match res {
+        Ok((engine, _)) => {
+            engine.check_invariants();
+            Ok(())
+        }
+        Err(e) => Err(e.to_string()),
+    }
+}
+
+fn append(lba: Lba, group: GroupId) -> WalRecord {
+    WalRecord::BufferAppend { lba, version: 1_000, group, gc: false, needs_sla: true }
+}
+
+fn flush(
+    seq: u64,
+    seg: SegmentId,
+    chunk: u32,
+    group: GroupId,
+    slots: Vec<WalSlot>,
+    pad: u32,
+) -> WalRecord {
+    WalRecord::Flush {
+        flush_seq: seq,
+        seg,
+        chunk_in_seg: chunk,
+        group,
+        now_us: 1_000,
+        user_bytes_clock: 0,
+        pad_blocks: pad,
+        slots,
+    }
+}
+
+fn slot(kind: WalSlotKind, lba: Lba) -> WalSlot {
+    WalSlot { kind, lba, version: 0 }
+}
+
+/// Assert every case makes recovery fail with a replay error (a typed
+/// error, not a panic), after checking the bare prefix recovers.
+fn assert_rejected(
+    name: &str,
+    cases: impl FnOnce(&PrefixState) -> Vec<(&'static str, Vec<WalRecord>)>,
+) {
+    let base = tdir(name, 0);
+    let state = durable_prefix(&base);
+    assert_eq!(recover_with_tail(&base, &format!("{name}_clean"), &[]), Ok(()));
+    for (case, tail) in cases(&state) {
+        let err = recover_with_tail(&base, &format!("{name}_{case}"), &tail)
+            .expect_err(&format!("{case}: recovery accepted an inconsistent record"));
+        assert!(err.contains("inconsistent WAL record"), "{case}: {err}");
+    }
+    std::fs::remove_dir_all(&base).unwrap();
+}
+
+/// Every structural check replay makes of a CRC-valid record against the
+/// state rebuilt so far, reached by a record sequence appended to a real
+/// durable prefix. (A stale shadow pointer and a pending index entry
+/// without its buffer copy need an inconsistent starting state: from a
+/// consistent prefix no record sequence produces either.)
+#[test]
+fn replay_rejects_inconsistent_records() {
+    let total = replay_cfg().total_segments();
+    let open = |seg, group| WalRecord::Open {
+        seg,
+        group,
+        open_seq: 1_000,
+        created_user_bytes: 0,
+        created_ts_us: 0,
+    };
+    assert_rejected("replay_inconsistent", |s| {
+        let (n, seg, chunk) = (s.next_seq, s.open, s.open_chunks);
+        vec![
+            ("open_bad_group", vec![open(s.free, 9)]),
+            ("open_bad_segment", vec![open(total, 2)]),
+            ("open_group_already_open", vec![open(s.free, 0)]),
+            ("open_non_free_segment", vec![open(s.sealed, 2)]),
+            ("append_bad_group", vec![append(5, 9)]),
+            ("append_over_chunk_size", (0..17).map(|i| append(500 + i, 2)).collect()),
+            ("flush_bad_group", vec![flush(n, seg, chunk, 9, vec![], 16)]),
+            ("flush_bad_segment", vec![flush(n, total, 0, 0, vec![], 16)]),
+            ("flush_wrong_sequence", vec![flush(n + 1, seg, chunk, 0, vec![], 16)]),
+            ("flush_wrong_chunk", vec![flush(n, seg, chunk + 1, 0, vec![], 16)]),
+            ("flush_short_chunk", vec![flush(n, seg, chunk, 0, vec![], 15)]),
+            ("flush_segment_not_open", vec![flush(n, s.sealed, 0, 0, vec![], 16)]),
+            ("flush_wrong_group", vec![flush(n, seg, chunk, 1, vec![], 16)]),
+            (
+                "flush_block_not_buffered",
+                vec![flush(n, seg, chunk, 0, vec![slot(WalSlotKind::User, 200)], 15)],
+            ),
+            (
+                "flush_shadow_of_durable_block",
+                vec![flush(n, seg, chunk, 0, vec![slot(WalSlotKind::Shadow, 200)], 15)],
+            ),
+            ("gc_begin_bad_segment", vec![WalRecord::GcBegin { seg: total }]),
+            ("gc_begin_open_segment", vec![WalRecord::GcBegin { seg }]),
+            ("gc_begin_free_segment", vec![WalRecord::GcBegin { seg: s.free }]),
+            (
+                "gc_begin_twice",
+                vec![WalRecord::GcBegin { seg: s.sealed }, WalRecord::GcBegin { seg: s.sealed }],
+            ),
+            ("reclaim_without_gc_begin", vec![WalRecord::Reclaim { seg: s.sealed }]),
+            (
+                "reclaim_with_live_blocks",
+                vec![WalRecord::GcBegin { seg: s.sealed }, WalRecord::Reclaim { seg: s.sealed }],
+            ),
+        ]
+    });
+}
+
+/// LBAs read from the log are checked before they index anything: an
+/// overflowing trim range and a block at or past `user_blocks` are replay
+/// errors, not an arithmetic overflow or an index resized to the bogus
+/// LBA.
+#[test]
+fn replay_rejects_lbas_past_the_volume() {
+    let user_blocks = replay_cfg().user_blocks;
+    assert_rejected("replay_lba", |_| {
+        vec![
+            ("trim_overflows", vec![WalRecord::Trim { lba: u64::MAX, blocks: 2 }]),
+            ("append_far_lba", vec![append(1 << 40, 0)]),
+            ("append_at_volume_end", vec![append(user_blocks, 0)]),
+        ]
+    });
+}
+
+/// The live engine accepts a trim that runs past the volume's end, so
+/// replay does too; it walks only the LBAs the index holds, so even a
+/// four-billion-block range replays at once.
+#[test]
+fn replay_bounds_trims_by_the_written_lbas() {
+    let user_blocks = replay_cfg().user_blocks;
+    let base = tdir("replay_trim", 0);
+    durable_prefix(&base);
+    for (case, blocks) in [("trim_huge_range", u32::MAX), ("trim_past_volume", 2)] {
+        let tail =
+            [WalRecord::Trim { lba: user_blocks - 1, blocks }, WalRecord::Trim { lba: 0, blocks }];
+        assert_eq!(recover_with_tail(&base, case, &tail), Ok(()), "{case}");
+    }
+    std::fs::remove_dir_all(&base).unwrap();
 }

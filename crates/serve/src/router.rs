@@ -115,10 +115,10 @@ impl ShardRouter {
         let Some(&capacity) = self.capacity.get(&volume) else {
             return Err(SubmitError::UnknownVolume { volume });
         };
-        let end = lba + blocks as u64;
-        if end > capacity {
-            return Err(SubmitError::OutOfRange { volume, lba, blocks, capacity });
-        }
+        let end = match lba.checked_add(blocks as u64) {
+            Some(end) if end <= capacity => end,
+            _ => return Err(SubmitError::OutOfRange { volume, lba, blocks, capacity }),
+        };
         let range = lba / self.range_blocks;
         if (end - 1) / self.range_blocks != range {
             return Err(SubmitError::CrossesShardBoundary { volume, lba, blocks });
@@ -185,6 +185,7 @@ mod tests {
         assert_eq!(r.locate(9, 0, 1), Err(SubmitError::UnknownVolume { volume: 9 }));
         assert_eq!(r.locate(1, 0, 0), Err(SubmitError::ZeroBlocks));
         assert!(matches!(r.locate(2, 999, 2), Err(SubmitError::OutOfRange { .. })));
+        assert!(matches!(r.locate(1, u64::MAX - 1, 4), Err(SubmitError::OutOfRange { .. })));
         assert!(matches!(r.locate(1, 255, 2), Err(SubmitError::CrossesShardBoundary { .. })));
         // Whole-range request at the boundary is fine.
         assert!(r.locate(1, 256, 256).is_ok());
