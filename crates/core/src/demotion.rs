@@ -16,8 +16,8 @@
 //! filter, one bit lane per filter. One probe pass (hash once, AND seven
 //! bytes) answers every filter of every group at once.
 
-use crate::sampler::mix64;
 use adapt_lss::{GroupId, Lba, LssConfig};
+use adapt_trace::rng::mix64;
 
 /// Bloom filters per cascading discriminator; no figure from the paper is
 /// on record here. Four generations let a score of [`SCORE_THRESHOLD`]

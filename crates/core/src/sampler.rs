@@ -10,14 +10,7 @@
 //! (they are full-stream bytes); the sampled write volume is scaled by `1/rate`.
 
 use adapt_lss::Lba;
-
-/// SplitMix64 finalizer: the sampling hash, and the demotion Bloom filters' mixer.
-#[inline]
-pub(crate) fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use adapt_trace::rng::mix64;
 
 /// Spatial sampler with a fixed rate.
 #[derive(Debug, Clone, Copy)]

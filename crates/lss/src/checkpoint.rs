@@ -13,7 +13,7 @@
 
 use crate::gc_buckets::SegmentBuckets;
 use crate::group::Group;
-use crate::index::{BlockEntry, BlockIndex, VersionIndex};
+use crate::index::{BlockEntry, BlockIndex, DenseMap};
 use crate::recovery::{
     encode_base, encode_delta, BaseImage, DeltaImage, Dirty, GeometrySnap, GroupRec, Header,
     RecoveryError, SegmentRec, View, CHECKPOINT_FILE, CLEAN, DELTA_FILE, MAX_LBAS,
@@ -215,7 +215,7 @@ pub(crate) struct ViewMut<'a> {
     pub free: &'a mut Vec<SegmentId>,
     pub groups: &'a mut [Group],
     pub index: &'a mut BlockIndex,
-    pub versions: &'a mut VersionIndex,
+    pub versions: &'a mut DenseMap<u64>,
     pub buckets: &'a mut SegmentBuckets,
 }
 
@@ -307,7 +307,7 @@ impl ViewMut<'_> {
         }
         *self.index = BlockIndex::from_raw(base.index.iter().map(word).collect(), &base.shadows)
             .ok_or_else(|| bad("index words and shadow entries do not pair up".into()))?;
-        *self.versions = VersionIndex::from_words(base.versions.iter().map(word).collect());
+        *self.versions = DenseMap::from_words(u64::MAX, base.versions.iter().map(word).collect());
         Ok(())
     }
 
@@ -869,7 +869,8 @@ pub(crate) mod tests {
             let space = if r.is_multiple_of(3) { blocks / 8 } else { blocks };
             let lba = mix64(r) % space;
             if r.is_multiple_of(29) {
-                e.try_trim(ts, lba, 1 + (r >> 8) as u32 % 8).unwrap();
+                // `lba < space <= blocks`, so the run stays inside the volume.
+                e.try_trim(ts, lba, (1 + (r >> 8) % 8).min(blocks - lba) as u32).unwrap();
             } else {
                 e.try_write(ts, lba).unwrap();
             }

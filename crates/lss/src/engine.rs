@@ -33,11 +33,11 @@
 use crate::checkpoint::{self, CheckpointStore, ViewMut};
 use crate::config::LssConfig;
 use crate::error::EngineError;
-use crate::events::{EventKind, EventRecorder, GaugeSample, PolicyEvent};
+use crate::events::{EventKind, EventRecorder, GaugeSample};
 use crate::gc_buckets::SegmentBuckets;
 use crate::gc_variants::VictimPolicy;
 use crate::group::{Group, PendingBlock};
-use crate::index::{BlockEntry, BlockIndex, VersionIndex};
+use crate::index::{BlockEntry, BlockIndex, DenseMap};
 use crate::metrics::{GroupTraffic, LssMetrics};
 use crate::placement::{
     PlacementPolicy, PolicyCtx, ReclaimInfo, SegmentMeta, SlaAction, VictimMeta,
@@ -81,11 +81,9 @@ pub(crate) struct Durability {
     /// Chunk flushes since the last checkpoint (drives the cadence).
     flushes_since_checkpoint: u64,
     /// Version (arrival µs) of the newest WAL-appended user write per
-    /// LBA. Snapshot-serialized and replay-rebuilt, so after recovery it
-    /// reflects exactly the durable prefix.
-    versions: VersionIndex,
-    /// Scratch for per-flush WAL slot lists.
-    wal_slot_buf: Vec<WalSlot>,
+    /// LBA; `u64::MAX` marks none. Snapshot-serialized and replay-rebuilt,
+    /// so after recovery it reflects exactly the durable prefix.
+    versions: DenseMap<u64>,
 }
 
 /// Map a sink fault hit during checkpointing onto the WAL error space
@@ -126,24 +124,18 @@ pub struct Lss<P: PlacementPolicy, S: ArraySink> {
     /// Monotonic counter stamped onto every flushed chunk (the recovery
     /// journal's ordering key).
     next_flush_seq: u64,
-    /// Scratch for victim slot scans (avoids per-pass allocation).
-    gc_scratch: Vec<(u32, Slot)>,
-    /// Pool of drained pending-block buffers for [`Lss::flush_chunk`]. A
-    /// stack, not a single slot: flushes recurse (alloc → GC → append →
-    /// flush), so an inner flush must be able to grab its own buffer while
-    /// the outer one is still live.
-    pending_pool: Vec<Vec<PendingBlock>>,
-    /// Scratch for shadow-append LBA lists (avoids per-expiry allocation).
+    /// Scratch for shadow-append LBA lists. Kept, unlike the engine's
+    /// other per-call lists, because it saves one allocation per SLA
+    /// expiry, and sparse workloads expire about once per two host writes.
     shadow_scratch: Vec<Lba>,
-    /// Scratch for per-read chunk gathering (avoids per-read allocation).
+    /// Scratch for per-read chunk gathering. Kept because it saves one
+    /// allocation per host read, the commonest op of mixed workloads.
     read_scratch: Vec<(SegmentId, u32)>,
     /// Host block operations processed (writes, reads, trims) — the op
     /// clock that time-to-rebuild is measured on.
     ops_seen: u64,
-    /// Sink health observed at the previous host op (transition detector
-    /// for rebuild metrics).
-    last_health: ArrayHealth,
-    /// Op-clock value when the current rebuild was first observed.
+    /// Op-clock value when the current rebuild was first observed; `Some`
+    /// exactly while a rebuild is in progress.
     rebuild_start_op: Option<u64>,
     /// Real (host) nanoseconds spent inside GC victim selection — the
     /// perf harness's "selection time share" probe. Not part of
@@ -159,19 +151,8 @@ pub struct Lss<P: PlacementPolicy, S: ArraySink> {
     /// instrumentation site is behind one branch on
     /// [`EventRecorder::enabled`], so the disabled hot path is unchanged.
     events: EventRecorder,
-    /// Scratch for draining policy-side events (avoids per-op allocation).
-    policy_event_buf: Vec<PolicyEvent>,
     /// Durable backend (WAL + checkpoints); `None` for in-memory engines.
     dur: Option<Box<Durability>>,
-    /// Cached earliest SLA deadline across all groups, `(deadline, gid)`
-    /// with the same lexicographic tie-break as a full scan. Valid only
-    /// when `sla_dirty` is false; every mutation of any group's
-    /// `pending_since_us` marks it dirty, so [`Lss::try_advance_time`] —
-    /// which runs on *every* host op — rescans the groups only after a
-    /// deadline actually moved instead of once per op.
-    sla_next: Option<(u64, GroupId)>,
-    /// Whether `sla_next` must be recomputed before use.
-    sla_dirty: bool,
 }
 
 impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
@@ -230,20 +211,14 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
             in_gc: false,
             next_open_seq: 0,
             next_flush_seq: 0,
-            gc_scratch: Vec::new(),
-            pending_pool: Vec::new(),
             shadow_scratch: Vec::new(),
             read_scratch: Vec::new(),
             ops_seen: 0,
-            last_health: ArrayHealth::Healthy,
             rebuild_start_op: None,
             gc_select_ns: 0,
             buckets: SegmentBuckets::new(cfg.segment_blocks(), total as usize),
             events,
-            policy_event_buf: Vec::new(),
             dur: None,
-            sla_next: None,
-            sla_dirty: true,
         }
     }
 
@@ -251,9 +226,11 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
     // Public API
     // ------------------------------------------------------------------
 
-    /// Process one host block write at time `ts_us`. Index corruption
-    /// and free-pool exhaustion surface as typed errors.
+    /// Process one host block write at time `ts_us`. Index corruption,
+    /// free-pool exhaustion and an LBA past the volume surface as typed
+    /// errors.
     pub fn try_write(&mut self, ts_us: u64, lba: Lba) -> Result<(), EngineError> {
+        self.check_range(lba, 1)?;
         self.try_advance_time(ts_us)?;
         self.note_host_op();
         self.metrics.host_write_bytes += self.cfg.block_bytes;
@@ -277,12 +254,14 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
 
     /// Process a multi-block host write request: one
     /// [`try_write`](Lss::try_write) per block, stopping at the first error.
+    /// A request crossing the end of the volume writes nothing.
     pub fn try_write_request(
         &mut self,
         ts_us: u64,
         lba: Lba,
         num_blocks: u32,
     ) -> Result<(), EngineError> {
+        self.check_range(lba, num_blocks)?;
         for i in 0..num_blocks as u64 {
             self.try_write(ts_us, lba + i)?;
         }
@@ -305,6 +284,7 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         lba: Lba,
         num_blocks: u32,
     ) -> Result<(), EngineError> {
+        self.check_range(lba, num_blocks)?;
         self.try_advance_time(ts_us)?;
         self.note_host_op();
         self.metrics.host_read_bytes += num_blocks as u64 * self.cfg.block_bytes;
@@ -397,6 +377,7 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
     /// TRIM/discard: invalidate `num_blocks` starting at `lba`. The freed
     /// slots become garbage immediately, cheapening future GC.
     pub fn try_trim(&mut self, ts_us: u64, lba: Lba, num_blocks: u32) -> Result<(), EngineError> {
+        self.check_range(lba, num_blocks)?;
         self.try_advance_time(ts_us)?;
         self.note_host_op();
         for i in 0..num_blocks as u64 {
@@ -411,34 +392,30 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         self.wal_commit()
     }
 
+    /// Refuse a request for `blocks` blocks at `lba` unless all of them
+    /// lie inside the volume (and their LBAs do not overflow).
+    fn check_range(&self, lba: Lba, blocks: u32) -> Result<(), EngineError> {
+        let user_blocks = self.cfg.user_blocks;
+        match lba.checked_add(blocks as u64) {
+            Some(end) if end <= user_blocks => Ok(()),
+            _ => Err(EngineError::OutOfRange { lba, blocks, user_blocks }),
+        }
+    }
+
     /// Advance simulated time, handling any SLA expiries strictly before
     /// `ts_us`. Reads (which bypass the write path) should call this so
     /// that coalescing deadlines fire at faithful instants.
     pub fn try_advance_time(&mut self, ts_us: u64) -> Result<(), EngineError> {
-        loop {
-            if self.sla_dirty {
-                self.sla_next = self.earliest_deadline();
-                self.sla_dirty = false;
-            }
-            // Debug builds re-derive the minimum on every use: a mutation
-            // site missing its `sla_dirty` mark trips this across the
-            // whole test suite instead of silently shifting a deadline.
-            debug_assert_eq!(self.sla_next, self.earliest_deadline(), "stale SLA-deadline cache");
-            match self.sla_next {
-                Some((deadline, gid)) if deadline <= ts_us => {
-                    self.now_us = self.now_us.max(deadline);
-                    // Expiry handling flushes or shadow-appends, which
-                    // moves `pending_since_us` and re-marks the cache.
-                    self.handle_sla_expiry(gid)?;
-                }
-                _ => break,
-            }
+        while let Some((deadline, gid)) = self.earliest_deadline().filter(|&(d, _)| d <= ts_us) {
+            self.now_us = self.now_us.max(deadline);
+            self.handle_sla_expiry(gid)?;
         }
         self.now_us = self.now_us.max(ts_us);
         self.wal_commit()
     }
 
-    /// The earliest SLA deadline across all groups, `(deadline, gid)`.
+    /// The earliest SLA deadline across all groups, `(deadline, gid)`: on
+    /// a tie the lower group id fires first.
     fn earliest_deadline(&self) -> Option<(u64, GroupId)> {
         let sla_us = self.cfg.sla_us;
         self.groups.iter().filter_map(|g| g.sla_deadline(sla_us).map(|d| (d, g.id))).min()
@@ -697,11 +674,7 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         if self.events.enabled() {
             self.pump_events();
         }
-        let health = self.sink.health();
-        if health == self.last_health {
-            return;
-        }
-        match health {
+        match self.sink.health() {
             ArrayHealth::Rebuilding { device } => {
                 if self.rebuild_start_op.is_none() {
                     self.rebuild_start_op = Some(self.ops_seen);
@@ -730,7 +703,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
             }
             ArrayHealth::Degraded { .. } => {}
         }
-        self.last_health = health;
     }
 
     /// Events-on bookkeeping for one host op: drain policy-side events and
@@ -749,13 +721,11 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
     /// Move events the policy buffered during its callbacks into the
     /// engine's recorder, stamped with the current clocks.
     fn drain_policy_events(&mut self) {
-        let mut buf = std::mem::take(&mut self.policy_event_buf);
-        buf.clear();
+        let mut buf = Vec::new();
         self.policy.drain_events(&mut buf);
-        for &ev in &buf {
+        for ev in buf {
             self.events.record(self.now_us, self.ops_seen, EventKind::Policy(ev));
         }
-        self.policy_event_buf = buf;
     }
 
     /// One gauge sample of the engine's key load indicators.
@@ -842,7 +812,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
                 })?;
                 g.pending.swap_remove(pos);
                 g.recompute_pending_since();
-                self.sla_dirty = true;
                 self.metrics.buffer_absorbed_blocks += 1;
                 if let Some((seg, off)) = shadow {
                     debug_assert_eq!(self.segments[seg as usize].slot(off), Slot::Shadow(lba));
@@ -958,25 +927,21 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         }
         let seg_id = self.groups[gid as usize].open_segment;
 
-        // Drain at most one chunk's worth of pending blocks (oldest first).
+        // Place at most one chunk's worth of pending blocks (oldest first)
+        // where they sit: neither loop below touches this group's buffer,
+        // so they are drained once, after both.
         let max_payload = (chunk_blocks as usize).saturating_sub(shadows.len());
         let take_n = self.groups[gid as usize].pending.len().min(max_payload);
-        let mut pending = self.pending_pool.pop().unwrap_or_default();
-        pending.clear();
-        pending.extend(self.groups[gid as usize].pending.drain(..take_n));
 
         // With a durable backend, collect this chunk's slots for the WAL
         // Flush record (blocks first, then shadows — the slot-offset order
         // replay must reproduce).
-        let mut wal_slots = self.dur.as_mut().map(|d| {
-            let mut buf = std::mem::take(&mut d.wal_slot_buf);
-            buf.clear();
-            buf
-        });
+        let mut wal_slots = self.dur.is_some().then(|| Vec::with_capacity(chunk_blocks as usize));
 
         let mut user = 0u64;
         let mut gc = 0u64;
-        for p in &pending {
+        for i in 0..take_n {
+            let p = self.groups[gid as usize].pending[i];
             if let Some(ws) = wal_slots.as_mut() {
                 let kind = match p.traffic {
                     Traffic::Gc => WalSlotKind::Gc,
@@ -1015,8 +980,8 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
                 ws.push(WalSlot { kind: WalSlotKind::Shadow, lba, version });
             }
         }
-        let payload = pending.len() + shadows.len();
-        self.pending_pool.push(pending);
+        self.groups[gid as usize].pending.drain(..take_n);
+        let payload = take_n + shadows.len();
         let pad = chunk_blocks as usize - payload;
 
         // Account and hand the chunk to the array.
@@ -1201,9 +1166,7 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         // Snapshot the slots: migration flushes through other segments and
         // can tombstone this one's shadow slots, which the per-slot
         // liveness check below absorbs.
-        let mut slots = std::mem::take(&mut self.gc_scratch);
-        slots.clear();
-        slots.extend(self.segments[victim_id as usize].written_slots());
+        let slots: Vec<(u32, Slot)> = self.segments[victim_id as usize].written_slots().collect();
         // Every block is placed against the live groups; the byte clock
         // and `now_us` stay put during migration (GC traffic does not tick
         // them), so all of one victim's blocks see the same clocks.
@@ -1224,7 +1187,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
                     if let Some(pos) = hg.find_pending(lba) {
                         hg.pending.swap_remove(pos);
                         hg.recompute_pending_since();
-                        self.sla_dirty = true;
                     }
                 }
             }
@@ -1247,8 +1209,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
             migrated += 1;
         }
         self.metrics.blocks_migrated += migrated as u64;
-        slots.clear();
-        self.gc_scratch = slots;
         // Terminal (out of space / WAL fault): the victim stays detached —
         // sealed, but in neither the bucket index nor its owner's list.
         result?;
@@ -1313,7 +1273,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         g.pending.push(block);
         if block.needs_sla && g.pending_since_us.is_none() {
             g.pending_since_us = Some(block.arrival_us);
-            self.sla_dirty = true;
         }
         self.index.set(block.lba, BlockEntry::Pending { group: gid, shadow: None });
     }
@@ -1367,7 +1326,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
             p.needs_sla = false;
         }
         g.pending_since_us = None;
-        self.sla_dirty = true;
     }
 
     /// Close the chunk just placed into `gid`'s open segment `seg_id`:
@@ -1394,7 +1352,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         let g = &mut self.groups[gid as usize];
         g.account_chunk(user, gc, shadow, pad);
         g.recompute_pending_since();
-        self.sla_dirty = true;
         let b = self.cfg.block_bytes;
         let flush = ChunkFlush {
             user_bytes: user * b,
@@ -1474,8 +1431,7 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         // instead of hashing every written slot; flush sequences never
         // reach u64::MAX, so that triple is a safe vacancy sentinel.
         const EMPTY: (u64, u32, SegmentId) = (u64::MAX, u32::MAX, SegmentId::MAX);
-        let mut best: crate::index::DenseMap<(u64, u32, SegmentId)> =
-            crate::index::DenseMap::with_capacity(EMPTY, self.index.len());
+        let mut best = DenseMap::with_capacity(EMPTY, self.index.len());
         for seg in &self.segments {
             if seg.state == SegmentState::Free {
                 continue;
@@ -1570,10 +1526,6 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
             WalRecord::GcBegin { .. } => {}
         }
         d.wal.append(&rec);
-        if let WalRecord::Flush { slots, .. } = rec {
-            // Reclaim the slot scratch for the next flush.
-            d.wal_slot_buf = slots;
-        }
     }
 
     /// Tombstone the dead shadow copy at `(seg, off)`, noting the slot for
@@ -1640,7 +1592,7 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
     }
 
     /// The logical state a checkpoint serializes, borrowed in place.
-    pub(crate) fn view<'a>(&'a self, versions: &'a VersionIndex) -> View<'a> {
+    pub(crate) fn view<'a>(&'a self, versions: &'a DenseMap<u64>) -> View<'a> {
         View {
             geometry: self.geometry(),
             clocks: Clocks {
@@ -1671,8 +1623,7 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
             wal,
             store,
             flushes_since_checkpoint: 0,
-            versions: VersionIndex::new(),
-            wal_slot_buf: Vec::new(),
+            versions: DenseMap::new(u64::MAX),
         }));
         Ok(())
     }
@@ -1714,7 +1665,7 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
     fn replay_record(
         &mut self,
         rec: &WalRecord,
-        versions: &mut VersionIndex,
+        versions: &mut DenseMap<u64>,
         detached: &mut Vec<SegmentId>,
         tail: &mut Vec<RecoveredFlush>,
         report: &mut RecoveryReport,
@@ -1861,7 +1812,9 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
                     return Err(bad(format!("trim: {blocks} blocks at lba {lba} overflow")));
                 };
                 // As in `wal_append`: LBAs past the index table were never
-                // written, so there is nothing to retire or forget.
+                // written, so there is nothing to retire or forget. Logs
+                // from engines that did not range-check trims may name
+                // blocks past the volume; those replay as no-ops.
                 for lba in *lba..end.min(self.index.len() as Lba) {
                     if !matches!(self.index.get(lba), BlockEntry::Absent) {
                         self.retire_entry(lba, true)
@@ -1883,7 +1836,7 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         cfg: DurabilityConfig,
     ) -> Result<RecoveryReport, RecoveryError> {
         let mut report = RecoveryReport::default();
-        let mut versions = VersionIndex::new();
+        let mut versions = DenseMap::new(u64::MAX);
         let loaded = checkpoint::load(
             dir,
             &mut ViewMut {
@@ -1947,19 +1900,12 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
         for grp in &mut self.groups {
             grp.recompute_pending_since();
         }
-        self.sla_dirty = true;
         // Hand the sink the replayed tail so it can verify, restore, or
         // truncate its own records.
         report.sink = self.sink.recover_reconcile(self.next_flush_seq, &tail)?;
         let wal = Wal::resume(dir, cfg, replay.next_idx)?;
         let store = CheckpointStore::resume(dir, wal.config(), generation)?;
-        self.dur = Some(Box::new(Durability {
-            wal,
-            store,
-            flushes_since_checkpoint: 0,
-            versions,
-            wal_slot_buf: Vec::new(),
-        }));
+        self.dur = Some(Box::new(Durability { wal, store, flushes_since_checkpoint: 0, versions }));
         Ok(report)
     }
 }
@@ -1980,10 +1926,12 @@ mod tests {
     use adapt_array::CountingArray;
 
     /// Two-group test policy: user writes to group 0, GC rewrites to
-    /// group 1 (SepGC-shaped), with a switch to exercise shadow append.
+    /// group 1 (SepGC-shaped), with a switch to exercise shadow append
+    /// and one to spread user writes over two groups by LBA parity.
     struct TestPolicy {
         groups: Vec<GroupKind>,
         shadow_to: Option<GroupId>,
+        split_user: bool,
         reclaims: u32,
         seals: u32,
     }
@@ -1993,6 +1941,7 @@ mod tests {
             Self {
                 groups: vec![GroupKind::User, GroupKind::Gc],
                 shadow_to: None,
+                split_user: false,
                 reclaims: 0,
                 seals: 0,
             }
@@ -2002,9 +1951,15 @@ mod tests {
             Self {
                 groups: vec![GroupKind::User, GroupKind::User, GroupKind::Gc],
                 shadow_to: Some(1),
+                split_user: false,
                 reclaims: 0,
                 seals: 0,
             }
+        }
+
+        /// Even LBAs to group 0, odd ones to group 1, GC to group 2.
+        fn two_user_groups() -> Self {
+            Self { shadow_to: None, split_user: true, ..Self::with_shadow() }
         }
     }
 
@@ -2015,8 +1970,12 @@ mod tests {
         fn groups(&self) -> &[GroupKind] {
             &self.groups
         }
-        fn place_user(&mut self, _ctx: &PolicyCtx, _lba: Lba) -> GroupId {
-            0
+        fn place_user(&mut self, _ctx: &PolicyCtx, lba: Lba) -> GroupId {
+            if self.split_user {
+                (lba % 2) as GroupId
+            } else {
+                0
+            }
         }
         fn place_gc(&mut self, _ctx: &PolicyCtx, _lba: Lba, _v: &VictimMeta) -> GroupId {
             self.groups.len() as GroupId - 1
@@ -2090,6 +2049,48 @@ mod tests {
         e.try_advance_time(100).unwrap();
         assert_eq!(e.metrics().chunks_flushed, 1);
         assert_eq!(e.metrics().padded_chunks, 1);
+    }
+
+    #[test]
+    fn coinciding_sla_deadlines_flush_the_lower_group_first() {
+        let mut e = engine(TestPolicy::two_user_groups());
+        // Group 1's block arrives first, so arrival order cannot decide.
+        e.try_write(0, 1).unwrap();
+        e.try_write(0, 2).unwrap();
+        e.try_advance_time(1_000).unwrap();
+        assert_eq!(e.metrics().chunks_flushed, 2);
+        let flush_seq = |lba| match e.index.get(lba) {
+            BlockEntry::Durable { seg, off } => {
+                e.segments[seg as usize].chunk_seqs[(off / e.cfg.chunk_blocks) as usize]
+            }
+            other => panic!("lba {lba} not flushed: {other:?}"),
+        };
+        assert_eq!((flush_seq(2), flush_seq(1)), (0, 1), "group 0 must flush first");
+        e.check_invariants();
+    }
+
+    #[test]
+    fn requests_past_the_volume_are_refused_before_any_change() {
+        let mut e = engine(TestPolicy::sepgc());
+        let ub = e.cfg.user_blocks;
+        e.try_write(0, 5).unwrap();
+        let (metrics, now, table) = (e.metrics().clone(), e.now_us(), e.index.len());
+        // Each call would otherwise also fire the SLA expiry due at 100.
+        let out = |lba, blocks| Err(EngineError::OutOfRange { lba, blocks, user_blocks: ub });
+        assert_eq!(e.try_write(1_000, ub), out(ub, 1));
+        assert_eq!(e.try_write_request(1_000, ub - 2, 4), out(ub - 2, 4));
+        assert_eq!(e.try_read_request(1_000, ub - 1, 2), out(ub - 1, 2));
+        assert_eq!(e.try_trim(1_000, ub - 3, 8), out(ub - 3, 8));
+        let lba = u64::MAX - 1;
+        assert_eq!(e.try_write(1_000, lba), out(lba, 1));
+        assert_eq!(e.try_write_request(1_000, lba, 4), out(lba, 4));
+        assert_eq!(e.try_read_request(1_000, lba, 4), out(lba, 4));
+        assert_eq!(e.try_trim(1_000, lba, 4), out(lba, 4));
+        assert_eq!((e.metrics(), e.now_us(), e.index.len()), (&metrics, now, table));
+        e.check_invariants();
+        // The last block and an empty request at the end are in range.
+        e.try_write_request(1_000, ub - 1, 1).unwrap();
+        e.try_read_request(1_000, ub, 0).unwrap();
     }
 
     #[test]

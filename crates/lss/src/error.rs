@@ -49,6 +49,16 @@ pub enum EngineError {
     /// The write-ahead log (or a checkpoint write) failed. Already-acked
     /// writes are durable; the failed operation is not.
     Wal(WalError),
+    /// A host request named blocks past the end of the volume. Refused
+    /// before it changed anything: no block, clock or counter moved.
+    OutOfRange {
+        /// First block of the request.
+        lba: Lba,
+        /// Blocks in the request.
+        blocks: u32,
+        /// The volume size in blocks.
+        user_blocks: u64,
+    },
 }
 
 impl Retryable for EngineError {
@@ -59,7 +69,9 @@ impl Retryable for EngineError {
         match self {
             EngineError::Array(e) => e.is_retryable(),
             EngineError::Wal(e) => e.is_retryable(),
-            EngineError::IndexCorruption { .. } | EngineError::OutOfSpace { .. } => false,
+            EngineError::IndexCorruption { .. }
+            | EngineError::OutOfSpace { .. }
+            | EngineError::OutOfRange { .. } => false,
         }
     }
 }
@@ -126,6 +138,12 @@ impl std::fmt::Display for EngineError {
             ),
             EngineError::Array(e) => write!(f, "array fault: {e}"),
             EngineError::Wal(e) => write!(f, "write-ahead log fault: {e}"),
+            EngineError::OutOfRange { lba, blocks, user_blocks } => {
+                write!(
+                    f,
+                    "{blocks} blocks at lba {lba} pass the end of the {user_blocks}-block volume"
+                )
+            }
         }
     }
 }

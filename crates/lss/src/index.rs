@@ -334,84 +334,17 @@ impl<T: Copy + PartialEq> DenseMap<T> {
     pub fn memory_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<T>()
     }
-}
 
-/// Dense `Lba → version` map for the durable-version bookkeeping: the WAL
-/// layer records, per LBA, the newest acknowledged write version. Replaces
-/// the old `FxHashMap<Lba, u64>` — the key space is the same dense LBA
-/// range the block index covers, so a flat vector with a `u64::MAX`
-/// sentinel is both smaller and faster, and iterating it yields the
-/// LBA-sorted order checkpoint serialization needs with no sort.
-#[derive(Debug, Clone)]
-pub struct VersionIndex {
-    map: DenseMap<u64>,
-}
-
-impl Default for VersionIndex {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl VersionIndex {
-    /// Versions are µs timestamps; `u64::MAX` is reserved as the sentinel.
-    pub fn new() -> Self {
-        Self { map: DenseMap::new(u64::MAX) }
-    }
-
-    /// Newest durable version of `lba`, if any.
-    #[inline]
-    pub fn get(&self, lba: Lba) -> Option<u64> {
-        self.map.get(lba)
-    }
-
-    /// Record `version` as `lba`'s newest durable version.
-    #[inline]
-    pub fn insert(&mut self, lba: Lba, version: u64) {
-        self.map.insert(lba, version);
-    }
-
-    /// Forget `lba` (trim).
-    #[inline]
-    pub fn remove(&mut self, lba: Lba) {
-        self.map.remove(lba);
-    }
-
-    /// Number of LBAs with a durable version.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when no LBA has a durable version.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Drop every entry, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
-
-    /// Live `(lba, version)` pairs in ascending LBA order.
-    pub fn iter(&self) -> impl Iterator<Item = (Lba, u64)> + '_ {
-        self.map.iter()
-    }
-
-    /// The dense table itself (`u64::MAX` = no version) — what a
+    /// The dense table itself, `empty` marking unset LBAs — what a
     /// checkpoint base stores in bulk.
-    pub(crate) fn words(&self) -> &[u64] {
-        &self.map.slots
+    pub(crate) fn words(&self) -> &[T] {
+        &self.slots
     }
 
     /// Rebuild from a dense table read back from a checkpoint base.
-    pub(crate) fn from_words(slots: Vec<u64>) -> Self {
-        let live = slots.iter().filter(|&&v| v != u64::MAX).count();
-        Self { map: DenseMap { slots, empty: u64::MAX, live } }
-    }
-
-    /// Approximate resident bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.map.memory_bytes()
+    pub(crate) fn from_words(empty: T, slots: Vec<T>) -> Self {
+        let live = slots.iter().filter(|&&v| v != empty).count();
+        Self { slots, empty, live }
     }
 }
 
@@ -475,11 +408,11 @@ mod tests {
         assert!(BlockIndex::unpack((TAG_PENDING << TAG_SHIFT) | 0x100, None).is_none());
         assert!(BlockIndex::unpack(idx.raw(5).0, None).is_none());
 
-        let mut v = VersionIndex::new();
+        let mut v = DenseMap::new(u64::MAX);
         v.insert(1, 10);
         v.insert(4, 40);
         v.remove(1);
-        let back = VersionIndex::from_words(v.words().to_vec());
+        let back = DenseMap::from_words(u64::MAX, v.words().to_vec());
         assert_eq!(back.iter().collect::<Vec<_>>(), vec![(4, 40)]);
         assert_eq!(back.len(), 1);
     }
@@ -571,7 +504,7 @@ mod tests {
 
     #[test]
     fn version_index_roundtrip() {
-        let mut v = VersionIndex::new();
+        let mut v = DenseMap::new(u64::MAX);
         v.insert(100, 5_000);
         v.insert(3, 1_000);
         v.insert(100, 6_000);

@@ -99,7 +99,7 @@ pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use gc::GcSelection;
 pub use gc_buckets::SegmentBuckets;
 pub use gc_variants::VictimPolicy;
-pub use index::{BlockEntry, BlockIndex, DenseMap, VersionIndex};
+pub use index::{BlockEntry, BlockIndex, DenseMap};
 pub use latency::{LatencyHistogram, LatencySummary};
 pub use metrics::{GroupTraffic, LssMetrics};
 pub use placement::{

@@ -40,7 +40,7 @@
 //!   index    n u64, the packed `BlockIndex` words as one bulk u64 run
 //!   shadows  n u32, (lba u64, seg u32, off u32): the side entries of
 //!            the shadow-tagged index words, LBA-sorted
-//!   versions n u64, the dense `VersionIndex` words as one bulk u64 run
+//!   versions n u64, the dense version-map words as one bulk u64 run
 //!
 //! checkpoint.delta a sequence of WAL-style frames
 //!   frame    len u32, payload, crc32c(payload) u32
@@ -109,7 +109,7 @@
 //! [`RecoveryError::BadCheckpoint`], never as a panic.
 
 use crate::group::{Group, PendingBlock};
-use crate::index::{BlockIndex, VersionIndex};
+use crate::index::{BlockIndex, DenseMap};
 use crate::segment::{Segment, SegmentState};
 use crate::types::{GroupId, Lba, SegmentId};
 use crate::wal::{begin_frame, end_frame, put_u32, put_u64, put_words, Reader, WalError};
@@ -181,7 +181,7 @@ pub(crate) struct View<'a> {
     pub index: &'a BlockIndex,
     /// Durable version per LBA (arrival µs of the latest acknowledged
     /// write) — what crash verification checks against.
-    pub versions: &'a VersionIndex,
+    pub versions: &'a DenseMap<u64>,
 }
 
 /// What changed since the previous checkpoint (see
@@ -689,13 +689,13 @@ mod tests {
         segments: Vec<Segment>,
         groups: Vec<Group>,
         index: BlockIndex,
-        versions: VersionIndex,
+        versions: DenseMap<u64>,
     }
 
     fn sample() -> Sample {
         let mut segments: Vec<Segment> = (0..3).map(|id| Segment::new(id, 8)).collect();
         let mut index = BlockIndex::default();
-        let mut versions = VersionIndex::new();
+        let mut versions = DenseMap::new(u64::MAX);
         segments[0].open(0, 0, 0);
         for lba in 0..8u64 {
             let off = segments[0].append_slot(Slot::Block(lba));

@@ -959,5 +959,6 @@ mod tests {
         assert!(is_fatal(&EngineError::IndexCorruption { lba: 0, detail: "x".into() }));
         let loc = adapt_array::ChunkLocation { stripe: 0, device: 0, column: 0 };
         assert!(!is_fatal(&EngineError::Array(ArrayError::TransientRead { loc })));
+        assert!(!is_fatal(&EngineError::OutOfRange { lba: 8, blocks: 1, user_blocks: 8 }));
     }
 }

@@ -19,7 +19,7 @@ use crate::replay::{drive_with, ReplayConfig};
 use crate::scheme::{Scheme, SchemePolicy};
 use adapt_array::{ArraySink, ArrayStats, FaultPlan, InMemoryArray};
 use adapt_lss::{Lss, LssMetrics};
-use adapt_trace::TraceRecord;
+use adapt_trace::{SplitMix64, TraceRecord};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
@@ -110,21 +110,13 @@ impl ScrubReport {
     }
 }
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
 /// Inject one burst: `corruptions` silent corruptions plus `latent`
 /// latent sector errors, each targeting a distinct closed stripe no
 /// previous burst touched. One fault per stripe keeps every corruption
 /// honestly repairable — the property the scenario verifies.
 fn inject_burst(
     engine: &mut Lss<SchemePolicy, InMemoryArray>,
-    rng: &mut u64,
+    rng: &mut SplitMix64,
     corruptions: u32,
     latent: u32,
     touched: &mut BTreeSet<u64>,
@@ -134,9 +126,9 @@ fn inject_burst(
     if stripes == 0 {
         return (0, 0);
     }
-    let pick_stripe = |rng: &mut u64, touched: &mut BTreeSet<u64>| {
+    let pick_stripe = |rng: &mut SplitMix64, touched: &mut BTreeSet<u64>| {
         for _ in 0..64 {
-            let stripe = splitmix(rng) % stripes;
+            let stripe = rng.next_u64() % stripes;
             if touched.insert(stripe) {
                 return Some(stripe);
             }
@@ -146,7 +138,7 @@ fn inject_burst(
     let mut injected = 0u64;
     for _ in 0..corruptions {
         let Some(stripe) = pick_stripe(rng, touched) else { break };
-        let device = (splitmix(rng) % num_devices) as usize;
+        let device = (rng.next_u64() % num_devices) as usize;
         if engine.sink_mut().inject_corruption(device, stripe) {
             injected += 1;
         } else {
@@ -156,7 +148,7 @@ fn inject_burst(
     let mut latent_injected = 0u64;
     for _ in 0..latent {
         let Some(stripe) = pick_stripe(rng, touched) else { break };
-        let device = (splitmix(rng) % num_devices) as usize;
+        let device = (rng.next_u64() % num_devices) as usize;
         engine.sink_mut().plan_mut().add_latent_sector(device, stripe);
         latent_injected += 1;
     }
@@ -176,7 +168,7 @@ where
 
     let total = trace.len() as u64;
     let bursts = scenario.bursts.max(1) as u64;
-    let mut rng = scenario.seed ^ 0x00c0_ffee;
+    let mut rng = SplitMix64::new(scenario.seed ^ 0x00c0_ffee);
     let mut touched = BTreeSet::new();
     let mut injected = 0u64;
     let mut latent_injected = 0u64;
