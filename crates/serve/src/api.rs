@@ -4,16 +4,16 @@
 //! (see [`crate::server::Client`]) returns a [`Ticket`] immediately (or a
 //! typed [`SubmitError`] — never a blocking wait), and the caller
 //! harvests the [`Completion`] with `wait` whenever it chooses. A ticket
-//! is a one-shot future backed by a mutex/condvar slot the shard thread
-//! fills; dropping a ticket is allowed (the completion is simply
-//! discarded).
+//! names a slot on its shard's completion board, which the shard thread
+//! fills by a compare-and-swap, with no lock and no allocation; dropping
+//! a ticket is allowed (the completion is simply discarded and the slot
+//! reused).
 
-use crate::spin::spin_until;
+use crate::board::{Board, Outcome};
 use adapt_lss::{EngineError, Retryable};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::Arc;
 
 /// Tenant identifier for QoS accounting.
 pub type TenantId = u32;
@@ -219,96 +219,17 @@ pub struct Completion {
     pub result: Result<(), ServeError>,
 }
 
-/// One-shot cell: the shard thread fills it exactly once, one consumer
-/// takes the value. Backs every [`Ticket`] and the reply of a telemetry
-/// probe.
-///
-/// Wake protocol: a consumer first polls `ready` for up to
-/// [`SPIN_NS`](crate::SPIN_NS), so a fill that lands within that window
-/// costs neither side a system call. If the cell is still empty it sets
-/// `parked` *under the mutex* and waits on the condvar (which releases
-/// that mutex atomically with going to sleep); `fill` stores the value,
-/// sets `ready` and clears `parked` under the same mutex and notifies
-/// only if it cleared it. No wake-up is lost — a consumer either sees the
-/// value before it parks or has its flag seen by the filler — and a
-/// spurious wake-up finds the cell still empty and sets the flag again.
-/// With nobody parked (`poll` harvesting, or a `wait` that arrives after
-/// the fill or within the spin) a fill takes an uncontended lock and
-/// makes no system call.
-#[derive(Debug)]
-pub(crate) struct OneShot<T> {
-    state: Mutex<OneShotState<T>>,
-    cv: Condvar,
-    /// Set by `fill`, under the mutex, before it takes `parked`: what a
-    /// waiter polls without the lock before it parks. It publishes no
-    /// data (the value is only ever taken under the mutex), so `Relaxed`.
-    ready: AtomicBool,
-}
-
-#[derive(Debug)]
-struct OneShotState<T> {
-    value: Option<T>,
-    parked: bool,
-}
-
-impl<T> OneShot<T> {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(Self {
-            state: Mutex::new(OneShotState { value: None, parked: false }),
-            cv: Condvar::new(),
-            ready: AtomicBool::new(false),
-        })
-    }
-
-    fn lock(&self) -> MutexGuard<'_, OneShotState<T>> {
-        self.state.lock().expect("one-shot cell poisoned: a thread panicked while holding it")
-    }
-
-    /// Store the value; returns whether a parked consumer had to be
-    /// woken (one `futex` call). Filling twice is a bug.
-    pub(crate) fn fill(&self, value: T) -> bool {
-        let mut s = self.lock();
-        debug_assert!(s.value.is_none(), "one-shot cell filled twice");
-        s.value = Some(value);
-        self.ready.store(true, Ordering::Relaxed);
-        let wake = std::mem::take(&mut s.parked);
-        drop(s);
-        if wake {
-            self.cv.notify_one();
-        }
-        wake
-    }
-
-    /// Block until the cell is filled and take the value, polling
-    /// `ready` for up to [`SPIN_NS`](crate::SPIN_NS) before parking.
-    pub(crate) fn take(&self) -> T {
-        spin_until(|| self.ready.load(Ordering::Relaxed));
-        let mut s = self.lock();
-        loop {
-            if let Some(v) = s.value.take() {
-                return v;
-            }
-            s.parked = true;
-            s = self
-                .cv
-                .wait(s)
-                .expect("one-shot cell poisoned: a thread panicked while holding it");
-        }
-    }
-
-    /// Non-blocking probe: take the value if it is already there.
-    pub(crate) fn try_take(&self) -> Option<T> {
-        self.lock().value.take()
-    }
-}
-
 /// Handle to one in-flight request. Redeem with
 /// [`Client::wait`](crate::server::Client::wait); dropping it abandons
 /// the completion (the request still executes).
 #[derive(Debug)]
 pub struct Ticket {
-    pub(crate) slot: Arc<OneShot<Completion>>,
+    pub(crate) board: Arc<Board>,
+    pub(crate) slot: u32,
+    pub(crate) generation: u64,
     pub(crate) shard: u32,
+    /// What the completion reports back, kept here rather than sent back.
+    pub(crate) request: Request,
 }
 
 impl Ticket {
@@ -318,8 +239,20 @@ impl Ticket {
     }
 
     /// Non-blocking poll: the completion if the shard already finished.
+    /// Once it has returned one, it returns `None`.
     pub fn poll(&self) -> Option<Completion> {
-        self.slot.try_take()
+        self.board.try_take(self.slot, self.generation).map(|o| self.complete(o))
+    }
+
+    pub(crate) fn complete(&self, o: Outcome) -> Completion {
+        let Outcome { version, durable, result } = o;
+        Completion { shard: self.shard, request: self.request, version, durable, result }
+    }
+}
+
+impl Drop for Ticket {
+    fn drop(&mut self) {
+        self.board.abandon(self.slot, self.generation);
     }
 }
 
@@ -334,46 +267,6 @@ mod tests {
         assert!(!SubmitError::UnknownVolume { volume: 9 }.is_retryable());
         assert!(!SubmitError::Shutdown.is_retryable());
         assert!(!SubmitError::ZeroBlocks.is_retryable());
-    }
-
-    fn completion(version: u64) -> Completion {
-        Completion {
-            shard: 1,
-            request: Request::write(0, 0, 5, 1),
-            version,
-            durable: true,
-            result: Ok(()),
-        }
-    }
-
-    #[test]
-    fn fill_without_waiter_issues_no_notify() {
-        let slot = OneShot::new();
-        assert!(slot.try_take().is_none());
-        assert!(!slot.fill(completion(42)), "nobody parked: no wake-up");
-        assert_eq!(slot.take(), completion(42), "a late wait finds the value without parking");
-        // Poll harvesting never parks either.
-        let slot = OneShot::new();
-        assert!(!slot.fill(completion(43)));
-        assert_eq!(slot.try_take(), Some(completion(43)));
-        assert!(slot.try_take().is_none(), "one shot");
-    }
-
-    #[test]
-    fn fill_wakes_parked_waiter_exactly_once() {
-        let slot = OneShot::new();
-        let waiter = {
-            let slot = Arc::clone(&slot);
-            std::thread::spawn(move || slot.take())
-        };
-        // The flag is set under the cell's mutex right before the waiter
-        // sleeps, so once it reads true the waiter has committed to park.
-        while !slot.lock().parked {
-            std::thread::yield_now();
-        }
-        assert!(slot.fill(completion(7)), "parked waiter: exactly one notify");
-        assert_eq!(waiter.join().unwrap().version, 7);
-        assert!(!slot.lock().parked, "flag cleared by the fill");
     }
 
     #[test]

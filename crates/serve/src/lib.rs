@@ -12,6 +12,10 @@
 //! - **Async submission** ([`api`], [`server`]): [`Client::submit`]
 //!   validates, routes, and enqueues in O(1) without blocking, returning
 //!   a [`Ticket`]; [`Client::wait`] redeems it for a [`Completion`].
+//!   Neither side takes a lock or allocates per request: each shard's
+//!   command queue is a bounded lock-free ring, and a ticket names a slot
+//!   on the shard's completion board that the shard thread fills by CAS.
+//!   The crate is atomics-only — no `unsafe`.
 //!   Backpressure is *typed, not blocking*: a full shard queue returns
 //!   [`SubmitError::Busy`], an over-budget tenant
 //!   [`SubmitError::TenantThrottled`] — both retryable by contract
@@ -47,7 +51,10 @@
 //! assert!(report.balanced());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod api;
+mod board;
 pub mod qos;
 pub mod router;
 pub mod server;

@@ -35,13 +35,10 @@ pub struct Routed {
     pub local_lba: u64,
 }
 
-/// splitmix64 finalizer — a full-avalanche mix so consecutive ranges of
+/// One SplitMix64 step — a full-avalanche mix so consecutive ranges of
 /// one volume scatter across shards instead of striping.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+fn mix64(x: u64) -> u64 {
+    adapt_trace::rng::mix64(x.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Static routing table shared by all clients of one server.
@@ -132,6 +129,39 @@ impl ShardRouter {
 mod tests {
     use super::*;
 
+    const PINNED: [(u32, u64); 30] = [
+        (0, 0),
+        (3, 1),
+        (2, 2),
+        (3, 259),
+        (1, 4),
+        (2, 261),
+        (3, 518),
+        (3, 775),
+        (0, 264),
+        (3, 1033),
+        (1, 266),
+        (3, 1291),
+        (3, 1548),
+        (3, 1805),
+        (2, 526),
+        (0, 527),
+        (2, 768),
+        (1, 513),
+        (3, 2050),
+        (3, 2307),
+        (2, 1024),
+        (2, 1281),
+        (1, 770),
+        (3, 2563),
+        (3, 2820),
+        (2, 1541),
+        (3, 3078),
+        (2, 1799),
+        (2, 2056),
+        (2, 2313),
+    ];
+
     fn router() -> ShardRouter {
         ShardRouter::new(
             4,
@@ -189,6 +219,31 @@ mod tests {
         assert!(matches!(r.locate(1, 255, 2), Err(SubmitError::CrossesShardBoundary { .. })));
         // Whole-range request at the boundary is fine.
         assert!(r.locate(1, 256, 256).is_ok());
+    }
+
+    /// `(shard, local_lba)` of one request per routing range of a fixed
+    /// 4-shard, 3-volume table, recorded from the hand-written SplitMix64
+    /// finalizer this router used before it called the trace crate's.
+    #[test]
+    fn routing_is_pinned() {
+        let r = ShardRouter::new(
+            4,
+            256,
+            &[
+                VolumeSpec { id: 1, blocks: 4096 },
+                VolumeSpec { id: 2, blocks: 1000 },
+                VolumeSpec { id: 5, blocks: 2560 },
+            ],
+        );
+        let got: Vec<(u32, u64)> = [(1, 16), (2, 4), (5, 10)]
+            .into_iter()
+            .flat_map(|(vol, ranges)| (0..ranges).map(move |range| (vol, range * 256 + range)))
+            .map(|(vol, lba)| {
+                let routed = r.locate(vol, lba, 1).unwrap();
+                (routed.shard, routed.local_lba)
+            })
+            .collect();
+        assert_eq!(got, PINNED);
     }
 
     #[test]

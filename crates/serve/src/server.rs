@@ -15,12 +15,11 @@
 //! harness can rebuild the *same* plans, recover each shard's engine
 //! from its WAL directory, and re-serve — routing needs no persistence.
 
-use crate::api::{Completion, OneShot, Request, SubmitError, TenantId, Ticket, VolumeId};
+use crate::api::{Completion, Request, SubmitError, TenantId, Ticket, VolumeId};
 use crate::qos::{QosConfig, TenantGovernor};
 use crate::router::{ShardRouter, VolumeSpec};
 use crate::shard::{
-    Command, OpCommand, PushError, ShardEngine, ShardQueue, ShardReport, ShardStatsSnapshot,
-    ShardWorker,
+    OpCommand, PushError, ShardEngine, ShardQueue, ShardReport, ShardStatsSnapshot, ShardWorker,
 };
 use adapt_lss::{LssConfig, LssMetrics, TelemetrySnapshot};
 use std::collections::BTreeMap;
@@ -289,21 +288,24 @@ impl Client {
             stats.rejected_throttled.fetch_add(1, Ordering::Relaxed);
             return Err(e);
         }
-        let slot = OneShot::new();
-        let cmd = Command::Op(OpCommand {
-            request,
-            local_lba: routed.local_lba,
-            slot: Arc::clone(&slot),
-        });
-        match queue.try_push(cmd) {
-            Ok(()) => Ok(Ticket { slot, shard: routed.shard }),
+        let board = &queue.board;
+        let (slot, generation) = board.claim();
+        let op =
+            OpCommand { request, local_lba: routed.local_lba, slot, generation: generation as u32 };
+        let err = match queue.try_push(&op) {
+            Ok(()) => {
+                let board = Arc::clone(board);
+                return Ok(Ticket { board, slot, generation, shard: routed.shard, request });
+            }
             Err(PushError::Full) => {
                 self.shared.governor.refund(request.tenant);
                 stats.rejected_busy.fetch_add(1, Ordering::Relaxed);
-                Err(SubmitError::Busy { shard: routed.shard, depth: self.shared.depth })
+                SubmitError::Busy { shard: routed.shard, depth: self.shared.depth }
             }
-            Err(PushError::Closed) => Err(SubmitError::Shutdown),
-        }
+            Err(PushError::Closed) => SubmitError::Shutdown,
+        };
+        board.release(slot, generation);
+        Err(err)
     }
 
     /// Submit, retrying backpressure rejections (`Busy` /
@@ -321,9 +323,10 @@ impl Client {
         }
     }
 
-    /// Block until the ticket's request completes.
+    /// Block until the ticket's request completes. Panics if
+    /// [`Ticket::poll`] already returned the completion.
     pub fn wait(&self, ticket: Ticket) -> Completion {
-        ticket.slot.take()
+        ticket.complete(ticket.board.take(ticket.slot, ticket.generation))
     }
 
     /// Which shard a request would route to (for harnesses that
@@ -338,7 +341,7 @@ impl Client {
         self.shared.queues.len() as u32
     }
 
-    /// Live queue depth per shard.
+    /// Live queue depth per shard (lock-free reads of the rings).
     pub fn queue_depths(&self) -> Vec<usize> {
         self.shared.queues.iter().map(|q| q.len()).collect()
     }
@@ -353,11 +356,11 @@ impl Client {
     /// `None` if the shard's queue is closed.
     pub fn telemetry(&self, shard: u32) -> Option<TelemetrySnapshot> {
         let q = self.shared.queues.get(shard as usize)?;
-        let cell = OneShot::new();
-        if !q.push_control(Command::Telemetry(Arc::clone(&cell))) {
+        let (reply, answer) = std::sync::mpsc::sync_channel(1);
+        if !q.push_control(reply) {
             return None;
         }
-        Some(cell.take())
+        answer.recv().ok()
     }
 
     /// Array-wide rollup: merge of every live shard's telemetry.
@@ -408,5 +411,63 @@ impl ServeReport {
     /// Total completions delivered across shards.
     pub fn total_completed(&self) -> u64 {
         self.shards.iter().map(|s| s.stats.completed).sum()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::board::FIRST_CHUNK;
+    use crate::router::VolumeSpec;
+
+    const CYCLES: u64 = 100_000;
+
+    #[test]
+    fn submit_and_drop_cycles_leave_the_board_at_its_first_chunk() {
+        let server =
+            ServerBuilder::new().volume(0, 1024).range_blocks(1024).queue_depth(4).start(|plan| {
+                let sink = adapt_array::CountingArray::new(plan.lss.array_config());
+                Box::new(
+                    adapt_lss::Lss::builder(adapt_placement::SepGc::new(), sink)
+                        .config(plan.lss)
+                        .build(),
+                )
+            });
+        let client = server.client();
+        for i in 0..CYCLES {
+            drop(client.submit_backoff(Request::write(0, 0, i % 1024, 1)).unwrap());
+        }
+        let board = Arc::clone(&client.shared.queues[0].board);
+        let report = server.shutdown();
+        assert!(report.balanced());
+        assert_eq!(report.total_completed(), CYCLES);
+        assert_eq!(board.chunks(), 1, "a dropped ticket's slot was never freed");
+        // Every slot is free again: the first chunk serves all of them.
+        let _all: Vec<_> = (0..FIRST_CHUNK).map(|_| board.claim()).collect();
+        assert_eq!(board.chunks(), 1);
+    }
+
+    #[test]
+    fn busy_rejections_leave_the_board_at_its_first_chunk() {
+        // A queue nobody drains: the fifth submit and all after it are Busy.
+        let client = Client {
+            shared: Arc::new(Shared {
+                router: ShardRouter::new(1, 1024, &[VolumeSpec { id: 0, blocks: 1024 }]),
+                governor: TenantGovernor::unlimited(),
+                queues: vec![ShardQueue::new(4)],
+                depth: 4,
+                ordered: false,
+            }),
+        };
+        let held: Vec<_> =
+            (0..4).map(|lba| client.submit(Request::write(0, 0, lba, 1)).unwrap()).collect();
+        for i in 0..CYCLES {
+            let busy = client.submit(Request::write(0, 0, i % 1024, 1));
+            assert_eq!(busy.unwrap_err(), SubmitError::Busy { shard: 0, depth: 4 });
+        }
+        assert_eq!(client.stats()[0].rejected_busy, CYCLES);
+        assert_eq!(client.queue_depths(), vec![4]);
+        assert_eq!(client.shared.queues[0].board.chunks(), 1, "a rejected submit kept its slot");
+        drop(held);
     }
 }

@@ -37,27 +37,29 @@
 //! from its clock — reproducible.
 //!
 //! **Wake protocol.** While both sides are running, submit → completion
-//! makes no system call: a side notifies the other's condvar only when
-//! the other recorded, under the mutex both take, that it is about to
-//! sleep. A shard thread that runs out of work first polls an atomic
-//! mirror of "the queue holds commands" and "the queue is closed", on a
-//! cache line of its own, for up to [`SPIN_NS`](crate::SPIN_NS): a
-//! request that arrives in that window is picked up without a `futex`
-//! wake or an idle vCPU's halt exit. Only then does it set `parked` in
-//! [`ShardQueue`] and wait; a producer notifies only if its push cleared
-//! the flag. A ticket waiter spins and parks the same way on its
-//! [`OneShot`] cell. The spin counts as idle time, outside
-//! [`ShardReport::busy_ns`]. The drain loop's "is the queue empty?"
-//! probes read the same mirror, not the producers' mutex.
+//! takes no lock and makes no system call. A producer claims a ring cell
+//! with one CAS on `tail` and publishes it by the cell's sequence; the
+//! shard thread drains published cells and fills each request's slot on
+//! the shard's completion board by CAS. A shard thread that runs out
+//! of work polls the cell at `head` for up to [`SPIN_NS`](crate::SPIN_NS):
+//! a request that arrives in that window is picked up without a `futex`
+//! wake or an idle vCPU's halt exit. Only then does it park, by a Dekker
+//! handshake: it raises `parked`, fences, and re-checks the ring; a
+//! producer publishes, fences, and notifies only if it finds the flag
+//! raised. A ticket waiter spins and parks the same way on its board slot.
+//! The spin counts as idle time, outside [`ShardReport::busy_ns`]. The
+//! drain loop's "is the queue empty?" probes read the cell at `head`.
 
-use crate::api::{Completion, OneShot, OpKind, Request, ServeError, VolumeId};
+use crate::api::{OpKind, Request, ServeError, VolumeId};
+use crate::board::{lock, Board, Outcome, Padded};
 use crate::spin::spin_until;
 use adapt_array::{ArrayError, ArraySink};
 use adapt_lss::{EngineError, Lba, Lss, LssMetrics, PlacementPolicy, TelemetrySnapshot};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::SyncSender;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// The engine surface a shard thread drives. Implemented for every
 /// `Lss<P, S>`; the indirection keeps `adapt-serve` policy-agnostic (the
@@ -190,181 +192,296 @@ pub(crate) struct OpCommand {
     pub(crate) request: Request,
     /// Shard-local address computed by the router at submit time.
     pub(crate) local_lba: u64,
-    pub(crate) slot: Arc<OneShot<Completion>>,
+    /// Completion-board slot, and the low bits of its generation.
+    pub(crate) slot: u32,
+    pub(crate) generation: u32,
 }
 
-#[derive(Debug)]
-pub(crate) enum Command {
-    Op(OpCommand),
-    /// Drain + barrier, then report a telemetry snapshot.
-    Telemetry(Arc<OneShot<TelemetrySnapshot>>),
+impl OpCommand {
+    fn encode(&self, words: &[AtomicU64; 6]) {
+        let r = &self.request;
+        let flags = (r.kind as u64) | (u64::from(r.seq.is_some()) << 2);
+        let packed = [
+            (u64::from(r.tenant) << 32) | u64::from(r.volume),
+            r.lba,
+            u64::from(r.blocks) | (flags << 32),
+            r.seq.unwrap_or(0),
+            self.local_lba,
+            (u64::from(self.slot) << 32) | u64::from(self.generation),
+        ];
+        for (w, v) in words.iter().zip(packed) {
+            w.store(v, Ordering::Relaxed);
+        }
+    }
+
+    fn decode(words: &[AtomicU64; 6]) -> Self {
+        let [tv, lba, bf, seq, local_lba, sg] = words.each_ref().map(|w| w.load(Ordering::Relaxed));
+        let request = Request {
+            tenant: (tv >> 32) as u32,
+            volume: tv as u32,
+            lba,
+            blocks: bf as u32,
+            kind: [OpKind::Write, OpKind::Read, OpKind::Trim][(bf >> 32) as usize & 3],
+            seq: (bf >> 34 != 0).then_some(seq),
+        };
+        Self { request, local_lba, slot: (sg >> 32) as u32, generation: sg as u32 }
+    }
 }
+
+/// Reply channel of a telemetry probe.
+pub(crate) type ProbeReply = SyncSender<TelemetrySnapshot>;
 
 #[derive(Debug)]
 pub(crate) enum PushError {
-    /// Queue at capacity (the command was dropped; the caller still
-    /// holds the completion slot).
+    /// Ring at capacity (nothing was queued).
     Full,
     /// Queue closed (shutdown).
     Closed,
 }
 
-/// Bounded MPSC command queue — a mutex-guarded `VecDeque`: many clients
-/// push, one shard thread pops — plus the shard's live counters, the
-/// other state the two sides share.
+/// Bit of `tail` that marks the queue closed: a claim racing the close
+/// fails its CAS.
+const CLOSED: u64 = 1 << 63;
+
+/// A ring cell, alone on its line. Its sequence reads `p` when the cell
+/// is free for position `p`, `p + 1` once `p` is published, and `p + cap`
+/// once the shard drained it.
+#[derive(Debug)]
+#[repr(align(64))]
+struct Cell {
+    seq: AtomicU64,
+    words: [AtomicU64; 6],
+}
+
+/// What the parked or spinning shard thread waits on besides the ring.
+#[derive(Debug)]
+struct Signals {
+    /// Dekker flag: the shard thread is asleep, or about to re-check and
+    /// sleep (see [`ShardQueue::park`]).
+    parked: AtomicBool,
+    /// Mirror of the `CLOSED` bit, off the `tail` line.
+    closed: AtomicBool,
+    /// Stamp of the oldest unanswered probe (`u64::MAX`: none).
+    probe_at: AtomicU64,
+}
+
+/// Bounded MPSC command ring after Vyukov's bounded queue: a producer
+/// claims a position with one CAS on `tail`, writes the cell and
+/// publishes it by its sequence; the shard thread drains published cells
+/// in order, without a lock. Beside it: the shard's completion board, a
+/// side queue for telemetry probes, and the live counters.
 #[derive(Debug)]
 pub(crate) struct ShardQueue {
+    /// Configured depth; the ring is rounded up to a power of two ≥ 2.
     depth: usize,
-    state: Mutex<QueueInner>,
+    cells: Box<[Cell]>,
+    /// Next position to claim, `| CLOSED` once closed.
+    tail: Padded<AtomicU64>,
+    /// Next position to drain, written by the shard thread only.
+    head: Padded<AtomicU64>,
+    signals: Padded<Signals>,
+    /// What the shard thread sleeps on past its spin.
+    sleep: Mutex<()>,
     cv: Condvar,
-    /// What the shard thread polls without the lock.
-    mirror: Mirror,
+    /// Telemetry probes, each stamped with `tail` at push.
+    probes: Mutex<VecDeque<(u64, ProbeReply)>>,
+    pub(crate) board: Arc<Board>,
     pub(crate) stats: ShardStats,
-}
-
-/// Lock-free copies of "the queue is not empty" and `closed`, stored
-/// under the mutex whenever they change — and only then: a store, even of
-/// the value already there, takes the line from a spinning shard thread,
-/// so a producer that pushed onto a non-empty queue would pay a cache miss
-/// for nothing. The shard thread reads them without the lock: `queued` to
-/// decide "barrier now or after the next drain" and "keep collecting",
-/// both to end its spin before it parks. They publish no data (commands
-/// are only ever taken under the mutex), so `Relaxed` is enough: a stale
-/// value merely shifts a barrier or lets the spin run on into the locked
-/// re-check. Their own cache line keeps a spinning shard thread's reads
-/// off the line of the mutex every producer takes.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct Mirror {
-    queued: AtomicBool,
-    closed: AtomicBool,
-}
-
-#[derive(Debug)]
-struct QueueInner {
-    q: VecDeque<Command>,
-    closed: bool,
-    /// The shard thread is asleep on `cv` (or committed to sleep: it sets
-    /// this under the mutex and the wait releases the mutex atomically).
-    /// Whoever makes the wait condition true clears it under the same
-    /// mutex and owes exactly one notify, so no wake-up is lost; a
-    /// spurious wake-up re-checks the condition and sets it again.
-    parked: bool,
 }
 
 impl ShardQueue {
     pub(crate) fn new(depth: usize) -> Arc<Self> {
+        let cells = (0..depth.next_power_of_two().max(2) as u64)
+            .map(|p| Cell { seq: AtomicU64::new(p), words: Default::default() })
+            .collect();
+        let signals = Signals {
+            parked: AtomicBool::new(false),
+            closed: AtomicBool::new(false),
+            probe_at: AtomicU64::new(u64::MAX),
+        };
         Arc::new(Self {
             depth,
-            state: Mutex::new(QueueInner {
-                q: VecDeque::with_capacity(depth),
-                closed: false,
-                parked: false,
-            }),
+            cells,
+            tail: Padded::default(),
+            head: Padded::default(),
+            signals: Padded(signals),
+            sleep: Mutex::new(()),
             cv: Condvar::new(),
-            mirror: Mirror::default(),
+            probes: Mutex::default(),
+            board: Arc::new(Board::new()),
             stats: ShardStats::default(),
         })
     }
 
-    fn lock(&self) -> MutexGuard<'_, QueueInner> {
-        self.state.lock().expect("shard queue poisoned: a thread panicked while holding it")
+    fn cell(&self, pos: u64) -> &Cell {
+        &self.cells[pos as usize & (self.cells.len() - 1)]
     }
 
-    /// Release the queue after a change the shard thread waits for (a
-    /// push, or close) and wake it only if it parked.
-    fn publish(&self, mut s: MutexGuard<'_, QueueInner>) {
-        if s.q.len() == 1 {
-            self.mirror.queued.store(true, Ordering::Relaxed);
+    /// Claim the next position, or fail on a full or closed ring.
+    fn claim(&self) -> Result<u64, PushError> {
+        let mut t = self.tail.load(Ordering::Relaxed);
+        loop {
+            if t & CLOSED != 0 {
+                return Err(PushError::Closed);
+            }
+            // A depth that is not a power of two is bounded against `head`.
+            let head = || self.head.load(Ordering::Acquire);
+            if self.depth < self.cells.len() && t.saturating_sub(head()) >= self.depth as u64 {
+                return Err(PushError::Full);
+            }
+            // Acquire: the shard's reads of the cell's last lap are done.
+            let lap = self.cell(t).seq.load(Ordering::Acquire) as i64 - t as i64;
+            if lap < 0 {
+                return Err(PushError::Full);
+            }
+            let next = t + 1;
+            if lap == 0
+                && self
+                    .tail
+                    .compare_exchange_weak(t, next, Ordering::Relaxed, Ordering::Relaxed)
+                    .is_ok()
+            {
+                return Ok(t);
+            }
+            t = self.tail.load(Ordering::Relaxed);
         }
-        let wake = std::mem::take(&mut s.parked);
-        drop(s);
-        if wake {
-            self.stats.client.wakeups.fetch_add(1, Ordering::Relaxed);
-            self.cv.notify_one();
-        }
+    }
+
+    /// Fill the claimed cell at `pos`, count the op, publish the cell.
+    fn publish(&self, pos: u64, op: &OpCommand) {
+        let cell = self.cell(pos);
+        op.encode(&cell.words);
+        // Counted before the shard thread can see the command, so its
+        // final snapshot never reads a completed op as not yet submitted.
+        self.stats.client.submitted.fetch_add(1, Ordering::Relaxed);
+        cell.seq.store(pos + 1, Ordering::Release);
+        self.wake();
     }
 
     /// Non-blocking push of a data-path command, subject to the depth
     /// bound; counts it as submitted.
-    pub(crate) fn try_push(&self, cmd: Command) -> Result<(), PushError> {
-        let mut s = self.lock();
-        if s.closed {
-            return Err(PushError::Closed);
-        }
-        if s.q.len() >= self.depth {
-            return Err(PushError::Full);
-        }
-        s.q.push_back(cmd);
-        // Counted before the shard thread can pop the command (it needs
-        // this mutex to), so its final snapshot never reads a completed
-        // op as not yet submitted.
-        self.stats.client.submitted.fetch_add(1, Ordering::Relaxed);
-        self.publish(s);
+    pub(crate) fn try_push(&self, op: &OpCommand) -> Result<(), PushError> {
+        let pos = self.claim()?;
+        self.publish(pos, op);
         Ok(())
     }
 
-    /// Push a control command, exempt from the depth bound (control must
-    /// not contend with data-path backpressure).
-    pub(crate) fn push_control(&self, cmd: Command) -> bool {
-        let mut s = self.lock();
-        if s.closed {
+    /// Queue a telemetry probe, exempt from the depth bound. The shard
+    /// answers it once it drained every position claimed before it.
+    pub(crate) fn push_control(&self, reply: ProbeReply) -> bool {
+        let mut probes = lock(&self.probes);
+        if self.signals.closed.load(Ordering::Relaxed) {
             return false;
         }
-        s.q.push_back(cmd);
-        self.publish(s);
+        let stamp = self.tail.load(Ordering::Relaxed) & !CLOSED;
+        if probes.is_empty() {
+            self.signals.probe_at.store(stamp, Ordering::Relaxed);
+        }
+        probes.push_back((stamp, reply));
+        drop(probes);
+        self.wake();
         true
     }
 
-    /// Close the queue: future pushes fail, the shard drains what's left.
+    /// Close the queue: future pushes fail, the shard drains what's left,
+    /// claimed cells included. Under the probe lock, so a probe is either
+    /// refused or queued before the shard can see the close.
     pub(crate) fn close(&self) {
-        let mut s = self.lock();
-        s.closed = true;
-        self.mirror.closed.store(true, Ordering::Relaxed);
-        self.publish(s);
+        let probes = lock(&self.probes);
+        self.tail.fetch_or(CLOSED, Ordering::AcqRel);
+        self.signals.closed.store(true, Ordering::Release);
+        drop(probes);
+        self.wake();
     }
 
-    /// Commands queued right now (takes the producers' mutex).
+    /// Commands queued right now, claimed ones included; no lock.
     pub(crate) fn len(&self) -> usize {
-        self.lock().q.len()
+        let head = self.head.load(Ordering::Relaxed);
+        (self.tail.load(Ordering::Relaxed) & !CLOSED).saturating_sub(head) as usize
     }
 
-    /// Whether the queue holds commands, as of the last push or drain,
-    /// without the lock.
+    /// Whether the cell at `head` is published (shard thread only).
     fn queued(&self) -> bool {
-        self.mirror.queued.load(Ordering::Relaxed)
+        let head = self.head.load(Ordering::Relaxed);
+        self.cell(head).seq.load(Ordering::Relaxed) == head + 1
     }
 
-    /// Whether a blocking [`pop_all`](Self::pop_all) would return at once
-    /// (something is queued, or the queue is closed), as of the mirror.
-    fn has_news(&self) -> bool {
-        self.queued() || self.mirror.closed.load(Ordering::Relaxed)
+    /// Whether a blocking [`pop_all`](Self::pop_all) would return at once:
+    /// a command is published, a probe is answerable, or the queue is
+    /// closed with nothing left to drain.
+    fn ready(&self) -> bool {
+        let head = self.head.load(Ordering::Relaxed);
+        self.queued()
+            || self.signals.probe_at.load(Ordering::Relaxed) <= head
+            || (self.signals.closed.load(Ordering::Relaxed)
+                && self.tail.load(Ordering::Relaxed) & !CLOSED == head)
     }
 
-    /// Drain everything queued into `into`. Blocks while open and empty
-    /// when `block`, first spinning for up to [`SPIN_NS`](crate::SPIN_NS)
-    /// on the mirror and then parking; returns `true` once the queue is
-    /// closed *and* this call returned nothing (the shard can exit after
-    /// local cleanup).
-    fn pop_all(&self, into: &mut Vec<Command>, block: bool) -> bool {
-        if block {
-            spin_until(|| self.has_news());
-        }
-        let mut s = self.lock();
-        if block {
-            while s.q.is_empty() && !s.closed {
-                s.parked = true;
-                s = self
-                    .cv
-                    .wait(s)
-                    .expect("shard queue poisoned: a thread panicked while holding it");
+    /// After a change the shard may wait for, notify it only if it
+    /// parked. The fence pairs with [`park`](Self::park)'s: either its
+    /// re-check sees the change or this load sees its flag.
+    fn wake(&self) {
+        fence(Ordering::SeqCst);
+        if self.signals.parked.load(Ordering::Relaxed) {
+            let _sleep = lock(&self.sleep);
+            if self.signals.parked.swap(false, Ordering::Relaxed) {
+                self.stats.client.wakeups.fetch_add(1, Ordering::Relaxed);
+                self.cv.notify_one();
             }
         }
-        if !s.q.is_empty() {
-            into.extend(s.q.drain(..));
-            self.mirror.queued.store(false, Ordering::Relaxed);
+    }
+
+    /// Sleep until [`ready`](Self::ready). Flag and re-check happen under
+    /// `sleep`, which a waker takes to clear the flag, so its notify
+    /// cannot fall between the check and the wait.
+    fn park(&self) {
+        let mut sleep = lock(&self.sleep);
+        loop {
+            self.signals.parked.store(true, Ordering::Relaxed);
+            fence(Ordering::SeqCst);
+            if self.ready() {
+                self.signals.parked.store(false, Ordering::Relaxed);
+                return;
+            }
+            sleep = self.cv.wait(sleep).unwrap_or_else(PoisonError::into_inner);
         }
-        s.closed && into.is_empty()
+    }
+
+    /// Drain up to one ring's worth of published commands into `into`,
+    /// and the probes they answer into `probes`. When `block`, first wait
+    /// for [`ready`](Self::ready): spin, then park. Returns `true` once
+    /// the queue is closed and this call returned nothing.
+    fn pop_all(
+        &self,
+        into: &mut Vec<OpCommand>,
+        probes: &mut Vec<ProbeReply>,
+        block: bool,
+    ) -> bool {
+        if block && !spin_until(|| self.ready()) {
+            self.park();
+        }
+        // Read first: a probe queued before the close is visible below.
+        let closed = self.signals.closed.load(Ordering::Acquire);
+        let mut head = self.head.load(Ordering::Relaxed);
+        for _ in 0..self.cells.len() {
+            let cell = self.cell(head);
+            if cell.seq.load(Ordering::Acquire) != head + 1 {
+                break;
+            }
+            into.push(OpCommand::decode(&cell.words));
+            cell.seq.store(head + self.cells.len() as u64, Ordering::Release);
+            head += 1;
+        }
+        self.head.store(head, Ordering::Release);
+        if self.signals.probe_at.load(Ordering::Acquire) <= head {
+            let mut queued = lock(&self.probes);
+            while queued.front().is_some_and(|&(stamp, _)| stamp <= head) {
+                probes.extend(queued.pop_front().map(|(_, reply)| reply));
+            }
+            let next = queued.front().map_or(u64::MAX, |&(stamp, _)| stamp);
+            self.signals.probe_at.store(next, Ordering::Relaxed);
+        }
+        closed && into.is_empty() && probes.is_empty() && self.len() == 0
     }
 }
 
@@ -394,7 +511,7 @@ pub(crate) struct DrainCounters {
     pub(crate) syncs: AtomicU64,
     /// Idle GC increments executed.
     pub(crate) gc_steps: AtomicU64,
-    /// Notifies issued to a parked ticket (or telemetry) waiter.
+    /// Unparks issued to a parked ticket waiter.
     pub(crate) wakeups: AtomicU64,
 }
 
@@ -442,10 +559,11 @@ pub struct ShardStatsSnapshot {
     pub syncs: u64,
     /// Idle GC increments.
     pub gc_steps: u64,
-    /// Condvar notifies actually issued, either direction: a push (or
-    /// close) that found the shard thread parked, a completion that found
-    /// its waiter parked. Each is one `futex` system call; a notify is
-    /// never issued to a side that is running.
+    /// Wake-ups actually issued, either direction: a push, probe or
+    /// close that found the shard thread parked (a condvar notify), a
+    /// completion that found its waiter parked (an unpark). Each is one
+    /// `futex` system call; a side that is running is never woken.
+    /// Telemetry replies travel on a channel and are not counted.
     pub wakeups: u64,
 }
 
@@ -531,7 +649,7 @@ struct WorkerState {
     /// accumulate in `run`; `done` collects the completions a run
     /// delivers at apply (reads, failures).
     run: Vec<OpCommand>,
-    done: Vec<(OpCommand, Completion)>,
+    done: Vec<(OpCommand, Outcome)>,
 }
 
 impl ShardWorker {
@@ -548,24 +666,28 @@ impl ShardWorker {
             run: Vec::new(),
             done: Vec::new(),
         };
-        let mut buf: Vec<Command> = Vec::new();
+        let mut buf: Vec<OpCommand> = Vec::new();
+        let mut probes: Vec<ProbeReply> = Vec::new();
         let mut busy_ns: u64 = 0;
         loop {
             let can_gc = !st.failed && !self.ordered && self.engine.gc_needed();
             let block = st.pending.is_empty() && !can_gc;
-            let drained_closed = self.queue.pop_all(&mut buf, block);
+            let drained_closed = self.queue.pop_all(&mut buf, &mut probes, block);
             let t0 = std::time::Instant::now();
-            for cmd in buf.drain(..) {
-                match cmd {
-                    Command::Op(op) if self.ordered => self.stage_ordered(&mut st, op),
-                    Command::Op(op) => self.stage_run(&mut st, op),
-                    Command::Telemetry(cell) => {
-                        self.apply_run(&mut st);
-                        self.barrier(&mut st);
-                        if cell.fill(self.engine.telemetry()) {
-                            self.queue.stats.drain.wakeups.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
+            for op in buf.drain(..) {
+                if self.ordered {
+                    self.stage_ordered(&mut st, op);
+                } else {
+                    self.stage_run(&mut st, op);
+                }
+            }
+            if !probes.is_empty() {
+                self.apply_run(&mut st);
+                self.barrier(&mut st);
+                let snapshot = self.engine.telemetry();
+                for reply in probes.drain(..) {
+                    // A prober that gave up has dropped its receiver.
+                    let _ = reply.send(snapshot.clone());
                 }
             }
             self.apply_run(&mut st);
@@ -763,20 +885,19 @@ impl ShardWorker {
         }
     }
 
-    /// Pair `op` with its completion, ready for [`deliver`](Self::deliver).
+    /// Pair `op` with its outcome, ready for [`deliver`](Self::deliver).
     fn completion(
         &self,
         op: OpCommand,
         version: u64,
         durable: bool,
         result: Result<(), ServeError>,
-    ) -> (OpCommand, Completion) {
-        let c = Completion { shard: self.shard, request: op.request, version, durable, result };
-        (op, c)
+    ) -> (OpCommand, Outcome) {
+        (op, Outcome { version, durable, result })
     }
 
     /// A failed op: never durable.
-    fn failure(&self, op: OpCommand, version: u64, e: ServeError) -> (OpCommand, Completion) {
+    fn failure(&self, op: OpCommand, version: u64, e: ServeError) -> (OpCommand, Outcome) {
         self.completion(op, version, false, Err(e))
     }
 
@@ -785,23 +906,23 @@ impl ShardWorker {
         self.deliver(std::iter::once(self.failure(op, 0, e)));
     }
 
-    /// Hand a batch of completions to their tickets. `completed` moves
-    /// once per batch and `failed_ops` once per failure, both *before*
-    /// the ticket in question is filled, so a caller that harvested n
-    /// completions (f of them failed) never reads a `completed` below n
-    /// or a `failed_ops` below f (the ticket's mutex orders the two).
-    fn deliver(&self, batch: impl ExactSizeIterator<Item = (OpCommand, Completion)>) {
+    /// Fill a batch of board slots. `completed` moves once per batch and
+    /// `failed_ops` once per failure, both *before* the slot in question
+    /// is filled, so a caller that harvested n completions (f of them
+    /// failed) never reads a `completed` below n or a `failed_ops` below f
+    /// (the fill's release and the harvest's acquire order the two).
+    fn deliver(&self, batch: impl ExactSizeIterator<Item = (OpCommand, Outcome)>) {
         if batch.len() == 0 {
             return;
         }
         let stats = &self.queue.stats.drain;
         stats.completed.fetch_add(batch.len() as u64, Ordering::Relaxed);
         let mut woken = 0u64;
-        for (op, c) in batch {
-            if c.result.is_err() {
+        for (op, outcome) in batch {
+            if outcome.result.is_err() {
                 stats.failed_ops.fetch_add(1, Ordering::Relaxed);
             }
-            woken += u64::from(op.slot.fill(c));
+            woken += u64::from(self.queue.board.fill(op.slot, op.generation, outcome));
         }
         if woken > 0 {
             stats.wakeups.fetch_add(woken, Ordering::Relaxed);
@@ -813,61 +934,203 @@ impl ShardWorker {
 mod tests {
     use super::*;
 
-    fn cell() -> Command {
-        Command::Telemetry(OneShot::new())
+    use crate::ServerBuilder;
+    use std::sync::mpsc::{self, sync_channel};
+    use std::thread::{self, JoinHandle};
+
+    fn op(lba: u64) -> OpCommand {
+        OpCommand { request: Request::write(0, 0, lba, 1), local_lba: lba, slot: 0, generation: 0 }
+    }
+
+    /// Non-blocking drain: the LBAs of the ops and the number of probes.
+    fn drain(q: &ShardQueue) -> (Vec<u64>, usize) {
+        let (mut ops, mut probes) = (Vec::new(), Vec::new());
+        q.pop_all(&mut ops, &mut probes, false);
+        (ops.iter().map(|o| o.request.lba).collect(), probes.len())
+    }
+
+    #[test]
+    fn commands_round_trip_through_a_cell() {
+        for request in [
+            Request::write(7, 3, 1 << 40, 9),
+            Request::read(0, 1, 2, 3).with_seq(u64::MAX),
+            Request::trim(u32::MAX, u32::MAX, 0, u32::MAX).with_seq(0),
+        ] {
+            let q = ShardQueue::new(2);
+            let cmd = OpCommand { request, local_lba: 77, slot: 5, generation: u32::MAX };
+            assert!(q.try_push(&cmd).is_ok());
+            let mut got = Vec::new();
+            q.pop_all(&mut got, &mut Vec::new(), false);
+            let g = &got[0];
+            assert_eq!((g.request, g.local_lba, g.slot, g.generation), (request, 77, 5, u32::MAX));
+        }
+    }
+
+    #[test]
+    fn the_ring_is_fifo_across_wraps() {
+        let q = ShardQueue::new(4);
+        let (mut next, mut seen) = (0, Vec::new());
+        for round in 0..12 {
+            for _ in 0..round % 4 + 1 {
+                assert!(q.try_push(&op(next)).is_ok());
+                next += 1;
+            }
+            seen.extend(drain(&q).0);
+        }
+        assert!(next >= 7 * 4, "{next} pushes: fewer than 7 laps of a depth-4 ring");
+        assert_eq!(seen, (0..next).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn full_exactly_at_depth() {
+        for depth in [1, 2, 3, 4, 5, 8] {
+            let q = ShardQueue::new(depth);
+            for lap in 0..3 {
+                for i in 0..depth as u64 {
+                    assert!(q.try_push(&op(i)).is_ok(), "depth {depth} lap {lap}");
+                }
+                assert!(matches!(q.try_push(&op(9)), Err(PushError::Full)), "depth {depth}");
+                assert_eq!(q.len(), depth);
+                assert_eq!(drain(&q).0.len(), depth);
+                assert_eq!(q.len(), 0);
+            }
+        }
     }
 
     #[test]
     fn queue_respects_depth_and_close() {
         let q = ShardQueue::new(2);
-        // The depth bound does not look at the command kind.
-        assert!(q.try_push(cell()).is_ok());
-        assert!(q.try_push(cell()).is_ok());
-        assert!(matches!(q.try_push(cell()), Err(PushError::Full)));
-        assert!(q.push_control(cell()), "control pushes bypass the bound");
-        assert_eq!(q.len(), 3);
+        assert!(q.try_push(&op(0)).is_ok());
+        assert!(q.try_push(&op(1)).is_ok());
+        assert!(matches!(q.try_push(&op(2)), Err(PushError::Full)));
+        let (reply, _answer) = sync_channel(1);
+        assert!(q.push_control(reply), "control pushes bypass the bound");
+        assert_eq!(q.len(), 2);
         q.close();
-        assert!(matches!(q.try_push(cell()), Err(PushError::Closed)));
-        let mut buf = Vec::new();
-        assert!(!q.pop_all(&mut buf, true), "closed but items remain");
-        assert_eq!(buf.len(), 3);
-        assert!(!q.queued(), "the mirror follows the drain");
-        buf.clear();
-        assert!(q.pop_all(&mut buf, true), "closed and drained");
+        assert!(matches!(q.try_push(&op(3)), Err(PushError::Closed)));
+        assert!(!q.push_control(sync_channel(1).0));
+        let (mut ops, mut probes) = (Vec::new(), Vec::new());
+        assert!(!q.pop_all(&mut ops, &mut probes, true), "closed but items remain");
+        assert_eq!((ops.len(), probes.len()), (2, 1));
+        assert!(!q.queued(), "the drain moved head past the ops");
+        ops.clear();
+        probes.clear();
+        assert!(q.pop_all(&mut ops, &mut probes, true), "closed and drained");
         assert_eq!(q.stats.snapshot().wakeups, 0, "the consumer never parked");
+    }
+
+    #[test]
+    fn close_drains_a_claimed_but_unpublished_cell() {
+        let q = ShardQueue::new(4);
+        let (claimed, go) = (mpsc::channel(), mpsc::channel::<()>());
+        let producer = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || {
+                let pos = q.claim().unwrap();
+                claimed.0.send(()).unwrap();
+                go.1.recv().unwrap();
+                q.publish(pos, &op(42));
+            })
+        };
+        claimed.1.recv().unwrap();
+        q.close();
+        assert!(matches!(q.try_push(&op(1)), Err(PushError::Closed)));
+        assert_eq!(drain(&q), (vec![], 0));
+        assert!(!q.ready(), "a claimed cell is owed: the shard must wait, not exit");
+        let consumer = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || {
+                let mut ops = Vec::new();
+                let closed = q.pop_all(&mut ops, &mut Vec::new(), true);
+                (ops.iter().map(|o| o.request.lba).collect::<Vec<_>>(), closed)
+            })
+        };
+        go.0.send(()).unwrap();
+        producer.join().unwrap();
+        assert_eq!(consumer.join().unwrap(), (vec![42], false));
+        assert!(q.pop_all(&mut Vec::new(), &mut Vec::new(), true), "closed and drained");
+    }
+
+    #[test]
+    fn a_probe_waits_for_the_positions_claimed_before_it() {
+        let q = ShardQueue::new(8);
+        assert!(q.try_push(&op(0)).is_ok());
+        let held = q.claim().unwrap();
+        let (reply, _answer) = sync_channel(1);
+        assert!(q.push_control(reply));
+        assert!(q.try_push(&op(2)).is_ok());
+        assert_eq!(drain(&q), (vec![0], 0), "position 1 is not drained yet");
+        assert!(!q.ready());
+        q.publish(held, &op(1));
+        assert_eq!(drain(&q), (vec![1, 2], 1));
+    }
+
+    #[test]
+    fn telemetry_answers_after_the_ops_submitted_before_it() {
+        let server = ServerBuilder::new().volume(0, 4096).range_blocks(4096).start(|plan| {
+            let sink = adapt_array::CountingArray::new(plan.lss.array_config());
+            Box::new(Lss::builder(adapt_placement::SepGc::new(), sink).config(plan.lss).build())
+        });
+        let client = server.client();
+        let mut tickets = Vec::new();
+        let mut applied = 0;
+        for n in [1, 37, 200] {
+            for lba in 0..n {
+                tickets.push(client.submit_backoff(Request::write(0, 0, lba, 1)).unwrap());
+            }
+            applied += n;
+            assert_eq!(client.telemetry(0).unwrap().host_ops, applied);
+        }
+        drop(tickets);
+        assert!(server.shutdown().balanced());
+    }
+
+    #[test]
+    fn queue_length_reads_take_no_lock() {
+        let q = ShardQueue::new(8);
+        for lba in 0..5 {
+            assert!(q.try_push(&op(lba)).is_ok());
+        }
+        // Hold every mutex the queue has: `len` (what
+        // `Client::queue_depths` reports per shard) must not need one.
+        let (_sleep, _probes) = (lock(&q.sleep), lock(&q.probes));
+        assert_eq!(q.len(), 5);
+        assert_eq!(drain(&q).0.len(), 5);
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
     fn pushes_without_parked_consumer_issue_no_notify() {
         let q = ShardQueue::new(64);
-        for _ in 0..64 {
-            assert!(q.try_push(cell()).is_ok());
+        for lba in 0..64 {
+            assert!(q.try_push(&op(lba)).is_ok());
         }
-        assert!(q.push_control(cell()));
-        let mut buf = Vec::new();
+        assert!(q.push_control(sync_channel(1).0));
+        let (mut ops, mut probes) = (Vec::new(), Vec::new());
         // Non-blocking and non-empty blocking drains do not park.
-        assert!(!q.pop_all(&mut buf, false));
-        assert!(q.try_push(cell()).is_ok());
-        assert!(!q.pop_all(&mut buf, true));
-        assert_eq!(buf.len(), 66);
+        assert!(!q.pop_all(&mut ops, &mut probes, false));
+        assert!(q.try_push(&op(64)).is_ok());
+        assert!(!q.pop_all(&mut ops, &mut probes, true));
+        assert_eq!((ops.len(), probes.len()), (65, 1));
         assert_eq!(q.stats.snapshot().wakeups, 0);
     }
 
-    /// Spawn a consumer that blocks in `pop_all` and return once it has
-    /// committed to sleep (the flag is set under the queue mutex right
-    /// before the wait releases it).
-    fn parked_consumer(q: &Arc<ShardQueue>) -> std::thread::JoinHandle<(usize, bool)> {
+    /// Spawn a consumer that blocks in `pop_all` and return once it is
+    /// asleep: it raises the flag under `sleep` and holds that mutex until
+    /// its wait releases it.
+    fn parked_consumer(q: &Arc<ShardQueue>) -> JoinHandle<(usize, bool)> {
         let consumer = {
             let q = Arc::clone(q);
-            std::thread::spawn(move || {
-                let mut buf = Vec::new();
-                let closed = q.pop_all(&mut buf, true);
-                (buf.len(), closed)
+            thread::spawn(move || {
+                let (mut ops, mut probes) = (Vec::new(), Vec::new());
+                let closed = q.pop_all(&mut ops, &mut probes, true);
+                (ops.len() + probes.len(), closed)
             })
         };
-        while !q.lock().parked {
-            std::thread::yield_now();
+        while !q.signals.parked.load(Ordering::Relaxed) {
+            thread::yield_now();
         }
+        drop(lock(&q.sleep));
         consumer
     }
 
@@ -875,15 +1138,15 @@ mod tests {
     fn parked_consumer_costs_exactly_one_notify() {
         let q = ShardQueue::new(8);
         let consumer = parked_consumer(&q);
-        assert!(q.try_push(cell()).is_ok());
+        assert!(q.try_push(&op(0)).is_ok());
         assert_eq!(q.stats.snapshot().wakeups, 1, "the push that cleared the flag notifies");
         // The consumer is awake (or about to be): further pushes are free.
-        assert!(q.try_push(cell()).is_ok());
-        assert!(q.push_control(cell()));
+        assert!(q.try_push(&op(1)).is_ok());
+        assert!(q.push_control(sync_channel(1).0));
         assert_eq!(q.stats.snapshot().wakeups, 1);
         let (n, closed) = consumer.join().unwrap();
         assert!((1..=3).contains(&n) && !closed);
-        assert!(!q.lock().parked);
+        assert!(!q.signals.parked.load(Ordering::Relaxed));
     }
 
     #[test]
@@ -900,26 +1163,29 @@ mod tests {
     #[test]
     fn close_ends_the_spin_on_an_empty_queue() {
         let q = ShardQueue::new(8);
-        assert!(!q.has_news());
-        assert!(q.try_push(cell()).is_ok());
-        assert!(q.has_news(), "a push ends the spin");
-        let mut buf = Vec::new();
-        assert!(!q.pop_all(&mut buf, false));
-        assert!(!q.has_news(), "drained: the spin would run on");
+        assert!(!q.ready());
+        assert!(q.try_push(&op(0)).is_ok());
+        assert!(q.ready(), "a push ends the spin");
+        assert_eq!(drain(&q).0.len(), 1);
+        assert!(!q.ready(), "drained: the spin would run on");
         q.close();
-        assert!(q.has_news(), "close ends the spin although nothing is queued");
+        assert!(q.ready(), "close ends the spin although nothing is queued");
     }
 
     #[test]
-    fn the_spun_on_mirror_sits_off_the_mutex_line() {
+    fn cells_and_the_claim_word_sit_on_lines_of_their_own() {
         let q = ShardQueue::new(8);
-        let line = |p: usize| p / 64;
-        let mirror = std::ptr::from_ref(&q.mirror) as usize;
-        let mutex = std::ptr::from_ref(&q.state) as usize;
-        let mutex_end = mutex + std::mem::size_of_val(&q.state) - 1;
-        assert_eq!(mirror % 64, 0);
-        assert_eq!(std::mem::size_of::<Mirror>(), 64, "the mirror fills its line alone");
-        assert!(line(mirror) != line(mutex) && line(mirror) != line(mutex_end));
+        assert_eq!(std::mem::size_of::<Cell>(), 64, "a cell fills its line alone");
+        assert_eq!(q.cells.as_ptr() as usize % 64, 0);
+        // Producers write `tail`, the shard writes `head`, and the spin
+        // polls `signals`: three lines, none shared with another field.
+        for (name, addr, len) in [
+            ("tail", std::ptr::from_ref(&q.tail) as usize, std::mem::size_of_val(&q.tail)),
+            ("head", std::ptr::from_ref(&q.head) as usize, std::mem::size_of_val(&q.head)),
+            ("signals", std::ptr::from_ref(&q.signals) as usize, std::mem::size_of_val(&q.signals)),
+        ] {
+            assert_eq!((addr % 64, len), (0, 64), "{name}");
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Spin before park: the bounded poll a thread runs when it has run out
-//! of work, before it falls through to the mutex/condvar park.
+//! of work, before it falls through to parking.
 //!
 //! Parking is correct but slow to undo. The side that makes the wait
 //! condition true pays a `futex` wake, and the sleeper's idle vCPU pays a
@@ -7,8 +7,8 @@
 //! `serve-mem`'s open-loop queue wait (p50 3.7–4.3 µs against a 0.6 µs
 //! commit wait). A request that arrives within a short window finds the
 //! waiter still polling and pays neither. The poll is only an optimistic
-//! pre-check: the caller re-checks its condition under its mutex and
-//! parks exactly as it would without it, so no wake-up can be lost.
+//! pre-check: the caller then parks by its own handshake exactly as it
+//! would without it, so no wake-up can be lost.
 
 use std::time::{Duration, Instant};
 

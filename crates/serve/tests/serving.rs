@@ -13,11 +13,8 @@ use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Deterministic LBA scatter (splitmix64).
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+fn mix(x: u64) -> u64 {
+    adapt_trace::rng::mix64(x.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
 fn mem_builder() -> ServerBuilder {

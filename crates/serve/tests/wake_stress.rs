@@ -27,11 +27,8 @@ const VOLUME_BLOCKS: u64 = 8 * 1024;
 const CHUNK: usize = 24;
 
 /// Deterministic LBA scatter (splitmix64).
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+fn mix(x: u64) -> u64 {
+    adapt_trace::rng::mix64(x.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
 fn builder(depth: u32, ordered: bool) -> ServerBuilder {
@@ -115,7 +112,7 @@ fn harvest(client: &Client, tickets: &mut Vec<Ticket>, round: usize) -> (u64, u6
 }
 
 /// Keep sending telemetry probes to every shard until told to stop (or
-/// until the queues close); each one blocks on a one-shot cell. The
+/// until the queues close); each one blocks on its reply channel. The
 /// prober meets `first_round` once its first round is answered, so
 /// traffic started after that barrier always runs alongside probes
 /// however late the scheduler starts this thread.
@@ -276,6 +273,58 @@ fn paced_scenario(gap: Duration, ordered: bool) {
         let wakeups: u64 = report.shards.iter().map(|s| s.stats.wakeups).sum();
         assert!(wakeups > 0, "no shard thread ever parked across a {gap:?} gap");
     }
+}
+
+/// Four client threads keep up to [`CHUNK`] × 3 tickets each in flight
+/// on the shards' completion boards, redeem them in reverse submission
+/// order by `wait` or `poll`, and drop every fifth unredeemed. In
+/// ordered mode an op applies at version `seq + 1` on its shard's
+/// applied-op clock, so each completion is checked against the ticket it
+/// came through: a slot handed to the wrong ticket shows as a wrong LBA
+/// or version.
+fn board_scenario() {
+    const OPS: u64 = 12_000;
+    const CLIENTS: usize = 4;
+    let server = builder(256, true).start(factory);
+    let client = server.client();
+    let ops = stream(&client, OPS, true);
+    std::thread::scope(|scope| {
+        for t in 0..CLIENTS {
+            let client = client.clone();
+            let slice: Vec<Request> = ops.iter().skip(t).step_by(CLIENTS).copied().collect();
+            scope.spawn(move || {
+                for (round, batch) in slice.chunks(3 * CHUNK).enumerate() {
+                    let tickets: Vec<(Request, Ticket)> = batch
+                        .iter()
+                        .map(|req| (*req, client.submit_backoff(*req).expect("accepted")))
+                        .collect();
+                    for (i, (req, ticket)) in tickets.into_iter().enumerate().rev() {
+                        let c = match (round + i) % 5 {
+                            0 => continue,
+                            1 | 3 => client.wait(ticket),
+                            _ => loop {
+                                match ticket.poll() {
+                                    Some(c) => break c,
+                                    None => std::thread::yield_now(),
+                                }
+                            },
+                        };
+                        assert_eq!(c.result, Ok(()));
+                        assert_eq!((c.request.lba, c.request.seq), (req.lba, req.seq));
+                        assert_eq!(Some(c.version), req.seq.map(|s| s + 1), "{req:?}");
+                    }
+                }
+            });
+        }
+    });
+    let report = server.shutdown();
+    assert!(report.balanced() && !report.any_failed());
+    assert_eq!(report.total_completed(), OPS);
+}
+
+#[test]
+fn completions_reach_their_own_tickets() {
+    watchdog("board".into(), 120, board_scenario);
 }
 
 fn sweep(ordered: bool) {
