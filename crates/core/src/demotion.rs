@@ -11,7 +11,7 @@
 //! traffic under Zipfian workloads).
 //!
 //! Every filter has the same capacity and the same hash, so an LBA probes
-//! the same [`HASHES`] positions in all of them. The filters are therefore
+//! the same `HASHES` positions in all of them. The filters are therefore
 //! stored *bit-sliced*: byte `p` of one array holds bit `p` of every
 //! filter, one bit lane per filter. One probe pass (hash once, AND seven
 //! bytes) answers every filter of every group at once.
@@ -137,7 +137,7 @@ impl RaIdentifier {
 
     /// Demotion check at user-write time: a group's score is the number
     /// of its filters containing `lba`; the highest-scoring group (the
-    /// last on a tie) wins if it reaches [`SCORE_THRESHOLD`].
+    /// last on a tie) wins if it reaches `SCORE_THRESHOLD`.
     pub fn check(&self, lba: Lba) -> Option<GroupId> {
         let lanes = self.lanes(lba);
         let nibble = (1u8 << FILTERS_PER_DISCRIMINATOR) - 1;

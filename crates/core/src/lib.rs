@@ -47,6 +47,8 @@
 //! # Ok::<(), adapt_lss::EngineError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod aggregation;
 pub mod config;
 pub mod demotion;

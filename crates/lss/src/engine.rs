@@ -24,7 +24,7 @@
 //! # GC
 //!
 //! When the free-segment pool drops to the low watermark, the engine
-//! repeatedly selects a sealed victim ([`GcSelection`]), migrates its live
+//! repeatedly selects a sealed victim ([`GcSelection`](crate::GcSelection)), migrates its live
 //! blocks through `PlacementPolicy::place_gc` (these appends carry no SLA
 //! timer — bulk traffic, per the paper's Observation 2), reclaims the
 //! victim, and stops at the high watermark. Victim reclaim is atomic in

@@ -65,6 +65,8 @@
 //! # Ok::<(), adapt_lss::EngineError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub(crate) mod checkpoint;
 pub mod config;

@@ -15,7 +15,7 @@
 //!   previous checkpoint touched.
 //!
 //! The codec lives here; who decides what to write, the files and the
-//! dirty sets live in [`crate::checkpoint`].
+//! dirty sets live in `crate::checkpoint`.
 //!
 //! # Formats (hand-rolled little-endian; the vendored serde stack is
 //! serialize-only, so nothing JSON-shaped can come back off disk)

@@ -18,6 +18,16 @@
 //! simulator verifies that every acknowledged `(lba, version)` survives
 //! recovery.
 //!
+//! A sync is a `memcpy`, not a system call: every log file is opened with
+//! [`MediaFile::create_mapped`], so the granted bytes are copied into a
+//! shared mapping of the live file (`fdatasync` still follows when
+//! [`DurabilityConfig::fsync_data`] is set). While a file is live it
+//! holds its durable prefix ([`Wal::durable_len`] bytes) and then zeros;
+//! rotation and drop unmap it and truncate it to that prefix, so a
+//! rotated or closed file holds exactly its frames. A process killed
+//! outright leaves the zeros behind: [`replay_dir`] reads them as a torn
+//! tail at the durable length, and [`repair_tail`] truncates them.
+//!
 //! Replay ([`replay_dir`]) scans the log files in index order and stops
 //! at the first torn or CRC-failing record: everything before that point
 //! is the durable prefix, everything after is discarded (and physically
@@ -630,12 +640,7 @@ impl Wal {
         idx: u64,
         oldest_idx: u64,
     ) -> Result<Self, WalError> {
-        let file = MediaFile::create(
-            wal_path(dir, idx),
-            cfg.budget.clone(),
-            WriteTag::WalRecord,
-            cfg.fsync_data,
-        )?;
+        let file = log_file(dir, &cfg, idx)?;
         Ok(Self {
             dir: dir.to_path_buf(),
             cfg,
@@ -663,6 +668,12 @@ impl Wal {
     /// Activity counters.
     pub fn stats(&self) -> &WalStats {
         &self.stats
+    }
+
+    /// Bytes durably in the file currently receiving appends: where its
+    /// frames end (the live file itself runs on in zeros).
+    pub fn durable_len(&self) -> u64 {
+        self.file.durable_len()
     }
 
     /// Append one record to the volatile tail. Host-write `BufferAppend`
@@ -717,15 +728,13 @@ impl Wal {
 
     fn rotate(&mut self) -> Result<(), WalError> {
         debug_assert_eq!(self.file.pending_bytes(), 0, "rotate with unsynced bytes");
-        self.file = MediaFile::create(
-            wal_path(&self.dir, self.cur_idx + 1),
-            self.cfg.budget.clone(),
-            WriteTag::WalRecord,
-            self.cfg.fsync_data,
-        )?;
+        let next = log_file(&self.dir, &self.cfg, self.cur_idx + 1)?;
+        let old = std::mem::replace(&mut self.file, next);
         self.cur_idx += 1;
         self.stats.rotations += 1;
-        Ok(())
+        // Cut the old file to its frames before anything syncs into the
+        // new one.
+        Ok(old.close()?)
     }
 
     /// Checkpoint step 1: sync everything, then rotate so the snapshot
@@ -771,6 +780,13 @@ impl Wal {
     pub fn unacked(&self) -> usize {
         self.pending_acks.len()
     }
+}
+
+/// A fresh log file at `idx`, its syncs copied into a shared mapping.
+fn log_file(dir: &Path, cfg: &DurabilityConfig, idx: u64) -> Result<MediaFile, WalError> {
+    let path = wal_path(dir, idx);
+    let budget = cfg.budget.clone();
+    Ok(MediaFile::create_mapped(path, budget, WriteTag::WalRecord, cfg.fsync_data)?)
 }
 
 /// Where replay stopped: the first torn or corrupt record.

@@ -5,12 +5,14 @@
 //! prefix. These tests pin the three load-bearing guarantees for
 //! arbitrary record batches: round-trip fidelity, truncation at *every*
 //! byte offset yielding exactly the full-frame prefix, and single-bit
-//! corruption never smuggling a wrong record past the CRC.
+//! corruption never smuggling a wrong record past the CRC. A second set
+//! pins the live log file's contract: its durable prefix and then zeros
+//! while the log is open, exactly its frames once rotated or dropped.
 
-use adapt_array::CountingArray;
+use adapt_array::{CountingArray, PowerBudget};
 use adapt_lss::wal::{
-    decode_frame, repair_tail, replay_dir, DurabilityConfig, FsyncPolicy, Wal, WalRecord, WalSlot,
-    WalSlotKind,
+    decode_frame, repair_tail, replay_dir, DurabilityConfig, FsyncPolicy, Wal, WalError, WalRecord,
+    WalSlot, WalSlotKind,
 };
 use adapt_lss::{
     GcSelection, GroupId, Lba, Lss, LssConfig, PlacementPolicy, PolicyCtx, SegmentId, VictimMeta,
@@ -181,10 +183,12 @@ proptest! {
         for rec in &records {
             wal.append(rec);
             wal.commit().unwrap();
-            ends.push(std::fs::metadata(&path).unwrap().len());
+            ends.push(wal.durable_len());
         }
         drop(wal);
         let total = *ends.last().unwrap();
+        // Dropped, the file holds its frames and nothing after them.
+        prop_assert_eq!(std::fs::metadata(&path).unwrap().len(), total);
         let cut = cut_seed % (total + 1);
         std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(cut).unwrap();
 
@@ -200,6 +204,155 @@ proptest! {
         prop_assert!(again.torn.is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// Every-commit syncs, no rotation and no checkpoint: one live file.
+fn one_file_cfg(budget: Option<std::sync::Arc<PowerBudget>>) -> DurabilityConfig {
+    DurabilityConfig {
+        fsync: FsyncPolicy::EveryCommit,
+        rotate_bytes: u64::MAX,
+        checkpoint_every_flushes: 0,
+        fsync_data: false,
+        budget,
+    }
+}
+
+/// A few records of every variant, and their frames back to back.
+fn short_stream() -> (Vec<WalRecord>, Vec<u8>) {
+    let records: Vec<WalRecord> =
+        (0..12u8).map(|t| record_from(t, 0x5eed ^ u64::from(t), u64::from(t) * 77, 3)).collect();
+    let (bytes, _) = encode_batch(&records);
+    (records, bytes)
+}
+
+/// A power cut at every byte offset `b` of the stream leaves a log file
+/// that, once dropped, is exactly the first `b` bytes of the stream: the
+/// granted prefix, with nothing of the mapping's zeros after it.
+#[test]
+fn a_power_cut_at_any_byte_leaves_exactly_that_prefix() {
+    let (records, stream) = short_stream();
+    let dir = tdir("budget_sweep", 0);
+    for b in 0..=stream.len() as u64 + 1 {
+        let mut wal = Wal::create(&dir, one_file_cfg(Some(PowerBudget::limited(b)))).unwrap();
+        for rec in &records {
+            wal.append(rec);
+            if let Err(e) = wal.commit() {
+                assert_eq!(e, WalError::PowerLoss);
+                break;
+            }
+        }
+        drop(wal);
+        let kept = std::fs::read(dir.join("wal-000000.log")).unwrap();
+        let b = (b as usize).min(stream.len());
+        assert_eq!(kept, &stream[..b], "cut at byte {b}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Read while the log is still open, the live file's zero tail is a torn
+/// tail at the durable length: replay returns exactly the synced records
+/// and `repair_tail` cuts the file there.
+#[test]
+fn an_open_log_replays_its_synced_records() {
+    let (records, _) = short_stream();
+    let dir = tdir("open_read", 0);
+    let mut wal = Wal::create(&dir, one_file_cfg(None)).unwrap();
+    let path = dir.join("wal-000000.log");
+    for rec in &records[..8] {
+        wal.append(rec);
+        wal.commit().unwrap();
+    }
+    // Appended but never synced: not on disk.
+    wal.append(&records[8]);
+    let durable = wal.durable_len();
+    assert!(std::fs::metadata(&path).unwrap().len() > durable, "the live file runs on in zeros");
+
+    let replay = replay_dir(&dir, 0).unwrap();
+    assert_eq!(replay.records.as_slice(), &records[..8]);
+    let torn = replay.torn.expect("the zero tail reads as torn");
+    assert_eq!((torn.file_idx, torn.offset), (0, durable));
+    repair_tail(&dir, &replay).unwrap();
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), durable);
+    drop(wal);
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), durable);
+    let again = replay_dir(&dir, 0).unwrap();
+    assert_eq!(again.records.as_slice(), &records[..8]);
+    assert!(again.torn.is_none());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A log that never rotates grows its mapping past several doublings
+/// (64 KiB → 1 MiB) and replays every record.
+#[test]
+fn an_unrotated_log_grows_and_replays_every_record() {
+    let dir = tdir("growth", 0);
+    let mut wal = Wal::create(&dir, one_file_cfg(None)).unwrap();
+    let path = dir.join("wal-000000.log");
+    let records: Vec<WalRecord> = (0..30_000u64)
+        .map(|i| WalRecord::BufferAppend {
+            lba: i,
+            version: i + 1,
+            group: 0,
+            gc: false,
+            needs_sla: true,
+        })
+        .collect();
+    for rec in &records {
+        wal.append(rec);
+        wal.commit().unwrap();
+    }
+    // 30 000 frames of 27 bytes: past 512 KiB, so four doublings.
+    let durable = wal.durable_len();
+    assert_eq!(durable, 30_000 * 27);
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), 1 << 20);
+    drop(wal);
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), durable);
+    let replay = replay_dir(&dir, 0).unwrap();
+    assert_eq!(replay.records, records);
+    assert!(replay.torn.is_none());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Each rotated file is cut to its frames when the log moves on, and the
+/// last one when the log is dropped: every file's length is the frame
+/// bytes synced into it.
+#[test]
+fn rotated_and_dropped_files_hold_exactly_their_frames() {
+    let dir = tdir("rotated_lengths", 0);
+    let cfg = DurabilityConfig { rotate_bytes: 1000, ..one_file_cfg(None) };
+    let mut wal = Wal::create(&dir, cfg).unwrap();
+    let file_len =
+        |idx: u64| std::fs::metadata(dir.join(format!("wal-{idx:06}.log"))).unwrap().len();
+    let mut expect = Vec::new();
+    // Frame bytes synced into each file, the live one last.
+    let mut framed = vec![0u64];
+    for i in 0..300u64 {
+        let rec = record_from(i as u8, i, i * 3, (i % 13) as u32);
+        let mut frame = Vec::new();
+        rec.encode_frame(&mut frame);
+        wal.append(&rec);
+        expect.push(rec);
+        let idx = wal.current_idx();
+        wal.commit().unwrap();
+        *framed.last_mut().unwrap() += frame.len() as u64;
+        if wal.current_idx() != idx {
+            // This sync rotated: the old file is cut to its frames.
+            assert_eq!(file_len(idx), framed[idx as usize], "rotated file {idx}");
+            framed.push(0);
+        }
+    }
+    let last = wal.current_idx();
+    assert!(last >= 3, "rotated {last} times");
+    assert_eq!(wal.durable_len(), framed[last as usize]);
+    assert!(file_len(last) > framed[last as usize], "the live file is still mapped");
+    drop(wal);
+    for idx in 0..=last {
+        assert_eq!(file_len(idx), framed[idx as usize], "file {idx} after drop");
+    }
+    let replay = replay_dir(&dir, 0).unwrap();
+    assert_eq!(replay.records, expect);
+    assert!(replay.torn.is_none());
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 struct OneGroup;

@@ -1,9 +1,10 @@
 //! Public types of the async submission API.
 //!
-//! The serving layer is deliberately callback-free: [`Client::submit`]
-//! (see [`crate::server::Client`]) returns a [`Ticket`] immediately (or a
-//! typed [`SubmitError`] — never a blocking wait), and the caller
-//! harvests the [`Completion`] with `wait` whenever it chooses. A ticket
+//! The serving layer is deliberately callback-free:
+//! [`Client::submit`](crate::server::Client::submit) returns a
+//! [`Ticket`] immediately (or a typed [`SubmitError`] — never a blocking
+//! wait), and the caller harvests the [`Completion`] with `wait`
+//! whenever it chooses. A ticket
 //! names a slot on its shard's completion board, which the shard thread
 //! fills by a compare-and-swap, with no lock and no allocation; dropping
 //! a ticket is allowed (the completion is simply discarded and the slot

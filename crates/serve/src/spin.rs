@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 /// slower one 2.5× headroom for a late generator. A longer window buys
 /// nothing at those rates and burns more CPU on a server that really has
 /// gone idle: each idle episode costs at most this much CPU, of which
-/// all but the first [`SPIN_POLLS`] polls is given back through
+/// all but the first 32 polls (`SPIN_POLLS`) is given back through
 /// `yield_now` to any thread that wants the core.
 pub const SPIN_NS: u64 = 50_000;
 

@@ -16,6 +16,8 @@
 //! Everything here is deterministic given a seed: generators are pure
 //! functions of `(seed, index)` so experiments are exactly reproducible.
 
+#![forbid(unsafe_code)]
+
 pub mod arrival;
 pub mod formats;
 pub mod record;

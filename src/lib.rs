@@ -12,6 +12,8 @@
 //! * [`adapt_sim`] — trace-driven experiment runner.
 //! * [`adapt_serve`] — sharded multi-tenant serving layer.
 
+#![forbid(unsafe_code)]
+
 pub use adapt_array as array;
 pub use adapt_core as adapt;
 pub use adapt_lss as lss;
