@@ -23,7 +23,9 @@
 //!   repo benchmark) or one byte of it ([`InMemoryArray::modelled`]: the
 //!   trace-driven fault and scrub scenarios) — and is otherwise the same
 //!   code: `tests/modelled_vs_bytes.rs` holds the two to the same
-//!   counters and read outcomes.
+//!   counters and read outcomes. Each device's chunks sit at stripe-indexed
+//!   slots of 32-chunk slabs; the full store's 2 MiB slabs are anonymous
+//!   memory advised onto huge pages, and a read copies its chunk out.
 //!
 //! The log-structured engine above talks to any of them through the
 //! [`ArraySink`] trait, which receives chunk-granular flushes (the paper's

@@ -30,6 +30,10 @@
 //! Files written in whole chunks (segment files) or rarely (the checkpoint
 //! delta log) keep `write(2)`: a mapping pays a first-touch page fault per
 //! 4 KiB page, sixteen per 64 KiB chunk, against one system call.
+//!
+//! The same private region type maps the in-memory store's slabs
+//! ([`crate::store`]): private anonymous memory advised onto transparent
+//! huge pages, one page fault per 2 MiB.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -38,7 +42,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 
 #[cfg(unix)]
-use mapped::Mapping;
+use mapped::Region;
 
 /// What class of durable write is consuming budget. Crash sweeps use the
 /// tag recorded at the trip point to classify each seeded crash (torn WAL
@@ -225,7 +229,7 @@ pub struct MediaFile {
     fsync: bool,
     /// Where a mapped file's syncs land; `None` for a `write(2)` file.
     #[cfg(unix)]
-    map: Option<Mapping>,
+    map: Option<Region>,
     data_syncs: u64,
 }
 
@@ -257,7 +261,7 @@ impl MediaFile {
         let mut f = Self::create(path, budget, tag, fsync)?;
         #[cfg(unix)]
         {
-            f.map = Some(Mapping::empty());
+            f.map = Some(Region::empty());
         }
         Ok(f)
     }
@@ -413,7 +417,7 @@ impl MediaFile {
         #[cfg(unix)]
         if let Some(map) = &mut self.map {
             // Unmapped before the truncation; the next sync maps afresh.
-            *map = Mapping::empty();
+            *map = Region::empty();
         }
         self.file.set_len(0)?;
         self.durable_len = 0;
@@ -454,14 +458,17 @@ impl Drop for MediaFile {
     }
 }
 
-/// The shared mapping behind [`MediaFile::create_mapped`].
+/// The memory regions this crate maps: a shared mapping of a file behind
+/// [`MediaFile::create_mapped`], and the private anonymous slabs of the
+/// in-memory store ([`crate::store`]).
 #[cfg(unix)]
-mod mapped {
+pub(crate) mod mapped {
     use std::ffi::{c_int, c_long, c_void};
     use std::fs::File;
     use std::io;
     use std::os::unix::fs::FileExt;
     use std::os::unix::io::AsRawFd;
+    use std::ptr::NonNull;
 
     // The POSIX calls, from the C library std already links. `off_t` is
     // a C `long` on the LP64 and ILP32 unix targets Rust supports.
@@ -475,35 +482,84 @@ mod mapped {
             offset: c_long,
         ) -> *mut c_void;
         fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
     }
 
     const PROT_READ: c_int = 1;
     const PROT_WRITE: c_int = 2;
     const MAP_SHARED: c_int = 1;
     const MAP_FAILED: *mut c_void = !0usize as *mut c_void;
+    /// `MAP_PRIVATE | MAP_ANONYMOUS` and `MADV_HUGEPAGE` where this module
+    /// knows their values; elsewhere nothing anonymous is mapped.
+    const ANONYMOUS: Option<(c_int, c_int)> =
+        if cfg!(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))) {
+            Some((0x02 | 0x20, 14))
+        } else {
+            None
+        };
 
-    /// The first mapping's length; each growth doubles it.
+    /// The first file mapping's length; each growth doubles it.
     pub(super) const FIRST_MAP_BYTES: usize = 64 << 10;
 
-    /// A read-write `MAP_SHARED` mapping of a file's first `len` bytes, or
-    /// nothing yet (`len` 0). The file is at least `len` bytes long, with
-    /// its blocks allocated, for as long as the mapping lives: whoever
-    /// truncates it drops the mapping first.
+    /// A read-write mapping of `len` bytes (none when `len` is 0): the
+    /// first `len` bytes of a file, shared with its page cache, or private
+    /// anonymous memory that reads as zeros until written. A mapped file
+    /// is at least `len` bytes long, with its blocks allocated, for as
+    /// long as the mapping lives: whoever truncates it drops the mapping
+    /// first.
     #[derive(Debug)]
-    pub(super) struct Mapping {
-        ptr: *mut u8,
+    pub(crate) struct Region {
+        ptr: NonNull<u8>,
         len: usize,
     }
 
-    // SAFETY: the mapping is owned by this value alone (it hands out no
-    // pointer or reference into it) and is written only through
-    // `&mut self`, so moving it to another thread shares nothing.
-    unsafe impl Send for Mapping {}
+    // SAFETY: the region is owned by this value alone and reached only
+    // through `as_slice` / `as_mut_slice`, which borrow `self`, so moving
+    // it to another thread shares nothing.
+    unsafe impl Send for Region {}
 
-    impl Mapping {
-        /// Nothing mapped; the first write maps.
-        pub(super) fn empty() -> Self {
-            Self { ptr: std::ptr::null_mut(), len: 0 }
+    impl Region {
+        /// Nothing mapped; the first file write maps.
+        pub(crate) fn empty() -> Self {
+            Self { ptr: NonNull::dangling(), len: 0 }
+        }
+
+        /// Map `len` bytes with `flags`; `fd` -1 for anonymous memory.
+        fn map(len: usize, flags: c_int, fd: c_int) -> io::Result<Self> {
+            let prot = PROT_READ | PROT_WRITE;
+            // SAFETY: a fresh mapping at an address the kernel picks, of
+            // `len` bytes that the file holds (or anonymous memory);
+            // nothing aliases it.
+            let ptr = unsafe { mmap(std::ptr::null_mut(), len, prot, flags, fd, 0) };
+            match NonNull::new(ptr) {
+                Some(ptr) if ptr.as_ptr() != MAP_FAILED => Ok(Self { ptr: ptr.cast(), len }),
+                _ => Err(io::Error::last_os_error()),
+            }
+        }
+
+        /// `len` zero bytes of private anonymous memory advised onto
+        /// transparent huge pages (advice: with THP off it works the same,
+        /// with more page faults), or `None` where none can be mapped.
+        pub(crate) fn anonymous(len: usize) -> Option<Self> {
+            let (flags, hugepage) = ANONYMOUS?;
+            let region = Self::map(len, flags, -1).ok()?;
+            // SAFETY: `ptr..ptr + len` is the mapping just made; advice
+            // changes how the kernel backs it, never its contents.
+            unsafe { madvise(region.ptr.as_ptr().cast(), len, hugepage) };
+            Some(region)
+        }
+
+        pub(crate) fn as_slice(&self) -> &[u8] {
+            // SAFETY: `ptr..ptr + len` is mapped readable for as long as
+            // `self` lives (dangling with `len` 0 when empty), and the
+            // shared borrow of `self` rules out a concurrent `as_mut_slice`.
+            unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+        }
+
+        pub(crate) fn as_mut_slice(&mut self) -> &mut [u8] {
+            // SAFETY: as in `as_slice`, mapped writable too, and the
+            // exclusive borrow of `self` makes this the only reference.
+            unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
         }
 
         /// Copy `bytes` to offset `at` of `file`, growing the mapping
@@ -515,11 +571,7 @@ mod mapped {
             if end > self.len {
                 self.grow(file, end)?;
             }
-            // SAFETY: `at + bytes.len() ≤ len` (checked or grown just
-            // above), `ptr..ptr + len` is mapped read-write over file
-            // bytes that exist and are allocated (see `grow`), and `bytes`
-            // is ordinary memory, not part of the mapping.
-            unsafe { std::ptr::copy_nonoverlapping(bytes.as_ptr(), self.ptr.add(at), bytes.len()) };
+            self.as_mut_slice()[at..end].copy_from_slice(bytes);
             Ok(())
         }
 
@@ -537,25 +589,18 @@ mod mapped {
             if file_len < len {
                 file.write_all_at(&vec![0; len - file_len], file_len as u64)?;
             }
-            let (prot, fd) = (PROT_READ | PROT_WRITE, file.as_raw_fd());
-            // SAFETY: a fresh mapping at an address the kernel picks, of
-            // `len` bytes that the file now holds; nothing aliases it.
-            let ptr = unsafe { mmap(std::ptr::null_mut(), len, prot, MAP_SHARED, fd, 0) };
-            if ptr == MAP_FAILED {
-                return Err(io::Error::last_os_error());
-            }
             // Dropping the old mapping unmaps it.
-            *self = Self { ptr: ptr.cast(), len };
+            *self = Self::map(len, MAP_SHARED, file.as_raw_fd())?;
             Ok(())
         }
     }
 
-    impl Drop for Mapping {
+    impl Drop for Region {
         fn drop(&mut self) {
             if self.len > 0 {
                 // SAFETY: `ptr` and `len` are what `mmap` returned, and no
                 // reference into the mapping outlives this value.
-                unsafe { munmap(self.ptr.cast(), self.len) };
+                unsafe { munmap(self.ptr.as_ptr().cast(), self.len) };
             }
         }
     }

@@ -75,8 +75,8 @@ impl ReedSolomon {
 
     /// Fold one data column into `m` streaming parity accumulators
     /// (each pre-zeroed and chunk-sized): `parity[j] ^= coeff(j, column)
-    /// · data`. This is how the stores compute parity without buffering
-    /// the whole stripe.
+    /// · data`: parity computed without buffering the whole stripe (the
+    /// in-memory store folds the same rows straight into its parity slots).
     pub fn accumulate(
         &self,
         parity: &mut [impl DerefMut<Target = [u8]>],

@@ -20,6 +20,19 @@
 //! holds the two to the same counters, read outcomes and progress under
 //! random operation streams.
 //!
+//! # Layout: stripe-indexed slabs
+//!
+//! A device's chunk of stripe `s` is slot `s` of its media, at a fixed
+//! offset in a slab of 32 slots. A slab of the full 64 KiB store is 2 MiB
+//! of anonymous memory advised onto a huge page, so a fresh store takes one
+//! page fault per 32 chunks, not sixteen per chunk; smaller slabs, and any
+//! that cannot be mapped, are heap memory. Parity accumulates in its own
+//! slots. A read copies its chunk out of the slab (after the CRC, while it
+//! is in cache); degraded reads, rebuild, repair and scrub decode from
+//! slices borrowed in place, and the rebuild decodes into the spare's slot.
+//! The accounting path stores zero bodies without touching memory: a slot
+//! never written is zero already.
+//!
 //! The store is also *elastic*: [`InMemoryArray::add_device`] widens the
 //! array online. Widening takes effect at the next stripe boundary and
 //! opens a new **geometry epoch** — stripes written earlier keep their
@@ -37,12 +50,150 @@ use crate::fault::{
     ArrayHealth, DiskState, FaultPlan, ReadMode, ReadOutcome, RebuildProgress, ScrubProgress,
     ScrubStep,
 };
+use crate::gf256::gf_mul_into;
 use crate::layout::{ChunkLocation, StripeLayout};
+#[cfg(unix)]
+use crate::media::mapped::Region;
 use crate::rs::ReedSolomon;
 use crate::sink::{ArraySink, ChunkFlush};
 use bytes::{Bytes, BytesMut};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap};
+
+/// Chunk slots per slab: 32 chunks of 64 KiB are 2 MiB, one huge page.
+const SLAB_CHUNKS: usize = 32;
+/// Slabs at least this large are mapped and advised onto huge pages.
+const HUGE_PAGE_BYTES: usize = 2 << 20;
+
+/// One slab's memory, zero when made: huge-page memory, or the heap.
+enum Slab {
+    Heap(Box<[u8]>),
+    #[cfg(unix)]
+    Mapped(Region),
+}
+
+impl Slab {
+    fn new(bytes: usize) -> Self {
+        #[cfg(unix)]
+        if let Some(region) = (bytes >= HUGE_PAGE_BYTES).then(|| Region::anonymous(bytes)).flatten()
+        {
+            return Slab::Mapped(region);
+        }
+        Slab::Heap(vec![0; bytes].into_boxed_slice())
+    }
+
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Slab::Heap(bytes) => bytes,
+            #[cfg(unix)]
+            Slab::Mapped(region) => region.as_slice(),
+        }
+    }
+
+    fn bytes_mut(&mut self) -> &mut [u8] {
+        match self {
+            Slab::Heap(bytes) => bytes,
+            #[cfg(unix)]
+            Slab::Mapped(region) => region.as_mut_slice(),
+        }
+    }
+}
+
+impl std::fmt::Debug for Slab {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Slab({} bytes)", self.bytes().len())
+    }
+}
+
+/// What a slot of a device's media holds: nothing ever (the zeros its slab
+/// was made with), bytes that are no chunk (a chunk forgotten with its dead
+/// media, parity accumulating, a decode under way), or the chunk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    Fresh,
+    Stale,
+    Held,
+}
+
+/// One device's media: the chunk of stripe `s` is slot `s`, at a fixed
+/// offset in slab `s / SLAB_CHUNKS`. A slab is made on the first write to
+/// one of its slots and kept for the store's life.
+#[derive(Debug, Default)]
+struct Slabs {
+    body_len: usize,
+    slabs: Vec<Option<Slab>>,
+    slots: Vec<Slot>,
+}
+
+impl Slabs {
+    fn new(body_len: usize) -> Self {
+        Self { body_len, slabs: Vec::new(), slots: Vec::new() }
+    }
+
+    fn state(&self, stripe: u64) -> Slot {
+        let slot = usize::try_from(stripe).ok().and_then(|s| self.slots.get(s));
+        slot.copied().unwrap_or(Slot::Fresh)
+    }
+
+    /// The chunk the media holds for `stripe`.
+    fn get(&self, stripe: u64) -> Option<&[u8]> {
+        let (s, len) = (stripe as usize, self.body_len);
+        let slab = self.slabs.get(s / SLAB_CHUNKS)?.as_ref()?;
+        (self.state(stripe) == Slot::Held).then(|| &slab.bytes()[s % SLAB_CHUNKS * len..][..len])
+    }
+
+    /// The memory of slot `stripe`, its slab made if need be, the slot
+    /// now in state `to`.
+    fn slot_mut(&mut self, stripe: u64, to: Slot) -> &mut [u8] {
+        let (s, len) = (stripe as usize, self.body_len);
+        if s >= self.slots.len() {
+            self.slots.resize(s + 1, Slot::Fresh);
+            self.slabs.resize_with(s / SLAB_CHUNKS + 1, || None);
+        }
+        self.slots[s] = to;
+        let slab = self.slabs[s / SLAB_CHUNKS].get_or_insert_with(|| Slab::new(SLAB_CHUNKS * len));
+        &mut slab.bytes_mut()[s % SLAB_CHUNKS * len..][..len]
+    }
+
+    /// Hold a copy of `bytes` as the chunk of `stripe`.
+    fn put(&mut self, stripe: u64, bytes: &[u8]) {
+        self.slot_mut(stripe, Slot::Held).copy_from_slice(bytes);
+    }
+
+    /// Zero slot `stripe` (for parity to accumulate in, or a zero body);
+    /// a fresh slot is zero already, is not touched and stays fresh.
+    fn seed(&mut self, stripe: u64) {
+        if self.state(stripe) != Slot::Fresh {
+            self.slot_mut(stripe, Slot::Stale).fill(0);
+        }
+    }
+
+    /// Hold what slot `stripe` has as its chunk; returns its CRC32C, which
+    /// is `zero_crc` for a slot still fresh.
+    fn seal(&mut self, stripe: u64, zero_crc: u32) -> u32 {
+        let fresh = self.state(stripe) == Slot::Fresh;
+        let body = self.slot_mut(stripe, Slot::Held);
+        if fresh {
+            zero_crc
+        } else {
+            crc::crc32c(body)
+        }
+    }
+
+    /// Forget every chunk below `stripe`: the slots keep their bytes and
+    /// their slabs, but hold no chunk.
+    fn forget_below(&mut self, stripe: u64) {
+        let end = self.slots.len().min(usize::try_from(stripe).unwrap_or(usize::MAX));
+        for slot in self.slots[..end].iter_mut().filter(|slot| **slot == Slot::Held) {
+            *slot = Slot::Stale;
+        }
+    }
+
+    /// The stripes the media holds a chunk of, in order.
+    fn stripes(&self) -> impl Iterator<Item = u64> + '_ {
+        (0..self.slots.len() as u64).filter(|&s| self.state(s) == Slot::Held)
+    }
+}
 
 /// One geometry epoch: every stripe in `first_stripe..` (until the next
 /// epoch) was written with this layout and code.
@@ -72,16 +223,9 @@ impl Epoch {
 struct Decoded {
     /// The members that failed their stored CRC, in member order.
     corrupt: Vec<usize>,
-    /// The decoded chunk and whether it matches the target's stored CRC;
-    /// `None` when fewer than `k` members are honest.
-    chunk: Option<(Bytes, bool)>,
-}
-
-impl Decoded {
-    /// The decoded chunk, if it matches the target's stored CRC.
-    fn verified(self) -> Option<Bytes> {
-        self.chunk.and_then(|(bytes, ok)| ok.then_some(bytes))
-    }
+    /// Whether the decoded chunk matches the target's stored CRC; `None`
+    /// when fewer than `k` members are honest and nothing was decoded.
+    verified: Option<bool>,
 }
 
 /// An erasure-coded array held in memory, with its fault model.
@@ -99,22 +243,18 @@ pub struct InMemoryArray {
     /// the whole chunk, or one byte on a [`Self::modelled`] store.
     /// Counters charge `chunk_bytes` either way.
     body_len: usize,
-    /// Device id → (stripe → chunk contents). Sparse: only written stripes
-    /// are present. A failed device's map is its dead media and is not
-    /// read; [`Self::start_rebuild`] replaces it with the empty spare.
-    devices: Vec<HashMap<u64, Bytes>>,
-    /// Streaming parity accumulators (one per parity row) for the stripe
-    /// currently being filled; empty between stripes. Each arriving column
-    /// is folded in via the code's generator coefficients, so parity work
-    /// is spread across the arriving columns and nothing buffers the whole
-    /// stripe. At stripe close each accumulator *is* the stored parity
-    /// chunk (frozen, not copied).
-    parity_acc: Vec<BytesMut>,
-    /// Data columns accepted into the open stripe so far.
+    /// Each device's media, indexed by stripe. A failed device's media is
+    /// dead and is not read; [`Self::start_rebuild`] forgets what it held
+    /// of the closed stripes, and the sweep restores them into the same
+    /// slabs (the spare).
+    devices: Vec<Slabs>,
+    /// Data columns accepted into the open stripe so far. Its parity
+    /// accumulates in the parity devices' slots, which hold no chunk
+    /// until the last column arrives.
     open_columns: usize,
-    /// Shared zero-filled chunk body for the accounting-only write path;
-    /// cloning `Bytes` is a refcount bump, not a 64 KiB memset.
-    zero_chunk: Bytes,
+    /// CRC32C of a zero chunk body: what the accounting-only write path
+    /// records without summing anything.
+    zero_crc: u32,
     /// Devices marked failed; reads to them decode from survivors.
     failed: Vec<bool>,
     /// Deterministic fault schedule (empty by default).
@@ -131,7 +271,7 @@ pub struct InMemoryArray {
     /// Device id → (stripe → CRC32C recorded when the chunk was written).
     /// Survives device failure and rebuild: it defines what the chunk's
     /// contents *should* be, independent of the media holding them.
-    checksums: Vec<HashMap<u64, u32>>,
+    checksums: Vec<Vec<Option<u32>>>,
     /// (device, stripe) → op counter at injection, for detection latency.
     corruption_injected_at: HashMap<(usize, u64), u64>,
     /// Chunks reported unrecoverable. The verdict is sticky until the
@@ -176,10 +316,9 @@ impl InMemoryArray {
             stats: ArrayStats::new(cfg.num_devices),
             next_chunk_seq: 0,
             body_len,
-            devices: vec![HashMap::new(); cfg.num_devices],
-            parity_acc: Vec::with_capacity(cfg.parity_devices),
+            devices: (0..cfg.num_devices).map(|_| Slabs::new(body_len)).collect(),
             open_columns: 0,
-            zero_chunk: BytesMut::zeroed(body_len).freeze(),
+            zero_crc: crc::crc32c(&vec![0; body_len]),
             failed: vec![false; cfg.num_devices],
             plan,
             rebuild_targets: Vec::new(),
@@ -188,7 +327,7 @@ impl InMemoryArray {
             draining: None,
             drain_worklist: Vec::new(),
             drain_cursor: 0,
-            checksums: vec![HashMap::new(); cfg.num_devices],
+            checksums: vec![Vec::new(); cfg.num_devices],
             corruption_injected_at: HashMap::new(),
             known_bad: BTreeSet::new(),
             scrub_cursor: 0,
@@ -219,8 +358,8 @@ impl InMemoryArray {
     pub fn add_device(&mut self) -> usize {
         let id = self.devices.len();
         assert!(id < 256, "GF(256) limits the array to 256 devices");
-        self.devices.push(HashMap::new());
-        self.checksums.push(HashMap::new());
+        self.devices.push(Slabs::new(self.body_len));
+        self.checksums.push(Vec::new());
         self.failed.push(false);
         self.stats.devices.push(DeviceCounters::default());
         self.pending_devices += 1;
@@ -290,15 +429,25 @@ impl InMemoryArray {
         }
     }
 
-    /// Put freshly written `bytes` on (device, stripe): record their
-    /// checksum and clear whatever fault the old contents carried — a
-    /// rewrite refreshes the chunk's media.
-    fn store_chunk(&mut self, device: usize, stripe: u64, bytes: Bytes) {
+    /// A chunk with checksum `crc` was just written to (device, stripe):
+    /// record the checksum and clear whatever fault the old contents
+    /// carried — a rewrite refreshes the chunk's media.
+    fn note_write(&mut self, device: usize, stripe: u64, crc: u32) {
         self.plan.clear_latent(device, stripe);
-        self.checksums[device].insert(stripe, crc::crc32c(&bytes));
+        let sums = &mut self.checksums[device];
+        let s = stripe as usize;
+        if s >= sums.len() {
+            sums.resize(s + 1, None);
+        }
+        sums[s] = Some(crc);
         self.corruption_injected_at.remove(&(device, stripe));
         self.known_bad.remove(&(device, stripe));
-        self.devices[device].insert(stripe, bytes);
+    }
+
+    /// The CRC recorded for (device, stripe), if a chunk was written there.
+    fn checksum(&self, device: usize, stripe: u64) -> Option<u32> {
+        let sums = &self.checksums[device];
+        usize::try_from(stripe).ok().and_then(|s| sums.get(s).copied().flatten())
     }
 
     /// Write one chunk body; returns its location. `data.len()` must
@@ -306,8 +455,13 @@ impl InMemoryArray {
     /// responsible for zero-padding), or one byte on a [`Self::modelled`]
     /// store. `flush` carries the accounting breakdown of the same chunk.
     pub fn write_chunk_bytes(&mut self, data: Bytes, flush: ChunkFlush) -> ChunkLocation {
-        let cfg = self.cfg;
         assert_eq!(data.len(), self.body_len, "sub-chunk write reached the array");
+        self.append(Some(&data), flush)
+    }
+
+    /// Append one chunk: `body`, or a zero body for `None`.
+    fn append(&mut self, body: Option<&[u8]>, flush: ChunkFlush) -> ChunkLocation {
+        let cfg = self.cfg;
         assert_eq!(flush.total_bytes(), cfg.chunk_bytes, "flush accounting mismatch");
 
         self.record_op();
@@ -320,23 +474,39 @@ impl InMemoryArray {
             (ep.layout.locate_at(stripe, (local % k as u64) as usize), k)
         };
         self.next_chunk_seq += 1;
-        self.store_chunk(loc.device, loc.stripe, data.clone());
+        let media = &mut self.devices[loc.device];
+        match body {
+            Some(body) => media.put(loc.stripe, body),
+            None => media.seed(loc.stripe),
+        }
+        let crc = media.seal(loc.stripe, self.zero_crc);
+        self.note_write(loc.device, loc.stripe, crc);
         self.stats.charge_data_chunk(loc.device, &flush);
 
+        let ep = &self.epochs[ei];
+        let parity = |j| ep.layout.parity_device_j(loc.stripe, j);
         if self.open_columns == 0 {
-            // Zero-seed the m accumulators; row 0 of the code is all ones,
+            // Zero-seed the m parity slots; row 0 of the code is all ones,
             // so for m = 1 this is exactly the historical parity seed copy.
-            let rows = 0..cfg.parity_devices;
-            self.parity_acc.extend(rows.map(|_| BytesMut::zeroed(self.body_len)));
+            for j in 0..cfg.parity_devices {
+                self.devices[parity(j)].seed(loc.stripe);
+            }
             self.stats.copy_bytes += (cfg.parity_devices * self.body_len) as u64;
         }
-        self.epochs[ei].code.accumulate(&mut self.parity_acc, loc.column, &data);
+        // Fold the column into every parity slot; a zero body adds nothing.
+        if let Some(body) = body {
+            for j in 0..cfg.parity_devices {
+                let acc = self.devices[parity(j)].slot_mut(loc.stripe, Slot::Stale);
+                gf_mul_into(acc, body, ep.code.coeff(j, loc.column));
+            }
+        }
         self.open_columns += 1;
         if self.open_columns == k {
-            let layout = self.epochs[ei].layout;
-            while let Some(acc) = self.parity_acc.pop() {
-                let pdev = layout.parity_device_j(loc.stripe, self.parity_acc.len());
-                self.store_chunk(pdev, loc.stripe, acc.freeze());
+            let layout = ep.layout;
+            for j in 0..cfg.parity_devices {
+                let pdev = layout.parity_device_j(loc.stripe, j);
+                let crc = self.devices[pdev].seal(loc.stripe, self.zero_crc);
+                self.note_write(pdev, loc.stripe, crc);
             }
             self.stats.charge_stripe_parity(layout.parity_devices(loc.stripe), cfg.chunk_bytes);
             self.open_columns = 0;
@@ -354,7 +524,7 @@ impl InMemoryArray {
     fn lost(&self, device: usize, stripe: u64) -> bool {
         self.failed[device]
             && !(self.rebuild_targets.contains(&device)
-                && self.devices[device].contains_key(&stripe))
+                && self.devices[device].get(stripe).is_some())
     }
 
     /// Does (device, stripe) currently count as an erasure against the
@@ -375,14 +545,14 @@ impl InMemoryArray {
             return None;
         }
         if !self.lost(loc.device, loc.stripe) {
-            return self.devices[loc.device].get(&loc.stripe).cloned();
+            return self.devices[loc.device].get(loc.stripe).map(Bytes::copy_from_slice);
         }
         // Degraded read: decode from the stripe's surviving members.
         let survivors: Vec<(usize, &[u8])> = (0..n)
             .filter(|&dev| !self.lost(dev, loc.stripe))
             .filter_map(|dev| {
-                let b = self.devices[dev].get(&loc.stripe)?;
-                Some((ep.layout.shard_of(loc.stripe, dev), b.as_ref()))
+                let b = self.devices[dev].get(loc.stripe)?;
+                Some((ep.layout.shard_of(loc.stripe, dev), b))
             })
             .collect();
         if survivors.len() < ep.layout.config().data_columns() {
@@ -414,18 +584,16 @@ impl InMemoryArray {
             return Err(ArrayError::ChecksumMismatch { loc });
         }
         if !self.erased(loc.device, loc.stripe) {
-            let bytes = self.devices[loc.device]
-                .get(&loc.stripe)
-                .cloned()
-                .ok_or(ArrayError::MissingChunk { loc })?;
-            if self.verifies(loc.device, loc.stripe, &bytes) {
-                return Ok((bytes, ReadMode::Normal));
+            let body =
+                self.devices[loc.device].get(loc.stripe).ok_or(ArrayError::MissingChunk { loc })?;
+            if self.verifies(loc.device, loc.stripe, body) {
+                return Ok((Bytes::copy_from_slice(body), ReadMode::Normal));
             }
             // Checksum mismatch: parity-guided repair from survivors.
             self.note_detection(loc.device, loc.stripe);
             return match self.try_repair(loc.device, loc.stripe) {
                 Some((healed, _survivors)) => {
-                    self.heal(loc.device, loc.stripe, healed.clone());
+                    self.heal(loc.device, loc.stripe, &healed);
                     Ok((healed, ReadMode::Healed))
                 }
                 None => Err(self.condemn(loc)),
@@ -436,15 +604,15 @@ impl InMemoryArray {
         // would silently produce garbage.
         let member = |device| ChunkLocation { stripe: loc.stripe, device, column: 0 };
         let (mut erased, mut missing, mut condemned) = (0, false, None);
-        let mut held: Vec<(usize, Bytes)> = Vec::with_capacity(n - 1);
+        let mut members: Vec<(usize, &[u8])> = Vec::with_capacity(n - 1);
         for dev in 0..n {
             if self.erased(dev, loc.stripe) {
                 erased += 1;
             } else if self.known_bad.contains(&(dev, loc.stripe)) {
                 condemned = condemned.or(Some(dev));
             } else {
-                match self.devices[dev].get(&loc.stripe) {
-                    Some(b) => held.push((dev, b.clone())),
+                match self.devices[dev].get(loc.stripe) {
+                    Some(b) => members.push((dev, b)),
                     None => missing = true,
                 }
             }
@@ -455,8 +623,8 @@ impl InMemoryArray {
         if missing {
             return Err(ArrayError::Unreconstructable { loc }); // stripe never closed
         }
-        let members: Vec<(usize, &[u8])> = held.iter().map(|(d, b)| (*d, b.as_ref())).collect();
-        let decoded = self.decode_verified(loc.stripe, &members, loc.device);
+        let mut out = BytesMut::zeroed(self.body_len);
+        let decoded = self.decode_verified(loc.stripe, &members, loc.device, &mut out);
         if members.len() - decoded.corrupt.len() < k {
             // Honest repair is impossible: a silent corruption has eaten
             // into the erasure budget. Fatal, as under RAID-5; the bad
@@ -471,43 +639,50 @@ impl InMemoryArray {
             });
         }
         // With spare redundancy (m ≥ 2) a corrupt member alongside the
-        // erasure can still be healed from the honest shards.
+        // erasure can still be healed from the honest shards. Every heal
+        // is decoded before any is written back: each decodes from the
+        // honest members, which no heal rewrites.
         let honest: Vec<(usize, &[u8])> =
             members.iter().filter(|(d, _)| !decoded.corrupt.contains(d)).copied().collect();
-        for &dev in &decoded.corrupt {
-            let healed = self.decode_verified(loc.stripe, &honest, dev).verified();
+        let heals: Vec<Option<Bytes>> =
+            decoded.corrupt.iter().map(|&dev| self.repaired(loc.stripe, &honest, dev)).collect();
+        for (&dev, healed) in decoded.corrupt.iter().zip(heals) {
             self.note_detection(dev, loc.stripe);
             match healed {
-                Some(healed) => self.heal(dev, loc.stripe, healed),
+                Some(healed) => self.heal(dev, loc.stripe, &healed),
                 None => return Err(self.condemn(member(dev))),
             }
         }
-        let (bytes, verified) = decoded.chunk.ok_or(ArrayError::Unreconstructable { loc })?;
-        if !verified {
+        if !decoded.verified.ok_or(ArrayError::Unreconstructable { loc })? {
             self.note_detection(loc.device, loc.stripe);
             return Err(self.condemn(loc));
         }
         self.stats.degraded_reads += 1;
         self.stats.reconstructed_bytes += k as u64 * self.cfg.chunk_bytes;
-        Ok((bytes, ReadMode::Reconstructed))
+        Ok((out.freeze(), ReadMode::Reconstructed))
     }
 
-    /// Decode the chunk `target` holds in `stripe` from the first `k` of
-    /// `members` (`(device, chunk)` pairs of the stripe, in device order),
-    /// checking every member against its stored CRC in the same pass. Only
-    /// when a member inside the decode set fails is the chunk decoded a
-    /// second time, from the first `k` honest members.
-    fn decode_verified(&self, stripe: u64, members: &[(usize, &[u8])], target: usize) -> Decoded {
+    /// Decode the chunk `target` holds in `stripe` into `out` from the
+    /// first `k` of `members` (`(device, chunk)` pairs of the stripe, in
+    /// device order), checking every member against its stored CRC in the
+    /// same pass. Only when a member inside the decode set fails is the
+    /// chunk decoded a second time, from the first `k` honest members.
+    fn decode_verified(
+        &self,
+        stripe: u64,
+        members: &[(usize, &[u8])],
+        target: usize,
+        out: &mut [u8],
+    ) -> Decoded {
         let ep = self.epoch_for_stripe(stripe);
         let k = ep.layout.config().data_columns();
         let shard = ep.layout.shard_of(stripe, target);
         let shards: Vec<(usize, &[u8])> =
             members.iter().map(|&(d, b)| (ep.layout.shard_of(stripe, d), b)).collect();
-        let mut out = BytesMut::zeroed(members.first().map_or(0, |(_, b)| b.len()));
-        let Ok((crcs, out_crc)) = ep.code.recover_checked_into(&shards, shard, &mut out) else {
+        let Ok((crcs, out_crc)) = ep.code.recover_checked_into(&shards, shard, out) else {
             // Nothing to decode from: the members are checked alone.
             let corrupt = members.iter().filter(|&&(d, b)| !self.verifies(d, stripe, b));
-            return Decoded { corrupt: corrupt.map(|&(d, _)| d).collect(), chunk: None };
+            return Decoded { corrupt: corrupt.map(|&(d, _)| d).collect(), verified: None };
         };
         let corrupt: Vec<usize> = members
             .iter()
@@ -524,12 +699,19 @@ impl InMemoryArray {
                 .map(|(&s, _)| s)
                 .collect();
             out_crc = (good.len() >= k)
-                .then(|| ep.code.recover_checked_into(&good[..k], shard, &mut out).ok())
+                .then(|| ep.code.recover_checked_into(&good[..k], shard, out).ok())
                 .flatten()
                 .map(|(_, c)| c);
         }
-        let chunk = out_crc.map(|c| (out.freeze(), self.sums_to(target, stripe, c)));
-        Decoded { corrupt, chunk }
+        Decoded { corrupt, verified: out_crc.map(|c| self.sums_to(target, stripe, c)) }
+    }
+
+    /// [`Self::decode_verified`] into a fresh buffer: the chunk, if it
+    /// matches the target's stored CRC.
+    fn repaired(&self, stripe: u64, members: &[(usize, &[u8])], target: usize) -> Option<Bytes> {
+        let mut out = BytesMut::zeroed(self.body_len);
+        let decoded = self.decode_verified(stripe, members, target, &mut out);
+        (decoded.verified == Some(true)).then(|| out.freeze())
     }
 
     /// Does `bytes` match the CRC recorded for (device, stripe)?
@@ -540,7 +722,7 @@ impl InMemoryArray {
     /// Is `crc` the CRC recorded for (device, stripe)? Chunks written
     /// before checksumming existed (none in practice) pass.
     fn sums_to(&self, device: usize, stripe: u64, crc: u32) -> bool {
-        self.checksums[device].get(&stripe).is_none_or(|&sum| sum == crc)
+        self.checksum(device, stripe).is_none_or(|sum| sum == crc)
     }
 
     /// Account one detection: bump the counter and, if the corruption was
@@ -553,8 +735,8 @@ impl InMemoryArray {
     }
 
     /// Rewrite a corrupt chunk in place with its repaired contents.
-    fn heal(&mut self, device: usize, stripe: u64, healed: Bytes) {
-        self.devices[device].insert(stripe, healed);
+    fn heal(&mut self, device: usize, stripe: u64, healed: &[u8]) {
+        self.devices[device].put(stripe, healed);
         self.known_bad.remove(&(device, stripe));
         self.stats.corruptions_healed += 1;
         self.stats.heal_write_bytes += self.cfg.chunk_bytes;
@@ -574,13 +756,13 @@ impl InMemoryArray {
     /// Returns the verified bytes and the number of shards read, or
     /// `None` when fewer than `k` honest members remain.
     fn try_repair(&self, device: usize, stripe: u64) -> Option<(Bytes, usize)> {
-        self.checksums[device].get(&stripe)?;
+        self.checksum(device, stripe)?;
         let ep = self.epoch_for_stripe(stripe);
         let members: Vec<(usize, &[u8])> = (0..ep.layout.config().num_devices)
             .filter(|&dev| dev != device && !self.erased(dev, stripe))
-            .filter_map(|dev| Some((dev, self.devices[dev].get(&stripe)?.as_ref())))
+            .filter_map(|dev| Some((dev, self.devices[dev].get(stripe)?)))
             .collect();
-        let out = self.decode_verified(stripe, &members, device).verified()?;
+        let out = self.repaired(stripe, &members, device)?;
         Some((out, ep.layout.config().data_columns()))
     }
 
@@ -591,18 +773,15 @@ impl InMemoryArray {
     /// (a second flip would restore the bytes).
     pub fn inject_corruption(&mut self, device: usize, stripe: u64) -> bool {
         let key = (device, stripe);
-        let Some(bytes) = self.devices.get(device).and_then(|chunks| chunks.get(&stripe)) else {
-            return false;
-        };
-        if self.corruption_injected_at.contains_key(&key) || self.known_bad.contains(&key) {
+        let held = self.devices.get(device).is_some_and(|m| m.get(stripe).is_some());
+        if !held || self.corruption_injected_at.contains_key(&key) || self.known_bad.contains(&key)
+        {
             return false;
         }
-        let mut v = BytesMut::zeroed(bytes.len());
-        v.copy_from_slice(bytes);
-        let mid = v.len() / 2;
-        v[0] ^= 0xA5;
-        v[mid] ^= 0x5A;
-        self.devices[device].insert(stripe, v.freeze());
+        let body = self.devices[device].slot_mut(stripe, Slot::Held);
+        let mid = body.len() / 2;
+        body[0] ^= 0xA5;
+        body[mid] ^= 0x5A;
         self.corruption_injected_at.insert(key, self.plan.ops());
         true
     }
@@ -695,8 +874,9 @@ impl InMemoryArray {
             self.mark_failed(d);
             // The spare starts empty, but for what the array still holds in
             // its stripe buffer: the chunks of the stripe being filled, which
-            // no parity covers yet. They go onto the spare as they are.
-            self.devices[d].retain(|&stripe, _| stripe >= closed);
+            // no parity covers yet. They go onto the spare as they are. The
+            // dead media's slabs stay: the sweep restores into them.
+            self.devices[d].forget_below(closed);
         }
         self.rebuild_targets = targets;
         self.rebuild_stripes = stripes;
@@ -734,28 +914,38 @@ impl InMemoryArray {
         if spares.is_empty() {
             return;
         }
-        let held: Vec<(usize, Bytes)> = (0..n)
+        // Each spare's media leaves the array while its chunk is decoded
+        // straight into its slot from the survivors, borrowed in place; a
+        // spare holds nothing of the stripe, so none of them is a member.
+        let mut media: Vec<Slabs> =
+            spares.iter().map(|&d| std::mem::take(&mut self.devices[d])).collect();
+        let mut members: Vec<(usize, &[u8])> = (0..n)
             .filter(|&dev| !self.lost(dev, stripe))
-            .filter_map(|dev| Some((dev, self.devices[dev].get(&stripe)?.clone())))
+            .filter_map(|dev| Some((dev, self.devices[dev].get(stripe)?)))
             .collect();
-        let chunk_bytes = self.cfg.chunk_bytes;
-        self.stats.rebuild_read_bytes += held.len() as u64 * chunk_bytes;
-        let mut members: Vec<(usize, &[u8])> = held.iter().map(|(d, b)| (*d, b.as_ref())).collect();
-        for device in spares {
-            let decoded = self.decode_verified(stripe, &members, device);
+        let read = members.len() as u64;
+        let mut rebuilt = Vec::with_capacity(spares.len());
+        for (&device, spare) in spares.iter().zip(&mut media) {
+            let out = spare.slot_mut(stripe, Slot::Stale);
+            let decoded = self.decode_verified(stripe, &members, device, out);
             // Later spares decode from the members already found honest.
             members.retain(|(d, _)| !decoded.corrupt.contains(d));
-            let rebuilt = decoded.verified();
-            let Some(rebuilt) = rebuilt else {
-                // A silently corrupt member poisoned the decode; writing it
+            rebuilt.push(decoded.verified == Some(true));
+        }
+        let chunk_bytes = self.cfg.chunk_bytes;
+        self.stats.rebuild_read_bytes += read * chunk_bytes;
+        for ((device, spare), rebuilt) in spares.into_iter().zip(media).zip(rebuilt) {
+            self.devices[device] = spare;
+            if !rebuilt {
+                // A silently corrupt member poisoned the decode; holding it
                 // would launder bad data into a "fresh" spare.
                 self.note_detection(device, stripe);
                 self.condemn(ChunkLocation { stripe, device, column: 0 });
                 continue;
-            };
+            }
             // The dead media took its latent sector, its corruption and
             // any verdict on it along.
-            self.devices[device].insert(stripe, rebuilt);
+            self.devices[device].slot_mut(stripe, Slot::Held);
             self.plan.clear_latent(device, stripe);
             self.corruption_injected_at.remove(&(device, stripe));
             self.known_bad.remove(&(device, stripe));
@@ -794,10 +984,8 @@ impl InMemoryArray {
         assert!(device < self.devices.len(), "no such device");
         assert!(!self.failed[device], "cannot drain a failed device");
         assert!(self.draining.is_none(), "one drain at a time");
-        let mut stripes: Vec<u64> = self.devices[device].keys().copied().collect();
-        stripes.sort_unstable();
         self.draining = Some(device);
-        self.drain_worklist = stripes;
+        self.drain_worklist = self.devices[device].stripes().collect();
         self.drain_cursor = 0;
         self.drain_progress()
     }
@@ -819,7 +1007,7 @@ impl InMemoryArray {
             let latent = self.plan.is_latent(device, stripe);
             let clean = !latent
                 && self.devices[device]
-                    .get(&stripe)
+                    .get(stripe)
                     .is_some_and(|b| self.verifies(device, stripe, b));
             if !clean && !self.known_bad.contains(&(device, stripe)) {
                 let repaired = self.try_repair(device, stripe);
@@ -831,11 +1019,11 @@ impl InMemoryArray {
                         self.stats.drain_read_bytes += shards_read as u64 * chunk_bytes;
                         if latent {
                             // Unreadable, not corrupt: a scrub-style repair.
-                            self.devices[device].insert(stripe, healed);
+                            self.devices[device].put(stripe, &healed);
                             self.stats.scrub_latent_repaired += 1;
                             self.stats.heal_write_bytes += chunk_bytes;
                         } else {
-                            self.heal(device, stripe, healed);
+                            self.heal(device, stripe, &healed);
                         }
                     }
                     None => {
@@ -897,14 +1085,14 @@ impl InMemoryArray {
                 if self.failed[device] || self.known_bad.contains(&(device, stripe)) {
                     continue;
                 }
-                let Some(bytes) = self.devices[device].get(&stripe) else {
+                let Some(bytes) = self.devices[device].get(stripe) else {
                     continue;
                 };
                 if self.plan.is_latent(device, stripe) {
                     // Unreadable media with intact redundancy: rewrite the
                     // chunk from survivors while we still can.
                     if let Some((rebuilt, n)) = self.try_repair(device, stripe) {
-                        self.devices[device].insert(stripe, rebuilt);
+                        self.devices[device].put(stripe, &rebuilt);
                         self.plan.clear_latent(device, stripe);
                         step.latent_repaired += 1;
                         step.read_bytes += n as u64 * chunk_bytes;
@@ -923,7 +1111,7 @@ impl InMemoryArray {
                 }
                 match self.try_repair(device, stripe) {
                     Some((rebuilt, n)) => {
-                        self.devices[device].insert(stripe, rebuilt);
+                        self.devices[device].put(stripe, &rebuilt);
                         step.healed += 1;
                         step.read_bytes += n as u64 * chunk_bytes;
                         step.heal_write_bytes += chunk_bytes;
@@ -953,19 +1141,19 @@ impl InMemoryArray {
 
 impl ArraySink for InMemoryArray {
     fn write_chunk(&mut self, flush: ChunkFlush) -> ChunkLocation {
-        // Accounting-only path: every chunk body is the shared zero chunk.
-        // The prototype uses `write_chunk_bytes` with real payloads instead.
-        let body = self.zero_chunk.clone();
-        self.write_chunk_bytes(body, flush)
+        // Accounting-only path: every chunk body is zero, which a slot
+        // never written is already, and its CRC is known. The prototype
+        // uses `write_chunk_payload` with real payloads instead.
+        self.append(None, flush)
     }
 
     fn write_chunk_payload(&mut self, flush: ChunkFlush, payload: &[u8]) -> ChunkLocation {
         // The ownership boundary: stored chunks must outlive the caller's
         // buffer, so what the store keeps of the borrowed payload is
-        // copied exactly once, here.
+        // copied exactly once, here, into its slot.
         assert_eq!(payload.len() as u64, self.cfg.chunk_bytes, "sub-chunk write reached the array");
         self.stats.copy_bytes += self.body_len as u64;
-        self.write_chunk_bytes(Bytes::copy_from_slice(&payload[..self.body_len]), flush)
+        self.append(Some(&payload[..self.body_len]), flush)
     }
 
     fn config(&self) -> &ArrayConfig {
@@ -1040,6 +1228,12 @@ mod tests {
         seeds.map(|seed| a.write_chunk_bytes(kept(a, seed), flush_full())).collect()
     }
 
+    /// What `device`'s media holds of every stripe written so far.
+    fn held(a: &InMemoryArray, device: usize) -> Vec<Option<Vec<u8>>> {
+        let stripes = a.stats().stripes_completed + 1;
+        (0..stripes).map(|s| a.devices[device].get(s).map(<[u8]>::to_vec)).collect()
+    }
+
     /// `locs[i]` holds `body(first_seed + i)` on the media.
     fn assert_contents(a: &InMemoryArray, locs: &[ChunkLocation], first_seed: u8) {
         for (i, loc) in locs.iter().enumerate() {
@@ -1055,9 +1249,8 @@ mod tests {
             a.write_chunk_bytes(b.clone(), flush_full());
         }
         let pdev = a.epochs[0].layout.parity_device(0);
-        let stored = a.devices[pdev][&0].clone();
         let refs: Vec<&[u8]> = bodies.iter().map(|b| b.as_ref()).collect();
-        assert_eq!(stored.as_ref(), parity::compute_parity(&refs).as_slice());
+        assert_eq!(a.devices[pdev].get(0).unwrap(), parity::compute_parity(&refs).as_slice());
     }
 
     #[test]
@@ -1072,7 +1265,7 @@ mod tests {
         let layout = a.epochs[0].layout;
         for (j, expect) in parity.iter().enumerate() {
             let pdev = layout.parity_device_j(0, j);
-            assert_eq!(a.devices[pdev][&0].as_ref(), expect.as_slice(), "parity row {j}");
+            assert_eq!(a.devices[pdev].get(0).unwrap(), expect.as_slice(), "parity row {j}");
         }
     }
 
@@ -1398,7 +1591,7 @@ mod tests {
             let loc = ChunkLocation { stripe: 0, device: (pdev + 1) % 4, column: 0 };
             a.fail_device(loc.device);
             let got = a.read_chunk(loc).unwrap();
-            assert_eq!(crc::crc32c(&got), a.checksums[loc.device][&0]);
+            assert_eq!(Some(crc::crc32c(&got)), a.checksum(loc.device, 0));
         }
     }
 
@@ -1451,7 +1644,7 @@ mod tests {
             }
             let (bytes, mode) = a.try_read_chunk(*victim).unwrap();
             assert_eq!(mode, ReadMode::Healed);
-            assert_eq!(crc::crc32c(&bytes), a.checksums[victim.device][&victim.stripe]);
+            assert_eq!(Some(crc::crc32c(&bytes)), a.checksum(victim.device, victim.stripe));
             // Injected at op 3, detected at op 6 (3 writes + 3 reads).
             assert_eq!(a.stats().detection_latency_ops, 3);
             assert_eq!(a.stats().mean_detection_latency_ops(), 3.0);
@@ -1677,14 +1870,14 @@ mod tests {
         for mut a in both(raid6(), FaultPlan::new(0)) {
             fill(&mut a, 0..12);
             let victim = 7;
-            let before = a.devices[victim].clone();
+            let before = held(&a, victim);
             // Device 0 is the first member of every stripe, so the first
             // decode of stripe 0 reads the corrupt chunk and a second one,
             // from the first k honest members, restores the spare.
             assert!(a.inject_corruption(0, 0));
             a.fail_device(victim);
             assert_eq!(a.rebuild_device(victim), Some(2));
-            assert_eq!(a.devices[victim], before, "every chunk restored byte for byte");
+            assert_eq!(held(&a, victim), before, "every chunk restored byte for byte");
             assert_eq!(a.stats().corruptions_unrecoverable, 0);
             assert!(a.known_bad.is_empty(), "nothing condemned");
             // A rebuild drops a corrupt survivor from the decode without
@@ -1698,7 +1891,8 @@ mod tests {
     fn raid6_scrub_repairs_a_latent_chunk_past_a_corrupt_member() {
         for mut a in both(raid6(), FaultPlan::new(0)) {
             fill(&mut a, 0..12);
-            let before: Vec<Bytes> = (0..8).map(|d| a.devices[d][&0].clone()).collect();
+            let before: Vec<Vec<u8>> =
+                (0..8).map(|d| a.devices[d].get(0).unwrap().to_vec()).collect();
             // The scrub reaches device 0 first: its repair decodes from
             // devices 1.., and device 1 is corrupt.
             a.plan_mut().add_latent_sector(0, 0);
@@ -1708,7 +1902,8 @@ mod tests {
             assert_eq!((step.detected, step.healed, step.unrecoverable), (1, 1, 0));
             assert_eq!(a.plan().latent_count(), 0);
             assert_eq!(a.outstanding_corruptions(), 0);
-            let after: Vec<Bytes> = (0..8).map(|d| a.devices[d][&0].clone()).collect();
+            let after: Vec<Vec<u8>> =
+                (0..8).map(|d| a.devices[d].get(0).unwrap().to_vec()).collect();
             assert_eq!(after, before, "stripe 0 restored byte for byte");
         }
     }
@@ -1820,6 +2015,103 @@ mod tests {
             a.rebuild_step(usize::MAX).unwrap();
             assert_eq!(a.disk_states()[3], DiskState::Healthy);
         }
+    }
+
+    #[test]
+    fn a_forgotten_slot_is_never_served_stale() {
+        for mut a in raid5_stores() {
+            // 40 stripes: the victim's slots span two slabs.
+            let locs = fill(&mut a, 0..120);
+            let victim = 1;
+            // The dead media's copies differ from the chunks they held.
+            let on_victim: Vec<(u8, ChunkLocation)> =
+                (0..120).zip(locs).filter(|(_, l)| l.device == victim).collect();
+            for (_, loc) in &on_victim {
+                assert!(a.inject_corruption(victim, loc.stripe));
+            }
+            a.fail_device(victim);
+            a.start_rebuild(victim).unwrap();
+            a.rebuild_step(1).unwrap();
+            let reached = a.rebuild_stripes[0];
+            for &(seed, loc) in on_victim.iter().filter(|(_, l)| l.stripe != reached) {
+                assert_eq!(a.read_chunk(loc).unwrap(), kept(&a, seed), "{loc:?}");
+                assert_eq!(
+                    a.try_read_chunk(loc).unwrap(),
+                    (kept(&a, seed), ReadMode::Reconstructed)
+                );
+            }
+            while !a.rebuild_step(8).unwrap().complete {}
+            let more = fill(&mut a, 120..123);
+            assert_contents(&a, &more, 120);
+        }
+    }
+
+    #[test]
+    fn zero_bodies_read_back_as_zeros_with_the_zero_crc() {
+        for mut a in raid5_stores() {
+            fill(&mut a, 0..120);
+            let victim = 0;
+            a.fail_device(victim);
+            a.start_rebuild(victim).unwrap();
+            // The accounting path lands in fresh slots, on the spare too.
+            let zeros = Bytes::from(vec![0; a.body_len]);
+            let locs: Vec<ChunkLocation> = (0..6).map(|_| a.write_chunk(flush_full())).collect();
+            for loc in locs {
+                assert_eq!(a.read_chunk(loc).unwrap(), zeros);
+                assert_eq!(a.checksum(loc.device, loc.stripe), Some(crc::crc32c(&zeros)));
+            }
+            // A zero body stored into a slot the spare forgot, as the
+            // accounting path stores it, is zeroed: the dead media's bytes
+            // are still there.
+            let zero_crc = a.zero_crc;
+            let media = &mut a.devices[victim];
+            let forgotten: Vec<u64> = (0..40).filter(|&s| media.state(s) == Slot::Stale).collect();
+            assert_eq!(forgotten.len(), 40);
+            for stripe in forgotten {
+                media.seed(stripe);
+                assert_eq!(media.seal(stripe, zero_crc), crc::crc32c(&zeros), "stripe {stripe}");
+                assert_eq!(media.get(stripe).unwrap(), &zeros[..], "stripe {stripe}");
+            }
+        }
+    }
+
+    #[test]
+    fn heap_slabs_round_trip_writes_degraded_reads_and_rebuild() {
+        // 16 KiB chunks make 512 KiB slabs, under a huge page: heap memory.
+        let mut a = InMemoryArray::new(ArrayConfig::with_parity(6, 2, 16384));
+        let payload = |i: usize| -> Vec<u8> {
+            (0..16384).map(|j| (i * 31 + j / 7) as u8 ^ j as u8).collect()
+        };
+        let flush = ChunkFlush { user_bytes: 16384, ..flush_full() };
+        let locs: Vec<ChunkLocation> =
+            (0..160).map(|i| a.write_chunk_payload(flush, &payload(i))).collect();
+        let slabs = || a.devices.iter().flat_map(|m| m.slabs.iter().flatten());
+        assert!(slabs().all(|s| matches!(s, Slab::Heap(_))));
+        assert_eq!(slabs().count(), 6 * 2, "40 stripes: two slabs per device");
+        a.fail_device(1);
+        a.fail_device(4);
+        for (i, &loc) in locs.iter().enumerate() {
+            let (bytes, _) = a.try_read_chunk(loc).unwrap();
+            assert_eq!(bytes, payload(i), "degraded read of chunk {i}");
+        }
+        assert!(a.stats().degraded_reads > 0);
+        a.start_rebuild_all().unwrap();
+        while !a.rebuild_step(7).unwrap().complete {}
+        for (i, &loc) in locs.iter().enumerate() {
+            assert_eq!(a.try_read_chunk(loc).unwrap(), (payload(i).into(), ReadMode::Normal));
+        }
+    }
+
+    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+    #[test]
+    fn full_chunk_slabs_are_mapped_and_made_on_first_write() {
+        let mut a = InMemoryArray::new(raid6());
+        assert!(a.devices.iter().all(|m| m.slabs.is_empty()), "nothing made before a write");
+        fill(&mut a, 0..1);
+        let made: Vec<&Slab> = a.devices.iter().flat_map(|m| m.slabs.iter().flatten()).collect();
+        // The data chunk's device and the two parity devices.
+        assert_eq!(made.len(), 3);
+        assert!(made.iter().all(|s| matches!(s, Slab::Mapped(_)) && s.bytes().len() == 2 << 20));
     }
 
     #[test]

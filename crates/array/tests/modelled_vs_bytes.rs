@@ -17,6 +17,9 @@ use adapt_array::{
 };
 
 const CHUNK: usize = 65536;
+/// The stripe whose close adds a device during a prefill: past the first
+/// 32-slot slab boundary.
+const WIDEN_AT: u64 = 40;
 
 struct Rng(u64);
 
@@ -60,10 +63,11 @@ fn served(read: Result<(bytes::Bytes, ReadMode), ArrayError>) -> Result<ReadMode
     read.map(|(_, mode)| mode)
 }
 
-/// Apply `steps` random operations to both stores, comparing as it goes.
-/// Returns what the stream exercised: reads served per [`ReadMode`], chunks
-/// rebuilt, chunks scrubbed, chunks drained.
-fn run(seed: u64, cfg: ArrayConfig, steps: usize) -> [u64; 6] {
+/// Write `prefill` chunks to both stores, adding a device when stripe
+/// `WIDEN_AT` closes, then apply `steps` random operations, comparing as it
+/// goes. Returns what the stream exercised: reads served per [`ReadMode`],
+/// chunks rebuilt, chunks scrubbed, chunks drained.
+fn run(seed: u64, cfg: ArrayConfig, prefill: usize, steps: usize) -> [u64; 6] {
     let mut rng = Rng(seed);
     let plan = FaultPlan::new(seed).with_transient_read_prob(0.02);
     let mut full = InMemoryArray::with_fault_plan(cfg, plan.clone());
@@ -71,6 +75,24 @@ fn run(seed: u64, cfg: ArrayConfig, steps: usize) -> [u64; 6] {
     let mut locs: Vec<ChunkLocation> = Vec::new();
     let mut payloads: Vec<Vec<u8>> = Vec::new();
     let mut reads_served = [0u64; 3];
+    for written in 0..prefill {
+        let (payload, flush) = (rng.payload(), flush(written));
+        let loc = full.write_chunk_payload(flush, &payload);
+        assert_eq!(model.write_chunk_payload(flush, &payload), loc, "seed {seed} chunk {written}");
+        locs.push(loc);
+        payloads.push(payload);
+        if full.stats().stripes_completed == WIDEN_AT
+            && full.config().num_devices == cfg.num_devices
+        {
+            assert_eq!(model.add_device(), full.add_device());
+        }
+        assert_eq!(
+            stats_but_copies(&model),
+            stats_but_copies(&full),
+            "seed {seed} chunk {written}"
+        );
+    }
+    assert!(prefill == 0 || full.stats().stripes_completed >= 100, "prefill too short");
     for step in 0..steps {
         let at = format!("seed {seed} step {step}");
         let devices = full.config().num_devices;
@@ -169,10 +191,10 @@ fn run(seed: u64, cfg: ArrayConfig, steps: usize) -> [u64; 6] {
 
 /// Run `seeds` and check that, between them, the streams were worth
 /// comparing: every way to serve a read and every sweep happened.
-fn run_seeds(seeds: std::ops::Range<u64>, cfg: ArrayConfig) {
+fn run_seeds(seeds: std::ops::Range<u64>, cfg: ArrayConfig, prefill: usize) {
     let mut exercised = [0u64; 6];
     for seed in seeds {
-        for (total, n) in exercised.iter_mut().zip(run(seed, cfg, 500)) {
+        for (total, n) in exercised.iter_mut().zip(run(seed, cfg, prefill, 500)) {
             *total += n;
         }
     }
@@ -181,10 +203,19 @@ fn run_seeds(seeds: std::ops::Range<u64>, cfg: ArrayConfig) {
 
 #[test]
 fn modelled_store_agrees_with_the_bytes_on_raid5() {
-    run_seeds(0..6, ArrayConfig::default());
+    run_seeds(0..6, ArrayConfig::default(), 0);
 }
 
 #[test]
 fn modelled_store_agrees_with_the_bytes_on_4_plus_2() {
-    run_seeds(100..106, ArrayConfig::with_parity(6, 2, CHUNK as u64));
+    run_seeds(100..106, ArrayConfig::with_parity(6, 2, CHUNK as u64), 0);
+}
+
+/// The stores keep each device's chunks in slabs of 32 stripe slots. A
+/// 360-chunk prefill on 3 data columns (4 once the device joins at stripe
+/// 40) closes 100 stripes, so slots, faults, sweeps and the geometry epoch
+/// change all cross slab boundaries.
+#[test]
+fn modelled_store_agrees_with_the_bytes_across_slab_boundaries() {
+    run_seeds(200..203, ArrayConfig::default(), 360);
 }

@@ -16,8 +16,6 @@
 //! Figures print their series as aligned text tables *and* write JSON so
 //! EXPERIMENTS.md can be assembled mechanically.
 
-#![forbid(unsafe_code)]
-
 pub mod figures;
 pub mod harness;
 pub mod perf;

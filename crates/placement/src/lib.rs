@@ -14,8 +14,6 @@
 //! All of them pad on SLA expiry (the engine default) — none performs
 //! cross-group aggregation; that is ADAPT's contribution (`adapt-core`).
 
-#![forbid(unsafe_code)]
-
 pub mod dac;
 pub mod lba_table;
 pub mod mida;

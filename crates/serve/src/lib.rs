@@ -51,8 +51,6 @@
 //! assert!(report.balanced());
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod api;
 mod board;
 pub mod qos;

@@ -12,8 +12,6 @@
 //! sweep results are bit-identical at any `--jobs` count (see [`runner`]'s
 //! determinism contract).
 
-#![forbid(unsafe_code)]
-
 pub mod compare;
 pub mod consolidate;
 pub mod crash;
