@@ -1,6 +1,7 @@
 //! Per-device and array-wide traffic accounting.
 
 use crate::fault::ScrubStep;
+use crate::layout::{ChunkLocation, StripeLayout};
 use crate::sink::ChunkFlush;
 use serde::{Deserialize, Serialize};
 
@@ -72,15 +73,6 @@ pub struct ArrayStats {
     /// before they could pair with a device failure).
     #[serde(default)]
     pub scrub_latent_repaired: u64,
-    /// Bytes read off a draining device by the proactive evacuation sweep.
-    #[serde(default)]
-    pub drain_read_bytes: u64,
-    /// Bytes written to the replacement by the drain sweep.
-    #[serde(default)]
-    pub drain_write_bytes: u64,
-    /// Chunks copied off a draining device.
-    #[serde(default)]
-    pub drained_chunks: u64,
     /// Payload bytes memcpy'd between RAM buffers inside the array layer
     /// (parity-accumulator seeds, borrowed-slice ownership transfers) —
     /// *not* modeled device I/O. The zero-copy work (PR 7) exists to drive
@@ -123,6 +115,31 @@ impl ArrayStats {
             dev.chunk_writes += 1;
         }
         self.stripes_completed += 1;
+    }
+
+    /// Place chunk `seq` of the log and charge it: the one rule every sink
+    /// places by. Returns the chunk's location and whether it closed its
+    /// stripe (it is the stripe's last data column), in which case the
+    /// stripe's parity is charged too.
+    pub(crate) fn charge_append(
+        &mut self,
+        layout: &StripeLayout,
+        seq: u64,
+        flush: &ChunkFlush,
+    ) -> (ChunkLocation, bool) {
+        let cfg = layout.config();
+        debug_assert_eq!(
+            flush.total_bytes(),
+            cfg.chunk_bytes,
+            "array received a non-chunk-aligned write"
+        );
+        let loc = layout.locate(seq);
+        self.charge_data_chunk(loc.device, flush);
+        let closed = loc.column + 1 == cfg.data_columns();
+        if closed {
+            self.charge_stripe_parity(layout.parity_devices(loc.stripe), cfg.chunk_bytes);
+        }
+        (loc, closed)
     }
 
     /// Total payload bytes across devices.
@@ -205,9 +222,6 @@ impl ArrayStats {
             heal_write_bytes,
             detection_latency_ops,
             scrub_latent_repaired,
-            drain_read_bytes,
-            drain_write_bytes,
-            drained_chunks,
             copy_bytes,
         } = other;
         self.devices.extend_from_slice(devices);
@@ -227,9 +241,6 @@ impl ArrayStats {
         self.heal_write_bytes += heal_write_bytes;
         self.detection_latency_ops += detection_latency_ops;
         self.scrub_latent_repaired += scrub_latent_repaired;
-        self.drain_read_bytes += drain_read_bytes;
-        self.drain_write_bytes += drain_write_bytes;
-        self.drained_chunks += drained_chunks;
         self.copy_bytes += copy_bytes;
     }
 

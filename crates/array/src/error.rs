@@ -96,15 +96,6 @@ impl Retryable for ParityError {
     }
 }
 
-impl ArrayError {
-    /// Whether retrying the same operation (after a backoff) can succeed
-    /// without any state change. Alias for [`Retryable::is_retryable`],
-    /// kept for call sites predating the trait.
-    pub fn is_transient(&self) -> bool {
-        self.is_retryable()
-    }
-}
-
 impl fmt::Display for ArrayError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -197,10 +188,10 @@ mod tests {
     #[test]
     fn transient_classification() {
         let loc = ChunkLocation { stripe: 0, device: 0, column: 0 };
-        assert!(ArrayError::TransientRead { loc }.is_transient());
-        assert!(!ArrayError::DoubleFault { loc }.is_transient());
+        assert!(ArrayError::TransientRead { loc }.is_retryable());
+        assert!(!ArrayError::DoubleFault { loc }.is_retryable());
         assert!(
-            !ArrayError::ChecksumMismatch { loc }.is_transient(),
+            !ArrayError::ChecksumMismatch { loc }.is_retryable(),
             "retrying re-reads the same corrupted media"
         );
     }

@@ -1,13 +1,16 @@
 //! Deterministic fault injection for the array layer.
 //!
-//! A [`FaultPlan`] is a seedable schedule of device failures, transient
-//! read errors, and latent sector errors. It is consulted by the array
-//! implementations on every operation, so a given seed + schedule replays
-//! the exact same fault sequence — the property the recovery tests and the
-//! fault-scenario simulator rely on.
+//! A [`FaultPlan`] holds a seeded draw of transient read errors, the
+//! latent sector errors injected so far, and the operation clock that
+//! detection latency is measured on. The array consults it on every
+//! operation, so a given seed replays the exact same fault sequence — the
+//! property the recovery tests and the fault-scenario simulator rely on.
+//! Device failures and silent corruptions are injected on the array
+//! itself ([`crate::InMemoryArray::fail_device`],
+//! [`crate::InMemoryArray::inject_corruption`]).
 
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Health of the array as seen by the layer above.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -27,43 +30,6 @@ impl ArrayHealth {
             ArrayHealth::Healthy => None,
             ArrayHealth::Degraded { device } | ArrayHealth::Rebuilding { device } => Some(*device),
         }
-    }
-
-    /// Summarize a per-device state vector: `Rebuilding` wins over
-    /// `Degraded` wins over `Healthy`, reporting the first affected
-    /// device. (A draining device is still fully readable, so a drain by
-    /// itself leaves the array `Healthy`.)
-    pub fn from_disk_states(states: &[DiskState]) -> ArrayHealth {
-        if let Some(device) = states.iter().position(|s| *s == DiskState::Rebuilding) {
-            return ArrayHealth::Rebuilding { device };
-        }
-        if let Some(device) = states.iter().position(|s| *s == DiskState::Failed) {
-            return ArrayHealth::Degraded { device };
-        }
-        ArrayHealth::Healthy
-    }
-}
-
-/// Lifecycle state of one member device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DiskState {
-    /// Fully operational.
-    Healthy,
-    /// Operational, but being proactively evacuated onto a replacement
-    /// (planned removal): reads are served directly, and a paced copy
-    /// sweep moves its chunks without spending redundancy.
-    Draining,
-    /// Failed: reads to it require erasure-decode from stripe survivors.
-    Failed,
-    /// A spare is being rebuilt for this (failed) device.
-    Rebuilding,
-}
-
-impl DiskState {
-    /// Whether the device's chunks must currently be served by
-    /// reconstruction (it counts as an erasure against the code's `m`).
-    pub fn is_erased(&self) -> bool {
-        matches!(self, DiskState::Failed | DiskState::Rebuilding)
     }
 }
 
@@ -168,28 +134,20 @@ impl ScrubStep {
     }
 }
 
-/// Deterministic, seedable fault schedule.
+/// Deterministic, seedable fault state.
 ///
 /// Operations are counted by the array (`record_op` on every chunk write
-/// and read); schedules are expressed against that counter so the same
-/// plan replayed over the same workload injects the same faults.
+/// and read); the transient-error draw is seeded, so the same plan
+/// replayed over the same workload raises the same errors.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// RNG seed for the transient-error draw.
     seed: u64,
-    /// Device → operation index at which it fails permanently.
-    fail_at_op: BTreeMap<usize, u64>,
     /// Probability in [0, 1] that any single chunk read raises a
     /// transient error (retry succeeds).
     transient_read_prob: f64,
     /// (device, stripe) pairs whose media is unreadable until rewritten.
     latent_sectors: BTreeSet<(usize, u64)>,
-    /// Scheduled silent corruptions: (op, device, stripe) — the chunk at
-    /// (device, stripe) silently flips bits once `op` operations have
-    /// been observed. Unlike latent sectors, the device still serves the
-    /// chunk; only a checksum can tell.
-    #[serde(default)]
-    corrupt_at_op: Vec<(u64, usize, u64)>,
     /// Operations observed so far.
     ops: u64,
     /// Deterministic RNG state (derived from `seed`).
@@ -202,23 +160,6 @@ impl FaultPlan {
         Self { seed, rng_state: seed ^ 0x9e3779b97f4a7c15, ..Default::default() }
     }
 
-    /// Schedule `device` to fail permanently once `op` operations have
-    /// been observed.
-    pub fn fail_device_at(mut self, device: usize, op: u64) -> Self {
-        self.fail_at_op.insert(device, op);
-        self
-    }
-
-    /// Schedule a correlated failure: every device in `devices` fails at
-    /// the same operation (shared power rail, firmware bug, one shelf).
-    /// [`Self::record_op`] reports them together in a single call.
-    pub fn fail_devices_at(mut self, devices: &[usize], op: u64) -> Self {
-        for &d in devices {
-            self.fail_at_op.insert(d, op);
-        }
-        self
-    }
-
     /// Make every chunk read raise a transient error with probability `p`.
     pub fn with_transient_read_prob(mut self, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "probability out of range");
@@ -226,45 +167,11 @@ impl FaultPlan {
         self
     }
 
-    /// Mark (device, stripe) as a latent sector error: direct reads of
-    /// that chunk fail until it is rewritten (e.g. by a rebuild).
-    pub fn with_latent_sector(mut self, device: usize, stripe: u64) -> Self {
-        self.add_latent_sector(device, stripe);
-        self
-    }
-
-    /// Inject a latent sector error on an existing plan (media degrades
-    /// after the data was written).
+    /// Mark (device, stripe) as a latent sector error (media degrades
+    /// after the data was written): direct reads of that chunk fail until
+    /// it is rewritten (e.g. by a rebuild).
     pub fn add_latent_sector(&mut self, device: usize, stripe: u64) {
         self.latent_sectors.insert((device, stripe));
-    }
-
-    /// Schedule a silent corruption of the chunk at (device, stripe)
-    /// once `op` operations have been observed.
-    pub fn with_corruption_at(mut self, op: u64, device: usize, stripe: u64) -> Self {
-        self.corrupt_at_op.push((op, device, stripe));
-        self
-    }
-
-    /// Drain corruption events whose scheduled op has been reached.
-    /// Arrays call this right after [`Self::record_op`] and flip bytes in
-    /// (or mark as corrupted) each returned (device, stripe).
-    pub fn take_due_corruptions(&mut self) -> Vec<(usize, u64)> {
-        let mut due = Vec::new();
-        self.corrupt_at_op.retain(|&(op, device, stripe)| {
-            if op <= self.ops {
-                due.push((device, stripe));
-                false
-            } else {
-                true
-            }
-        });
-        due
-    }
-
-    /// Corruption events not yet injected.
-    pub fn pending_corruptions(&self) -> usize {
-        self.corrupt_at_op.len()
     }
 
     /// The seed this plan was built with.
@@ -277,16 +184,9 @@ impl FaultPlan {
         self.ops
     }
 
-    /// Advance the operation counter; returns devices whose scheduled
-    /// failure op has now been reached.
-    pub fn record_op(&mut self) -> Vec<usize> {
+    /// Advance the operation counter.
+    pub fn record_op(&mut self) {
         self.ops += 1;
-        let due: Vec<usize> =
-            self.fail_at_op.iter().filter(|&(_, &op)| op <= self.ops).map(|(&d, _)| d).collect();
-        for d in &due {
-            self.fail_at_op.remove(d);
-        }
-        due
     }
 
     /// Deterministic draw: does this read raise a transient error?
@@ -334,15 +234,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn device_fails_at_scheduled_op() {
-        let mut p = FaultPlan::new(1).fail_device_at(2, 3);
-        assert!(p.record_op().is_empty());
-        assert!(p.record_op().is_empty());
-        assert_eq!(p.record_op(), vec![2]);
-        assert!(p.record_op().is_empty(), "failure fires once");
-    }
-
-    #[test]
     fn transient_draw_is_deterministic() {
         let draws = |seed| {
             let mut p = FaultPlan::new(seed).with_transient_read_prob(0.3);
@@ -362,7 +253,8 @@ mod tests {
 
     #[test]
     fn latent_sectors_clear_on_rewrite() {
-        let mut p = FaultPlan::new(0).with_latent_sector(1, 42);
+        let mut p = FaultPlan::new(0);
+        p.add_latent_sector(1, 42);
         assert!(p.is_latent(1, 42));
         assert!(!p.is_latent(1, 43));
         p.clear_latent(1, 42);
@@ -387,50 +279,6 @@ mod tests {
         let healed = ReadOutcome::healed(65536, 3);
         assert_eq!(healed.device_bytes_read, 4 * 65536, "bad chunk + survivors");
         assert_eq!(healed.mode, ReadMode::Healed);
-    }
-
-    #[test]
-    fn corruption_fires_at_scheduled_op() {
-        let mut p = FaultPlan::new(5).with_corruption_at(2, 1, 10).with_corruption_at(4, 3, 20);
-        assert_eq!(p.pending_corruptions(), 2);
-        p.record_op();
-        assert!(p.take_due_corruptions().is_empty());
-        p.record_op();
-        assert_eq!(p.take_due_corruptions(), vec![(1, 10)]);
-        assert_eq!(p.pending_corruptions(), 1);
-        p.record_op();
-        p.record_op();
-        assert_eq!(p.take_due_corruptions(), vec![(3, 20)]);
-        assert!(p.take_due_corruptions().is_empty(), "each event fires once");
-    }
-
-    #[test]
-    fn correlated_failures_fire_together() {
-        let mut p = FaultPlan::new(9).fail_devices_at(&[1, 3], 2);
-        assert!(p.record_op().is_empty());
-        assert_eq!(p.record_op(), vec![1, 3], "both devices down in one op");
-        assert!(p.record_op().is_empty());
-    }
-
-    #[test]
-    fn disk_state_summary() {
-        use DiskState::*;
-        assert_eq!(ArrayHealth::from_disk_states(&[Healthy, Healthy]), ArrayHealth::Healthy);
-        assert_eq!(
-            ArrayHealth::from_disk_states(&[Healthy, Draining]),
-            ArrayHealth::Healthy,
-            "draining is planned, not a fault"
-        );
-        assert_eq!(
-            ArrayHealth::from_disk_states(&[Healthy, Failed, Failed]),
-            ArrayHealth::Degraded { device: 1 }
-        );
-        assert_eq!(
-            ArrayHealth::from_disk_states(&[Failed, Rebuilding]),
-            ArrayHealth::Rebuilding { device: 1 }
-        );
-        assert!(Failed.is_erased() && Rebuilding.is_erased());
-        assert!(!Healthy.is_erased() && !Draining.is_erased());
     }
 
     #[test]

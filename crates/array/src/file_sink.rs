@@ -583,8 +583,7 @@ impl FileArraySink {
     /// when the payload was provided), and handle stripe-close sync/roll.
     fn write_chunk_framed(&mut self, flush: ChunkFlush, payload_crc: u32) -> ChunkLocation {
         let chunk_seq = self.counting.chunks_written();
-        let stripes_before = self.counting.stats().stripes_completed;
-        let loc = self.counting.write_chunk(flush);
+        let (loc, closed) = self.counting.append(&flush);
         if self.failed.is_some() {
             return loc; // power is off: accounting only
         }
@@ -593,7 +592,7 @@ impl FileArraySink {
             "write_chunk before recover_reconcile"
         );
         self.append_record(loc.device, ChunkRecord::data(&flush, &loc, chunk_seq, payload_crc));
-        if self.counting.stats().stripes_completed > stripes_before {
+        if closed {
             let layout = *self.counting.layout();
             let k = layout.config().data_columns();
             for j in 0..layout.config().parity_devices {
@@ -675,7 +674,7 @@ impl ArraySink for FileArraySink {
         };
         let cfg = *self.counting.config();
         let layout = StripeLayout::new(cfg);
-        let k = cfg.data_columns() as u64;
+        let k = cfg.data_columns();
         let mut report = SinkReconcile {
             records_scanned: scanned.iter().map(|v| v.len() as u64).sum(),
             ..SinkReconcile::default()
@@ -722,10 +721,9 @@ impl ArraySink for FileArraySink {
                     }
                 },
             };
-            let loc = counting.write_chunk(flush);
-            debug_assert_eq!(loc, layout.locate(seq));
+            let (loc, closed) = counting.append(&flush);
             rebuilt[loc.device].push(ChunkRecord::data(&flush, &loc, seq, payload_crc));
-            if (seq + 1).is_multiple_of(k) {
+            if closed {
                 for j in 0..cfg.parity_devices {
                     let pdev = layout.parity_device_j(loc.stripe, j);
                     if parity_on_disk.remove(&(loc.stripe, pdev as u32)).is_some() {
@@ -733,7 +731,7 @@ impl ArraySink for FileArraySink {
                     } else {
                         report.records_restored += 1;
                     }
-                    rebuilt[pdev].push(ChunkRecord::parity(loc.stripe, pdev, k as usize + j));
+                    rebuilt[pdev].push(ChunkRecord::parity(loc.stripe, pdev, k + j));
                 }
             }
         }
@@ -787,6 +785,9 @@ impl ArraySink for FileArraySink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
+    use crate::ftl_sink::FtlArray;
+    use crate::store::InMemoryArray;
 
     fn scratch(name: &str) -> PathBuf {
         let dir =
@@ -820,18 +821,38 @@ mod tests {
         assert_eq!(ChunkRecord::decode(&bytes[..40]), None, "short read must fail");
     }
 
-    #[test]
-    fn locations_and_stats_match_counting_array() {
-        let dir = scratch("parity");
-        let cfg = ArrayConfig::default();
+    /// Send one flush stream of `chunks` chunks to every sink: the file
+    /// sink, the counting array, the store and an FTL array whose segment
+    /// addresses equal the sequence (8 chunks per segment, as `flush`
+    /// builds them). All four place every chunk alike, a stripe closes on
+    /// its last data column, and they end with the same counters, but for
+    /// the store's parity-seed copies. Returns the file sink's counters.
+    fn every_sink_places_alike(name: &str, cfg: ArrayConfig, chunks: u32) -> ArrayStats {
+        let dir = scratch(name);
+        let k = cfg.data_columns() as u64;
         let mut mem = CountingArray::new(cfg);
         let mut file = FileArraySink::create(cfg, &dir, FileSinkOptions::default()).unwrap();
-        for i in 0..50u32 {
+        let mut store = InMemoryArray::modelled(cfg, FaultPlan::default());
+        let mut ftl = FtlArray::new(cfg, chunks.div_ceil(8), 8, 16 * 1024, 4, true);
+        for i in 0..chunks {
             let f = flush((i % 3) as u8, i / 8, i % 8);
-            assert_eq!(mem.write_chunk(f), file.write_chunk(f));
+            let loc = mem.write_chunk(f);
+            assert_eq!(file.write_chunk(f), loc, "file sink, chunk {i}");
+            assert_eq!(store.write_chunk(f), loc, "store, chunk {i}");
+            assert_eq!(ftl.write_chunk(f), loc, "FTL array, chunk {i}");
+            assert_eq!(mem.stats().stripes_completed, (i as u64 + 1) / k, "chunk {i}");
         }
         assert_eq!(mem.stats(), file.stats());
+        let but_copies = |s: &ArrayStats| ArrayStats { copy_bytes: 0, ..s.clone() };
+        assert_eq!(but_copies(store.stats()), *mem.stats(), "store");
+        assert_eq!(but_copies(ftl.stats()), *mem.stats(), "FTL array");
         let _ = std::fs::remove_dir_all(&dir);
+        file.stats().clone()
+    }
+
+    #[test]
+    fn locations_and_stats_match_counting_array() {
+        every_sink_places_alike("parity", ArrayConfig::default(), 50);
     }
 
     #[test]
@@ -968,17 +989,8 @@ mod tests {
 
     #[test]
     fn raid6_locations_and_stats_match_counting_array() {
-        let dir = scratch("raid6");
-        let cfg = ArrayConfig::with_parity(8, 2, 65536);
-        let mut mem = CountingArray::new(cfg);
-        let mut file = FileArraySink::create(cfg, &dir, FileSinkOptions::default()).unwrap();
-        for i in 0..60u32 {
-            let f = flush((i % 3) as u8, i / 8, i % 8);
-            assert_eq!(mem.write_chunk(f), file.write_chunk(f));
-        }
-        assert_eq!(mem.stats(), file.stats());
-        assert_eq!(file.stats().parity_bytes(), 10 * 2 * 65536, "2 parity chunks × 10 stripes");
-        let _ = std::fs::remove_dir_all(&dir);
+        let stats = every_sink_places_alike("raid6", ArrayConfig::with_parity(8, 2, 65536), 60);
+        assert_eq!(stats.parity_bytes(), 10 * 2 * 65536, "2 parity chunks × 10 stripes");
     }
 
     #[test]

@@ -32,8 +32,6 @@ pub struct FtlArray {
     pages_per_chunk: u32,
     /// Chunks per segment (to decode physical addresses).
     chunks_per_segment: u32,
-    /// Data columns per stripe.
-    data_columns: u64,
     /// Whether groups map to device streams (true) or all writes share one
     /// stream (false).
     multi_stream: bool,
@@ -58,10 +56,9 @@ impl FtlArray {
         cfg.validate();
         assert_eq!(cfg.chunk_bytes % ftl_page_bytes, 0, "chunk must be whole pages");
         let pages_per_chunk = (cfg.chunk_bytes / ftl_page_bytes) as u32;
-        let data_columns = cfg.data_columns() as u64;
         let total_chunks = total_segments as u64 * chunks_per_segment as u64;
         // Each device holds one chunk (data or parity) per stripe.
-        let stripes = total_chunks.div_ceil(data_columns) + 1;
+        let stripes = total_chunks.div_ceil(cfg.data_columns() as u64) + 1;
         let logical_pages = stripes * pages_per_chunk as u64;
         // Scale NAND geometry to the (possibly tiny, simulation-sized)
         // device: enough erase blocks for GC dynamics, and enough
@@ -85,7 +82,6 @@ impl FtlArray {
             devices: (0..cfg.num_devices).map(|i| FtlDevice::with_id(ftl_cfg, i)).collect(),
             pages_per_chunk,
             chunks_per_segment,
-            data_columns,
             multi_stream,
         }
     }
@@ -116,25 +112,18 @@ impl FtlArray {
 
 impl ArraySink for FtlArray {
     fn write_chunk(&mut self, flush: ChunkFlush) -> ChunkLocation {
-        let cfg = *self.layout.config();
-        debug_assert_eq!(flush.total_bytes(), cfg.chunk_bytes);
+        // The members model in-place SSD addresses, not an append log: the
+        // chunk's physical address is its place in the sequence.
         let addr = flush.physical_chunk_addr(self.chunks_per_segment);
-        let stripe = addr / self.data_columns;
-        let column = (addr % self.data_columns) as usize;
-        let loc = self.layout.locate_at(stripe, column);
-
+        let (loc, closed) = self.stats.charge_append(&self.layout, addr, &flush);
         let stream = self.stream_for(flush.group);
-        let lpn = stripe * self.pages_per_chunk as u64;
+        let lpn = loc.stripe * self.pages_per_chunk as u64;
         self.devices[loc.device].write_pages(lpn, self.pages_per_chunk, stream);
-
-        self.stats.charge_data_chunk(loc.device, &flush);
-
         // Parity rewrite when the stripe's last data column lands.
-        if column as u64 == self.data_columns - 1 {
-            for device in self.layout.parity_devices(stripe) {
+        if closed {
+            for device in self.layout.parity_devices(loc.stripe) {
                 self.devices[device].write_pages(lpn, self.pages_per_chunk, stream);
             }
-            self.stats.charge_stripe_parity(self.layout.parity_devices(stripe), cfg.chunk_bytes);
         }
         loc
     }
@@ -232,7 +221,7 @@ mod tests {
                 let loc = a.write_chunk(flush(0, seg, idx));
                 let parity: Vec<usize> = layout.parity_devices(loc.stripe).collect();
                 assert!(!parity.contains(&loc.device), "data chunk on parity device: {loc:?}");
-                assert_eq!(loc, layout.locate_at(loc.stripe, loc.column));
+                assert_eq!(loc, layout.locate(seg as u64 * 8 + idx as u64));
             }
         }
         // 32 chunks on 4 data columns: every stripe completes.

@@ -78,14 +78,7 @@ impl StripeLayout {
     /// to its physical location.
     pub fn locate(&self, chunk_seq: u64) -> ChunkLocation {
         let k = self.cfg.data_columns() as u64;
-        self.locate_at(chunk_seq / k, (chunk_seq % k) as usize)
-    }
-
-    /// Physical location of data column `column` within `stripe`. Elastic
-    /// stores address stripes directly through this (their chunk sequence
-    /// numbers are offset by earlier geometry epochs).
-    pub fn locate_at(&self, stripe: u64, column: usize) -> ChunkLocation {
-        debug_assert!(column < self.cfg.data_columns());
+        let (stripe, column) = (chunk_seq / k, (chunk_seq % k) as usize);
         let base = self.parity_device_j(stripe, 0);
         // Left-symmetric: data columns start on the device after the last
         // parity device.

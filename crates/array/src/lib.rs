@@ -17,8 +17,8 @@
 //! * [`InMemoryArray`] — the one array that models faults: it keeps chunk
 //!   contents, computes parity as a stripe fills, checksums every chunk,
 //!   and implements device failure, degraded reads of up to `m` erased
-//!   members per stripe, the rebuild sweep, drain, verify-on-read and the
-//!   scrub. It comes at two body lengths — every byte of every chunk
+//!   members per stripe, the rebuild sweep, verify-on-read and the scrub.
+//!   It comes at two body lengths — every byte of every chunk
 //!   ([`InMemoryArray::new`]: the prototype, the byte-exactness tests, the
 //!   repo benchmark) or one byte of it ([`InMemoryArray::modelled`]: the
 //!   trace-driven fault and scrub scenarios) — and is otherwise the same
@@ -54,8 +54,7 @@ pub use counters::{ArrayStats, DeviceCounters};
 pub use crc::crc32c;
 pub use error::{ArrayError, ParityError, Retryable, StorageFailure};
 pub use fault::{
-    ArrayHealth, DiskState, FaultPlan, ReadMode, ReadOutcome, RebuildProgress, ScrubProgress,
-    ScrubStep,
+    ArrayHealth, FaultPlan, ReadMode, ReadOutcome, RebuildProgress, ScrubProgress, ScrubStep,
 };
 pub use file_sink::{FileArraySink, FileSinkError, FileSinkOptions};
 pub use ftl::{FtlConfig, FtlDevice, FtlStats};

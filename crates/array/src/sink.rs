@@ -192,27 +192,19 @@ impl CountingArray {
     pub fn layout(&self) -> &StripeLayout {
         &self.layout
     }
+
+    /// Place and charge the next chunk of the log; also reports whether
+    /// it closed its stripe.
+    pub(crate) fn append(&mut self, flush: &ChunkFlush) -> (ChunkLocation, bool) {
+        let placed = self.stats.charge_append(&self.layout, self.next_chunk_seq, flush);
+        self.next_chunk_seq += 1;
+        placed
+    }
 }
 
 impl ArraySink for CountingArray {
     fn write_chunk(&mut self, flush: ChunkFlush) -> ChunkLocation {
-        let cfg = *self.layout.config();
-        debug_assert_eq!(
-            flush.total_bytes(),
-            cfg.chunk_bytes,
-            "array received a non-chunk-aligned write"
-        );
-        let loc = self.layout.locate(self.next_chunk_seq);
-        self.next_chunk_seq += 1;
-
-        self.stats.charge_data_chunk(loc.device, &flush);
-        // Log-structured appends fill stripes sequentially, so the stripe
-        // completes exactly when its last data column is written.
-        if self.next_chunk_seq.is_multiple_of(cfg.data_columns() as u64) {
-            let parity_devices = self.layout.parity_devices(loc.stripe);
-            self.stats.charge_stripe_parity(parity_devices, cfg.chunk_bytes);
-        }
-        loc
+        self.append(&flush).0
     }
 
     fn config(&self) -> &ArrayConfig {

@@ -5,7 +5,7 @@
 //! a stripe's last data column arrives, checksums every chunk (CRC32C)
 //! and serves reads through Reed-Solomon decode while up to `m` members
 //! of a stripe are erased (failed devices or latent sectors). Failure,
-//! degraded read, rebuild sweep, drain, verify-on-read and scrub are each
+//! degraded read, rebuild sweep, verify-on-read and scrub are each
 //! implemented here once. `m = 1` reproduces the original XOR RAID-5
 //! store byte-for-byte, including every counter.
 //!
@@ -32,23 +32,13 @@
 //! slices borrowed in place, and the rebuild decodes into the spare's slot.
 //! The accounting path stores zero bodies without touching memory: a slot
 //! never written is zero already.
-//!
-//! The store is also *elastic*: [`InMemoryArray::add_device`] widens the
-//! array online. Widening takes effect at the next stripe boundary and
-//! opens a new **geometry epoch** — stripes written earlier keep their
-//! original `k + m` shape and decode with their original code, so no data
-//! is restriped on the spot. (In the full system the log-structured GC
-//! naturally migrates old segments into the new geometry as it rewrites
-//! them; the epoch table is exactly the metadata that makes those old
-//! stripes readable until then.)
 
 use crate::config::ArrayConfig;
-use crate::counters::{ArrayStats, DeviceCounters};
+use crate::counters::ArrayStats;
 use crate::crc;
 use crate::error::ArrayError;
 use crate::fault::{
-    ArrayHealth, DiskState, FaultPlan, ReadMode, ReadOutcome, RebuildProgress, ScrubProgress,
-    ScrubStep,
+    ArrayHealth, FaultPlan, ReadMode, ReadOutcome, RebuildProgress, ScrubProgress, ScrubStep,
 };
 use crate::gf256::gf_mul_into;
 use crate::layout::{ChunkLocation, StripeLayout};
@@ -188,35 +178,6 @@ impl Slabs {
             *slot = Slot::Stale;
         }
     }
-
-    /// The stripes the media holds a chunk of, in order.
-    fn stripes(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..self.slots.len() as u64).filter(|&s| self.state(s) == Slot::Held)
-    }
-}
-
-/// One geometry epoch: every stripe in `first_stripe..` (until the next
-/// epoch) was written with this layout and code.
-#[derive(Debug, Clone)]
-struct Epoch {
-    /// First chunk sequence number written under this geometry.
-    first_seq: u64,
-    /// First stripe index written under this geometry.
-    first_stripe: u64,
-    layout: StripeLayout,
-    code: ReedSolomon,
-}
-
-impl Epoch {
-    /// Decode the chunk `device` holds in `stripe` from `survivors`
-    /// (`(shard, chunk)` pairs, at least `k`, all of one length). The
-    /// chunk is built in the buffer that is returned: a produced chunk is
-    /// never copied.
-    fn recover(&self, survivors: &[(usize, &[u8])], stripe: u64, device: usize) -> Option<Bytes> {
-        let mut out = BytesMut::zeroed(survivors.first()?.1.len());
-        self.code.recover_into(survivors, self.layout.shard_of(stripe, device), &mut out).ok()?;
-        Some(out.freeze())
-    }
 }
 
 /// What [`InMemoryArray::decode_verified`] found.
@@ -231,12 +192,9 @@ struct Decoded {
 /// An erasure-coded array held in memory, with its fault model.
 #[derive(Debug)]
 pub struct InMemoryArray {
-    /// Geometry epochs, oldest first. The last entry is the geometry new
-    /// writes use; [`Self::cfg`] mirrors its config.
-    epochs: Vec<Epoch>,
-    cfg: ArrayConfig,
-    /// Devices added mid-stripe; the epoch rolls when the stripe closes.
-    pending_devices: usize,
+    /// The geometry every stripe is written with, and its code.
+    layout: StripeLayout,
+    code: ReedSolomon,
     stats: ArrayStats,
     next_chunk_seq: u64,
     /// Bytes of each chunk that are stored, summed, encoded and decoded:
@@ -248,26 +206,18 @@ pub struct InMemoryArray {
     /// of the closed stripes, and the sweep restores them into the same
     /// slabs (the spare).
     devices: Vec<Slabs>,
-    /// Data columns accepted into the open stripe so far. Its parity
-    /// accumulates in the parity devices' slots, which hold no chunk
-    /// until the last column arrives.
-    open_columns: usize,
     /// CRC32C of a zero chunk body: what the accounting-only write path
     /// records without summing anything.
     zero_crc: u32,
     /// Devices marked failed; reads to them decode from survivors.
     failed: Vec<bool>,
-    /// Deterministic fault schedule (empty by default).
+    /// Transient-read draws, latent sectors and the op clock.
     plan: FaultPlan,
     /// Devices the in-progress rebuild sweep is restoring onto spares
     /// (empty: no sweep), and its stripe worklist, most-exposed first.
     rebuild_targets: Vec<usize>,
     rebuild_stripes: Vec<u64>,
     rebuild_cursor: usize,
-    /// In-progress proactive drain (planned removal) and its worklist.
-    draining: Option<usize>,
-    drain_worklist: Vec<u64>,
-    drain_cursor: usize,
     /// Device id → (stripe → CRC32C recorded when the chunk was written).
     /// Survives device failure and rebuild: it defines what the chunk's
     /// contents *should* be, independent of the media holding them.
@@ -289,7 +239,7 @@ impl InMemoryArray {
         Self::with_fault_plan(cfg, FaultPlan::default())
     }
 
-    /// Create an empty array driven by a fault schedule.
+    /// Create an empty array driven by a fault plan.
     pub fn with_fault_plan(cfg: ArrayConfig, plan: FaultPlan) -> Self {
         Self::with_body_len(cfg, plan, cfg.chunk_bytes as usize)
     }
@@ -305,28 +255,18 @@ impl InMemoryArray {
     fn with_body_len(cfg: ArrayConfig, plan: FaultPlan, body_len: usize) -> Self {
         cfg.validate();
         Self {
-            epochs: vec![Epoch {
-                first_seq: 0,
-                first_stripe: 0,
-                layout: StripeLayout::new(cfg),
-                code: ReedSolomon::new(cfg.data_columns(), cfg.parity_devices),
-            }],
-            cfg,
-            pending_devices: 0,
+            layout: StripeLayout::new(cfg),
+            code: ReedSolomon::new(cfg.data_columns(), cfg.parity_devices),
             stats: ArrayStats::new(cfg.num_devices),
             next_chunk_seq: 0,
             body_len,
             devices: (0..cfg.num_devices).map(|_| Slabs::new(body_len)).collect(),
-            open_columns: 0,
             zero_crc: crc::crc32c(&vec![0; body_len]),
             failed: vec![false; cfg.num_devices],
             plan,
             rebuild_targets: Vec::new(),
             rebuild_stripes: Vec::new(),
             rebuild_cursor: 0,
-            draining: None,
-            drain_worklist: Vec::new(),
-            drain_cursor: 0,
             checksums: vec![Vec::new(); cfg.num_devices],
             corruption_injected_at: HashMap::new(),
             known_bad: BTreeSet::new(),
@@ -343,90 +283,6 @@ impl InMemoryArray {
     /// Mutable fault plan, for injecting faults mid-run.
     pub fn plan_mut(&mut self) -> &mut FaultPlan {
         &mut self.plan
-    }
-
-    /// The epoch governing `stripe`.
-    fn epoch_for_stripe(&self, stripe: u64) -> &Epoch {
-        self.epochs.iter().rev().find(|e| e.first_stripe <= stripe).unwrap_or(&self.epochs[0])
-    }
-
-    /// Add a fresh, empty device to the array. The widened geometry (one
-    /// more data column, same parity count) takes effect at the next
-    /// stripe boundary; stripes already written keep their original shape
-    /// and remain readable through the epoch table. Returns the new
-    /// device's id.
-    pub fn add_device(&mut self) -> usize {
-        let id = self.devices.len();
-        assert!(id < 256, "GF(256) limits the array to 256 devices");
-        self.devices.push(Slabs::new(self.body_len));
-        self.checksums.push(Vec::new());
-        self.failed.push(false);
-        self.stats.devices.push(DeviceCounters::default());
-        self.pending_devices += 1;
-        if self.open_columns == 0 {
-            self.roll_epoch();
-        }
-        id
-    }
-
-    /// Open a new geometry epoch covering all member devices. Must be
-    /// called at a stripe boundary.
-    fn roll_epoch(&mut self) {
-        debug_assert_eq!(self.open_columns, 0, "epochs roll at stripe boundaries");
-        if self.pending_devices == 0 {
-            return;
-        }
-        let (replace_last, first_stripe) = match self.epochs.last() {
-            // Nothing written under the previous geometry yet: replace
-            // it instead of stacking an empty epoch.
-            Some(last) if last.first_seq == self.next_chunk_seq => (true, last.first_stripe),
-            Some(last) => {
-                let k = last.layout.config().data_columns() as u64;
-                debug_assert_eq!((self.next_chunk_seq - last.first_seq) % k, 0);
-                (false, last.first_stripe + (self.next_chunk_seq - last.first_seq) / k)
-            }
-            // The constructor opens the first epoch, so there is always one
-            // to continue; an empty table would simply start at stripe 0.
-            None => (false, 0),
-        };
-        if replace_last {
-            self.epochs.pop();
-        }
-        let cfg = ArrayConfig::with_parity(
-            self.devices.len(),
-            self.cfg.parity_devices,
-            self.cfg.chunk_bytes,
-        );
-        self.cfg = cfg;
-        self.epochs.push(Epoch {
-            first_seq: self.next_chunk_seq,
-            first_stripe,
-            layout: StripeLayout::new(cfg),
-            code: ReedSolomon::new(cfg.data_columns(), cfg.parity_devices),
-        });
-        self.pending_devices = 0;
-    }
-
-    /// Take `device` out of service. A drain of it is moot from here on:
-    /// the rebuild takes over.
-    fn mark_failed(&mut self, device: usize) {
-        self.failed[device] = true;
-        if self.draining == Some(device) {
-            self.draining = None;
-        }
-    }
-
-    /// Count one array operation and apply the faults the plan has
-    /// scheduled for it.
-    fn record_op(&mut self) {
-        for d in self.plan.record_op() {
-            if d < self.failed.len() {
-                self.mark_failed(d);
-            }
-        }
-        for (d, s) in self.plan.take_due_corruptions() {
-            self.inject_corruption(d, s);
-        }
     }
 
     /// A chunk with checksum `crc` was just written to (device, stripe):
@@ -461,18 +317,11 @@ impl InMemoryArray {
 
     /// Append one chunk: `body`, or a zero body for `None`.
     fn append(&mut self, body: Option<&[u8]>, flush: ChunkFlush) -> ChunkLocation {
-        let cfg = self.cfg;
+        let cfg = *self.layout.config();
         assert_eq!(flush.total_bytes(), cfg.chunk_bytes, "flush accounting mismatch");
 
-        self.record_op();
-        let ei = self.epochs.len() - 1;
-        let (loc, k) = {
-            let ep = &self.epochs[ei];
-            let k = ep.layout.config().data_columns();
-            let local = self.next_chunk_seq - ep.first_seq;
-            let stripe = ep.first_stripe + local / k as u64;
-            (ep.layout.locate_at(stripe, (local % k as u64) as usize), k)
-        };
+        self.plan.record_op();
+        let (loc, closed) = self.stats.charge_append(&self.layout, self.next_chunk_seq, &flush);
         self.next_chunk_seq += 1;
         let media = &mut self.devices[loc.device];
         match body {
@@ -481,11 +330,12 @@ impl InMemoryArray {
         }
         let crc = media.seal(loc.stripe, self.zero_crc);
         self.note_write(loc.device, loc.stripe, crc);
-        self.stats.charge_data_chunk(loc.device, &flush);
 
-        let ep = &self.epochs[ei];
-        let parity = |j| ep.layout.parity_device_j(loc.stripe, j);
-        if self.open_columns == 0 {
+        // The open stripe's parity accumulates in the parity devices'
+        // slots, which hold no chunk until the last column arrives.
+        let layout = self.layout;
+        let parity = |j| layout.parity_device_j(loc.stripe, j);
+        if loc.column == 0 {
             // Zero-seed the m parity slots; row 0 of the code is all ones,
             // so for m = 1 this is exactly the historical parity seed copy.
             for j in 0..cfg.parity_devices {
@@ -497,21 +347,13 @@ impl InMemoryArray {
         if let Some(body) = body {
             for j in 0..cfg.parity_devices {
                 let acc = self.devices[parity(j)].slot_mut(loc.stripe, Slot::Stale);
-                gf_mul_into(acc, body, ep.code.coeff(j, loc.column));
+                gf_mul_into(acc, body, self.code.coeff(j, loc.column));
             }
         }
-        self.open_columns += 1;
-        if self.open_columns == k {
-            let layout = ep.layout;
+        if closed {
             for j in 0..cfg.parity_devices {
-                let pdev = layout.parity_device_j(loc.stripe, j);
-                let crc = self.devices[pdev].seal(loc.stripe, self.zero_crc);
-                self.note_write(pdev, loc.stripe, crc);
-            }
-            self.stats.charge_stripe_parity(layout.parity_devices(loc.stripe), cfg.chunk_bytes);
-            self.open_columns = 0;
-            if self.pending_devices > 0 {
-                self.roll_epoch();
+                let crc = self.devices[parity(j)].seal(loc.stripe, self.zero_crc);
+                self.note_write(parity(j), loc.stripe, crc);
             }
         }
         loc
@@ -539,8 +381,7 @@ impl InMemoryArray {
     /// from the stripe's survivors (requires at least `k` of its members).
     /// Returns `None` for never-written or unrecoverable locations.
     pub fn read_chunk(&self, loc: ChunkLocation) -> Option<Bytes> {
-        let ep = self.epoch_for_stripe(loc.stripe);
-        let n = ep.layout.config().num_devices;
+        let n = self.layout.config().num_devices;
         if loc.device >= n {
             return None;
         }
@@ -552,31 +393,40 @@ impl InMemoryArray {
             .filter(|&dev| !self.lost(dev, loc.stripe))
             .filter_map(|dev| {
                 let b = self.devices[dev].get(loc.stripe)?;
-                Some((ep.layout.shard_of(loc.stripe, dev), b))
+                Some((self.layout.shard_of(loc.stripe, dev), b))
             })
             .collect();
-        if survivors.len() < ep.layout.config().data_columns() {
+        if survivors.len() < self.layout.config().data_columns() {
             return None; // erasures exceed the code's budget (or stripe never closed)
         }
-        ep.recover(&survivors, loc.stripe, loc.device)
+        self.recover(&survivors, loc.stripe, loc.device)
+    }
+
+    /// Decode the chunk `device` holds in `stripe` from `survivors`
+    /// (`(shard, chunk)` pairs, at least `k`, all of one length). The
+    /// chunk is built in the buffer that is returned: a produced chunk is
+    /// never copied.
+    fn recover(&self, survivors: &[(usize, &[u8])], stripe: u64, device: usize) -> Option<Bytes> {
+        let mut out = BytesMut::zeroed(survivors.first()?.1.len());
+        self.code.recover_into(survivors, self.layout.shard_of(stripe, device), &mut out).ok()?;
+        Some(out.freeze())
     }
 
     /// Fallible read with fault injection, verify-on-read, and
     /// degraded-read accounting: consults the fault plan (transient
-    /// errors, latent sectors, scheduled failures and corruptions),
-    /// checks every returned chunk against its stored CRC32C, repairs
-    /// checksum mismatches in place from stripe survivors, serves reads
-    /// on erased members by decode as long as no more than `m` members of
-    /// the stripe are erased, and counts the traffic in [`ArrayStats`].
+    /// errors and latent sectors), checks every returned chunk against its
+    /// stored CRC32C, repairs checksum mismatches in place from stripe
+    /// survivors, serves reads on erased members by decode as long as no
+    /// more than `m` members of the stripe are erased, and counts the
+    /// traffic in [`ArrayStats`].
     /// A device or stripe the array does not have is `MissingChunk`.
     pub fn try_read_chunk(&mut self, loc: ChunkLocation) -> Result<(Bytes, ReadMode), ArrayError> {
-        self.record_op();
+        self.plan.record_op();
         if self.plan.transient_read_fires() {
             return Err(ArrayError::TransientRead { loc });
         }
-        let layout = self.epoch_for_stripe(loc.stripe).layout;
-        let n = layout.config().num_devices;
-        let k = layout.config().data_columns();
+        let cfg = *self.layout.config();
+        let (n, k) = (cfg.num_devices, cfg.data_columns());
         if loc.device >= n {
             return Err(ArrayError::MissingChunk { loc });
         }
@@ -617,7 +467,7 @@ impl InMemoryArray {
                 }
             }
         }
-        if erased > layout.config().parity_devices {
+        if erased > cfg.parity_devices {
             return Err(ArrayError::DoubleFault { loc });
         }
         if missing {
@@ -658,7 +508,7 @@ impl InMemoryArray {
             return Err(self.condemn(loc));
         }
         self.stats.degraded_reads += 1;
-        self.stats.reconstructed_bytes += k as u64 * self.cfg.chunk_bytes;
+        self.stats.reconstructed_bytes += k as u64 * cfg.chunk_bytes;
         Ok((out.freeze(), ReadMode::Reconstructed))
     }
 
@@ -674,12 +524,11 @@ impl InMemoryArray {
         target: usize,
         out: &mut [u8],
     ) -> Decoded {
-        let ep = self.epoch_for_stripe(stripe);
-        let k = ep.layout.config().data_columns();
-        let shard = ep.layout.shard_of(stripe, target);
+        let k = self.layout.config().data_columns();
+        let shard = self.layout.shard_of(stripe, target);
         let shards: Vec<(usize, &[u8])> =
-            members.iter().map(|&(d, b)| (ep.layout.shard_of(stripe, d), b)).collect();
-        let Ok((crcs, out_crc)) = ep.code.recover_checked_into(&shards, shard, out) else {
+            members.iter().map(|&(d, b)| (self.layout.shard_of(stripe, d), b)).collect();
+        let Ok((crcs, out_crc)) = self.code.recover_checked_into(&shards, shard, out) else {
             // Nothing to decode from: the members are checked alone.
             let corrupt = members.iter().filter(|&&(d, b)| !self.verifies(d, stripe, b));
             return Decoded { corrupt: corrupt.map(|&(d, _)| d).collect(), verified: None };
@@ -699,7 +548,7 @@ impl InMemoryArray {
                 .map(|(&s, _)| s)
                 .collect();
             out_crc = (good.len() >= k)
-                .then(|| ep.code.recover_checked_into(&good[..k], shard, out).ok())
+                .then(|| self.code.recover_checked_into(&good[..k], shard, out).ok())
                 .flatten()
                 .map(|(_, c)| c);
         }
@@ -739,7 +588,7 @@ impl InMemoryArray {
         self.devices[device].put(stripe, healed);
         self.known_bad.remove(&(device, stripe));
         self.stats.corruptions_healed += 1;
-        self.stats.heal_write_bytes += self.cfg.chunk_bytes;
+        self.stats.heal_write_bytes += self.layout.config().chunk_bytes;
     }
 
     /// Give up on the chunk at `loc`: count it unrecoverable, once, and
@@ -757,13 +606,13 @@ impl InMemoryArray {
     /// `None` when fewer than `k` honest members remain.
     fn try_repair(&self, device: usize, stripe: u64) -> Option<(Bytes, usize)> {
         self.checksum(device, stripe)?;
-        let ep = self.epoch_for_stripe(stripe);
-        let members: Vec<(usize, &[u8])> = (0..ep.layout.config().num_devices)
+        let cfg = self.layout.config();
+        let members: Vec<(usize, &[u8])> = (0..cfg.num_devices)
             .filter(|&dev| dev != device && !self.erased(dev, stripe))
             .filter_map(|dev| Some((dev, self.devices[dev].get(stripe)?)))
             .collect();
         let out = self.repaired(stripe, &members, device)?;
-        Some((out, ep.layout.config().data_columns()))
+        Some((out, cfg.data_columns()))
     }
 
     /// Silently flip bytes in the stored chunk at (device, stripe) — the
@@ -794,7 +643,7 @@ impl InMemoryArray {
     /// Mark a device failed (degraded mode).
     pub fn fail_device(&mut self, device: usize) {
         assert!(device < self.failed.len(), "no such device");
-        self.mark_failed(device);
+        self.failed[device] = true;
     }
 
     /// Devices currently failed (under rebuild or not), in id order.
@@ -802,27 +651,16 @@ impl InMemoryArray {
         (0..self.failed.len()).filter(|&d| self.failed[d]).collect()
     }
 
-    /// Current health: rebuilding beats degraded beats healthy. (A drain
-    /// leaves the array healthy — the device still serves reads.)
+    /// Current health: a rebuild (naming its lowest target) beats a failed
+    /// device (the lowest one) beats healthy.
     pub fn health_view(&self) -> ArrayHealth {
-        ArrayHealth::from_disk_states(&self.disk_states())
-    }
-
-    /// Per-device lifecycle states.
-    pub fn disk_states(&self) -> Vec<DiskState> {
-        (0..self.devices.len())
-            .map(|d| {
-                if self.rebuild_targets.contains(&d) {
-                    DiskState::Rebuilding
-                } else if self.failed[d] {
-                    DiskState::Failed
-                } else if self.draining == Some(d) {
-                    DiskState::Draining
-                } else {
-                    DiskState::Healthy
-                }
-            })
-            .collect()
+        if let Some(&device) = self.rebuild_targets.iter().min() {
+            ArrayHealth::Rebuilding { device }
+        } else if let Some(device) = self.failed.iter().position(|&f| f) {
+            ArrayHealth::Degraded { device }
+        } else {
+            ArrayHealth::Healthy
+        }
     }
 
     /// Begin an incremental rebuild of `device` onto a fresh spare (a
@@ -853,7 +691,7 @@ impl InMemoryArray {
     fn start_sweep(&mut self, targets: Vec<usize>) -> Result<RebuildProgress, ArrayError> {
         let mut down = targets.clone();
         down.extend(self.failed_devices().into_iter().filter(|d| !targets.contains(d)));
-        if let Some(&device) = down.get(self.cfg.parity_devices) {
+        if let Some(&device) = down.get(self.layout.config().parity_devices) {
             return Err(ArrayError::DoubleFault {
                 loc: ChunkLocation { stripe: 0, device, column: 0 },
             });
@@ -871,7 +709,7 @@ impl InMemoryArray {
         let mut stripes: Vec<u64> = (0..closed).collect();
         stripes.sort_by_key(|s| (Reverse(exposure.get(s).copied().unwrap_or(0)), *s));
         for &d in &targets {
-            self.mark_failed(d);
+            self.failed[d] = true;
             // The spare starts empty, but for what the array still holds in
             // its stripe buffer: the chunks of the stripe being filled, which
             // no parity covers yet. They go onto the spare as they are. The
@@ -907,13 +745,8 @@ impl InMemoryArray {
 
     /// Restore `stripe` on every spare.
     fn rebuild_stripe(&mut self, stripe: u64) {
-        let layout = self.epoch_for_stripe(stripe).layout;
-        let n = layout.config().num_devices;
-        // A stripe that predates a device holds nothing there.
-        let spares: Vec<usize> = self.rebuild_targets.iter().copied().filter(|&d| d < n).collect();
-        if spares.is_empty() {
-            return;
-        }
+        let n = self.layout.config().num_devices;
+        let spares = self.rebuild_targets.clone();
         // Each spare's media leaves the array while its chunk is decoded
         // straight into its slot from the survivors, borrowed in place; a
         // spare holds nothing of the stripe, so none of them is a member.
@@ -932,7 +765,7 @@ impl InMemoryArray {
             members.retain(|(d, _)| !decoded.corrupt.contains(d));
             rebuilt.push(decoded.verified == Some(true));
         }
-        let chunk_bytes = self.cfg.chunk_bytes;
+        let chunk_bytes = self.layout.config().chunk_bytes;
         self.stats.rebuild_read_bytes += read * chunk_bytes;
         for ((device, spare), rebuilt) in spares.into_iter().zip(media).zip(rebuilt) {
             self.devices[device] = spare;
@@ -974,84 +807,6 @@ impl InMemoryArray {
         Some((self.stats.rebuilt_chunks - before) as usize)
     }
 
-    /// Begin proactively draining `device` (planned removal). Unlike a
-    /// rebuild this spends no redundancy: the device keeps serving reads
-    /// while a paced sweep copies its chunks to a replacement, healing
-    /// latent or corrupt chunks on the way out. Panics if the device is
-    /// failed or another drain is in flight — drains are planned
-    /// operations issued by a scheduler that can see [`Self::disk_states`].
-    pub fn start_drain(&mut self, device: usize) -> RebuildProgress {
-        assert!(device < self.devices.len(), "no such device");
-        assert!(!self.failed[device], "cannot drain a failed device");
-        assert!(self.draining.is_none(), "one drain at a time");
-        self.draining = Some(device);
-        self.drain_worklist = self.devices[device].stripes().collect();
-        self.drain_cursor = 0;
-        self.drain_progress()
-    }
-
-    /// Advance the drain sweep by at most `max_stripes` stripes. Each
-    /// stripe copies the device's one chunk (read + write, no decode when
-    /// the chunk is clean) to the replacement; latent or corrupt chunks
-    /// are repaired from stripe survivors first so the replacement starts
-    /// pristine (a condemned chunk is copied as it is, verdict and all).
-    /// Completing the sweep releases the device.
-    pub fn drain_step(&mut self, max_stripes: usize) -> RebuildProgress {
-        let Some(device) = self.draining else {
-            return self.drain_progress();
-        };
-        let chunk_bytes = self.cfg.chunk_bytes;
-        let end = self.drain_cursor.saturating_add(max_stripes).min(self.drain_worklist.len());
-        for i in self.drain_cursor..end {
-            let stripe = self.drain_worklist[i];
-            let latent = self.plan.is_latent(device, stripe);
-            let clean = !latent
-                && self.devices[device]
-                    .get(stripe)
-                    .is_some_and(|b| self.verifies(device, stripe, b));
-            if !clean && !self.known_bad.contains(&(device, stripe)) {
-                let repaired = self.try_repair(device, stripe);
-                if !latent {
-                    self.note_detection(device, stripe);
-                }
-                match repaired {
-                    Some((healed, shards_read)) => {
-                        self.stats.drain_read_bytes += shards_read as u64 * chunk_bytes;
-                        if latent {
-                            // Unreadable, not corrupt: a scrub-style repair.
-                            self.devices[device].put(stripe, &healed);
-                            self.stats.scrub_latent_repaired += 1;
-                            self.stats.heal_write_bytes += chunk_bytes;
-                        } else {
-                            self.heal(device, stripe, &healed);
-                        }
-                    }
-                    None => {
-                        self.condemn(ChunkLocation { stripe, device, column: 0 });
-                    }
-                }
-            }
-            self.plan.clear_latent(device, stripe);
-            self.stats.drain_read_bytes += chunk_bytes;
-            self.stats.drain_write_bytes += chunk_bytes;
-            self.stats.drained_chunks += 1;
-        }
-        self.drain_cursor = end;
-        if self.drain_cursor == self.drain_worklist.len() {
-            self.draining = None;
-        }
-        self.drain_progress()
-    }
-
-    /// Current drain-sweep progress.
-    pub fn drain_progress(&self) -> RebuildProgress {
-        RebuildProgress {
-            stripes_done: self.drain_cursor as u64,
-            stripes_total: self.drain_worklist.len() as u64,
-            complete: self.draining.is_none(),
-        }
-    }
-
     /// Number of chunks appended so far.
     pub fn chunks_written(&self) -> u64 {
         self.next_chunk_seq
@@ -1073,10 +828,11 @@ impl InMemoryArray {
         if self.scrub_cursor >= self.scrub_total {
             // The log appends stripes in order: the written ones are the
             // closed ones plus the one being filled.
-            self.scrub_total = self.stats.stripes_completed + (self.open_columns > 0) as u64;
+            self.scrub_total =
+                self.next_chunk_seq.div_ceil(self.layout.config().data_columns() as u64);
             self.scrub_cursor = 0;
         }
-        let chunk_bytes = self.cfg.chunk_bytes;
+        let chunk_bytes = self.layout.config().chunk_bytes;
         let mut step = ScrubStep::default();
         let end = self.scrub_cursor.saturating_add(max_stripes as u64).min(self.scrub_total);
         for stripe in self.scrub_cursor..end {
@@ -1151,13 +907,17 @@ impl ArraySink for InMemoryArray {
         // The ownership boundary: stored chunks must outlive the caller's
         // buffer, so what the store keeps of the borrowed payload is
         // copied exactly once, here, into its slot.
-        assert_eq!(payload.len() as u64, self.cfg.chunk_bytes, "sub-chunk write reached the array");
+        assert_eq!(
+            payload.len() as u64,
+            self.layout.config().chunk_bytes,
+            "sub-chunk write reached the array"
+        );
         self.stats.copy_bytes += self.body_len as u64;
         self.append(Some(&payload[..self.body_len]), flush)
     }
 
     fn config(&self) -> &ArrayConfig {
-        &self.cfg
+        self.layout.config()
     }
 
     fn stats(&self) -> &ArrayStats {
@@ -1169,8 +929,8 @@ impl ArraySink for InMemoryArray {
     }
 
     fn read_chunk_at(&mut self, loc: ChunkLocation) -> Result<ReadOutcome, ArrayError> {
-        let chunk_bytes = self.cfg.chunk_bytes;
-        let k = self.epoch_for_stripe(loc.stripe).layout.config().data_columns();
+        let chunk_bytes = self.layout.config().chunk_bytes;
+        let k = self.layout.config().data_columns();
         self.try_read_chunk(loc).map(|(_, mode)| match mode {
             ReadMode::Normal => ReadOutcome::normal(chunk_bytes),
             ReadMode::Reconstructed => ReadOutcome::reconstructed(chunk_bytes, k),
@@ -1186,6 +946,7 @@ impl ArraySink for InMemoryArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Retryable;
     use crate::parity;
 
     fn flush_full() -> ChunkFlush {
@@ -1248,7 +1009,7 @@ mod tests {
         for b in &bodies {
             a.write_chunk_bytes(b.clone(), flush_full());
         }
-        let pdev = a.epochs[0].layout.parity_device(0);
+        let pdev = a.layout.parity_device(0);
         let refs: Vec<&[u8]> = bodies.iter().map(|b| b.as_ref()).collect();
         assert_eq!(a.devices[pdev].get(0).unwrap(), parity::compute_parity(&refs).as_slice());
     }
@@ -1262,7 +1023,7 @@ mod tests {
         }
         let data: Vec<&[u8]> = bodies.iter().map(|b| b.as_ref()).collect();
         let parity = ReedSolomon::new(6, 2).encode(&data).unwrap();
-        let layout = a.epochs[0].layout;
+        let layout = a.layout;
         for (j, expect) in parity.iter().enumerate() {
             let pdev = layout.parity_device_j(0, j);
             assert_eq!(a.devices[pdev].get(0).unwrap(), expect.as_slice(), "parity row {j}");
@@ -1394,7 +1155,7 @@ mod tests {
             let mut transients = 0;
             for _ in 0..64 {
                 if let Err(e) = a.read_chunk_at(loc) {
-                    assert!(e.is_transient());
+                    assert!(e.is_retryable());
                     transients += 1;
                 }
             }
@@ -1421,10 +1182,11 @@ mod tests {
     #[test]
     fn degraded_reads_and_rebuild() {
         // Device 1 fails on the 7th op (after 2 full stripes of writes).
-        for mut a in both(ArrayConfig::default(), FaultPlan::new(42).fail_device_at(1, 7)) {
+        for mut a in both(ArrayConfig::default(), FaultPlan::new(42)) {
             let locs = fill(&mut a, 0..6);
             assert_eq!(a.health_view(), ArrayHealth::Healthy);
-            fill(&mut a, 6..7); // 7th op: device 1 dies
+            a.fail_device(1);
+            fill(&mut a, 6..7); // 7th op
             assert_eq!(a.health_view(), ArrayHealth::Degraded { device: 1 });
 
             // Reads to surviving devices are normal; reads to device 1 in
@@ -1580,7 +1342,7 @@ mod tests {
     fn corrupted_parity_healed_by_scrub() {
         for mut a in raid5_stores() {
             fill(&mut a, 0..3);
-            let pdev = a.epochs[0].layout.parity_device(0);
+            let pdev = a.layout.parity_device(0);
             assert!(a.inject_corruption(pdev, 0));
             let step = a.scrub_step(usize::MAX);
             assert_eq!(step.detected, 1);
@@ -1604,7 +1366,7 @@ mod tests {
             // Direct read of the corrupt chunk: repair needs the failed member.
             let err = a.try_read_chunk(locs[0]).unwrap_err();
             assert!(matches!(err, ArrayError::ChecksumMismatch { .. }), "{err}");
-            assert!(!err.is_transient());
+            assert!(!err.is_retryable());
             assert_eq!(a.stats().corruptions_unrecoverable, 1);
             // The verdict is sticky: re-reads fail without re-counting, and
             // so does the degraded read that needs the condemned member.
@@ -1633,10 +1395,10 @@ mod tests {
 
     #[test]
     fn scheduled_corruption_fires_and_latency_is_counted() {
-        let plan = FaultPlan::new(3).with_corruption_at(3, 0, 0);
-        for mut a in both(ArrayConfig::default(), plan) {
+        for mut a in both(ArrayConfig::default(), FaultPlan::new(3)) {
             let locs = fill(&mut a, 0..3);
-            assert_eq!(a.outstanding_corruptions(), 1, "fired on the 3rd op");
+            assert!(a.inject_corruption(0, 0), "after the 3rd op");
+            assert_eq!(a.outstanding_corruptions(), 1);
             let victim = locs.iter().find(|l| l.device == 0).unwrap();
             // Two clean reads of other chunks, then hit the corrupt one.
             for loc in locs.iter().filter(|l| l.device != 0) {
@@ -1653,9 +1415,10 @@ mod tests {
 
     #[test]
     fn scheduled_corruption_latency_counted_by_scrub() {
-        let plan = FaultPlan::new(1).with_corruption_at(6, 0, 0);
-        for mut a in both(ArrayConfig::default(), plan) {
-            fill(&mut a, 0..9); // corruption fires on op 6
+        for mut a in both(ArrayConfig::default(), FaultPlan::new(1)) {
+            fill(&mut a, 0..6);
+            assert!(a.inject_corruption(0, 0), "after op 6");
+            fill(&mut a, 6..9);
             assert_eq!(a.outstanding_corruptions(), 1);
             let step = a.scrub_step(usize::MAX);
             assert_eq!(step.detected, 1);
@@ -1703,7 +1466,7 @@ mod tests {
         // parity of another stripe.
         for mut a in raid5_stores() {
             fill(&mut a, 0..9);
-            let pdev = a.epochs[0].layout.parity_device(1);
+            let pdev = a.layout.parity_device(1);
             assert!(a.inject_corruption(0, 0));
             assert!(a.inject_corruption(pdev, 1));
             let step = a.scrub_step(1);
@@ -1762,9 +1525,11 @@ mod tests {
     #[test]
     fn raid6_one_sweep_rebuilds_a_correlated_double_failure() {
         // Both devices die on the same op, after two closed stripes.
-        for mut a in both(raid6(), FaultPlan::new(7).fail_devices_at(&[2, 5], 13)) {
+        for mut a in both(raid6(), FaultPlan::new(7)) {
             let locs = fill(&mut a, 0..12);
-            fill(&mut a, 12..13); // 13th op: devices 2 and 5 die together
+            a.fail_device(2);
+            a.fail_device(5);
+            fill(&mut a, 12..13); // 13th op
             assert_eq!(a.health_view(), ArrayHealth::Degraded { device: 2 });
             assert_eq!(a.failed_devices(), [2, 5]);
 
@@ -1785,12 +1550,16 @@ mod tests {
             assert_eq!(a.stats().degraded_reads, degraded);
             assert_eq!(a.stats().reconstructed_bytes, degraded * 6 * 65536);
 
+            // A sweep of device 5 alone names it, though device 2 is down
+            // too: a rebuild beats a failure.
+            a.start_rebuild(5).unwrap();
+            assert_eq!(a.health_view(), ArrayHealth::Rebuilding { device: 5 });
+
             // One sweep rebuilds both devices: each closed stripe reads its
             // n − 2 = 6 survivors once and writes 2 spare chunks.
             a.start_rebuild_all().unwrap();
             assert_eq!(a.health_view(), ArrayHealth::Rebuilding { device: 2 });
-            assert_eq!(a.disk_states()[2], DiskState::Rebuilding, "{:?}", a.disk_states());
-            assert_eq!(a.disk_states()[5], DiskState::Rebuilding);
+            assert_eq!(a.rebuild_targets, [2, 5]);
             let p = a.rebuild_step(usize::MAX).unwrap();
             assert!(p.complete);
             assert_eq!(a.health_view(), ArrayHealth::Healthy);
@@ -1926,98 +1695,6 @@ mod tests {
     }
 
     #[test]
-    fn add_device_widens_at_stripe_boundary() {
-        for mut a in raid5_stores() {
-            let old = fill(&mut a, 0..3);
-            assert_eq!(a.config().num_devices, 4);
-            assert_eq!(a.add_device(), 4);
-            assert_eq!(a.config().num_devices, 5, "at a boundary the epoch rolls immediately");
-            let new = fill(&mut a, 10..14);
-            assert!(new.iter().all(|l| l.stripe == 1), "4 data columns fill one 4+1 stripe");
-            assert_eq!(a.stats().stripes_completed, 2);
-            assert_contents(&a, &old, 0);
-            assert_contents(&a, &new, 10);
-            // Degraded reads decode each stripe with its own epoch's geometry.
-            a.fail_device(0);
-            assert_contents(&a, &old, 0);
-            assert_contents(&a, &new, 10);
-        }
-    }
-
-    #[test]
-    fn add_device_mid_stripe_defers_to_close() {
-        for mut a in raid5_stores() {
-            let mut locs = fill(&mut a, 0..1);
-            a.add_device();
-            assert_eq!(a.config().num_devices, 4, "the open stripe keeps its geometry");
-            locs.extend(fill(&mut a, 1..3));
-            assert_eq!(locs[2].stripe, 0);
-            assert_eq!(a.config().num_devices, 5, "widened once the stripe closed");
-            let next = fill(&mut a, 3..7);
-            assert!(next.iter().all(|l| l.stripe == 1));
-            locs.extend(next);
-            assert_contents(&a, &locs, 0);
-            let scrubbed = a.scrub_step(usize::MAX);
-            assert!(scrubbed.pass_complete);
-            assert_eq!(scrubbed.detected, 0, "mixed-geometry scrub finds nothing wrong");
-        }
-    }
-
-    #[test]
-    fn drain_heals_on_the_way_out_without_spending_redundancy() {
-        for mut a in raid5_stores() {
-            let locs = fill(&mut a, 0..9);
-            a.plan_mut().add_latent_sector(1, 0);
-            assert!(a.inject_corruption(1, 2));
-            let p = a.start_drain(1);
-            assert!(!p.complete);
-            assert_eq!(a.disk_states()[1], DiskState::Draining);
-            assert_eq!(a.health_view(), ArrayHealth::Healthy, "drain is planned, not a fault");
-            let p = a.drain_step(1);
-            assert_eq!(p.stripes_done, 1);
-            assert!(!a.plan().is_latent(1, 0), "copy refreshes the media");
-            while !a.drain_step(1).complete {}
-            assert_eq!(a.disk_states()[1], DiskState::Healthy);
-            // One chunk read + one chunk written per stripe; the latent and
-            // the corrupt chunk were each decoded from 3 survivors first, so
-            // the replacement starts pristine.
-            assert_eq!(a.stats().drained_chunks, 3);
-            assert_eq!(a.stats().drain_write_bytes, 3 * 65536);
-            assert_eq!(a.stats().drain_read_bytes, (3 + 2 * 3) * 65536);
-            assert_eq!(a.stats().degraded_reads, 0);
-            assert_eq!(a.stats().scrub_latent_repaired, 1);
-            assert_eq!(a.stats().corruptions_healed, 1);
-            assert_eq!(a.outstanding_corruptions(), 0);
-            assert_contents(&a, &locs, 0);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot drain a failed device")]
-    fn drain_of_failed_device_panics() {
-        let mut a = InMemoryArray::modelled(ArrayConfig::default(), FaultPlan::new(0));
-        a.fail_device(2);
-        a.start_drain(2);
-    }
-
-    #[test]
-    fn disk_states_track_lifecycle() {
-        for mut a in raid5_stores() {
-            fill(&mut a, 0..3);
-            assert!(a.disk_states().iter().all(|s| *s == DiskState::Healthy));
-            a.start_drain(3);
-            assert_eq!(a.disk_states()[3], DiskState::Draining);
-            a.fail_device(3);
-            assert_eq!(a.disk_states()[3], DiskState::Failed);
-            assert!(a.drain_progress().complete, "a failed device has nothing left to drain");
-            a.start_rebuild_all().unwrap();
-            assert_eq!(a.disk_states()[3], DiskState::Rebuilding);
-            a.rebuild_step(usize::MAX).unwrap();
-            assert_eq!(a.disk_states()[3], DiskState::Healthy);
-        }
-    }
-
-    #[test]
     fn a_forgotten_slot_is_never_served_stale() {
         for mut a in raid5_stores() {
             // 40 stripes: the victim's slots span two slabs.
@@ -2138,7 +1815,7 @@ mod tests {
         for mut a in raid5_stores() {
             fill(&mut a, 0..12);
             a.fail_device(0);
-            let layout = a.epochs[0].layout;
+            let layout = a.layout;
             let survivor =
                 |stripe: u64| (1..4).find(|&d| layout.parity_device(stripe) != d).unwrap();
             a.plan_mut().add_latent_sector(survivor(1), 1);

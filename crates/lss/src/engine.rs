@@ -32,7 +32,6 @@
 
 use crate::checkpoint::{self, CheckpointStore, ViewMut};
 use crate::config::LssConfig;
-use crate::error::EngineError;
 use crate::events::{EventKind, EventRecorder, GaugeSample};
 use crate::gc_buckets::SegmentBuckets;
 use crate::gc_variants::VictimPolicy;
@@ -49,6 +48,7 @@ use crate::types::{GroupId, Lba, SegmentId, Slot};
 use crate::wal::{
     self, DurabilityConfig, Wal, WalError, WalRecord, WalSlot, WalSlotKind, WalStats,
 };
+use crate::{error::EngineError, Retryable};
 use adapt_array::{
     ArrayHealth, ArraySink, ChunkFlush, ReadMode, RecoveredFlush, ScrubStep, StripeLayout, Traffic,
 };
@@ -364,7 +364,7 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
                     }
                     return Ok(());
                 }
-                Err(e) if e.is_transient() && attempt < Self::READ_RETRY_LIMIT => {
+                Err(e) if e.is_retryable() && attempt < Self::READ_RETRY_LIMIT => {
                     self.metrics.retried_reads += 1;
                     self.metrics.retry_backoff_us += Self::RETRY_BACKOFF_US << attempt.min(16);
                     attempt += 1;
@@ -2545,7 +2545,7 @@ mod tests {
         // READ_RETRY_LIMIT times, then surfaces the fault.
         let err = e.try_read_request(100, 0, 4).unwrap_err();
         assert!(matches!(err, EngineError::Array(ArrayError::TransientRead { .. })));
-        assert!(err.is_transient());
+        assert!(err.is_retryable());
         let m = e.metrics();
         assert_eq!(m.retried_reads, 3);
         // Exponential backoff: 50 + 100 + 200 simulated µs.

@@ -8,7 +8,7 @@
 //! After an [`EngineError::IndexCorruption`] the engine's internal state
 //! is suspect and the instance should be discarded; the other variants
 //! leave the engine consistent — `OutOfSpace` callers may TRIM and retry,
-//! and transient array errors (see [`EngineError::is_transient`]) are
+//! and transient array errors (see [`Retryable::is_retryable`]) are
 //! retried internally, up to three times.
 
 use crate::types::Lba;
@@ -81,15 +81,6 @@ impl Retryable for WalError {
     /// reissue. Nothing in the log path is worth spinning on.
     fn is_retryable(&self) -> bool {
         false
-    }
-}
-
-impl EngineError {
-    /// Whether retrying the same operation may succeed. Alias for
-    /// [`Retryable::is_retryable`], kept for call sites predating the
-    /// trait.
-    pub fn is_transient(&self) -> bool {
-        self.is_retryable()
     }
 }
 
@@ -166,9 +157,9 @@ mod tests {
     #[test]
     fn transient_classification() {
         let loc = ChunkLocation { stripe: 0, device: 1, column: 0 };
-        assert!(EngineError::from(ArrayError::TransientRead { loc }).is_transient());
-        assert!(!EngineError::from(ArrayError::DoubleFault { loc }).is_transient());
-        assert!(!EngineError::IndexCorruption { lba: 3, detail: "x".into() }.is_transient());
+        assert!(EngineError::from(ArrayError::TransientRead { loc }).is_retryable());
+        assert!(!EngineError::from(ArrayError::DoubleFault { loc }).is_retryable());
+        assert!(!EngineError::IndexCorruption { lba: 3, detail: "x".into() }.is_retryable());
     }
 
     #[test]
@@ -177,7 +168,7 @@ mod tests {
         // the engine must surface it, never spin in the retry loop.
         let loc = ChunkLocation { stripe: 4, device: 2, column: 1 };
         let e = EngineError::from(ArrayError::ChecksumMismatch { loc });
-        assert!(!e.is_transient());
+        assert!(!e.is_retryable());
         let s = e.to_string();
         assert!(s.contains("checksum") && s.contains("stripe 4"), "{s}");
         assert!(std::error::Error::source(&e).is_some(), "array cause preserved");

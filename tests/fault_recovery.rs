@@ -4,7 +4,7 @@
 //! the open-stripe buffer — and (b) the rebuild accounting balances
 //! exactly against the array geometry.
 
-use adapt_repro::array::{ArrayError, ArraySink, FaultPlan, InMemoryArray};
+use adapt_repro::array::{ArrayError, ArraySink, FaultPlan, InMemoryArray, Retryable};
 use adapt_repro::lss::{EngineError, GcSelection, Lss, LssConfig};
 use adapt_repro::placement::SepBit;
 use adapt_repro::sim::{run_fault_scenario, FaultReport, FaultScenario, ReplayConfig, Scheme};
@@ -161,7 +161,7 @@ fn latent_plus_device_failure_surfaces_typed_double_fault() {
         match e.try_read_request(0, lba, 1) {
             Ok(()) => served += 1,
             Err(err @ EngineError::Array(ArrayError::DoubleFault { .. })) => {
-                assert!(!err.is_transient(), "double faults must not be retried");
+                assert!(!err.is_retryable(), "double faults must not be retried");
                 double_faults += 1;
             }
             Err(other) => panic!("expected DoubleFault, got {other}"),
